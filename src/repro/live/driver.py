@@ -120,7 +120,7 @@ def build_live_cell(
         count_parallelism=count_parallelism,
         vocabulary_size=vocabulary_size,
     )
-    cluster = LocalCluster(topology, backend=backend)
+    cluster = LocalCluster(topology, backend=backend, capture_outputs=False)
     cluster.protect_stateful_tasks()
     # The ingest frontier: one fat-uplink host fanning records out to the
     # operator hosts, so each task's *downlink* is the contended edge.

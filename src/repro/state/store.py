@@ -25,6 +25,9 @@ def estimate_entry_bytes(key: Any, value: Any) -> int:
 
 
 def _estimate(obj: Any) -> int:
+    kind = type(obj)
+    if kind is int or kind is float:  # exact-type fast path: counters, aggregates
+        return 16
     if isinstance(obj, str):
         return len(obj.encode("utf-8")) + 8
     if isinstance(obj, bytes):
@@ -93,11 +96,13 @@ class StateStore:
         return self._size_bytes
 
     def put(self, key: Any, value: Any) -> None:
-        """Insert or replace one entry."""
-        if key in self._entries:
-            self._size_bytes -= estimate_entry_bytes(key, self._entries[key])
-        self._entries[key] = value
-        self._size_bytes += estimate_entry_bytes(key, value)
+        """Insert or replace one entry; ``size_bytes`` moves by the difference."""
+        entries = self._entries
+        if key in entries:
+            self._size_bytes += _estimate(value) - _estimate(entries[key])
+        else:
+            self._size_bytes += _estimate(key) + _estimate(value)
+        entries[key] = value
         self._dirty.add(key)
         self._deleted.discard(key)
 

@@ -6,6 +6,10 @@ routed through the DAG breadth-first, and groupings choose destination
 tasks exactly as Storm would. Terminal components' outputs are captured
 for inspection.
 
+Everything the topology fixes is resolved once, at build, into a route
+table: component -> ``(target, grouping, parallelism, tasks, collectors)``
+rows that hold the live task lists, so delivering a tuple is one loop.
+
 Failure injection for integration tests: :meth:`kill_task` discards a
 task's live instance (losing its in-memory state, like a crashed worker);
 with an :class:`~repro.streaming.backend.SR3StateBackend` attached, the
@@ -16,12 +20,12 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StreamRuntimeError, TopologyError
 from repro.obs.tracer import NULL_TRACER
 from repro.streaming.backend import SR3StateBackend
-from repro.streaming.component import OutputCollector, Spout, TaskContext
+from repro.streaming.component import DiscardCollector, OutputCollector, Spout, TaskContext
 from repro.streaming.stateful import StatefulBolt
 from repro.streaming.topology import Topology
 from repro.streaming.tuples import StreamTuple
@@ -43,41 +47,51 @@ class LocalCluster:
         self.backend = backend
         self.capture_outputs = capture_outputs
         self.output_cap = output_cap
-        self._tasks: Dict[TaskKey, Any] = {}
-        self._collectors: Dict[TaskKey, OutputCollector] = {}
+        # Per component, one slot per task; a killed task's slot is None.
+        self._tasks: Dict[str, List[Any]] = {}
+        self._collectors: Dict[str, List[OutputCollector]] = {}
         self._spout_done: Dict[TaskKey, bool] = {}
         self.outputs: Dict[str, List[StreamTuple]] = {}
         self.executed_counts: Dict[str, int] = {}
-        self._terminal = {
-            cid for cid in topology.component_ids() if not topology.downstream_of(cid)
-        }
+        self._routes: Dict[str, List[tuple]] = {}
         self._instantiate()
 
     # ----------------------------------------------------------------- setup
 
     def _instantiate(self) -> None:
-        for component_id in self.topology.component_ids():
-            spec = self.topology.spec(component_id)
+        topology = self.topology
+        downstream = {cid: topology.downstream_of(cid) for cid in topology.component_ids()}
+        for component_id, edges in downstream.items():
+            spec = topology.spec(component_id)
             fields = tuple(spec.component.declare_output_fields())
-            for index in range(spec.parallelism):
-                key = (component_id, index)
-                # A single-task component runs as the declared instance;
-                # parallel components need independent (deep-copied) tasks.
-                if spec.parallelism == 1:
-                    instance = spec.component
-                else:
-                    instance = copy.deepcopy(spec.component)
-                context = TaskContext(component_id, index, spec.parallelism)
-                instance.prepare(context)
-                self._tasks[key] = instance
-                self._collectors[key] = OutputCollector(component_id, fields)
-                if isinstance(instance, Spout):
-                    self._spout_done[key] = False
-        for component_id in self.topology.component_ids():
-            self.executed_counts[component_id] = 0
-        if self.capture_outputs:
-            for component_id in self._terminal:
+            collector_cls = OutputCollector
+            if not edges and self.capture_outputs:
                 self.outputs[component_id] = []
+            elif not edges and component_id in topology.bolts:
+                collector_cls = DiscardCollector  # a terminal bolt nobody listens to
+            tasks = self._tasks[component_id] = []
+            for index in range(spec.parallelism):
+                instance = self._new_instance(spec)
+                instance.prepare(TaskContext(component_id, index, spec.parallelism))
+                tasks.append(instance)
+                if isinstance(instance, Spout):
+                    self._spout_done[(component_id, index)] = False
+            self._collectors[component_id] = [
+                collector_cls(component_id, fields) for _ in range(spec.parallelism)
+            ]
+            self.executed_counts[component_id] = 0
+        for component_id, edges in downstream.items():
+            self._routes[component_id] = [
+                (e.target, e.grouping, len(self._tasks[e.target]),
+                 self._tasks[e.target], self._collectors[e.target])
+                for e in edges
+            ]
+
+    @staticmethod
+    def _new_instance(spec):
+        """A single-task component runs as the declared instance; parallel
+        components need independent (deep-copied) tasks."""
+        return spec.component if spec.parallelism == 1 else copy.deepcopy(spec.component)
 
     @property
     def _tracer(self):
@@ -86,14 +100,21 @@ class LocalCluster:
 
     def task(self, component_id: str, index: int = 0):
         """The live instance of one task (for state inspection in tests)."""
-        try:
-            return self._tasks[(component_id, index)]
-        except KeyError:
-            raise TopologyError(f"unknown task {component_id}[{index}]") from None
+        return self._task_slots(component_id, index)[index]
+
+    def _task_slots(self, component_id: str, index: int) -> List[Any]:
+        """The task list of ``component_id``, once ``index`` is known to be in it."""
+        tasks = self._tasks.get(component_id)
+        if tasks is None or not 0 <= index < len(tasks):
+            raise TopologyError(f"unknown task {component_id}[{index}]")
+        return tasks
 
     def stateful_tasks(self) -> Dict[TaskKey, StatefulBolt]:
         return {
-            key: inst for key, inst in self._tasks.items() if isinstance(inst, StatefulBolt)
+            (component_id, index): inst
+            for component_id, tasks in self._tasks.items()
+            for index, inst in enumerate(tasks)
+            if isinstance(inst, StatefulBolt)
         }
 
     def state_checksums(self) -> Dict[str, str]:
@@ -156,22 +177,21 @@ class LocalCluster:
         return emissions
 
     def _pump_spout(self, key: TaskKey) -> bool:
-        spout = self._tasks[key]
-        collector = self._collectors[key]
-        alive = spout.next_tuple(collector)
+        component_id, index = key
+        collector = self._collectors[component_id][index]
+        alive = self._tasks[component_id][index].next_tuple(collector)
         if not alive:
             self._spout_done[key] = True
         produced = collector.drain()
-        component_id = key[0]
         self.executed_counts[component_id] += 1
         for tuple_ in produced:
-            self._route(component_id, tuple_)
+            self._route(tuple_)
         return bool(produced)
 
     def inject(
         self,
         source_id: str,
-        values,
+        values: Sequence[Any],
         timestamp: Optional[float] = None,
     ) -> None:
         """Push one synthetic emission from ``source_id`` through the DAG.
@@ -182,64 +202,65 @@ class LocalCluster:
         rewind is just re-injecting the same records. ``values`` must
         match the component's declared output fields.
         """
-        spec = self.topology.spec(source_id)
-        fields = tuple(spec.component.declare_output_fields())
-        tuple_ = StreamTuple(
-            tuple(values), fields, source=source_id, timestamp=timestamp
-        )
+        collectors = self._collectors.get(source_id)
+        if collectors is None:
+            raise TopologyError(f"unknown component {source_id!r}")
+        tuple_ = StreamTuple(values, collectors[0].fields, source_id, "default", timestamp)
         self.executed_counts[source_id] += 1
-        self._route(source_id, tuple_)
+        self._route(tuple_)
 
-    def _route(self, source_id: str, root_tuple: StreamTuple) -> None:
-        """Push one emission through the DAG breadth-first."""
-        queue: deque = deque([(source_id, root_tuple)])
+    def _route(self, root_tuple: StreamTuple) -> None:
+        """Push one emission through the DAG breadth-first.
+
+        A queued tuple follows the routes of its ``source``; emissions join
+        the queue in the order they were made, so delivery (and each
+        captured ``outputs`` list) is level by level from the root.
+        """
+        routes = self._routes
+        sinks = self.outputs
+        executed = self.executed_counts
+        queue = deque((root_tuple,))
+        next_tuple = queue.popleft
         while queue:
-            component_id, tuple_ = queue.popleft()
-            if component_id in self._terminal and self.capture_outputs:
-                sink = self.outputs[component_id]
-                if len(sink) < self.output_cap:
-                    sink.append(tuple_)
-            for edge in self.topology.downstream_of(component_id):
-                spec = self.topology.spec(edge.target)
-                for task_index in edge.grouping.choose(tuple_, spec.parallelism):
-                    for out in self._execute_bolt((edge.target, task_index), tuple_):
-                        queue.append((edge.target, out))
-
-    def _execute_bolt(self, key: TaskKey, tuple_: StreamTuple) -> List[StreamTuple]:
-        bolt = self._tasks.get(key)
-        if bolt is None:
-            raise StreamRuntimeError(
-                f"tuple routed to dead task {key[0]}[{key[1]}]; recover it first"
-            )
-        collector = self._collectors[key]
-        bolt.execute(tuple_, collector)
-        self.executed_counts[key[0]] += 1
-        return collector.drain()
+            tuple_ = next_tuple()
+            component_id = tuple_.source
+            sink = sinks.get(component_id)
+            if sink is not None and len(sink) < self.output_cap:
+                sink.append(tuple_)
+            for target, grouping, parallelism, tasks, collectors in routes[component_id]:
+                for index in grouping.choose(tuple_, parallelism):
+                    bolt = tasks[index]
+                    if bolt is None:
+                        raise StreamRuntimeError(
+                            f"tuple routed to dead task {target}[{index}]; recover it first"
+                        )
+                    collector = collectors[index]
+                    bolt.execute(tuple_, collector)
+                    executed[target] += 1
+                    if collector.pending:
+                        queue.extend(collector.drain())
 
     def flush(self) -> None:
         """Invoke ``finish(collector)`` on bolts that define it (windows)."""
-        for key in sorted(k for k in self._tasks if k not in self._spout_done):
-            bolt = self._tasks.get(key)
-            finish = getattr(bolt, "finish", None)
-            if callable(finish):
-                collector = self._collectors[key]
-                finish(collector)
-                for out in collector.drain():
-                    self._route(key[0], out)
+        for component_id in sorted(self.topology.bolts):
+            for bolt, collector in zip(self._tasks[component_id], self._collectors[component_id]):
+                finish = getattr(bolt, "finish", None)
+                if callable(finish):
+                    finish(collector)
+                    for out in collector.drain():
+                        self._route(out)
 
     def shutdown(self) -> None:
-        for instance in self._tasks.values():
-            if instance is not None:
-                instance.cleanup()
+        for tasks in self._tasks.values():
+            for instance in tasks:
+                if instance is not None:
+                    instance.cleanup()
 
     # ------------------------------------------------------ failure handling
 
     def kill_task(self, component_id: str, index: int = 0) -> None:
         """Crash one task: its instance and in-memory state are lost."""
-        key = (component_id, index)
-        if key not in self._tasks:
-            raise TopologyError(f"unknown task {component_id}[{index}]")
-        self._tasks[key] = None
+        self._task_slots(component_id, index)[index] = None
         self._tracer.instant(
             f"task killed {component_id}[{index}]",
             category="streaming.failure",
@@ -257,16 +278,11 @@ class LocalCluster:
         store from the landed snapshot, and only then revives). Returns
         the new instance.
         """
-        key = (component_id, index)
-        if key not in self._tasks:
-            raise TopologyError(f"unknown task {component_id}[{index}]")
-        if self._tasks[key] is not None:
+        tasks = self._task_slots(component_id, index)
+        if tasks[index] is not None:
             raise StreamRuntimeError(f"task {component_id}[{index}] is alive")
         spec = self.topology.spec(component_id)
-        if spec.parallelism == 1:
-            instance = spec.component
-        else:
-            instance = copy.deepcopy(spec.component)
+        instance = self._new_instance(spec)
         context = TaskContext(component_id, index, spec.parallelism)
         if isinstance(instance, StatefulBolt):
             # The crash lost the in-memory hashtable: restart from an empty
@@ -282,7 +298,7 @@ class LocalCluster:
                     f"it has no store to attach"
                 )
             instance.attach_state(store)
-        self._tasks[key] = instance
+        tasks[index] = instance
         return instance
 
     def recover_task(

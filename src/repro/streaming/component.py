@@ -18,26 +18,34 @@ class OutputCollector:
     """Collects the tuples a component emits during one invocation.
 
     The executor drains the collector after each call and routes the
-    tuples to downstream tasks.
+    tuples to downstream tasks. ``pending`` is what was emitted since the
+    last :meth:`drain`, in emission order.
     """
 
     def __init__(self, source: str, fields: Sequence[str]) -> None:
         self.source = source
         self.fields = tuple(fields)
-        self._pending: List[StreamTuple] = []
+        self.pending: List[StreamTuple] = []
 
     def emit(self, values: Sequence[Any], timestamp: Optional[float] = None) -> StreamTuple:
         """Emit one tuple with this component's declared fields."""
-        out = StreamTuple(
-            values, self.fields, source=self.source, timestamp=timestamp
-        )
-        self._pending.append(out)
+        out = StreamTuple(values, self.fields, self.source, "default", timestamp)
+        self.pending.append(out)
         return out
 
     def drain(self) -> List[StreamTuple]:
-        drained = self._pending
-        self._pending = []
+        drained = self.pending
+        self.pending = []
         return drained
+
+
+class DiscardCollector(OutputCollector):
+    """For a terminal bolt nobody listens to: emissions are checked against
+    the declared fields and dropped, not built and queued for no route."""
+
+    def emit(self, values: Sequence[Any], timestamp: Optional[float] = None) -> None:
+        if len(values) != len(self.fields):
+            StreamTuple(values, self.fields)  # raises the arity error
 
 
 class Component:

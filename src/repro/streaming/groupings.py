@@ -9,7 +9,7 @@ tuples to task 0), and all (replicate to every task).
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.errors import TopologyError
 from repro.streaming.tuples import StreamTuple
@@ -34,18 +34,56 @@ class ShuffleGrouping(Grouping):
         return [index]
 
 
+# Only exact types whose equal values also ``repr`` equal are memoized
+# (``0.0 == -0.0`` and ``(1,) == (1.0,)`` rule out floats and containers);
+# the memo is cleared when it reaches _MEMO_LIMIT keys.
+_MEMO_TYPES = frozenset({str, int, bool, bytes, type(None)})
+_MEMO_LIMIT = 1 << 16
+
+
 class FieldsGrouping(Grouping):
-    """Hash-partition on selected fields: same key, same task."""
+    """Hash-partition on selected fields: same key, same task.
+
+    The task is the first 64 bits of SHA-256 over the ``repr`` of the
+    selected values joined by ``\\x1f``, modulo the task count. The 64-bit
+    prefix is memoized per key; the assignment never depends on the memo.
+    """
 
     def __init__(self, fields: Sequence[str]) -> None:
         if not fields:
             raise TopologyError("fields grouping needs at least one field")
         self.fields = tuple(fields)
+        self._memo: Dict[tuple, int] = {}
 
     def choose(self, tuple_: StreamTuple, num_tasks: int) -> List[int]:
-        key = "\x1f".join(repr(tuple_[f]) for f in self.fields)
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return [int.from_bytes(digest[:8], "big") % num_tasks]
+        fields, row = tuple_.fields, tuple_.values
+        # 1, 1.0 and True compare equal but repr differently: the memo key is
+        # (type, value, type, value, ...), built in one list (this is per tuple).
+        typed = []
+        for name in self.fields:
+            try:
+                value = row[fields.index(name)]
+            except ValueError:
+                value = tuple_[name]  # raises the KeyError that names the field
+            typed.append(type(value))
+            typed.append(value)
+        memo_key = tuple(typed)
+        try:
+            prefix = self._memo.get(memo_key)
+        except TypeError:  # an unhashable field value
+            return [_hash_prefix(typed[1::2]) % num_tasks]
+        if prefix is None:
+            prefix = _hash_prefix(typed[1::2])
+            if _MEMO_TYPES.issuperset(typed[::2]):
+                if len(self._memo) >= _MEMO_LIMIT:
+                    self._memo.clear()
+                self._memo[memo_key] = prefix
+        return [prefix % num_tasks]
+
+
+def _hash_prefix(values: Sequence[Any]) -> int:
+    key = "\x1f".join([repr(v) for v in values])
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
 class GlobalGrouping(Grouping):

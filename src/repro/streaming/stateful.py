@@ -75,8 +75,10 @@ class CountingBolt(StatefulBolt):
 
     def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
         key = tuple_[self.key_field]
-        count = self.state.update(key, lambda c: (c or 0) + 1)
-        collector.emit((key, count), timestamp=tuple_.timestamp)
+        state = self.state
+        count = (state.get(key) or 0) + 1
+        state.put(key, count)
+        collector.emit((key, count), tuple_.timestamp)
 
 
 class AggregatingBolt(StatefulBolt):
@@ -98,5 +100,7 @@ class AggregatingBolt(StatefulBolt):
 
     def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
         key = tuple_[self.key_field]
-        new_value = self.state.update(key, lambda prev: self._reducer(prev, tuple_))
-        collector.emit((key, new_value), timestamp=tuple_.timestamp)
+        state = self.state
+        new_value = self._reducer(state.get(key), tuple_)
+        state.put(key, new_value)
+        collector.emit((key, new_value), tuple_.timestamp)

@@ -1,8 +1,9 @@
 """Model-based (stateful) property test: StateStore behaves like a dict.
 
-Hypothesis drives random sequences of put/get/delete/snapshot/restore
-operations against both the store and a plain-dict model; any divergence
-in contents, length, or size-accounting invariants is a bug.
+Hypothesis drives random sequences of put/get/update/delete/clear/
+snapshot/restore/mark_clean operations against both the store and a
+plain-dict model; any divergence in contents, length, size accounting
+(kept by difference in ``put``) or dirty/deleted tracking is a bug.
 """
 
 import hypothesis.strategies as st
@@ -10,8 +11,25 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.state.store import StateStore
 
-keys = st.text(min_size=1, max_size=6)
-values = st.one_of(st.integers(), st.text(max_size=12), st.tuples(st.integers()))
+# 1, 1.0 and True are one dict key: a replace through any of them must
+# move the size by the value estimates only.
+keys = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.integers(min_value=-2, max_value=2),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.tuples(st.integers(min_value=0, max_value=2), st.text(max_size=2)),
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=12), st.binary(max_size=8),
+)
+values = st.one_of(
+    scalars,
+    st.tuples(st.integers()),
+    st.lists(scalars, max_size=3),
+    st.dictionaries(st.text(max_size=3), scalars, max_size=3),
+)
 
 
 class StateStoreMachine(RuleBasedStateMachine):
@@ -19,18 +37,41 @@ class StateStoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.store = StateStore("model/test")
         self.model = {}
+        self.dirty = set()
+        self.deleted = set()
         self.snapshots = []
         self.time = 0.0
 
     @rule(key=keys, value=values)
     def put(self, key, value):
         self.store.put(key, value)
+        self._model_put(key, value)
+
+    def _model_put(self, key, value):
         self.model[key] = value
+        self.dirty.add(key)
+        self.deleted.discard(key)
 
     @rule(key=keys)
     def delete(self, key):
         assert self.store.delete(key) == (key in self.model)
-        self.model.pop(key, None)
+        if key in self.model:
+            del self.model[key]
+            self.deleted.add(key)
+            self.dirty.discard(key)
+
+    @rule()
+    def clear(self):
+        self.store.clear()
+        self.deleted |= set(self.model)
+        self.dirty.clear()
+        self.model.clear()
+
+    @rule()
+    def mark_clean(self):
+        self.store.mark_clean()
+        self.dirty.clear()
+        self.deleted.clear()
 
     @rule(key=keys, default=values)
     def get(self, key, default):
@@ -41,7 +82,7 @@ class StateStoreMachine(RuleBasedStateMachine):
         expected = (self.model.get(key) or 0) if isinstance(self.model.get(key), int) else 0
         result = self.store.update(key, lambda v: (v if isinstance(v, int) else 0) + 1)
         assert result == (expected if isinstance(self.model.get(key), int) else 0) + 1
-        self.model[key] = result
+        self._model_put(key, result)
 
     @rule()
     def snapshot(self):
@@ -55,6 +96,8 @@ class StateStoreMachine(RuleBasedStateMachine):
         snap, contents = self.snapshots[-1]
         self.store.restore(snap)
         self.model = dict(contents)
+        self.dirty.clear()
+        self.deleted.clear()
 
     @invariant()
     def contents_match(self):
@@ -69,6 +112,11 @@ class StateStoreMachine(RuleBasedStateMachine):
 
         expected = sum(estimate_entry_bytes(k, v) for k, v in self.model.items())
         assert self.store.size_bytes == expected
+
+    @invariant()
+    def change_tracking_matches(self):
+        assert self.store.dirty_keys() == self.dirty
+        assert self.store.deleted_keys() == self.deleted
 
     @invariant()
     def snapshots_frozen(self):

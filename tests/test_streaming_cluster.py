@@ -14,7 +14,7 @@ from repro.sim.network import Network
 from repro.streaming.backend import SR3StateBackend
 from repro.streaming.cluster import LocalCluster
 from repro.streaming.component import FunctionBolt, IteratorSpout
-from repro.streaming.groupings import FieldsGrouping, GlobalGrouping
+from repro.streaming.groupings import AllGrouping, FieldsGrouping, GlobalGrouping
 from repro.streaming.stateful import CountingBolt
 from repro.streaming.topology import TopologyBuilder
 
@@ -224,3 +224,111 @@ class TestBackendUnit:
         recovered, result = backend.recover_task("t")
         assert dict(recovered.items()) == {f"k{i}": i for i in range(100)}
         assert result.duration > 0
+
+
+DIAMOND_RECORDS = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)]
+
+
+def diamond_topology():
+    """source -> {left x2 (shuffle), right (fields)} -> merge x2 -> {tee x2 (all), last (global)}."""
+    builder = TopologyBuilder("diamond")
+    builder.set_spout("source", IteratorSpout(iter(DIAMOND_RECORDS), ["key", "n"]))
+    builder.set_bolt(
+        "left",
+        FunctionBolt(lambda t: [(t["key"], t["n"]), (t["key"], t["n"] * 10)], ["key", "n"]),
+        ["source"],
+        parallelism=2,
+    )
+    builder.set_bolt(
+        "right",
+        FunctionBolt(lambda t: [(t["key"].upper(), -t["n"])], ["key", "n"]),
+        [("source", FieldsGrouping(["key"]))],
+    )
+    builder.set_bolt(
+        "merge",
+        CountingBolt("key"),
+        [("left", FieldsGrouping(["key"])), ("right", GlobalGrouping())],
+        parallelism=2,
+    )
+    passthrough = FunctionBolt(lambda t: [(t["key"], t["count"])], ["key", "count"])
+    builder.set_bolt("tee", passthrough, [("merge", AllGrouping())], parallelism=2)
+    builder.set_bolt("last", passthrough, [("merge", GlobalGrouping())])
+    return builder.build()
+
+
+class TestEngineRegression:
+    """Delivery order and counts pinned to the values of the pre-route-table engine."""
+
+    # Per source record: left's two emissions reach merge before right's one
+    # (breadth-first), and every merge emission reaches both tee tasks.
+    PINNED_LAST = [
+        ("a", 1), ("a", 2), ("A", 1),
+        ("b", 1), ("b", 2), ("B", 1),
+        ("a", 3), ("a", 4), ("A", 2),
+        ("c", 1), ("c", 2), ("C", 1),
+        ("b", 3), ("b", 4), ("B", 2),
+    ]
+
+    def test_diamond_fanout_order_and_counts(self):
+        cluster = LocalCluster(diamond_topology())
+        assert cluster.run() == 5
+        last = [t.values for t in cluster.outputs["last"]]
+        tee = [t.values for t in cluster.outputs["tee"]]
+        assert last == self.PINNED_LAST
+        assert tee == [pair for pair in self.PINNED_LAST for _ in range(2)]
+        assert set(cluster.outputs) == {"tee", "last"}
+        assert cluster.executed_counts == {
+            "source": 6, "left": 5, "right": 5, "merge": 15, "tee": 30, "last": 15,
+        }  # the spout's sixth, exhausted invocation counts too
+        assert [t.source for t in cluster.outputs["last"]] == ["last"] * 15
+        assert [t.timestamp for t in cluster.outputs["last"]] == [None] * 15
+
+    def test_inject_matches_pull_and_checks_the_source(self):
+        pulled = LocalCluster(diamond_topology())
+        pulled.run()
+        pushed = LocalCluster(diamond_topology())
+        for record in DIAMOND_RECORDS:
+            pushed.inject("source", record)
+        assert pushed.outputs == pulled.outputs
+        assert pushed.executed_counts == {**pulled.executed_counts, "source": 5}
+        with pytest.raises(TopologyError):
+            pushed.inject("ghost", ("a", 1))
+        with pytest.raises(TopologyError):
+            pushed.inject("source", ("a",))  # arity of the declared fields
+
+    def test_route_to_killed_task_raises(self):
+        cluster = LocalCluster(diamond_topology())
+        cluster.kill_task("merge", 1)
+        with pytest.raises(StreamRuntimeError, match=r"dead task merge\[1\]"):
+            cluster.run()
+
+    def test_clusters_from_one_topology_are_independent(self):
+        topology = diamond_topology()
+        first = LocalCluster(topology)
+        second = LocalCluster(topology)
+        first.inject("source", ("a", 1))
+        assert sum(second.executed_counts.values()) == 0
+        assert second.outputs == {"tee": [], "last": []}
+        assert first.task("left", 0) is not second.task("left", 0)
+        assert first.task("merge", 0).state is not second.task("merge", 0).state
+        first.kill_task("left", 0)
+        second.inject("source", ("a", 1))  # second's left[0] is still alive
+        assert len(second.outputs["last"]) == 3
+
+    def test_uncaptured_cluster_counts_but_keeps_nothing(self):
+        cluster = LocalCluster(diamond_topology(), capture_outputs=False)
+        cluster.run()
+        assert cluster.outputs == {}
+        assert cluster.executed_counts["tee"] == 30
+
+    def test_uncaptured_terminal_bolt_still_checks_arity(self):
+        builder = TopologyBuilder("bad-arity")
+        builder.set_spout("s", IteratorSpout(iter([(1,)]), ["n"]))
+        builder.set_bolt("b", FunctionBolt(lambda t: [(1, 2)], ["n"]), ["s"])
+        with pytest.raises(TopologyError, match="2 values but 1 declared"):
+            LocalCluster(builder.build(), capture_outputs=False).run()
+
+    def test_uncaptured_lone_spout_still_reports_its_emissions(self):
+        builder = TopologyBuilder("solo")
+        builder.set_spout("s", IteratorSpout(iter([(1,), (2,)]), ["n"]))
+        assert LocalCluster(builder.build(), capture_outputs=False).run() == 2

@@ -1,8 +1,11 @@
 """Unit tests for tuples, components, groupings, and topologies."""
 
-import pytest
-from hypothesis import given, strategies as st
+import hashlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.streaming.groupings as groupings
 from repro.errors import TopologyError
 from repro.streaming.component import (
     FunctionBolt,
@@ -18,6 +21,26 @@ from repro.streaming.groupings import (
 )
 from repro.streaming.topology import TopologyBuilder
 from repro.streaming.tuples import StreamTuple
+
+
+# Values whose equality and repr disagree, plus the ordinary ones.
+key_scalars = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, "", "1", None, b"1"]),
+    st.integers(), st.text(max_size=4), st.floats(allow_nan=False),
+)
+key_values = st.one_of(
+    key_scalars,
+    st.tuples(key_scalars),
+    st.tuples(key_scalars, st.tuples(key_scalars)),
+    st.lists(key_scalars, max_size=2),  # unhashable
+)
+
+
+def reference_choose(fields, tuple_, num_tasks):
+    """`FieldsGrouping.choose` as it was before the memo, verbatim."""
+    key = "\x1f".join(repr(tuple_[f]) for f in fields)
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return [int.from_bytes(digest[:8], "big") % num_tasks]
 
 
 class TestStreamTuple:
@@ -100,6 +123,35 @@ class TestGroupings:
     def test_fields_requires_fields(self):
         with pytest.raises(TopologyError):
             FieldsGrouping([])
+
+    def test_fields_missing_field_names_it(self):
+        with pytest.raises(KeyError, match="no field 'k'"):
+            FieldsGrouping(["k"]).choose(StreamTuple((1,), ("a",), source="up"), 2)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.tuples(key_values, key_values), min_size=1, max_size=30),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([["a"], ["a", "b"], ["b", "a"]]),
+    )
+    def test_fields_matches_unmemoized_reference(self, rows, tasks, fields):
+        # One grouping sees the whole sequence, so keys that compare equal
+        # (1, 1.0, True; 0.0, -0.0; (1,), (1.0,)) meet in its memo.
+        memoized = FieldsGrouping(fields)
+        for row in rows + rows:
+            t = StreamTuple(row, ("a", "b"))
+            assert memoized.choose(t, tasks) == reference_choose(fields, t, tasks)
+
+    def test_fields_memo_is_bounded_and_survives_a_clear(self, monkeypatch):
+        monkeypatch.setattr(groupings, "_MEMO_LIMIT", 4)
+        g = FieldsGrouping(["k"])
+        tuples = [StreamTuple((f"key-{i}",), ("k",)) for i in range(11)]
+        for t in tuples + tuples:
+            assert g.choose(t, 7) == reference_choose(["k"], t, 7)
+            assert len(g._memo) <= 4
+        g.choose(StreamTuple(([1, 2],), ("k",)), 7)  # unhashable: hashed directly
+        g.choose(StreamTuple((0.5,), ("k",)), 7)  # float: never memoized
+        assert all(key[0] is str for key in g._memo)
 
     def test_fields_spreads_keys(self):
         g = FieldsGrouping(["k"])

@@ -1,5 +1,7 @@
 """Unit tests for workload generators and application topologies."""
 
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -53,6 +55,25 @@ class TestSentenceGenerator:
     def test_deterministic(self):
         a = list(SentenceGenerator(20, seed=4))
         assert a == list(SentenceGenerator(20, seed=4))
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "222d39f53cf997fa3aa111a9aaebf6cc3ec9b6d3429e7b654dfa3b2a232225c2"),
+            (1, "214b6a871ad1317102d010cd9c0b930c078b2e70aa047abd74b52ba701fb9d4f"),
+        ],
+    )
+    def test_stream_is_pinned(self, seed, digest):
+        # Taken before __iter__ was hand-hoisted: gated live/* keys and the
+        # benchmark's exactly-once check both replay this exact stream.
+        text = "\n".join(SentenceGenerator(1000, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_iter_agrees_with_sample_word(self):
+        gen = SentenceGenerator(50, words_per_sentence=3, vocabulary_size=50, zipf_s=0.7, seed=7)
+        rng = random.Random(7)
+        expected = [" ".join(gen.sample_word(rng) for _ in range(3)) for _ in range(50)]
+        assert list(gen) == expected
 
     def test_sentence_shape(self):
         sentences = list(SentenceGenerator(10, words_per_sentence=5))
