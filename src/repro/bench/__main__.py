@@ -24,10 +24,6 @@ The observability flags (``--trace``, ``--metrics-out``, ``--profile``,
 fans independent sweep cells (scale cells, campaign scenario × mechanism
 cells) across worker processes; reports and artifacts are merged in cell
 order, byte-identical to ``--jobs 1`` (see :mod:`repro.bench.parallel`).
-
-The pre-subcommand flag style (``python -m repro.bench fig8a``,
-``--campaign smoke``, ``--list``) still works but is deprecated; a note on
-stderr points at the replacement.
 """
 
 from __future__ import annotations
@@ -115,22 +111,17 @@ EXPERIMENTS: Dict[str, Callable] = {
     "slo": lambda args: exp.slo_observability(seed=args.seed),
 }
 
-#: First-token subcommands of the modern CLI; anything else falls back to
-#: the deprecated flag-style parser.
+#: The first token of every invocation; anything else is a usage error.
 SUBCOMMANDS = ("run", "campaign", "control", "dashboard", "list")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``run``: one experiment id plus its knobs."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m repro.bench run",
         description="Regenerate a table/figure from the SR3 evaluation.",
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        help="experiment id (see --list), or 'all'",
-    )
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
+    parser.add_argument("experiment", help="experiment id (see 'list'), or 'all'")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
         "--mechanism",
@@ -153,9 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="fan independent sweep cells (the scale experiment, chaos "
-        "campaigns) across N worker processes; output stays "
-        "byte-identical to --jobs 1 (default: 1)",
+        help="fan the scale experiment's cells across N worker processes; "
+        "output stays byte-identical to --jobs 1 (default: 1)",
     )
     parser.add_argument(
         "--live-duration",
@@ -186,61 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live experiment: co-located bulk state on the kill target "
         "(default: 32)",
     )
-    parser.add_argument(
-        "--campaign",
-        metavar="NAME",
-        help="run a chaos resilience campaign ('smoke' or 'full') instead "
-        "of an experiment; writes resilience-<NAME>.json next to the "
-        "bench output (see --campaign-out)",
-    )
-    parser.add_argument(
-        "--campaign-out",
-        metavar="PATH",
-        help="where --campaign writes the resilience report JSON "
-        "(default: resilience-<NAME>.json in the working directory)",
-    )
-    parser.add_argument(
-        "--controller",
-        action="store_true",
-        help="campaign mode: let the repro.control auto-remediation "
-        "controller own the response in every SR3 cell",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="capture span traces of every simulation and write them to "
-        "PATH as Chrome trace_event JSON (open in chrome://tracing)",
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=("chrome", "plain"),
-        default="chrome",
-        help="artifact format for --trace (default: chrome)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        help="profile every recovery (critical path + blame attribution) "
-        "and write the report JSON to PATH; implies tracing",
-    )
-    parser.add_argument(
-        "--flamegraph",
-        metavar="PATH",
-        help="write collapsed-stack flamegraph lines (flamegraph.pl / "
-        "speedscope import format) to PATH; implies tracing",
-    )
-    parser.add_argument(
-        "--speedscope",
-        metavar="PATH",
-        help="write a speedscope JSON document to PATH "
-        "(open at https://www.speedscope.app); implies tracing",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="dump every simulation's metrics registry (counters, series, "
-        "histograms) to PATH as deterministic JSON",
-    )
+    _add_observability_flags(parser)
     parser.add_argument(
         "--baseline",
         metavar="PATH",
@@ -264,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def print_listing(args) -> None:
+def print_listing(baseline_path: str) -> None:
     """Enumerate everything the CLI can run or gate on.
 
     Sections: experiment ids, the chaos scenario catalog and campaigns,
@@ -283,7 +219,6 @@ def print_listing(args) -> None:
     print("chaos campaigns:")
     for name in sorted(CAMPAIGNS):
         print(f"  {name} ({len(CAMPAIGNS[name])} scenarios)")
-    baseline_path = args.baseline or "BENCH_sr3.json"
     if os.path.exists(baseline_path):
         from repro.bench.baseline import load_baseline
 
@@ -297,20 +232,20 @@ def run_campaign_cli(args) -> int:
     from repro.chaos import run_campaign
     from repro.errors import SimulationError
 
-    controller = getattr(args, "controller", False)
-    jobs = getattr(args, "jobs", 1) or 1
     try:
-        if jobs > 1:
+        if args.jobs > 1:
             from repro.bench.parallel import run_campaign_parallel
 
-            report = run_campaign_parallel(args.campaign, jobs, controller=controller)
+            report = run_campaign_parallel(
+                args.name, args.jobs, controller=args.controller
+            )
         else:
-            report = run_campaign(args.campaign, controller=controller)
+            report = run_campaign(args.name, controller=args.controller)
     except SimulationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(report.format_matrix())
-    out_path = args.campaign_out or f"resilience-{args.campaign}.json"
+    out_path = args.out or f"resilience-{args.name}.json"
     with open(out_path, "w") as fh:
         fh.write(report.to_json())
     print(f"resilience report written to {out_path}", file=sys.stderr)
@@ -368,14 +303,13 @@ def run_control_cli(
 
 
 def _add_observability_flags(parser) -> None:
-    """The telemetry flags shared by every subcommand (satellite of the
-    continuous-telemetry work: one observability surface, not per-command
-    snowflakes)."""
+    """The telemetry flags shared by ``run``, ``campaign`` and ``control``:
+    one observability surface, not per-command snowflakes."""
     parser.add_argument(
         "--trace",
         metavar="PATH",
         help="capture span traces of every simulation and write them to "
-        "PATH as Chrome trace_event JSON",
+        "PATH as Chrome trace_event JSON (open in chrome://tracing)",
     )
     parser.add_argument(
         "--trace-format",
@@ -386,37 +320,40 @@ def _add_observability_flags(parser) -> None:
     parser.add_argument(
         "--profile",
         metavar="PATH",
-        help="profile every recovery and write the report JSON to PATH; "
-        "implies tracing",
+        help="profile every recovery (critical path + blame attribution) "
+        "and write the report JSON to PATH; implies tracing",
     )
     parser.add_argument(
         "--flamegraph",
         metavar="PATH",
-        help="write collapsed-stack flamegraph lines to PATH; implies tracing",
+        help="write collapsed-stack flamegraph lines (flamegraph.pl / "
+        "speedscope import format) to PATH; implies tracing",
     )
     parser.add_argument(
         "--speedscope",
         metavar="PATH",
-        help="write a speedscope JSON document to PATH; implies tracing",
+        help="write a speedscope JSON document to PATH "
+        "(open at https://www.speedscope.app); implies tracing",
     )
     parser.add_argument(
         "--metrics-out",
         metavar="PATH",
-        help="dump every simulation's metrics registry to PATH as "
-        "deterministic JSON",
+        help="dump every simulation's metrics registry (counters, series, "
+        "histograms) to PATH as deterministic JSON",
     )
+    # Only ``run`` has a baseline gate; the others read these as "off".
+    parser.set_defaults(baseline=None, update_baseline=False, baseline_tolerance=None)
 
 
-def _with_observability(args, runner) -> int:
+def _with_observability(args, runner, extra_metrics=None) -> int:
     """Run ``runner`` with the shared observability flags honoured.
 
-    Mirrors what ``run`` does in :func:`_run_legacy`: enable collection
-    up front, write trace/profile/metrics artifacts after — so
-    ``campaign`` and ``control`` produce the same artifacts from the same
-    flags.
+    Collection is enabled up front and the trace/profile/metrics artifacts
+    are written after, whatever ``runner`` returned or raised, so every
+    subcommand produces the same artifacts from the same flags.
     """
     tracing = bool(
-        args.trace or args.profile or args.flamegraph or args.speedscope
+        args.trace or args.profile or args.flamegraph or args.speedscope or args.baseline
     )
     if tracing:
         clear_collected()
@@ -434,16 +371,7 @@ def _with_observability(args, runner) -> int:
             )
             print(f"trace written to {path}", file=sys.stderr)
         if tracing or args.metrics_out:
-            artifacts = argparse.Namespace(
-                profile=args.profile,
-                flamegraph=args.flamegraph,
-                speedscope=args.speedscope,
-                metrics_out=args.metrics_out,
-                baseline=None,
-                update_baseline=False,
-                baseline_tolerance=None,
-            )
-            artifact_code = write_profile_artifacts(artifacts)
+            artifact_code = write_profile_artifacts(args, extra_metrics)
             enable_tracing(False)
             enable_metrics_collection(False)
             exit_code = exit_code or artifact_code
@@ -573,23 +501,68 @@ def write_profile_artifacts(args, extra_metrics=None) -> int:
     return exit_code
 
 
-def _dispatch_subcommand(argv) -> int:
-    """Route a ``run``/``campaign``/``control``/``list`` invocation."""
-    import argparse as _argparse
+def run_experiment_cli(args) -> int:
+    """Run one experiment (or ``all``) and print its table."""
+    extra_metrics: Dict[str, float] = {}
 
+    def run_one(fn) -> None:
+        result = fn(args)
+        extras = getattr(result, "extra", {}) or {}
+        extra_metrics.update(extras.get("baseline_metrics", {}))
+        print(format_result(result))
+
+    def runner() -> int:
+        if args.experiment == "all":
+            for fn in EXPERIMENTS.values():
+                run_one(fn)
+                print()
+            return 0
+        fn = EXPERIMENTS.get(args.experiment)
+        if fn is None:
+            print(
+                f"unknown experiment {args.experiment!r}; try 'list'",
+                file=sys.stderr,
+            )
+            return 2
+        run_one(fn)
+        return 0
+
+    return _with_observability(args, runner, extra_metrics)
+
+
+USAGE = (
+    "usage: python -m repro.bench {" + "|".join(SUBCOMMANDS) + "} ... "
+    "(each takes --help)"
+)
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv) or ["list"]
     command, rest = argv[0], argv[1:]
+    if command not in SUBCOMMANDS:
+        print(USAGE, file=sys.stderr)
+        return 2
     if command == "run":
-        if not rest or rest[0].startswith("-"):
+        if not rest or (rest[0].startswith("-") and rest[0] not in ("-h", "--help")):
             print(
                 "usage: python -m repro.bench run <experiment> [flags]",
                 file=sys.stderr,
             )
             return 2
-        return _run_legacy(rest)
+        return run_experiment_cli(build_parser().parse_args(rest))
     if command == "list":
-        return _run_legacy(["--list"] + rest)
+        parser = argparse.ArgumentParser(prog="python -m repro.bench list")
+        parser.add_argument(
+            "--baseline",
+            metavar="PATH",
+            default="BENCH_sr3.json",
+            help="baseline artifact whose perf-gate keys to list "
+            "(default: BENCH_sr3.json)",
+        )
+        print_listing(parser.parse_args(rest).baseline)
+        return 0
     if command == "campaign":
-        parser = _argparse.ArgumentParser(prog="python -m repro.bench campaign")
+        parser = argparse.ArgumentParser(prog="python -m repro.bench campaign")
         parser.add_argument("name", help="campaign name ('smoke' or 'full')")
         parser.add_argument(
             "--controller",
@@ -612,15 +585,9 @@ def _dispatch_subcommand(argv) -> int:
         )
         _add_observability_flags(parser)
         args = parser.parse_args(rest)
-        campaign_args = _argparse.Namespace(
-            campaign=args.name,
-            campaign_out=args.out,
-            controller=args.controller,
-            jobs=args.jobs,
-        )
-        return _with_observability(args, lambda: run_campaign_cli(campaign_args))
+        return _with_observability(args, lambda: run_campaign_cli(args))
     if command == "dashboard":
-        parser = _argparse.ArgumentParser(prog="python -m repro.bench dashboard")
+        parser = argparse.ArgumentParser(prog="python -m repro.bench dashboard")
         parser.add_argument(
             "--out",
             metavar="PATH",
@@ -643,10 +610,9 @@ def _dispatch_subcommand(argv) -> int:
             metavar="SECONDS",
             help="simulated run length (default: 30)",
         )
-        args = parser.parse_args(rest)
-        return run_dashboard_cli(args)
+        return run_dashboard_cli(parser.parse_args(rest))
     # command == "control"
-    parser = _argparse.ArgumentParser(prog="python -m repro.bench control")
+    parser = argparse.ArgumentParser(prog="python -m repro.bench control")
     parser.add_argument(
         "--scenario",
         action="append",
@@ -669,74 +635,6 @@ def _dispatch_subcommand(argv) -> int:
     return _with_observability(
         args, lambda: run_control_cli(args.scenario, args.mechanism, args.out)
     )
-
-
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in SUBCOMMANDS:
-        return _dispatch_subcommand(list(argv))
-    if argv:
-        print(
-            "note: flag-style invocation is deprecated; use "
-            "'python -m repro.bench run|campaign|control|list' "
-            "(each takes --help)",
-            file=sys.stderr,
-        )
-    return _run_legacy(list(argv))
-
-
-def _run_legacy(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.campaign:
-        return run_campaign_cli(args)
-    if args.list or args.experiment is None:
-        print_listing(args)
-        return 0
-    tracing = bool(
-        args.trace or args.profile or args.flamegraph or args.speedscope or args.baseline
-    )
-    if tracing:
-        clear_collected()
-        enable_tracing(True)
-    if args.metrics_out:
-        clear_collected_registries()
-        enable_metrics_collection(True)
-    exit_code = 0
-    extra_metrics: Dict[str, float] = {}
-
-    def run_one(fn) -> None:
-        result = fn(args)
-        extras = getattr(result, "extra", {}) or {}
-        extra_metrics.update(extras.get("baseline_metrics", {}))
-        print(format_result(result))
-
-    try:
-        if args.experiment == "all":
-            for name, fn in EXPERIMENTS.items():
-                run_one(fn)
-                print()
-        else:
-            fn = EXPERIMENTS.get(args.experiment)
-            if fn is None:
-                print(
-                    f"unknown experiment {args.experiment!r}; try --list",
-                    file=sys.stderr,
-                )
-                return 2
-            run_one(fn)
-    finally:
-        if args.trace:
-            path = write_trace_artifact(
-                args.trace, chrome=args.trace_format == "chrome"
-            )
-            print(f"trace written to {path}", file=sys.stderr)
-        if tracing or args.metrics_out:
-            exit_code = write_profile_artifacts(args, extra_metrics)
-            enable_tracing(False)
-            enable_metrics_collection(False)
-    return exit_code
 
 
 if __name__ == "__main__":

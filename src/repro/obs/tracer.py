@@ -23,7 +23,7 @@ Design rules:
   still render.
 
 The module also hosts the process-wide collection switch used by the bench
-CLI (``python -m repro.bench fig8a --trace out.json``): once
+CLI (``python -m repro.bench run fig8a --trace out.json``): once
 :func:`enable_tracing` is on, every freshly built :class:`Simulator` asks
 :func:`default_tracer` for a live tracer and registers it for export.
 """

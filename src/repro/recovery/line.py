@@ -25,9 +25,8 @@ from repro.errors import InsufficientShardsError
 from repro.recovery.model import (
     RecoveryContext,
     RecoveryHandle,
-    RecoveryResult,
+    RecoveryRun,
     RetryPolicy,
-    replacement_died,
 )
 from repro.state.placement import PlacedShard, PlacementPlan
 
@@ -51,75 +50,50 @@ class LineRecovery:
         state_name: Optional[str] = None,
         parent_span=None,
     ) -> RecoveryHandle:
-        sim = ctx.sim
-        cost = ctx.cost_model
-        name = state_name or plan.placements[0].replica.shard.state_name
-        handle = RecoveryHandle(self.name, name)
-        started_at = sim.now
-        tracer = sim.tracer
-        root_span = tracer.start(
-            "recovery/line",
-            category="recovery",
-            parent=parent_span,
-            state=name,
-            replacement=replacement.name,
+        run = RecoveryRun(
+            ctx,
+            self.name,
+            plan,
+            replacement,
+            state_name,
+            parent_span,
+            self.retry_policy,
             path_length=self.path_length,
         )
-
-        # One surviving replica per shard, plus its lookup penalty when the
-        # primary replica was lost.
-        shard_sources: Dict[int, PlacedShard] = {}
-        penalties: Dict[int, float] = {}
-        for index in plan.shard_indexes():
-            providers = plan.providers_for(index)
-            if not providers:
-                root_span.finish(error="insufficient_shards", shard=index)
-                handle._fail(
-                    InsufficientShardsError(
-                        f"{name}: no surviving replica of shard {index}"
-                    )
-                )
-                return handle
-            shard_sources[index] = providers[0]
-            penalties[index] = cost.lookup_penalty(
-                providers[0].replica.num_replicas, len(providers)
-            )
-
-        total_bytes = float(
-            sum(p.replica.size_bytes for p in shard_sources.values())
-        )
-        # Version-chain shape of the plan (1 link / 0 bytes for flat plans).
-        version_links = int(getattr(plan, "chain_length", 1))
-        delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
-        root_span.annotate(
-            state_bytes=total_bytes,
-            shards=len(shard_sources),
-            chain_len=version_links,
-            delta_bytes=delta_bytes,
-        )
+        if run.handle.done:
+            return run.handle
+        sim = ctx.sim
+        cost = ctx.cost_model
+        root_span = run.root_span
+        total_bytes = run.total_bytes
+        max_retries = run.policy.max_retries
+        # One surviving replica per shard.
+        sources: Dict[int, PlacedShard] = {
+            index: providers[0] for index, providers in run.providers.items()
+        }
 
         # The chain: distinct provider nodes, at most ``path_length`` of them.
         chain: List[DhtNode] = []
         seen = set()
-        for placed in shard_sources.values():
+        for placed in sources.values():
             if placed.node.node_id not in seen:
                 chain.append(placed.node)
                 seen.add(placed.node.node_id)
             if len(chain) == self.path_length:
                 break
-        if not chain:
-            root_span.finish(error="no_chain_nodes")
-            handle._fail(InsufficientShardsError(f"{name}: no chain nodes available"))
-            return handle
+        # Nodes in the merge chain, not the plan's version-chain length
+        # (which the run records as ``chain_len``).
         root_span.annotate(chain_length=len(chain))
+        run.involved.update(node.name for node in chain)
 
         # Assign each shard to a chain node: its holder when the holder is
-        # in the chain, round-robin otherwise (those must prefetch).
+        # in the chain, round-robin otherwise (those must prefetch, after
+        # the lookup penalty a lost primary replica costs).
         stage_shards: Dict[int, List[PlacedShard]] = {i: [] for i in range(len(chain))}
         chain_index = {node.node_id: i for i, node in enumerate(chain)}
         rr = 0
         prefetches: List[Dict] = []
-        for index, placed in sorted(shard_sources.items()):
+        for index, placed in sorted(sources.items()):
             holder_pos = chain_index.get(placed.node.node_id)
             if holder_pos is None:
                 holder_pos = rr % len(chain)
@@ -132,85 +106,33 @@ class LineRecovery:
                         "index": index,
                         "placed": placed,
                         "target": chain[holder_pos],
-                        "penalty": penalties[index],
+                        "penalty": run.lookup_penalty(index),
                     }
                 )
             stage_shards[holder_pos].append(placed)
 
-        involved = {replacement.name} | {node.name for node in chain}
-        progress = {"bytes": 0.0, "stream_done": False, "cpu_done": False}
-        retries = {"stream": 0, "prefetch": 0}
-        policy = self.retry_policy
+        progress = {"stream_done": False, "cpu_done": False}
 
-        def fail(error: Exception) -> None:
-            if handle.done:
-                return
-            root_span.finish(error=str(error))
-            sim.metrics.counter("recovery.failed").add(1, label=self.name)
-            handle._fail(error)
-
-        def count_retry(kind: str) -> int:
-            retries[kind] += 1
-            sim.metrics.counter("recovery.retries").add(1, label=self.name)
-            tracer.instant(
-                f"retry {kind}", category="recovery.retry", attempt=retries[kind]
-            )
-            return retries[kind]
+        def alive_chain() -> List[DhtNode]:
+            alive = [n for n in chain if n.alive]
+            if not alive:
+                run.fail(
+                    InsufficientShardsError(
+                        f"{run.name}: every chain node died during line recovery"
+                    )
+                )
+            return alive
 
         def maybe_install() -> None:
-            if handle.done:
-                return
-            if not (progress["stream_done"] and progress["cpu_done"]):
-                return
-            replay = cost.replay_time(delta_bytes, version_links - 1)
-            if replay > 0:
-                # The replacement replays delta links in version order on
-                # the fully streamed base before installing.
-                tracer.record(
-                    "replay deltas",
-                    sim.now,
-                    sim.now + replay,
-                    category="recovery.replay",
-                    parent=root_span,
-                    bytes=delta_bytes,
-                    links=version_links - 1,
-                    node=replacement.name,
-                )
-            install = cost.install_time(total_bytes - delta_bytes)
-            tracer.record(
-                "install",
-                sim.now + replay,
-                sim.now + replay + install,
-                category="recovery.install",
-                parent=root_span,
-                bytes=total_bytes,
-                node=replacement.name,
-            )
-            ctx.charge_cpu(
-                replacement, sim.now, replay + install, cost.merge_cpu_fraction
-            )
-            sim.schedule(replay + install, finish)
-
-        def finish() -> None:
-            if handle.done:
-                return
-            root_span.finish(bytes=progress["bytes"])
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=name,
-                    state_bytes=total_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=progress["bytes"],
-                    nodes_involved=len(involved),
-                    shards_recovered=len(shard_sources),
-                    replacement=replacement.name,
+            if progress["stream_done"] and progress["cpu_done"]:
+                # The stages already merged: the replacement replays delta
+                # links on the fully streamed base, then installs.
+                run.rebuild(
+                    merge=0.0,
+                    install=cost.install_time(run.base_bytes),
+                    buffer_bytes=0.0,
                     detail={"path_length": float(len(chain))},
                 )
-            )
 
         def start_stream() -> None:
             # Network: the accumulated state streams through the chain; the
@@ -218,60 +140,43 @@ class LineRecovery:
             # the governing link (chain links carry prefixes concurrently).
             # The sending tail is re-elected from the surviving chain if the
             # current tail dies mid-stream.
-            if handle.done:
+            if not run.live():
                 return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
+            alive = alive_chain()
+            if not alive:
                 return
-            alive_chain = [n for n in chain if n.alive]
-            if not alive_chain:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: every chain node died during line recovery"
-                    )
-                )
-                return
-            tail = alive_chain[-1]
-            stream_span = root_span.child(
-                f"stream chain->{replacement.name}",
-                category="recovery.transfer",
-                bytes=total_bytes,
-                provider=tail.name,
-                stage=len(chain) - 1,
-            )
+            tail = alive[-1]
 
-            def stream_arrived(_flow) -> None:
-                if handle.done:
+            def stream_arrived(span, _flow) -> None:
+                if run.handle.done:
                     return
-                stream_span.finish()
+                span.finish()
                 progress["stream_done"] = True
                 maybe_install()
 
-            def stream_aborted(_flow) -> None:
-                stream_span.finish(aborted=True)
-                if handle.done:
+            def stream_aborted(span, _flow) -> None:
+                span.finish(aborted=True)
+                if not run.live():
                     return
-                if not replacement.alive:
-                    fail(replacement_died(self.name, name, replacement))
-                    return
-                attempt = count_retry("stream")
-                if attempt > policy.max_retries:
-                    fail(
-                        InsufficientShardsError(
-                            f"{name}: chain stream into {replacement.name} "
-                            f"kept aborting after {policy.max_retries} retries"
-                        )
-                    )
-                    return
-                sim.schedule(policy.delay(attempt - 1), start_stream)
+                delay = run.backoff(
+                    "stream",
+                    "stream",
+                    f"chain stream into {replacement.name} kept aborting "
+                    f"after {max_retries} retries",
+                )
+                if delay is not None:
+                    sim.schedule(delay, start_stream)
 
-            ctx.network.transfer(
-                tail.host,
-                replacement.host,
+            run.transfer(
+                root_span,
+                f"stream chain->{replacement.name}",
+                tail,
+                replacement,
                 total_bytes,
-                on_complete=stream_arrived,
-                on_abort=stream_aborted,
-                parent_span=stream_span,
+                stream_arrived,
+                stream_aborted,
+                provider=tail.name,
+                stage=len(chain) - 1,
             )
 
         def start_pipeline() -> None:
@@ -280,15 +185,15 @@ class LineRecovery:
             # those bytes (the final hop is already metered by the flow).
             per_stage = total_bytes / len(chain)
             for i in range(1, len(chain)):
-                progress["bytes"] += per_stage * i
-            progress["bytes"] += total_bytes
+                run.moved += per_stage * i
+            run.moved += total_bytes
 
             # CPU: sequential stage work along the chain. A stage whose
             # node died is taken over by the downstream survivor, which
             # re-merges from the replicas it already received — modelled as
             # the same stage cost charged to the replacement.
             def run_stage(i: int) -> None:
-                if handle.done:
+                if run.handle.done:
                     return
                 if i >= len(chain):
                     progress["cpu_done"] = True
@@ -304,7 +209,7 @@ class LineRecovery:
                     + cost.merge_time(own_bytes)
                     + cost.line_redundant_factor * cost.merge_time(accumulated)
                 )
-                tracer.record(
+                sim.tracer.record(
                     f"stage {i} on {node.name}",
                     sim.now,
                     sim.now + duration,
@@ -325,129 +230,86 @@ class LineRecovery:
 
             run_stage(0)
 
-        def start_prefetch() -> None:
-            detect_span.finish()
-            if not prefetches:
-                start_pipeline()
-                return
-            remaining = {"count": len(prefetches)}
+        remaining = {"count": len(prefetches)}
 
-            def one_done(span) -> None:
+        def prefetch_backoff(index: int) -> Optional[float]:
+            return run.backoff(
+                "prefetch",
+                "prefetch",
+                f"shard {index} could not be pre-staged after {max_retries} "
+                f"retries (providers kept dying or stayed unreachable)",
+            )
+
+        def prefetch(item: Dict) -> None:
+            if run.handle.done:
+                return
+            placed: PlacedShard = item["placed"]
+            index = item["index"]
+            target: DhtNode = item["target"]
+            if not target.alive:
+                # The chain node that should pre-stage this shard died;
+                # redirect the prefetch to the first surviving chain node
+                # (the pipeline re-merges it there).
+                alive = alive_chain()
+                if not alive:
+                    return
+                target = item["target"] = alive[0]
+            if not ctx.network.reachable(placed.node.host, target.host):
+                # The provider died (or was cut off) before this prefetch
+                # started; switch to a usable replica now or back off and
+                # retry (the cut may heal).
+                usable = run.usable(index, target)
+                if usable is None:
+                    return
+                if not usable:
+                    delay = prefetch_backoff(index)
+                    if delay is not None:
+                        sim.schedule(delay, prefetch, item)
+                    return
+                placed = item["placed"] = usable[0]
+
+            def arrived(span, _flow) -> None:
                 span.finish()
-                if handle.done:
+                if run.handle.done:
                     return
                 remaining["count"] -= 1
                 if remaining["count"] == 0:
                     start_pipeline()
 
-            def begin(item: Dict) -> None:
-                if handle.done:
+            def aborted(span, _flow) -> None:
+                span.finish(aborted=True)
+                if run.handle.done:
                     return
-                placed: PlacedShard = item["placed"]
-                index = item["index"]
-                target: DhtNode = item["target"]
-                if not target.alive:
-                    # The chain node that should pre-stage this shard died;
-                    # redirect the prefetch to the first surviving chain node
-                    # (the pipeline re-merges it there).
-                    survivors = [n for n in chain if n.alive]
-                    if not survivors:
-                        fail(
-                            InsufficientShardsError(
-                                f"{name}: every chain node died during "
-                                f"line recovery"
-                            )
-                        )
-                        return
-                    target = item["target"] = survivors[0]
-                if not ctx.network.reachable(placed.node.host, target.host):
-                    # The provider died (or was cut off) before this
-                    # prefetch started; switch to a usable replica now or
-                    # back off and retry (the cut may heal).
-                    providers = plan.providers_for(index)
-                    if not providers:
-                        fail(
-                            InsufficientShardsError(
-                                f"{name}: every replica of shard {index} "
-                                f"was lost during recovery"
-                            )
-                        )
-                        return
-                    usable = [
-                        p
-                        for p in providers
-                        if ctx.network.reachable(p.node.host, target.host)
-                    ]
-                    if usable:
-                        placed = item["placed"] = usable[0]
-                    else:
-                        attempt = count_retry("prefetch")
-                        if attempt > policy.max_retries:
-                            fail(
-                                InsufficientShardsError(
-                                    f"{name}: shard {index} could not be "
-                                    f"pre-staged after {policy.max_retries} "
-                                    f"retries (providers kept dying or "
-                                    f"stayed unreachable)"
-                                )
-                            )
-                            return
-                        sim.schedule(policy.delay(attempt - 1), begin, item)
-                        return
-                span = root_span.child(
-                    f"prefetch shard {index} to {target.name}",
-                    category="recovery.transfer",
-                    bytes=float(placed.replica.size_bytes),
-                    shard=index,
-                    provider=placed.node.name,
-                )
+                delay = prefetch_backoff(index)
+                if delay is None:
+                    return
+                # Move to a replica the target can reach right away, if one
+                # exists; ``prefetch`` looks again after the back-off.
+                usable = run.usable(index, target)
+                if usable is None:
+                    return
+                if usable:
+                    item["placed"] = usable[0]
+                sim.schedule(delay, prefetch, item)
 
-                def aborted(_flow) -> None:
-                    span.finish(aborted=True)
-                    if handle.done:
-                        return
-                    attempt = count_retry("prefetch")
-                    if attempt > policy.max_retries:
-                        fail(
-                            InsufficientShardsError(
-                                f"{name}: shard {index} could not be "
-                                f"pre-staged after {policy.max_retries} "
-                                f"retries (providers kept dying or stayed "
-                                f"unreachable)"
-                            )
-                        )
-                        return
-                    providers = plan.providers_for(index)
-                    if not providers:
-                        fail(
-                            InsufficientShardsError(
-                                f"{name}: every replica of shard {index} "
-                                f"was lost during recovery"
-                            )
-                        )
-                        return
-                    usable = [
-                        p
-                        for p in providers
-                        if ctx.network.reachable(p.node.host, target.host)
-                    ]
-                    if usable:
-                        item["placed"] = usable[0]
-                    sim.schedule(policy.delay(attempt - 1), begin, item)
+            run.transfer(
+                root_span,
+                f"prefetch shard {index} to {target.name}",
+                placed.node,
+                target,
+                placed.replica.size_bytes,
+                arrived,
+                aborted,
+                shard=index,
+                provider=placed.node.name,
+            )
 
-                ctx.network.transfer(
-                    placed.node.host, target.host, placed.replica.size_bytes,
-                    on_complete=lambda flow, s=span: one_done(s),
-                    on_abort=aborted,
-                    parent_span=span,
-                )
-
+        def launch() -> None:
+            if not prefetches:
+                start_pipeline()
             for item in prefetches:
-                progress["bytes"] += item["placed"].replica.size_bytes
-                sim.schedule(item["penalty"], begin, item)
+                run.moved += item["placed"].replica.size_bytes
+                sim.schedule(item["penalty"], prefetch, item)
 
-        detect_span = root_span.child(
-            "detect", category="recovery.detect", delay=cost.detection_delay
-        )
-        sim.schedule(cost.detection_delay, start_prefetch)
-        return handle
+        run.detect(cost.detection_delay, launch)
+        return run.handle

@@ -11,14 +11,16 @@ orderings, never absolute seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.node import DhtNode
 from repro.dht.overlay import Overlay
-from repro.errors import RecoveryError
+from repro.errors import InsufficientShardsError, RecoveryError
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.resources import ResourceProfile
+from repro.state.placement import PlacedShard, PlacementPlan
 from repro.util.sizes import MB
 
 
@@ -262,6 +264,399 @@ class RecoveryHandle:
         if self.done:
             raise RecoveryError(f"handle for {self.state_name!r} resolved twice")
         self._error = error
+
+
+class RecoveryRun:
+    """One recovery in flight: everything the mechanisms share, once.
+
+    A mechanism's ``start()`` opens a run and then describes only its
+    shape: which replica travels where, and in what order. The run owns
+    the handle and root span, the snapshot of surviving providers, the
+    guards against a dead replacement, the retry budget, the traced
+    transfer, the ``merge -> replay deltas -> install`` tail and the
+    result.
+
+    Call order is part of the contract. Within one event the run issues
+    ``tracer.*``, ``metrics.*``, ``sim.schedule`` and ``network.transfer``
+    calls in a fixed order (each method lists its own), because that order
+    assigns span ids and breaks the kernel's same-instant ties;
+    ``tests/test_recovery_trace_pins.py`` pins the resulting traces.
+    """
+
+    def __init__(
+        self,
+        ctx: RecoveryContext,
+        mechanism: str,
+        plan: PlacementPlan,
+        replacement: DhtNode,
+        state_name: Optional[str] = None,
+        parent_span=None,
+        retry_policy: RetryPolicy = RetryPolicy(),
+        **knobs: Any,
+    ) -> None:
+        """Open the handle and root span, then snapshot the providers.
+
+        A shard with no surviving replica fails the handle here; callers
+        return ``run.handle`` at once when ``run.handle.done``. ``knobs``
+        are the mechanism's tunables, recorded on the root span.
+        """
+        if not state_name:
+            if not plan.placements:
+                raise InsufficientShardsError("empty placement plan")
+            state_name = plan.placements[0].replica.shard.state_name
+        self.ctx = ctx
+        self.sim = ctx.sim
+        self.mechanism = mechanism
+        self.name = state_name
+        self.plan = plan
+        self.replacement = replacement
+        self.policy = retry_policy
+        self.handle = RecoveryHandle(mechanism, state_name)
+        self.started_at = self.sim.now
+        self.root_span = self.sim.tracer.start(
+            f"recovery/{mechanism}",
+            category="recovery",
+            parent=parent_span,
+            state=state_name,
+            replacement=replacement.name,
+            **knobs,
+        )
+        self.involved: Set[str] = {replacement.name}  # names of nodes that took part
+        self.moved = 0.0  # bytes put on the wire so far
+        self.retries: Dict[Hashable, int] = {}  # retries spent, per budget key
+        self._used: Set[object] = set()
+        self.providers: Dict[int, List[PlacedShard]] = {}
+        for index in plan.shard_indexes():
+            providers = plan.providers_for(index)
+            if not providers:
+                self.root_span.finish(error="insufficient_shards", shard=index)
+                self.handle._fail(
+                    InsufficientShardsError(
+                        f"{state_name}: no surviving replica of shard {index}"
+                    )
+                )
+                return
+            self.providers[index] = providers
+        self.total_bytes = float(
+            sum(p[0].replica.size_bytes for p in self.providers.values())
+        )
+        # Version-chain shape of the plan (1 link / 0 bytes for flat plans):
+        # how many links the segments span, and how much of the payload is
+        # delta to replay on top of the base.
+        self.chain_len = int(getattr(plan, "chain_length", 1))
+        self.delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
+        self.root_span.annotate(
+            state_bytes=self.total_bytes,
+            shards=len(self.providers),
+            chain_len=self.chain_len,
+            delta_bytes=self.delta_bytes,
+        )
+
+    @property
+    def base_bytes(self) -> float:
+        """Bytes of base shards: what is merged and installed, not replayed."""
+        return self.total_bytes - self.delta_bytes
+
+    def lookup_penalty(self, index: int) -> float:
+        """DHT lookup cost of a shard that lost replicas before the run (Fig. 10)."""
+        providers = self.providers[index]
+        return self.ctx.cost_model.lookup_penalty(
+            providers[0].replica.num_replicas, len(providers)
+        )
+
+    def spread(self, providers: Sequence[PlacedShard]) -> PlacedShard:
+        """Pick a provider, preferring nodes no earlier pick already loads."""
+        fresh = [p for p in providers if p.node.node_id not in self._used]
+        chosen = (fresh or providers)[0]
+        self._used.add(chosen.node.node_id)
+        self.involved.add(chosen.node.name)
+        return chosen
+
+    def detect(self, delay: float, launch: Callable[[], None]) -> None:
+        """Spend the failure-detection delay under a span, then ``launch``."""
+        span = self.root_span.child("detect", category="recovery.detect", delay=delay)
+
+        def detected() -> None:
+            span.finish()
+            launch()
+
+        self.sim.schedule(delay, detected)
+
+    def fail(self, error: Exception) -> None:
+        """Fail the handle once: close the root span, count, then resolve."""
+        if self.handle.done:
+            return
+        self.root_span.finish(error=str(error))
+        self.sim.metrics.counter("recovery.failed").add(1, label=self.mechanism)
+        self.handle._fail(error)
+
+    def live(self) -> bool:
+        """Whether to go on; fails the handle first if the replacement died."""
+        if self.handle.done:
+            return False
+        if not self.replacement.alive:
+            self.fail(replacement_died(self.mechanism, self.name, self.replacement))
+            return False
+        return True
+
+    def backoff(
+        self, key: Hashable, label: str, exhausted: str, **attrs: Any
+    ) -> Optional[float]:
+        """Spend one retry of ``key``'s budget; seconds to wait before it.
+
+        Budget check, then counter, then the ``retry`` instant. With the
+        budget spent the handle fails with ``exhausted`` and the answer is
+        None, so ``recovery.retries`` never counts a retry that was not
+        scheduled.
+        """
+        attempt = self.retries.get(key, 0)
+        if attempt >= self.policy.max_retries:
+            self.fail(InsufficientShardsError(f"{self.name}: {exhausted}"))
+            return None
+        self.retries[key] = attempt + 1
+        self.sim.metrics.counter("recovery.retries").add(1, label=self.mechanism)
+        self.sim.tracer.instant(
+            f"retry {label}", category="recovery.retry", attempt=attempt + 1, **attrs
+        )
+        return self.policy.delay(attempt)
+
+    def survivors(self, index: int) -> List[PlacedShard]:
+        """Replicas of a shard alive now; fails the handle when none is left."""
+        providers = self.plan.providers_for(index)
+        if not providers:
+            self.fail(
+                InsufficientShardsError(
+                    f"{self.name}: every replica of shard {index} was lost "
+                    f"during recovery"
+                )
+            )
+        return providers
+
+    def usable(self, index: int, dst: DhtNode) -> Optional[List[PlacedShard]]:
+        """Surviving replicas that can reach ``dst``; None once the handle failed.
+
+        An empty list means replicas survive across a partition: back off
+        and hope the cut heals within the retry budget.
+        """
+        providers = self.survivors(index)
+        if not providers:
+            return None
+        reachable = self.ctx.network.reachable
+        return [p for p in providers if reachable(p.node.host, dst.host)]
+
+    def transfer(
+        self,
+        parent,
+        label: str,
+        src: DhtNode,
+        dst: DhtNode,
+        nbytes: float,
+        arrived: Callable,
+        aborted: Callable,
+        **attrs: Any,
+    ) -> Tuple[Any, Any]:
+        """Start one flow under its own ``recovery.transfer`` child span.
+
+        Span first, then the flow nested under it. ``arrived(span, flow)``
+        and ``aborted(span, flow)`` close the span themselves: whether a
+        late arrival still closes it is the mechanism's call.
+        """
+        span = parent.child(
+            label, category="recovery.transfer", bytes=float(nbytes), **attrs
+        )
+        flow = self.ctx.network.transfer(
+            src.host,
+            dst.host,
+            nbytes,
+            on_complete=partial(arrived, span),
+            on_abort=partial(aborted, span),
+            parent_span=span,
+        )
+        return flow, span
+
+    def rebuild(
+        self,
+        merge: float,
+        install: float,
+        buffer_bytes: float,
+        detail: Dict[str, float],
+        **span_attrs: Any,
+    ) -> None:
+        """The tail on the replacement: merge, replay deltas, install, finish.
+
+        ``merge`` and ``install`` are seconds (0 skips the stage and its
+        span); delta links replay between them in version order (upserts
+        and tombstones), and take no time on a flat plan. The replacement's
+        CPU is charged for the whole tail and ``buffer_bytes`` of memory is
+        held across it. Spans in stage order, then CPU, memory, and the
+        ``finish`` event.
+        """
+        if self.handle.done:
+            return
+        sim, cost, node = self.sim, self.ctx.cost_model, self.replacement
+        record = sim.tracer.record
+        now = sim.now
+        replay = cost.replay_time(self.delta_bytes, self.chain_len - 1)
+        if merge > 0:
+            record(
+                "merge",
+                now,
+                now + merge,
+                category="recovery.merge",
+                parent=self.root_span,
+                bytes=self.base_bytes,
+                node=node.name,
+            )
+        if replay > 0:
+            record(
+                "replay deltas",
+                now + merge,
+                now + merge + replay,
+                category="recovery.replay",
+                parent=self.root_span,
+                bytes=self.delta_bytes,
+                links=self.chain_len - 1,
+                node=node.name,
+            )
+        if install > 0:
+            record(
+                "install",
+                now + merge + replay,
+                now + merge + replay + install,
+                category="recovery.install",
+                parent=self.root_span,
+                bytes=self.total_bytes,
+                node=node.name,
+            )
+        busy = merge + replay + install
+        self.ctx.charge_cpu(node, now, busy, cost.merge_cpu_fraction)
+        self.ctx.charge_memory(node, now, busy, buffer_bytes)
+        if busy > 0:
+            sim.schedule(busy, self.finish, detail, span_attrs)
+        else:
+            self.finish(detail, span_attrs)
+
+    def finish(self, detail: Dict[str, float], span_attrs: Dict[str, Any]) -> None:
+        """Resolve the handle: root span, two metrics, then the result."""
+        if self.handle.done:
+            return
+        sim = self.sim
+        self.root_span.finish(bytes=self.moved, **span_attrs)
+        sim.metrics.counter("recovery.completed").add(1, label=self.mechanism)
+        sim.metrics.histogram("recovery.duration").observe(sim.now - self.started_at)
+        self.handle._resolve(
+            RecoveryResult(
+                mechanism=self.mechanism,
+                state_name=self.name,
+                state_bytes=self.total_bytes,
+                started_at=self.started_at,
+                finished_at=sim.now,
+                bytes_transferred=self.moved,
+                nodes_involved=len(self.involved),
+                shards_recovered=len(self.providers),
+                replacement=self.replacement.name,
+                detail=detail,
+            )
+        )
+
+
+def fetch_windowed(
+    run: RecoveryRun,
+    chosen: Sequence[Tuple[int, PlacedShard, Optional[float]]],
+    window: int,
+    noun: str,
+    then: Callable[[], None],
+) -> None:
+    """Fetch replicas straight onto the replacement, ``window`` at a time.
+
+    Each entry of ``chosen`` is ``(shard index, replica, lookup penalty)``.
+    A fetch starts one penalty event after its slot frees up, or within
+    the same event when the penalty is None. A provider that dies or is cut
+    off, before or during its transfer, costs one retry: back off, then
+    re-fetch from a replica that can reach the replacement. ``then`` runs
+    when every entry has landed; ``noun`` names an entry in spans and
+    errors.
+    """
+    sim, replacement = run.sim, run.replacement
+    reachable = run.ctx.network.reachable
+    queue = iter(chosen)
+    pending = {"count": len(chosen)}
+
+    def fetch_next() -> None:
+        entry = next(queue, None)
+        if entry is None:
+            return
+        index, placed, penalty = entry
+        if penalty is None:
+            start_fetch(index, placed)
+        else:
+            sim.schedule(penalty, start_fetch, index, placed)
+
+    def start_fetch(index: int, placed: PlacedShard) -> None:
+        if not run.live():
+            return
+        if not reachable(placed.node.host, replacement.host):
+            # The chosen provider died (or was cut off) before this fetch
+            # started, e.g. during the detection window.
+            retry(index)
+            return
+        size = placed.replica.size_bytes
+        run.involved.add(placed.node.name)
+
+        def arrived(span, _flow) -> None:
+            if run.handle.done:
+                return
+            span.finish()
+            run.moved += size
+            pending["count"] -= 1
+            if pending["count"] == 0:
+                then()
+            else:
+                fetch_next()
+
+        def aborted(span, _flow) -> None:
+            span.finish(aborted=True)
+            if run.live():
+                retry(index)
+
+        run.transfer(
+            run.root_span,
+            f"fetch {noun} {index} from {placed.node.name}",
+            placed.node,
+            replacement,
+            size,
+            arrived,
+            aborted,
+            shard=index,
+            provider=placed.node.name,
+            attempt=run.retries.get(index, 0),
+        )
+
+    def retry(index: int) -> None:
+        delay = run.backoff(
+            index,
+            f"shard {index}",
+            f"{noun} {index} could not be fetched after "
+            f"{run.policy.max_retries} retries (providers kept dying or "
+            f"stayed unreachable)",
+            shard=index,
+        )
+        if delay is not None:
+            sim.schedule(delay, reassign, index)
+
+    def reassign(index: int) -> None:
+        if run.handle.done:
+            return
+        usable = run.usable(index, replacement)
+        if usable:
+            start_fetch(index, usable[0])
+        elif usable is not None:
+            retry(index)
+
+    if not chosen:
+        then()
+    for _ in range(min(window, len(chosen))):
+        fetch_next()
 
 
 def run_handles(sim: Simulator, handles: List[RecoveryHandle]) -> List[RecoveryResult]:

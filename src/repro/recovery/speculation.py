@@ -16,17 +16,12 @@ full (possibly unbounded) slowdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.dht.node import DhtNode
 from repro.errors import InsufficientShardsError
-from repro.recovery.model import (
-    RecoveryContext,
-    RecoveryHandle,
-    RecoveryResult,
-    replacement_died,
-)
-from repro.state.placement import PlacedShard, PlacementPlan
+from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryRun
+from repro.state.placement import PlacementPlan
 
 
 @dataclass(frozen=True)
@@ -79,64 +74,33 @@ class SpeculativeStarRecovery:
         state_name: Optional[str] = None,
         parent_span=None,
     ) -> RecoveryHandle:
-        sim = ctx.sim
-        cost = ctx.cost_model
-        name = state_name or plan.placements[0].replica.shard.state_name
-        handle = RecoveryHandle(self.name, name)
-        started_at = sim.now
-        tracer = sim.tracer
-        root_span = tracer.start(
-            "recovery/star+speculation",
-            category="recovery",
-            parent=parent_span,
-            state=name,
-            replacement=replacement.name,
+        run = RecoveryRun(
+            ctx,
+            self.name,
+            plan,
+            replacement,
+            state_name,
+            parent_span,
             fanout_bits=self.fanout_bits,
         )
+        if run.handle.done:
+            return run.handle
+        sim = ctx.sim
+        cost = ctx.cost_model
+        run.root_span.annotate(window=1 << self.fanout_bits)
+        arrived_shards = set()  # shard indices already landed
+        flows = {}  # index -> live (flow, span) pairs
+        next_attempt = {}  # index -> next untried replica position
+        in_flight = {}  # index -> live fetch count
+        speculations = {"count": 0}
 
-        shard_indexes = plan.shard_indexes()
-        providers: Dict[int, List[PlacedShard]] = {}
-        for index in shard_indexes:
-            available = plan.providers_for(index)
-            if not available:
-                root_span.finish(error="insufficient_shards", shard=index)
-                handle._fail(
-                    InsufficientShardsError(
-                        f"{name}: no surviving replica of shard {index}"
-                    )
+        def every_replica_failed(index: int) -> None:
+            run.fail(
+                InsufficientShardsError(
+                    f"{run.name}: every replica of shard {index} failed "
+                    f"or became unreachable during recovery"
                 )
-                return handle
-            providers[index] = available
-
-        total_bytes = float(
-            sum(providers[i][0].replica.size_bytes for i in shard_indexes)
-        )
-        # Version-chain shape of the plan (1 link / 0 bytes for flat plans).
-        chain_len = int(getattr(plan, "chain_length", 1))
-        delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
-        root_span.annotate(
-            state_bytes=total_bytes,
-            shards=len(shard_indexes),
-            window=1 << self.fanout_bits,
-            chain_len=chain_len,
-            delta_bytes=delta_bytes,
-        )
-        state = {
-            "arrived": set(),  # shard indices already merged
-            "bytes": 0.0,
-            "speculations": 0,
-            "flows": {},  # index -> list of live flows
-            "next_attempt": {},  # index -> next untried replica position
-            "in_flight": {},  # index -> live fetch count
-        }
-        involved = {replacement.name}
-
-        def fail(error: Exception) -> None:
-            if handle.done:
-                return
-            root_span.finish(error=str(error))
-            sim.metrics.counter("recovery.failed").add(1, label=self.name)
-            handle._fail(error)
+            )
 
         def spawn_next(index: int) -> bool:
             """Start a fetch from the next untried replica, if one is left.
@@ -145,20 +109,16 @@ class SpeculativeStarRecovery:
             counter so a straggler timeout racing a provider crash never
             launches two fetches against the same replica.
             """
-            pool = providers[index]
-            nxt = state["next_attempt"].get(index, 0)
-            if nxt >= len(pool):
+            nxt = next_attempt.get(index, 0)
+            if nxt >= len(run.providers[index]):
                 return False
             fetch(index, nxt)
             return True
 
         def fetch(index: int, attempt: int) -> None:
-            if handle.done:
+            if not run.live():
                 return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
-                return
-            pool = providers[index]
+            pool = run.providers[index]
             # Providers may have died since the pool was snapshot (e.g. a
             # rack failure killing the owner and replica holders together);
             # skip ahead to the first replica that can still serve.
@@ -168,166 +128,89 @@ class SpeculativeStarRecovery:
                 attempt += 1
             if attempt >= len(pool):
                 # No replica left to try; fail unless copies are in flight.
-                if (
-                    index not in state["arrived"]
-                    and state["in_flight"].get(index, 0) == 0
-                ):
-                    fail(
-                        InsufficientShardsError(
-                            f"{name}: every replica of shard {index} failed "
-                            f"or became unreachable during recovery"
-                        )
-                    )
+                if index not in arrived_shards and in_flight.get(index, 0) == 0:
+                    every_replica_failed(index)
                 return
-            state["next_attempt"][index] = attempt + 1
-            state["in_flight"][index] = state["in_flight"].get(index, 0) + 1
+            next_attempt[index] = attempt + 1
+            in_flight[index] = in_flight.get(index, 0) + 1
             placed = pool[attempt]
-            involved.add(placed.node.name)
+            run.involved.add(placed.node.name)
             size = placed.replica.size_bytes
-            fetch_span = root_span.child(
-                f"fetch shard {index} from {placed.node.name}"
-                + (" (speculative)" if attempt else ""),
-                category="recovery.transfer",
-                bytes=float(size),
-                shard=index,
-                provider=placed.node.name,
-                attempt=attempt,
-            )
 
-            def arrived(flow) -> None:
-                state["in_flight"][index] -= 1
-                if handle.done or index in state["arrived"]:
-                    fetch_span.finish(lost_race=True)
+            def arrived(span, flow) -> None:
+                in_flight[index] -= 1
+                if run.handle.done or index in arrived_shards:
+                    span.finish(lost_race=True)
                     return  # a racing copy won; ignore
-                fetch_span.finish()
-                state["arrived"].add(index)
-                state["bytes"] += size
-                for other, other_span in state["flows"].get(index, []):
+                span.finish()
+                arrived_shards.add(index)
+                run.moved += size
+                for other, other_span in flows.get(index, []):
                     if other is not flow and not other.done:
                         ctx.network.abort_flow(other)
                         other_span.finish(lost_race=True)
-                if len(state["arrived"]) == len(shard_indexes):
-                    start_merge()
+                if len(arrived_shards) == len(run.providers):
+                    merge()
 
-            def aborted(flow) -> None:
-                state["in_flight"][index] -= 1
-                if handle.done or index in state["arrived"]:
+            def aborted(span, _flow) -> None:
+                in_flight[index] -= 1
+                if run.handle.done or index in arrived_shards:
                     return  # cancelled loser of a won race; nothing to do
-                fetch_span.finish(aborted=True)
-                if not replacement.alive:
-                    fail(replacement_died(self.name, name, replacement))
-                    return
+                span.finish(aborted=True)
                 # The provider died (or a partition cut it off): treat it
                 # exactly like a straggler and promote the next replica.
-                if spawn_next(index):
+                if not run.live() or spawn_next(index):
                     return
-                if state["in_flight"].get(index, 0) == 0:
-                    fail(
-                        InsufficientShardsError(
-                            f"{name}: every replica of shard {index} failed "
-                            f"or became unreachable during recovery"
-                        )
-                    )
+                if in_flight.get(index, 0) == 0:
+                    every_replica_failed(index)
 
-            flow = ctx.network.transfer(
-                placed.node.host,
-                replacement.host,
-                size,
-                on_complete=arrived,
-                on_abort=aborted,
-                parent_span=fetch_span,
+            flows.setdefault(index, []).append(
+                run.transfer(
+                    run.root_span,
+                    f"fetch shard {index} from {placed.node.name}"
+                    + (" (speculative)" if attempt else ""),
+                    placed.node,
+                    replacement,
+                    size,
+                    arrived,
+                    aborted,
+                    shard=index,
+                    provider=placed.node.name,
+                    attempt=attempt,
+                )
             )
-            state["flows"].setdefault(index, []).append((flow, fetch_span))
 
             def watchdog() -> None:
-                if handle.done or index in state["arrived"]:
+                if run.handle.done or index in arrived_shards:
                     return
-                if state["next_attempt"].get(index, 0) < len(pool):
-                    state["speculations"] += 1
-                    tracer.instant(
+                if next_attempt.get(index, 0) < len(pool):
+                    speculations["count"] += 1
+                    sim.tracer.instant(
                         f"speculate shard {index}",
                         category="recovery.speculation",
                         shard=index,
-                        attempt=state["next_attempt"].get(index, 0),
+                        attempt=next_attempt.get(index, 0),
                     )
                     sim.metrics.counter("recovery.speculations").add(1)
                     spawn_next(index)
 
             sim.schedule(self.config.deadline(size), watchdog)
 
-        def start_merge() -> None:
-            if handle.done:
-                return
-            # Merge setup is per base shard; delta rounds pay their setup
-            # in ``replay_time``'s chain_link_setup term instead.
-            merge = cost.merge_time(total_bytes - delta_bytes) + cost.shard_setup * (
-                len(shard_indexes) // chain_len
-            )
-            replay = cost.replay_time(delta_bytes, chain_len - 1)
-            install = cost.install_time(total_bytes - delta_bytes)
-            tracer.record(
-                "merge",
-                sim.now,
-                sim.now + merge,
-                category="recovery.merge",
-                parent=root_span,
-                bytes=total_bytes - delta_bytes,
-                node=replacement.name,
-            )
-            if replay > 0:
-                # Base-then-deltas replay before install, as in plain star.
-                tracer.record(
-                    "replay deltas",
-                    sim.now + merge,
-                    sim.now + merge + replay,
-                    category="recovery.replay",
-                    parent=root_span,
-                    bytes=delta_bytes,
-                    links=chain_len - 1,
-                    node=replacement.name,
-                )
-            tracer.record(
-                "install",
-                sim.now + merge + replay,
-                sim.now + merge + replay + install,
-                category="recovery.install",
-                parent=root_span,
-                bytes=total_bytes,
-                node=replacement.name,
-            )
-            ctx.charge_cpu(
-                replacement, sim.now, merge + replay + install, cost.merge_cpu_fraction
-            )
-            sim.schedule(merge + replay + install, finish)
-
-        def finish() -> None:
-            if handle.done:
-                return
-            root_span.finish(bytes=state["bytes"], speculations=state["speculations"])
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=name,
-                    state_bytes=total_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=state["bytes"],
-                    nodes_involved=len(involved),
-                    shards_recovered=len(shard_indexes),
-                    replacement=replacement.name,
-                    detail={"speculations": float(state["speculations"])},
-                )
+        def merge() -> None:
+            # Merge, replay and install as in plain star; the one difference
+            # is that no buffer memory is charged to the replacement.
+            run.rebuild(
+                merge=cost.merge_time(run.base_bytes)
+                + cost.shard_setup * (len(run.providers) // run.chain_len),
+                install=cost.install_time(run.base_bytes),
+                buffer_bytes=0.0,
+                detail={"speculations": float(speculations["count"])},
+                speculations=speculations["count"],
             )
 
         def launch() -> None:
-            detect_span.finish()
-            for index in shard_indexes:
+            for index in run.providers:
                 fetch(index, 0)
 
-        detect_span = root_span.child(
-            "detect", category="recovery.detect", delay=cost.detection_delay
-        )
-        sim.schedule(cost.detection_delay, launch)
-        return handle
+        run.detect(cost.detection_delay, launch)
+        return run.handle

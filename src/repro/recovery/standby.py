@@ -25,16 +25,16 @@ correct — just no longer O(flip).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dht.node import DhtNode
-from repro.errors import InsufficientShardsError, RecoveryError
+from repro.errors import RecoveryError
 from repro.recovery.model import (
     RecoveryContext,
     RecoveryHandle,
-    RecoveryResult,
+    RecoveryRun,
     RetryPolicy,
-    replacement_died,
+    fetch_windowed,
 )
 from repro.state.placement import PlacedShard, PlacementPlan
 from repro.state.shard import Shard, ShardReplica
@@ -307,190 +307,43 @@ class StandbyRecovery:
         regular replica it happens to hold) cost nothing to move; missing
         segments are fetched star-style from surviving providers first.
         """
+        run = RecoveryRun(
+            ctx, self.name, plan, replacement, state_name, parent_span, self.retry_policy
+        )
+        if run.handle.done:
+            return run.handle
         sim = ctx.sim
         cost = ctx.cost_model
-        name = state_name or self._state_name_of(plan)
-        handle = RecoveryHandle(self.name, name)
-        started_at = sim.now
         tracer = sim.tracer
-        root_span = tracer.start(
-            "recovery/standby",
-            category="recovery",
-            parent=parent_span,
-            state=name,
-            replacement=replacement.name,
-        )
-
-        warm_segments = 0
-        cold: List[Dict] = []
-        used_nodes: Set[object] = set()
-        involved: Set[str] = {replacement.name}
-        total_bytes = 0.0
-        for index in plan.shard_indexes():
-            providers = plan.providers_for(index)
-            if not providers:
-                root_span.finish(error="insufficient_shards", shard=index)
-                handle._fail(
-                    InsufficientShardsError(
-                        f"{name}: no surviving replica of shard {index}"
-                    )
-                )
-                return handle
-            local = [
-                p for p in providers if p.node.node_id == replacement.node_id
-            ]
-            total_bytes += float(providers[0].replica.size_bytes)
-            if local:
-                warm_segments += 1
-                continue
-            fresh = [p for p in providers if p.node.node_id not in used_nodes]
-            chosen: PlacedShard = (fresh or providers)[0]
-            used_nodes.add(chosen.node.node_id)
-            involved.add(chosen.node.name)
-            cold.append({"index": index, "placed": chosen})
-
-        chain_len = int(getattr(plan, "chain_length", 1))
-        delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
-        num_segments = warm_segments + len(cold)
-        root_span.annotate(
-            state_bytes=total_bytes,
-            shards=num_segments,
-            warm_segments=warm_segments,
-            cold_segments=len(cold),
-            chain_len=chain_len,
-            delta_bytes=delta_bytes,
-        )
-        progress = {"next": 0, "arrived": 0, "bytes": 0.0}
-        policy = self.retry_policy
-
-        def fetch_next() -> None:
-            if progress["next"] >= len(cold):
-                return
-            assignment = cold[progress["next"]]
-            progress["next"] += 1
-            start_fetch(assignment)
-
-        def start_fetch(assignment: Dict) -> None:
-            if handle.done:
-                return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
-                return
-            placed: PlacedShard = assignment["placed"]
-            if not ctx.network.reachable(placed.node.host, replacement.host):
-                retry(assignment)
-                return
-            size = placed.replica.size_bytes
-            involved.add(placed.node.name)
-            fetch_span = root_span.child(
-                f"fetch cold segment {assignment['index']} from {placed.node.name}",
-                category="recovery.transfer",
-                bytes=float(size),
-                shard=assignment["index"],
-                provider=placed.node.name,
-                attempt=assignment.get("retries", 0),
-            )
-            ctx.network.transfer(
-                placed.node.host,
-                replacement.host,
-                size,
-                on_complete=lambda flow: arrived(assignment, fetch_span),
-                on_abort=lambda flow: fetch_failed(assignment, fetch_span),
-                parent_span=fetch_span,
-            )
-
-        def arrived(assignment: Dict, fetch_span) -> None:
-            if handle.done:
-                return
-            fetch_span.finish()
-            progress["bytes"] += assignment["placed"].replica.size_bytes
-            progress["arrived"] += 1
-            if progress["arrived"] == len(cold):
-                takeover()
-            else:
-                fetch_next()
-
-        def fetch_failed(assignment: Dict, fetch_span) -> None:
-            fetch_span.finish(aborted=True)
-            if handle.done:
-                return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
-                return
-            retry(assignment)
-
-        def retry(assignment: Dict) -> None:
-            index = assignment["index"]
-            attempt = assignment.get("retries", 0)
-            if attempt >= policy.max_retries:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: cold segment {index} could not be fetched "
-                        f"after {attempt} retries (providers kept dying or "
-                        f"stayed unreachable)"
-                    )
-                )
-                return
-            assignment["retries"] = attempt + 1
-            sim.metrics.counter("recovery.retries").add(1, label=self.name)
-            tracer.instant(
-                f"retry shard {index}",
-                category="recovery.retry",
-                shard=index,
-                attempt=attempt + 1,
-            )
-            sim.schedule(policy.delay(attempt), reassign, assignment)
-
-        def reassign(assignment: Dict) -> None:
-            if handle.done:
-                return
-            index = assignment["index"]
-            providers = plan.providers_for(index)
-            if not providers:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: every replica of shard {index} was lost "
-                        f"during recovery"
-                    )
-                )
-                return
-            usable = [
-                p
-                for p in providers
-                if ctx.network.reachable(p.node.host, replacement.host)
-            ]
-            if not usable:
-                retry(assignment)
-                return
-            assignment["placed"] = usable[0]
-            start_fetch(assignment)
-
-        def fail(error: Exception) -> None:
-            if handle.done:
-                return
-            root_span.finish(error=str(error))
-            sim.metrics.counter("recovery.failed").add(1, label=self.name)
-            handle._fail(error)
+        # Cold segments are the ones not resident on the replacement. Each
+        # is fetched star-style from a provider, spread across distinct
+        # nodes, and its fetch starts without a lookup-penalty event.
+        cold = [
+            (index, run.spread(providers), None)
+            for index, providers in run.providers.items()
+            if not any(p.node.node_id == replacement.node_id for p in providers)
+        ]
+        warm_segments = len(run.providers) - len(cold)
+        run.root_span.annotate(warm_segments=warm_segments, cold_segments=len(cold))
 
         def takeover() -> None:
             # The flip itself: routing update + store promotion. The warm
             # image is already merged and installed, so the only CPU on
             # the critical path is the unfolded delta tail plus folding
             # whatever cold segments had to be fetched.
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
+            if not run.live():
                 return
             flip = cost.standby_flip
-            tail_bytes = delta_bytes * cost.standby_lag_fraction
-            replay = cost.replay_time(tail_bytes, chain_len - 1)
-            cold_bytes = progress["bytes"]
+            tail_bytes = run.delta_bytes * cost.standby_lag_fraction
+            replay = cost.replay_time(tail_bytes, run.chain_len - 1)
+            cold_bytes = run.moved
             fold = cost.merge_time(cold_bytes) + cost.install_time(cold_bytes)
             tracer.record(
                 "flip ownership",
                 sim.now,
                 sim.now + flip,
                 category="recovery.flip",
-                parent=root_span,
+                parent=run.root_span,
                 node=replacement.name,
             )
             if replay > 0:
@@ -499,9 +352,9 @@ class StandbyRecovery:
                     sim.now + flip,
                     sim.now + flip + replay,
                     category="recovery.replay",
-                    parent=root_span,
+                    parent=run.root_span,
                     bytes=tail_bytes,
-                    links=chain_len - 1,
+                    links=run.chain_len - 1,
                     node=replacement.name,
                 )
             if fold > 0:
@@ -510,7 +363,7 @@ class StandbyRecovery:
                     sim.now + flip + replay,
                     sim.now + flip + replay + fold,
                     category="recovery.merge",
-                    parent=root_span,
+                    parent=run.root_span,
                     bytes=cold_bytes,
                     node=replacement.name,
                 )
@@ -522,52 +375,19 @@ class StandbyRecovery:
                 busy,
                 (cold_bytes + tail_bytes) * cost.buffer_memory_factor,
             )
-            sim.schedule(busy, finish)
-
-        def finish() -> None:
-            if handle.done:
-                return
-            root_span.finish(bytes=progress["bytes"])
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=name,
-                    state_bytes=total_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=progress["bytes"],
-                    nodes_involved=len(involved),
-                    shards_recovered=num_segments,
-                    replacement=replacement.name,
-                    detail={
-                        "warm_segments": float(warm_segments),
-                        "cold_segments": float(len(cold)),
-                        "flip_s": float(cost.standby_flip),
-                    },
-                )
-            )
-
-        def launch() -> None:
-            detect_span.finish()
-            if not cold:
-                takeover()
-                return
-            for _ in range(min(self.fetch_window, len(cold))):
-                fetch_next()
+            detail = {
+                "warm_segments": float(warm_segments),
+                "cold_segments": float(len(cold)),
+                "flip_s": float(cost.standby_flip),
+            }
+            sim.schedule(busy, run.finish, detail, {})
 
         # The dedicated primary↔standby heartbeat notices the failure in a
         # fraction of the DHT-wide detection delay.
-        detection = cost.detection_delay * cost.standby_detection_factor
-        detect_span = root_span.child(
-            "detect", category="recovery.detect", delay=detection
+        run.detect(
+            cost.detection_delay * cost.standby_detection_factor,
+            lambda: fetch_windowed(
+                run, cold, self.fetch_window, "cold segment", takeover
+            ),
         )
-        sim.schedule(detection, launch)
-        return handle
-
-    @staticmethod
-    def _state_name_of(plan: PlacementPlan) -> str:
-        if not plan.placements:
-            raise InsufficientShardsError("empty placement plan")
-        return plan.placements[0].replica.shard.state_name
+        return run.handle

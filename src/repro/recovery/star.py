@@ -13,18 +13,17 @@ at ``2**b``; additional shards queue behind the window.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
 from repro.dht.node import DhtNode
-from repro.errors import InsufficientShardsError
 from repro.recovery.model import (
     RecoveryContext,
     RecoveryHandle,
-    RecoveryResult,
+    RecoveryRun,
     RetryPolicy,
-    replacement_died,
+    fetch_windowed,
 )
-from repro.state.placement import PlacedShard, PlacementPlan
+from repro.state.placement import PlacementPlan
 
 
 class StarRecovery:
@@ -51,270 +50,45 @@ class StarRecovery:
         parent_span=None,
     ) -> RecoveryHandle:
         """Begin recovering the state described by ``plan`` onto ``replacement``."""
-        sim = ctx.sim
-        cost = ctx.cost_model
-        name = state_name or self._state_name_of(plan)
-        handle = RecoveryHandle(self.name, name)
-        started_at = sim.now
-        tracer = sim.tracer
-        root_span = tracer.start(
-            "recovery/star",
-            category="recovery",
-            parent=parent_span,
-            state=name,
-            replacement=replacement.name,
+        run = RecoveryRun(
+            ctx,
+            self.name,
+            plan,
+            replacement,
+            state_name,
+            parent_span,
+            self.retry_policy,
             fanout_bits=self.fanout_bits,
         )
+        if run.handle.done:
+            return run.handle
+        cost = ctx.cost_model
+        run.root_span.annotate(window=self.window)
+        # One provider per shard, spread across distinct nodes; a shard whose
+        # primary replica was lost pays a DHT lookup to locate an alternate
+        # (Fig. 10) before its fetch starts.
+        chosen = [
+            (index, run.spread(providers), run.lookup_penalty(index))
+            for index, providers in run.providers.items()
+        ]
 
-        # Pick one alive provider per shard, spreading load across distinct
-        # providers; detect shards whose primary replica was lost (those pay
-        # a DHT lookup to locate an alternate replica — Fig. 10).
-        assignments: List[Dict] = []
-        used_nodes: Set[object] = set()
-        involved: Set[str] = {replacement.name}
-        for index in plan.shard_indexes():
-            providers = plan.providers_for(index)
-            if not providers:
-                root_span.finish(error="insufficient_shards", shard=index)
-                handle._fail(
-                    InsufficientShardsError(
-                        f"{name}: no surviving replica of shard {index}"
-                    )
-                )
-                return handle
-            num_replicas = providers[0].replica.num_replicas
-            fresh = [p for p in providers if p.node.node_id not in used_nodes]
-            chosen: PlacedShard = (fresh or providers)[0]
-            used_nodes.add(chosen.node.node_id)
-            involved.add(chosen.node.name)
-            assignments.append(
-                {
-                    "index": index,
-                    "placed": chosen,
-                    "penalty": cost.lookup_penalty(num_replicas, len(providers)),
-                }
-            )
-
-        total_bytes = float(sum(a["placed"].replica.size_bytes for a in assignments))
-        # Chain-aware plans expose how many version links the segments span
-        # and how many of the fetched bytes are delta payload to replay.
-        chain_len = int(getattr(plan, "chain_length", 1))
-        delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
-        root_span.annotate(
-            state_bytes=total_bytes,
-            shards=len(assignments),
-            window=self.window,
-            chain_len=chain_len,
-            delta_bytes=delta_bytes,
-        )
-        progress = {"next": 0, "arrived": 0, "bytes": 0.0}
-        policy = self.retry_policy
-
-        def fetch_next() -> None:
-            if progress["next"] >= len(assignments):
-                return
-            assignment = assignments[progress["next"]]
-            progress["next"] += 1
-            sim.schedule(assignment["penalty"], start_fetch, assignment)
-
-        def start_fetch(assignment: Dict) -> None:
-            if handle.done:
-                return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
-                return
-            placed: PlacedShard = assignment["placed"]
-            if not ctx.network.reachable(placed.node.host, replacement.host):
-                # The chosen provider died (or was cut off) before this
-                # fetch started — e.g. during the detection window; take
-                # the retry path to find an alternate replica.
-                retry(assignment)
-                return
-            size = placed.replica.size_bytes
-            involved.add(placed.node.name)
-            fetch_span = root_span.child(
-                f"fetch shard {assignment['index']} from {placed.node.name}",
-                category="recovery.transfer",
-                bytes=float(size),
-                shard=assignment["index"],
-                provider=placed.node.name,
-                attempt=assignment.get("retries", 0),
-            )
-            ctx.network.transfer(
-                placed.node.host,
-                replacement.host,
-                size,
-                on_complete=lambda flow: arrived(assignment, fetch_span),
-                on_abort=lambda flow: fetch_failed(assignment, fetch_span),
-                parent_span=fetch_span,
-            )
-
-        def arrived(assignment: Dict, fetch_span) -> None:
-            if handle.done:
-                return
-            fetch_span.finish()
-            progress["bytes"] += assignment["placed"].replica.size_bytes
-            progress["arrived"] += 1
-            if progress["arrived"] == len(assignments):
-                start_merge()
-            else:
-                fetch_next()
-
-        def fetch_failed(assignment: Dict, fetch_span) -> None:
-            """The provider died (or a partition cut it off) mid-transfer."""
-            fetch_span.finish(aborted=True)
-            if handle.done:
-                return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
-                return
-            retry(assignment)
-
-        def retry(assignment: Dict) -> None:
-            index = assignment["index"]
-            attempt = assignment.get("retries", 0)
-            if attempt >= policy.max_retries:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: shard {index} could not be fetched after "
-                        f"{attempt} retries (providers kept dying or stayed "
-                        f"unreachable)"
-                    )
-                )
-                return
-            assignment["retries"] = attempt + 1
-            sim.metrics.counter("recovery.retries").add(1, label=self.name)
-            tracer.instant(
-                f"retry shard {index}",
-                category="recovery.retry",
-                shard=index,
-                attempt=attempt + 1,
-            )
-            sim.schedule(policy.delay(attempt), reassign, assignment)
-
-        def reassign(assignment: Dict) -> None:
-            if handle.done:
-                return
-            index = assignment["index"]
-            providers = plan.providers_for(index)
-            if not providers:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: every replica of shard {index} was lost "
-                        f"during recovery"
-                    )
-                )
-                return
-            usable = [
-                p
-                for p in providers
-                if ctx.network.reachable(p.node.host, replacement.host)
-            ]
-            if not usable:
-                # Providers survive but sit across a partition: back off
-                # again and hope the cut heals within the retry budget.
-                retry(assignment)
-                return
-            assignment["placed"] = usable[0]
-            start_fetch(assignment)
-
-        def fail(error: Exception) -> None:
-            if handle.done:
-                return
-            root_span.finish(error=str(error))
-            sim.metrics.counter("recovery.failed").add(1, label=self.name)
-            handle._fail(error)
-
-        def start_merge() -> None:
+        def merge() -> None:
             # The centralized reconstruction: the replacing node "needs to
             # do all the downloading and reconstructing work" (Sec. 3.5's
             # critique of star). The full hash-table rebuild runs on its
-            # CPU only after the last shard lands, then the recovered
-            # state is installed.
-            # Per-shard merge setup applies to the base shards only: delta
-            # segments are replayed, and their per-round setup is the
-            # ``chain_link_setup`` term inside ``replay_time``.
-            merge = cost.merge_time(total_bytes - delta_bytes) + cost.shard_setup * (
-                len(assignments) // chain_len
-            )
-            replay = cost.replay_time(delta_bytes, chain_len - 1)
-            install = cost.install_time(total_bytes - delta_bytes)
-            tracer.record(
-                "merge",
-                sim.now,
-                sim.now + merge,
-                category="recovery.merge",
-                parent=root_span,
-                bytes=total_bytes - delta_bytes,
-                node=replacement.name,
-            )
-            if replay > 0:
-                # Base-then-deltas: replay every delta link in version
-                # order on top of the merged base (upserts + tombstones).
-                tracer.record(
-                    "replay deltas",
-                    sim.now + merge,
-                    sim.now + merge + replay,
-                    category="recovery.replay",
-                    parent=root_span,
-                    bytes=delta_bytes,
-                    links=chain_len - 1,
-                    node=replacement.name,
-                )
-            tracer.record(
-                "install",
-                sim.now + merge + replay,
-                sim.now + merge + replay + install,
-                category="recovery.install",
-                parent=root_span,
-                bytes=total_bytes,
-                node=replacement.name,
-            )
-            busy = merge + replay + install
-            ctx.charge_cpu(replacement, sim.now, busy, cost.merge_cpu_fraction)
-            ctx.charge_memory(
-                replacement,
-                sim.now,
-                busy,
-                total_bytes * cost.buffer_memory_factor,
-            )
-            sim.schedule(busy, finish)
-
-        def finish() -> None:
-            if handle.done:
-                return
-            root_span.finish(bytes=progress["bytes"])
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=name,
-                    state_bytes=total_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=progress["bytes"],
-                    nodes_involved=len(involved),
-                    shards_recovered=len(assignments),
-                    replacement=replacement.name,
-                    detail={"fanout_bits": float(self.fanout_bits)},
-                )
+            # CPU only after the last shard lands. Per-shard merge setup
+            # applies to the base shards only: delta segments are replayed,
+            # and their per-round setup is ``replay_time``'s link term.
+            run.rebuild(
+                merge=cost.merge_time(run.base_bytes)
+                + cost.shard_setup * (len(chosen) // run.chain_len),
+                install=cost.install_time(run.base_bytes),
+                buffer_bytes=run.total_bytes * cost.buffer_memory_factor,
+                detail={"fanout_bits": float(self.fanout_bits)},
             )
 
-        def launch() -> None:
-            detect_span.finish()
-            for _ in range(min(self.window, len(assignments))):
-                fetch_next()
-
-        detect_span = root_span.child(
-            "detect", category="recovery.detect", delay=cost.detection_delay
+        run.detect(
+            cost.detection_delay,
+            lambda: fetch_windowed(run, chosen, self.window, "shard", merge),
         )
-        progress["cpu_free_at"] = started_at + cost.detection_delay
-        sim.schedule(cost.detection_delay, launch)
-        return handle
-
-    @staticmethod
-    def _state_name_of(plan: PlacementPlan) -> str:
-        if not plan.placements:
-            raise InsufficientShardsError("empty placement plan")
-        return plan.placements[0].replica.shard.state_name
+        return run.handle

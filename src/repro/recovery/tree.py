@@ -23,14 +23,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.dht.node import DhtNode
-from repro.errors import InsufficientShardsError
 from repro.multicast.tree import build_tree, build_tree_with_depth
 from repro.recovery.model import (
     RecoveryContext,
     RecoveryHandle,
-    RecoveryResult,
+    RecoveryRun,
     RetryPolicy,
-    replacement_died,
 )
 from repro.state.placement import PlacedShard, PlacementPlan
 
@@ -76,40 +74,29 @@ class TreeRecovery:
         state_name: Optional[str] = None,
         parent_span=None,
     ) -> RecoveryHandle:
-        sim = ctx.sim
-        cost = ctx.cost_model
-        name = state_name or plan.placements[0].replica.shard.state_name
-        handle = RecoveryHandle(self.name, name)
-        started_at = sim.now
-        tracer = sim.tracer
-        root_span = tracer.start(
-            "recovery/tree",
-            category="recovery",
-            parent=parent_span,
-            state=name,
-            replacement=replacement.name,
+        run = RecoveryRun(
+            ctx,
+            self.name,
+            plan,
+            replacement,
+            state_name,
+            parent_span,
+            self.retry_policy,
             fanout_bits=self.fanout_bits,
             sub_shards=self.sub_shards,
         )
+        if run.handle.done:
+            return run.handle
+        sim = ctx.sim
+        cost = ctx.cost_model
+        tracer = sim.tracer
+        root_span = run.root_span
+        reachable = ctx.network.reachable
 
-        shard_indexes = plan.shard_indexes()
         trees: List[Dict] = []
-        total_bytes = 0.0
-        involved = {replacement.name}
-        for index in shard_indexes:
-            providers = plan.providers_for(index)
-            if not providers:
-                root_span.finish(error="insufficient_shards", shard=index)
-                handle._fail(
-                    InsufficientShardsError(
-                        f"{name}: no surviving replica of shard {index}"
-                    )
-                )
-                return handle
-            shard_bytes = providers[0].replica.size_bytes
-            total_bytes += shard_bytes
+        for index, providers in run.providers.items():
             members = self._tree_members(ctx, providers, replacement)
-            involved.update(node.name for node in members)
+            run.involved.update(node.name for node in members)
             # Members that are not replica holders fetch their sub-shard
             # from the surviving providers first; each provider serves its
             # share of those requests serially, so losing replicas
@@ -121,39 +108,34 @@ class TreeRecovery:
             trees.append(
                 {
                     "index": index,
-                    "bytes": float(shard_bytes),
+                    "bytes": float(providers[0].replica.size_bytes),
                     "members": members,
-                    "penalty": cost.lookup_penalty(
-                        providers[0].replica.num_replicas, len(providers)
-                    )
-                    + fetch_overhead,
+                    "penalty": run.lookup_penalty(index) + fetch_overhead,
                     "epoch": 0,
-                    "retries": 0,
                 }
             )
-
-        # Version-chain shape of the plan (1 link / 0 bytes for flat plans).
-        chain_len = int(getattr(plan, "chain_length", 1))
-        delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
-        root_span.annotate(
-            state_bytes=float(total_bytes),
-            shards=len(trees),
-            chain_len=chain_len,
-            delta_bytes=delta_bytes,
-        )
         progress = {
-            "bytes": 0.0,
             "delivered": 0,
-            "cpu_free_at": started_at + cost.detection_delay,
+            "cpu_free_at": run.started_at + cost.detection_delay,
         }
-        policy = self.retry_policy
 
-        def fail(error: Exception) -> None:
-            if handle.done:
-                return
-            root_span.finish(error=str(error))
-            sim.metrics.counter("recovery.failed").add(1, label=self.name)
-            handle._fail(error)
+        def build(tree_info: Dict, verb: str, penalty: float) -> None:
+            """Spend the tree construction time, then start aggregating."""
+            members = tree_info["members"]
+            build_time = (
+                cost.tree_build_base
+                + cost.tree_build_per_member * len(members)
+                + penalty
+            )
+            tracer.record(
+                f"{verb} tree {tree_info['index']}",
+                sim.now,
+                sim.now + build_time,
+                category="recovery.tree_build",
+                parent=root_span,
+                members=len(members),
+            )
+            sim.schedule(build_time, run_tree, tree_info)
 
         def restart_shard(tree_info: Dict) -> None:
             """A tree member died (or was cut off) mid-aggregation.
@@ -164,201 +146,82 @@ class TreeRecovery:
             and no-op). The shard tree is then rebuilt from the surviving
             replica holders after a backoff.
             """
-            if handle.done:
-                return
-            if not replacement.alive:
-                fail(replacement_died(self.name, name, replacement))
+            if not run.live():
                 return
             tree_info["epoch"] += 1
-            tree_info["retries"] += 1
-            attempt = tree_info["retries"]
-            if attempt > policy.max_retries:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: shard {tree_info['index']} aggregation "
-                        f"kept failing after {policy.max_retries} retries "
-                        f"(tree members kept dying or stayed unreachable)"
-                    )
-                )
-                return
-            sim.metrics.counter("recovery.retries").add(1, label=self.name)
-            tracer.instant(
-                f"retry shard {tree_info['index']}",
-                category="recovery.retry",
-                shard=tree_info["index"],
-                attempt=attempt,
+            index = tree_info["index"]
+            delay = run.backoff(
+                index,
+                f"shard {index}",
+                f"shard {index} aggregation kept failing after "
+                f"{run.policy.max_retries} retries (tree members kept dying "
+                f"or stayed unreachable)",
+                shard=index,
             )
-            sim.schedule(policy.delay(attempt - 1), rebuild, tree_info)
+            if delay is not None:
+                sim.schedule(delay, rebuild, tree_info)
 
         def rebuild(tree_info: Dict) -> None:
-            if handle.done:
+            if run.handle.done:
                 return
-            index = tree_info["index"]
-            providers = plan.providers_for(index)
+            providers = run.survivors(tree_info["index"])
             if not providers:
-                fail(
-                    InsufficientShardsError(
-                        f"{name}: every replica of shard {index} was lost "
-                        f"during recovery"
-                    )
-                )
                 return
-            try:
-                members = self._tree_members(ctx, providers, replacement)
-            except InsufficientShardsError as exc:
-                fail(exc)
-                return
-            involved.update(node.name for node in members)
+            members = self._tree_members(ctx, providers, replacement)
+            run.involved.update(node.name for node in members)
             tree_info["members"] = members
-            build_time = (
-                cost.tree_build_base + cost.tree_build_per_member * len(members)
-            )
-            tracer.record(
-                f"rebuild tree {index}",
-                sim.now,
-                sim.now + build_time,
-                category="recovery.tree_build",
-                parent=root_span,
-                members=len(members),
-            )
-            sim.schedule(build_time, run_tree, tree_info)
+            build(tree_info, "rebuild", 0.0)
 
-        def finish() -> None:
-            if handle.done:
+        def installed() -> None:
+            if run.handle.done:
                 return
-            tree_height = max(t["tree"].height() for t in trees) if trees else 0
-            root_span.finish(bytes=progress["bytes"], tree_height=tree_height)
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=name,
-                    state_bytes=total_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=progress["bytes"],
-                    nodes_involved=len(involved),
-                    shards_recovered=len(trees),
-                    replacement=replacement.name,
+            progress["delivered"] += 1
+            if progress["delivered"] == len(trees):
+                # All segments landed and installed shard by shard: only
+                # the delta replay is left before the state is live.
+                tree_height = max(t["tree"].height() for t in trees)
+                run.rebuild(
+                    merge=0.0,
+                    install=0.0,
+                    buffer_bytes=0.0,
                     detail={
                         "fanout_bits": float(self.fanout_bits),
                         "tree_height": float(tree_height),
                     },
+                    tree_height=tree_height,
                 )
-            )
-
-        def deliver_shard(tree_info: Dict) -> None:
-            """Root finished aggregating: ship the shard to the replacement."""
-            tree_info["span"].finish()
-            epoch = tree_info["epoch"]
-            root: DhtNode = tree_info["tree"].root
-            if not ctx.network.reachable(root.host, replacement.host):
-                # The root (or the replacement) died while the last merge
-                # was still in flight; rebuild from surviving providers.
-                restart_shard(tree_info)
-                return
-            deliver_span = root_span.child(
-                f"deliver shard {tree_info['index']} from {root.name}",
-                category="recovery.transfer",
-                bytes=tree_info["bytes"],
-                shard=tree_info["index"],
-                provider=root.name,
-            )
-
-            def arrived(_flow) -> None:
-                if handle.done or tree_info["epoch"] != epoch:
-                    return
-                deliver_span.finish()
-                progress["bytes"] += tree_info["bytes"]
-                install_start = max(sim.now, progress["cpu_free_at"])
-                duration = cost.install_time(tree_info["bytes"])
-                progress["cpu_free_at"] = install_start + duration
-                tracer.record(
-                    f"install shard {tree_info['index']}",
-                    install_start,
-                    install_start + duration,
-                    category="recovery.install",
-                    parent=root_span,
-                    bytes=tree_info["bytes"],
-                    node=replacement.name,
-                )
-                ctx.charge_cpu(
-                    replacement, install_start, duration, cost.merge_cpu_fraction
-                )
-                sim.schedule_at(progress["cpu_free_at"], installed)
-
-            def installed() -> None:
-                if handle.done:
-                    return
-                progress["delivered"] += 1
-                if progress["delivered"] == len(trees):
-                    replay = cost.replay_time(delta_bytes, chain_len - 1)
-                    if replay > 0:
-                        # All segments landed: replay delta links in
-                        # version order before declaring the state live.
-                        tracer.record(
-                            "replay deltas",
-                            sim.now,
-                            sim.now + replay,
-                            category="recovery.replay",
-                            parent=root_span,
-                            bytes=delta_bytes,
-                            links=chain_len - 1,
-                            node=replacement.name,
-                        )
-                        ctx.charge_cpu(
-                            replacement, sim.now, replay, cost.merge_cpu_fraction
-                        )
-                        sim.schedule(replay, finish)
-                    else:
-                        finish()
-
-            def aborted(_flow) -> None:
-                deliver_span.finish(aborted=True)
-                if handle.done or tree_info["epoch"] != epoch:
-                    return
-                restart_shard(tree_info)
-
-            ctx.network.transfer(
-                root.host,
-                replacement.host,
-                tree_info["bytes"],
-                on_complete=arrived,
-                on_abort=aborted,
-                parent_span=deliver_span,
-            )
 
         def run_tree(tree_info: Dict) -> None:
-            if handle.done:
+            if run.handle.done:
                 return
             epoch = tree_info["epoch"]
+            index = tree_info["index"]
+            shard_bytes = tree_info["bytes"]
             members: List[DhtNode] = tree_info["members"]
-            root = members[0]
-            tree_info["span"] = root_span.child(
-                f"aggregate shard {tree_info['index']}",
+            span = root_span.child(
+                f"aggregate shard {index}",
                 category="recovery.aggregate",
-                bytes=tree_info["bytes"],
-                shard=tree_info["index"],
+                bytes=shard_bytes,
+                shard=index,
                 members=len(members),
-                attempt=tree_info["retries"],
+                attempt=run.retries.get(index, 0),
             )
             if self.scribe is not None:
                 # The prototype's path: one Scribe topic per shard; the
                 # aggregation tree is the route-union tree of the members.
                 # Restarted aggregations get a fresh topic per epoch.
-                topic_name = f"sr3/{name}/shard-{tree_info['index']}"
+                topic_name = f"sr3/{run.name}/shard-{index}"
                 if epoch:
                     topic_name += f"/retry-{epoch}"
                 self.scribe.create_topic(topic_name)
                 self.scribe.subscribe_many(topic_name, members)
                 tree = self.scribe.topics[topic_name].tree
             elif self.branch_depth is not None:
-                tree = build_tree_with_depth(root, members[1:], self.branch_depth)
+                tree = build_tree_with_depth(members[0], members[1:], self.branch_depth)
             else:
-                tree = build_tree(root, members[1:], 1 << self.fanout_bits)
+                tree = build_tree(members[0], members[1:], 1 << self.fanout_bits)
             tree_info["tree"] = tree
-            sub_bytes = tree_info["bytes"] / len(members)
+            sub_bytes = shard_bytes / len(members)
             contributors = {node.node_id for node in members}
             # Aggregate bottom-up: a node sends its accumulated range to its
             # parent once all of its children have delivered. Scribe trees
@@ -369,42 +232,99 @@ class TreeRecovery:
                 for node in tree.members()
             }
 
+            def stale() -> bool:
+                return run.handle.done or tree_info["epoch"] != epoch
+
+            def deliver_shard() -> None:
+                """Root finished aggregating: ship the shard to the replacement."""
+                span.finish()
+                root: DhtNode = tree.root
+                if not reachable(root.host, replacement.host):
+                    # The root (or the replacement) died while the last merge
+                    # was still in flight; rebuild from surviving providers.
+                    restart_shard(tree_info)
+                    return
+
+                def delivered(deliver_span, _flow) -> None:
+                    if stale():
+                        return
+                    deliver_span.finish()
+                    run.moved += shard_bytes
+                    install_start = max(sim.now, progress["cpu_free_at"])
+                    duration = cost.install_time(shard_bytes)
+                    progress["cpu_free_at"] = install_start + duration
+                    tracer.record(
+                        f"install shard {index}",
+                        install_start,
+                        install_start + duration,
+                        category="recovery.install",
+                        parent=root_span,
+                        bytes=shard_bytes,
+                        node=replacement.name,
+                    )
+                    ctx.charge_cpu(
+                        replacement, install_start, duration, cost.merge_cpu_fraction
+                    )
+                    sim.schedule_at(progress["cpu_free_at"], installed)
+
+                def deliver_aborted(deliver_span, _flow) -> None:
+                    deliver_span.finish(aborted=True)
+                    if not stale():
+                        restart_shard(tree_info)
+
+                run.transfer(
+                    root_span,
+                    f"deliver shard {index} from {root.name}",
+                    root,
+                    replacement,
+                    shard_bytes,
+                    delivered,
+                    deliver_aborted,
+                    shard=index,
+                    provider=root.name,
+                )
+
             def node_ready(node: DhtNode) -> None:
-                if handle.done or tree_info["epoch"] != epoch:
+                if stale():
                     return
                 if node is tree.root:
-                    deliver_shard(tree_info)
+                    deliver_shard()
                     return
                 parent = tree.parent(node)
-                payload = aggregate[node]
-                if not ctx.network.reachable(node.host, parent.host):
+                size = aggregate[node]
+                if not reachable(node.host, parent.host):
                     # A member died (or was cut off) between tree build and
                     # this hop starting; no flow exists to abort, so take
                     # the restart path directly.
-                    tree_info["span"].finish(aborted=True)
+                    span.finish(aborted=True)
                     restart_shard(tree_info)
                     return
-                hop_span = tree_info["span"].child(
+
+                # The per-hop loop runs once per sub-shard of every tree, so
+                # it talks to the network itself instead of ``run.transfer``.
+                hop_span = span.child(
                     f"sub-shard {node.name}->{parent.name}",
                     category="recovery.transfer",
-                    bytes=payload,
-                    shard=tree_info["index"],
+                    bytes=size,
+                    shard=index,
                     level=tree.depth_of(node),
                     provider=node.name,
                 )
 
-                def hop_aborted(_flow, span=hop_span) -> None:
-                    span.finish(aborted=True)
-                    if handle.done or tree_info["epoch"] != epoch:
+                # Bound as defaults, and ``merged`` only made on arrival:
+                # flows outlive their hop, and so does whatever they close over.
+                def hop_aborted(_flow, hop_span=hop_span) -> None:
+                    hop_span.finish(aborted=True)
+                    if stale():
                         return
-                    tree_info["span"].finish(aborted=True)
+                    span.finish(aborted=True)
                     restart_shard(tree_info)
 
-                def arrived(_flow, n=node, p=parent, size=payload, span=hop_span) -> None:
-                    if handle.done or tree_info["epoch"] != epoch:
+                def arrived(_flow, p=parent, size=size, hop_span=hop_span) -> None:
+                    if stale():
                         return
-                    span.finish()
-                    progress["bytes"] += size
+                    hop_span.finish()
+                    run.moved += size
                     # Range concatenation at the parent + level handoff.
                     duration = cost.level_setup + size / cost.install_rate
                     tracer.record(
@@ -412,7 +332,7 @@ class TreeRecovery:
                         sim.now,
                         sim.now + duration,
                         category="recovery.merge",
-                        parent=tree_info["span"],
+                        parent=span,
                         bytes=size,
                         node=p.name,
                     )
@@ -422,7 +342,7 @@ class TreeRecovery:
                     )
 
                     def merged() -> None:
-                        if handle.done or tree_info["epoch"] != epoch:
+                        if stale():
                             return
                         aggregate[p] += size
                         waiting[p] -= 1
@@ -434,7 +354,7 @@ class TreeRecovery:
                 ctx.network.transfer(
                     node.host,
                     parent.host,
-                    payload,
+                    size,
                     on_complete=arrived,
                     on_abort=hop_aborted,
                     parent_span=hop_span,
@@ -442,33 +362,16 @@ class TreeRecovery:
 
             for leaf in tree.leaves():
                 if leaf is tree.root:
-                    deliver_shard(tree_info)
+                    deliver_shard()
                 else:
                     node_ready(leaf)
 
         def launch() -> None:
-            detect_span.finish()
             for tree_info in trees:
-                build_time = (
-                    cost.tree_build_base
-                    + cost.tree_build_per_member * len(tree_info["members"])
-                    + tree_info["penalty"]
-                )
-                tracer.record(
-                    f"build tree {tree_info['index']}",
-                    sim.now,
-                    sim.now + build_time,
-                    category="recovery.tree_build",
-                    parent=root_span,
-                    members=len(tree_info["members"]),
-                )
-                sim.schedule(build_time, run_tree, tree_info)
+                build(tree_info, "build", tree_info["penalty"])
 
-        detect_span = root_span.child(
-            "detect", category="recovery.detect", delay=cost.detection_delay
-        )
-        sim.schedule(cost.detection_delay, launch)
-        return handle
+        run.detect(cost.detection_delay, launch)
+        return run.handle
 
     def _tree_members(
         self,
@@ -503,6 +406,4 @@ class TreeRecovery:
             pool_size = ctx.overlay.alive_count() - len(exclude)
             extra = ctx.overlay.sample_nodes(min(extra_needed, max(0, pool_size)), exclude)
             members.extend(extra)
-        if not members:
-            raise InsufficientShardsError("no tree members available")
         return members

@@ -118,7 +118,7 @@ class TestArtifactRoundTrip:
 class TestCliIntegration:
     def test_profile_artifact_written(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
-        assert main(["fig9a", "--profile", str(path)]) == 0
+        assert main(["run", "fig9a", "--profile", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["format"] == "sr3-profile-1"
         assert payload["recoveries"] > 0
@@ -129,23 +129,23 @@ class TestCliIntegration:
     def test_profile_artifact_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "p1.json", tmp_path / "p2.json"]
         for path in paths:
-            assert main(["fig9a", "--profile", str(path)]) == 0
+            assert main(["run", "fig9a", "--profile", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_baseline_written_then_green(self, tmp_path, capsys):
         baseline = tmp_path / "BENCH_sr3.json"
-        assert main(["fig9a", "--baseline", str(baseline)]) == 0
+        assert main(["run", "fig9a", "--baseline", str(baseline)]) == 0
         assert baseline.exists()
-        assert main(["fig9a", "--baseline", str(baseline)]) == 0
+        assert main(["run", "fig9a", "--baseline", str(baseline)]) == 0
         assert "0 regressed" in capsys.readouterr().err
 
     def test_baseline_gate_trips(self, tmp_path, capsys):
         baseline = tmp_path / "BENCH_sr3.json"
-        assert main(["fig9a", "--baseline", str(baseline)]) == 0
+        assert main(["run", "fig9a", "--baseline", str(baseline)]) == 0
         payload = json.loads(baseline.read_text())
         payload["metrics"] = {k: v * 0.5 for k, v in payload["metrics"].items()}
         baseline.write_text(json.dumps(payload))
-        assert main(["fig9a", "--baseline", str(baseline)]) == 3
+        assert main(["run", "fig9a", "--baseline", str(baseline)]) == 3
         assert "REGRESSION" in capsys.readouterr().err
 
     def test_update_baseline_merges(self, tmp_path, capsys):
@@ -157,14 +157,14 @@ class TestCliIntegration:
             str(baseline),
             {"other-experiment/key#0": 1.0, "sim-0/star/app/state#0": 99.0},
         )
-        assert main(["fig9a", "--baseline", str(baseline), "--update-baseline"]) == 0
+        assert main(["run", "fig9a", "--baseline", str(baseline), "--update-baseline"]) == 0
         merged = load_baseline(str(baseline))
         assert merged["other-experiment/key#0"] == 1.0
         assert merged["sim-0/star/app/state#0"] != 99.0
 
     def test_metrics_out(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
-        assert main(["fig9a", "--metrics-out", str(path)]) == 0
+        assert main(["run", "fig9a", "--metrics-out", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["format"] == "sr3-metrics-1"
         assert payload["registries"]
@@ -178,6 +178,7 @@ class TestCliIntegration:
         assert (
             main(
                 [
+                    "run",
                     "fig9a",
                     "--flamegraph",
                     str(flame),

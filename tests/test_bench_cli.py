@@ -32,7 +32,7 @@ class TestParser:
 
 class TestMain:
     def test_list(self, capsys):
-        assert main(["--list"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         lines = {line.strip() for line in out.splitlines()}
         assert "experiments:" in lines
@@ -50,7 +50,7 @@ class TestMain:
 
         path = tmp_path / "baseline.json"
         write_baseline(str(path), {"sim-0/star/app/state#0": 1.5})
-        assert main(["--list", "--baseline", str(path)]) == 0
+        assert main(["list", "--baseline", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"baseline keys ({path}):" in out
         assert "sim-0/star/app/state#0" in out
@@ -60,24 +60,24 @@ class TestMain:
         assert "fig12c" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["nope"]) == 2
+        assert main(["run", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_runs_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1"]) == 0
         out = capsys.readouterr().out
         assert "SR3" in out and "Flink" in out
 
     def test_runs_fig9a_with_seed(self, capsys):
-        assert main(["fig9a", "--seed", "2"]) == 0
+        assert main(["run", "fig9a", "--seed", "2"]) == 0
         assert "fanout_bit" in capsys.readouterr().out
 
     def test_runs_fig10_with_mechanism(self, capsys):
-        assert main(["fig10", "--mechanism", "tree"]) == 0
+        assert main(["run", "fig10", "--mechanism", "tree"]) == 0
         assert "failures" in capsys.readouterr().out
 
     def test_runs_fig11_scaled(self, capsys):
-        assert main(["fig11", "--apps", "10", "--nodes", "200"]) == 0
+        assert main(["run", "fig11", "--apps", "10", "--nodes", "200"]) == 0
         assert "mean_shards_per_node" in capsys.readouterr().out
 
 
@@ -113,13 +113,13 @@ class TestScaleExperiment:
         assert simulated(first) == simulated(second)
 
     def test_scale_cli_with_custom_nodes(self, capsys):
-        assert main(["scale", "--scale-nodes", "64"]) == 0
+        assert main(["run", "scale", "--scale-nodes", "64"]) == 0
         out = capsys.readouterr().out
         assert "makespan_s" in out
         assert "wall_s" in out
 
     def test_scale_cli_nondefault_size_prints_informational_notice(self, capsys):
-        assert main(["scale", "--scale-nodes", "64"]) == 0
+        assert main(["run", "scale", "--scale-nodes", "64"]) == 0
         err = capsys.readouterr().err
         assert "scale/64/* results are informational, no baseline key" in err
 
@@ -132,7 +132,7 @@ class TestScaleExperiment:
 class TestCampaign:
     def test_smoke_campaign_writes_report(self, tmp_path, capsys):
         out = tmp_path / "resilience-smoke.json"
-        assert main(["--campaign", "smoke", "--campaign-out", str(out)]) == 0
+        assert main(["campaign", "smoke", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["campaign"] == "smoke"
         assert data["summary"]["failed"] == 0
@@ -143,7 +143,7 @@ class TestCampaign:
         assert str(out) in captured.err
 
     def test_unknown_campaign_errors(self, capsys):
-        assert main(["--campaign", "nope"]) == 2
+        assert main(["campaign", "nope"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
 
 
@@ -153,24 +153,17 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert "experiments:" in captured.out
         assert "remediate" in captured.out
-        assert "deprecated" not in captured.err
+        assert captured.err == ""
 
     def test_run_subcommand(self, capsys):
         assert main(["run", "fig9a", "--seed", "2"]) == 0
         captured = capsys.readouterr()
         assert "fanout_bit" in captured.out
-        assert "deprecated" not in captured.err
+        assert captured.err == ""
 
     def test_run_without_experiment_is_usage_error(self, capsys):
         assert main(["run"]) == 2
         assert "usage" in capsys.readouterr().err
-
-    def test_campaign_subcommand_maps_flags(self, tmp_path, capsys):
-        out = tmp_path / "resilience-smoke.json"
-        assert main(["campaign", "smoke", "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["campaign"] == "smoke"
-        assert data["summary"]["failed"] == 0
 
     def test_campaign_jobs_flag_writes_identical_report(self, tmp_path, capsys):
         serial_out = tmp_path / "serial.json"
@@ -196,15 +189,12 @@ class TestSubcommands:
         assert main(["control", "--scenario", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_legacy_flag_style_warns_on_stderr(self, capsys):
-        assert main(["fig9a"]) == 0
-        captured = capsys.readouterr()
-        assert "fanout_bit" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_legacy_list_flag_does_not_break(self, capsys):
-        assert main(["--list"]) == 0
-        assert "remediate" in capsys.readouterr().out
+    def test_flag_style_is_a_usage_error(self, capsys):
+        for argv in (["fig9a"], ["--list"], ["--campaign", "smoke"], ["--seed", "2"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage: python -m repro.bench {run|campaign|" in captured.err
 
 
 class TestDashboardSubcommand:
