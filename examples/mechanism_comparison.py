@@ -8,7 +8,8 @@ Usage: python examples/mechanism_comparison.py
 """
 
 from repro.bench.experiments import baseline_matrix
-from repro.bench.harness import build_scenario, saved_state, timed_recovery
+from repro.bench.harness import build_scenario
+from repro.recovery.deployment import saved_state, timed_recovery
 from repro.bench.reporting import format_result
 from repro.recovery.line import LineRecovery
 from repro.recovery.star import StarRecovery

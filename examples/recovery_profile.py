@@ -11,7 +11,8 @@ Usage: python examples/recovery_profile.py
 
 import os
 
-from repro.bench.harness import build_scenario, saved_state, timed_recovery
+from repro.bench.harness import build_scenario
+from repro.recovery.deployment import saved_state, timed_recovery
 from repro.obs import Tracer, build_report, write_flamegraph, write_speedscope
 from repro.recovery.line import LineRecovery
 from repro.recovery.star import StarRecovery

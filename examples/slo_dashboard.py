@@ -53,12 +53,7 @@ def main() -> None:
     anomalies = AnomalyDetector(
         pipeline, series=("live.throughput",), z_threshold=6.0
     )
-    world = ControlPlane(
-        sim=cell.sim,
-        network=cell.network,
-        overlay=cell.overlay,
-        manager=cell.manager,
-    )
+    world = ControlPlane(cell)
     policy = PolicyTable(
         rules=[
             PolicyRule(

@@ -44,6 +44,7 @@ from repro.control import (
 )
 from repro.errors import ReproError
 from repro.live import LiveCell, LiveReport, LoadDriver, build_live_cell
+from repro.recovery.deployment import MECHANISMS, Deployment, build_deployment
 
 __version__ = "1.0.0"
 
@@ -65,5 +66,8 @@ __all__ = [
     "LiveReport",
     "LoadDriver",
     "build_live_cell",
+    "MECHANISMS",
+    "Deployment",
+    "build_deployment",
     "__version__",
 ]

@@ -21,19 +21,22 @@ SaveResult(...)
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.control import ControlPlane, Controller
 from repro.dht.node import DhtNode
-from repro.dht.overlay import Overlay
 from repro.errors import RecoveryError, StateError
 from repro.obs.export import write_trace
 from repro.obs.tracer import Tracer
-from repro.recovery.line import LineRecovery
-from repro.recovery.manager import MechanismImpl, RecoveryManager
-from repro.recovery.model import CostModel, RecoveryContext, RecoveryResult
+from repro.recovery.deployment import (
+    MECHANISMS,
+    Deployment,
+    HoldsDeployment,
+    build_deployment,
+)
+from repro.recovery.manager import MechanismImpl
+from repro.recovery.model import CostModel, RecoveryResult
 from repro.recovery.save import SaveResult
 from repro.recovery.selection import (
     Mechanism,
@@ -42,22 +45,9 @@ from repro.recovery.selection import (
     recommended_tree_fanout_bits,
     select_mechanism,
 )
-from repro.recovery.standby import StandbyRecovery
-from repro.recovery.star import StarRecovery
-from repro.recovery.tree import TreeRecovery
-from repro.sim.kernel import Simulator
-from repro.sim.network import Network
 from repro.state.partitioner import partition_snapshot, partition_synthetic
 from repro.state.shard import Shard
 from repro.state.store import StateSnapshot, StateStore
-from repro.util.sizes import mbit_per_s
-
-
-@dataclass
-class _AppPolicy:
-    """Per-application mechanism overrides (Star/Line/TreeDefine)."""
-
-    mechanism: Optional[MechanismImpl] = None
 
 
 @dataclass(frozen=True)
@@ -140,23 +130,15 @@ _KNOB_ALIASES = {
     Mechanism.STANDBY: {"fetch_window": "fetch_window"},
 }
 
-_MECHANISM_CLASSES = {
-    Mechanism.STAR: StarRecovery,
-    Mechanism.LINE: LineRecovery,
-    Mechanism.TREE: TreeRecovery,
-    Mechanism.STANDBY: StandbyRecovery,
-}
 
-
-class SR3:
+class SR3(HoldsDeployment):
     """The customizable state recovery framework, end to end."""
 
-    def __init__(self, ctx: RecoveryContext, num_replicas: int = 2) -> None:
-        self.ctx = ctx
-        self.overlay = ctx.overlay
-        self.manager = RecoveryManager(ctx)
+    def __init__(self, deployment: Deployment, num_replicas: int = 2) -> None:
+        self.deployment = deployment
         self.num_replicas = num_replicas
-        self._policies: Dict[str, _AppPolicy] = {}
+        #: Per-application mechanism pinned by :meth:`define`.
+        self._policies: Dict[str, MechanismImpl] = {}
         self._controller = None
 
     # -------------------------------------------------------------- creation
@@ -179,19 +161,17 @@ class SR3:
         :class:`~repro.obs.Tracer` to capture a span timeline of every
         save and recovery; export it with :meth:`export_trace`.
         """
-        sim = Simulator(tracer=tracer)
-        network = Network(sim)
-        up = mbit_per_s(uplink_mbit) if uplink_mbit else float("inf")
-        down = mbit_per_s(downlink_mbit) if downlink_mbit else float("inf")
-        overlay = Overlay(
-            sim, network, leaf_set_size=leaf_set_size, rng=random.Random(seed)
+        return cls(
+            build_deployment(
+                num_nodes=num_nodes,
+                seed=seed,
+                uplink_mbit=uplink_mbit,
+                downlink_mbit=downlink_mbit,
+                leaf_set_size=leaf_set_size,
+                cost_model=cost_model,
+                tracer=tracer,
+            )
         )
-        overlay.build(
-            num_nodes,
-            host_factory=lambda name: network.add_host(name, up_bw=up, down_bw=down),
-        )
-        ctx = RecoveryContext(sim, network, overlay, cost_model or CostModel())
-        return cls(ctx)
 
     # ----------------------------------------------------- Table 2: StateSplit
 
@@ -298,9 +278,7 @@ class SR3:
         ``path_length``, ``sub_shards``) are accepted too. Returns the
         configured mechanism instance.
         """
-        if isinstance(
-            mechanism, (StarRecovery, LineRecovery, TreeRecovery, StandbyRecovery)
-        ):
+        if isinstance(mechanism, tuple(MECHANISMS.values())):
             if knobs:
                 raise RecoveryError(
                     "knobs cannot be combined with a pre-built mechanism instance"
@@ -317,7 +295,7 @@ class SR3:
                     ) from None
             else:
                 member = mechanism
-            if member not in _MECHANISM_CLASSES:
+            if member.value not in MECHANISMS:
                 raise RecoveryError(
                     f"mechanism {member.value!r} cannot be pinned to an app"
                 )
@@ -331,34 +309,9 @@ class SR3:
                         f"unknown knob {knob!r} for {member.value} recovery; "
                         f"expected one of {sorted(set(aliases))}"
                     ) from None
-            impl = _MECHANISM_CLASSES[member](**kwargs)
-        self._policies[app_name] = _AppPolicy(impl)
+            impl = MECHANISMS[member.value](**kwargs)
+        self._policies[app_name] = impl
         return impl
-
-    @staticmethod
-    def _deprecated_define(old: str, new: str) -> None:
-        warnings.warn(
-            f"SR3.{old} is deprecated; use SR3.define({new}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def star_define(self, app_name: str, star_fanout: int = 2) -> None:
-        """``StarDefine``: deprecated alias for :meth:`define` with star."""
-        self._deprecated_define("star_define", "app, 'star', star_fanout=...")
-        self.define(app_name, Mechanism.STAR, star_fanout=star_fanout)
-
-    def line_define(self, app_name: str, length_of_path: int = 8) -> None:
-        """``LineDefine``: deprecated alias for :meth:`define` with line."""
-        self._deprecated_define("line_define", "app, 'line', length_of_path=...")
-        self.define(app_name, Mechanism.LINE, length_of_path=length_of_path)
-
-    def tree_define(
-        self, app_name: str, fanout: int = 1, branch_depth: Optional[int] = None
-    ) -> None:
-        """``TreeDefine``: deprecated alias for :meth:`define` with tree."""
-        self._deprecated_define("tree_define", "app, 'tree', fanout=...")
-        self.define(app_name, Mechanism.TREE, fanout=fanout, branch_depth=branch_depth)
 
     # ------------------------------------------------------ Table 2: Selection
 
@@ -395,14 +348,13 @@ class SR3:
         knobs: Dict[str, int] = {}
         if choice is Mechanism.STAR:
             knobs["star_fanout"] = 2
-            self.define(app_name, choice, **knobs)
         elif choice is Mechanism.LINE:
             knobs["length_of_path"] = recommended_path_length(
                 state_size, latency_sensitive
             )
-            self.define(app_name, choice, **knobs)
         elif choice is Mechanism.TREE:
             knobs["fanout"] = recommended_tree_fanout_bits(state_size)
+        if knobs:
             self.define(app_name, choice, **knobs)
         return SelectionResult(mechanism=choice, knobs=knobs)
 
@@ -422,9 +374,7 @@ class SR3:
         then the app's pinned policy, then the selection heuristic.
         """
         if mechanism is None:
-            policy = self._policies.get(app_name or state_name)
-            if policy is not None:
-                mechanism = policy.mechanism
+            mechanism = self._policies.get(app_name or state_name)
         registered = self.manager.states.get(state_name)
         if registered is None:
             raise RecoveryError(f"unknown state {state_name!r}")
@@ -455,13 +405,11 @@ class SR3:
         measurements). Returns the :class:`~repro.control.Controller` —
         call :meth:`remediate` (or ``controller.run()``) after faults.
         """
-        from repro.control import ControlPlane, Controller
-
         if self._controller is not None:
             raise RecoveryError(
                 "a controller is already attached; detach_controller() first"
             )
-        world = ControlPlane.from_sr3(self, detector=detector)
+        world = ControlPlane(self.deployment, detector=detector)
         self._controller = Controller(world, policy=policy, config=config)
         return self._controller
 

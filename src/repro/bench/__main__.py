@@ -29,17 +29,33 @@ order, byte-identical to ``--jobs 1`` (see :mod:`repro.bench.parallel`).
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import Callable, Dict
 
 from repro.bench import experiments as exp
+from repro.bench.baseline import (
+    DEFAULT_TOLERANCE,
+    baseline_metrics,
+    compare_to_baseline,
+    load_baseline,
+    write_baseline,
+)
+from repro.bench.parallel import run_campaign_parallel
 from repro.bench.reporting import format_result, write_trace_artifact
+from repro.chaos import CAMPAIGNS, SCENARIOS, run_campaign
+from repro.errors import ReproError, SimulationError
+from repro.obs.dashboard import write_dashboard
+from repro.obs.flamegraph import write_flamegraph, write_speedscope
+from repro.obs.profile import build_report
 from repro.obs.registry import (
     clear_collected_registries,
     collected_registries,
     enable_metrics_collection,
 )
 from repro.obs.tracer import clear_collected, enable_tracing
+from repro.recovery.deployment import MECHANISMS
 
 
 def _fig10(args) -> object:
@@ -125,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
         "--mechanism",
-        choices=("star", "line", "tree"),
+        choices=tuple(MECHANISMS),
         default="star",
         help="mechanism for fig10",
     )
@@ -206,10 +222,6 @@ def print_listing(baseline_path: str) -> None:
     Sections: experiment ids, the chaos scenario catalog and campaigns,
     and — when the baseline artifact exists — its perf-gate keys.
     """
-    import os
-
-    from repro.chaos import CAMPAIGNS, SCENARIOS
-
     print("experiments:")
     for name in EXPERIMENTS:
         print(f"  {name}")
@@ -220,8 +232,6 @@ def print_listing(baseline_path: str) -> None:
     for name in sorted(CAMPAIGNS):
         print(f"  {name} ({len(CAMPAIGNS[name])} scenarios)")
     if os.path.exists(baseline_path):
-        from repro.bench.baseline import load_baseline
-
         print(f"baseline keys ({baseline_path}):")
         for key in sorted(load_baseline(baseline_path)):
             print(f"  {key}")
@@ -229,13 +239,8 @@ def print_listing(baseline_path: str) -> None:
 
 def run_campaign_cli(args) -> int:
     """Run a chaos campaign and write the resilience report JSON."""
-    from repro.chaos import run_campaign
-    from repro.errors import SimulationError
-
     try:
         if args.jobs > 1:
-            from repro.bench.parallel import run_campaign_parallel
-
             report = run_campaign_parallel(
                 args.name, args.jobs, controller=args.controller
             )
@@ -261,8 +266,6 @@ def run_control_cli(
     the resilience report JSON. Exit codes: 0 all cells clean, 1 a cell
     failed its invariants or remediated nothing, 2 unknown scenario.
     """
-    from repro.chaos import SCENARIOS, run_campaign
-
     names = list(scenario_names) if scenario_names else sorted(SCENARIOS)
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
@@ -380,12 +383,8 @@ def _with_observability(args, runner, extra_metrics=None) -> int:
 
 def run_dashboard_cli(args) -> int:
     """Run one telemetry-sensed live cell and write the HTML dashboard."""
-    from repro.bench.experiments import run_slo_cell
-    from repro.errors import ReproError
-    from repro.obs.dashboard import write_dashboard
-
     try:
-        outcome = run_slo_cell(args.mode, seed=args.seed, duration_s=args.duration)
+        outcome = exp.run_slo_cell(args.mode, seed=args.seed, duration_s=args.duration)
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -434,18 +433,6 @@ def write_profile_artifacts(args, extra_metrics=None) -> int:
     gate runs. Returns the process exit code: 0 unless the baseline gate
     tripped (3).
     """
-    import json
-
-    from repro.bench.baseline import (
-        DEFAULT_TOLERANCE,
-        baseline_metrics,
-        compare_to_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.obs.flamegraph import write_flamegraph, write_speedscope
-    from repro.obs.profile import build_report
-
     exit_code = 0
     report = None
     if args.profile or args.baseline:
@@ -461,8 +448,6 @@ def write_profile_artifacts(args, extra_metrics=None) -> int:
         write_speedscope(args.speedscope)
         print(f"speedscope document written to {args.speedscope}", file=sys.stderr)
     if args.baseline:
-        import os
-
         measured = baseline_metrics(report.profiles)
         if extra_metrics:
             measured.update(extra_metrics)
@@ -621,7 +606,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mechanism",
-        choices=("star", "line", "tree", "standby", "speculation"),
+        choices=tuple(MECHANISMS),
         default="star",
         help="recovery mechanism the controller's policy pins (default: star)",
     )

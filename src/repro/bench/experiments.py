@@ -9,51 +9,66 @@ in seconds while ``scripts``-level runs regenerate the full figures.
 from __future__ import annotations
 
 import random
+import time
 from typing import Dict, List, Sequence, Tuple
 
-from repro.bench.harness import (
-    ExperimentResult,
-    Scenario,
-    build_scenario,
+from repro.bench.harness import ExperimentResult, Scenario, build_scenario
+from repro.bench.parallel import run_scale_cells
+from repro.chaos.campaign import run_scenario
+from repro.chaos.scenario import SCENARIOS
+from repro.control import (
+    ControlConfig,
+    Controller,
+    ControlPlane,
+    PolicyRule,
+    PolicyTable,
+)
+from repro.dht.failure_detector import DetectorConfig, FailureDetector
+from repro.dht.maintenance import MaintenanceConfig, measure_maintenance
+from repro.errors import BenchmarkError
+from repro.live.driver import LoadDriver, build_live_cell
+from repro.live.rates import FlashCrowd
+from repro.obs.anomaly import AnomalyDetector
+from repro.obs.slo import SLO, BurnWindow, SLOEngine
+from repro.obs.timeseries import TelemetryConfig, TelemetryPipeline
+from repro.recovery.baselines.fp4s import Fp4sBaseline, Fp4sConfig
+from repro.recovery.baselines.lineage import LineageBaseline, LineageConfig
+from repro.recovery.baselines.replication import ReplicationBaseline
+from repro.recovery.deployment import (
+    MECHANISMS,
+    build_deployment,
     default_shard_count,
     saved_state,
     timed_recovery,
 )
-from repro.dht.maintenance import MaintenanceConfig, measure_maintenance
-from repro.dht.overlay import Overlay
-from repro.errors import BenchmarkError
-from repro.recovery.baselines.fp4s import Fp4sBaseline, Fp4sConfig
-from repro.recovery.baselines.lineage import LineageBaseline, LineageConfig
-from repro.recovery.baselines.replication import ReplicationBaseline
 from repro.recovery.line import LineRecovery
-from repro.recovery.model import run_handles
+from repro.recovery.model import CostModel, run_handles
+from repro.recovery.online import OnlineSelector
 from repro.recovery.selection import (
-    Mechanism,
+    SelectionExplanation,
     SelectionInputs,
+    explain_selection,
+    predict_recovery_seconds,
     select_mechanism,
 )
 from repro.recovery.star import StarRecovery
 from repro.recovery.tree import TreeRecovery
-from repro.sim.kernel import Simulator
-from repro.sim.network import Network
 from repro.sim.resources import sample_grid
 from repro.state.partitioner import partition_synthetic, replicate
 from repro.state.placement import HashPlacement
 from repro.state.version import StateVersion
-from repro.util.sizes import MB
+from repro.streaming.backend import SR3StateBackend
+from repro.streaming.cluster import LocalCluster
+from repro.util.sizes import MB, mbit_per_s
 from repro.util.stats import mean, percentile
+from repro.workloads.wordcount import build_wordcount_topology
 
 CONSTRAINED_MBIT = 100.0
 DEFAULT_SIZES_MB = (8, 16, 32, 64, 128)
 
-
-def _mechanisms(size_bytes: float) -> Dict[str, object]:
-    """The fixed mechanism configurations used across Fig. 8."""
-    return {
-        "star": StarRecovery(fanout_bits=2),
-        "line": LineRecovery(path_length=8),
-        "tree": TreeRecovery(fanout_bits=1, sub_shards=8),
-    }
+#: The paper's three structures (Sec. 3.4-3.6), which the figures sweep at
+#: their fixed knobs — ``MECHANISMS[name]()``.
+FIGURE_MECHANISMS = ("star", "line", "tree")
 
 
 def _checkpointing_recovery_time(scenario: Scenario, size_bytes: float) -> float:
@@ -76,29 +91,26 @@ def _fig8_recovery(
     result = ExperimentResult(
         experiment_id,
         description,
-        columns=["state_mb", "checkpointing_s", "star_s", "line_s", "tree_s"],
+        columns=["state_mb", "checkpointing_s"]
+        + [f"{name}_s" for name in FIGURE_MECHANISMS],
     )
     link = CONSTRAINED_MBIT if constrained else None
     for size_mb in sizes_mb:
         size = size_mb * MB
         times: Dict[str, float] = {}
-        for name, mechanism in _mechanisms(size).items():
+        for name in FIGURE_MECHANISMS:
             scenario = build_scenario(
                 num_nodes=64, seed=seed, uplink_mbit=link, downlink_mbit=link
             )
             saved_state(scenario, "app/state", size)
-            times[name] = timed_recovery(scenario, mechanism, "app/state").duration
+            times[f"{name}_s"] = timed_recovery(
+                scenario, MECHANISMS[name](), "app/state"
+            ).duration
         scenario = build_scenario(
             num_nodes=64, seed=seed, uplink_mbit=link, downlink_mbit=link
         )
-        times["checkpointing"] = _checkpointing_recovery_time(scenario, size)
-        result.add_row(
-            state_mb=size_mb,
-            checkpointing_s=times["checkpointing"],
-            star_s=times["star"],
-            line_s=times["line"],
-            tree_s=times["tree"],
-        )
+        times["checkpointing_s"] = _checkpointing_recovery_time(scenario, size)
+        result.add_row(state_mb=size_mb, **times)
     return result
 
 
@@ -272,12 +284,7 @@ def fig10_simultaneous_failures(
     application's state in some nodes" — each failure drops one stored
     shard replica (never the last copy of a shard).
     """
-    factories = {
-        "star": lambda: StarRecovery(fanout_bits=2),
-        "line": lambda: LineRecovery(path_length=8),
-        "tree": lambda: TreeRecovery(fanout_bits=1, sub_shards=8),
-    }
-    if mechanism_name not in factories:
+    if mechanism_name not in MECHANISMS:
         raise BenchmarkError(f"unknown mechanism {mechanism_name!r}")
     result = ExperimentResult(
         f"fig10_{mechanism_name}",
@@ -299,7 +306,7 @@ def fig10_simultaneous_failures(
             )
             _drop_replicas(scenario, registered, failures, seed + failures)
             duration = timed_recovery(
-                scenario, factories[mechanism_name](), "app/state"
+                scenario, MECHANISMS[mechanism_name](), "app/state"
             ).duration
             result.add_row(
                 failures=failures, replicas=num_replicas, recovery_s=duration
@@ -344,10 +351,7 @@ def fig11_load_balance(
     Paper parameters: 5,000 Pastry nodes, 32 MB state per application,
     512 KB shards, replication factor two; 500 and 1,000 applications.
     """
-    sim = Simulator()
-    network = Network(sim)
-    overlay = Overlay(sim, network, rng=random.Random(seed))
-    overlay.build(num_nodes)
+    overlay = build_deployment(num_nodes=num_nodes, seed=seed).overlay
     placement = HashPlacement()
     num_shards = max(1, (state_mb * MB) // (shard_kb * 1024))
     for app in range(num_apps):
@@ -388,23 +392,23 @@ def _overhead_scenario(approach: str, seed: int, state_mb: int = 64):
     scenario = build_scenario(num_nodes=64, seed=seed)
     size = state_mb * MB
     if approach == "checkpointing":
-        upstream = scenario.overlay.nodes[1]
-        replacement = scenario.overlay.nodes[2]
-        handle = scenario.checkpointing.recover(upstream, replacement, size)
-        run_handles(scenario.sim, [handle])
-        return scenario, [upstream.name, replacement.name]
-    mechanisms = {
-        "star": StarRecovery(fanout_bits=2),
-        "line": LineRecovery(path_length=8),
-        "tree": TreeRecovery(fanout_bits=1, sub_shards=8),
-    }
+        _checkpointing_recovery_time(scenario, size)
+        return scenario, [node.name for node in scenario.overlay.nodes[1:3]]
     saved_state(scenario, "app/state", size)
-    timed_recovery(scenario, mechanisms[approach], "app/state")
+    timed_recovery(scenario, MECHANISMS[approach](), "app/state")
     return scenario, list(scenario.ctx.profiles)
 
 
-def _overhead_series(metric: str, seed: int, duration_s: float, step_s: float):
-    approaches = ("checkpointing", "star", "line", "tree")
+def _fig12_overhead(
+    experiment_id: str,
+    description: str,
+    metric: str,
+    seed: int,
+    duration_s: float,
+    step_s: float,
+) -> ExperimentResult:
+    """Mean CPU (%) or memory (MB) over each approach's involved nodes."""
+    approaches = ("checkpointing",) + FIGURE_MECHANISMS
     grid = sample_grid(0.0, duration_s, step_s)
     series: Dict[str, List[float]] = {}
     for approach in approaches:
@@ -415,52 +419,44 @@ def _overhead_series(metric: str, seed: int, duration_s: float, step_s: float):
             for name in involved
             if name in scenario.ctx.profiles
         ] or profiles
-        per_time = []
-        for t in grid:
-            if metric == "cpu":
-                per_time.append(100.0 * mean([p.cpu_at(t) for p in profiles]))
-            else:
-                per_time.append(mean([p.memory_at(t) for p in profiles]) / MB)
-        series[approach] = per_time
-    return grid, series
+        if metric == "cpu":
+            series[approach] = [
+                100.0 * mean([p.cpu_at(t) for p in profiles]) for t in grid
+            ]
+        else:
+            series[approach] = [
+                mean([p.memory_at(t) for p in profiles]) / MB for t in grid
+            ]
+    result = ExperimentResult(
+        experiment_id, description, columns=["time_s", *approaches]
+    )
+    for i, t in enumerate(grid):
+        result.add_row(time_s=t, **{name: series[name][i] for name in approaches})
+    return result
 
 
 def fig12a_cpu_overhead(seed: int = 0, duration_s: float = 50.0, step_s: float = 1.0) -> ExperimentResult:
     """Fig. 12a: mean per-node CPU (%) over the recovery window."""
-    grid, series = _overhead_series("cpu", seed, duration_s, step_s)
-    result = ExperimentResult(
+    return _fig12_overhead(
         "fig12a",
         "Per-node CPU usage (%) during recovery",
-        columns=["time_s", "checkpointing", "star", "line", "tree"],
+        "cpu",
+        seed,
+        duration_s,
+        step_s,
     )
-    for i, t in enumerate(grid):
-        result.add_row(
-            time_s=t,
-            checkpointing=series["checkpointing"][i],
-            star=series["star"][i],
-            line=series["line"][i],
-            tree=series["tree"][i],
-        )
-    return result
 
 
 def fig12b_memory_overhead(seed: int = 0, duration_s: float = 50.0, step_s: float = 1.0) -> ExperimentResult:
     """Fig. 12b: mean per-node memory (MB) over the recovery window."""
-    grid, series = _overhead_series("memory", seed, duration_s, step_s)
-    result = ExperimentResult(
+    return _fig12_overhead(
         "fig12b",
         "Per-node memory usage (MB) during recovery",
-        columns=["time_s", "checkpointing", "star", "line", "tree"],
+        "memory",
+        seed,
+        duration_s,
+        step_s,
     )
-    for i, t in enumerate(grid):
-        result.add_row(
-            time_s=t,
-            checkpointing=series["checkpointing"][i],
-            star=series["star"][i],
-            line=series["line"][i],
-            tree=series["tree"][i],
-        )
-    return result
 
 
 def fig12c_network_overhead(
@@ -475,10 +471,7 @@ def fig12c_network_overhead(
         columns=["num_nodes", "bytes_per_node_per_second"],
     )
     for count in node_counts:
-        sim = Simulator()
-        network = Network(sim)
-        overlay = Overlay(sim, network, rng=random.Random(seed))
-        overlay.build(count)
+        overlay = build_deployment(num_nodes=count, seed=seed).overlay
         report = measure_maintenance(overlay, MaintenanceConfig(), duration=duration_s)
         result.add_row(
             num_nodes=count,
@@ -651,12 +644,14 @@ def ablation_selection_validation(
         for constrained in (False, True):
             link = CONSTRAINED_MBIT if constrained else None
             times = {}
-            for name, mech in _mechanisms(size_mb * MB).items():
+            for name in FIGURE_MECHANISMS:
                 scenario = build_scenario(
                     num_nodes=64, seed=seed, uplink_mbit=link, downlink_mbit=link
                 )
                 saved_state(scenario, "app/state", size_mb * MB)
-                times[name] = timed_recovery(scenario, mech, "app/state").duration
+                times[name] = timed_recovery(
+                    scenario, MECHANISMS[name](), "app/state"
+                ).duration
             chosen = select_mechanism(
                 SelectionInputs(
                     state_bytes=size_mb * MB,
@@ -690,15 +685,11 @@ def ablation_detection_latency(
     price of more maintenance traffic — the trade-off behind the cost
     model's fixed ``detection_delay``.
     """
-    from repro.dht.failure_detector import DetectorConfig, FailureDetector
-
     result = ExperimentResult(
         "ablation_detection",
         "Heartbeat period vs detection latency and total time-to-repair",
         columns=["period_s", "detection_s", "time_to_repair_s", "heartbeat_bytes"],
     )
-    from repro.recovery.model import CostModel
-
     for period in periods:
         # The heartbeat protocol *is* the detection here; zero out the cost
         # model's fixed detection charge to avoid double counting.
@@ -793,9 +784,6 @@ def ablation_speculation(
     recovery waits for it, while speculative star recovery launches a
     backup fetch from an alternate replica once the watchdog fires.
     """
-    from repro.recovery.speculation import SpeculativeStarRecovery
-    from repro.util.sizes import mbit_per_s
-
     result = ExperimentResult(
         "ablation_speculation",
         "Straggler provider uplink vs recovery time, with/without speculation",
@@ -805,8 +793,8 @@ def ablation_speculation(
         times = {}
         speculations = 0.0
         for name, mechanism in (
-            ("star", StarRecovery(fanout_bits=2)),
-            ("speculative", SpeculativeStarRecovery()),
+            ("star", MECHANISMS["star"]()),
+            ("speculative", MECHANISMS["speculation"]()),
         ):
             scenario = build_scenario(
                 num_nodes=64, seed=seed, uplink_mbit=1000, downlink_mbit=1000
@@ -891,19 +879,7 @@ def baseline_matrix(state_mb: int = 64, seed: int = 0) -> ExperimentResult:
 
 def _saveamp_cluster(seed: int, trace_name: str):
     """A word-count LocalCluster wired to a fresh SR3 deployment."""
-    from repro.dht.overlay import Overlay as _Overlay
-    from repro.obs.tracer import default_tracer
-    from repro.recovery.manager import RecoveryManager
-    from repro.recovery.model import RecoveryContext
-    from repro.streaming.backend import SR3StateBackend
-    from repro.streaming.cluster import LocalCluster
-    from repro.workloads.wordcount import build_wordcount_topology
-
-    sim = Simulator(tracer=default_tracer(trace_name))
-    network = Network(sim)
-    overlay = _Overlay(sim, network, rng=random.Random(seed))
-    overlay.build(32)
-    manager = RecoveryManager(RecoveryContext(sim, network, overlay))
+    manager = build_deployment(num_nodes=32, seed=seed, trace_name=trace_name).manager
     backend = SR3StateBackend(manager, num_shards=4, num_replicas=2)
     cluster = LocalCluster(
         build_wordcount_topology(num_sentences=4_000, seed=seed), backend=backend
@@ -987,9 +963,7 @@ def _scale_cell(
     its ``(num_nodes, mechanism)`` key and the seed. Returns the result
     row and the cell's baseline-metric entries.
     """
-    import time
-
-    mechanism = _mechanisms(state_mb * MB)[mech_name]
+    mechanism = MECHANISMS[mech_name]()
     apps = max(4, num_nodes // 16)
     wall_start = time.perf_counter()
     scenario = build_scenario(
@@ -1081,11 +1055,9 @@ def scale_overlay(
     cells = [
         (num_nodes, mech_name, state_mb, seed)
         for num_nodes in node_counts
-        for mech_name in _mechanisms(state_mb * MB)
+        for mech_name in FIGURE_MECHANISMS
     ]
     if jobs and jobs > 1:
-        from repro.bench.parallel import run_scale_cells
-
         outputs = run_scale_cells(cells, jobs)
     else:
         outputs = [_scale_cell(*cell) for cell in cells]
@@ -1116,11 +1088,6 @@ def remediate_controller(
     deterministic per seed and feed the perf-regression gate; ``wall_s``
     is informational.
     """
-    import time
-
-    from repro.chaos.campaign import run_scenario
-    from repro.chaos.scenario import SCENARIOS
-
     result = ExperimentResult(
         "remediate",
         "Closed-loop auto-remediation across the chaos catalog",
@@ -1165,6 +1132,20 @@ def remediate_controller(
 # ------------------------------------------------------------- live traffic
 
 
+def _flash_crowd_driver(
+    cell, base_rate: float, peak_rate: float, duration_s: float, service_rate: float,
+    **driver_kwargs,
+) -> LoadDriver:
+    """A driver playing the arrivals every live cell shares: the crowd
+    ramps up at t=8 over 2 s, holds its peak for 10 s, decays over 5 s."""
+    rate = FlashCrowd(
+        base=base_rate, peak=peak_rate, at=8.0, ramp=2.0, hold=10.0, decay=5.0
+    )
+    return LoadDriver(
+        cell, rate, duration=duration_s, service_rate=service_rate, **driver_kwargs
+    )
+
+
 def live_recovery(
     seed: int = 0,
     duration_s: float = 30.0,
@@ -1192,13 +1173,6 @@ def live_recovery(
     fed the same ``background_load`` fraction; it quantifies how much of
     the contention the closed form misses, and stays informational.
     """
-    import time
-
-    from repro.live.driver import LoadDriver, build_live_cell
-    from repro.live.rates import FlashCrowd
-    from repro.recovery.selection import predict_recovery_seconds
-    from repro.util.sizes import mbit_per_s
-
     bulk_bytes = bulk_state_mb * MB
     kill_at = 10.0
     result = ExperimentResult(
@@ -1214,7 +1188,7 @@ def live_recovery(
         ],
     )
     extras: Dict[str, float] = {}
-    for label, mechanism in sorted(_mechanisms(bulk_bytes).items()):
+    for label in sorted(FIGURE_MECHANISMS):
         reports: Dict[str, object] = {}
         wall_s = 0.0
         for load in ("loaded", "quiet"):
@@ -1224,22 +1198,15 @@ def live_recovery(
                 link_mbit=link_mbit,
                 trace_name=f"live-{label}-{load}",
             )
-            rate = FlashCrowd(
-                base=base_rate,
-                peak=peak_rate,
-                at=8.0,
-                ramp=2.0,
-                hold=10.0,
-                decay=5.0,
-            )
-            driver = LoadDriver(
+            driver = _flash_crowd_driver(
                 cell,
-                rate,
-                duration=duration_s,
-                service_rate=service_rate,
+                base_rate,
+                peak_rate,
+                duration_s,
+                service_rate,
                 checkpoint_at=(5.0,),
                 kill_at=kill_at,
-                mechanism=mechanism,
+                mechanism=MECHANISMS[label](),
                 bulk_state_mb=bulk_state_mb,
                 app_load=(load == "loaded"),
             )
@@ -1330,14 +1297,6 @@ def standby_compare(
     contention the closed form ignores. Both serializers round-trip
     through dicts as part of the run (a mismatch fails the experiment).
     """
-    import time
-
-    from repro.live.driver import LoadDriver, build_live_cell
-    from repro.live.rates import FlashCrowd
-    from repro.recovery.online import OnlineSelector
-    from repro.recovery.selection import SelectionExplanation, explain_selection
-    from repro.recovery.standby import StandbyRecovery
-
     result = ExperimentResult(
         "standby",
         "Hot-standby takeover vs star/line/tree and online cost calibration",
@@ -1346,10 +1305,8 @@ def standby_compare(
     extras: Dict[str, float] = {}
     wall_start = time.perf_counter()
 
-    tiers = dict(_mechanisms(bulk_state_mb * MB))
-    tiers["standby"] = StandbyRecovery()
     recovery_times: Dict[str, float] = {}
-    for label in sorted(tiers):
+    for label in sorted(FIGURE_MECHANISMS + ("standby",)):
         is_standby = label == "standby"
         cell = build_live_cell(
             num_nodes=num_nodes,
@@ -1357,17 +1314,15 @@ def standby_compare(
             link_mbit=link_mbit,
             trace_name=f"standby-{label}",
         )
-        rate = FlashCrowd(
-            base=base_rate, peak=peak_rate, at=8.0, ramp=2.0, hold=10.0, decay=5.0
-        )
-        driver = LoadDriver(
+        driver = _flash_crowd_driver(
             cell,
-            rate,
-            duration=duration_s,
-            service_rate=service_rate,
+            base_rate,
+            peak_rate,
+            duration_s,
+            service_rate,
             checkpoint_at=(5.0, 8.0),
             kill_at=10.0,
-            mechanism=tiers[label],
+            mechanism=MECHANISMS[label](),
             bulk_state_mb=bulk_state_mb,
             standby=is_standby,
         )
@@ -1413,8 +1368,9 @@ def standby_compare(
             num_nodes=64, seed=seed, trace_name=f"standby-cal-{size_mb}"
         )
         saved_state(scenario, "app/state", size)
-        mechanism = _mechanisms(size)["tree"]
-        observed = timed_recovery(scenario, mechanism, "app/state").duration
+        observed = timed_recovery(
+            scenario, MECHANISMS["tree"](), "app/state"
+        ).duration
         explanation = explain_selection(SelectionInputs(state_bytes=size))
         explanation.observed_seconds["tree"] = observed
         restored = SelectionExplanation.from_dict(explanation.to_dict())
@@ -1485,20 +1441,6 @@ def run_slo_cell(
     wired (``pipeline`` / ``engine`` / ``anomalies`` / ``detector``) —
     the ``bench dashboard`` subcommand renders straight from it.
     """
-    from repro.control import (
-        ControlConfig,
-        Controller,
-        ControlPlane,
-        PolicyRule,
-        PolicyTable,
-    )
-    from repro.dht.failure_detector import DetectorConfig, FailureDetector
-    from repro.live.driver import LoadDriver, build_live_cell
-    from repro.live.rates import FlashCrowd
-    from repro.obs.anomaly import AnomalyDetector
-    from repro.obs.slo import SLO, BurnWindow, SLOEngine
-    from repro.obs.timeseries import TelemetryConfig, TelemetryPipeline
-
     if mode not in ("burn", "detector"):
         raise BenchmarkError(f"unknown slo cell mode {mode!r}")
     cell = build_live_cell(
@@ -1545,12 +1487,6 @@ def run_slo_cell(
                 )
             ]
         )
-        world = ControlPlane(
-            sim=cell.sim,
-            network=cell.network,
-            overlay=cell.overlay,
-            manager=cell.manager,
-        )
     else:
         detector = FailureDetector(
             cell.overlay, DetectorConfig(period=1.0, suspicion_threshold=3)
@@ -1564,28 +1500,20 @@ def run_slo_cell(
                 )
             ]
         )
-        world = ControlPlane(
-            sim=cell.sim,
-            network=cell.network,
-            overlay=cell.overlay,
-            manager=cell.manager,
-            detector=detector,
-        )
         detector.start()
     controller = Controller(
-        world,
+        ControlPlane(cell, detector=detector),
         policy=policy,
         config=ControlConfig(verify_invariants=False),
         slo_engine=engine,
         anomalies=anomalies,
     )
-    driver = LoadDriver(
+    driver = _flash_crowd_driver(
         cell,
-        FlashCrowd(
-            base=base_rate, peak=peak_rate, at=8.0, ramp=2.0, hold=10.0, decay=5.0
-        ),
-        duration=duration_s,
-        service_rate=service_rate,
+        base_rate,
+        peak_rate,
+        duration_s,
+        service_rate,
         checkpoint_at=(5.0,),
         kill_at=kill_at,
         telemetry=pipeline,
@@ -1615,8 +1543,6 @@ def slo_observability(seed: int = 0) -> ExperimentResult:
     degradation window (kill to drain) is a true positive. All keys but
     ``slo/wall_s`` are deterministic per seed and gate the baseline.
     """
-    import time
-
     result = ExperimentResult(
         "slo",
         "Telemetry-triggered recovery: SLO burn-rate vs heartbeat detection",

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dht.node import DhtNode
-from repro.dht.overlay import Overlay
 from repro.errors import BenchmarkError
-from repro.obs.tracer import Tracer, default_tracer
-from repro.recovery.baselines.checkpointing import CheckpointConfig, CheckpointingBaseline
-from repro.recovery.manager import RecoveryManager
-from repro.recovery.model import CostModel, RecoveryContext, run_handles
-from repro.sim.kernel import Simulator
-from repro.sim.network import Network, RemoteStorage
-from repro.state.partitioner import partition_synthetic
-from repro.state.placement import HashPlacement, LeafSetPlacement
-from repro.state.version import StateVersion
-from repro.util.sizes import MB, mbit_per_s
+from repro.recovery.baselines.checkpointing import (
+    CheckpointConfig,
+    CheckpointingBaseline,
+    checkpointing_to_remote_storage,
+)
+from repro.recovery.deployment import Deployment, build_deployment
+from repro.sim.network import RemoteStorage
 
 
 @dataclass
@@ -49,151 +43,32 @@ class ExperimentResult:
 
 
 @dataclass
-class Scenario:
-    """A ready-to-run simulated deployment."""
+class Scenario(Deployment):
+    """A deployment plus the bench's own: the checkpointing baseline's
+    remote store, and whether the links count as bandwidth-constrained."""
 
-    sim: Simulator
-    network: Network
-    overlay: Overlay
-    ctx: RecoveryContext
     storage: RemoteStorage
-    manager: RecoveryManager
     checkpointing: CheckpointingBaseline
     constrained: bool
 
 
 def build_scenario(
-    num_nodes: int = 64,
-    seed: int = 0,
-    uplink_mbit: Optional[float] = None,
-    downlink_mbit: Optional[float] = None,
-    leaf_set_size: int = 24,
-    placement: str = "leafset",
-    cost_model: Optional[CostModel] = None,
-    checkpoint_config: Optional[CheckpointConfig] = None,
-    tracer: Optional[Tracer] = None,
-    trace_name: Optional[str] = None,
+    checkpoint_config: Optional[CheckpointConfig] = None, **deployment_args
 ) -> Scenario:
-    """Build a deployment matching the paper's testbed shape.
+    """:func:`~repro.recovery.deployment.build_deployment` (every keyword
+    it takes) plus the checkpointing baseline on its remote store.
 
-    Unconstrained mode models the GbE LAN of Sec. 5.1; passing
-    ``uplink_mbit=100`` (and the same downlink) reproduces the "upload
-    bandwidth limited to 100 Mb/s per server" configuration of Fig. 8b.
-
-    ``tracer`` attaches an explicit span tracer; ``trace_name`` instead
-    requests one from the process-wide collector (active when tracing was
-    switched on with :func:`repro.obs.enable_tracing`, e.g. by the bench
-    CLI's ``--trace`` flag), so every scenario built during a traced run
-    lands in the same exported artifact.
+    Links under 1 Gb/s mark the scenario ``constrained``, which the
+    manager's Fig. 7 selection reads as a bandwidth-constrained network.
     """
-    if tracer is None and trace_name is not None:
-        tracer = default_tracer(trace_name)
-    sim = Simulator(tracer=tracer)
-    network = Network(sim)
-    up = mbit_per_s(uplink_mbit) if uplink_mbit else float("inf")
-    down = mbit_per_s(downlink_mbit) if downlink_mbit else float("inf")
-    overlay = Overlay(sim, network, leaf_set_size=leaf_set_size, rng=random.Random(seed))
-    overlay.build(
-        num_nodes,
-        host_factory=lambda name: network.add_host(name, up_bw=up, down_bw=down),
-    )
-    storage = RemoteStorage("remote-storage", up_bw=400 * MB, down_bw=400 * MB)
-    network.hosts[storage.name] = storage
-    ctx = RecoveryContext(sim, network, overlay, cost_model or CostModel())
-    placement_impl = LeafSetPlacement() if placement == "leafset" else HashPlacement()
+    deployment = build_deployment(**deployment_args)
+    uplink_mbit = deployment_args.get("uplink_mbit")
     constrained = uplink_mbit is not None and uplink_mbit < 1000
-    manager = RecoveryManager(ctx, placement=placement_impl, bandwidth_constrained=constrained)
-    checkpointing = CheckpointingBaseline(
-        ctx, storage, checkpoint_config or CheckpointConfig()
-    )
+    deployment.manager.bandwidth_constrained = constrained
+    checkpointing = checkpointing_to_remote_storage(deployment.ctx, checkpoint_config)
     return Scenario(
-        sim=sim,
-        network=network,
-        overlay=overlay,
-        ctx=ctx,
-        storage=storage,
-        manager=manager,
+        **vars(deployment),
+        storage=checkpointing.storage,
         checkpointing=checkpointing,
         constrained=constrained,
     )
-
-
-def default_shard_count(state_bytes: float) -> int:
-    """Shards scale with the state: one per ~8 MB, at least four."""
-    return max(4, int(state_bytes // (8 * MB)))
-
-
-def saved_state(
-    scenario: Scenario,
-    state_name: str,
-    state_bytes: float,
-    num_shards: Optional[int] = None,
-    num_replicas: int = 2,
-    owner: Optional[DhtNode] = None,
-    serial: bool = True,
-):
-    """Register + save one synthetic state; returns (registered, SaveResult)."""
-    owner = owner or scenario.overlay.nodes[0]
-    shards = partition_synthetic(
-        state_name,
-        int(state_bytes),
-        num_shards or default_shard_count(state_bytes),
-        StateVersion(scenario.sim.now, 1),
-    )
-    registered = scenario.manager.register(owner, shards, num_replicas)
-    handle = scenario.manager.save(state_name, serial=serial)
-    scenario.sim.run_until_idle()
-    return registered, handle.result
-
-
-def saved_delta(
-    scenario: Scenario,
-    state_name: str,
-    delta_bytes: float,
-    serial: bool = True,
-):
-    """Append one synthetic delta round to an already-saved state.
-
-    Splits ``delta_bytes`` evenly over the chain's shard count and ships
-    it through :meth:`RecoveryManager.save_delta`; the manager falls back
-    to a full save on its own when the chain cannot be extended. Returns
-    ``(registered, SaveResult)`` like :func:`saved_state`.
-    """
-    from repro.state.shard import DeltaShard
-
-    registered = scenario.manager.states[state_name]
-    chain = registered.chain
-    if chain is None or not chain.links:
-        raise BenchmarkError(
-            f"{state_name}: no version chain to extend — save a base first"
-        )
-    parent = chain.tip_version
-    version = StateVersion(scenario.sim.now, parent.sequence + 1)
-    num_shards = chain.num_shards
-    per_shard = int(delta_bytes // num_shards)
-    delta_shards = [
-        DeltaShard.synthetic_delta(
-            state_name,
-            index,
-            num_shards,
-            version,
-            parent,
-            chain.length,
-            per_shard,
-        )
-        for index in range(num_shards)
-    ]
-    handle = scenario.manager.save_delta(state_name, delta_shards, serial=serial)
-    scenario.sim.run_until_idle()
-    return registered, handle.result
-
-
-def timed_recovery(scenario: Scenario, mechanism, state_name: str, replacement=None):
-    """Fail the owner and run one recovery; returns the RecoveryResult."""
-    registered = scenario.manager.states[state_name]
-    if registered.owner.alive:
-        scenario.overlay.fail_node(registered.owner)
-    if replacement is None:
-        replacement = scenario.overlay.replacement_for(registered.owner)
-    handle = mechanism.start(scenario.ctx, registered.plan, replacement, state_name)
-    return run_handles(scenario.sim, [handle])[0]

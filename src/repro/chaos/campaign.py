@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bench.harness import Scenario as Deployment
-from repro.bench.harness import build_scenario, saved_delta, saved_state
 from repro.chaos.invariants import (
     DEFAULT_CHECKERS,
     InvariantReport,
@@ -34,15 +32,28 @@ from repro.chaos.scenario import (
     Scenario,
     campaign_scenarios,
 )
+from repro.control import ControlPlane, Controller, default_policy
 from repro.dht.node import DhtNode
 from repro.errors import OverlayError, RecoveryError, ReproError, SimulationError
+from repro.obs.profile import profile_tracers
 from repro.obs.tracer import Tracer, tracing_enabled
-from repro.recovery.line import LineRecovery
+from repro.recovery.baselines.checkpointing import checkpointing_to_remote_storage
+from repro.recovery.deployment import (
+    MECHANISMS,
+    Deployment,
+    HoldsDeployment,
+    build_deployment,
+    saved_delta,
+    saved_state,
+)
 from repro.recovery.model import RecoveryHandle, RecoveryResult
-from repro.recovery.speculation import SpeculativeStarRecovery
-from repro.recovery.star import StarRecovery
-from repro.recovery.tree import TreeRecovery
 from repro.sim.failure import FailureInjector, FailureRecord
+from repro.state.chain import chain_digest
+from repro.state.partitioner import partition_synthetic
+from repro.state.version import StateVersion
+from repro.streaming.backend import SR3StateBackend
+from repro.streaming.cluster import LocalCluster
+from repro.workloads.wordcount import build_wordcount_topology
 
 #: How many times the engine re-runs a recovery whose replacement died
 #: before writing the state off as lost.
@@ -56,20 +67,14 @@ def make_mechanism(name: str):
     through :class:`~repro.recovery.baselines.checkpointing` instead of a
     mechanism implementation.
     """
-    factories: Dict[str, Callable[[], object]] = {
-        "star": StarRecovery,
-        "line": LineRecovery,
-        "tree": TreeRecovery,
-        "speculation": SpeculativeStarRecovery,
-    }
     if name == "checkpointing":
         return None
-    if name not in factories:
+    if name not in MECHANISMS:
         raise SimulationError(f"unknown mechanism {name!r}")
-    return factories[name]()
+    return MECHANISMS[name]()
 
 
-class ChaosEngine:
+class ChaosEngine(HoldsDeployment):
     """Runs one scenario's fault timeline against one deployment."""
 
     def __init__(
@@ -79,14 +84,16 @@ class ChaosEngine:
         self.scenario = scenario
         self.mechanism = mechanism
         self.impl = make_mechanism(mechanism)
-        self.sim = deployment.sim
-        self.network = deployment.network
-        self.overlay = deployment.overlay
-        self.manager = deployment.manager
+        # The baseline recovers through its own remote store, not a mechanism.
+        self.checkpointing = (
+            checkpointing_to_remote_storage(deployment.ctx)
+            if self.impl is None
+            else None
+        )
         # ``Random(str)`` seeds via SHA-512 of the bytes — deterministic
         # across processes, unlike ``hash()``.
         self.rng = random.Random(f"{scenario.name}/{mechanism}/{scenario.seed}")
-        self.injector = FailureInjector(self.sim, self.network, rng=self.rng)
+        self.injector = FailureInjector(self.sim, self.network)
         self.handles: Dict[str, RecoveryHandle] = {}
         self.results: Dict[str, RecoveryResult] = {}
         # When a controller is attached (see ``run_scenario(controller=True)``)
@@ -118,8 +125,6 @@ class ChaosEngine:
         the integrity checker audits against after the campaign; richer
         chain ground truth lands in :attr:`pre_state`.
         """
-        from repro.state.chain import chain_digest
-
         checksums: Dict[str, Dict[int, str]] = {}
         for i, state_name in enumerate(self.scenario.state_names()):
             owner = self.overlay.nodes[i]
@@ -129,13 +134,13 @@ class ChaosEngine:
                     self._synthetic_shards(state_name),
                     self.scenario.num_replicas,
                 )
-                self.deployment.checkpointing.save(owner, registered.state_bytes)
+                self.checkpointing.save(owner, registered.state_bytes)
                 self.sim.run_until_idle()
                 checksums[state_name] = {
                     shard.index: shard.checksum for shard in registered.shards
                 }
                 continue
-            registered, _result = saved_state(
+            saved_state(
                 self.deployment,
                 state_name,
                 self.scenario.state_bytes,
@@ -146,27 +151,31 @@ class ChaosEngine:
             delta_bytes = self.scenario.state_bytes * self.scenario.delta_fraction
             for _round in range(self.scenario.delta_rounds):
                 saved_delta(self.deployment, state_name, delta_bytes)
-            chain = registered.chain
-            num_shards = self.scenario.num_shards
-            checksums[state_name] = {
-                link_pos * num_shards + shard.index: shard.checksum
-                for link_pos, link in enumerate(chain.links)
-                for shard in link.shards
-            }
-            segments = registered.plan.available_shards()
-            snapshot = self.manager.recovered_snapshot(state_name)
-            self.pre_state[state_name] = {
-                "digest": chain_digest(segments),
-                "chain_length": chain.length,
-                "size_bytes": snapshot.size_bytes,
-                "version": repr(chain.tip_version),
-            }
+            checksums[state_name] = self.anchor_ground_truth(state_name)
         return checksums
 
-    def _synthetic_shards(self, state_name: str):
-        from repro.state.partitioner import partition_synthetic
-        from repro.state.version import StateVersion
+    def anchor_ground_truth(self, state_name: str) -> Dict[int, str]:
+        """Record what ``state_name``'s chain holds *now* as the truth to audit.
 
+        Fills :attr:`pre_state` (segment digest, chain length, tip shape)
+        and returns the per-segment checksums.
+        """
+        registered = self.manager.states[state_name]
+        chain = registered.chain
+        snapshot = self.manager.recovered_snapshot(state_name)
+        self.pre_state[state_name] = {
+            "digest": chain_digest(registered.plan.available_shards()),
+            "chain_length": chain.length,
+            "size_bytes": snapshot.size_bytes,
+            "version": repr(chain.tip_version),
+        }
+        return {
+            link_pos * chain.num_shards + shard.index: shard.checksum
+            for link_pos, link in enumerate(chain.links)
+            for shard in link.shards
+        }
+
+    def _synthetic_shards(self, state_name: str):
         return partition_synthetic(
             state_name,
             int(self.scenario.state_bytes),
@@ -270,7 +279,7 @@ class ChaosEngine:
             (n for n in registered.owner.leaf_set.members() if n.alive),
             None,
         ) or self.overlay.alive_nodes()[0]
-        return self.deployment.checkpointing.recover(
+        return self.checkpointing.recover(
             upstream, replacement, registered.state_bytes, state_name=name
         )
 
@@ -474,32 +483,16 @@ def _attach_controller(engine: ChaosEngine, mechanism: str):
     that ground truth (and the recovery's segment accounting) to the new
     chain — the invariants audit what the world is *supposed* to hold now.
     """
-    from repro.control import ControlPlane, Controller, default_policy
-    from repro.state.chain import chain_digest
-
-    world = ControlPlane.from_deployment(engine.deployment)
+    world = ControlPlane(engine.deployment)
     controller = Controller(world, policy=default_policy(mechanism=mechanism))
     engine.controller = controller
 
     def reanchor(state_name: str) -> None:
-        registered = engine.manager.states[state_name]
-        chain = registered.chain
+        chain = engine.manager.states[state_name].chain
         if chain is None or not chain.links:
             return
-        num_shards = chain.num_shards
-        checksums = {
-            link_pos * num_shards + shard.index: shard.checksum
-            for link_pos, link in enumerate(chain.links)
-            for shard in link.shards
-        }
+        checksums = engine.anchor_ground_truth(state_name)
         controller._pre_checksums[state_name] = checksums
-        snapshot = engine.manager.recovered_snapshot(state_name)
-        engine.pre_state[state_name] = {
-            "digest": chain_digest(registered.plan.available_shards()),
-            "chain_length": chain.length,
-            "size_bytes": snapshot.size_bytes,
-            "version": repr(chain.tip_version),
-        }
         result = engine.results.get(state_name)
         if result is not None:
             result.shards_recovered = len(checksums)
@@ -533,7 +526,7 @@ def run_scenario(
     if trace_name is None and tracing_enabled():
         trace_name = f"{scenario.name}/{mechanism}"
     tracer = Tracer(f"{scenario.name}/{mechanism}") if trace_name is None else None
-    deployment = build_scenario(
+    deployment = build_deployment(
         num_nodes=scenario.num_nodes,
         seed=scenario.seed,
         uplink_mbit=scenario.uplink_mbit or None,
@@ -579,8 +572,6 @@ def run_scenario(
 
 def _aggregate_blame(tracer) -> Dict[str, float]:
     """Campaign-level blame fractions: all recoveries of one run, combined."""
-    from repro.obs.profile import profile_tracers
-
     if not getattr(tracer, "enabled", False):
         return {}
     profiles = profile_tracers(tracer)
@@ -682,20 +673,7 @@ def streaming_probe(seed: int = 0, num_nodes: int = 32) -> ScenarioOutcome:
     recovers them through SR3, and verifies the recovered state checksums
     byte-match the pre-kill snapshot.
     """
-    from repro.dht.overlay import Overlay
-    from repro.recovery.manager import RecoveryManager
-    from repro.recovery.model import RecoveryContext
-    from repro.sim.kernel import Simulator
-    from repro.sim.network import Network
-    from repro.streaming.backend import SR3StateBackend
-    from repro.streaming.cluster import LocalCluster
-    from repro.workloads.wordcount import build_wordcount_topology
-
-    sim = Simulator()
-    network = Network(sim)
-    overlay = Overlay(sim, network, rng=random.Random(seed))
-    overlay.build(num_nodes)
-    manager = RecoveryManager(RecoveryContext(sim, network, overlay))
+    manager = build_deployment(num_nodes=num_nodes, seed=seed).manager
     backend = SR3StateBackend(manager, num_shards=4, num_replicas=2)
     cluster = LocalCluster(
         build_wordcount_topology(num_sentences=400, seed=seed), backend=backend

@@ -16,7 +16,7 @@ Typical use through the public façade::
 
 or standalone over a bench deployment::
 
-    world = ControlPlane.from_deployment(deployment, detector=detector)
+    world = ControlPlane(deployment, detector=detector)
     controller = Controller(world, policy=default_policy())
     controller.run()
 """

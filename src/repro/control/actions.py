@@ -46,8 +46,22 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.control.diagnose import Diagnosis, link_plans
 from repro.errors import ConfigError, OverlayError, ReproError
-from repro.state.placement import PlacedShard
+from repro.recovery.deployment import MECHANISMS
+from repro.recovery.standby import (
+    StandbyRecovery,
+    standby_coverage,
+    standby_node_of,
+    sync_standby,
+)
+from repro.state.partitioner import (
+    merge_shard_pair,
+    partition_snapshot,
+    partition_synthetic,
+    split_shard,
+)
+from repro.state.placement import PlacedShard, migrate_replica
 from repro.state.shard import ShardReplica
+from repro.state.version import StateVersion
 
 #: Flow tag stamped on every byte the control plane moves.
 CONTROL_TAG = "control.copy"
@@ -105,6 +119,49 @@ class Action:
             error=error,
         )
 
+    def _saved_state(self, world, state_name, live_owner_before: str = ""):
+        """``(registered, failure)`` for the state a diagnosis names.
+
+        ``failure`` is ``None`` when the state is registered and saved —
+        and, if ``live_owner_before`` names what the caller is about to
+        do, its owner is alive. ``registered`` is set whenever the name
+        is known, so a caller can still no-op on an unsaved state.
+        """
+        registered = world.manager.states.get(state_name)
+        if registered is None:
+            return None, self._fail(f"unknown state {state_name!r}")
+        if registered.plan is None:
+            return registered, self._fail(f"state {state_name!r} was never saved")
+        if live_owner_before and not registered.owner.alive:
+            return registered, self._fail(
+                f"owner of {state_name!r} is dead; recover it before "
+                f"{live_owner_before}"
+            )
+        return registered, None
+
+    def _resave(self, world, registered, transform=lambda shards: shards):
+        """Fold the chain, repartition the image, land it with a full save.
+
+        ``transform`` maps the current base partition to the one to save
+        (identity: a plain rewrite). The save round re-scatters the shards
+        across the leaf set and resets the chain; ``state_checksums()``
+        ground truth is preserved because the merged snapshot is
+        byte-identical before and after. Returns ``(SaveResult, failure)``.
+        """
+        state_name = registered.state_name
+        try:
+            shards = transform(_current_base_shards(world, registered))
+            world.manager.refresh_shards(state_name, shards)
+            handle = world.manager.save(state_name)
+            world.sim.run_until_idle()
+            result = handle.result
+        except ReproError as exc:
+            return None, self._fail(str(exc))
+        rewritten = getattr(world, "on_chain_rewritten", None)
+        if rewritten is not None:
+            rewritten(state_name)
+        return result, None
+
 
 ACTIONS: Dict[str, type] = {}
 
@@ -128,6 +185,27 @@ def _node_by_name(world, name: Optional[str]):
         if node.name == name:
             return node
     return None
+
+
+def _implicated_states(world, diagnosis: Diagnosis):
+    """The registered states a diagnosis covers: the one it names, else all."""
+    names = (
+        [diagnosis.state]
+        if diagnosis.state is not None
+        else sorted(world.manager.states)
+    )
+    for state_name in names:
+        registered = world.manager.states.get(state_name)
+        if registered is not None:
+            yield registered
+
+
+def _occupied(plan, shard_index: int) -> set:
+    """Nodes barred from another replica of a shard: its holders and the owner."""
+    occupied = {p.node.node_id for p in plan.for_shard(shard_index)}
+    if plan.owner is not None:
+        occupied.add(plan.owner.node_id)
+    return occupied
 
 
 def _pick_target(world, exclude_ids, pending: Dict[str, int]):
@@ -166,32 +244,52 @@ def _copy_replica(world, source_node, target_node, replica, parent_span=None) ->
     )
 
 
-_MECHANISM_FACTORIES = None
-
-
 def _mechanism_instance(name: str):
     """A fresh mechanism implementation for a pinned policy name."""
-    global _MECHANISM_FACTORIES
-    if _MECHANISM_FACTORIES is None:
-        from repro.recovery.line import LineRecovery
-        from repro.recovery.speculation import SpeculativeStarRecovery
-        from repro.recovery.standby import StandbyRecovery
-        from repro.recovery.star import StarRecovery
-        from repro.recovery.tree import TreeRecovery
+    cls = MECHANISMS.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown mechanism {name!r}; known: {sorted(MECHANISMS)}")
+    return cls()
 
-        _MECHANISM_FACTORIES = {
-            "star": StarRecovery,
-            "line": LineRecovery,
-            "tree": TreeRecovery,
-            "standby": StandbyRecovery,
-            "speculation": SpeculativeStarRecovery,
-        }
-    factory = _MECHANISM_FACTORIES.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown mechanism {name!r}; known: {sorted(_MECHANISM_FACTORIES)}"
+
+def _current_base_shards(world, registered) -> List[object]:
+    """The state's current image re-partitioned at today's shard count.
+
+    Folds any delta chain first, so a rewrite and the split/merge
+    primitives — which operate on a base partition — always see a
+    single-version, chain-link-zero shard set.
+    """
+    snapshot = world.manager.recovered_snapshot(registered.state_name)
+    num_shards = (
+        registered.chain.num_shards
+        if registered.chain is not None and registered.chain.links
+        else len(registered.shards)
+    )
+    if len(snapshot) == 0 and snapshot.size_bytes > 0:
+        # Synthetic state: carry the byte size forward, bump the version
+        # so the rewrite is distinguishable from the image it folded.
+        version = StateVersion(world.sim.now, snapshot.version.sequence + 1)
+        return partition_synthetic(
+            registered.state_name, int(snapshot.size_bytes), num_shards, version
         )
-    return factory()
+    return partition_snapshot(snapshot, num_shards)
+
+
+def _resident_replicas(registered, node=None):
+    """``(plan, placed)`` per non-standby replica its (alive) node still holds.
+
+    ``node`` restricts the scan to one node. Standby copies are pinned to
+    their standby node; they are warm capacity, not load to shed or move.
+    """
+    for plan in link_plans(registered):
+        for placed in list(plan.placements):
+            if getattr(placed.replica, "standby", False):
+                continue
+            holder = placed.node
+            if node is not None and holder.node_id != node.node_id:
+                continue
+            if holder.alive and holder.get_shard(placed.replica.key) is not None:
+                yield plan, placed
 
 
 @register_action
@@ -233,12 +331,9 @@ class RecoverState(Action):
         return handle
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        state_name = diagnosis.state
-        registered = world.manager.states.get(state_name)
-        if registered is None:
-            return self._fail(f"unknown state {state_name!r}")
-        if registered.plan is None:
-            return self._fail(f"state {state_name!r} was never saved")
+        registered, failure = self._saved_state(world, diagnosis.state)
+        if failure is not None:
+            return failure
         if registered.owner.alive:
             return self._ok(changed=False, owner=registered.owner.name)
         try:
@@ -280,18 +375,11 @@ class RecoverDegraded(Action):
         nothing was ever saved).
         """
         recover = RecoverState(**self.params)
-        names = (
-            [diagnosis.state]
-            if diagnosis.state is not None
-            else sorted(world.manager.states)
-        )
         begun = []
-        for state_name in names:
-            registered = world.manager.states.get(state_name)
-            if registered is None or registered.plan is None:
+        for registered in _implicated_states(world, diagnosis):
+            if registered.plan is None or registered.owner.alive:
                 continue
-            if registered.owner.alive:
-                continue
+            state_name = registered.state_name
             sub = Diagnosis(
                 condition="owner-lost",
                 severity="critical",
@@ -335,12 +423,10 @@ class ReReplicate(Action):
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
         state_name = diagnosis.state
-        registered = world.manager.states.get(state_name)
-        if registered is None:
-            return self._fail(f"unknown state {state_name!r}")
+        registered, failure = self._saved_state(world, state_name)
+        if failure is not None:
+            return failure
         plans = link_plans(registered)
-        if not plans:
-            return self._fail(f"state {state_name!r} was never saved")
         pending: Dict[str, int] = {}
         copies = 0
         for plan in plans:
@@ -356,9 +442,7 @@ class ReReplicate(Action):
                     )
                 source = providers[0]
                 held = {p.replica.replica_index for p in providers}
-                occupied = {p.node.node_id for p in plan.for_shard(index)}
-                if plan.owner is not None:
-                    occupied.add(plan.owner.node_id)
+                occupied = _occupied(plan, index)
                 for replica_index in range(registered.num_replicas):
                     if replica_index in held:
                         continue
@@ -396,55 +480,16 @@ class RewriteState(Action):
     name = "rewrite"
 
     def _rewrite(self, world, registered) -> ActionOutcome:
-        from repro.state.partitioner import partition_snapshot, partition_synthetic
-        from repro.state.version import StateVersion
-
-        state_name = registered.state_name
-        if not registered.owner.alive:
-            return self._fail(
-                f"owner of {state_name!r} is dead; recover it before rewriting"
-            )
-        try:
-            snapshot = world.manager.recovered_snapshot(state_name)
-            num_shards = (
-                registered.chain.num_shards
-                if registered.chain is not None and registered.chain.links
-                else len(registered.shards)
-            )
-            if len(snapshot) == 0 and snapshot.size_bytes > 0:
-                # Synthetic state: carry the byte size forward, bump the
-                # version so the rewrite is distinguishable from the image
-                # it folded.
-                version = StateVersion(
-                    world.sim.now, snapshot.version.sequence + 1
-                )
-                shards = partition_synthetic(
-                    state_name, int(snapshot.size_bytes), num_shards, version
-                )
-            else:
-                shards = partition_snapshot(snapshot, num_shards)
-            world.manager.refresh_shards(state_name, shards)
-            handle = world.manager.save(state_name)
-            world.sim.run_until_idle()
-            result = handle.result
-        except ReproError as exc:
-            return self._fail(str(exc))
-        rewritten = getattr(world, "on_chain_rewritten", None)
-        if rewritten is not None:
-            rewritten(state_name)
-        return self._ok(
+        result, failure = self._resave(world, registered)
+        return failure or self._ok(
             changed=True,
             chain_length=registered.chain.length,
             duration_s=round(result.duration, 6),
         )
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        registered = world.manager.states.get(diagnosis.state)
-        if registered is None:
-            return self._fail(f"unknown state {diagnosis.state!r}")
-        if registered.plan is None:
-            return self._fail(f"state {diagnosis.state!r} was never saved")
-        return self._rewrite(world, registered)
+        registered, failure = self._saved_state(world, diagnosis.state, "rewriting")
+        return failure or self._rewrite(world, registered)
 
 
 @register_action
@@ -454,13 +499,12 @@ class CompactChain(RewriteState):
     name = "compact-chain"
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        registered = world.manager.states.get(diagnosis.state)
-        if registered is None:
-            return self._fail(f"unknown state {diagnosis.state!r}")
-        chain = registered.chain
-        if chain is None or chain.length <= 1:
+        registered, failure = self._saved_state(world, diagnosis.state, "rewriting")
+        if registered is not None and (
+            registered.chain is None or registered.chain.length <= 1
+        ):
             return self._ok(changed=False)
-        return self._rewrite(world, registered)
+        return failure or self._rewrite(world, registered)
 
 
 @register_action
@@ -476,42 +520,17 @@ class RebalanceNode(Action):
 
     def _moves_for(self, world, node, diagnosis: Diagnosis) -> List[Tuple[object, object, PlacedShard]]:
         moves: List[Tuple[object, object, PlacedShard]] = []
-        names = (
-            [diagnosis.state]
-            if diagnosis.state is not None
-            else sorted(world.manager.states)
-        )
-        for state_name in names:
-            registered = world.manager.states.get(state_name)
-            if registered is None:
-                continue
-            held: List[Tuple[object, PlacedShard]] = []
-            for plan in link_plans(registered):
-                for placed in list(plan.placements):
-                    # Standby copies are pinned to their standby node; they
-                    # are warm capacity, not load to shed.
-                    if getattr(placed.replica, "standby", False):
-                        continue
-                    if (
-                        placed.node.node_id == node.node_id
-                        and node.get_shard(placed.replica.key) is not None
-                    ):
-                        held.append((plan, placed))
-            held.sort(key=lambda pair: repr(pair[1].replica.key))
+        for registered in _implicated_states(world, diagnosis):
+            held = sorted(
+                _resident_replicas(registered, node),
+                key=lambda pair: repr(pair[1].replica.key),
+            )
             keep = 0
             if diagnosis.condition == "hot-shard":
                 # Only shed the excess above the state's per-node mean.
                 counts: Dict[str, int] = {}
-                for plan in link_plans(registered):
-                    for placed in plan.placements:
-                        if getattr(placed.replica, "standby", False):
-                            continue
-                        if placed.node.alive and placed.node.get_shard(
-                            placed.replica.key
-                        ):
-                            counts[placed.node.name] = (
-                                counts.get(placed.node.name, 0) + 1
-                            )
+                for _plan, placed in _resident_replicas(registered):
+                    counts[placed.node.name] = counts.get(placed.node.name, 0) + 1
                 if counts:
                     keep = int(math.ceil(sum(counts.values()) / len(counts)))
             for plan, placed in held[keep:]:
@@ -529,12 +548,9 @@ class RebalanceNode(Action):
         moved = 0
         for registered, plan, placed in moves:
             replica = placed.replica
-            occupied = {
-                p.node.node_id for p in plan.for_shard(replica.shard.index)
-            }
-            if plan.owner is not None:
-                occupied.add(plan.owner.node_id)
-            target = _pick_target(world, occupied, pending)
+            target = _pick_target(
+                world, _occupied(plan, replica.shard.index), pending
+            )
             if target is None:
                 return self._fail(
                     f"no eligible node to absorb {replica.key!r} from {node.name}"
@@ -601,78 +617,8 @@ class EvictNode(Action):
         return self._ok(changed=True, evicted=node.name)
 
 
-def _current_base_shards(world, registered) -> List[object]:
-    """The state's current image re-partitioned at today's shard count.
-
-    Folds any delta chain first (like :class:`RewriteState`), so the
-    split/merge primitives — which operate on a base partition — always
-    see a single-version, chain-link-zero shard set.
-    """
-    from repro.state.partitioner import partition_snapshot, partition_synthetic
-    from repro.state.version import StateVersion
-
-    snapshot = world.manager.recovered_snapshot(registered.state_name)
-    num_shards = (
-        registered.chain.num_shards
-        if registered.chain is not None and registered.chain.links
-        else len(registered.shards)
-    )
-    if len(snapshot) == 0 and snapshot.size_bytes > 0:
-        version = StateVersion(world.sim.now, snapshot.version.sequence + 1)
-        return partition_synthetic(
-            registered.state_name, int(snapshot.size_bytes), num_shards, version
-        )
-    return partition_snapshot(snapshot, num_shards)
-
-
-class _RepartitionAction(Action):
-    """Shared machinery for shard-count changes (split/merge).
-
-    Both actions fold the chain into the current image, apply the
-    state-plane primitive, and land the result with a fresh full save —
-    the save round re-scatters the relabeled shards across the leaf set
-    and ``state_checksums()`` ground truth is preserved because the
-    merged snapshot is byte-identical before and after.
-    """
-
-    def _guard(self, world, diagnosis: Diagnosis):
-        state_name = diagnosis.state
-        registered = (
-            world.manager.states.get(state_name) if state_name is not None else None
-        )
-        if registered is None:
-            return None, self._fail(f"unknown state {state_name!r}")
-        if registered.plan is None:
-            return None, self._fail(f"state {state_name!r} was never saved")
-        if not registered.owner.alive:
-            return None, self._fail(
-                f"owner of {state_name!r} is dead; recover it before repartitioning"
-            )
-        return registered, None
-
-    def _resize(self, world, registered, transform, **details) -> ActionOutcome:
-        state_name = registered.state_name
-        try:
-            shards = transform(_current_base_shards(world, registered))
-            world.manager.refresh_shards(state_name, shards)
-            handle = world.manager.save(state_name)
-            world.sim.run_until_idle()
-            result = handle.result
-        except ReproError as exc:
-            return self._fail(str(exc))
-        rewritten = getattr(world, "on_chain_rewritten", None)
-        if rewritten is not None:
-            rewritten(state_name)
-        return self._ok(
-            changed=True,
-            num_shards=len(shards),
-            duration_s=round(result.duration, 6),
-            **details,
-        )
-
-
 @register_action
-class SplitShard(_RepartitionAction):
+class SplitShard(Action):
     """Split the hottest shard of a state in two (``m`` → ``m + 1``).
 
     The target defaults to the state's largest shard; a policy can pin
@@ -683,9 +629,9 @@ class SplitShard(_RepartitionAction):
     name = "split-shard"
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        from repro.state.partitioner import split_shard
-
-        registered, failure = self._guard(world, diagnosis)
+        registered, failure = self._saved_state(
+            world, diagnosis.state, "repartitioning"
+        )
         if failure is not None:
             return failure
         index = self.params.get("shard_index")
@@ -695,16 +641,19 @@ class SplitShard(_RepartitionAction):
             )
             index = hottest.index
         index = int(index)
-        return self._resize(
-            world,
-            registered,
-            lambda shards: split_shard(shards, index),
+        result, failure = self._resave(
+            world, registered, lambda shards: split_shard(shards, index)
+        )
+        return failure or self._ok(
+            changed=True,
+            num_shards=len(registered.shards),
+            duration_s=round(result.duration, 6),
             split_index=index,
         )
 
 
 @register_action
-class MergeShards(_RepartitionAction):
+class MergeShards(Action):
     """Merge two cold shards into one (``m`` → ``m - 1``).
 
     The pair comes from the ``shard-cold`` diagnosis evidence when
@@ -731,18 +680,21 @@ class MergeShards(_RepartitionAction):
         return low, high
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        from repro.state.partitioner import merge_shard_pair
-
-        registered, failure = self._guard(world, diagnosis)
+        registered, failure = self._saved_state(
+            world, diagnosis.state, "repartitioning"
+        )
         if failure is not None:
             return failure
         if len(registered.shards) <= 2:
             return self._ok(changed=False, num_shards=len(registered.shards))
         low, high = self._pick_pair(diagnosis, registered)
-        return self._resize(
-            world,
-            registered,
-            lambda shards: merge_shard_pair(shards, low, high),
+        result, failure = self._resave(
+            world, registered, lambda shards: merge_shard_pair(shards, low, high)
+        )
+        return failure or self._ok(
+            changed=True,
+            num_shards=len(registered.shards),
+            duration_s=round(result.duration, 6),
             merged=f"{low}+{high}",
         )
 
@@ -761,40 +713,20 @@ class MigrateShard(Action):
     name = "migrate-shard"
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        from repro.state.placement import migrate_replica
-
         node = _node_by_name(world, diagnosis.node)
         if node is None or not node.alive:
             return self._ok(changed=False)
-        names = (
-            [diagnosis.state]
-            if diagnosis.state is not None
-            else sorted(world.manager.states)
-        )
         best = None
-        for state_name in names:
-            registered = world.manager.states.get(state_name)
-            if registered is None:
-                continue
-            for plan in link_plans(registered):
-                for placed in plan.placements:
-                    if getattr(placed.replica, "standby", False):
-                        continue
-                    if placed.node.node_id != node.node_id:
-                        continue
-                    if node.get_shard(placed.replica.key) is None:
-                        continue
-                    rank = (placed.replica.size_bytes, repr(placed.replica.key))
-                    if best is None or rank > best[0]:
-                        best = (rank, plan, placed)
+        for registered in _implicated_states(world, diagnosis):
+            for plan, placed in _resident_replicas(registered, node):
+                rank = (placed.replica.size_bytes, repr(placed.replica.key))
+                if best is None or rank > best[0]:
+                    best = (rank, plan, placed)
         if best is None:
             return self._ok(changed=False)
         _, plan, placed = best
         shard_index = placed.replica.shard.index
-        occupied = {p.node.node_id for p in plan.for_shard(shard_index)}
-        if plan.owner is not None:
-            occupied.add(plan.owner.node_id)
-        target = _pick_target(world, occupied, {})
+        target = _pick_target(world, _occupied(plan, shard_index), {})
         if target is None:
             return self._fail(
                 f"no eligible node to absorb shard {shard_index} from {node.name}"
@@ -836,21 +768,10 @@ class PromoteStandby(Action):
     name = "promote-standby"
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        from repro.recovery.standby import (
-            StandbyRecovery,
-            standby_coverage,
-            standby_node_of,
-            sync_standby,
-        )
-
         state_name = diagnosis.state
-        registered = (
-            world.manager.states.get(state_name) if state_name is not None else None
-        )
-        if registered is None:
-            return self._fail(f"unknown state {state_name!r}")
-        if registered.plan is None:
-            return self._fail(f"state {state_name!r} was never saved")
+        registered, failure = self._saved_state(world, state_name)
+        if failure is not None:
+            return failure
         standby = standby_node_of(registered)
         if standby is None:
             return self._fail(f"state {state_name!r} has no provisioned standby")

@@ -17,10 +17,10 @@ condition was detected to the moment verification passed — the MTTR the
 counters plus a ``control.mttr_s`` histogram into the simulation's
 metrics registry.
 
-:class:`ControlPlane` is the thin world adapter the controller acts
-through; build one with :meth:`ControlPlane.from_deployment` (bench/chaos
-deployments) or :meth:`ControlPlane.from_sr3` (the public façade — see
-:meth:`repro.api.SR3.attach_controller`).
+:class:`ControlPlane` is the world the controller acts through: any
+:class:`~repro.recovery.deployment.Deployment` (a bench scenario, a live
+cell, the façade's own — see :meth:`repro.api.SR3.attach_controller`)
+plus the failure detector watching it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,16 @@ from repro.control.actions import (
     build_action,
 )
 from repro.control.diagnose import Diagnosis, _detection_time, diagnose
-from repro.control.events import ControlEvent, EventLog, watch_detector
+from repro.control.events import (
+    ControlEvent,
+    EventLog,
+    anomaly_event,
+    slo_event,
+    watch_detector,
+)
 from repro.control.policy import PolicyRule, PolicyTable, default_policy
 from repro.errors import RecoveryError
+from repro.recovery.deployment import Deployment, HoldsDeployment
 
 
 @dataclass
@@ -62,40 +69,15 @@ class ControlConfig:
 
 
 @dataclass
-class ControlPlane:
+class ControlPlane(HoldsDeployment):
     """Everything the controller observes and acts through."""
 
-    sim: object
-    network: object
-    overlay: object
-    manager: object
+    deployment: Deployment
     detector: Optional[object] = None
     #: Fired after a control-plane rewrite resets a state's chain, so an
     #: embedding that keeps pre-failure ground truth (the chaos engine)
     #: can re-anchor it to the new chain.
     on_chain_rewritten: Optional[Callable[[str], None]] = None
-
-    @classmethod
-    def from_deployment(cls, deployment, detector=None) -> "ControlPlane":
-        """Adapt a bench/chaos deployment (``repro.bench.harness.Scenario``)."""
-        return cls(
-            sim=deployment.sim,
-            network=deployment.network,
-            overlay=deployment.overlay,
-            manager=deployment.manager,
-            detector=detector,
-        )
-
-    @classmethod
-    def from_sr3(cls, sr3, detector=None) -> "ControlPlane":
-        """Adapt the public :class:`repro.api.SR3` façade."""
-        return cls(
-            sim=sr3.ctx.sim,
-            network=sr3.ctx.network,
-            overlay=sr3.ctx.overlay,
-            manager=sr3.manager,
-            detector=detector,
-        )
 
 
 @dataclass
@@ -223,12 +205,7 @@ class Controller:
         return SimpleNamespace(
             scenario=SimpleNamespace(latency_bound=float("inf")),
             mechanism=self._mechanism,
-            engine=SimpleNamespace(
-                manager=self.world.manager,
-                overlay=self.world.overlay,
-                network=self.world.network,
-                sim=self.world.sim,
-            ),
+            engine=self.world,
             results=self._results,
             errors=[],
             pre_checksums=self._pre_checksums,
@@ -243,10 +220,10 @@ class Controller:
         now = self.world.sim.now
         if self.slo_engine is not None:
             for alert in self.slo_engine.evaluate(now):
-                self.log.emit(alert.to_event())
+                self.log.emit(slo_event(alert))
         if self.anomalies is not None:
             for anomaly in self.anomalies.scan(now):
-                self.log.emit(anomaly.to_event())
+                self.log.emit(anomaly_event(anomaly))
         degraded = getattr(self.world.network, "degraded_hosts", None)
         if degraded is not None:
             current = {host.name: frac for host, frac in degraded(self.config.flaky_bw_fraction)}

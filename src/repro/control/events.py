@@ -82,6 +82,39 @@ class EventLog:
         return len(self._events)
 
 
+def slo_event(alert) -> ControlEvent:
+    """An :class:`~repro.obs.slo.SLOAlert` as a ``slo-burning`` event."""
+    return ControlEvent(
+        kind="slo-burning",
+        at=alert.at,
+        state=alert.state,
+        attrs=(
+            ("slo", alert.slo),
+            ("series", alert.series),
+            ("severity", alert.severity),
+            ("burn_long", round(alert.burn_long, 6)),
+            ("burn_short", round(alert.burn_short, 6)),
+            ("long_s", alert.long_s),
+            ("short_s", alert.short_s),
+        ),
+    )
+
+
+def anomaly_event(anomaly) -> ControlEvent:
+    """An :class:`~repro.obs.anomaly.Anomaly` as a ``metric-anomaly`` event."""
+    return ControlEvent(
+        kind="metric-anomaly",
+        at=anomaly.at,
+        attrs=(
+            ("series", anomaly.series),
+            ("anomaly", anomaly.kind),
+            ("value", round(anomaly.value, 6)),
+            ("score", round(anomaly.score, 6)),
+            ("baseline", round(anomaly.baseline, 6)),
+        ),
+    )
+
+
 def watch_detector(detector, log: EventLog) -> None:
     """Wire a :class:`~repro.dht.failure_detector.FailureDetector` into a log.
 
@@ -110,4 +143,11 @@ def watch_detector(detector, log: EventLog) -> None:
     detector.on_failure = relay
 
 
-__all__ = ["EVENT_KINDS", "ControlEvent", "EventLog", "watch_detector"]
+__all__ = [
+    "EVENT_KINDS",
+    "ControlEvent",
+    "EventLog",
+    "anomaly_event",
+    "slo_event",
+    "watch_detector",
+]

@@ -29,13 +29,11 @@ interleave on one virtual clock.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.dht.node import DhtNode
-from repro.dht.overlay import Overlay
 from repro.errors import LiveHarnessError
 from repro.live.metrics import (
     BacklogTimeline,
@@ -47,9 +45,9 @@ from repro.live.metrics import (
 )
 from repro.live.rates import RateCurve
 from repro.obs.tracer import Tracer, default_tracer, tracing_enabled
-from repro.recovery.manager import MechanismImpl, RecoveryManager, RecoveryContext
-from repro.sim.kernel import Simulator
-from repro.sim.network import Flow, Host, Network
+from repro.recovery.deployment import Deployment, build_deployment
+from repro.recovery.manager import MechanismImpl
+from repro.sim.network import Flow, Host
 from repro.state.partitioner import partition_synthetic
 from repro.state.version import StateVersion
 from repro.streaming.backend import SR3StateBackend
@@ -64,21 +62,14 @@ _SOURCE_DEPTH = 10_000_000
 
 
 @dataclass
-class LiveCell:
-    """One fully wired simulation cell the driver runs against."""
+class LiveCell(Deployment):
+    """A deployment with the word-count topology and its ingest host wired in."""
 
-    sim: Simulator
-    network: Network
-    overlay: Overlay
-    manager: RecoveryManager
     backend: SR3StateBackend
     cluster: LocalCluster
-    tracer: Tracer
     ingest: Host
     source_id: str
     source_factory: Callable[[], Iterator[Tuple[str]]]
-    link_bw: float
-    seed: int
 
 
 def build_live_cell(
@@ -104,16 +95,17 @@ def build_live_cell(
     # collection is off, so fall back to a private tracer rather than the
     # null one.
     tracer = default_tracer(trace_name) if tracing_enabled() else Tracer(name=trace_name)
-    sim = Simulator(tracer=tracer)
-    network = Network(sim)
-    link_bw = mbit_per_s(link_mbit)
-    overlay = Overlay(sim, network, rng=random.Random(seed))
-    overlay.build(
-        num_nodes,
-        host_factory=lambda name: network.add_host(name, up_bw=link_bw, down_bw=link_bw),
+    deployment = build_deployment(
+        num_nodes=num_nodes,
+        seed=seed,
+        uplink_mbit=link_mbit,
+        downlink_mbit=link_mbit,
+        tracer=tracer,
     )
-    manager = RecoveryManager(RecoveryContext(sim, network, overlay))
-    backend = SR3StateBackend(manager, num_shards=num_shards, num_replicas=num_replicas)
+    link_bw = mbit_per_s(link_mbit)
+    backend = SR3StateBackend(
+        deployment.manager, num_shards=num_shards, num_replicas=num_replicas
+    )
     topology = build_wordcount_topology(
         num_sentences=0,
         seed=seed,
@@ -124,7 +116,7 @@ def build_live_cell(
     cluster.protect_stateful_tasks()
     # The ingest frontier: one fat-uplink host fanning records out to the
     # operator hosts, so each task's *downlink* is the contended edge.
-    ingest = network.add_host(
+    ingest = deployment.network.add_host(
         "live/ingest",
         up_bw=link_bw * (count_parallelism + 1),
         down_bw=link_bw,
@@ -140,18 +132,12 @@ def build_live_cell(
         return ((sentence,) for sentence in generator)
 
     return LiveCell(
-        sim=sim,
-        network=network,
-        overlay=overlay,
-        manager=manager,
+        **vars(deployment),
         backend=backend,
         cluster=cluster,
-        tracer=tracer,
         ingest=ingest,
         source_id="sentences",
         source_factory=source_factory,
-        link_bw=link_bw,
-        seed=seed,
     )
 
 
@@ -722,7 +708,7 @@ class LoadDriver:
                 detector.stop()
 
     def _build_report(self) -> LiveReport:
-        window = recovery_window(self.cell.tracer)
+        window = recovery_window(self.sim.tracer)
         if window is None and self._killed_at is not None:
             window = (self._killed_at, self._recovered_at or self._end or self._killed_at)
         elif window is not None and self._killed_at is not None:

@@ -49,22 +49,6 @@ class Anomaly:
     kind: str  # "spike" | "level-shift"
     baseline: float
 
-    def to_event(self):
-        """The control-plane event form (kind ``metric-anomaly``)."""
-        from repro.control.events import ControlEvent
-
-        return ControlEvent(
-            kind="metric-anomaly",
-            at=self.at,
-            attrs=(
-                ("series", self.series),
-                ("anomaly", self.kind),
-                ("value", round(self.value, 6)),
-                ("score", round(self.score, 6)),
-                ("baseline", round(self.baseline, 6)),
-            ),
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "series": self.series,

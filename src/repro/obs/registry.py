@@ -12,9 +12,7 @@ kinds behind name-keyed accessors:
 - :class:`Histogram` — a value distribution with percentiles (route hop
   counts, recovery durations).
 
-``Counter`` and ``TimeSeries`` used to live in :mod:`repro.sim.metrics`;
-that module now re-exports them from here so existing imports keep
-working. Everything is deterministic plain-Python state: ``dump()``
+Everything is deterministic plain-Python state: ``dump()``
 round-trips to a JSON-friendly dict for experiment artifacts.
 """
 

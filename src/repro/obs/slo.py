@@ -19,8 +19,8 @@ after the long-window burn drops below 1.0, so a sustained outage pages
 once, not once per evaluation.
 
 Alerts convert to first-class control-plane events
-(:meth:`SLOAlert.to_event`, kind ``slo-burning``) — the remediation
-controller treats them exactly like detector-declared failures, which is
+(:func:`repro.control.events.slo_event`, kind ``slo-burning``) — the
+remediation controller treats them exactly like detector-declared failures, which is
 what lets a policy trigger proactive recovery from telemetry alone.
 """
 
@@ -114,25 +114,6 @@ class SLOAlert:
     short_s: float
     threshold: float
     state: Optional[str] = None
-
-    def to_event(self):
-        """The control-plane event form (kind ``slo-burning``)."""
-        from repro.control.events import ControlEvent
-
-        return ControlEvent(
-            kind="slo-burning",
-            at=self.at,
-            state=self.state,
-            attrs=(
-                ("slo", self.slo),
-                ("series", self.series),
-                ("severity", self.severity),
-                ("burn_long", round(self.burn_long, 6)),
-                ("burn_short", round(self.burn_short, 6)),
-                ("long_s", self.long_s),
-                ("short_s", self.short_s),
-            ),
-        )
 
     def to_dict(self) -> Dict[str, object]:
         return {

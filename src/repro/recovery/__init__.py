@@ -12,7 +12,9 @@ Layer 3 of the SR3 design: three customizable recovery mechanisms —
   sub-shards and aggregated up Scribe-style spanning trees in parallel;
   best for very large state and many simultaneous failures.
 
-plus the runtime heuristic of Sec. 3.7 that picks one per application.
+plus the runtime heuristic of Sec. 3.7 that picks one per application,
+and :mod:`~repro.recovery.deployment`: the one builder of a simulated
+deployment and the one name → mechanism table every layer above uses.
 """
 
 from repro.recovery.model import (
@@ -43,6 +45,12 @@ from repro.recovery.selection import (
 )
 from repro.recovery.speculation import SpeculationConfig, SpeculativeStarRecovery
 from repro.recovery.manager import RecoveryManager
+from repro.recovery.deployment import (
+    MECHANISMS,
+    Deployment,
+    HoldsDeployment,
+    build_deployment,
+)
 
 __all__ = [
     "CostModel",
@@ -71,4 +79,8 @@ __all__ = [
     "SpeculationConfig",
     "SpeculativeStarRecovery",
     "RecoveryManager",
+    "MECHANISMS",
+    "Deployment",
+    "HoldsDeployment",
+    "build_deployment",
 ]

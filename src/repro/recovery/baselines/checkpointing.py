@@ -20,6 +20,7 @@ Costs modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError
@@ -241,3 +242,13 @@ class CheckpointingBaseline:
 
         sim.schedule(cost.detection_delay + cfg.recover_coordination, start_fetch)
         return handle
+
+
+def checkpointing_to_remote_storage(
+    ctx: RecoveryContext, config: Optional[CheckpointConfig] = None
+) -> CheckpointingBaseline:
+    """The baseline on the testbed's remote store (Sec. 5.1): a 400 MB/s
+    ``remote-storage`` host, registered on ``ctx.network``."""
+    storage = RemoteStorage("remote-storage", up_bw=400 * MB, down_bw=400 * MB)
+    ctx.network.hosts[storage.name] = storage
+    return CheckpointingBaseline(ctx, storage, config or CheckpointConfig())

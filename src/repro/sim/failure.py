@@ -34,20 +34,16 @@ class FailureInjector:
     """Schedules crashes and shard-loss events against a simulation.
 
     Victim selection is driven by ``seed`` so that failure timing and
-    placement follow the same seed as the rest of the experiment; passing
-    an explicit ``rng`` overrides it (the legacy interface). With neither,
-    the injector stays deterministic at seed 0.
+    placement follow the same seed as the rest of the experiment.
     """
 
     sim: Simulator
     network: Network
-    seed: Optional[int] = None
-    rng: Optional[random.Random] = None
+    seed: int = 0
     records: List[FailureRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.rng is None:
-            self.rng = random.Random(0 if self.seed is None else self.seed)
+        self.rng = random.Random(self.seed)
 
     def crash_at(
         self,

@@ -16,9 +16,8 @@ Paper-scale fast paths (none may change a simulated result):
   its own links, and water-filling re-runs over the affected connected
   component; flows in untouched components keep their rates, which is
   bit-identical because each component's allocation is an independent
-  subproblem. ``network.allocator = "global"`` is the escape hatch that
-  forces the full solve every time (the equivalence tests run both and
-  compare serialized output).
+  subproblem (the equivalence tests compare serialized output against a
+  network that re-solves every flow on every reallocation).
 * **Event coalescing.** Mutations don't reallocate inline; they settle
   byte progress and schedule one zero-delay *settle event*, so N
   same-instant admissions/aborts trigger one recompute instead of N.
@@ -234,14 +233,8 @@ class Flow:
 class Network:
     """The shared network connecting all hosts of one simulation."""
 
-    def __init__(self, sim: Simulator, allocator: str = "incremental") -> None:
-        if allocator not in ("incremental", "global"):
-            raise NetworkError(f"unknown allocator: {allocator!r}")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        # "incremental" re-solves only the dirty connected component;
-        # "global" is the escape hatch that re-runs the full water-filling
-        # on every reallocation (used by the equivalence tests).
-        self.allocator = allocator
         self.hosts: Dict[str, Host] = {}
         self._flows: Set[Flow] = set()
         # Live flows sorted by admission sequence — the deterministic
@@ -299,9 +292,9 @@ class Network:
         # Last recorded (up_util, down_util, flows) per host: a sample is
         # appended only when the value moved, so the timelines stay the
         # same step functions while sampling only the hosts a reallocation
-        # touched. The dedupe is what keeps incremental and global
-        # allocators serializing byte-identical series — the global solve
-        # visits every host but unchanged values record nothing.
+        # touched. The dedupe is what keeps a component solve and a full
+        # solve serializing byte-identical series — the full solve visits
+        # every host but unchanged values record nothing.
         self._host_last: Dict[str, List[float]] = {}
         # Hosts whose allocation may just have dropped (flow removed or
         # bandwidth changed) and must record a fresh sample even if they
@@ -813,10 +806,10 @@ class Network:
     def _recompute_rates(self) -> None:
         """Max-min fair allocation by progressive water-filling.
 
-        Under the incremental allocator only the connected component of
-        the link graph reachable from dirty links is re-solved; rates of
-        flows in untouched components are provably unchanged (their
-        water-filling subproblem has identical inputs).
+        Only the connected component of the link graph reachable from
+        dirty links is re-solved; rates of flows in untouched components
+        are provably unchanged (their water-filling subproblem has
+        identical inputs).
         """
         if self._completion_event is not None:
             self.sim.cancel(self._completion_event)
@@ -832,11 +825,7 @@ class Network:
         # ones worth re-sampling. None means "every active host" (the
         # full-solve paths re-rate everything).
         touched_hosts: Optional[Set[Host]] = set()
-        if self.allocator == "global":
-            dirty.clear()
-            self._solve_full()
-            touched_hosts = None
-        elif dirty:
+        if dirty:
             component = self._dirty_component()
             dirty.clear()
             if 2 * len(component) >= len(self._order_cache):

@@ -268,27 +268,10 @@ class TestCreate:
 
 
 class TestDeprecatedDefines:
-    @pytest.mark.parametrize("old", ["star_define", "line_define", "tree_define"])
-    def test_aliases_warn_but_work(self, sr3, old):
-        protect_dict(sr3)
-        with pytest.warns(DeprecationWarning, match=f"SR3.{old} is deprecated"):
-            getattr(sr3, old)("app/state")
-        # The policy still landed despite the warning.
-        assert "app/state" in sr3._policies
-
     def test_define_does_not_warn(self, sr3, recwarn):
         protect_dict(sr3)
         sr3.define("app/state", "star")
         assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_deprecated_alias_still_recovers(self, sr3):
-        owner, _ = protect_dict(sr3)
-        with pytest.warns(DeprecationWarning):
-            sr3.star_define("app/state", star_fanout=3)
-        sr3.overlay.fail_node(owner)
-        _, result = sr3.recover("app/state")
-        assert result.mechanism == "star"
-        assert result.detail["fanout_bits"] == 3
 
 
 class TestSelectionResultEquality:

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.bench.harness import (
-    ExperimentResult,
-    build_scenario,
-    default_shard_count,
-    saved_state,
-    timed_recovery,
-)
+from repro.bench.harness import ExperimentResult, build_scenario
+from repro.recovery.deployment import default_shard_count, saved_state, timed_recovery
 from repro.bench.reporting import format_result, render_markdown
 from repro.errors import BenchmarkError
 from repro.recovery.star import StarRecovery

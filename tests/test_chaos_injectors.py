@@ -180,13 +180,6 @@ class TestFailureInjectorSeed:
     def test_default_is_seed_zero(self):
         assert self.picks() == self.picks(seed=0)
 
-    def test_explicit_rng_wins_over_seed(self):
-        import random
-
-        assert self.picks(seed=3, rng=random.Random(9)) == self.picks(
-            rng=random.Random(9)
-        )
-
 
 class TestMidRecoveryCrash:
     def test_fires_only_budgeted_times(self):

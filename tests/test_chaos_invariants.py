@@ -2,7 +2,7 @@
 
 import types
 
-from repro.bench.harness import saved_delta
+from repro.recovery.deployment import saved_delta
 from repro.chaos.campaign import RunContext
 from repro.chaos.invariants import DEFAULT_CHECKERS, ChainChecksumConsistent
 from repro.state.chain import chain_digest

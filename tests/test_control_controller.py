@@ -3,7 +3,8 @@
 import pytest
 
 from repro import SR3
-from repro.bench.harness import build_scenario, saved_delta, saved_state
+from repro.bench.harness import build_scenario
+from repro.recovery.deployment import saved_delta, saved_state
 from repro.chaos.campaign import run_scenario
 from repro.chaos.scenario import SCENARIOS
 from repro.control import (
@@ -22,7 +23,7 @@ from repro.util.sizes import MB
 
 
 def controller_for(scenario, **kwargs):
-    return Controller(ControlPlane.from_deployment(scenario), **kwargs)
+    return Controller(ControlPlane(scenario), **kwargs)
 
 
 class TestEvents:

@@ -304,12 +304,7 @@ class TestControllerEndToEnd:
     def test_cold_shards_get_merged_and_verified(self, world):
         register_skewed(world)
         ctl = Controller(
-            ControlPlane(
-                sim=world.sim,
-                network=world.network,
-                overlay=world.overlay,
-                manager=world.manager,
-            ),
+            ControlPlane(world),
             config=ControlConfig(cold_shard_factor=0.5),
         )
         records = ctl.run()
@@ -324,19 +319,14 @@ class TestControllerEndToEnd:
     def test_opted_out_controller_never_sees_shard_cold(self, world):
         register_skewed(world)
         ctl = Controller(
-            ControlPlane(
-                sim=world.sim,
-                network=world.network,
-                overlay=world.overlay,
-                manager=world.manager,
-            )
+            ControlPlane(world)
         )
         assert [r for r in ctl.run() if r.action == "merge-shards"] == []
 
     def test_scenario_adapter_carries_the_knob(self):
         scenario = build_scenario(num_nodes=16, seed=1)
         ctl = Controller(
-            ControlPlane.from_deployment(scenario),
+            ControlPlane(scenario),
             config=ControlConfig(cold_shard_factor=0.5),
         )
         assert ctl.config.cold_shard_factor == pytest.approx(0.5)

@@ -7,7 +7,8 @@ emissions.
 """
 
 
-from repro.bench.harness import build_scenario, saved_state
+from repro.bench.harness import build_scenario
+from repro.recovery.deployment import saved_state
 from repro.control import (
     ControlConfig,
     Controller,
@@ -24,7 +25,7 @@ from repro.util.sizes import MB
 
 
 def controller_for(scenario, **kwargs):
-    return Controller(ControlPlane.from_deployment(scenario), **kwargs)
+    return Controller(ControlPlane(scenario), **kwargs)
 
 
 def burning_engine(scenario, state=None):
@@ -57,7 +58,7 @@ class TestTelemetryDiagnosis:
             state="app/state",
             attrs=(("severity", "critical"), ("slo", "backlog-drains")),
         )
-        out = diagnose(ControlPlane.from_deployment(sc), [event])
+        out = diagnose(ControlPlane(sc), [event])
         burning = [d for d in out if d.condition == "slo-burning"]
         assert len(burning) == 1
         d = burning[0]
@@ -69,7 +70,7 @@ class TestTelemetryDiagnosis:
     def test_anomaly_event_defaults_to_warning(self):
         sc = build_scenario(num_nodes=32, seed=11)
         event = ControlEvent(kind="metric-anomaly", at=2.0, node="node-3")
-        out = diagnose(ControlPlane.from_deployment(sc), [event])
+        out = diagnose(ControlPlane(sc), [event])
         anomalous = [d for d in out if d.condition == "metric-anomaly"]
         assert len(anomalous) == 1
         assert anomalous[0].severity == "warning"
@@ -78,7 +79,7 @@ class TestTelemetryDiagnosis:
     def test_detector_events_never_create_diagnoses(self):
         sc = build_scenario(num_nodes=32, seed=11)
         event = ControlEvent(kind="node-failed", at=1.0, node="node-1")
-        out = diagnose(ControlPlane.from_deployment(sc), [event])
+        out = diagnose(ControlPlane(sc), [event])
         assert out == []  # healthy world: the event alone proves nothing
 
 
@@ -157,7 +158,7 @@ class TestDetectorGating:
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         sc.overlay.fail_node(registered.owner)
         detector = self.FakeDetector(declared)
-        return sc, Controller(ControlPlane.from_deployment(sc, detector=detector))
+        return sc, Controller(ControlPlane(sc, detector=detector))
 
     def test_undeclared_death_is_invisible(self):
         sc, ctl = self.dead_owner_scenario(declared=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.control.events import anomaly_event
 from repro.errors import ConfigError
 from repro.obs.anomaly import AnomalyDetector
 from repro.obs.timeseries import TelemetryPipeline
@@ -119,7 +120,7 @@ class TestWatchSet:
     def test_to_event(self):
         pipe = pipeline_with(noisy_baseline() + [(16.0, 100.0)])
         det = AnomalyDetector(pipe, window=16, min_points=8)
-        event = det.scan(16.0)[0].to_event()
+        event = anomaly_event(det.scan(16.0)[0])
         assert event.kind == "metric-anomaly"
         assert event.at == 16.0
         attrs = dict(event.attrs)

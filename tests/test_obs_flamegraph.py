@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.harness import build_scenario, saved_state, timed_recovery
+from repro.bench.harness import build_scenario
+from repro.recovery.deployment import saved_state, timed_recovery
 from repro.obs import (
     Tracer,
     collapsed_stacks,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.control.events import slo_event
 from repro.errors import ConfigError
 from repro.obs.slo import DEFAULT_WINDOWS, SLO, BurnWindow, SLOEngine
 from repro.obs.timeseries import TelemetryPipeline
@@ -130,7 +131,7 @@ class TestAlerting:
 
     def test_to_event_carries_the_alert(self):
         engine = engine_with(self.all_bad(), state="app/state")
-        event = engine.evaluate(4.0)[0].to_event()
+        event = slo_event(engine.evaluate(4.0)[0])
         assert event.kind == "slo-burning"
         assert event.at == 4.0
         assert event.state == "app/state"

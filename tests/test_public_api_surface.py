@@ -60,9 +60,6 @@ class TestImports:
             "state_split",
             "save",
             "define",
-            "star_define",
-            "line_define",
-            "tree_define",
             "selection",
             "recover",
             "export_trace",
@@ -90,12 +87,12 @@ class TestImports:
         ):
             assert hasattr(obs, name), f"repro.obs.{name} missing"
 
-    def test_sim_metrics_shim_reexports(self):
-        # Back-compat: the old metrics module keeps exporting the types.
-        from repro.obs.registry import Counter as ObsCounter
-        from repro.sim.metrics import Counter as ShimCounter
+    def test_deployment_surface(self):
+        from repro import recovery
 
-        assert ShimCounter is ObsCounter
+        for name in ("Deployment", "build_deployment", "MECHANISMS"):
+            assert getattr(repro, name) is getattr(recovery, name)
+        assert hasattr(recovery, "HoldsDeployment")
 
 
 class TestErrorHierarchy:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import saved_delta
+from repro.recovery.deployment import saved_delta
 from repro.errors import RecoveryError, StateError
 from repro.recovery.line import LineRecovery
 from repro.recovery.star import StarRecovery

@@ -1,13 +1,11 @@
 """Unit tests for metrics primitives and the failure injector."""
 
-import random
-
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.failure import FailureInjector
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Counter, MetricsRegistry, TimeSeries
+from repro.obs.registry import Counter, MetricsRegistry, TimeSeries
 from repro.sim.network import Network
 
 
@@ -111,7 +109,7 @@ class TestFailureInjector:
 
     def test_pick_victims_distinct(self):
         sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net, rng=random.Random(1))
+        injector = FailureInjector(sim, net, seed=1)
         victims = injector.pick_victims(hosts, 3)
         assert len({v.name for v in victims}) == 3
 

@@ -1,10 +1,11 @@
-"""Allocator equivalence: incremental max-min must match the global solve.
+"""Allocator equivalence: incremental max-min must match the full solve.
 
-The incremental allocator re-runs water-filling only over the connected
-component of the link graph touched by a mutation; ``allocator="global"``
-is the escape hatch that forces the historical full solve. For any seed the
-two must produce byte-identical flow completion times, telemetry timelines,
-and trace output — that invariant is what makes the fast path safe.
+The network re-runs water-filling only over the connected component of the
+link graph touched by a mutation; :class:`FullSolveNetwork` below is the
+oracle that re-solves every live flow on every reallocation. For any seed
+the two must produce byte-identical flow completion times, telemetry
+timelines, and trace output — that invariant is what makes the fast path
+safe.
 """
 
 import json
@@ -13,10 +14,20 @@ import random
 
 import pytest
 
-from repro.errors import NetworkError
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
+
+
+class FullSolveNetwork(Network):
+    """The oracle: every dirty component is the whole flow set.
+
+    Claiming every live flow makes ``_recompute_rates`` take its
+    "most flows are affected anyway" branch, i.e. ``_solve_full``.
+    """
+
+    def _dirty_component(self):
+        return set(self._flows)
 
 
 def _trace_dump(tracer: Tracer) -> str:
@@ -35,7 +46,7 @@ def _trace_dump(tracer: Tracer) -> str:
     return json.dumps(spans, sort_keys=True)
 
 
-def _run_mixed_sequence(seed: int, allocator: str):
+def _run_mixed_sequence(seed: int, network_cls):
     """A randomized admit/abort/partition/bandwidth-change workload.
 
     Returns (completions, aborts, telemetry_json, trace_json) — everything
@@ -44,7 +55,7 @@ def _run_mixed_sequence(seed: int, allocator: str):
     rng = random.Random(seed)
     tracer = Tracer(f"equiv-{seed}")
     sim = Simulator(tracer=tracer)
-    net = Network(sim, allocator=allocator)
+    net = network_cls(sim)
     hosts = [
         net.add_host(
             f"h{i}",
@@ -106,8 +117,8 @@ def _run_mixed_sequence(seed: int, allocator: str):
 class TestAllocatorEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 23])
     def test_mixed_sequences_byte_identical(self, seed):
-        inc = _run_mixed_sequence(seed, "incremental")
-        ref = _run_mixed_sequence(seed, "global")
+        inc = _run_mixed_sequence(seed, Network)
+        ref = _run_mixed_sequence(seed, FullSolveNetwork)
         assert inc[0] == ref[0]  # completion (tag, time) pairs, in order
         assert inc[1] == ref[1]  # abort (tag, time) pairs, in order
         assert inc[2] == ref[2]  # serialized telemetry timelines
@@ -116,9 +127,9 @@ class TestAllocatorEquivalence:
     def test_component_merge_matches_global(self):
         """Two independent components merged by a bridging flow."""
 
-        def run(allocator):
+        def run(network_cls):
             sim = Simulator()
-            net = Network(sim, allocator=allocator)
+            net = network_cls(sim)
             a = net.add_host("a", up_bw=100.0, latency=0.0)
             b = net.add_host("b", down_bw=100.0, up_bw=80.0, latency=0.0)
             c = net.add_host("c", up_bw=60.0, latency=0.0)
@@ -137,12 +148,12 @@ class TestAllocatorEquivalence:
             sim.run_until_idle()
             return done, json.dumps(sim.metrics.dump(), sort_keys=True)
 
-        assert run("incremental") == run("global")
+        assert run(Network) == run(FullSolveNetwork)
 
     def test_untouched_component_keeps_exact_rate(self):
         """A mutation in one component must not perturb another's flows."""
         sim = Simulator()
-        net = Network(sim, allocator="incremental")
+        net = Network(sim)
         a = net.add_host("a", up_bw=100.0, latency=0.0)
         b = net.add_host("b", down_bw=100.0, latency=0.0)
         c = net.add_host("c", up_bw=70.0, latency=0.0)
@@ -164,19 +175,17 @@ class TestAllocatorEquivalence:
         assert done["ab2"] == pytest.approx(11.0)
         assert done["ab"] == pytest.approx(15.0)
 
-    def test_unknown_allocator_rejected(self):
-        with pytest.raises(NetworkError):
-            Network(Simulator(), allocator="magic")
+    def test_the_two_sides_take_different_paths(self, monkeypatch):
+        """The oracle never solves a component; the network under test does."""
+        component_solves = []
+        solve_component = Network._solve_component
 
-    def test_escape_hatch_attribute_is_live(self):
-        """Flipping the attribute mid-run falls back to the full solve."""
-        sim = Simulator()
-        net = Network(sim)
-        assert net.allocator == "incremental"
-        a = net.add_host("a", up_bw=100.0, latency=0.0)
-        b = net.add_host("b", down_bw=100.0, latency=0.0)
-        done = []
-        net.transfer(a, b, 1000.0, on_complete=lambda f: done.append(sim.now))
-        sim.schedule(2.0, lambda: setattr(net, "allocator", "global"))
-        sim.run_until_idle()
-        assert done == [pytest.approx(10.0)]
+        def counting(net, affected):
+            component_solves.append(type(net))
+            return solve_component(net, affected)
+
+        monkeypatch.setattr(Network, "_solve_component", counting)
+        _run_mixed_sequence(0, Network)
+        _run_mixed_sequence(0, FullSolveNetwork)
+        assert Network in component_solves
+        assert FullSolveNetwork not in component_solves

@@ -243,7 +243,7 @@ class TestChainDigest:
 
 class TestChainPlan:
     def saved_chain(self, world, rounds=2):
-        from repro.bench.harness import saved_delta
+        from repro.recovery.deployment import saved_delta
 
         registered, _ = world.save_synthetic()
         for _ in range(rounds):
