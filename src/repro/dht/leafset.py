@@ -53,7 +53,8 @@ class LeafSet:
 
     def rebuild(self, nodes: Iterable["DhtNode"]) -> None:
         """Recompute both halves from a pool of alive candidate nodes."""
-        alive = [n for n in nodes if n.alive and n.node_id != self.owner_id]
+        own = self.owner_id.value
+        alive = [n for n in nodes if n.alive and n.node_id.value != own]
         by_cw = sorted(alive, key=lambda n: self.owner_id.clockwise_distance(n.node_id))
         by_ccw = sorted(alive, key=lambda n: n.node_id.clockwise_distance(self.owner_id))
         self._set_members(by_cw[: self.half], by_ccw[: self.half])
@@ -79,13 +80,14 @@ class LeafSet:
 
     def remove(self, node_id: NodeId) -> bool:
         """Drop a failed member; returns True if it was present."""
-        if node_id.value not in self._ids:
+        value = node_id.value
+        if value not in self._ids:
             return False
-        self._clockwise = [n for n in self._clockwise if n.node_id != node_id]
-        self._counter = [n for n in self._counter if n.node_id != node_id]
-        self._ids.discard(node_id.value)
+        self._clockwise = [n for n in self._clockwise if n.node_id.value != value]
+        self._counter = [n for n in self._counter if n.node_id.value != value]
+        self._ids.discard(value)
         if self.on_membership_change is not None:
-            self.on_membership_change((), (node_id.value,))
+            self.on_membership_change((), (value,))
         return True
 
     def last_member(self) -> Optional["DhtNode"]:

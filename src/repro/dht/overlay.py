@@ -225,43 +225,43 @@ class Overlay:
             digit_cache[node.node_id] = digits
             for depth in range(1, max_depth + 1):
                 buckets.setdefault(digits[:depth], []).append(node)
-        # Regroup the buckets per parent prefix as column arrays so the
-        # fill loop below indexes `children[prefix][col]` instead of
-        # hashing a fresh `prefix + (col,)` tuple per (node, row, col) —
-        # ~4.5M tuple constructions at 50k nodes.
-        children: Dict[tuple, List[Optional[List[DhtNode]]]] = {}
+        # Regroup the buckets per parent prefix, columns ascending, so the
+        # fill loop below walks only the populated columns of a row instead
+        # of hashing a fresh `prefix + (col,)` tuple per (node, row, col) —
+        # ~4.5M tuple constructions at 50k nodes. Each entry carries the
+        # pool's size and bit length for the draw.
+        children: Dict[tuple, List[tuple]] = {}
         for key, pool in buckets.items():
-            arr = children.get(key[:-1])
-            if arr is None:
-                arr = children[key[:-1]] = [None] * cols
-            arr[key[-1]] = pool
-        # random.choice is `seq[self._randbelow(len(seq))]` plus an
-        # emptiness check; the pools here are guarded non-empty, so call
-        # _randbelow directly — identical draw sequence, one call layer
-        # less on the ~4.5M picks a 50k build makes.
-        randbelow = self.rng._randbelow
+            children.setdefault(key[:-1], []).append(
+                (key[-1], pool, len(pool), len(pool).bit_length())
+            )
+        for entries in children.values():
+            entries.sort()  # columns are unique, so the pools are never compared
+        # The pick is `rng.choice(pool)` written out: random.Random draws
+        # `getrandbits(n.bit_length())` until the value falls below n, so
+        # this loop consumes the identical bit stream without two call
+        # layers on the ~4.5M picks a 50k build makes.
+        getrandbits = self.rng.getrandbits
         for node in self.nodes:
             digits = digit_cache[node.node_id]
             table = node.routing_table
             for row in range(max_depth):
-                arr = children.get(digits[:row])
-                if arr is None:
-                    continue
                 own = digits[row]
                 slots = None
-                for col in range(cols):
+                for col, pool, size, bits in children[digits[:row]]:
                     if col == own:
                         continue
-                    pool = arr[col]
-                    if pool:
-                        # The bucket construction guarantees the pick
-                        # shares exactly `row` digits with the owner and
-                        # differs at digit `row` (= col), so the slot is
-                        # written directly — same entry, same rng draw
-                        # order as routing_table.add() would produce.
-                        if slots is None:
-                            slots = table.row_slots(row)
-                        slots[col] = pool[randbelow(len(pool))]
+                    # The bucket construction guarantees the pick shares
+                    # exactly `row` digits with the owner and differs at
+                    # digit `row` (= col), so the slot is written directly
+                    # — same entry, same rng draw order as
+                    # routing_table.add() would produce.
+                    if slots is None:
+                        slots = table.row_slots(row)
+                    pick = getrandbits(bits)
+                    while pick >= size:
+                        pick = getrandbits(bits)
+                    slots[col] = pool[pick]
 
     # --------------------------------------------------------------- queries
 

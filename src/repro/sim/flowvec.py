@@ -52,13 +52,22 @@ HAVE_NUMPY = np is not None
 # vector table attaches when the live-flow count reaches ACTIVATE at a
 # settle point and detaches when it falls below DEACTIVATE; the gap is
 # hysteresis so a population oscillating around one boundary does not
-# thrash O(n) attach/detach conversions.
-VECTOR_ACTIVATE = 512
-VECTOR_DEACTIVATE = 256
-# Minimum solve size for the vectorized water-filling; smaller dirty
-# components stay on the dict-based scalar solver (array setup overhead
-# beats it below this).
+# thrash O(n) attach/detach conversions. Measured on the 2-vCPU box: a
+# numpy settle plus completion scan cost ~17 us flat against ~0.4 us per
+# flow for the scalar loops, and the table adds ~50 us of row bookkeeping
+# to a flow's admit-to-completion cycle, so a steady population breaks
+# even at ~90 flows (159 vs 149 us per completed flow at 96; 126 vs 150
+# at 64; 314 vs 155 at 256).
+VECTOR_ACTIVATE = 96
+VECTOR_DEACTIVATE = 48
+# Minimum solve size for the vectorized water-filling. A call costs
+# 0.3-0.8 ms before the first flow, the scalar solver 1.5-3 us per flow
+# and round: sparse components (one host per flow) break even at ~150
+# flows, dense ones (four flows per host) at ~500.
 WATERFILL_MIN = 192
+
+
+_ROW_ARRAYS = ("seq", "rate", "remaining", "demand", "srci", "dsti")
 
 
 class FlowTable:
@@ -151,10 +160,10 @@ class FlowTable:
         n = self.n
         if n == len(self.seq):
             grow = 2 * n
-            for name in ("seq", "rate", "remaining", "demand", "srci", "dsti"):
+            for name in _ROW_ARRAYS:
                 setattr(self, name, np.resize(getattr(self, name), grow))
         if pos != n:
-            for name in ("seq", "rate", "remaining", "demand", "srci", "dsti"):
+            for name in _ROW_ARRAYS:
                 arr = getattr(self, name)
                 arr[pos + 1 : n + 1] = arr[pos:n]
         self.seq[pos] = flow.seq
@@ -165,13 +174,18 @@ class FlowTable:
         self.dsti[pos] = self._slot(flow.dst)
         self.n = n + 1
 
-    def remove(self, pos: int) -> None:
+    def remove_many(self, positions: List[int]) -> None:
+        """Drop the rows at ``positions``, compacting each array once."""
+        if not positions:
+            return
         n = self.n
-        if pos != n - 1:
-            for name in ("seq", "rate", "remaining", "demand", "srci", "dsti"):
-                arr = getattr(self, name)
-                arr[pos : n - 1] = arr[pos + 1 : n]
-        self.n = n - 1
+        keep = np.ones(n, dtype=bool)
+        keep[positions] = False
+        left = n - len(positions)
+        for name in _ROW_ARRAYS:
+            arr = getattr(self, name)
+            arr[:left] = arr[:n][keep]
+        self.n = left
 
     def pos_of(self, flow: "Flow") -> int:
         return int(np.searchsorted(self.seq[: self.n], flow.seq))
@@ -181,12 +195,21 @@ class FlowTable:
         want = np.fromiter((f.seq for f in flows), dtype=np.int64, count=len(flows))
         return np.searchsorted(self.seq[: self.n], want)
 
-    def sync_rates(self, flows: List["Flow"]) -> None:
-        """Copy object rates into the array (after a scalar solve)."""
-        pos = self.positions_of(flows)
-        self.rate[pos] = np.fromiter(
-            (f.rate for f in flows), dtype=np.float64, count=len(flows)
-        )
+    def set_rates(self, flows: List["Flow"], rates: List[float]) -> None:
+        """Store the scalar solver's new ``rates`` of ``flows``."""
+        self.rate[self.positions_of(flows)] = rates
+
+    def rerate(self, pos: Optional["np.ndarray"]) -> tuple:
+        """Water-fill the rows at ``pos`` (None = all) and store the result.
+
+        Returns ``(indices, rates)``: the indices into ``pos`` whose rate
+        changed, and their new rates as Python floats.
+        """
+        rows = slice(0, self.n) if pos is None else pos
+        rates = waterfill(self, pos)
+        moved = np.nonzero(rates != self.rate[rows])[0]
+        self.rate[rows] = rates
+        return moved.tolist(), rates[moved].tolist()
 
     # ---------------------------------------------------------------- kernels
 
@@ -241,8 +264,8 @@ class FlowTable:
         t = rem[active] / r
         return float(now + t.min()), False
 
-    def finished_positions(self, eps: float) -> "np.ndarray":
-        return np.nonzero(self.remaining[: self.n] <= eps)[0]
+    def finished_positions(self, eps: float) -> List[int]:
+        return np.nonzero(self.remaining[: self.n] <= eps)[0].tolist()
 
 
 def fold_total(start: float, moved: "np.ndarray") -> float:

@@ -11,6 +11,9 @@ Scale fast paths (all exactly order-preserving):
 
 * ``pending`` is a live counter maintained on schedule/cancel/pop instead
   of an O(queue) scan — it sits on the ``run()`` epilogue and telemetry.
+* Both queues hold ``(time, seq, event)`` tuples: ``seq`` is unique, so
+  heap sifts and head comparisons are decided in C on the first two fields
+  and never reach the event object.
 * Zero-delay events (the network's coalesced "settle" events, completion
   ticks of unconstrained flows) go to a FIFO batch instead of the heap.
   Because the clock is monotonic and sequence numbers only grow, the batch
@@ -27,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -53,9 +56,6 @@ class Event:
         # arriving after that must not touch the live-event counter.
         self.done = False
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         name = getattr(self.callback, "__name__", repr(self.callback))
         return f"Event(t={self.time:.6f}, {name}, cancelled={self.cancelled})"
@@ -70,8 +70,8 @@ class Simulator:
 
     def __init__(self, tracer=None, metrics: Optional[MetricsRegistry] = None) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
-        self._batch: deque = deque()  # zero-delay events, (time, seq)-sorted
+        self._queue: List[Tuple[float, int, Event]] = []  # heap
+        self._batch: deque = deque()  # zero-delay entries, (time, seq)-sorted
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
@@ -108,15 +108,17 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), callback, args)
+        time = self._now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args)
         self._live += 1
         if delay == 0.0:
             # Same-instant events land behind every queued event at this
             # time (their seq is the largest so far), so a FIFO preserves
             # the (time, seq) order without heap churn.
-            self._batch.append(event)
+            self._batch.append((time, seq, event))
         else:
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -138,53 +140,18 @@ class Simulator:
 
     def _compact(self) -> None:
         """Sweep cancelled events out of both queues (order-preserving)."""
-        for event in self._queue:
-            if event.cancelled:
-                event.done = True
-        for event in self._batch:
-            if event.cancelled:
-                event.done = True
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
-        self._batch = deque(e for e in self._batch if not e.cancelled)
+        live_queue = []
+        live_batch = deque()
+        for entries, live in ((self._queue, live_queue), (self._batch, live_batch)):
+            for entry in entries:
+                if entry[2].cancelled:
+                    entry[2].done = True
+                else:
+                    live.append(entry)
+        heapq.heapify(live_queue)
+        self._queue = live_queue
+        self._batch = live_batch
         self._cancelled_queued = 0
-
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the earliest queued event, skipping cancelled.
-
-        Returns None when both queues are drained. The zero-delay batch is
-        FIFO and the heap is (time, seq)-ordered; comparing their heads
-        yields the globally earliest event.
-        """
-        queue = self._queue
-        batch = self._batch
-        while queue or batch:
-            if batch and (not queue or batch[0] < queue[0]):
-                event = batch.popleft()
-            else:
-                event = heapq.heappop(queue)
-            if event.cancelled:
-                self._cancelled_queued -= 1
-                event.done = True
-                continue
-            return event
-        return None
-
-    def _peek_next(self) -> Optional[Event]:
-        """The earliest live queued event without removing it."""
-        queue = self._queue
-        batch = self._batch
-        while queue and queue[0].cancelled:
-            self._cancelled_queued -= 1
-            heapq.heappop(queue).done = True
-        while batch and batch[0].cancelled:
-            self._cancelled_queued -= 1
-            batch.popleft().done = True
-        if batch and (not queue or batch[0] < queue[0]):
-            return batch[0]
-        if queue:
-            return queue[0]
-        return None
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Run events in order until the queue drains or ``until`` is reached.
@@ -196,25 +163,43 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         trace_events = self.trace_events and self.tracer.enabled
+        heappop = heapq.heappop
         try:
             executed = 0
             while True:
-                event = self._peek_next()
-                if event is None:
+                # _compact (reached through a callback's cancel) rebinds both.
+                queue = self._queue
+                batch = self._batch
+                # The batch is FIFO and the heap (time, seq)-ordered, so the
+                # smaller of the two heads is the globally earliest entry.
+                if batch and (not queue or batch[0] < queue[0]):
+                    time, _, event = batch[0]
+                    from_batch = True
+                elif queue:
+                    time, _, event = queue[0]
+                    from_batch = False
+                else:
                     if until is not None and until > self._now:
                         self._now = until
                     break
-                if until is not None and event.time > until:
+                if until is not None and time > until and not event.cancelled:
                     self._now = until
                     break
-                self._pop_next()
-                if event.time < self._now - 1e-9:
-                    raise SimulationError(
-                        f"event queue corrupted: event at {event.time} < now {self._now}"
-                    )
+                if from_batch:
+                    batch.popleft()
+                else:
+                    heappop(queue)
                 event.done = True
+                if event.cancelled:
+                    self._cancelled_queued -= 1
+                    continue
+                if time < self._now - 1e-9:
+                    raise SimulationError(
+                        f"event queue corrupted: event at {time} < now {self._now}"
+                    )
                 self._live -= 1
-                self._now = max(self._now, event.time)
+                if time > self._now:
+                    self._now = time
                 if trace_events:
                     self.tracer.instant(
                         getattr(event.callback, "__name__", "callback"),

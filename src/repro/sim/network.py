@@ -10,14 +10,20 @@ finishes.
 
 Paper-scale fast paths (none may change a simulated result):
 
-* **Incremental allocation.** The link-constraint graph — one ``("up",
-  host)`` / ``("down", host)`` key per used direction — is maintained
-  persistently. A flow admission/removal or bandwidth change only dirties
-  its own links, and water-filling re-runs over the affected connected
-  component; flows in untouched components keep their rates, which is
-  bit-identical because each component's allocation is an independent
-  subproblem (the equivalence tests compare serialized output against a
-  network that re-solves every flow on every reallocation).
+* **Incremental allocation.** The link-constraint graph is held in the
+  objects themselves: every host owns an uplink and a downlink record
+  listing the live flows that cross it, and every flow points at its two
+  records. A flow admission/removal or bandwidth change only dirties its
+  own records, and water-filling re-runs over the connected component
+  reachable from them; flows in untouched components keep their rates,
+  which is bit-identical because each component's allocation is an
+  independent subproblem (the equivalence tests compare serialized output
+  against a network that re-solves every flow on every reallocation).
+* **Change-driven telemetry.** A host's utilization/flow-count sample can
+  only differ from the last one recorded if a flow joined or left the
+  host, its capacity changed, or one of its flows was re-rated. Exactly
+  those hosts are re-sampled after a reallocation; the solvers report a
+  flow only when its new rate ``!=`` its old one.
 * **Event coalescing.** Mutations don't reallocate inline; they settle
   byte progress and schedule one zero-delay *settle event*, so N
   same-instant admissions/aborts trigger one recompute instead of N.
@@ -45,6 +51,7 @@ paper measures the pure maintenance overhead of Fig. 12c.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
@@ -53,9 +60,49 @@ from repro.sim import flowvec
 from repro.sim.kernel import Event, Simulator
 
 _EPSILON_BYTES = 1e-6
+_INF = math.inf
+_BY_SEQ = attrgetter("seq")  # admission order: the deterministic iteration order
+_BY_NAME = attrgetter("name")
 
-# A link-constraint key: ("up", host_name) or ("down", host_name).
-_LinkKey = Tuple[str, str]
+
+class Link:
+    """One direction of a host's access link.
+
+    ``flows`` is the persistent constraint graph: the live flows crossing
+    the link (a dict used as an ordered set). The other three fields are
+    the link's working record during one scalar water-fill and mean
+    nothing between solves (``members is None``).
+    """
+
+    __slots__ = ("flows", "residual", "unfixed", "members")
+
+    def __init__(self) -> None:
+        self.flows: Dict["Flow", None] = {}
+        self.members: Optional[List["Flow"]] = None
+
+
+def _byte_counter(own: str, column: str) -> property:
+    """A host's flow-byte counter, kept in the FlowTable while one is attached.
+
+    The table's arrays are then authoritative; reading and writing through
+    keeps external accounting (tests, checkpoint stores) transparent in
+    either mode.
+    """
+
+    def fget(host: "Host") -> float:
+        ref = host._flowvec
+        if ref is None:
+            return getattr(host, own)
+        return float(getattr(ref[0], column)[ref[1]])
+
+    def fset(host: "Host", value: float) -> None:
+        ref = host._flowvec
+        if ref is None:
+            setattr(host, own, value)
+        else:
+            getattr(ref[0], column)[ref[1]] = value
+
+    return property(fget, fset)
 
 
 class Host:
@@ -89,50 +136,18 @@ class Host:
         self.alive = True
         self._bytes_sent = 0.0
         self._bytes_received = 0.0
-        # While the network runs in vectorized mode this points at
-        # (FlowTable, slot): the table's arrays are then authoritative
-        # for this host's flow-byte counters, and the properties below
-        # read/write through so external accounting (tests, checkpoint
-        # stores) stays transparent in either mode.
-        self._flowvec = None
+        self._flowvec = None  # (FlowTable, slot) while one is attached
         self.control_bytes_sent = 0.0
         self.control_bytes_received = 0.0
-        self.active_out: Set["Flow"] = set()
-        self.active_in: Set["Flow"] = set()
+        self.up_link = Link()
+        self.down_link = Link()
+        # Telemetry sample state, created at the first sample: the
+        # up_util / down_util / flows series, then the last value recorded
+        # on each. A point is appended only when the value moved.
+        self._telemetry: Optional[list] = None
 
-    @property
-    def bytes_sent(self) -> float:
-        ref = self._flowvec
-        if ref is not None:
-            table, slot = ref
-            return float(table.h_sent[slot])
-        return self._bytes_sent
-
-    @bytes_sent.setter
-    def bytes_sent(self, value: float) -> None:
-        ref = self._flowvec
-        if ref is not None:
-            table, slot = ref
-            table.h_sent[slot] = value
-        else:
-            self._bytes_sent = value
-
-    @property
-    def bytes_received(self) -> float:
-        ref = self._flowvec
-        if ref is not None:
-            table, slot = ref
-            return float(table.h_recv[slot])
-        return self._bytes_received
-
-    @bytes_received.setter
-    def bytes_received(self, value: float) -> None:
-        ref = self._flowvec
-        if ref is not None:
-            table, slot = ref
-            table.h_recv[slot] = value
-        else:
-            self._bytes_received = value
+    bytes_sent = _byte_counter("_bytes_sent", "h_sent")
+    bytes_received = _byte_counter("_bytes_received", "h_recv")
 
     def bw_fraction(self) -> float:
         """Current capacity as a fraction of nominal (the worse direction).
@@ -163,6 +178,8 @@ class Flow:
         "seq",
         "src",
         "dst",
+        "up_link",
+        "down_link",
         "size",
         "remaining",
         "rate",
@@ -176,7 +193,6 @@ class Flow:
         "completed_at",
         "aborted",
         "span",
-        "_last_update",
     )
 
     def __init__(
@@ -198,6 +214,8 @@ class Flow:
         self.seq = seq
         self.src = src
         self.dst = dst
+        self.up_link = src.up_link
+        self.down_link = dst.down_link
         self.size = size
         self.remaining = float(size)
         self.rate = 0.0
@@ -217,7 +235,6 @@ class Flow:
         self.completed_at: Optional[float] = None
         self.aborted = False
         self.span = NULL_SPAN
-        self._last_update = started_at
 
     @property
     def done(self) -> bool:
@@ -250,12 +267,9 @@ class Network:
         # the set cannot exchange traffic with hosts outside it (and vice
         # versa) until the partition heals.
         self._partition: Optional[frozenset] = None
-        # Persistent link-constraint graph: link key -> live flows crossing
-        # it, in admission order (dict used as an ordered set). Mutations
-        # mark the keys they touch dirty; the next recompute water-fills
-        # only the connected component reachable from the dirty keys.
-        self._members: Dict[_LinkKey, Dict[Flow, None]] = {}
-        self._dirty_keys: Set[_LinkKey] = set()
+        # Mutations mark the links they touch dirty; the next recompute
+        # water-fills only the connected component reachable from them.
+        self._dirty_links: Set[Link] = set()
         # One zero-delay settle event coalesces all same-instant mutations
         # into a single reallocation.
         self._recompute_pending = False
@@ -270,9 +284,6 @@ class Network:
         # VECTOR_DEACTIVATE. None when numpy is unavailable or the
         # population is small — the scalar loops below then run as-is.
         self._vec: Optional["flowvec.FlowTable"] = None
-        # Hosts with at least one live flow (endpoint refcounts) — the
-        # telemetry "involved" set without scanning every flow per sample.
-        self._active_refs: Dict[Host, int] = {}
         # Cached registry handles: these sit on per-byte/per-flow paths.
         self._flow_bytes_counter = sim.metrics.counter("net.flow_bytes")
         self._control_bytes_counter = sim.metrics.counter("net.control_bytes")
@@ -281,24 +292,15 @@ class Network:
         self._flows_aborted_counter = sim.metrics.counter("net.flows_aborted")
         self._control_dropped_counter = sim.metrics.counter("net.control_dropped")
         # Telemetry timelines: the per-link evidence behind blame
-        # attribution. Every max-min reallocation appends one point per
-        # involved host to its utilization/flow-count series, so the
+        # attribution. Every max-min reallocation appends a point to the
+        # utilization/flow-count series of each host it changed, so the
         # profiler can answer "was the bottleneck the provider's uplink or
         # the replacement's downlink" post hoc.
         self._flows_active_series = sim.metrics.series("net.flows_active")
         self._queue_wait_hist = sim.metrics.histogram("net.flow_queue_wait")
         self._flow_stall_hist = sim.metrics.histogram("net.flow_stall_s")
-        self._host_series: Dict[str, tuple] = {}
-        # Last recorded (up_util, down_util, flows) per host: a sample is
-        # appended only when the value moved, so the timelines stay the
-        # same step functions while sampling only the hosts a reallocation
-        # touched. The dedupe is what keeps a component solve and a full
-        # solve serializing byte-identical series — the full solve visits
-        # every host but unchanged values record nothing.
-        self._host_last: Dict[str, List[float]] = {}
-        # Hosts whose allocation may just have dropped (flow removed or
-        # bandwidth changed) and must record a fresh sample even if they
-        # no longer carry any flow.
+        # Hosts to re-sample after the next reallocation: a flow joined or
+        # left, the capacity changed, or a solver re-rated one of its flows.
         self._telemetry_dirty: Set[Host] = set()
 
     def in_flight_flows(self) -> int:
@@ -324,14 +326,10 @@ class Network:
     def fail_host(self, host: Host) -> None:
         """Crash a host: all flows touching it abort immediately."""
         host.alive = False
-        victims = self._ordered(host.active_out | host.active_in)
+        victims = sorted({**host.up_link.flows, **host.down_link.flows}, key=_BY_SEQ)
         self._settle_progress()
         for flow in victims:
-            self._remove_flow(flow)
-            flow.aborted = True
-            self._trace_abort(flow, reason="host_failed")
-            if flow.on_abort is not None:
-                flow.on_abort(flow)
+            self._abort(flow, "host_failed")
         self._request_recompute()
 
     def recover_host(self, host: Host) -> None:
@@ -371,11 +369,7 @@ class Network:
         ]
         self._settle_progress()
         for flow in victims:
-            self._remove_flow(flow)
-            flow.aborted = True
-            self._trace_abort(flow, reason="partitioned")
-            if flow.on_abort is not None:
-                flow.on_abort(flow)
+            self._abort(flow, "partitioned")
         self._request_recompute()
         self.sim.tracer.instant(
             "network partitioned", category="net.partition", hosts=len(names)
@@ -404,8 +398,10 @@ class Network:
         host.down_bw = down_bw
         if self._vec is not None:
             self._vec.update_host_bw(host)
-        self._dirty_keys.add(("up", host.name))
-        self._dirty_keys.add(("down", host.name))
+        if host.up_link.flows or host.down_link.flows:
+            self._dirty_links.add(host.up_link)
+            self._dirty_links.add(host.down_link)
+            self._telemetry_dirty.add(host)
         self._request_recompute()
 
     def degraded_hosts(self, fraction: float = 0.5) -> List[Tuple[Host, float]]:
@@ -451,32 +447,35 @@ class Network:
             src, dst, nbytes, on_complete, on_abort, tag, self.sim.now,
             seq=self.started_flows,
         )
+        return self._launch(flow, parent_span)
+
+    def _launch(self, flow: Flow, parent_span) -> Flow:
+        """Count and trace a new flow; admit it one propagation latency on."""
         self.started_flows += 1
         self._flows_started_counter.add(1)
-        flow.span = self.sim.tracer.start(
-            f"flow {src.name}->{dst.name}",
-            category="net.flow",
-            parent=parent_span,
-            bytes=float(nbytes),
-            src=src.name,
-            dst=dst.name,
-            **({"tag": tag} if tag else {}),
-        )
-        propagation = src.latency + dst.latency
-        self.sim.schedule(propagation, self._admit, flow)
+        src, dst = flow.src, flow.dst
+        tracer = self.sim.tracer
+        if tracer.enabled:  # the null tracer costs no span name or attrs
+            attrs = {} if flow.app else {"bytes": float(flow.size)}
+            attrs.update(src=src.name, dst=dst.name)
+            if flow.tag:
+                attrs["tag"] = flow.tag
+            flow.span = tracer.start(
+                f"{'app flow' if flow.app else 'flow'} {src.name}->{dst.name}",
+                category="net.app_flow" if flow.app else "net.flow",
+                parent=parent_span,
+                **attrs,
+            )
+        self.sim.schedule(src.latency + dst.latency, self._admit, flow)
         return flow
 
     def _admit(self, flow: Flow) -> None:
         if flow.aborted or not self.reachable(flow.src, flow.dst):
             alive = flow.src.alive and flow.dst.alive
-            flow.aborted = True
-            self._trace_abort(flow, reason="partitioned" if alive else "dead_endpoint")
-            if flow.on_abort is not None:
-                flow.on_abort(flow)
+            self._abort(flow, "partitioned" if alive else "dead_endpoint")
             return
         self._settle_progress()
         flow.admitted_at = self.sim.now
-        flow._last_update = self.sim.now
         self._queue_wait_hist.observe(self.sim.now - flow.started_at)
         if flow.remaining <= _EPSILON_BYTES:
             self._finish_flow(flow)
@@ -485,16 +484,9 @@ class Network:
         position = self._insert_ordered(flow)
         if self._vec is not None:
             self._vec.insert(position, flow)
-        flow.src.active_out.add(flow)
-        flow.dst.active_in.add(flow)
-        up_key = ("up", flow.src.name)
-        down_key = ("down", flow.dst.name)
-        self._members.setdefault(up_key, {})[flow] = None
-        self._members.setdefault(down_key, {})[flow] = None
-        self._dirty_keys.add(up_key)
-        self._dirty_keys.add(down_key)
-        self._active_refs[flow.src] = self._active_refs.get(flow.src, 0) + 1
-        self._active_refs[flow.dst] = self._active_refs.get(flow.dst, 0) + 1
+        flow.up_link.flows[flow] = None
+        flow.down_link.flows[flow] = None
+        self._touch(flow)
         self._request_recompute()
 
     def abort_flow(self, flow: Flow) -> None:
@@ -502,12 +494,7 @@ class Network:
         if flow.done or flow.aborted:
             return
         self._settle_progress()
-        if flow in self._flows:
-            self._remove_flow(flow)
-        flow.aborted = True
-        self._trace_abort(flow, reason="cancelled")
-        if flow.on_abort is not None:
-            flow.on_abort(flow)
+        self._abort(flow, "cancelled")
         self._request_recompute()
 
     # -------------------------------------------------------------- app flows
@@ -550,20 +537,8 @@ class Network:
             src, dst, math.inf, None, on_abort, tag, self.sim.now,
             seq=self.started_flows, demand=demand, app=True,
         )
-        self.started_flows += 1
-        self._flows_started_counter.add(1)
         self.sim.metrics.counter("net.app_flows_opened").add(1)
-        flow.span = self.sim.tracer.start(
-            f"app flow {src.name}->{dst.name}",
-            category="net.app_flow",
-            parent=parent_span,
-            src=src.name,
-            dst=dst.name,
-            **({"tag": tag} if tag else {}),
-        )
-        propagation = src.latency + dst.latency
-        self.sim.schedule(propagation, self._admit, flow)
-        return flow
+        return self._launch(flow, parent_span)
 
     def set_flow_demand(self, flow: Flow, demand: float) -> None:
         """Change an app flow's offered load (rate-curve tracking)."""
@@ -584,8 +559,8 @@ class Network:
         if flow in self._flows:
             if self._vec is not None:
                 self._vec.demand[self._vec.pos_of(flow)] = demand
-            self._dirty_keys.add(("up", flow.src.name))
-            self._dirty_keys.add(("down", flow.dst.name))
+            self._dirty_links.add(flow.up_link)
+            self._dirty_links.add(flow.down_link)
             self._request_recompute()
 
     def close_app_flow(self, flow: Flow) -> None:
@@ -638,14 +613,9 @@ class Network:
         if on_delivery is not None:
             if not dst.alive:
                 return
-            self.sim.schedule(src.latency + dst.latency, lambda: on_delivery())
+            self.sim.schedule(src.latency + dst.latency, on_delivery)
 
     # ---------------------------------------------------------------- internal
-
-    @staticmethod
-    def _ordered(flows) -> List[Flow]:
-        """Flows in admission order — the deterministic iteration order."""
-        return sorted(flows, key=lambda f: f.seq)
 
     def _insert_ordered(self, flow: Flow) -> int:
         """Bisection insert into the admission-ordered live list.
@@ -658,6 +628,8 @@ class Network:
         lst = self._order_cache
         seq = flow.seq
         lo, hi = 0, len(lst)
+        if hi and lst[-1].seq < seq:
+            lo = hi
         while lo < hi:
             mid = (lo + hi) // 2
             if lst[mid].seq < seq:
@@ -670,107 +642,96 @@ class Network:
     def _settle_progress(self) -> None:
         """Advance every flow's remaining-byte count to the current instant.
 
-        Re-settling at an instant already settled moves zero bytes, so it
-        short-circuits — except while an infinite-rate flow is live (its
-        whole payload moves on settle regardless of elapsed time).
+        Every mutation settles first, so all live flows were last settled
+        at ``_settled_at`` and share one ``elapsed``. Re-settling at an
+        instant already settled moves zero bytes, so it short-circuits —
+        except while an infinite-rate flow is live (its whole payload
+        moves on settle regardless of elapsed time).
         """
         now = self.sim.now
         if now == self._settled_at and not self._inf_rates:
             return
+        elapsed = now - self._settled_at
+        self._settled_at = now
         vec = self._vec
         if (
             vec is None
             and flowvec.HAVE_NUMPY
             and len(self._order_cache) >= flowvec.VECTOR_ACTIVATE
         ):
-            # All live flows are settled as of _settled_at (the settle
-            # invariant: every mutation settles first), so the array
-            # snapshot taken here is coherent.
             vec = self._vec = flowvec.FlowTable(self._order_cache)
         if vec is not None:
-            moved = vec.settle(now - self._settled_at)
+            moved = vec.settle(elapsed)
             if moved is not None:
                 self.total_bytes = flowvec.fold_total(self.total_bytes, moved)
                 counter = self._flow_bytes_counter
                 counter.total = flowvec.fold_total(counter.total, moved)
-            self._settled_at = now
             if vec.n < flowvec.VECTOR_DEACTIVATE:
                 self._deactivate_vector()
             return
+        # No table is attached, so every host keeps its own byte counters
+        # and the properties' read-through can be bypassed.
+        total = self.total_bytes
+        counted = self._flow_bytes_counter.total
         for flow in self._order_cache:
-            elapsed = now - flow._last_update
-            if math.isinf(flow.rate):
-                if math.isinf(flow.remaining):
-                    # An app flow on an unconstrained path: bytes moved are
-                    # unbounded and meaningless — charge nothing rather
-                    # than poison the byte counters with inf.
-                    moved = 0.0
-                else:
-                    # Unconstrained path: the transfer completes instantly.
-                    moved = flow.remaining
-            elif elapsed > 0 and flow.rate > 0:
-                moved = min(flow.remaining, flow.rate * elapsed)
+            rate = flow.rate
+            if rate == _INF:
+                # Unconstrained path: the transfer completes instantly. An
+                # app flow (infinite remaining) would move unbounded,
+                # meaningless bytes — charge nothing rather than poison
+                # the byte counters with inf.
+                moved = flow.remaining
+                if moved == _INF:
+                    continue
+            elif elapsed > 0 and rate > 0:
+                moved = min(flow.remaining, rate * elapsed)
             else:
-                moved = 0.0
+                continue
             if moved > 0:
                 flow.remaining -= moved
-                flow.src.bytes_sent += moved
-                flow.dst.bytes_received += moved
-                self.total_bytes += moved
-                self._flow_bytes_counter.add(moved)
-            flow._last_update = now
-        self._settled_at = now
+                flow.src._bytes_sent += moved
+                flow.dst._bytes_received += moved
+                total += moved
+                counted += moved
+        self.total_bytes = total
+        self._flow_bytes_counter.total = counted
 
     def _deactivate_vector(self) -> None:
-        """Write vector state back to the objects and drop the mirror.
-
-        Callers guarantee the table is settled as of ``_settled_at``;
-        surviving flows resume scalar settling from that instant.
-        """
+        """Write vector state back to the objects and drop the mirror."""
         vec = self._vec
         self._vec = None
-        settled_at = self._settled_at
-        for position, flow in enumerate(self._order_cache):
-            flow.remaining = float(vec.remaining[position])
-            flow._last_update = settled_at
+        remaining = vec.remaining[: vec.n].tolist()
+        for flow, left in zip(self._order_cache, remaining):
+            flow.remaining = left
         vec.detach()
 
-    def _remove_flow(self, flow: Flow) -> None:
+    def _touch(self, flow: Flow) -> None:
+        """A flow joined or left: re-solve its links, re-sample its hosts."""
+        self._dirty_links.add(flow.up_link)
+        self._dirty_links.add(flow.down_link)
+        self._telemetry_dirty.add(flow.src)
+        self._telemetry_dirty.add(flow.dst)
+
+    def _unlink(self, flow: Flow) -> None:
         self._flows.discard(flow)
+        del flow.up_link.flows[flow]
+        del flow.down_link.flows[flow]
+        self._touch(flow)
+
+    def _remove_flow(self, flow: Flow) -> None:
         vec = self._vec
         if vec is not None:
             # Sync the authoritative remaining-byte count back before the
-            # object leaves the table (completion/abort callbacks read it).
+            # object leaves the table (abort callbacks read it).
             position = vec.pos_of(flow)
             flow.remaining = float(vec.remaining[position])
-            flow._last_update = self._settled_at
-            vec.remove(position)
+            vec.remove_many([position])
             del self._order_cache[position]
             if vec.n < flowvec.VECTOR_DEACTIVATE:
                 self._deactivate_vector()
         else:
             self._order_cache.remove(flow)
-        flow.src.active_out.discard(flow)
-        flow.dst.active_in.discard(flow)
-        up_key = ("up", flow.src.name)
-        down_key = ("down", flow.dst.name)
-        for key in (up_key, down_key):
-            link = self._members.get(key)
-            if link is not None:
-                link.pop(flow, None)
-                if not link:
-                    del self._members[key]
-            self._dirty_keys.add(key)
-        for host in (flow.src, flow.dst):
-            refs = self._active_refs.get(host, 0) - 1
-            if refs > 0:
-                self._active_refs[host] = refs
-            else:
-                self._active_refs.pop(host, None)
-        # Their utilization may have just dropped to zero; make sure the
-        # next telemetry sample closes out their timelines.
-        self._telemetry_dirty.add(flow.src)
-        self._telemetry_dirty.add(flow.dst)
+        self._unlink(flow)
 
     def _finish_flow(self, flow: Flow) -> None:
         flow.completed_at = self.sim.now
@@ -788,9 +749,14 @@ class Network:
         if flow.on_complete is not None:
             flow.on_complete(flow)
 
-    def _trace_abort(self, flow: Flow, reason: str) -> None:
+    def _abort(self, flow: Flow, reason: str) -> None:
+        if flow in self._flows:
+            self._remove_flow(flow)
+        flow.aborted = True
         self._flows_aborted_counter.add(1)
         flow.span.finish(aborted=True, reason=reason)
+        if flow.on_abort is not None:
+            flow.on_abort(flow)
 
     def _request_recompute(self) -> None:
         """Coalesce same-instant reallocations behind one settle event."""
@@ -814,17 +780,13 @@ class Network:
         if self._completion_event is not None:
             self.sim.cancel(self._completion_event)
             self._completion_event = None
-        dirty = self._dirty_keys
+        dirty = self._dirty_links
         if not self._flows:
             dirty.clear()
             self._inf_rates = False
-            self._record_telemetry(set())
+            self._record_telemetry()
             return
 
-        # Hosts whose allocation this pass may have changed — the only
-        # ones worth re-sampling. None means "every active host" (the
-        # full-solve paths re-rate everything).
-        touched_hosts: Optional[Set[Host]] = set()
         if dirty:
             component = self._dirty_component()
             dirty.clear()
@@ -832,13 +794,8 @@ class Network:
                 # Most flows are affected anyway — the restricted solve
                 # would walk the same links as the full one.
                 self._solve_full()
-                touched_hosts = None
             elif component:
-                affected = self._ordered(component)
-                self._solve_component(affected)
-                for flow in affected:
-                    touched_hosts.add(flow.src)
-                    touched_hosts.add(flow.dst)
+                self._solve_component(sorted(component, key=_BY_SEQ))
         # else: nothing touching the link graph changed (e.g. an abort of
         # a not-yet-admitted flow) — every rate is still valid.
 
@@ -846,78 +803,78 @@ class Network:
         if self._vec is not None:
             next_completion, inf_rates = self._vec.completion_scan(now)
         else:
-            next_completion = math.inf
+            next_completion = _INF
             inf_rates = False
             for flow in self._order_cache:
                 rate = flow.rate
-                if rate > 0:
-                    if math.isinf(flow.remaining):
-                        # Long-running app traffic never completes; an
-                        # infinite rate on it moves no bytes either, so it
-                        # must not keep scheduling zero-delay completion
-                        # ticks.
-                        continue
-                    if math.isinf(rate):
+                # Long-running app traffic (infinite remaining) never
+                # completes; an infinite rate on it moves no bytes either,
+                # so it must not keep scheduling zero-delay completion
+                # ticks.
+                if rate > 0 and flow.remaining != _INF:
+                    if rate == _INF:
                         finish = now
                         inf_rates = True
                     else:
                         finish = now + flow.remaining / rate
-                    next_completion = min(next_completion, finish)
+                    if finish < next_completion:
+                        next_completion = finish
         self._inf_rates = inf_rates
-        if not math.isinf(next_completion):
+        if next_completion != _INF:
             delay = max(0.0, next_completion - now)
             self._completion_event = self.sim.schedule(delay, self._on_completion_tick)
-        self._record_telemetry(touched_hosts)
+        self._record_telemetry()
 
     def _solve_full(self) -> None:
         """Re-rate every live flow (full solve), scalar or vectorized."""
-        vec = self._vec
-        if vec is not None and vec.n >= flowvec.WATERFILL_MIN:
-            rates = flowvec.waterfill(vec, None)
-            vec.rate[: vec.n] = rates
-            # Object rates stay synced: telemetry and external readers
-            # consume Flow.rate directly in either mode.
-            for position, flow in enumerate(self._order_cache):
-                flow.rate = float(rates[position])
-            return
-        rates = self._waterfill(self._order_cache)
-        for flow in self._order_cache:
-            flow.rate = rates.get(flow, 0.0)
-        if vec is not None:
-            vec.sync_rates(self._order_cache)
+        self._rerate(self._order_cache, full=True)
 
     def _solve_component(self, affected: List[Flow]) -> None:
         """Re-rate one dirty component (admission-ordered ``affected``)."""
+        self._rerate(affected, full=False)
+
+    def _rerate(self, flows: List[Flow], full: bool) -> None:
+        """Water-fill ``flows`` and apply the rates that actually moved.
+
+        Object rates stay synced with the table (telemetry and external
+        readers consume ``Flow.rate`` in either mode); only the endpoints
+        of a re-rated flow need a fresh telemetry sample.
+        """
         vec = self._vec
-        if vec is not None and len(affected) >= flowvec.WATERFILL_MIN:
-            positions = vec.positions_of(affected)
-            rates = flowvec.waterfill(vec, positions)
-            vec.rate[positions] = rates
-            for index, flow in enumerate(affected):
-                flow.rate = float(rates[index])
-            return
-        rates = self._waterfill(affected)
-        for flow in affected:
-            flow.rate = rates.get(flow, 0.0)
-        if vec is not None:
-            vec.sync_rates(affected)
+        if vec is not None and len(flows) >= flowvec.WATERFILL_MIN:
+            positions = None if full else vec.positions_of(flows)
+            moved, rates = vec.rerate(positions)
+            moved = [flows[index] for index in moved]
+        else:
+            solved = self._waterfill(flows)
+            moved = [flow for flow in flows if solved[flow] != flow.rate]
+            rates = [solved[flow] for flow in moved]
+            if vec is not None and moved:
+                vec.set_rates(moved, rates)
+        resample = self._telemetry_dirty
+        for flow, rate in zip(moved, rates):
+            flow.rate = rate
+            resample.add(flow.src)
+            resample.add(flow.dst)
 
     def _dirty_component(self) -> Set[Flow]:
         """Flows connected to a dirty link through shared constraints."""
         component: Set[Flow] = set()
-        members = self._members
-        stack = [key for key in self._dirty_keys if key in members]
+        stack = [link for link in self._dirty_links if link.flows]
         seen = set(stack)
         while stack:
-            key = stack.pop()
-            for flow in members[key]:
+            for flow in stack.pop().flows:
                 if flow in component:
                     continue
                 component.add(flow)
-                for other in (("up", flow.src.name), ("down", flow.dst.name)):
-                    if other not in seen and other in members:
-                        seen.add(other)
-                        stack.append(other)
+                other = flow.up_link
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+                other = flow.down_link
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
         return component
 
     def _waterfill(self, flows: List[Flow]) -> Dict[Flow, float]:
@@ -925,164 +882,174 @@ class Network:
 
         ``flows`` must be closed under constraint sharing: every flow that
         crosses a link used by a member is itself a member. Float-op order
-        matches the historical global solve exactly — shares divide the
-        same residuals, fixed flows subtract in admission order.
+        matches the reference solver kept in the tests exactly — shares
+        divide the same residuals, fixed flows subtract in admission order.
+        A flow is fixed once it has an entry in the returned dict.
         """
-        residual: Dict[_LinkKey, float] = {}
-        members: Dict[_LinkKey, List[Flow]] = {}
-        for flow in flows:
-            up_key = ("up", flow.src.name)
-            down_key = ("down", flow.dst.name)
-            if up_key not in residual:
-                residual[up_key] = flow.src.up_bw
-                members[up_key] = []
-            members[up_key].append(flow)
-            if down_key not in residual:
-                residual[down_key] = flow.dst.down_bw
-                members[down_key] = []
-            members[down_key].append(flow)
-        unfixed_count = {key: len(flows) for key, flows in members.items()}
+        links: List[Link] = []
         # Demand caps only enter the solve when some member actually has
-        # one — the historical all-elastic case must run the exact same
-        # float-op sequence (byte-identical quiescent allocations).
-        demand_capped = any(not math.isinf(f.demand) for f in flows)
+        # one — the all-elastic case must run the exact same float-op
+        # sequence (byte-identical quiescent allocations).
+        demand_capped = False
+        for flow in flows:
+            link = flow.up_link
+            if link.members is None:
+                link.residual = flow.src.up_bw
+                link.members = []
+                links.append(link)
+            link.members.append(flow)
+            link = flow.down_link
+            if link.members is None:
+                link.residual = flow.dst.down_bw
+                link.members = []
+                links.append(link)
+            link.members.append(flow)
+            if flow.demand != _INF:
+                demand_capped = True
+        for link in links:
+            link.unfixed = len(link.members)
 
-        unfixed = set(flows)
         rates: Dict[Flow, float] = {}
+        unfixed = len(flows)
+        open_links = links
         while unfixed:
-            bottleneck_share = math.inf
-            for key, cap in residual.items():
-                count = unfixed_count[key]
-                if not count:
-                    continue
-                share = cap / count
+            bottleneck_share = _INF
+            for link in open_links:
+                share = link.residual / link.unfixed
                 if share < bottleneck_share:
                     bottleneck_share = share
-            if math.isinf(bottleneck_share):
+            if bottleneck_share == _INF:
                 # No remaining link constraint: elastic flows take inf,
                 # demand-capped app flows saturate at their offered load.
-                for flow in unfixed:
-                    rates[flow] = flow.demand
-                break
-            if demand_capped:
-                # Flows whose offered load sits at or below the current
-                # fair share saturate first: they take exactly their
-                # demand and release the rest of the share back into the
-                # pool before any link fills up.
-                saturated = [
-                    f for f in self._ordered(unfixed)
-                    if f.demand <= bottleneck_share
-                ]
-                if saturated:
-                    touched = []
-                    for flow in saturated:
+                for flow in flows:
+                    if flow not in rates:
                         rates[flow] = flow.demand
-                        unfixed.discard(flow)
-                        up_key = ("up", flow.src.name)
-                        down_key = ("down", flow.dst.name)
-                        residual[up_key] -= flow.demand
-                        unfixed_count[up_key] -= 1
-                        residual[down_key] -= flow.demand
-                        unfixed_count[down_key] -= 1
-                        touched.append(up_key)
-                        touched.append(down_key)
-                    for key in touched:
-                        residual[key] = max(0.0, residual[key])
-                    continue
-            newly_fixed = set()
-            for key, cap in residual.items():
-                count = unfixed_count[key]
-                if count and cap / count <= bottleneck_share * (1 + 1e-12):
-                    newly_fixed.update(f for f in members[key] if f in unfixed)
-            if not newly_fixed:
-                raise NetworkError("water-filling failed to make progress")
-            # Subtract in admission order: residual capacities accumulate
-            # float error, and a set-order walk would make the ulps depend
-            # on object addresses rather than on the seed.
-            touched = []
-            for flow in self._ordered(newly_fixed):
-                rates[flow] = bottleneck_share
-                unfixed.discard(flow)
-                up_key = ("up", flow.src.name)
-                down_key = ("down", flow.dst.name)
-                residual[up_key] -= bottleneck_share
-                unfixed_count[up_key] -= 1
-                residual[down_key] -= bottleneck_share
-                unfixed_count[down_key] -= 1
-                touched.append(up_key)
-                touched.append(down_key)
-            for key in touched:
-                residual[key] = max(0.0, residual[key])
+                break
+            # Flows whose offered load sits at or below the current
+            # fair share saturate first: they take exactly their demand
+            # and release the rest of the share back into the pool
+            # before any link fills up.
+            saturated = demand_capped and [
+                f for f in flows if f.demand <= bottleneck_share and f not in rates
+            ]
+            if saturated:
+                fixed = saturated
+            else:
+                limit = bottleneck_share * (1 + 1e-12)
+                contributors = 0
+                fixed = []
+                for link in open_links:
+                    if link.residual / link.unfixed <= limit:
+                        fixed += [f for f in link.members if f not in rates]
+                        contributors += 1
+                if not fixed:
+                    raise NetworkError("water-filling failed to make progress")
+                if contributors > 1:
+                    # Subtract in admission order: residual capacities
+                    # accumulate float error. One link's members are
+                    # already in that order; several links' need the
+                    # merge (a flow can sit on two of them).
+                    fixed = sorted(set(fixed), key=_BY_SEQ)
+            for flow in fixed:
+                amount = flow.demand if saturated else bottleneck_share
+                rates[flow] = amount
+                link = flow.up_link
+                link.residual -= amount
+                link.unfixed -= 1
+                link = flow.down_link
+                link.residual -= amount
+                link.unfixed -= 1
+            for flow in fixed:
+                if flow.up_link.residual <= 0.0:
+                    flow.up_link.residual = 0.0
+                if flow.down_link.residual <= 0.0:
+                    flow.down_link.residual = 0.0
+            unfixed -= len(fixed)
+            # Links with every member fixed constrain nothing further.
+            open_links = [link for link in open_links if link.unfixed]
+        for link in links:
+            link.members = None
         return rates
 
-    @staticmethod
-    def _direction_utilization(flows: Set[Flow], capacity: float) -> float:
-        if not flows or math.isinf(capacity):
-            return 0.0
-        # fsum is exactly rounded, so the value is independent of the set
-        # iteration order and same-seed runs serialize identical timelines.
-        used = math.fsum(f.rate for f in flows if not math.isinf(f.rate))
-        return min(1.0, used / capacity)
+    def _record_telemetry(self) -> None:
+        """Sample link utilization and flow counts of the hosts that changed.
 
-    def _record_telemetry(self, touched: Optional[Set[Host]]) -> None:
-        """Sample per-host link utilization and flow counts after a reallocation.
-
-        Only hosts the reallocation could have moved (``touched``, plus
-        any whose last flow just left) are visited; ``None`` means every
-        active host (a full solve). Each series appends a point only when
-        the value changed, so the dumped timelines are identical whichever
-        superset of changed hosts was visited.
+        Each series appends a point only when the value moved, so visiting
+        any superset of the changed hosts dumps identical timelines (a
+        test-local subclass that visits every active host checks this).
         """
         now = self.sim.now
         self._flows_active_series.record(now, float(len(self._flows)))
-        involved = set(self._active_refs) if touched is None else set(touched)
-        involved |= self._telemetry_dirty
-        self._telemetry_dirty.clear()
-        for host in sorted(involved, key=lambda h: h.name):
-            cached = self._host_series.get(host.name)
-            if cached is None:
-                series = self.sim.metrics.series
-                cached = (
-                    series(f"net.host.{host.name}.up_util"),
-                    series(f"net.host.{host.name}.down_util"),
-                    series(f"net.host.{host.name}.flows"),
-                )
-                self._host_series[host.name] = cached
-                self._host_last[host.name] = [-1.0, -1.0, -1.0]
-            up_series, down_series, flows_series = cached
-            last = self._host_last[host.name]
-            up = self._direction_utilization(host.active_out, host.up_bw)
-            if up != last[0]:
-                last[0] = up
-                up_series.record(now, up)
-            down = self._direction_utilization(host.active_in, host.down_bw)
-            if down != last[1]:
-                last[1] = down
-                down_series.record(now, down)
-            flows = float(len(host.active_out) + len(host.active_in))
-            if flows != last[2]:
-                last[2] = flows
-                flows_series.record(now, flows)
+        resample = self._telemetry_dirty
+        if not resample:
+            return
+        # Name order fixes the order new series enter the registry.
+        hosts = sorted(resample, key=_BY_NAME)
+        resample.clear()
+        for host in hosts:
+            state = host._telemetry
+            if state is None:
+                state = host._telemetry = [
+                    self.sim.metrics.series(f"net.host.{host.name}.{kind}")
+                    for kind in ("up_util", "down_util", "flows")
+                ] + [-1.0, -1.0, -1.0]
+            out_flows = host.up_link.flows
+            in_flows = host.down_link.flows
+            up = _utilization(out_flows, host.up_bw)
+            if up != state[3]:
+                state[3] = up
+                state[0].record(now, up)
+            down = _utilization(in_flows, host.down_bw)
+            if down != state[4]:
+                state[4] = down
+                state[1].record(now, down)
+            flows = float(len(out_flows) + len(in_flows))
+            if flows != state[5]:
+                state[5] = flows
+                state[2].record(now, flows)
 
     def _on_completion_tick(self) -> None:
         self._completion_event = None
         self._settle_progress()
+        order = self._order_cache
         vec = self._vec
         if vec is not None:
-            order = self._order_cache
-            finished = [
-                order[int(position)]
-                for position in vec.finished_positions(_EPSILON_BYTES)
-            ]
+            positions = vec.finished_positions(_EPSILON_BYTES)
+            finished = [order[position] for position in positions]
+            # A completion callback may look at a sibling that finished in
+            # the same tick before that sibling's own turn.
+            for flow, left in zip(finished, vec.remaining[positions].tolist()):
+                flow.remaining = left
+            vec.remove_many(positions)
+            for position in reversed(positions):
+                del order[position]
+            if vec.n < flowvec.VECTOR_DEACTIVATE:
+                self._deactivate_vector()
         else:
-            finished = [
-                f for f in self._order_cache if f.remaining <= _EPSILON_BYTES
-            ]
+            finished = [f for f in order if f.remaining <= _EPSILON_BYTES]
+            if finished:
+                order[:] = [f for f in order if f.remaining > _EPSILON_BYTES]
         for flow in finished:
-            self._remove_flow(flow)
+            self._unlink(flow)
         for flow in finished:
             self._finish_flow(flow)
         self._request_recompute()
+
+
+def _utilization(flows: Dict[Flow, None], capacity: float) -> float:
+    """Share of ``capacity`` the finite-rate ``flows`` are allocated."""
+    if not flows or capacity == _INF:
+        return 0.0
+    if len(flows) == 1:
+        (flow,) = flows
+        used = flow.rate
+        if used == _INF:
+            used = 0.0
+    else:
+        # fsum is exactly rounded, so the value is independent of the
+        # iteration order and same-seed runs serialize identical timelines.
+        used = math.fsum(f.rate for f in flows if f.rate != _INF)
+    return min(1.0, used / capacity)
 
 
 class RemoteStorage(Host):

@@ -36,6 +36,16 @@ class NodeId:
     def __int__(self) -> int:
         return self.value
 
+    # Written out: the dataclass-generated pair builds a 1-tuple per call,
+    # and ids are compared and hashed on every leaf-set and placement step.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is NodeId:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __lt__(self, other: "NodeId") -> bool:
         return self.value < other.value
 

@@ -1,0 +1,71 @@
+"""``scripts/perf_trajectory.py``: result files in, one trajectory entry out."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def trajectory():
+    spec = importlib.util.spec_from_file_location(
+        "perf_trajectory", ROOT / "scripts" / "perf_trajectory.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_file(path, commit, seed, workload, cell_wall_s):
+    """What ``run.py --workload W --seed N --out FILE`` writes, one run."""
+    values = {"setup_s": 0.4, "cell_wall_s": cell_wall_s,
+              "work_per_s": 312 / cell_wall_s, "peak_rss_mb": 116.0}
+    units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+    run = {"seed": seed, "attempted": 12, "failed": 0,
+           "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
+    path.write_text(json.dumps({
+        "manifest": {"commit": commit, "python": "3.11.7", "numpy": "2.4.6",
+                     "nproc": 2, "seed": seed, "seconds": 30.0, "runs": 1, "trace": 0},
+        "workloads": {workload: {"runs": [run], "metrics": {}}},
+    }))
+    return str(path)
+
+
+def test_pairs_merge_into_one_entry_and_append(trajectory, tmp_path, capsys):
+    workload = SPEC["workloads"][0]["name"]
+    base = [_result_file(tmp_path / f"a{i}.json", "aaa", i, workload, 2.2 + 0.01 * i)
+            for i in range(4)]
+    change = [_result_file(tmp_path / f"b{i}.json", "bbb", i, workload, 1.5 + 0.01 * i)
+              for i in range(4)]
+    out = tmp_path / "BENCH_perf.json"
+    for label in ("first", "second"):
+        assert trajectory.main(
+            ["--base", *base, "--change", *change, "--label", label, "--out", str(out)]
+        ) == 0
+    written = json.loads(out.read_text())
+    assert written["format"] == trajectory.FORMAT
+    assert [e["label"] for e in written["entries"]] == ["first", "second"]
+    entry = written["entries"][0]
+    assert (entry["base_commit"], entry["commit"], entry["nproc"]) == ("aaa", "bbb", 2)
+    cell = entry["workloads"][workload]
+    assert cell["seeds"] == [0, 1, 2, 3] and cell["failed"] == [0, 0]
+    wall = cell["metrics"]["cell_wall_s"]
+    assert wall["base"]["value"] == pytest.approx(2.215)
+    assert wall["change"]["value"] == pytest.approx(1.515)
+    assert (wall["wins"], wall["pairs"], wall["verdict"]) == (4, 4, "better")
+    assert cell["metrics"]["peak_rss_mb"]["verdict"] == "same"
+    assert "cell_wall_s" in capsys.readouterr().out
+
+
+def test_refuses_a_file_of_another_format(trajectory, tmp_path):
+    workload = SPEC["workloads"][0]["name"]
+    a = _result_file(tmp_path / "a.json", "aaa", 0, workload, 2.0)
+    out = tmp_path / "other.json"
+    out.write_text("{}")
+    with pytest.raises(SystemExit):
+        trajectory.main(["--base", a, "--change", a, "--label", "x", "--out", str(out)])
+    assert out.read_text() == "{}"

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -237,3 +239,47 @@ class TestRunControl:
         sim.schedule(0.0, inner)
         sim.run_until_idle()
         assert len(errors) == 1
+
+
+class TestGlobalOrder:
+    """Whatever mix of heap, zero-delay batch, cancellation and compaction a
+    run goes through, callbacks fire in exactly sorted ``(time, seq)`` order."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_interleavings_fire_in_time_seq_order(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        fired = []
+        pending = {}
+        compactions = []
+        compact = sim._compact
+        sim._compact = lambda: (compactions.append(sim.now), compact())
+
+        def add(delay):
+            event = sim.schedule(delay, fire)
+            event.args = (event,)
+            pending[event.seq] = event
+
+        def fire(event):
+            fired.append((event.time, event.seq))
+            del pending[event.seq]
+            assert event.time == sim.now
+            for _ in range(rng.randrange(5) if len(fired) < 3000 else 0):
+                # Zero delays feed the batch, repeated delays make heap ties.
+                add(rng.choice([0.0, 0.0, 0.25, 0.5, rng.uniform(0.0, 2.0)]))
+            # Now and then most of the queue is cancelled at once: the
+            # cancelled share passes one half, which triggers a compaction.
+            doomed = len(pending) * 2 // 3 if rng.random() < 0.01 else rng.choice([0, 0, 0, 1])
+            for seq in rng.sample(sorted(pending), min(doomed, len(pending))):
+                sim.cancel(pending.pop(seq))
+
+        for _ in range(150):
+            add(rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)]))
+        horizon = 0.0
+        while pending:
+            horizon += rng.uniform(0.0, 0.7)
+            sim.run(until=horizon)
+            assert all(event.time > horizon for event in pending.values())
+        assert len(fired) > 1000 and compactions
+        assert fired == sorted(fired)
+        assert sim.pending == len(pending)

@@ -44,6 +44,23 @@ class TestNodeIdBasics:
         assert NodeId(7) == NodeId(7)
         assert len({NodeId(7), NodeId(7), NodeId(8)}) == 2
 
+    def test_equality_and_hash_go_by_value_only(self):
+        five = NodeId(5)
+        assert five == NodeId(5) and not five != NodeId(5)
+        assert five != NodeId(6) and five != 5 and five != "5"
+        assert hash(five) == hash(NodeId(5))
+        five.digits()  # the memoized digits live on the instance, not in its identity
+        assert five == NodeId(5) and hash(five) == hash(NodeId(5))
+        assert NodeId(5) in {five} and {five: "x"}[NodeId(5)] == "x"
+
+    @given(ids, ids)
+    def test_total_ordering_follows_value(self, a, b):
+        assert (a < b) == (a.value < b.value)
+        assert (a <= b) == (a.value <= b.value)
+        assert (a > b) == (a.value > b.value)
+        assert (a >= b) == (a.value >= b.value)
+        assert (a == b) == (a.value == b.value)
+
 
 class TestDigits:
     def test_digit_count_default(self):
