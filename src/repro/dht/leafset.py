@@ -17,7 +17,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 
 class LeafSet:
-    """The leaf set owned by a single DHT node."""
+    """The leaf set owned by a single DHT node.
+
+    The two nearest-first member lists are the only copy of the
+    membership: ``contains`` scans them (at most ``size`` entries).
+    """
+
+    __slots__ = ("owner_id", "size", "_clockwise", "_counter", "on_membership_change")
 
     def __init__(self, owner_id: NodeId, size: int = 24) -> None:
         if size < 2 or size % 2:
@@ -26,14 +32,11 @@ class LeafSet:
         self.size = size
         self._clockwise: List["DhtNode"] = []
         self._counter: List["DhtNode"] = []
-        # Member id values for O(1) `contains` — the overlay's repair scan
-        # asks every node whether it held the failed one.
-        self._ids: set = set()
-        # Observer called with (added_id_values, removed_id_values) on any
-        # membership change. The overlay uses it to maintain a reverse
-        # index (id -> holding nodes) so a crash repairs only the actual
-        # holders instead of scanning all N nodes.
-        self.on_membership_change: Optional[Callable[[Iterable[int], Iterable[int]], None]] = None
+        # Observer called with (owner_id, added_id_values, removed_id_values)
+        # on any membership change. The overlay uses it to maintain a
+        # reverse index (id -> holding nodes) so a crash repairs only the
+        # actual holders instead of scanning all N nodes.
+        self.on_membership_change: Optional[Callable[..., None]] = None
 
     @property
     def half(self) -> int:
@@ -41,7 +44,7 @@ class LeafSet:
 
     def members(self) -> List["DhtNode"]:
         """All current members, counter-clockwise side first."""
-        return list(self._counter) + list(self._clockwise)
+        return self._counter + self._clockwise
 
     def clockwise(self) -> List["DhtNode"]:
         """Members clockwise of the owner, nearest first."""
@@ -57,37 +60,36 @@ class LeafSet:
         alive = [n for n in nodes if n.alive and n.node_id.value != own]
         by_cw = sorted(alive, key=lambda n: self.owner_id.clockwise_distance(n.node_id))
         by_ccw = sorted(alive, key=lambda n: n.node_id.clockwise_distance(self.owner_id))
-        self._set_members(by_cw[: self.half], by_ccw[: self.half])
+        self.seed(by_cw[: self.half], by_ccw[: self.half])
 
     def seed(self, clockwise: List["DhtNode"], counter: List["DhtNode"]) -> None:
         """Install both halves directly, nearest-first.
 
         Omniscient wiring: the overlay already walked the sorted ring, so
         the per-node distance re-sorts of :meth:`rebuild` are redundant.
-        Callers guarantee the lists are what ``rebuild`` would select.
+        Callers guarantee the lists are what ``rebuild`` would select, and
+        hand them over: the leaf set keeps them, it does not copy them.
         """
-        self._set_members(list(clockwise), list(counter))
-
-    def _set_members(self, clockwise: List["DhtNode"], counter: List["DhtNode"]) -> None:
-        new_ids = {n.node_id.value for n in clockwise}
-        new_ids.update(n.node_id.value for n in counter)
-        old_ids = self._ids
+        old = (self._clockwise, self._counter)
         self._clockwise = clockwise
         self._counter = counter
-        self._ids = new_ids
-        if self.on_membership_change is not None and new_ids != old_ids:
-            self.on_membership_change(new_ids - old_ids, old_ids - new_ids)
+        if self.on_membership_change is not None:
+            old_ids = {n.node_id.value for side in old for n in side}
+            new_ids = {n.node_id.value for side in (clockwise, counter) for n in side}
+            if new_ids != old_ids:
+                self.on_membership_change(self.owner_id, new_ids - old_ids, old_ids - new_ids)
 
     def remove(self, node_id: NodeId) -> bool:
         """Drop a failed member; returns True if it was present."""
         value = node_id.value
-        if value not in self._ids:
+        clockwise = [n for n in self._clockwise if n.node_id.value != value]
+        counter = [n for n in self._counter if n.node_id.value != value]
+        if len(clockwise) == len(self._clockwise) and len(counter) == len(self._counter):
             return False
-        self._clockwise = [n for n in self._clockwise if n.node_id.value != value]
-        self._counter = [n for n in self._counter if n.node_id.value != value]
-        self._ids.discard(value)
+        self._clockwise = clockwise
+        self._counter = counter
         if self.on_membership_change is not None:
-            self.on_membership_change((), (value,))
+            self.on_membership_change(self.owner_id, (), (value,))
         return True
 
     def last_member(self) -> Optional["DhtNode"]:
@@ -99,7 +101,8 @@ class LeafSet:
         return None
 
     def contains(self, node_id: NodeId) -> bool:
-        return node_id.value in self._ids
+        value = node_id.value
+        return any(n.node_id.value == value for n in self._clockwise + self._counter)
 
     def covers(self, key: NodeId) -> bool:
         """True when ``key`` falls inside the span of the leaf set.

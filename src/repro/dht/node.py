@@ -22,6 +22,11 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 class DhtNode:
     """One peer of the consistent ring overlay."""
 
+    __slots__ = (
+        "node_id", "host", "routing_table", "leaf_set", "alive", "join_order",
+        "_on_liveness_change", "shard_store",
+    )
+
     def __init__(
         self,
         node_id: NodeId,
@@ -69,9 +74,6 @@ class DhtNode:
 
     def stored_shard_count(self) -> int:
         return len(self.shard_store)
-
-    def stored_bytes(self) -> int:
-        return sum(r.size_bytes for r in self.shard_store.values())
 
     # ------------------------------------------------------------- neighbours
 

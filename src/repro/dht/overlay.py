@@ -92,9 +92,13 @@ class Overlay:
         # O(N) cache rebuild on the crash-repair path.
         self._alive_count = 0
         # Reverse leaf-set index: id value -> the nodes currently holding
-        # that id in their leaf set (maintained via LeafSet observers).
-        # Turns per-crash repair from an O(N) scan into a dict lookup.
-        self._holders: Dict[int, Dict[DhtNode, None]] = {}
+        # that id in their leaf set (maintained via LeafSet observers), in
+        # no particular order. Turns per-crash repair from an O(N) scan
+        # into a dict lookup.
+        self._holders: Dict[int, List[DhtNode]] = {}
+        # The liveness, leaf-set and routing-table observers every adopted
+        # node gets: bound once, so the nodes share three method objects.
+        self._observers = (self._liveness_changed, self._leafset_changed, self._bump_topology)
         # Monotonic counter bumped on any membership, liveness, leaf-set,
         # or routing-table change. Route memos (e.g. Scribe's) key their
         # validity on it: unchanged topology -> cached routes are exact.
@@ -113,28 +117,15 @@ class Overlay:
             raise OverlayError("overlay must contain at least one node")
         factory = host_factory or (lambda name: self.network.add_host(name))
         for i in range(count):
-            node = DhtNode(
-                self._fresh_id(),
-                factory(f"node-{i}"),
-                leaf_set_size=self.leaf_set_size,
-                bits_per_digit=self.bits_per_digit,
-            )
-            self._adopt(node)
+            self._adopt(self._fresh_id(), factory(f"node-{i}"))
         self._wire_leaf_sets()
         self._wire_routing_tables()
         return list(self.nodes)
 
     def add_node(self, host: Optional[Host] = None) -> DhtNode:
         """Join one node after the initial build (the replacing-node path)."""
-        index = len(self.nodes)
-        node_host = host or self.network.add_host(f"node-{index}")
-        node = DhtNode(
-            self._fresh_id(),
-            node_host,
-            leaf_set_size=self.leaf_set_size,
-            bits_per_digit=self.bits_per_digit,
-        )
-        self._adopt(node)
+        node_host = host or self.network.add_host(f"node-{len(self.nodes)}")
+        node = self._adopt(self._fresh_id(), node_host)
         # Wire the newcomer fully, then refresh the ring neighbours it
         # landed between (its own leaf-set members must adopt it).
         node.leaf_set.rebuild(self._ring_pool(node))
@@ -148,20 +139,21 @@ class Overlay:
         self.sim.metrics.counter("overlay.joins").add(1)
         return node
 
-    def _adopt(self, node: DhtNode) -> None:
-        """Register a node and hook it into the overlay's caches."""
+    def _adopt(self, node_id: NodeId, host: Host) -> DhtNode:
+        """Create a node, register it and hook it into the overlay's caches."""
+        node = DhtNode(node_id, host, self.leaf_set_size, self.bits_per_digit)
         node.join_order = len(self.nodes)
         self.nodes.append(node)
         self._by_id[node.node_id] = node
-        node._on_liveness_change = self._liveness_changed
-        node.leaf_set.on_membership_change = (
-            lambda added, removed, _node=node: self._leafset_changed(_node, added, removed)
-        )
-        node.routing_table.on_change = self._bump_topology
+        (
+            node._on_liveness_change,
+            node.leaf_set.on_membership_change,
+            node.routing_table.on_change,
+        ) = self._observers
         self._index_cache = None
-        if node.alive:
-            self._alive_count += 1
+        self._alive_count += 1
         self._invalidate_alive()
+        return node
 
     def _invalidate_alive(self) -> None:
         self._alive_cache = None
@@ -175,15 +167,18 @@ class Overlay:
     def _bump_topology(self) -> None:
         self.topology_version += 1
 
-    def _leafset_changed(self, node: DhtNode, added: Iterable[int], removed: Iterable[int]) -> None:
+    def _leafset_changed(
+        self, owner_id: NodeId, added: Iterable[int], removed: Iterable[int]
+    ) -> None:
         self.topology_version += 1
+        node = self._by_id[owner_id]
         holders = self._holders
         for value in added:
-            holders.setdefault(value, {})[node] = None
+            holders.setdefault(value, []).append(node)
         for value in removed:
             bucket = holders.get(value)
-            if bucket is not None:
-                bucket.pop(node, None)
+            if bucket is not None and node in bucket:
+                bucket.remove(node)
 
     def _fresh_id(self) -> NodeId:
         while True:
@@ -200,11 +195,11 @@ class Overlay:
             # `half` nodes clockwise/counter-clockwise are the window
             # itself, nearest first, exactly what `rebuild` would sort
             # out per node. Seeding directly skips 2N sorts of the
-            # window by 128-bit ring distance.
-            for i, node in enumerate(ordered):
-                cw = [ordered[(i + off) % n] for off in range(1, half + 1)]
-                ccw = [ordered[(i - off) % n] for off in range(1, half + 1)]
-                node.leaf_set.seed(cw, ccw)
+            # window by 128-bit ring distance. The ring's ends are wrapped
+            # on, one entry more in front so no reversed slice stops at -1.
+            ring = ordered[-half - 1:] + ordered + ordered[:half]
+            for at, node in enumerate(ordered, half + 1):
+                node.leaf_set.seed(ring[at + 1 : at + 1 + half], ring[at - 1 : at - 1 - half : -1])
         else:
             # Tiny ring: window offsets overlap modulo n; let rebuild
             # resolve duplicates the way it always has.
@@ -219,10 +214,8 @@ class Overlay:
         cols = 1 << self.bits_per_digit
         max_depth = max(1, math.ceil(math.log(n, cols))) + 2
         buckets: Dict[tuple, List[DhtNode]] = {}
-        digit_cache: Dict[NodeId, tuple] = {}
-        for node in self.nodes:
-            digits = node.node_id.digits(self.bits_per_digit)
-            digit_cache[node.node_id] = digits
+        digits_of = [node.node_id.digits(self.bits_per_digit) for node in self.nodes]
+        for node, digits in zip(self.nodes, digits_of):
             for depth in range(1, max_depth + 1):
                 buckets.setdefault(digits[:depth], []).append(node)
         # Regroup the buckets per parent prefix, columns ascending, so the
@@ -242,8 +235,7 @@ class Overlay:
         # this loop consumes the identical bit stream without two call
         # layers on the ~4.5M picks a 50k build makes.
         getrandbits = self.rng.getrandbits
-        for node in self.nodes:
-            digits = digit_cache[node.node_id]
+        for node, digits in zip(self.nodes, digits_of):
             table = node.routing_table
             for row in range(max_depth):
                 own = digits[row]
@@ -336,61 +328,43 @@ class Overlay:
 
         Equivalent to ``rebuild(self._ring_pool(holder))``: when the alive
         ring is large enough that the two half-windows cannot overlap, the
-        outward walks over the sorted index already yield each side's
-        nearest-first member list, so the halves are installed directly
-        and ``rebuild``'s two distance re-sorts are skipped. Tiny rings
-        keep the sort-based path, which handles overlapping windows.
+        outward walks already yield each side's nearest-first member list,
+        so the halves are installed directly and ``rebuild``'s two distance
+        re-sorts are skipped. Tiny rings keep the sort-based path, which
+        handles overlapping windows.
         """
-        half = holder.leaf_set.half
-        if self.alive_count() - 1 < 2 * half:
+        if self.alive_count() - 1 < 2 * holder.leaf_set.half:
             holder.leaf_set.rebuild(self._ring_pool(holder))
-            return
-        values, ordered = self._sorted_index()
-        n = len(ordered)
-        position = bisect.bisect_left(values, holder.node_id.value)
-        own_value = holder.node_id.value
-        clockwise: List[DhtNode] = []
-        counter: List[DhtNode] = []
-        for direction, side in ((1, clockwise), (-1, counter)):
-            i = position
-            for _ in range(n - 1):
-                if len(side) >= half:
-                    break
-                i = (i + direction) % n
-                candidate = ordered[i]
-                if candidate.alive and candidate.node_id.value != own_value:
-                    side.append(candidate)
-        holder.leaf_set.seed(clockwise, counter)
+        else:
+            holder.leaf_set.seed(*self._ring_sides(holder))
 
-    def _ring_pool(self, owner: DhtNode) -> List[DhtNode]:
-        """A candidate pool equivalent to the full alive set for
-        ``owner.leaf_set.rebuild``: the nearest ``half`` alive nodes on
-        each side of the ring, found by walking outward from the owner's
-        position in the sorted index instead of sorting all N nodes.
-        ``rebuild`` on this pool selects exactly the members it would
-        select from :meth:`alive_nodes`."""
+    def _ring_sides(self, owner: DhtNode) -> Tuple[List[DhtNode], List[DhtNode]]:
+        """The nearest ``half`` alive nodes clockwise and counter-clockwise
+        of ``owner``, nearest first, found by walking outward from its
+        position in the sorted index instead of sorting all N nodes."""
         half = owner.leaf_set.half
         values, ordered = self._sorted_index()
         n = len(ordered)
         position = bisect.bisect_left(values, owner.node_id.value)
-        pool: List[DhtNode] = []
-        seen = {owner.node_id.value}
-        for direction in (1, -1):
-            found = 0
+        sides: Tuple[List[DhtNode], List[DhtNode]] = ([], [])
+        for direction, side in zip((1, -1), sides):
             i = position
-            for _ in range(n - 1):
-                if found >= half:
+            for _ in range(n - 1):  # every other node at most once, never the owner
+                if len(side) >= half:
                     break
                 i = (i + direction) % n
-                candidate = ordered[i]
-                if not candidate.alive:
-                    continue
-                value = candidate.node_id.value
-                if value not in seen:
-                    seen.add(value)
-                    pool.append(candidate)
-                found += 1
-        return pool
+                if ordered[i].alive:
+                    side.append(ordered[i])
+        return sides
+
+    def _ring_pool(self, owner: DhtNode) -> List[DhtNode]:
+        """A candidate pool equivalent to the full alive set for
+        ``owner.leaf_set.rebuild``: both of :meth:`_ring_sides`, a node the
+        two walks of a small ring both reached listed once. ``rebuild`` on
+        this pool selects exactly the members it would select from
+        :meth:`alive_nodes`."""
+        clockwise, counter = self._ring_sides(owner)
+        return clockwise + [n for n in counter if n not in clockwise]
 
     # ---------------------------------------------------------------- routing
 

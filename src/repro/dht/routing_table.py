@@ -19,14 +19,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class RoutingTable:
     """The routing table owned by a single DHT node."""
 
+    __slots__ = ("owner_id", "bits_per_digit", "_rows", "on_change")
+
     def __init__(self, owner_id: NodeId, bits_per_digit: int = 4) -> None:
         if ID_BITS % bits_per_digit:
             raise ValueError("bits_per_digit must divide 128")
         self.owner_id = owner_id
         self.bits_per_digit = bits_per_digit
-        self.num_rows = ID_BITS // bits_per_digit
-        self.num_cols = 1 << bits_per_digit
-        self._owner_digits = owner_id.digits(bits_per_digit)
         self._rows: Dict[int, Dict[int, "DhtNode"]] = {}
         # Observer fired on add/remove; the overlay uses it to version the
         # topology so route memos (Scribe) invalidate on any change.

@@ -18,6 +18,8 @@ round-trips to a JSON-friendly dict for experiment artifacts.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -61,46 +63,50 @@ class Counter:
 
 
 class TimeSeries:
-    """Append-only (time, value) series; points must arrive in time order."""
+    """Append-only (time, value) series; points must arrive in time order.
+
+    A series is float64: its points are one flat ``array('d')`` of
+    ``time, value`` pairs, so an ``int`` a caller records reads back as the
+    equal ``float``.
+    """
+
+    __slots__ = ("name", "_flat")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._points: List[Tuple[float, float]] = []
+        self._flat = array("d")
 
     def record(self, time: float, value: float) -> None:
-        if self._points and time < self._points[-1][0]:
+        flat = self._flat
+        if flat and time < flat[-2]:
             raise ValueError("time series points must be appended in order")
-        self._points.append((time, value))
+        flat.fromlist([time, value])  # both or, on a type error, neither
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._flat) // 2
 
     @property
     def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
+        flat = iter(self._flat)
+        return list(zip(flat, flat))
 
     def values(self) -> List[float]:
-        return [v for _, v in self._points]
+        return self._flat[1::2].tolist()
 
     def times(self) -> List[float]:
-        return [t for t, _ in self._points]
+        return self._flat[::2].tolist()
 
     def last(self) -> Tuple[float, float]:
-        if not self._points:
+        if not self._flat:
             raise ValueError(f"time series {self.name} is empty")
-        return self._points[-1]
+        return self._flat[-2], self._flat[-1]
 
     def value_at(self, time: float) -> float:
         """Step-function lookup: last value at or before ``time``."""
-        best = None
-        for t, v in self._points:
-            if t <= time:
-                best = v
-            else:
-                break
-        if best is None:
+        index = bisect_right(self._flat[::2], time)
+        if not index or not self._flat[2 * index - 2] <= time:  # a NaN time is after nothing
             raise ValueError(f"no point at or before t={time} in {self.name}")
-        return best
+        return self._flat[2 * index - 1]
 
 
 class Gauge:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError
-from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryResult
+from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryResult, replacement_died
 from repro.recovery.save import SaveHandle, SaveResult
 from repro.sim.network import RemoteStorage
 from repro.state.placement import PlacementPlan
@@ -132,7 +132,9 @@ class CheckpointingBaseline:
 
         Pipeline: detection -> standby coordination -> checkpoint fetch
         from storage (chunked flow) -> serial replay of buffered records
-        from ``upstream`` racing with replay CPU on the replacement.
+        from ``upstream`` racing with replay CPU on the replacement. A
+        replacement or upstream that is dead when the replay starts, or a
+        replay flow that aborts, fails the handle with a ``RecoveryError``.
         """
         sim = self.ctx.sim
         cfg = self.config
@@ -169,10 +171,26 @@ class CheckpointingBaseline:
             progress["bytes"] += state_bytes
             sim.schedule(fetch_time, start_replay)
 
+        def fail() -> None:
+            error = (
+                RecoveryError(
+                    f"state {state_name!r}: replay from upstream node {upstream.name} "
+                    f"was lost during {self.name} recovery"
+                )
+                if replacement.alive
+                else replacement_died(self.name, state_name, replacement)
+            )
+            root_span.finish(aborted=True, error=str(error))
+            sim.metrics.counter("recovery.failed").add(1, label=self.name)
+            handle._fail(error)
+
         def start_replay() -> None:
             replay_bytes = state_bytes * cfg.replay_factor
             if replay_bytes <= 0:
                 finish()
+                return
+            if not (upstream.alive and replacement.alive):
+                fail()
                 return
             replay_span = root_span.child(
                 "replay", category="recovery.replay", bytes=replay_bytes
@@ -197,6 +215,10 @@ class CheckpointingBaseline:
                     replay_span.finish()
                     finish()
 
+            def flow_aborted(_flow) -> None:
+                replay_span.finish(aborted=True)
+                fail()
+
             def cpu_done() -> None:
                 done["cpu"] = True
                 if done["flow"]:
@@ -208,6 +230,7 @@ class CheckpointingBaseline:
                 replacement.host,
                 replay_bytes,
                 on_complete=flow_done,
+                on_abort=flow_aborted,
                 parent_span=replay_span,
             )
             sim.schedule(replay_cpu, cpu_done)

@@ -8,18 +8,8 @@ produce the same time series the paper plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
-
-
-@dataclass(frozen=True)
-class _Interval:
-    start: float
-    end: float
-    amount: float
-
-    def overlaps(self, t: float) -> bool:
-        return self.start <= t < self.end
+from array import array
+from typing import Iterator, List, Sequence, Tuple
 
 
 class ResourceProfile:
@@ -29,7 +19,13 @@ class ResourceProfile:
     overlapping intervals add up (and are clamped at 1.0 when sampled, as a
     core cannot be more than fully busy). Memory is recorded in bytes over
     an interval; overlapping intervals add up on top of ``baseline_memory``.
+
+    Each resource is one flat float64 array of ``start, end, amount``
+    triples in the order they were recorded, which is the order they are
+    summed in.
     """
+
+    __slots__ = ("name", "baseline_cpu", "baseline_memory", "_cpu", "_memory")
 
     def __init__(self, name: str, baseline_cpu: float = 0.0, baseline_memory: float = 0.0) -> None:
         if not 0.0 <= baseline_cpu <= 1.0:
@@ -39,36 +35,24 @@ class ResourceProfile:
         self.name = name
         self.baseline_cpu = baseline_cpu
         self.baseline_memory = baseline_memory
-        self._cpu: List[_Interval] = []
-        self._memory: List[_Interval] = []
+        self._cpu = array("d")
+        self._memory = array("d")
 
     def add_cpu(self, start: float, end: float, utilization: float) -> None:
         """Record CPU busy time: ``utilization`` of one core over [start, end)."""
-        self._check_interval(start, end)
-        if utilization < 0:
-            raise ValueError("utilization must be non-negative")
-        self._cpu.append(_Interval(start, end, utilization))
+        self._cpu.fromlist(_interval(start, end, utilization, "utilization"))
 
     def add_memory(self, start: float, end: float, nbytes: float) -> None:
         """Record ``nbytes`` of extra resident memory over [start, end)."""
-        self._check_interval(start, end)
-        if nbytes < 0:
-            raise ValueError("memory must be non-negative")
-        self._memory.append(_Interval(start, end, nbytes))
-
-    @staticmethod
-    def _check_interval(start: float, end: float) -> None:
-        if end < start:
-            raise ValueError(f"interval ends before it starts: [{start}, {end})")
+        self._memory.fromlist(_interval(start, end, nbytes, "memory"))
 
     def cpu_at(self, t: float) -> float:
         """Total CPU utilization fraction at instant ``t``, clamped to 1.0."""
-        total = self.baseline_cpu + sum(i.amount for i in self._cpu if i.overlaps(t))
-        return min(1.0, total)
+        return min(1.0, self.baseline_cpu + _amount_at(self._cpu, t))
 
     def memory_at(self, t: float) -> float:
         """Resident memory in bytes at instant ``t``."""
-        return self.baseline_memory + sum(i.amount for i in self._memory if i.overlaps(t))
+        return self.baseline_memory + _amount_at(self._memory, t)
 
     def cpu_series(self, times: Sequence[float]) -> List[float]:
         """CPU utilization sampled at each time point (fractions in [0, 1])."""
@@ -80,12 +64,30 @@ class ResourceProfile:
 
     def cpu_seconds(self) -> float:
         """Integral of recorded (non-baseline) CPU usage — total core-seconds."""
-        return sum(i.amount * (i.end - i.start) for i in self._cpu)
+        return sum(amount * (end - start) for start, end, amount in _triples(self._cpu))
 
     def peak_memory(self, times: Sequence[float]) -> float:
         """Peak sampled memory over the given grid."""
         series = self.memory_series(times)
         return max(series) if series else self.baseline_memory
+
+
+def _interval(start: float, end: float, amount: float, what: str) -> List[float]:
+    if end < start:
+        raise ValueError(f"interval ends before it starts: [{start}, {end})")
+    if amount < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return [start, end, amount]
+
+
+def _triples(intervals: array) -> Iterator[Tuple[float, float, float]]:
+    flat = iter(intervals)
+    return zip(flat, flat, flat)
+
+
+def _amount_at(intervals: array, t: float) -> float:
+    """Sum of the amounts whose half-open interval contains ``t``."""
+    return sum(amount for start, end, amount in _triples(intervals) if start <= t < end)
 
 
 def sample_grid(start: float, end: float, step: float) -> List[float]:

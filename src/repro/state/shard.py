@@ -298,14 +298,10 @@ class ShardReplica:
         self.shard = shard
         self.replica_index = replica_index
         self.num_replicas = num_replicas
-
-    @property
-    def key(self) -> ReplicaKey:
-        return ReplicaKey(
-            self.shard.state_name,
-            self.shard.index,
-            self.replica_index,
-            link=self.shard.chain_link,
+        # Built once: every field it reads is assigned once, and placement
+        # and recovery look replicas up by key on every provider scan.
+        self.key = ReplicaKey(
+            shard.state_name, shard.index, replica_index, link=shard.chain_link
         )
 
     @property

@@ -27,11 +27,17 @@ class NodeId:
     helpers for ring distance and prefix comparison used by Pastry routing.
     """
 
+    __slots__ = ("value",)
+
     value: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.value < ID_SPACE:
             raise ValueError(f"NodeId out of range: {self.value!r}")
+
+    def __reduce__(self) -> tuple:
+        # Frozen and slotted: the default slot-state restore calls setattr.
+        return NodeId, (self.value,)
 
     def __int__(self) -> int:
         return self.value
@@ -57,28 +63,16 @@ class NodeId:
         return f"{self.value:032x}"
 
     def digits(self, bits_per_digit: int = 4) -> tuple:
-        """The id split into base-``2**bits_per_digit`` digits, MSB first.
-
-        Memoized per ``bits_per_digit``: routing-table wiring touches the
-        digit tuple of every node many times per overlay build.
-        """
-        cache = self.__dict__.get("_digits_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_digits_cache", cache)
-        found = cache.get(bits_per_digit)
-        if found is None:
-            if ID_BITS % bits_per_digit:
-                raise ValueError("bits_per_digit must divide 128")
-            count = ID_BITS // bits_per_digit
-            mask = (1 << bits_per_digit) - 1
-            value = self.value
-            found = tuple(
-                (value >> (bits_per_digit * (count - 1 - i))) & mask
-                for i in range(count)
-            )
-            cache[bits_per_digit] = found
-        return found
+        """The id split into base-``2**bits_per_digit`` digits, MSB first."""
+        if ID_BITS % bits_per_digit:
+            raise ValueError("bits_per_digit must divide 128")
+        count = ID_BITS // bits_per_digit
+        mask = (1 << bits_per_digit) - 1
+        value = self.value
+        return tuple(
+            (value >> (bits_per_digit * (count - 1 - i))) & mask
+            for i in range(count)
+        )
 
     def digit(self, index: int, bits_per_digit: int = 4) -> int:
         """The ``index``-th (MSB-first) base-``2**b`` digit, without

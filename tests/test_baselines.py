@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import InsufficientShardsError, RecoveryError
+from repro.obs.tracer import Tracer
 from repro.recovery.baselines.checkpointing import CheckpointConfig, CheckpointingBaseline
 from repro.recovery.baselines.fp4s import Fp4sBaseline, Fp4sConfig
 from repro.recovery.baselines.lineage import LineageBaseline, LineageConfig
@@ -80,6 +81,35 @@ class TestCheckpointing:
         handle = cp.recover(w2.overlay.nodes[1], w2.overlay.nodes[2], 64 * MB)
         cp_time = run_handles(w2.sim, [handle])[0].duration
         assert star_time < cp_time
+
+    @pytest.mark.parametrize("victim", ["upstream", "replacement"])
+    @pytest.mark.parametrize("when", ["before the replay", "mid-replay"])
+    def test_lost_replay_fails_the_handle(self, world_factory, monkeypatch, victim, when):
+        """A dead end of the replay used to raise ``NetworkError`` out of
+        ``sim.run()`` (dead at the start) or leave the handle pending for
+        ever (dying mid-flow); both are a failed handle now."""
+        monkeypatch.setattr("repro.sim.kernel.default_tracer", lambda: Tracer("test"))
+        w = world_factory(link_mbit=100)
+        cp = CheckpointingBaseline(w.ctx, w.storage)
+        upstream, replacement = w.overlay.nodes[1], w.overlay.nodes[2]
+        handle = cp.recover(upstream, replacement, 8 * MB, state_name="s")
+        if when == "mid-replay":
+            w.sim.run(until=w.ctx.cost_model.detection_delay + cp.config.recover_coordination
+                      + 8 * MB / cp.config.storage_rate + 0.5)
+            assert w.network.in_flight_flows() == 1 and not handle.done
+        w.overlay.fail_node(upstream if victim == "upstream" else replacement)
+        w.sim.run_until_idle()
+        assert handle.done and w.network.in_flight_flows() == 0
+        expected = "upstream node node-1 was lost" if victim == "upstream" else (
+            "replacement node node-2 died during checkpointing"
+        )
+        with pytest.raises(RecoveryError, match=expected):
+            handle.result
+        (root,) = w.sim.tracer.find("baseline/checkpoint-recover")
+        assert root.end is not None and root.attrs["aborted"] is True
+        assert all(span.end is not None for span in w.sim.tracer.spans)
+        assert w.sim.metrics.counter("recovery.failed").get("checkpointing") == 1
+        assert w.sim.metrics.counter("recovery.completed").total == 0
 
 
 class TestReplication:

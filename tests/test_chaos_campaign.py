@@ -1,5 +1,6 @@
 """Tests for the chaos campaign runner and resilience report."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.chaos import (
     ResilienceReport,
     Scenario,
     ScenarioOutcome,
+    campaign_scenarios,
     make_mechanism,
     run_campaign,
     run_scenario,
@@ -57,6 +59,16 @@ class TestRunScenario:
         assert outcome.status == "survived"
         assert outcome.recovered == 1
 
+    @pytest.mark.parametrize("seed", [34, 52, 72])
+    def test_crash_wave_under_checkpointing_classifies(self, seed):
+        """The wave kills an end of the baseline's replay on these seeds;
+        a bare ``NetworkError`` used to escape ``sim.run()`` (ROADMAP item 2)."""
+        crash_wave = next(s for s in campaign_scenarios("full") if s.name == "crash-wave")
+        outcome = run_scenario(crash_wave.with_seed(seed), "checkpointing")
+        assert outcome.status in ("degraded", "failed")
+        for error in outcome.errors:
+            assert "was lost during checkpointing recovery" in error
+
     @pytest.mark.parametrize("mechanism", SR3_MECHANISMS)
     def test_recrash_restarts_every_mechanism(self, mechanism):
         # The acceptance scenario: the replacement dies mid-recovery, the
@@ -88,6 +100,13 @@ class TestRunCampaign:
         first = run_campaign(scenarios=[SMALL_CRASH]).to_json()
         second = run_campaign(scenarios=[SMALL_CRASH]).to_json()
         assert first == second
+
+    def test_smoke_campaign_report_digest_is_pinned(self):
+        """Taken on the commit before replica keys were built once per
+        replica and the world state was compacted; neither may move a byte
+        of what a campaign reports."""
+        digest = hashlib.sha256(run_campaign("smoke").to_json().encode()).hexdigest()
+        assert digest == "f9f99708d4d6e91a6c021a9727086c9b072d5d13a92eb866b5420645bff4ed27"
 
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SimulationError, match="unknown campaign"):

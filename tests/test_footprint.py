@@ -1,0 +1,69 @@
+"""What a node of the world costs: the budget the large cells are planned on.
+
+A 1,000-node ``Overlay.build`` on default hosts is measured twice: the
+GC-tracked objects it leaves alive (the collector's work on every full pass
+grows with them) and the bytes ``tracemalloc`` attributes to it. The commit
+before the world state was compacted read 22.3 objects and 7,771 bytes a
+node; this one reads 14.3 and 3,747 on CPython 3.11. The limits sit about a
+tenth above, so a structure stored twice again, or a per-node closure, fails
+here before it shows in ``peak_rss_mb``.
+"""
+
+import gc
+import platform
+import random
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.dht.overlay import Overlay
+from repro.sim.kernel import Simulator
+from repro.sim.network import Network
+
+NODES = 1_000
+# Measured 14.3. Interpreters before 3.11 also give every Host a __dict__
+# (15.3), which the limit leaves room for.
+MAX_TRACKED_OBJECTS_PER_NODE = 16.0
+MAX_TRACED_BYTES_PER_NODE = 4_150  # measured 3,747
+
+
+def build_world():
+    sim = Simulator()
+    network = Network(sim)
+    overlay = Overlay(sim, network, rng=random.Random(0))
+    overlay.build(NODES)
+    return sim, network, overlay
+
+
+def test_tracked_objects_per_node():
+    build_world()  # whatever the first build leaves in module-level caches
+    gc.collect()
+    before = len(gc.get_objects())
+    world = build_world()
+    gc.collect()  # a full pass also untracks the tuples and dicts that hold no container
+    per_node = (len(gc.get_objects()) - before) / NODES
+    assert len(world[2].nodes) == NODES
+    assert per_node <= MAX_TRACKED_OBJECTS_PER_NODE, f"{per_node:.1f} tracked objects a node"
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="object sizes are those of CPython 3.11",
+)
+def test_traced_bytes_per_node():
+    build_world()
+    gc.collect()
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world = build_world()
+        gc.collect()
+        per_node = (tracemalloc.get_traced_memory()[0] - before) / NODES
+    finally:
+        if started_here:
+            tracemalloc.stop()
+    assert len(world[2].nodes) == NODES
+    assert per_node <= MAX_TRACED_BYTES_PER_NODE, f"{per_node:.0f} traced bytes a node"

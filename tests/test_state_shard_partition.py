@@ -142,6 +142,26 @@ class TestReplicas:
         assert replica.key == ReplicaKey("s", 2, 1)
         assert replica.size_bytes == 10
 
+    def test_replica_key_is_built_once_and_finds_the_stored_replica(self):
+        from repro.dht.node import DhtNode
+        from repro.sim.kernel import Simulator
+        from repro.sim.network import Network
+        from repro.state.shard import DeltaShard
+        from repro.util.ids import NodeId
+
+        node = DhtNode(NodeId(7), Network(Simulator()).add_host("n"))
+        base = Shard.synthetic_shard("s", 2, 4, V1, 10)
+        delta = DeltaShard.synthetic_delta("s", 2, 4, StateVersion(2.0, 2), V1, 3, 10)
+        for shard, link, text in ((base, 0, "s/s2.r1"), (delta, 3, "s/s2.r1.d3")):
+            replica = ShardReplica(shard, 1, 2)
+            fresh = ReplicaKey("s", 2, 1, link)
+            assert replica.key is replica.key
+            assert replica.key == fresh and hash(replica.key) == hash(fresh)
+            assert repr(replica.key) == text and text in repr(replica)
+            node.store_shard(replica.key, replica)
+            assert node.get_shard(fresh) is replica
+        assert node.stored_shard_count() == 2 and node.drop_shard(ReplicaKey("s", 2, 1))
+
     def test_replica_index_bounds(self):
         shard = Shard.synthetic_shard("s", 0, 1, V1, 10)
         with pytest.raises(ShardError):

@@ -49,9 +49,20 @@ class TestNodeIdBasics:
         assert five == NodeId(5) and not five != NodeId(5)
         assert five != NodeId(6) and five != 5 and five != "5"
         assert hash(five) == hash(NodeId(5))
-        five.digits()  # the memoized digits live on the instance, not in its identity
+        five.digits()  # an id stores its value only; nothing digits() does touches its identity
         assert five == NodeId(5) and hash(five) == hash(NodeId(5))
         assert NodeId(5) in {five} and {five: "x"}[NodeId(5)] == "x"
+
+    def test_slotted_frozen_id_still_copies_and_pickles(self):
+        import copy
+        import pickle
+
+        five = NodeId(5)
+        assert not hasattr(five, "__dict__")
+        for clone in (copy.copy(five), copy.deepcopy(five), pickle.loads(pickle.dumps(five))):
+            assert clone == five and clone.digits() == five.digits()
+        with pytest.raises(AttributeError):  # FrozenInstanceError is one
+            five.value = 6
 
     @given(ids, ids)
     def test_total_ordering_follows_value(self, a, b):
