@@ -4,7 +4,7 @@ A 1,000-node ``Overlay.build`` on default hosts is measured twice: the
 GC-tracked objects it leaves alive (the collector's work on every full pass
 grows with them) and the bytes ``tracemalloc`` attributes to it. The commit
 before the world state was compacted read 22.3 objects and 7,771 bytes a
-node; this one reads 14.3 and 3,747 on CPython 3.11. The limits sit about a
+node; this one reads 14.3 and 3,363 on CPython 3.11. The limits sit about a
 tenth above, so a structure stored twice again, or a per-node closure, fails
 here before it shows in ``peak_rss_mb``.
 """
@@ -25,7 +25,7 @@ NODES = 1_000
 # Measured 14.3. Interpreters before 3.11 also give every Host a __dict__
 # (15.3), which the limit leaves room for.
 MAX_TRACKED_OBJECTS_PER_NODE = 16.0
-MAX_TRACED_BYTES_PER_NODE = 4_150  # measured 3,747
+MAX_TRACED_BYTES_PER_NODE = 3_700  # measured 3,363
 
 
 def build_world():
