@@ -519,19 +519,18 @@ def run_scenario(
     invariants hold.
     """
     # Chaos runs always trace: the blame breakdown of each cell needs the
-    # span forest. Without an explicit trace_name the tracer stays local to
-    # this run — unless process-wide collection is on (the CLI's --trace
-    # flag), in which case the cell joins the collector so campaign and
-    # control runs produce the same trace artifacts experiments do.
+    # span forest of its recoveries. With process-wide collection on (the
+    # CLI's --trace flag) the cell joins the collector from the build on, so
+    # campaign and control runs produce the same trace artifacts experiments
+    # do. Otherwise nobody can read the save spans, and a private tracer is
+    # attached just before the fault timeline runs.
     if trace_name is None and tracing_enabled():
         trace_name = f"{scenario.name}/{mechanism}"
-    tracer = Tracer(f"{scenario.name}/{mechanism}") if trace_name is None else None
     deployment = build_deployment(
         num_nodes=scenario.num_nodes,
         seed=scenario.seed,
         uplink_mbit=scenario.uplink_mbit or None,
         downlink_mbit=scenario.uplink_mbit or None,
-        tracer=tracer,
         trace_name=trace_name,
     )
     engine = ChaosEngine(deployment, scenario, mechanism)
@@ -546,6 +545,8 @@ def run_scenario(
             pre_state=engine.pre_state,
             mechanism=mechanism,
         )
+    if trace_name is None:
+        engine.sim.attach_tracer(Tracer(f"{scenario.name}/{mechanism}"))
     engine.run()
     if ctl is not None:
         ctl.sweep()

@@ -87,7 +87,11 @@ class TimeSeries:
 
     @property
     def points(self) -> List[Tuple[float, float]]:
-        flat = iter(self._flat)
+        return self.points_from(0)
+
+    def points_from(self, index: int) -> List[Tuple[float, float]]:
+        """The points from position ``index`` on: the tail a cursor has not seen."""
+        flat = iter(self._flat[2 * index :])
         return list(zip(flat, flat))
 
     def values(self) -> List[float]:
@@ -231,6 +235,7 @@ class MetricsRegistry:
         self._series: Dict[str, TimeSeries] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._collectors: List[Callable[[], Dict[str, float]]] = []
         self._clock: Optional[Callable[[], float]] = None
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -258,6 +263,22 @@ class MetricsRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name, clock=self._clock)
         return self._histograms[name]
+
+    def add_collector(self, collect: Callable[[], Dict[str, float]]) -> None:
+        """Register a source of live readings, computed only when sampled.
+
+        ``collect()`` returns ``{series name: value}`` for what is active at
+        the call; a name it leaves out reads 0.0. Nothing is stored, so a
+        run nobody samples pays nothing and :meth:`dump` never holds it.
+        """
+        self._collectors.append(collect)
+
+    def collect(self) -> Dict[str, float]:
+        """The current readings of every registered collector."""
+        readings: Dict[str, float] = {}
+        for collect in self._collectors:
+            readings.update(collect())
+        return readings
 
     def counters(self) -> Dict[str, Counter]:
         return dict(self._counters)

@@ -17,6 +17,10 @@ derives series from them —
 - every gauge becomes a sampled level series (same name);
 - every registry :class:`~repro.obs.registry.TimeSeries` is mirrored
   point-for-point (cursor-copied, so nothing is scanned twice);
+- every reading of the registry's collectors (the network's per-host
+  ``net.host.<name>.{up_util,down_util,flows}``) is read live and appended
+  when it moved; a name read at the last tick and absent now gets its drop
+  to 0.0. Their owner stores nothing: they exist only where sampled;
 - every histogram that opted into timestamped observations
   (:meth:`~repro.obs.registry.Histogram.keep_observations`) yields
   windowed percentile series (``<name>.p50``, ``<name>.p99``, ...);
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.util.stats import percentile
@@ -185,6 +189,7 @@ class TelemetryPipeline:
         self._buffers: Dict[str, SeriesBuffer] = {}
         self._counter_totals: Dict[str, float] = {}
         self._series_cursors: Dict[str, int] = {}
+        self._live: Set[str] = set()  # collector names read at the last tick
         self._last_sample: Optional[float] = None
         self._running = False
         self.samples = 0
@@ -246,12 +251,20 @@ class TelemetryPipeline:
             self._ensure(name, "gauge").append(now, gauges[name].value)
         all_series = registry.all_series()
         for name in sorted(all_series):
-            points = all_series[name].points
-            cursor = self._series_cursors.get(name, 0)
+            series = all_series[name]
             buf = self._ensure(name, "series")
-            for t, v in points[cursor:]:
+            for t, v in series.points_from(self._series_cursors.get(name, 0)):
                 buf.append(t, v)
-            self._series_cursors[name] = len(points)
+            self._series_cursors[name] = len(series)
+        live = registry.collect()
+        readings = dict.fromkeys(self._live - live.keys(), 0.0)  # idle since last tick
+        readings.update(live)
+        self._live = set(live)
+        for name in sorted(readings):
+            buf = self._ensure(name, "series")
+            last = buf.last()
+            if last is None or last[1] != readings[name]:
+                buf.append(now, readings[name])
         histograms = registry.histograms()
         for name in sorted(histograms):
             histogram = histograms[name]

@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError, StateError
+from repro.obs.tracer import NULL_SPAN
 from repro.recovery.model import RecoveryContext
 from repro.state.placement import PlacementPlan
 from repro.state.shard import Shard, ShardReplica
@@ -186,12 +187,14 @@ def sr3_save(
     def write_one(placed, then: Optional[Callable[[], None]]) -> None:
         replica: ShardReplica = placed.replica
         target = placed.node
-        write_span = root_span.child(
-            f"write {replica.key} to {target.name}",
-            category="recovery.write",
-            bytes=float(replica.size_bytes),
-            target=target.name,
-        )
+        write_span = NULL_SPAN
+        if tracer.enabled:  # the null tracer costs no span name or attrs
+            write_span = root_span.child(
+                f"write {replica.key} to {target.name}",
+                category="recovery.write",
+                bytes=float(replica.size_bytes),
+                target=target.name,
+            )
 
         def arrived(_flow) -> None:
             target.store_shard(replica.key, replica)

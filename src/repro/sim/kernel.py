@@ -80,14 +80,14 @@ class Simulator:
         # Observability: the tracer defaults to the process-wide setting
         # (a no-op unless tracing was enabled), the metrics registry is
         # always real — counters are cheap and every layer shares this one.
-        self.tracer = tracer if tracer is not None else default_tracer()
-        self.tracer.bind_clock(lambda: self._now)
+        self.attach_tracer(tracer if tracer is not None else default_tracer())
         self.metrics = metrics if metrics is not None else default_registry("sim")
         self.metrics.bind_clock(lambda: self._now)
-        # Opt-in firehose: emit one instant trace event per executed
-        # callback. Off by default even with tracing on — event volume
-        # dwarfs the spans the components themselves emit.
-        self.trace_events = False
+
+    def attach_tracer(self, tracer) -> None:
+        """Make ``tracer`` the one every layer reads from here on, on this clock."""
+        self.tracer = tracer
+        tracer.bind_clock(lambda: self._now)
 
     @property
     def now(self) -> float:
@@ -162,7 +162,6 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        trace_events = self.trace_events and self.tracer.enabled
         heappop = heapq.heappop
         try:
             executed = 0
@@ -200,11 +199,6 @@ class Simulator:
                 self._live -= 1
                 if time > self._now:
                     self._now = time
-                if trace_events:
-                    self.tracer.instant(
-                        getattr(event.callback, "__name__", "callback"),
-                        category="sim.event",
-                    )
                 event.callback(*event.args)
                 self._processed += 1
                 executed += 1

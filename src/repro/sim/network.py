@@ -19,11 +19,14 @@ Paper-scale fast paths (none may change a simulated result):
   which is bit-identical because each component's allocation is an
   independent subproblem (the equivalence tests compare serialized output
   against a network that re-solves every flow on every reallocation).
-* **Change-driven telemetry.** A host's utilization/flow-count sample can
-  only differ from the last one recorded if a flow joined or left the
-  host, its capacity changed, or one of its flows was re-rated. Exactly
-  those hosts are re-sampled after a reallocation; the solvers report a
-  flow only when its new rate ``!=`` its old one.
+* **Sampled link telemetry.** The network stores no per-host series: it
+  registers :meth:`Network.link_readings` (utilization and flow count of
+  every host carrying a flow, under the allocation in force) as a collector
+  on the registry. A :class:`~repro.obs.timeseries.TelemetryPipeline` reads
+  it at its own ticks, appends a value that moved and writes the drop to
+  0.0 for a host it saw busy last tick. Without a pipeline none of it is
+  computed, and ``registry.dump()`` holds only what was recorded:
+  ``net.flows_active``, one point per reallocation.
 * **Event coalescing.** Mutations don't reallocate inline; they settle
   byte progress and schedule one zero-delay *settle event*, so N
   same-instant admissions/aborts trigger one recompute instead of N.
@@ -62,7 +65,6 @@ from repro.sim.kernel import Event, Simulator
 _EPSILON_BYTES = 1e-6
 _INF = math.inf
 _BY_SEQ = attrgetter("seq")  # admission order: the deterministic iteration order
-_BY_NAME = attrgetter("name")
 
 
 class Link:
@@ -141,10 +143,6 @@ class Host:
         self.control_bytes_received = 0.0
         self.up_link = Link()
         self.down_link = Link()
-        # Telemetry sample state, created at the first sample: the
-        # up_util / down_util / flows series, then the last value recorded
-        # on each. A point is appended only when the value moved.
-        self._telemetry: Optional[list] = None
 
     bytes_sent = _byte_counter("_bytes_sent", "h_sent")
     bytes_received = _byte_counter("_bytes_received", "h_recv")
@@ -291,17 +289,12 @@ class Network:
         self._flows_completed_counter = sim.metrics.counter("net.flows_completed")
         self._flows_aborted_counter = sim.metrics.counter("net.flows_aborted")
         self._control_dropped_counter = sim.metrics.counter("net.control_dropped")
-        # Telemetry timelines: the per-link evidence behind blame
-        # attribution. Every max-min reallocation appends a point to the
-        # utilization/flow-count series of each host it changed, so the
-        # profiler can answer "was the bottleneck the provider's uplink or
-        # the replacement's downlink" post hoc.
         self._flows_active_series = sim.metrics.series("net.flows_active")
         self._queue_wait_hist = sim.metrics.histogram("net.flow_queue_wait")
         self._flow_stall_hist = sim.metrics.histogram("net.flow_stall_s")
-        # Hosts to re-sample after the next reallocation: a flow joined or
-        # left, the capacity changed, or a solver re-rated one of its flows.
-        self._telemetry_dirty: Set[Host] = set()
+        # Per-link evidence ("was the bottleneck the provider's uplink or
+        # the replacement's downlink") is read live by whoever samples.
+        sim.metrics.add_collector(self.link_readings)
 
     def in_flight_flows(self) -> int:
         """Number of admitted flows still moving bytes (audit hook)."""
@@ -401,7 +394,6 @@ class Network:
         if host.up_link.flows or host.down_link.flows:
             self._dirty_links.add(host.up_link)
             self._dirty_links.add(host.down_link)
-            self._telemetry_dirty.add(host)
         self._request_recompute()
 
     def degraded_hosts(self, fraction: float = 0.5) -> List[Tuple[Host, float]]:
@@ -559,8 +551,7 @@ class Network:
         if flow in self._flows:
             if self._vec is not None:
                 self._vec.demand[self._vec.pos_of(flow)] = demand
-            self._dirty_links.add(flow.up_link)
-            self._dirty_links.add(flow.down_link)
+            self._touch(flow)
             self._request_recompute()
 
     def close_app_flow(self, flow: Flow) -> None:
@@ -706,11 +697,9 @@ class Network:
         vec.detach()
 
     def _touch(self, flow: Flow) -> None:
-        """A flow joined or left: re-solve its links, re-sample its hosts."""
+        """A flow joined, left or changed its demand: re-solve its links."""
         self._dirty_links.add(flow.up_link)
         self._dirty_links.add(flow.down_link)
-        self._telemetry_dirty.add(flow.src)
-        self._telemetry_dirty.add(flow.dst)
 
     def _unlink(self, flow: Flow) -> None:
         self._flows.discard(flow)
@@ -784,7 +773,7 @@ class Network:
         if not self._flows:
             dirty.clear()
             self._inf_rates = False
-            self._record_telemetry()
+            self._flows_active_series.record(self.sim.now, 0.0)
             return
 
         if dirty:
@@ -793,7 +782,7 @@ class Network:
             if 2 * len(component) >= len(self._order_cache):
                 # Most flows are affected anyway — the restricted solve
                 # would walk the same links as the full one.
-                self._solve_full()
+                self._rerate(self._order_cache, full=True)
             elif component:
                 self._solve_component(sorted(component, key=_BY_SEQ))
         # else: nothing touching the link graph changed (e.g. an abort of
@@ -823,11 +812,7 @@ class Network:
         if next_completion != _INF:
             delay = max(0.0, next_completion - now)
             self._completion_event = self.sim.schedule(delay, self._on_completion_tick)
-        self._record_telemetry()
-
-    def _solve_full(self) -> None:
-        """Re-rate every live flow (full solve), scalar or vectorized."""
-        self._rerate(self._order_cache, full=True)
+        self._flows_active_series.record(now, float(len(self._flows)))
 
     def _solve_component(self, affected: List[Flow]) -> None:
         """Re-rate one dirty component (admission-ordered ``affected``)."""
@@ -836,9 +821,8 @@ class Network:
     def _rerate(self, flows: List[Flow], full: bool) -> None:
         """Water-fill ``flows`` and apply the rates that actually moved.
 
-        Object rates stay synced with the table (telemetry and external
-        readers consume ``Flow.rate`` in either mode); only the endpoints
-        of a re-rated flow need a fresh telemetry sample.
+        Object rates stay synced with the table: link readings and
+        external readers consume ``Flow.rate`` in either mode.
         """
         vec = self._vec
         if vec is not None and len(flows) >= flowvec.WATERFILL_MIN:
@@ -851,11 +835,8 @@ class Network:
             rates = [solved[flow] for flow in moved]
             if vec is not None and moved:
                 vec.set_rates(moved, rates)
-        resample = self._telemetry_dirty
         for flow, rate in zip(moved, rates):
             flow.rate = rate
-            resample.add(flow.src)
-            resample.add(flow.dst)
 
     def _dirty_component(self) -> Set[Flow]:
         """Flows connected to a dirty link through shared constraints."""
@@ -971,42 +952,25 @@ class Network:
             link.members = None
         return rates
 
-    def _record_telemetry(self) -> None:
-        """Sample link utilization and flow counts of the hosts that changed.
+    def link_readings(self) -> Dict[str, float]:
+        """``net.host.<name>.{up_util,down_util,flows}`` of every busy host.
 
-        Each series appends a point only when the value moved, so visiting
-        any superset of the changed hosts dumps identical timelines (a
-        test-local subclass that visits every active host checks this).
+        Live state under the allocation in force; a host carrying no flow
+        has no entry and reads 0.0. Read through the registry's collectors.
         """
-        now = self.sim.now
-        self._flows_active_series.record(now, float(len(self._flows)))
-        resample = self._telemetry_dirty
-        if not resample:
-            return
-        # Name order fixes the order new series enter the registry.
-        hosts = sorted(resample, key=_BY_NAME)
-        resample.clear()
-        for host in hosts:
-            state = host._telemetry
-            if state is None:
-                state = host._telemetry = [
-                    self.sim.metrics.series(f"net.host.{host.name}.{kind}")
-                    for kind in ("up_util", "down_util", "flows")
-                ] + [-1.0, -1.0, -1.0]
+        busy: Dict[Host, None] = {}
+        for flow in self._order_cache:
+            busy[flow.src] = None
+            busy[flow.dst] = None
+        readings: Dict[str, float] = {}
+        for host in busy:
             out_flows = host.up_link.flows
             in_flows = host.down_link.flows
-            up = _utilization(out_flows, host.up_bw)
-            if up != state[3]:
-                state[3] = up
-                state[0].record(now, up)
-            down = _utilization(in_flows, host.down_bw)
-            if down != state[4]:
-                state[4] = down
-                state[1].record(now, down)
-            flows = float(len(out_flows) + len(in_flows))
-            if flows != state[5]:
-                state[5] = flows
-                state[2].record(now, flows)
+            prefix = f"net.host.{host.name}."
+            readings[prefix + "up_util"] = _utilization(out_flows, host.up_bw)
+            readings[prefix + "down_util"] = _utilization(in_flows, host.down_bw)
+            readings[prefix + "flows"] = float(len(out_flows) + len(in_flows))
+        return readings
 
     def _on_completion_tick(self) -> None:
         self._completion_event = None

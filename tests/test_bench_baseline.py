@@ -170,7 +170,7 @@ class TestCliIntegration:
         assert payload["registries"]
         first = payload["registries"][0]
         assert first["name"].startswith("sim-")
-        assert any(k.startswith("net.host.") for k in first["series"])
+        assert first["series"]["net.flows_active"]
 
     def test_flamegraph_and_speedscope_flags(self, tmp_path, capsys):
         flame = tmp_path / "flame.txt"

@@ -19,6 +19,9 @@ from repro.chaos import (
     streaming_probe,
 )
 from repro.errors import SimulationError
+from repro.obs.export import dumps_trace
+from repro.obs.tracer import clear_collected, collected_tracers, enable_tracing
+from repro.sim.kernel import Simulator
 
 SMALL_CRASH = Scenario(
     name="small-crash",
@@ -108,9 +111,85 @@ class TestRunCampaign:
         digest = hashlib.sha256(run_campaign("smoke").to_json().encode()).hexdigest()
         assert digest == "f9f99708d4d6e91a6c021a9727086c9b072d5d13a92eb866b5420645bff4ed27"
 
+    def test_full_campaign_scenario_report_digest_is_pinned(self):
+        """Taken on the commit before an unexported cell's tracer was
+        attached at the fault timeline instead of at the build."""
+        report = run_campaign("full", scenarios=[SCENARIOS["partition-heal"]])
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "2d9a1b040e1e060f85bf0b447b22783508155cb89f3713b7d499199e36d35d14"
+
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SimulationError, match="unknown campaign"):
             run_campaign("nope")
+
+
+@pytest.fixture
+def collecting():
+    """Process-wide tracing, as the CLI's ``--trace`` switches it on."""
+    clear_collected()
+    enable_tracing(True)
+    try:
+        yield collected_tracers
+    finally:
+        enable_tracing(False)
+        clear_collected()
+
+
+CELLS = [
+    (scenario.name, mechanism, False)
+    for scenario in campaign_scenarios("smoke")
+    for mechanism in scenario.mechanisms
+] + [
+    (name, mechanism, True)
+    for name in ("crash-wave", "mid-recovery-recrash")
+    for mechanism in SR3_MECHANISMS
+]
+
+
+class TestPrivateTracer:
+    """A cell nobody can export records from the fault timeline on."""
+
+    def test_no_span_starts_before_the_first_injection(self, monkeypatch):
+        attached = []
+        attach = Simulator.attach_tracer
+
+        def recording(sim, tracer):
+            attach(sim, tracer)
+            attached.append((tracer, sim.now))
+
+        monkeypatch.setattr(Simulator, "attach_tracer", recording)
+        scenario = SCENARIOS["crash-wave"]
+        outcome = run_scenario(scenario, "star")
+        (built_with, built_at), (tracer, armed_at) = attached
+        assert not built_with.enabled and built_at == 0.0
+        assert armed_at > 0.0  # the saves took simulated time, and left no span
+        first_injection = armed_at + min(i.at for i in scenario.injections)
+        assert tracer.spans
+        assert min(span.start for span in tracer.spans) >= first_injection
+        assert not tracer.find("recovery/save")
+        assert outcome.blame
+
+    @pytest.mark.parametrize("name,mechanism,controller", CELLS)
+    def test_outcome_equals_the_collected_cell(
+        self, name, mechanism, controller, collecting
+    ):
+        """With collection on the tracer is attached at the build, as it
+        always was; every field of the outcome, blame included, must agree."""
+        collected = run_scenario(SCENARIOS[name], mechanism, controller=controller)
+        (tracer,) = collecting()
+        assert tracer.find("recovery/save") or mechanism == "checkpointing"
+        enable_tracing(False)
+        assert run_scenario(SCENARIOS[name], mechanism, controller=controller) == collected
+
+    def test_collected_trace_keeps_its_save_spans(self, collecting):
+        """Digest taken on the commit before the private tracer moved."""
+        run_scenario(SCENARIOS["crash-wave"], "star")
+        (tracer,) = collecting()
+        saves = [s for s in tracer.roots() if s.name == "recovery/save"]
+        assert len(saves) == 6 and saves[0].start == 0.0
+        dump = dumps_trace([tracer], chrome=False)
+        digest = hashlib.sha256(dump.encode()).hexdigest()
+        assert digest == "9c5a6aad8eebd3a2a1a1201125f00f59a141beec792e4c48acfb6e729457d70a"
 
 
 class TestResilienceReport:

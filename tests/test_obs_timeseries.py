@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import Tracer
+from repro.obs.registry import TimeSeries
 from repro.obs.timeseries import SeriesBuffer, TelemetryConfig, TelemetryPipeline
 from repro.sim import Simulator
 
@@ -125,6 +126,51 @@ class TestTelemetryPipeline:
         pipe.sample(2.0)
         # Only the new point was copied — no rescan, no duplicates.
         assert pipe.series("lag").points() == [(0.5, 1.0), (0.9, 2.0), (1.5, 3.0)]
+
+    def test_each_tick_reads_only_the_tail(self, monkeypatch):
+        """200 samples of a growing series materialise each point once."""
+        materialised = []
+        points_from = TimeSeries.points_from
+
+        def counting(series, index):
+            tail = points_from(series, index)
+            materialised.append(len(tail))
+            return tail
+
+        monkeypatch.setattr(TimeSeries, "points_from", counting)
+        sim = Simulator()
+        config = TelemetryConfig(retention=10_000)
+        pipe = TelemetryPipeline(sim, config)
+        series = sim.metrics.series("lag")
+        for tick in range(200):
+            for step in range(25):
+                series.record(tick + step / 25, float(tick * step))
+            pipe.sample(tick + 1.0)
+        assert len(series) == 5_000
+        assert sum(materialised) == 5_000
+        one_shot = TelemetryPipeline(sim, config)
+        one_shot.sample(200.0)
+        assert pipe.series("lag").points() == one_shot.series("lag").points()
+        assert pipe.series("lag").points() == series.points
+
+    def test_collector_readings_append_on_change_and_drop_to_zero(self):
+        sim = Simulator()
+        pipe = TelemetryPipeline(sim)
+        live = {}
+        sim.metrics.add_collector(lambda: dict(live))
+        pipe.sample(1.0)
+        assert not pipe.has_series("link")  # nothing active, nothing written
+        live["link"] = 0.5
+        pipe.sample(2.0)
+        pipe.sample(3.0)  # unchanged: no point
+        live["link"] = 0.75
+        pipe.sample(4.0)
+        del live["link"]  # went idle: the next tick writes the drop
+        pipe.sample(5.0)
+        pipe.sample(6.0)
+        assert pipe.series("link").points() == [(2.0, 0.5), (4.0, 0.75), (5.0, 0.0)]
+        assert pipe.series("link").kind == "series"
+        assert "link" not in sim.metrics.dump()["series"]
 
     def test_histogram_percentiles_need_opt_in(self):
         sim = Simulator()

@@ -6,7 +6,9 @@ before the mechanisms were folded onto ``RecoveryRun``; they pin the order
 of ``tracer.*``, ``metrics.*``, ``sim.schedule`` and ``network.transfer``
 calls inside every event, which fixes span ids and the kernel's
 same-instant tie-breaks. A digest that moves means recovery behaviour
-moved, not just its code.
+moved, not just its code. They were re-taken once since, when the network
+stopped storing ``net.host.*`` series: the old digests recomputed without
+those series in ``dump()["series"]`` equalled all 94 new ones.
 
 To regenerate after a deliberate behaviour change::
 
@@ -212,100 +214,100 @@ def run_case(mechanism: str, case: str) -> str:
 UNPINNED = {"line/partition-stays", "line-prefetch/partition-stays"}
 
 PINS = {
-    "line/flat": "completed:f52d3c9b06e06a765345606ac47d07fff17e169b2268ccf3df52fe92b0a75078",
-    "line/chain3": "completed:9cf623a7a18010668bfffeb2d009dd3e533b31d35c7a0858a27430b7a25b543f",
-    "line/provider-dies": "completed:8f2cf574f22414d3d369a7e2af65a6ade149ab491a6968e28a7263ff8020aa58",
-    "line/partition-heals": "completed:22dd0bb302d116cadf801f0e4369260eb21e3625890546157287f309b4cbd3c0",
-    "line/partition-early": "completed:0a86778af4048537bed9d74b772cb1cabcfee2e5e192eeaa04c2b92a5d2e6347",
-    "line/no-replica": "failed:88ebf7dd2dd85535580dd90d08d15f92318a8b6e9093f9c7e6d783a6571e1648",
-    "line/replicas-lost": "completed:ed90eeae50e91a96ea0ab6d0a0172535ef677f3bc51dba18ac8f4f890e01b5ed",
-    "line/primaries-die": "failed:3b2946608cecd1b41549b3101523a90fef93818bb6c4d9e8823826d84144fc77",
-    "line/replacement-dies": "failed:cf28a74bcd3518ee5bdb8d82fbdaeb449b7710451b6b2c5a80eb07a86e6a786f",
-    "line/replacement-dies-early": "failed:80b5aeb62c0973cf958b178b55aba32aefe6362c967f83550edab5e5764d45ba",
-    "line/straggler": "completed:f52d3c9b06e06a765345606ac47d07fff17e169b2268ccf3df52fe92b0a75078",
-    "line-prefetch/flat": "completed:000fb1ee696bb64b2fe41ca564a08914138f8f57898cc0dceaece7b59e81328e",
-    "line-prefetch/chain3": "completed:5ae2653d18308b9197e24e74163ea54cad9be7aad95afef7509e28220b5708bb",
-    "line-prefetch/provider-dies": "completed:8bf51962f5d941ee2128c002bf8153749af539221c7e97c64ce266120b77f89f",
-    "line-prefetch/partition-heals": "completed:5e0444a9c8d32bf977828988fd0f349e306ab482bff54a20f41f79ccbc499a2d",
-    "line-prefetch/partition-early": "completed:d3d237cbf78a249ecad6ebdff760fe910a0091dd30a004661ef2ea15cf06d12b",
-    "line-prefetch/no-replica": "failed:c84f5a44475f4398540cc771c895ffaa97fde52d1f11725bb2894bda5b744a7f",
-    "line-prefetch/replicas-lost": "completed:e644197a19b689ec5b19e4adcb8afa7fa50fa0500958bcc067d313313bdb5dee",
-    "line-prefetch/primaries-die": "failed:2d43db2206bc76544db00118755900950489359d9da055473da4266d8f1d10d3",
-    "line-prefetch/replacement-dies": "failed:a5d1af3d97c946fd347d694fae6bb1793ba8760b14bd37a51b5e3ef29555afa8",
-    "line-prefetch/replacement-dies-early": "failed:e484831908a9ac328303a0e4052f6fb2bdac4d176ebd3d86b69494c48b9dfec3",
-    "line-prefetch/straggler": "completed:000fb1ee696bb64b2fe41ca564a08914138f8f57898cc0dceaece7b59e81328e",
-    "speculation/flat": "completed:29d3919ddbd6e6c8c76034401756123ba54489c4dc1f5ec77e7eb76629ce4ff0",
-    "speculation/chain3": "completed:0fc9684408123be227439a681b76c5236dcda42851f1011a63bd5dfb49950002",
-    "speculation/provider-dies": "completed:ad2c013ef6194079d4ba83b7e733c3516a5677a4452052cd2f9dadc60c118aaa",
-    "speculation/partition-heals": "failed:5f747c4443b612bf68c4880fd671dbf920026ba8d2fcccef596960e89c30b787",
-    "speculation/partition-early": "completed:7a4a4b4c9f9d21e8d769b3c35a6caab23ad93e0f2a9fbd930350f773efea5d9f",
-    "speculation/partition-stays": "failed:acdb1a0b791370609c81caf28eec389e504a4d3b429438534b60215377519e4e",
-    "speculation/no-replica": "failed:f6a7a249e14517f1bf1c0249ad5febd1dcebf05477282ea6abaa0ff5023cab2d",
-    "speculation/replicas-lost": "failed:570a74f992c56d6b17037aacef4cb93ce0a40754addb3f2eac61c42a854a7ec7",
-    "speculation/primaries-die": "completed:c7b6f45c8fd87a60590db7d25b4a0b47b4dee6f35c7dfda91170e795cb610ee4",
-    "speculation/replacement-dies": "failed:672b362e65930622b4d59944742fc771dd34a871907ec280d02b56865dddcec0",
-    "speculation/replacement-dies-early": "failed:3367ba932dde12676ccf67c897ce22aec10dc1fe72361bedafdc62463656055c",
-    "speculation/straggler": "completed:9b5321f318648f6967c380b87c226541c7209341fca5087be267dc70cf741b37",
-    "standby-cold/flat": "completed:06957de7bf5320f1ea5098c9a0e621f2102a468264903c70782bc6284f653a55",
-    "standby-cold/chain3": "completed:77d335bc2fcd8df7bd68797a8b1cb1a4de9d867e5b7533349ed54ed1e58b61f1",
-    "standby-cold/provider-dies": "completed:d68ea08867d51c65b649ca8146ceef3a050ba9d08a6ced3c7b3effecb38a8fd2",
-    "standby-cold/partition-heals": "completed:aa63cfb8e63ba7a315b96d593b5efe0f02d2eb11582eb1c8e10383c1d0b09ed2",
-    "standby-cold/partition-early": "completed:5b7ee736a8cc5ff51ce3a32f295c835ef1ed416728ea292f43809b0429759db9",
-    "standby-cold/partition-stays": "failed:c489e674041089d989189ad6f4e44794aedc7758a2581af8eeaff367dbac5c4e",
-    "standby-cold/no-replica": "failed:4e5593299f9a2c6e44e8ba8d294f1356a3a17f32ccd9b3f388b6e0f068119211",
-    "standby-cold/replicas-lost": "failed:de2649c607ac32dddde78f1b81dba705f7f0241b691be17f2ae9cce7d33af205",
-    "standby-cold/primaries-die": "completed:53c4980a7fe603d5259a67be98cc5b3e87050758385905654d124e434d50121a",
-    "standby-cold/replacement-dies": "failed:acd658720a0448b8ad882c5cbcea84bfd360e3af6d1822942127e05e9b54de59",
-    "standby-cold/replacement-dies-early": "failed:d3d70ad4a3cc452bd00da04ba107bda4249e56e0c39c8bd12ca91854c6103779",
-    "standby-cold/straggler": "completed:f44632fa8e14ab8ed0fac7922388d12b83f9c2cc99e170a1291802df18ece253",
-    "standby-warm/flat": "completed:bcdb5a796b9763e14bbedf00ad12294dc8f70c49ee7b274205429d4c9aac17bd",
-    "standby-warm/chain3": "completed:d5c028d3a1731ca594d8760044ee39ec91d7f5781b95038a76b792ef83b9ec75",
-    "standby-warm/provider-dies": "completed:cd95727ffac966c4f5c1ae7ad8dd0e3ef7022a4bf1cf1b6be48ef3c1c7b4b0ec",
-    "standby-warm/partition-heals": "completed:b2083f2cbe6d00b36168426fe2e165308e4d9d98a4e392229cbd843c44449809",
-    "standby-warm/partition-early": "completed:263ae2e91fbaed7e5b0a7aa3f74fcfd8ef8655f703ade1714d73ee52fade603d",
-    "standby-warm/partition-stays": "completed:774f4cf7eed0d0183816a6a4755c4131cbce7fde315b5527299718381d26d126",
-    "standby-warm/no-replica": "failed:4e5593299f9a2c6e44e8ba8d294f1356a3a17f32ccd9b3f388b6e0f068119211",
-    "standby-warm/replicas-lost": "completed:6fe07b5b2102ed29f2958ac66a3ed23c6ffe579333b4acb9911c3a429b661640",
-    "standby-warm/primaries-die": "completed:08b79d934693953f3014236babe39db9907a8771ef37d40df9ebd83d0e835f97",
-    "standby-warm/replacement-dies": "completed:954907a444893347216da7834355d162a38a5138e12cf141cfb69b16387fcae4",
-    "standby-warm/replacement-dies-early": "failed:1a6aaae43966b685e081968c653ec7df68a7d0379565e13b862f28760ea2cf53",
-    "standby-warm/straggler": "completed:bcdb5a796b9763e14bbedf00ad12294dc8f70c49ee7b274205429d4c9aac17bd",
-    "star/flat": "completed:2cf56bbc65bef1be7a08ce3e384a1ba22c931126483781967c5c779219dba36e",
-    "star/chain3": "completed:79a714d5d679dc8bcbbc3164b91eac1e89d56c03a14803770ad221b17673f91f",
-    "star/provider-dies": "completed:4df270d4e45459372cf05380c9102d630cd1c46bfe60f874610040bd69e2479a",
-    "star/partition-heals": "completed:1ffe3b689d42de70d14cb27a0bed6e76ea389113f137c454791292cb14654747",
-    "star/partition-early": "completed:6eb5d28f3457f6062bd6486750874b7557589b604170a5291ccabdcd2af351f8",
-    "star/partition-stays": "failed:d190e07ccc2bdfa5f6d21e10452e48b3c82b9eddc6b1b87614e2f2f4929f6fbc",
-    "star/no-replica": "failed:1cfe5bbfebd2e090886e9e2d307ccee6a47238e757f662e913919eed8daed600",
-    "star/replicas-lost": "failed:f5fdc664284a3334ba57098c44e9f17c46775d532b818d1a5b1b3425d70b20cd",
-    "star/primaries-die": "completed:5b56ab3fae843460f3ded924449780417900eb362b3c66aee95d0afaf289f5ae",
-    "star/replacement-dies": "failed:36409081d36b741b176a589531279a2432649604277496a03556dd3d11644f12",
-    "star/replacement-dies-early": "failed:01dd26f93c6f100a8cb8256de01afed148814eb3efaf8fbe61eab698b2e1c170",
-    "star/straggler": "completed:e2defe58f3081bd015a87232c252c2a5046a6b228641078eaa65e9d49bbbab37",
-    "tree/flat": "completed:42a55be040bd26d88f09f622cfffdffae8221be69f2cb77b8e873aea7ca884d6",
-    "tree/chain3": "completed:44f345f7f40f7b780c543ec07428c4881f3ab4c0e763cbe3dec1dd59043ad241",
-    "tree/provider-dies": "completed:bc3c1dafe279a62e73175c8b143fbe73ebc438f267dc9b61be569090345af8e1",
-    "tree/partition-heals": "completed:7a6f610f3dec0ae24934d1488bdf6835f9b9ddffb603fee22da4645283ca5643",
-    "tree/partition-early": "completed:d9b375d17b118664928c71b479c935499683075c1591ecc96de8f8c09d09c95f",
-    "tree/partition-stays": "failed:c01b52fbc8f582203c7c8a66706f36e2672b3435be3ff374ba629a2d7be1ed9e",
-    "tree/no-replica": "failed:1454284cea5a26e7d98b15f13b9347de5f31d4ffe9a82725682acfe0fddecc70",
-    "tree/replicas-lost": "failed:f6166a6f1286d5b84cb265dc631bff67f163c122b7e332d8c13665e7c0881e32",
-    "tree/primaries-die": "completed:a914d7b850edfaec27e1bc3796f2524773fa3a3e0e99cf0d24ad44140a6e77d1",
-    "tree/replacement-dies": "failed:90f0c5bebbedb8c1f03e8fb0f7cf542c2b0591f7026d14c36ff6fb8b18cae35d",
-    "tree/replacement-dies-early": "failed:d203866b894d2b553a6275ee4aeca83ee27c65e069570a6db936cd783ca89270",
-    "tree/straggler": "completed:69dc0ee86a762bac81d2d176f29cd61811623315d711d7299f6f7dcb25cfd0d0",
-    "tree-scribe/flat": "completed:d47de6db5ec67bca5341737bade546766a785863bdb5c532fa1ebedb647913f2",
-    "tree-scribe/chain3": "completed:69801676f969031a29ddcdd42c97fa08dae921de55e732f24138a281f361ba7a",
-    "tree-scribe/provider-dies": "completed:14df284be51bfd60012b76d1fe83016d81b9ad6d32cea9bd62e778788079846a",
-    "tree-scribe/partition-heals": "completed:4fc27c1d69ee927599e3cadee4871d2e70bb74517aa199fd10f942094712c666",
-    "tree-scribe/partition-early": "completed:286928724103078383a54a0dad6293eeb03349070d76e0ceecd5c415b0dbbcc1",
-    "tree-scribe/partition-stays": "failed:e76bfb27fecbedaa17123610f5a09da3cb0392ae8fb3e4042dd4d672bb452384",
-    "tree-scribe/no-replica": "failed:1454284cea5a26e7d98b15f13b9347de5f31d4ffe9a82725682acfe0fddecc70",
-    "tree-scribe/replicas-lost": "failed:e1c3378693ea1b2c3c282f7f41b2b3e1f9aaf62beacbef2bfc6da6957e789d5b",
-    "tree-scribe/primaries-die": "completed:127597fafb600d02cc4d9bb4e9f0c6fa00d0a30e6513ae24b8c8808c2b651204",
-    "tree-scribe/replacement-dies": "failed:142f5e4e86f0945e2f72a6e2e22c79eefc6da6afc518b2c5fc9917f248ff73ab",
-    "tree-scribe/replacement-dies-early": "failed:24c6fce3415b9c860a08b30106e8f7970417feb685fcc7effcfae7ca40ac8c93",
-    "tree-scribe/straggler": "completed:9128aacabac627909ee4f8e7e3c2bcb1a83a22b64af5e313d8ab17103023687b",
+    "line/flat": "completed:9ae3339b9cdfbbbfa7d2f4a6320b7138b93a9366a8b528e303c45c6e385234c5",
+    "line/chain3": "completed:3452460ac8f88447e1b849e46fa38b52641cc776a9907bd8bc64b204fdd4899b",
+    "line/provider-dies": "completed:9252cb7b93e4ff766c855b7d2d358c58e057a4f0735b4c764f213023213c7720",
+    "line/partition-heals": "completed:5d4b87d700046fb2474f7d801a035ade4faf3b3ff124fe3beb5920004d2d940a",
+    "line/partition-early": "completed:45b7eb82aee384ac756232071ecb8f22de263cd35050f08fb3739e73ae29c674",
+    "line/no-replica": "failed:4168227768f5a922837a1c15930c021e319e96c6ef50cf47713d6bde99970abe",
+    "line/replicas-lost": "completed:174d849cf686f91e714f8e9fa07b2e177aca4bde5e762e60752e248767160dc0",
+    "line/primaries-die": "failed:96e3b5a1780832bf1161373db75586a6fc04ddcdfa01fbe2b5b46254d3c02067",
+    "line/replacement-dies": "failed:8976775e7c278b797864850ef8c374ecfc4113bb0a22ce6d95b9006c5cf44562",
+    "line/replacement-dies-early": "failed:36a4d5238e7dbba503c8cd0606f9f0cbc76fe43770a6b1bbc3244236c15c744e",
+    "line/straggler": "completed:9ae3339b9cdfbbbfa7d2f4a6320b7138b93a9366a8b528e303c45c6e385234c5",
+    "line-prefetch/flat": "completed:2627b262bf9cf3282f129408a68d92f976dcf6edf816b6f49cc07ee8b8c5a7e4",
+    "line-prefetch/chain3": "completed:bafd05bd9a0019c5cac1b27dabb0b1a3cb39af1407131600824456cb8ac02134",
+    "line-prefetch/provider-dies": "completed:79407e80b6e4ce2e70bb2a4dd344194a6a53cc637c8eaf65c1eb3e95724785bf",
+    "line-prefetch/partition-heals": "completed:f5a93fd8be564b6b0b449216ece0e00053b8eae3f4a28948a8d11197d06feef7",
+    "line-prefetch/partition-early": "completed:cbf37bcb4da992e6424898142d4ec18ef933e025208e8f2a3f4c0b3159669f64",
+    "line-prefetch/no-replica": "failed:38a2fbb0b2e88fac997ca71bf470886bc9ce8668915f3199fde06f89d2a8ad5a",
+    "line-prefetch/replicas-lost": "completed:0f56e96449861aa046ea4a0eebebd9a7b90413970474f6420eb44c6b3ff4ead4",
+    "line-prefetch/primaries-die": "failed:ceedcbf79b47b7d071555ae0f3f2dbdf1dbf3e36cf936b7a6b602567da2f648d",
+    "line-prefetch/replacement-dies": "failed:54c488a48d74d35681f94d921d782a7331e228597a2c25d6d2ec420f59a1d039",
+    "line-prefetch/replacement-dies-early": "failed:6aab954a31fbfe217ec10b6f9752904b18f43d6d93643069716a38179a382025",
+    "line-prefetch/straggler": "completed:2627b262bf9cf3282f129408a68d92f976dcf6edf816b6f49cc07ee8b8c5a7e4",
+    "speculation/flat": "completed:cae13b5df4f11e47fc1f45103aee0197d97df3cb300da52e8c3ea7983f19e076",
+    "speculation/chain3": "completed:e46117b1a145caa004d5be5a1af25245f7051c0247a05b82f2af46a81455457e",
+    "speculation/provider-dies": "completed:8daa92695dfb310a0c5dcbf02b75dc4ecb2fbd43c87f08095a70a6951266c3c1",
+    "speculation/partition-heals": "failed:2597fa6fefed73d015de74b4094804b6b0673e135fc5b654aefa8fd27a0e5048",
+    "speculation/partition-early": "completed:a847ff9a5acbc74baeb29c59fa0db8d1358b0503b3a772e6fde58c055b35e460",
+    "speculation/partition-stays": "failed:c8d630cbf3609f24b84a90361c83647e5093f67610d39e8e285ceb5c98dd3216",
+    "speculation/no-replica": "failed:52b65532627d36963523991aca936afa59d69178c1370f11faedbc4f29bd837c",
+    "speculation/replicas-lost": "failed:2608c6782088785f05f4335cca167e9d04f0dc8e663a2e789fd1698dc1c0e2f6",
+    "speculation/primaries-die": "completed:3ec984510ad52109942baae65f06098256ef5fba5b838a8f2574593e5d6b58ce",
+    "speculation/replacement-dies": "failed:fce8a231e7ca528d06c645af4b9deed0257e1af87041f8ef5d9e36307c36e59b",
+    "speculation/replacement-dies-early": "failed:c2a680087c502022356e9dab12ae4e9520d9ea81958c4cb55a04d2bd2598095f",
+    "speculation/straggler": "completed:631401c66b6a742ef53c9792587e8b00cedace54e6b7629d56e7f81c40b24ff2",
+    "standby-cold/flat": "completed:8fa8a27da921b567c2d447c46f51f9ec1d80b358a37167c82b50e820890ad8c7",
+    "standby-cold/chain3": "completed:aa43fbc12a24a3b1a0ddd60a9581ed1344e4072a7c6e6fa50087c617cd7725a0",
+    "standby-cold/provider-dies": "completed:bc9c6e0fcc2511ef2a9b33a17827899ed83e522950570b6b4b3967c3f1f5a597",
+    "standby-cold/partition-heals": "completed:02b9143c59dcf68c8928512904c21b4c7c081fd4ea478b1618b46f282f852ee8",
+    "standby-cold/partition-early": "completed:3bd8c726fd64a2fbce1223ad83efce65d54ebba2e8979462a32b445d2f03ae42",
+    "standby-cold/partition-stays": "failed:f13495e39775e5c97f654bdc130c00d381e6464cd2a50cbe33c8430c508dc724",
+    "standby-cold/no-replica": "failed:f946700253087c3beeecd82694446e8702988a1527f263bfafee8c595d394c1f",
+    "standby-cold/replicas-lost": "failed:445c1eb013ce14c771ae5ef3ecfb0ff009418b740bc1623352a879d9b1e3387d",
+    "standby-cold/primaries-die": "completed:13e9e5f041c055d490353c64d5e55719c4d2f0aa731c14351333f2657f91799c",
+    "standby-cold/replacement-dies": "failed:eff26b6b6c8c1857f46e7ed72ad237b881e652b74391df5ec258a63cf89f87f4",
+    "standby-cold/replacement-dies-early": "failed:a5019055b3b705ca520fffc681ca042703fc80e60c43e895d16e74b4edf7ecb7",
+    "standby-cold/straggler": "completed:4cbc94aa8f2cf5e265664a400890bf7c239afd2b906127701de6e61a5e119c66",
+    "standby-warm/flat": "completed:77d37b2442b083b9b92f49d9756e51ba68d7bfbea4356937133ec18dbd26fde5",
+    "standby-warm/chain3": "completed:041351222c168cc9b22bbf20119befe8271a55794f1442c992613cfe24b6c11f",
+    "standby-warm/provider-dies": "completed:76d6722e2c5adf85f377853a15863f34c36f48da718dd9af6c0ca8bb6c29b94b",
+    "standby-warm/partition-heals": "completed:09a02309792d1e4e04ed2b9173a2d57bcad6d5c8fc2398e4827bd300ad286075",
+    "standby-warm/partition-early": "completed:db923c0c96f52bab8becba1e428ef47b0808c3c2af04bcd771fbf274b4f2b6cc",
+    "standby-warm/partition-stays": "completed:ba369586ada6105199e34cd3538c9335ab14eeb4c12c32e669c9221931ad86ff",
+    "standby-warm/no-replica": "failed:f946700253087c3beeecd82694446e8702988a1527f263bfafee8c595d394c1f",
+    "standby-warm/replicas-lost": "completed:20e244c076b8cd0080a07c1441b1241eeaf517f25e0683ecd27ea6a0c979c9f8",
+    "standby-warm/primaries-die": "completed:6e410ea49396078c47a570bf34aeb2056f80aba768e8a42149264d795584bb1a",
+    "standby-warm/replacement-dies": "completed:d06f953b58e8e11075157b073ea2747d02768bcebb676c659a77b974e5c59cb1",
+    "standby-warm/replacement-dies-early": "failed:02a4a1b5ddcbbc51a43f877be293dbdf92cc72207829810ab3b81015ba269624",
+    "standby-warm/straggler": "completed:77d37b2442b083b9b92f49d9756e51ba68d7bfbea4356937133ec18dbd26fde5",
+    "star/flat": "completed:86557f6f5c0438e1b08817c9495e00f0880be1432a96152452ae60c5238a9dac",
+    "star/chain3": "completed:77bd26bc7dcfa48094ae1a61c11edd35826cb1176e25f5d051b64f6ff2f4f545",
+    "star/provider-dies": "completed:d49eaf6e07e543bcda7ec18b086a3edcc7991444eab5341aa2997797d44c16c6",
+    "star/partition-heals": "completed:557dbc47693e2aefa8ae955ec99930688053130d6ba7bc76709635dafbefb042",
+    "star/partition-early": "completed:b6a7599b40058bcf7aef61d2ca4d6e04af0a81e9bb7c467c538b4e71c5b14ab0",
+    "star/partition-stays": "failed:fe10e5041f3e0224650bc3474f621d01b75e786f9711ce6946e7cf39a35aeaf2",
+    "star/no-replica": "failed:bf9b485cabe1aae99e497e3fcd679dbebf319720f1f3d926f9c66dc323834f06",
+    "star/replicas-lost": "failed:06e5545d9eec3768683af016b9b4674b54f83a4ff47b65eda80cff8f6ebdc207",
+    "star/primaries-die": "completed:491bebf46a6d3634b06936fa039f007aaba03f04edc1407a5e0aab010785e66a",
+    "star/replacement-dies": "failed:14e3525cc01b09e027979f8a3e3a37bd022edb77b05598892068f4a73940d567",
+    "star/replacement-dies-early": "failed:544f3dbe0d789ea2f06f0521d5a6b54b815cbfd7c631a2f22616f50b931f3a3a",
+    "star/straggler": "completed:7e29ac8d208c26225954d9660e568f631106d2f0f5437a3116051251c10b206a",
+    "tree/flat": "completed:885d8d0f2d3ba23396dbda495168d132a28f3f62844fd293d7287d0dccc55379",
+    "tree/chain3": "completed:5dc2c3cf43e2cb5163b8b5ac5120d647322c071a1214b57e3f63d2f32c88c42b",
+    "tree/provider-dies": "completed:1d04100245e373267b2bdfdac3a78ecf6379e9797bb42e0b4b88b732bf531b9f",
+    "tree/partition-heals": "completed:57f1edf25abcd3ce45f1e1c1ba85bc97be53b640d4480103c42c1a01013fadf9",
+    "tree/partition-early": "completed:0aa7c1ddc93d213addca0415244d86c1ebff09e03c66115a9200edbd05cfb445",
+    "tree/partition-stays": "failed:3ea634e0c5be57de33e74bd87f205aaa04408fd334ae5543f6019592fcf12734",
+    "tree/no-replica": "failed:1a684995e02ac5916a3593c8733418ffbf5bc0cea2b5ba6bd789a3d8e861d204",
+    "tree/replicas-lost": "failed:01d2dbd0aed649548467fc81b41b65eb3e90f63b584ad492e188cbef056eed56",
+    "tree/primaries-die": "completed:5ca83ed8997b656c75f8ecef3ece61d3a7f499eefd53a21b9b6df402fc8ce04a",
+    "tree/replacement-dies": "failed:17c0fda06436e0e0357c2305f2330b186da5c1289bffd865bd9c34ac6105f36d",
+    "tree/replacement-dies-early": "failed:8aae5a2590424f019105516fe01e5aa3b7e4c26363b6fc8bb6dbada9c583f4c8",
+    "tree/straggler": "completed:383525a9ee8722ecd9eb92e20219ba148c3a3600db902a0e5c3bf7fee54172fe",
+    "tree-scribe/flat": "completed:21637150c0d05f0d41fd27b5f6ecd23fbc3352052eb487edda13e7f64ce359d8",
+    "tree-scribe/chain3": "completed:d157a77cdba4bd94e692e77bbfec71339d3f62bb251df5c0821482662221abdf",
+    "tree-scribe/provider-dies": "completed:5da0dddfa67ea72726463bb66107ccca8ffda0af6bb35a017b6b54381adad404",
+    "tree-scribe/partition-heals": "completed:4d1d54d0c0f4e75796dea3a61427af788e86f9fabfa8f39087a7a39f91738418",
+    "tree-scribe/partition-early": "completed:c19fcbca40daa0584db29a769606f712a8dc42198e3337dc14e9ba3660f99c03",
+    "tree-scribe/partition-stays": "failed:da96b92985e40981999123b62cd3b8649392727d289b33f5e28e1039a91a782a",
+    "tree-scribe/no-replica": "failed:1a684995e02ac5916a3593c8733418ffbf5bc0cea2b5ba6bd789a3d8e861d204",
+    "tree-scribe/replicas-lost": "failed:8e5b5809b3abc060438ae94f0d3a52e181aa1156857cbf2a8eb0dadccffa4de6",
+    "tree-scribe/primaries-die": "completed:0a1aa1c6efdacf630f880ccf0a618c440921cacb8d955bb1968ffc7b47a79d61",
+    "tree-scribe/replacement-dies": "failed:9dab2f046aac4f4fbfb543637443849922de7182159ac4dd05a07d0066e25e07",
+    "tree-scribe/replacement-dies-early": "failed:c344f266106cfcc7184771b9286da9b963427c8ab16b80bf6421d1b3642871d8",
+    "tree-scribe/straggler": "completed:60b86fe39d0224faa8281fe2c45291e8da9d6c494d5d3bdf858376d475eac3c0",
 }
 
 

@@ -23,6 +23,7 @@ from repro.obs.tracer import Tracer
 from repro.sim import flowvec
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
+from tests.test_sim_network_equivalence import ReferenceLinkRecorder
 
 needs_numpy = pytest.mark.skipif(
     not flowvec.HAVE_NUMPY, reason="numpy not installed"
@@ -75,16 +76,18 @@ def _trace_dump(tracer: Tracer) -> str:
     return json.dumps(spans, sort_keys=True)
 
 
-def _run_mixed_workload(seed: int):
+def _run_mixed_workload(seed: int, network_cls=ReferenceLinkRecorder):
     """Randomized transfers, app flows with demand caps, degraded hosts.
 
     Returns everything observable about the run, serialized
     deterministically: (completions, aborts, telemetry_json, trace_json).
+    The default network pushes per-host link series into the registry, so
+    the telemetry holds every host's utilization at every reallocation.
     """
     rng = random.Random(seed)
     tracer = Tracer(f"flowvec-equiv-{seed}")
     sim = Simulator(tracer=tracer)
-    net = Network(sim)
+    net = network_cls(sim)
     hosts = [
         net.add_host(
             f"h{i}",

@@ -1,21 +1,23 @@
 """The allocator's fast paths against the slow ones they replaced.
 
-Three oracles, each test-local: a network that re-samples every active
-host on every reallocation (what telemetry did before it became
-change-driven), the dict-based scalar water-fill keyed on ``("up", name)``
-tuples, and a completion tick that removes finished flows one at a time.
+Three oracles, each test-local: the push recorder that wrote every host's
+link series on every reallocation (what the network did before the
+telemetry pipeline sampled its links), the dict-based scalar water-fill
+keyed on ``("up", name)`` tuples, and a completion tick that removes
+finished flows one at a time.
 """
 
 import json
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.obs.timeseries import TelemetryPipeline
 from repro.sim.kernel import Simulator
 from repro.sim.network import _EPSILON_BYTES, Flow, Network
-from tests import test_sim_flowvec_equivalence as flowvec_equivalence
 from tests.test_sim_flowvec_equivalence import (
     _run_mixed_workload,
     _scalar_mode,
@@ -23,52 +25,108 @@ from tests.test_sim_flowvec_equivalence import (
     _vector_mode,
     needs_numpy,
 )
-from tests.test_sim_network_equivalence import _run_mixed_sequence
+from tests.test_sim_network_equivalence import (
+    ReferenceLinkRecorder,
+    _run_mixed_sequence,
+)
+
+_TICK = 0.05
 
 
-class SampleEveryHostNetwork(Network):
-    """Telemetry oracle: every host with a live flow is sampled every time."""
+def _run_sampled(workload, seed, network_cls=ReferenceLinkRecorder):
+    """Run ``workload`` with a pipeline sampling every ``_TICK`` seconds.
 
-    def _record_telemetry(self):
-        self._telemetry_dirty.update(
-            host
-            for host in self.hosts.values()
-            if host.up_link.flows or host.down_link.flows
-        )
-        super()._record_telemetry()
+    Ticks start off the grid the workloads schedule on and go on while the
+    simulation has anything queued, so the last one falls after the drain.
+    Returns ``(sim, pipeline, tick times)``.
+    """
+    made = []
+
+    def network(sim):
+        pipe = TelemetryPipeline(sim)
+        ticks = []
+
+        def tick():
+            pipe.sample()
+            ticks.append(sim.now)
+            if sim.pending:
+                sim.schedule(_TICK, tick)
+
+        sim.schedule(0.013, tick)
+        made.append((sim, pipe, ticks))
+        return network_cls(sim)
+
+    workload(seed, network)
+    return made[0]
+
+
+def _value_at(points, time):
+    """Step lookup over ``(time, value)`` points; None before the first."""
+    index = bisect_right(points, (time, math.inf))
+    return points[index - 1][1] if index else None
+
+
+def _assert_samples_equal_reference(sim, pipe, ticks):
+    """At every tick every sampled link value is the pushed series' value."""
+    pushed = {
+        name.replace("ref.", "net.", 1): series.points
+        for name, series in sim.metrics.all_series().items()
+        if name.startswith("ref.host.")
+    }
+    sampled = {
+        name: pipe.series(name).points()
+        for name in pipe.names()
+        if name.startswith("net.host.")
+    }
+    assert sampled and set(sampled) <= set(pushed)
+    assert len(ticks) > 100
+    for name, reference in pushed.items():
+        points = sampled.get(name, [])
+        for time in ticks:
+            seen = _value_at(points, time)
+            if seen is None:  # never busy at a tick so far: nothing to write
+                assert not _value_at(reference, time), (name, time)
+            else:
+                assert seen == _value_at(reference, time), (name, time)
+        if points:
+            assert points[-1][1] == 0.0  # the drop after the host went idle
+            values = [v for _, v in points]
+            assert all(a != b for a, b in zip(values, values[1:]))  # on change only
 
 
 class TestChangeDrivenTelemetry:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 23])
-    def test_scalar_registry_matches_sampling_every_host(self, seed):
+    def test_scalar_samples_equal_reference(self, seed):
         with _scalar_mode():
-            assert _run_mixed_sequence(seed, Network) == _run_mixed_sequence(
-                seed, SampleEveryHostNetwork
-            )
+            _assert_samples_equal_reference(*_run_sampled(_run_mixed_sequence, seed))
 
     @needs_numpy
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 23])
-    def test_forced_vector_registry_matches_sampling_every_host(self, seed):
+    def test_forced_vector_samples_equal_reference(self, seed):
         with _vector_mode():
-            assert _run_mixed_sequence(seed, Network) == _run_mixed_sequence(
-                seed, SampleEveryHostNetwork
-            )
+            _assert_samples_equal_reference(*_run_sampled(_run_mixed_sequence, seed))
 
     @pytest.mark.parametrize("seed", [0, 7, 41])
-    def test_app_flows_and_demand_retunes(self, seed, monkeypatch):
+    def test_app_flows_and_demand_retunes(self, seed):
         """A retune re-rates flows without any flow joining or leaving."""
         with _scalar_mode():
-            change_driven = _run_mixed_workload(seed)
-            monkeypatch.setattr(flowvec_equivalence, "Network", SampleEveryHostNetwork)
-            assert change_driven == _run_mixed_workload(seed)
+            _assert_samples_equal_reference(*_run_sampled(_run_mixed_workload, seed))
 
     def test_idle_host_bandwidth_change_records_nothing(self):
         sim = Simulator()
         net = Network(sim)
+        pipe = TelemetryPipeline(sim)
         a = net.add_host("a", up_bw=100.0)
         net.set_host_bandwidth(a, 50.0, 50.0)
         sim.run_until_idle()
+        pipe.sample()
         assert not any(name.startswith("net.host.") for name in sim.metrics.all_series())
+        assert not any(name.startswith("net.host.") for name in pipe.names())
+
+    def test_host_series_live_in_the_pipeline_only(self):
+        sim, pipe, _ticks = _run_sampled(_run_mixed_sequence, 0, Network)
+        assert any(name.startswith("net.host.") for name in pipe.names())
+        assert sorted(sim.metrics.all_series()) == ["net.flows_active"]
 
 
 def reference_waterfill(flows):
@@ -174,7 +232,7 @@ class TestScalarWaterfill:
         )
 
 
-class OneByOneNetwork(Network):
+class OneByOneNetwork(ReferenceLinkRecorder):
     """Completion oracle: each finished flow leaves through ``_remove_flow``."""
 
     def _on_completion_tick(self):
@@ -228,7 +286,7 @@ class TestBatchedCompletions:
 
     def test_tick_crossing_the_deactivation_threshold_mid_batch(self):
         with _thresholds(6, 5, 10**9):
-            batched = self._run(Network)
+            batched = self._run(ReferenceLinkRecorder)
             one_by_one = self._run(OneByOneNetwork)
         assert batched == one_by_one
         log = batched[0]
@@ -242,6 +300,6 @@ class TestBatchedCompletions:
 
     def test_vector_mode_survives_a_batch_that_stays_above_threshold(self):
         with _thresholds(6, 2, 10**9):
-            batched = self._run(Network)
+            batched = self._run(ReferenceLinkRecorder)
             assert batched == self._run(OneByOneNetwork)
         assert batched[0][0][2] is False  # the table outlived the tick

@@ -5,7 +5,9 @@ link graph touched by a mutation; :class:`FullSolveNetwork` below is the
 oracle that re-solves every live flow on every reallocation. For any seed
 the two must produce byte-identical flow completion times, telemetry
 timelines, and trace output — that invariant is what makes the fast path
-safe.
+safe. The per-host timelines come from :class:`ReferenceLinkRecorder`, the
+push recorder the network carried until the telemetry pipeline began
+sampling its links; it also serves as the oracle for those samples.
 """
 
 import json
@@ -16,14 +18,44 @@ import pytest
 
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Network, _utilization
 
 
-class FullSolveNetwork(Network):
+class ReferenceLinkRecorder(Network):
+    """Per-host link series pushed into the registry on every reallocation.
+
+    After each reallocation every host that carries a flow, or has carried
+    one, gets a point on ``ref.host.<name>.{up_util,down_util,flows}`` when
+    the value moved: the series ``Network`` itself recorded (as
+    ``net.host.*``) before link telemetry became a sampled reading.
+    """
+
+    def _recompute_rates(self):
+        super()._recompute_rates()
+        now = self.sim.now
+        recorded = self.sim.metrics.all_series()
+        for name in sorted(self.hosts):
+            host = self.hosts[name]
+            out_flows = host.up_link.flows
+            in_flows = host.down_link.flows
+            prefix = f"ref.host.{name}."
+            if not (out_flows or in_flows or prefix + "flows" in recorded):
+                continue  # never busy: an idle host has no series
+            for kind, value in (
+                ("up_util", _utilization(out_flows, host.up_bw)),
+                ("down_util", _utilization(in_flows, host.down_bw)),
+                ("flows", float(len(out_flows) + len(in_flows))),
+            ):
+                series = self.sim.metrics.series(prefix + kind)
+                if not len(series) or series.last()[1] != value:
+                    series.record(now, value)
+
+
+class FullSolveNetwork(ReferenceLinkRecorder):
     """The oracle: every dirty component is the whole flow set.
 
     Claiming every live flow makes ``_recompute_rates`` take its
-    "most flows are affected anyway" branch, i.e. ``_solve_full``.
+    "most flows are affected anyway" branch, the full solve.
     """
 
     def _dirty_component(self):
@@ -117,7 +149,7 @@ def _run_mixed_sequence(seed: int, network_cls):
 class TestAllocatorEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 23])
     def test_mixed_sequences_byte_identical(self, seed):
-        inc = _run_mixed_sequence(seed, Network)
+        inc = _run_mixed_sequence(seed, ReferenceLinkRecorder)
         ref = _run_mixed_sequence(seed, FullSolveNetwork)
         assert inc[0] == ref[0]  # completion (tag, time) pairs, in order
         assert inc[1] == ref[1]  # abort (tag, time) pairs, in order
@@ -148,7 +180,7 @@ class TestAllocatorEquivalence:
             sim.run_until_idle()
             return done, json.dumps(sim.metrics.dump(), sort_keys=True)
 
-        assert run(Network) == run(FullSolveNetwork)
+        assert run(ReferenceLinkRecorder) == run(FullSolveNetwork)
 
     def test_untouched_component_keeps_exact_rate(self):
         """A mutation in one component must not perturb another's flows."""

@@ -1,9 +1,10 @@
-"""Per-host network telemetry: utilization timelines and queueing stats."""
+"""Per-host network telemetry: sampled utilization timelines and queueing stats."""
 
 import json
 
 import pytest
 
+from repro.obs.timeseries import TelemetryConfig, TelemetryPipeline
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -16,19 +17,30 @@ def two_host_net(up_bw=100.0, down_bw=100.0):
     return sim, net, a, b
 
 
+def run_sampled(sim, until, pipe=None):
+    """Run to ``until`` with a pipeline sampling the links every 0.5 s."""
+    pipe = pipe or TelemetryPipeline(sim, TelemetryConfig(interval=0.5))
+    pipe.start()
+    sim.run(until=until)
+    pipe.stop()
+    return pipe
+
+
+def sampled_values(pipe, name):
+    return [v for _, v in pipe.series(name).points()]
+
+
 class TestUtilizationSeries:
     def test_single_flow_saturates_and_drains(self):
         sim, net, a, b = two_host_net()
-        net.transfer(a, b, 1000.0)
-        sim.run_until_idle()
-        up = sim.metrics.series("net.host.a.up_util")
-        down = sim.metrics.series("net.host.b.down_util")
-        assert 1.0 in up.values()  # saturated while transferring
-        assert up.values()[-1] == 0.0  # closed out after the flow drained
-        assert down.values()[-1] == 0.0
-        flows = sim.metrics.series("net.host.a.flows")
-        assert flows.values()[0] == 1.0
-        assert flows.values()[-1] == 0.0
+        net.transfer(a, b, 990.0)  # drains at t=9.9
+        pipe = run_sampled(sim, until=12.0)
+        up = sampled_values(pipe, "net.host.a.up_util")
+        down = sampled_values(pipe, "net.host.b.down_util")
+        assert 1.0 in up  # saturated while transferring
+        assert up[-1] == 0.0  # closed out at the first tick after the drain
+        assert down[-1] == 0.0
+        assert pipe.series("net.host.a.flows").points() == [(0.5, 1.0), (10.0, 0.0)]
 
     def test_fair_share_shows_up_in_utilization(self):
         sim, net, a, b = two_host_net()
@@ -37,18 +49,25 @@ class TestUtilizationSeries:
         # gets half of it, so each uplink sits at 50%.
         net.transfer(a, b, 1000.0)
         net.transfer(c, b, 1000.0)
-        sim.run_until_idle()
-        assert 0.5 in sim.metrics.series("net.host.a.up_util").values()
-        assert 1.0 in sim.metrics.series("net.host.b.down_util").values()
+        pipe = run_sampled(sim, until=25.0)
+        assert 0.5 in sampled_values(pipe, "net.host.a.up_util")
+        assert 1.0 in sampled_values(pipe, "net.host.b.down_util")
 
-    def test_unconstrained_hosts_record_zero(self):
+    def test_unconstrained_direction_reads_zero(self):
         sim = Simulator()
         net = Network(sim)
         a = net.add_host("a", latency=0.0)  # infinite bandwidth
-        b = net.add_host("b", latency=0.0)
+        b = net.add_host("b", down_bw=100.0, latency=0.0)
+        net.transfer(a, b, 1000.0)
+        pipe = run_sampled(sim, until=12.0)
+        assert set(sampled_values(pipe, "net.host.a.up_util")) == {0.0}
+        assert sampled_values(pipe, "net.host.a.flows") == [1.0, 0.0]
+
+    def test_nothing_is_recorded_without_a_pipeline(self):
+        sim, net, a, b = two_host_net()
         net.transfer(a, b, 1000.0)
         sim.run_until_idle()
-        assert set(sim.metrics.series("net.host.a.up_util").values()) == {0.0}
+        assert sorted(sim.metrics.all_series()) == ["net.flows_active"]
 
     def test_global_active_flow_series_returns_to_zero(self):
         sim, net, a, b = two_host_net()
@@ -95,10 +114,10 @@ class TestAbortPaths:
     def test_failed_host_closes_out_series(self):
         sim, net, a, b = two_host_net()
         net.transfer(a, b, 10_000.0)
-        sim.run(until=5.0)
+        pipe = run_sampled(sim, until=5.0)
         net.fail_host(b)
-        sim.run_until_idle()
-        assert sim.metrics.series("net.host.a.up_util").values()[-1] == 0.0
+        run_sampled(sim, until=6.0, pipe=pipe)
+        assert sampled_values(pipe, "net.host.a.up_util") == [1.0, 0.0]
         assert sim.metrics.series("net.flows_active").values()[-1] == 0.0
 
 
@@ -120,8 +139,9 @@ class TestDeterminism:
                 rng.uniform(0, 2),
                 lambda s=src, d=dst: net.transfer(s, d, rng.uniform(100, 2000)),
             )
-        sim.run_until_idle()
-        return json.dumps(sim.metrics.dump(), sort_keys=True)
+        pipe = run_sampled(sim, until=300.0)
+        assert not net.in_flight_flows()
+        return json.dumps([sim.metrics.dump(), pipe.to_dict()], sort_keys=True)
 
     def test_same_seed_byte_identical_series(self):
         assert self.run_mesh(3) == self.run_mesh(3)
