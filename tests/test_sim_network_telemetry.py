@@ -53,7 +53,7 @@ class TestUtilizationSeries:
         assert 0.5 in sampled_values(pipe, "net.host.a.up_util")
         assert 1.0 in sampled_values(pipe, "net.host.b.down_util")
 
-    def test_unconstrained_direction_reads_zero(self):
+    def test_unconstrained_hosts_record_zero(self):
         sim = Simulator()
         net = Network(sim)
         a = net.add_host("a", latency=0.0)  # infinite bandwidth
