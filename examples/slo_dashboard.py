@@ -27,7 +27,6 @@ from repro.obs import (
     AnomalyDetector,
     BurnWindow,
     SLOEngine,
-    TelemetryConfig,
     TelemetryPipeline,
     write_dashboard,
 )
@@ -37,7 +36,7 @@ OUT = "dashboard.html"
 
 def main() -> None:
     cell = build_live_cell(num_nodes=16, seed=7)
-    pipeline = TelemetryPipeline(cell.sim, TelemetryConfig(interval=0.1))
+    pipeline = TelemetryPipeline(cell.sim)
     engine = SLOEngine(pipeline)
     engine.add(
         SLO(

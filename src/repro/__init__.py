@@ -12,8 +12,8 @@ paper by Xu, Liu, Cruz-Diaz, Da Silva and Hu. The package contains:
   placement, and version control;
 - ``repro.recovery`` — the star-, line- and tree-structured recovery
   mechanisms, the Fig. 7 selection heuristic, and the baselines
-  (checkpointing, replication, DStream lineage, FP4S erasure coding with
-  a real GF(2^8) Reed-Solomon code);
+  (checkpointing, replication, DStream lineage, and a cost model of FP4S
+  erasure coding);
 - ``repro.streaming`` — a Storm-like topology engine with stateful bolts
   and the SR3 state backend;
 - ``repro.workloads`` — seeded synthetic equivalents of the paper's

@@ -48,6 +48,7 @@ from repro.recovery.selection import (
 from repro.state.partitioner import partition_snapshot, partition_synthetic
 from repro.state.shard import Shard
 from repro.state.store import StateSnapshot, StateStore
+from repro.state.version import StateVersion
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,6 @@ class SR3(HoldsDeployment):
         return SplitResult(shards=shards, num_replicas=replicas)
 
     def _next_version(self, state_name: str):
-        from repro.state.version import StateVersion
-
         registered = self.manager.states.get(state_name)
         sequence = 1
         if registered is not None and registered.shards:

@@ -30,7 +30,7 @@ from repro.live.driver import LoadDriver, build_live_cell
 from repro.live.rates import FlashCrowd
 from repro.obs.anomaly import AnomalyDetector
 from repro.obs.slo import SLO, BurnWindow, SLOEngine
-from repro.obs.timeseries import TelemetryConfig, TelemetryPipeline
+from repro.obs.timeseries import TelemetryPipeline
 from repro.recovery.baselines.fp4s import Fp4sBaseline, Fp4sConfig
 from repro.recovery.baselines.lineage import LineageBaseline, LineageConfig
 from repro.recovery.baselines.replication import ReplicationBaseline
@@ -1451,7 +1451,7 @@ def run_slo_cell(
     )
     # Both modes carry a pipeline (the dashboard renders from it); only
     # burn mode wires it into the controller's sensing path.
-    pipeline = TelemetryPipeline(cell.sim, TelemetryConfig(interval=0.1))
+    pipeline = TelemetryPipeline(cell.sim)
     engine = anomalies = detector = None
     if mode == "burn":
         engine = SLOEngine(pipeline)

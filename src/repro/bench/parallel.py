@@ -32,6 +32,8 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.chaos.campaign import ResilienceReport, run_scenario
+from repro.chaos.scenario import SCENARIOS, campaign_scenarios
 from repro.obs import registry as _registry
 from repro.obs import tracer as _tracer
 
@@ -109,8 +111,6 @@ def _map_cells(
 def _campaign_cell_worker(payload: tuple):
     """One campaign cell, importable at top level for spawn workers."""
     scenario_name, seed, mechanism, controller, tracing, metrics = payload
-    from repro.chaos.campaign import run_scenario
-    from repro.chaos.scenario import SCENARIOS
 
     def cell():
         scenario = SCENARIOS[scenario_name]
@@ -134,9 +134,6 @@ def run_campaign_parallel(
     order and their outcomes (plus any collected observability artifacts)
     merged back in that order.
     """
-    from repro.chaos.campaign import ResilienceReport
-    from repro.chaos.scenario import campaign_scenarios
-
     scenarios = campaign_scenarios(campaign)
     tracing, metrics = _observability_flags()
     payloads = [

@@ -47,7 +47,7 @@ from repro.recovery.deployment import (
     saved_state,
 )
 from repro.recovery.model import RecoveryHandle, RecoveryResult
-from repro.sim.failure import FailureInjector, FailureRecord
+from repro.sim.failure import FailureLog, FailureRecord
 from repro.state.chain import chain_digest
 from repro.state.partitioner import partition_synthetic
 from repro.state.version import StateVersion
@@ -93,7 +93,7 @@ class ChaosEngine(HoldsDeployment):
         # ``Random(str)`` seeds via SHA-512 of the bytes — deterministic
         # across processes, unlike ``hash()``.
         self.rng = random.Random(f"{scenario.name}/{mechanism}/{scenario.seed}")
-        self.injector = FailureInjector(self.sim, self.network)
+        self.failures = FailureLog()
         self.handles: Dict[str, RecoveryHandle] = {}
         self.results: Dict[str, RecoveryResult] = {}
         # When a controller is attached (see ``run_scenario(controller=True)``)
@@ -222,7 +222,7 @@ class ChaosEngine(HoldsDeployment):
         if not node.alive:
             return
         self.overlay.fail_node(node)
-        self.injector.records.append(
+        self.failures.records.append(
             FailureRecord(self.sim.now, "crash", node.name)
         )
         self._crash_counter.add(1)
@@ -608,7 +608,7 @@ def _classify(run: RunContext, invariants: InvariantReport) -> ScenarioOutcome:
         status=status,
         recovered=len(run.results),
         expected=run.scenario.num_states,
-        crashes=len(engine.injector.crashes()),
+        crashes=len(engine.failures.crashes()),
         joins=engine.joins,
         retries=retries,
         speculations=speculations,

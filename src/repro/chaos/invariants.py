@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
+from repro.errors import ReproError
+from repro.state.chain import chain_digest
+
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.chaos.campaign import RunContext
 
@@ -189,9 +192,6 @@ class ChainChecksumConsistent(InvariantChecker):
     def check(self, run: "RunContext") -> List[str]:
         if run.mechanism == "checkpointing":
             return []
-        from repro.errors import ReproError
-        from repro.state.chain import chain_digest
-
         violations: List[str] = []
         for state_name in sorted(run.results):
             expected = run.pre_state.get(state_name)

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.control.diagnose import Diagnosis, link_plans
+from repro.control.diagnose import Diagnosis
 from repro.errors import ConfigError, OverlayError, ReproError
 from repro.recovery.deployment import MECHANISMS
 from repro.recovery.standby import (
@@ -281,7 +281,7 @@ def _resident_replicas(registered, node=None):
     ``node`` restricts the scan to one node. Standby copies are pinned to
     their standby node; they are warm capacity, not load to shed or move.
     """
-    for plan in link_plans(registered):
+    for plan in registered.link_plans():
         for placed in list(plan.placements):
             if getattr(placed.replica, "standby", False):
                 continue
@@ -426,7 +426,7 @@ class ReReplicate(Action):
         registered, failure = self._saved_state(world, state_name)
         if failure is not None:
             return failure
-        plans = link_plans(registered)
+        plans = registered.link_plans()
         pending: Dict[str, int] = {}
         copies = 0
         for plan in plans:

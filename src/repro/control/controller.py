@@ -26,6 +26,7 @@ plus the failure detector watching it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.control.actions import (
@@ -200,8 +201,6 @@ class Controller:
 
     def _check_context(self):
         """A duck-typed ``RunContext`` for the invariant checkers."""
-        from types import SimpleNamespace
-
         return SimpleNamespace(
             scenario=SimpleNamespace(latency_bound=float("inf")),
             mechanism=self._mechanism,

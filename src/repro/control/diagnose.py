@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control.events import ControlEvent
+from repro.recovery.standby import standby_coverage, standby_node_of
 
 #: Every condition the diagnosis scan can produce. The first seven come
 #: from the world scan; the last two are telemetry-driven (the ordering is
@@ -85,21 +86,6 @@ class Diagnosis:
             "node": self.node,
             "evidence": {k: v for k, v in self.evidence},
         }
-
-
-def link_plans(registered) -> List[object]:
-    """The flat placement plans behind a registered state, base first.
-
-    A chain-backed state exposes one flat plan per link; a flat state
-    exposes its single plan. States never saved (plan ``None``) yield an
-    empty list — there is nothing placed to reason about.
-    """
-    chain = getattr(registered, "chain", None)
-    if chain is not None and chain.links:
-        return [link.plan for link in chain.links]
-    if registered.plan is None:
-        return []
-    return [registered.plan]
 
 
 def _detection_time(world, node, default: float) -> float:
@@ -160,7 +146,7 @@ def _diagnose_replica_thin(world, out: List[Diagnosis]) -> None:
         registered = manager.states[name]
         thin: List[Tuple[int, int, int]] = []  # (link, shard index, providers)
         floor = registered.num_replicas
-        for link_pos, plan in enumerate(link_plans(registered)):
+        for link_pos, plan in enumerate(registered.link_plans()):
             for index in plan.shard_indexes():
                 providers = len(plan.providers_for(index))
                 if providers < registered.num_replicas:
@@ -241,7 +227,7 @@ def _diagnose_hot_shard(world, out: List[Diagnosis], hot_shard_factor: float) ->
         registered = manager.states[name]
         counts: Dict[str, int] = {}
         nodes_by_name: Dict[str, object] = {}
-        for plan in link_plans(registered):
+        for plan in registered.link_plans():
             for placed in plan.placements:
                 if not placed.node.alive:
                     continue
@@ -325,8 +311,6 @@ def _diagnose_standby_lagging(world, out: List[Diagnosis]) -> None:
     ``owner-lost`` scan's business — this one guards the takeover
     guarantee while the primary is still up.
     """
-    from repro.recovery.standby import standby_coverage, standby_node_of
-
     manager = world.manager
     for name in sorted(manager.states):
         registered = manager.states[name]
@@ -390,4 +374,4 @@ def diagnose(
     return out
 
 
-__all__ = ["CONDITIONS", "Diagnosis", "TELEMETRY_KINDS", "diagnose", "link_plans"]
+__all__ = ["CONDITIONS", "Diagnosis", "TELEMETRY_KINDS", "diagnose"]

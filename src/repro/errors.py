@@ -64,10 +64,6 @@ class SelectionError(RecoveryError):
     """The mechanism-selection heuristic received unusable inputs."""
 
 
-class ErasureCodingError(ReproError):
-    """Reed-Solomon encode/decode failure in the FP4S baseline."""
-
-
 class TopologyError(ReproError):
     """A streaming topology is malformed (cycles, unknown components)."""
 

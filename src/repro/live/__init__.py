@@ -17,13 +17,7 @@ from repro.live.metrics import (
     PhaseSummary,
     recovery_window,
 )
-from repro.live.rates import (
-    ConstantRate,
-    DiurnalRate,
-    FlashCrowd,
-    RateCurve,
-    rate_curve_from_dict,
-)
+from repro.live.rates import ConstantRate, FlashCrowd, RateCurve
 
 __all__ = [
     "LiveCell",
@@ -36,8 +30,6 @@ __all__ = [
     "PhaseSummary",
     "recovery_window",
     "ConstantRate",
-    "DiurnalRate",
     "FlashCrowd",
     "RateCurve",
-    "rate_curve_from_dict",
 ]

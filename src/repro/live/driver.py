@@ -47,6 +47,7 @@ from repro.live.rates import RateCurve
 from repro.obs.tracer import Tracer, default_tracer, tracing_enabled
 from repro.recovery.deployment import Deployment, build_deployment
 from repro.recovery.manager import MechanismImpl
+from repro.recovery.standby import sync_standby
 from repro.sim.network import Flow, Host
 from repro.state.partitioner import partition_synthetic
 from repro.state.version import StateVersion
@@ -480,8 +481,6 @@ class LoadDriver:
         ``standby.sync``, contending with app flows like any transfer) —
         which *is* the steady-state overhead the standby tier pays.
         """
-        from repro.recovery.standby import sync_standby
-
         owner = self.backend.protected_tasks()[self._kill_tid].node
         standby = self._predict_replacement(owner)
         if standby is None:

@@ -1,30 +1,23 @@
-"""Composable ingest-rate curves for the live-traffic driver.
+"""Ingest-rate curves for the live-traffic driver.
 
 A :class:`RateCurve` maps simulated time to an offered load in events per
 second. The driver integrates it per tick to decide how many tuples
 arrive, and mirrors it into the network's app-flow demands so the max-min
 allocator sees the same load the topology does.
 
-Curves compose: ``base + flash`` superimposes a flash crowd on a diurnal
-baseline, ``curve * 2.0`` doubles it. Key skew is not a rate property —
-the Zipf-hot-key behaviour comes from the workload generators' ``zipf_s``
-knob; the curve only shapes *when* events arrive, not *which* keys they
-touch.
+Key skew is not a rate property — the Zipf-hot-key behaviour comes from
+the workload generators' ``zipf_s`` knob; the curve only shapes *when*
+events arrive, not *which* keys they touch.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Dict, Optional, Sequence
 
 from repro.errors import WorkloadError
 
 __all__ = [
     "RateCurve",
     "ConstantRate",
-    "DiurnalRate",
     "FlashCrowd",
-    "rate_curve_from_dict",
 ]
 
 
@@ -46,18 +39,6 @@ class RateCurve:
             raise WorkloadError("events_between needs t1 >= t0")
         return self.rate_at((t0 + t1) / 2.0) * (t1 - t0)
 
-    def __add__(self, other: "RateCurve") -> "RateCurve":
-        if not isinstance(other, RateCurve):
-            return NotImplemented
-        return _SumRate(self, other)
-
-    def __mul__(self, factor: float) -> "RateCurve":
-        if not isinstance(factor, (int, float)):
-            return NotImplemented
-        return _ScaledRate(self, float(factor))
-
-    __rmul__ = __mul__
-
 
 class ConstantRate(RateCurve):
     """A flat ``rate`` events/second."""
@@ -77,43 +58,6 @@ class ConstantRate(RateCurve):
 
     def __repr__(self) -> str:
         return f"ConstantRate({self.rate:g})"
-
-
-class DiurnalRate(RateCurve):
-    """A sinusoidal day/night load swing around ``base``.
-
-    ``rate(t) = base * (1 + amplitude * sin(2*pi*(t - phase)/period))``,
-    clamped at zero. ``amplitude`` in [0, 1] keeps the curve non-negative
-    on its own; larger swings are allowed and simply clip at zero load.
-    """
-
-    def __init__(
-        self,
-        base: float,
-        amplitude: float = 0.5,
-        period: float = 86_400.0,
-        phase: float = 0.0,
-    ) -> None:
-        if base < 0:
-            raise WorkloadError("base rate must be non-negative")
-        if amplitude < 0:
-            raise WorkloadError("amplitude must be non-negative")
-        if period <= 0:
-            raise WorkloadError("period must be positive")
-        self.base = float(base)
-        self.amplitude = float(amplitude)
-        self.period = float(period)
-        self.phase = float(phase)
-
-    def rate_at(self, t: float) -> float:
-        swing = math.sin(2.0 * math.pi * (t - self.phase) / self.period)
-        return max(0.0, self.base * (1.0 + self.amplitude * swing))
-
-    def __repr__(self) -> str:
-        return (
-            f"DiurnalRate(base={self.base:g}, amplitude={self.amplitude:g}, "
-            f"period={self.period:g})"
-        )
 
 
 class FlashCrowd(RateCurve):
@@ -170,98 +114,3 @@ class FlashCrowd(RateCurve):
             f"at={self.at:g}, ramp={self.ramp:g}, hold={self.hold:g}, "
             f"decay={self.decay:g})"
         )
-
-
-class _SumRate(RateCurve):
-    """Superposition of two curves."""
-
-    def __init__(self, left: RateCurve, right: RateCurve) -> None:
-        self.left = left
-        self.right = right
-
-    def rate_at(self, t: float) -> float:
-        return self.left.rate_at(t) + self.right.rate_at(t)
-
-    def events_between(self, t0: float, t1: float) -> float:
-        return self.left.events_between(t0, t1) + self.right.events_between(t0, t1)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} + {self.right!r})"
-
-
-class _ScaledRate(RateCurve):
-    """A curve multiplied by a non-negative factor."""
-
-    def __init__(self, inner: RateCurve, factor: float) -> None:
-        if factor < 0:
-            raise WorkloadError("rate scale factor must be non-negative")
-        self.inner = inner
-        self.factor = factor
-
-    def rate_at(self, t: float) -> float:
-        return self.inner.rate_at(t) * self.factor
-
-    def events_between(self, t0: float, t1: float) -> float:
-        return self.inner.events_between(t0, t1) * self.factor
-
-    def __repr__(self) -> str:
-        return f"({self.inner!r} * {self.factor:g})"
-
-
-_CURVE_KINDS = ("constant", "diurnal", "flash", "sum", "scaled")
-
-
-def rate_curve_from_dict(spec: Dict) -> RateCurve:
-    """Build a curve from its declarative form (scenario files, CLI).
-
-    ``{"kind": "constant", "rate": 200}``;
-    ``{"kind": "diurnal", "base": 100, "amplitude": 0.5, "period": 60}``;
-    ``{"kind": "flash", "base": 100, "peak": 1000, "at": 15, "ramp": 3,
-    "hold": 6, "decay": 8}``; ``{"kind": "sum", "parts": [...]}``;
-    ``{"kind": "scaled", "curve": {...}, "factor": 2.0}``.
-    """
-    if not isinstance(spec, dict):
-        raise WorkloadError(f"rate-curve spec must be a dict, got {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind == "constant":
-        return ConstantRate(_num(spec, "rate"))
-    if kind == "diurnal":
-        return DiurnalRate(
-            _num(spec, "base"),
-            amplitude=_num(spec, "amplitude", 0.5),
-            period=_num(spec, "period", 86_400.0),
-            phase=_num(spec, "phase", 0.0),
-        )
-    if kind == "flash":
-        return FlashCrowd(
-            _num(spec, "base"),
-            _num(spec, "peak"),
-            _num(spec, "at"),
-            ramp=_num(spec, "ramp", 5.0),
-            hold=_num(spec, "hold", 10.0),
-            decay=_num(spec, "decay", 10.0),
-        )
-    if kind == "sum":
-        parts: Sequence = spec.get("parts", ())
-        if not parts:
-            raise WorkloadError("sum curve needs a non-empty 'parts' list")
-        curve = rate_curve_from_dict(parts[0])
-        for part in parts[1:]:
-            curve = curve + rate_curve_from_dict(part)
-        return curve
-    if kind == "scaled":
-        if "curve" not in spec:
-            raise WorkloadError("scaled curve needs an inner 'curve'")
-        return rate_curve_from_dict(spec["curve"]) * _num(spec, "factor", 1.0)
-    raise WorkloadError(
-        f"unknown rate-curve kind {kind!r}; known: {_CURVE_KINDS}"
-    )
-
-
-def _num(spec: Dict, key: str, default: Optional[float] = None) -> float:
-    value = spec.get(key, default)
-    if value is None:
-        raise WorkloadError(f"rate-curve spec missing required key {key!r}")
-    if not isinstance(value, (int, float)):
-        raise WorkloadError(f"rate-curve key {key!r} must be a number")
-    return float(value)

@@ -27,11 +27,10 @@ derives series from them —
 - open ``recovery*`` spans become a ``telemetry.recovery_active`` gauge
   series when the simulation carries a real tracer.
 
-Buffers are bounded (``retention`` points) and optionally downsampled to
-a fixed ``resolution`` bucket width with last/max/mean aggregation, so a
-long-running cell holds a dashboard's worth of history, not the full
-firehose. Everything is deterministic: sampling happens on the simulated
-clock, iteration orders are sorted, and no wall time is consulted.
+Buffers are bounded (``retention`` points), so a long-running cell holds
+a dashboard's worth of history, not the full firehose. Everything is
+deterministic: sampling happens on the simulated clock, iteration orders
+are sorted, and no wall time is consulted.
 
 Embeddings that own the event loop (the live :class:`~repro.live.driver.
 LoadDriver`) call :meth:`TelemetryPipeline.sample` from their own tick;
@@ -42,7 +41,6 @@ quiescence.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -59,48 +57,22 @@ __all__ = [
 #: Series kinds the pipeline produces (anomaly detection keys off these).
 SERIES_KINDS = ("gauge", "rate", "series", "percentile")
 
-_AGGREGATIONS = ("last", "max", "mean")
-
 
 class SeriesBuffer:
-    """A bounded, optionally downsampled ``(time, value)`` ring buffer.
+    """A bounded ``(time, value)`` ring buffer: every appended point is kept
+    verbatim, up to ``retention`` points."""
 
-    With ``resolution`` zero every appended point is kept verbatim (up to
-    ``retention`` points). With a positive resolution, points are snapped
-    to ``floor(t / resolution) * resolution`` buckets and same-bucket
-    appends fold into one point via ``agg`` (``last``, ``max`` or
-    ``mean``).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        kind: str = "gauge",
-        retention: int = 4096,
-        resolution: float = 0.0,
-        agg: str = "last",
-    ) -> None:
+    def __init__(self, name: str, kind: str = "gauge", retention: int = 4096) -> None:
         if retention <= 0:
             raise ConfigError("retention must be positive")
-        if resolution < 0:
-            raise ConfigError("resolution must be non-negative")
-        if agg not in _AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {agg!r}; known: {_AGGREGATIONS}")
         if kind not in SERIES_KINDS:
             raise ConfigError(f"unknown series kind {kind!r}; known: {SERIES_KINDS}")
         self.name = name
         self.kind = kind
-        self.resolution = float(resolution)
-        self.agg = agg
         self._points: Deque[Tuple[float, float]] = deque(maxlen=int(retention))
-        self._bucket_sum = 0.0
-        self._bucket_count = 0
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def _bucket(self, t: float) -> float:
-        return math.floor(t / self.resolution) * self.resolution
 
     def append(self, t: float, value: float) -> None:
         t = float(t)
@@ -109,23 +81,7 @@ class SeriesBuffer:
             raise ConfigError(
                 f"series {self.name!r} points must be appended in time order"
             )
-        if self.resolution <= 0:
-            self._points.append((t, value))
-            return
-        bucket = self._bucket(t)
-        if self._points and self._points[-1][0] == bucket:
-            prev = self._points[-1][1]
-            if self.agg == "max":
-                value = max(prev, value)
-            elif self.agg == "mean":
-                self._bucket_sum += value
-                self._bucket_count += 1
-                value = self._bucket_sum / self._bucket_count
-            self._points[-1] = (bucket, value)
-        else:
-            self._bucket_sum = value
-            self._bucket_count = 1
-            self._points.append((bucket, value))
+        self._points.append((t, value))
 
     def points(self) -> List[Tuple[float, float]]:
         return list(self._points)
@@ -152,13 +108,12 @@ class SeriesBuffer:
 class TelemetryConfig:
     """Sampling knobs for one pipeline."""
 
-    #: Seconds of simulated time between samples in self-scheduled mode
-    #: (embeddings that own the loop call :meth:`sample` at their own pace).
+    #: Seconds of simulated time between the samples :meth:`start` schedules.
+    #: It paces ``start()`` only: an embedding that owns the loop calls
+    #: :meth:`sample` from its own tick and never reads it.
     interval: float = 0.5
     #: Ring size per series.
     retention: int = 4096
-    #: Downsampling bucket width; 0 keeps native resolution.
-    resolution: float = 0.0
     #: Trailing window for histogram percentile series.
     histogram_window: float = 5.0
     #: Percentiles derived from observation-keeping histograms.
@@ -171,8 +126,6 @@ class TelemetryConfig:
             raise ConfigError("interval must be positive")
         if self.retention <= 0:
             raise ConfigError("retention must be positive")
-        if self.resolution < 0:
-            raise ConfigError("resolution must be non-negative")
         if self.histogram_window <= 0:
             raise ConfigError("histogram_window must be positive")
         for q in self.histogram_percentiles:
@@ -199,13 +152,7 @@ class TelemetryPipeline:
     def _ensure(self, name: str, kind: str) -> SeriesBuffer:
         buf = self._buffers.get(name)
         if buf is None:
-            buf = SeriesBuffer(
-                name,
-                kind=kind,
-                retention=self.config.retention,
-                resolution=self.config.resolution,
-                agg="mean" if kind == "rate" else "last",
-            )
+            buf = SeriesBuffer(name, kind=kind, retention=self.config.retention)
             self._buffers[name] = buf
         return buf
 

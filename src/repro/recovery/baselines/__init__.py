@@ -8,8 +8,9 @@
 - :mod:`lineage` — DStream lineage recovery (Spark Streaming): re-run
   lost tasks along the lineage graph; slow for long lineages and poorly
   suited to simultaneous failures.
-- :mod:`fp4s` — the authors' prior erasure-coded mechanism, built on a
-  real Reed-Solomon code over GF(2^8) (:mod:`erasure`).
+- :mod:`fp4s` — the authors' prior erasure-coded mechanism, as a
+  closed-form cost model of its (n, m) code: fragment counts, the storage
+  increment and calibrated coding throughputs.
 """
 
 from repro.recovery.baselines.checkpointing import (

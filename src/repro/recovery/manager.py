@@ -58,6 +58,19 @@ class RegisteredState:
     def state_bytes(self) -> float:
         return float(sum(s.size_bytes for s in self.shards))
 
+    def link_plans(self) -> List[PlacementPlan]:
+        """The flat placement plans behind this state, base first.
+
+        A chain-backed state exposes one flat plan per link; a flat state
+        exposes its single plan. A state never saved (plan ``None``) yields
+        an empty list — there is nothing placed to reason about.
+        """
+        if self.chain is not None and self.chain.links:
+            return [link.plan for link in self.chain.links]
+        if self.plan is None:
+            return []
+        return [self.plan]
+
 
 @dataclass
 class RecoveryManager:

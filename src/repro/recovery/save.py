@@ -19,6 +19,7 @@ from repro.dht.node import DhtNode
 from repro.errors import RecoveryError, StateError
 from repro.obs.tracer import NULL_SPAN
 from repro.recovery.model import RecoveryContext
+from repro.state.partitioner import replicate
 from repro.state.placement import PlacementPlan
 from repro.state.shard import Shard, ShardReplica
 
@@ -121,8 +122,6 @@ def sr3_save(
         raise StateError("cannot save zero shards")
     if mode not in ("full", "delta"):
         raise StateError(f"unknown save mode {mode!r}; expected 'full' or 'delta'")
-    from repro.state.partitioner import replicate
-
     cost = ctx.cost_model
     sim = ctx.sim
     state_name = shards[0].state_name

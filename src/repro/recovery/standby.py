@@ -56,16 +56,6 @@ class StandbyReplica(ShardReplica):
         super().__init__(shard, num_replicas, num_replicas + 1)
 
 
-def _flat_plans(registered) -> List[PlacementPlan]:
-    """The flat placement plans behind a registered state, base first."""
-    chain = getattr(registered, "chain", None)
-    if chain is not None and chain.links:
-        return [link.plan for link in chain.links]
-    if registered.plan is None:
-        return []
-    return [registered.plan]
-
-
 def _holds_warm(plan: PlacementPlan, index: int, node: DhtNode) -> bool:
     """Does ``node`` hold a live warm copy of segment ``index``?"""
     if not node.alive:
@@ -87,7 +77,7 @@ def standby_node_of(registered) -> Optional[DhtNode]:
     ties break by name for determinism. ``None`` when nothing is warm.
     """
     held: Dict[str, Tuple[int, DhtNode]] = {}
-    for plan in _flat_plans(registered):
+    for plan in registered.link_plans():
         for placed in plan.placements:
             if not getattr(placed.replica, "standby", False):
                 continue
@@ -106,7 +96,7 @@ def standby_coverage(registered, node: DhtNode) -> Tuple[int, int]:
     """(segments warm on ``node``, total segments) for one state."""
     covered = 0
     total = 0
-    for plan in _flat_plans(registered):
+    for plan in registered.link_plans():
         for index in plan.shard_indexes():
             total += 1
             if _holds_warm(plan, index, node):
@@ -194,7 +184,7 @@ def sync_standby(
     warm_bytes = 0.0
     missed = {"count": 0}
     todo: List[Tuple[PlacementPlan, PlacedShard]] = []
-    for plan in _flat_plans(registered):
+    for plan in registered.link_plans():
         for index in plan.shard_indexes():
             if _holds_warm(plan, index, standby):
                 warm_segments += 1

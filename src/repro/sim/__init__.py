@@ -6,7 +6,8 @@ This package replaces the paper's 50-VM emulation testbed. It provides:
 - :mod:`repro.sim.network` — max-min fair flow-level network with
   asymmetric per-host up/down bandwidth and a remote-storage model,
 - :mod:`repro.sim.resources` — per-node CPU/memory accounting,
-- :mod:`repro.sim.failure` — crash and shard-loss injection.
+- :mod:`repro.sim.failure` — the log of injected failures (the injectors
+  are :mod:`repro.chaos.injectors`).
 
 The metric primitives re-exported here live in :mod:`repro.obs.registry`.
 """
@@ -14,7 +15,7 @@ The metric primitives re-exported here live in :mod:`repro.obs.registry`.
 from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Flow, Host, Network, RemoteStorage
 from repro.sim.resources import ResourceProfile
-from repro.sim.failure import FailureInjector
+from repro.sim.failure import FailureLog
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
     "Network",
     "RemoteStorage",
     "ResourceProfile",
-    "FailureInjector",
+    "FailureLog",
     "Counter",
     "TimeSeries",
     "Gauge",

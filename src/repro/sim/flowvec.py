@@ -38,6 +38,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.errors import NetworkError
+
 try:  # pragma: no cover - exercised via the import-path fallback test
     import numpy as np
 except ImportError:  # pragma: no cover
@@ -346,8 +348,6 @@ def waterfill(table: FlowTable, pos: Optional["np.ndarray"]) -> "np.ndarray":
         link_fixed = (counts > 0) & (share <= bottleneck_share * (1 + 1e-12))
         fix = unfixed & (link_fixed[up_l] | link_fixed[down_l])
         if not fix.any():
-            from repro.errors import NetworkError
-
             raise NetworkError("water-filling failed to make progress")
         rates[fix] = bottleneck_share
         unfixed &= ~fix

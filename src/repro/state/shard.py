@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ShardError
+from repro.state.store import estimate_entry_bytes
 from repro.state.version import StateVersion
 
 #: Fixed serialization overhead of a delta shard (parent-version header,
@@ -91,8 +92,6 @@ class Shard:
         if size_bytes is not None:
             self.size_bytes = int(size_bytes)
         else:
-            from repro.state.store import estimate_entry_bytes
-
             self.size_bytes = sum(estimate_entry_bytes(k, v) for k, v in entries.items())
         self.checksum = (
             _entries_checksum(entries)
@@ -186,8 +185,6 @@ class DeltaShard(Shard):
         self.chain_link = chain_link
         self.deletions = tuple(sorted(deletions, key=repr))
         if size_bytes is None and entries is not None:
-            from repro.state.store import estimate_entry_bytes
-
             size_bytes = (
                 sum(estimate_entry_bytes(k, v) for k, v in entries.items())
                 + DELTA_TOMBSTONE_BYTES * len(self.deletions)
@@ -269,8 +266,6 @@ class SubShard:
         if size_bytes is not None:
             self.size_bytes = int(size_bytes)
         elif entries is not None:
-            from repro.state.store import estimate_entry_bytes
-
             self.size_bytes = sum(estimate_entry_bytes(k, v) for k, v in entries.items())
         else:
             raise ShardError("a sub-shard needs either entries or a size")

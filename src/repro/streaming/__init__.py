@@ -24,12 +24,7 @@ from repro.streaming.topology import Topology, TopologyBuilder
 from repro.streaming.stateful import StatefulBolt
 from repro.streaming.join import IncrementalJoinBolt
 from repro.streaming.microbatch import DStream, MicroBatchEngine, MicroBatchJob
-from repro.streaming.windows import (
-    SessionWindow,
-    SlidingWindow,
-    TumblingWindow,
-    WindowPane,
-)
+from repro.streaming.windows import SlidingWindow, WindowPane
 from repro.streaming.cluster import LocalCluster
 from repro.streaming.backend import SR3StateBackend
 
@@ -49,9 +44,7 @@ __all__ = [
     "DStream",
     "MicroBatchEngine",
     "MicroBatchJob",
-    "TumblingWindow",
     "SlidingWindow",
-    "SessionWindow",
     "WindowPane",
     "LocalCluster",
     "SR3StateBackend",

@@ -19,11 +19,13 @@ cluster recovers the lost store through SR3 and resumes processing.
 from __future__ import annotations
 
 import copy
+import hashlib
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StreamRuntimeError, TopologyError
 from repro.obs.tracer import NULL_TRACER
+from repro.state.store import StateStore
 from repro.streaming.backend import SR3StateBackend
 from repro.streaming.component import DiscardCollector, OutputCollector, Spout, TaskContext
 from repro.streaming.stateful import StatefulBolt
@@ -124,8 +126,6 @@ class LocalCluster:
         after recovery — equal digests mean the recovered stores hold
         byte-identical key/value contents.
         """
-        import hashlib
-
         digests: Dict[str, str] = {}
         for (component_id, index), bolt in sorted(self.stateful_tasks().items()):
             hasher = hashlib.sha256()
@@ -287,8 +287,6 @@ class LocalCluster:
         if isinstance(instance, StatefulBolt):
             # The crash lost the in-memory hashtable: restart from an empty
             # store, then overwrite it with the restored image if any.
-            from repro.state.store import StateStore
-
             instance.attach_state(StateStore(f"{component_id}[{index}]/state"))
         instance.prepare(context)
         if store is not None:

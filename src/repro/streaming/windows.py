@@ -1,16 +1,16 @@
-"""Window operators: tumbling, sliding, and session windows.
+"""The sliding event-time window the workloads aggregate over.
 
 The paper's benchmark applications "contain ... various window operators
-(e.g., sliding window, tumbling window and session window)" (Sec. 5.1).
-Windows here are event-time based: each incoming tuple carries a
-timestamp, panes close when a later timestamp proves them complete, and
-closed panes are handed to the caller for aggregation.
+(e.g., sliding window, tumbling window and session window)" (Sec. 5.1);
+the sliding window is the one an application here opens. Each incoming
+tuple carries a timestamp, panes close when a later timestamp proves them
+complete, and closed panes are handed to the caller for aggregation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import StreamRuntimeError
 
@@ -25,43 +25,6 @@ class WindowPane:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-class TumblingWindow:
-    """Fixed, non-overlapping windows of ``size`` time units."""
-
-    def __init__(self, size: float) -> None:
-        if size <= 0:
-            raise StreamRuntimeError("window size must be positive")
-        self.size = size
-        self._panes: Dict[int, WindowPane] = {}
-        self._watermark: Optional[float] = None
-
-    def add(self, timestamp: float, item: Any) -> List[WindowPane]:
-        """Insert an item; returns panes closed by the advancing time."""
-        if self._watermark is not None and timestamp < self._watermark:
-            # Late data joins its (still open) pane or is dropped.
-            index = int(timestamp // self.size)
-            pane = self._panes.get(index)
-            if pane is not None:
-                pane.items.append(item)
-            return []
-        self._watermark = timestamp
-        index = int(timestamp // self.size)
-        pane = self._panes.setdefault(
-            index, WindowPane(index * self.size, (index + 1) * self.size)
-        )
-        pane.items.append(item)
-        return self._close_before(index)
-
-    def _close_before(self, open_index: int) -> List[WindowPane]:
-        closed = [self._panes.pop(i) for i in sorted(self._panes) if i < open_index]
-        return closed
-
-    def flush(self) -> List[WindowPane]:
-        """Close every remaining pane (end of stream)."""
-        closed = [self._panes.pop(i) for i in sorted(self._panes)]
-        return closed
 
 
 class SlidingWindow:
@@ -96,50 +59,3 @@ class SlidingWindow:
 
     def flush(self) -> List[WindowPane]:
         return [self._panes.pop(i) for i in sorted(self._panes)]
-
-
-class SessionWindow:
-    """Per-key sessions that close after ``gap`` units of inactivity."""
-
-    def __init__(self, gap: float) -> None:
-        if gap <= 0:
-            raise StreamRuntimeError("session gap must be positive")
-        self.gap = gap
-        self._sessions: Dict[Any, WindowPane] = {}
-        self._last_seen: Dict[Any, float] = {}
-
-    def add(self, key: Any, timestamp: float, item: Any) -> Optional[WindowPane]:
-        """Insert an item into the key's session.
-
-        Returns the *previous* session for this key if the gap expired
-        (it is closed and replaced), else None.
-        """
-        closed: Optional[WindowPane] = None
-        last = self._last_seen.get(key)
-        if last is not None and timestamp - last > self.gap:
-            closed = self._sessions.pop(key)
-        session = self._sessions.get(key)
-        if session is None:
-            session = WindowPane(timestamp, timestamp)
-            self._sessions[key] = session
-        session.items.append(item)
-        session.end = max(session.end, timestamp)
-        self._last_seen[key] = max(last or timestamp, timestamp)
-        return closed
-
-    def expire(self, now: float) -> List[WindowPane]:
-        """Close every session idle past the gap at time ``now``."""
-        expired_keys = [
-            key for key, last in self._last_seen.items() if now - last > self.gap
-        ]
-        closed = []
-        for key in expired_keys:
-            closed.append(self._sessions.pop(key))
-            del self._last_seen[key]
-        return closed
-
-    def flush(self) -> List[WindowPane]:
-        closed = list(self._sessions.values())
-        self._sessions.clear()
-        self._last_seen.clear()
-        return closed

@@ -1,31 +1,18 @@
 """Shared utilities: id generation, sizes, statistics, and a Bloom filter."""
 
-from repro.util.ids import NodeId, random_node_id, shard_key
-from repro.util.sizes import KB, MB, GB, format_bytes, parse_size
-from repro.util.stats import (
-    Summary,
-    mean,
-    median,
-    percentile,
-    stdev,
-    summarize,
-)
+from repro.util.ids import NodeId, random_node_id
+from repro.util.sizes import KB, MB, GB
+from repro.util.stats import mean, median, percentile
 from repro.util.bloom import BloomFilter
 
 __all__ = [
     "NodeId",
     "random_node_id",
-    "shard_key",
     "KB",
     "MB",
     "GB",
-    "format_bytes",
-    "parse_size",
-    "Summary",
     "mean",
     "median",
     "percentile",
-    "stdev",
-    "summarize",
     "BloomFilter",
 ]

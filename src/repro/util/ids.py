@@ -12,7 +12,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable
 
 ID_BITS = 128
 ID_SPACE = 1 << ID_BITS
@@ -121,33 +120,3 @@ def node_id_from_name(name: str) -> NodeId:
 def random_node_id(rng: random.Random) -> NodeId:
     """Draw a uniformly random NodeId from a seeded generator."""
     return NodeId(rng.getrandbits(ID_BITS))
-
-
-def shard_key(app_name: str, state_name: str, shard_index: int, replica: int) -> NodeId:
-    """The ring position where a shard replica is stored.
-
-    SR3 scatters shard replicas across the overlay by hashing the
-    (application, state, shard, replica) tuple; distinct replicas of the
-    same shard land on independent ring positions, which is what gives the
-    load-balance property of Fig. 11.
-    """
-    return node_id_from_name(f"{app_name}/{state_name}/shard-{shard_index}/r{replica}")
-
-
-def ring_between(low: NodeId, target: NodeId, high: NodeId) -> bool:
-    """True when ``target`` lies on the clockwise arc from ``low`` to ``high``.
-
-    The arc is half-open: ``(low, high]``. Used by leaf-set responsibility
-    checks. When ``low == high`` the arc is the whole ring.
-    """
-    if low.value == high.value:
-        return True
-    return low.clockwise_distance(target) <= low.clockwise_distance(high) and target.value != low.value
-
-
-def closest_id(target: NodeId, candidates: Iterable[NodeId]) -> NodeId:
-    """The candidate numerically closest to ``target`` on the ring."""
-    pool = list(candidates)
-    if not pool:
-        raise ValueError("no candidates supplied")
-    return min(pool, key=lambda c: (target.distance(c), c.value))

@@ -1,36 +1,10 @@
-"""Byte-size constants, formatting, and parsing helpers."""
+"""Byte-size constants and link-rate conversion."""
 
 from __future__ import annotations
-
-import re
 
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
-
-_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB|TB)?\s*$", re.IGNORECASE)
-_UNITS = {"B": 1, "KB": KB, "MB": MB, "GB": GB, "TB": 1024 * GB}
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Render a byte count with a human unit, e.g. ``format_bytes(2 * MB)`` -> '2.0MB'."""
-    if num_bytes < 0:
-        raise ValueError("byte count must be non-negative")
-    for unit in ("B", "KB", "MB", "GB"):
-        if num_bytes < 1024 or unit == "GB":
-            return f"{num_bytes:.1f}{unit}"
-        num_bytes /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def parse_size(text: str) -> int:
-    """Parse '64MB' / '512 KB' / '1024' into a byte count."""
-    match = _SIZE_RE.match(text)
-    if not match:
-        raise ValueError(f"unparseable size: {text!r}")
-    magnitude = float(match.group(1))
-    unit = (match.group(2) or "B").upper()
-    return int(magnitude * _UNITS[unit])
 
 
 def mbit_per_s(megabits: float) -> float:
@@ -38,8 +12,3 @@ def mbit_per_s(megabits: float) -> float:
     if megabits < 0:
         raise ValueError("bandwidth must be non-negative")
     return megabits * 1_000_000 / 8.0
-
-
-def gbit_per_s(gigabits: float) -> float:
-    """Convert a link speed in gigabits/second into bytes/second."""
-    return mbit_per_s(gigabits * 1000)

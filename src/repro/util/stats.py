@@ -7,8 +7,7 @@ benchmark layer may still use numpy for heavier analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -88,75 +87,3 @@ def percentiles(
         interpolated = ordered[low] * (1 - frac) + ordered[high] * frac
         out[pct] = min(max(interpolated, ordered[low]), ordered[high])
     return out
-
-
-def stdev(values: Sequence[float]) -> float:
-    """Population standard deviation; 0.0 for a single sample."""
-    if not values:
-        raise ValueError("stdev of empty sequence")
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    p50: float
-    p95: float
-    p99: float
-    maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Build a :class:`Summary` from any iterable of numbers."""
-    data: List[float] = list(values)
-    if not data:
-        raise ValueError("summarize of empty sequence")
-    return Summary(
-        count=len(data),
-        mean=mean(data),
-        stdev=stdev(data),
-        minimum=min(data),
-        p50=percentile(data, 50),
-        p95=percentile(data, 95),
-        p99=percentile(data, 99),
-        maximum=max(data),
-    )
-
-
-def normal_percentile_points(values: Sequence[float]) -> List[tuple]:
-    """(value, cumulative probability) pairs for a normal-probability plot.
-
-    Mirrors Fig. 11c: sort the sample and pair each value with its plotting
-    position ``(i - 0.5) / n``.
-    """
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("empty sample")
-    return [(v, (i + 0.5) / n) for i, v in enumerate(ordered)]
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """stdev/mean — the load-imbalance metric used in the Fig. 11 analysis."""
-    mu = mean(values)
-    if mu == 0:
-        raise ValueError("coefficient of variation undefined for zero mean")
-    return stdev(values) / mu

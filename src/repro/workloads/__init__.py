@@ -27,10 +27,6 @@ from repro.workloads.traffic import (
     RouteDelayBolt,
     build_traffic_topology,
 )
-from repro.workloads.sessions import (
-    SessionAnalyticsBolt,
-    build_session_analytics_topology,
-)
 from repro.workloads.clicks import (
     ClickGenerator,
     FraudDetectBolt,
@@ -58,6 +54,4 @@ __all__ = [
     "build_micro_promotion_topology",
     "build_fraud_detection_topology",
     "build_product_bundling_topology",
-    "SessionAnalyticsBolt",
-    "build_session_analytics_topology",
 ]

@@ -1,6 +1,8 @@
-"""Shared fixtures for the recovery-layer tests."""
+"""Shared fixtures for the recovery-layer tests, and the loader of ``scripts/``."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,15 @@ from repro.state.partitioner import partition_synthetic
 from repro.state.placement import HashPlacement, LeafSetPlacement
 from repro.state.version import StateVersion
 from repro.util.sizes import MB, mbit_per_s
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` as a module (the scripts are not a package)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class RecoveryWorld:

@@ -241,13 +241,6 @@ class TestFp4s:
         fp4s_time = run_handles(w2.sim, [handle])[0].duration
         assert fp4s_time > star_time
 
-    def test_real_payload_roundtrip(self, world):
-        fp4s = Fp4sBaseline(world.ctx)
-        payload = b"the operator state as real bytes" * 100
-        fragments = fp4s.encode_payload(payload)
-        assert len(fragments) == 26
-        assert fp4s.decode_payload(fragments[10:]) == payload
-
     def test_save_needs_enough_targets(self, world):
         fp4s = Fp4sBaseline(world.ctx)
         with pytest.raises(RecoveryError):
@@ -256,5 +249,7 @@ class TestFp4s:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             Fp4sConfig(num_data=16, num_coded=8)
+        with pytest.raises(ValueError):
+            Fp4sConfig(num_data=0, num_coded=8)
         with pytest.raises(ValueError):
             Fp4sConfig(encode_rate=0)

@@ -82,7 +82,7 @@ class TestCrashWave:
         owners = engine.owner_nodes()
         CrashWave(at=1.0, count=1, victims="owners").arm(engine)
         engine.sim.run_until_idle()
-        crashed = {r.target for r in engine.injector.crashes()}
+        crashed = {r.target for r in engine.failures.crashes()}
         assert crashed & {n.name for n in owners}
 
     def test_records_are_seed_deterministic(self):
@@ -92,7 +92,7 @@ class TestCrashWave:
             CrashWave(at=1.0, count=2, victims="any").arm(engine)
             PoissonChurn(start=0.5, duration=5.0, rate=0.5, rejoin=False).arm(engine)
             engine.sim.run_until_idle()
-            return [(r.time, r.kind, r.target) for r in engine.injector.records]
+            return [(r.time, r.kind, r.target) for r in engine.failures.records]
 
         assert timeline() == timeline()
 
@@ -103,7 +103,7 @@ class TestRackFailure:
         engine.setup_states()
         RackFailure(at=1.0, size=3).arm(engine)
         engine.sim.run_until_idle()
-        assert len(engine.injector.crashes()) == 3
+        assert len(engine.failures.crashes()) == 3
 
 
 class TestPoissonChurn:
@@ -113,7 +113,7 @@ class TestPoissonChurn:
         before = len(engine.overlay.alive_nodes())
         PoissonChurn(start=0.5, duration=10.0, rate=0.5, rejoin_delay=1.0).arm(engine)
         engine.sim.run_until_idle()
-        crashes = len(engine.injector.crashes())
+        crashes = len(engine.failures.crashes())
         assert crashes > 0
         assert engine.joins == crashes
         assert len(engine.overlay.alive_nodes()) == before
@@ -156,29 +156,6 @@ class TestBandwidthInjectors:
             if n.host.up_bw < before[n.name]
         ]
         assert len(slowed) == 2
-
-
-class TestFailureInjectorSeed:
-    """Regression: victim selection must follow the injector's own seed."""
-
-    @staticmethod
-    def picks(**kwargs):
-        from repro.sim.failure import FailureInjector
-        from repro.sim.kernel import Simulator
-        from repro.sim.network import Network
-
-        sim = Simulator()
-        net = Network(sim)
-        hosts = [net.add_host(f"h{i:02d}") for i in range(12)]
-        injector = FailureInjector(sim, net, **kwargs)
-        return [h.name for h in injector.pick_victims(hosts, 4)]
-
-    def test_same_seed_same_victims(self):
-        assert self.picks(seed=7) == self.picks(seed=7)
-        assert self.picks(seed=7) != self.picks(seed=8)
-
-    def test_default_is_seed_zero(self):
-        assert self.picks() == self.picks(seed=0)
 
 
 class TestMidRecoveryCrash:

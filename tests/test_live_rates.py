@@ -1,15 +1,9 @@
-"""Rate curves: shapes, composition, integration, declarative specs."""
+"""Rate curves: shapes and integration."""
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.live.rates import (
-    ConstantRate,
-    DiurnalRate,
-    FlashCrowd,
-    RateCurve,
-    rate_curve_from_dict,
-)
+from repro.live.rates import ConstantRate, FlashCrowd, RateCurve
 
 
 class TestConstantRate:
@@ -31,24 +25,6 @@ class TestConstantRate:
             ConstantRate(10.0).events_between(5.0, 4.0)
 
 
-class TestDiurnalRate:
-    def test_period_peaks_and_troughs(self):
-        curve = DiurnalRate(100.0, amplitude=0.5, period=40.0)
-        assert curve.rate_at(0.0) == pytest.approx(100.0)
-        assert curve.rate_at(10.0) == pytest.approx(150.0)  # quarter period
-        assert curve.rate_at(30.0) == pytest.approx(50.0)  # three quarters
-
-    def test_clamped_at_zero(self):
-        curve = DiurnalRate(100.0, amplitude=2.0, period=40.0)
-        assert curve.rate_at(30.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            DiurnalRate(-1.0)
-        with pytest.raises(WorkloadError):
-            DiurnalRate(10.0, period=0.0)
-
-
 class TestFlashCrowd:
     def test_piecewise_shape(self):
         curve = FlashCrowd(base=100.0, peak=1000.0, at=10.0, ramp=4.0, hold=6.0, decay=8.0)
@@ -61,61 +37,6 @@ class TestFlashCrowd:
     def test_peak_below_base_rejected(self):
         with pytest.raises(WorkloadError):
             FlashCrowd(base=100.0, peak=50.0, at=5.0)
-
-
-class TestComposition:
-    def test_sum_and_scale(self):
-        curve = ConstantRate(100.0) + ConstantRate(50.0)
-        assert curve.rate_at(3.0) == pytest.approx(150.0)
-        doubled = 2.0 * curve
-        assert doubled.rate_at(3.0) == pytest.approx(300.0)
-        assert doubled.events_between(0.0, 2.0) == pytest.approx(600.0)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(WorkloadError):
-            ConstantRate(10.0) * -2.0
-
-
-class TestFromDict:
-    def test_constant(self):
-        curve = rate_curve_from_dict({"kind": "constant", "rate": 200})
-        assert isinstance(curve, ConstantRate)
-        assert curve.rate == 200.0
-
-    def test_flash_with_defaults(self):
-        curve = rate_curve_from_dict(
-            {"kind": "flash", "base": 100, "peak": 900, "at": 5}
-        )
-        assert isinstance(curve, FlashCrowd)
-        assert curve.ramp == 5.0
-
-    def test_sum_composes(self):
-        curve = rate_curve_from_dict(
-            {
-                "kind": "sum",
-                "parts": [
-                    {"kind": "constant", "rate": 10},
-                    {"kind": "constant", "rate": 20},
-                ],
-            }
-        )
-        assert curve.rate_at(0.0) == pytest.approx(30.0)
-
-    def test_scaled(self):
-        curve = rate_curve_from_dict(
-            {"kind": "scaled", "curve": {"kind": "constant", "rate": 10}, "factor": 3}
-        )
-        assert curve.rate_at(0.0) == pytest.approx(30.0)
-
-    def test_errors(self):
-        with pytest.raises(WorkloadError):
-            rate_curve_from_dict({"kind": "nope"})
-        with pytest.raises(WorkloadError):
-            rate_curve_from_dict({"kind": "constant"})
-        with pytest.raises(WorkloadError):
-            rate_curve_from_dict({"kind": "sum", "parts": []})
-        with pytest.raises(WorkloadError):
-            rate_curve_from_dict("constant")
 
 
 class TestMidpointIntegration:

@@ -33,23 +33,6 @@ class TestSeriesBuffer:
             buf.append(float(i), float(i))
         assert buf.points() == [(2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
 
-    def test_downsample_last(self):
-        buf = SeriesBuffer("s", resolution=1.0, agg="last")
-        buf.append(0.2, 1.0)
-        buf.append(0.8, 2.0)
-        buf.append(1.1, 3.0)
-        assert buf.points() == [(0.0, 2.0), (1.0, 3.0)]
-
-    def test_downsample_max_and_mean(self):
-        hi = SeriesBuffer("s", resolution=1.0, agg="max")
-        for t, v in ((0.1, 1.0), (0.5, 9.0), (0.9, 3.0)):
-            hi.append(t, v)
-        assert hi.points() == [(0.0, 9.0)]
-        avg = SeriesBuffer("s", resolution=1.0, agg="mean")
-        for t, v in ((0.1, 1.0), (0.5, 2.0), (0.9, 3.0)):
-            avg.append(t, v)
-        assert avg.points() == [(0.0, 2.0)]
-
     def test_window_is_left_open_right_closed(self):
         buf = SeriesBuffer("s")
         for t in (1.0, 2.0, 3.0, 4.0):
@@ -61,10 +44,6 @@ class TestSeriesBuffer:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SeriesBuffer("s", retention=0)
-        with pytest.raises(ConfigError):
-            SeriesBuffer("s", resolution=-1.0)
-        with pytest.raises(ConfigError):
-            SeriesBuffer("s", agg="median")
         with pytest.raises(ConfigError):
             SeriesBuffer("s", kind="histogram")
 
@@ -84,8 +63,6 @@ class TestTelemetryConfig:
             TelemetryConfig(interval=0.0)
         with pytest.raises(ConfigError):
             TelemetryConfig(retention=0)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(resolution=-0.1)
         with pytest.raises(ConfigError):
             TelemetryConfig(histogram_window=0.0)
         with pytest.raises(ConfigError):

@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro.errors import (
-    ErasureCodingError,
     IntegrityError,
     InsufficientShardsError,
     MulticastError,
@@ -30,7 +29,6 @@ PACKAGES = [
     "repro.state",
     "repro.recovery",
     "repro.recovery.baselines",
-    "repro.recovery.baselines.erasure",
     "repro.streaming",
     "repro.workloads",
     "repro.bench",
@@ -110,8 +108,7 @@ class TestErrorHierarchy:
             IntegrityError,
             RecoveryError,
             InsufficientShardsError,
-            ErasureCodingError,
-            TopologyError,
+                    TopologyError,
             StreamRuntimeError,
         ],
     )

@@ -1,26 +1,18 @@
 """``scripts/heap_census.py``: one smoke-size cell in, a census per lap group out."""
 
 import gc
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from repro.dht import Overlay
 from repro.recovery import RecoveryManager, TreeRecovery
-
-ROOT = Path(__file__).resolve().parents[1]
+from tests.conftest import load_script
 
 
 @pytest.fixture(scope="module")
 def heap_census():
-    spec = importlib.util.spec_from_file_location(
-        "heap_census", ROOT / "scripts" / "heap_census.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("heap_census")
 
 
 def test_scale_cell_is_cut_into_the_four_groups(heap_census, capsys):

@@ -1,10 +1,11 @@
 """``scripts/perf_trajectory.py``: result files in, one trajectory entry out."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from tests.conftest import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -12,12 +13,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 @pytest.fixture(scope="module")
 def trajectory():
-    spec = importlib.util.spec_from_file_location(
-        "perf_trajectory", ROOT / "scripts" / "perf_trajectory.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("perf_trajectory")
 
 
 def _result_file(path, commit, seed, workload, cell_wall_s):

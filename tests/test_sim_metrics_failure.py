@@ -1,12 +1,8 @@
-"""Unit tests for metrics primitives and the failure injector."""
+"""Unit tests for metrics primitives."""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.failure import FailureInjector
-from repro.sim.kernel import Simulator
 from repro.obs.registry import Counter, MetricsRegistry, TimeSeries
-from repro.sim.network import Network
 
 
 class TestCounter:
@@ -65,65 +61,3 @@ class TestRegistry:
         assert reg.series("b") is reg.series("b")
         assert set(reg.counters()) == {"a"}
         assert set(reg.all_series()) == {"b"}
-
-
-class TestFailureInjector:
-    def _setup(self):
-        sim = Simulator()
-        net = Network(sim)
-        hosts = [net.add_host(f"h{i}") for i in range(5)]
-        return sim, net, hosts
-
-    def test_crash_fires_at_time(self):
-        sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net)
-        crashed = []
-        injector.crash_at(3.0, hosts[0], on_crash=lambda h: crashed.append(sim.now))
-        sim.run_until_idle()
-        assert crashed == [3.0]
-        assert not hosts[0].alive
-        assert len(injector.crashes()) == 1
-
-    def test_crash_many_simultaneous(self):
-        sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net)
-        injector.crash_many_at(1.0, hosts[:3])
-        sim.run_until_idle()
-        assert sum(1 for h in hosts if not h.alive) == 3
-
-    def test_crash_in_past_rejected(self):
-        sim, net, hosts = self._setup()
-        sim.schedule(5.0, lambda: None)
-        sim.run_until_idle()
-        injector = FailureInjector(sim, net)
-        with pytest.raises(SimulationError):
-            injector.crash_at(1.0, hosts[0])
-
-    def test_double_crash_recorded_once(self):
-        sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net)
-        injector.crash_at(1.0, hosts[0])
-        injector.crash_at(2.0, hosts[0])
-        sim.run_until_idle()
-        assert len(injector.crashes()) == 1
-
-    def test_pick_victims_distinct(self):
-        sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net, seed=1)
-        victims = injector.pick_victims(hosts, 3)
-        assert len({v.name for v in victims}) == 3
-
-    def test_pick_victims_too_many(self):
-        sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net)
-        with pytest.raises(SimulationError):
-            injector.pick_victims(hosts, 10)
-
-    def test_shard_loss_action_runs(self):
-        sim, net, hosts = self._setup()
-        injector = FailureInjector(sim, net)
-        dropped = []
-        injector.lose_shards_at(2.0, "app/state shard 3", lambda: dropped.append(1))
-        sim.run_until_idle()
-        assert dropped == [1]
-        assert len(injector.shard_losses()) == 1

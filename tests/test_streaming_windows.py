@@ -1,56 +1,9 @@
-"""Unit tests for the window operators."""
+"""Unit tests for the sliding window operator."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import StreamRuntimeError
-from repro.streaming.windows import SessionWindow, SlidingWindow, TumblingWindow
-
-
-class TestTumbling:
-    def test_pane_closes_when_next_opens(self):
-        w = TumblingWindow(10.0)
-        assert w.add(1.0, "a") == []
-        assert w.add(5.0, "b") == []
-        closed = w.add(11.0, "c")
-        assert len(closed) == 1
-        assert closed[0].items == ["a", "b"]
-        assert closed[0].start == 0.0 and closed[0].end == 10.0
-
-    def test_flush_closes_remaining(self):
-        w = TumblingWindow(10.0)
-        w.add(1.0, "a")
-        closed = w.add(25.0, "b")
-        assert [p.items for p in closed] == [["a"]]
-        assert [p.items for p in w.flush()] == [["b"]]
-
-    def test_gap_windows_skipped(self):
-        w = TumblingWindow(10.0)
-        w.add(1.0, "a")
-        closed = w.add(55.0, "b")
-        assert len(closed) == 1
-
-    def test_late_data_joins_open_pane(self):
-        w = TumblingWindow(10.0)
-        w.add(15.0, "a")
-        w.add(12.0, "late")  # same pane, earlier timestamp
-        panes = w.flush()
-        assert panes[0].items == ["a", "late"]
-
-    def test_invalid_size(self):
-        with pytest.raises(StreamRuntimeError):
-            TumblingWindow(0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=60))
-    def test_no_data_loss_for_ordered_input(self, times):
-        w = TumblingWindow(7.0)
-        collected = []
-        for i, t in enumerate(sorted(times)):
-            for pane in w.add(t, i):
-                collected.extend(pane.items)
-        for pane in w.flush():
-            collected.extend(pane.items)
-        assert sorted(collected) == list(range(len(times)))
+from repro.streaming.windows import SlidingWindow
 
 
 class TestSliding:
@@ -81,47 +34,3 @@ class TestSliding:
         closed = sliding.add(11.0, "b")
         assert len(closed) == 1
         assert closed[0].items == ["a"]
-
-
-class TestSession:
-    def test_items_within_gap_share_session(self):
-        w = SessionWindow(gap=5.0)
-        assert w.add("u", 1.0, "a") is None
-        assert w.add("u", 4.0, "b") is None
-        panes = w.flush()
-        assert len(panes) == 1
-        assert panes[0].items == ["a", "b"]
-
-    def test_gap_expiry_closes_previous_session(self):
-        w = SessionWindow(gap=5.0)
-        w.add("u", 1.0, "a")
-        closed = w.add("u", 10.0, "b")
-        assert closed is not None
-        assert closed.items == ["a"]
-        assert w.flush()[0].items == ["b"]
-
-    def test_sessions_are_per_key(self):
-        w = SessionWindow(gap=5.0)
-        w.add("u1", 1.0, "a")
-        assert w.add("u2", 20.0, "b") is None  # different key: no closure
-        assert len(w.flush()) == 2
-
-    def test_expire_sweeps_idle_sessions(self):
-        w = SessionWindow(gap=5.0)
-        w.add("u1", 1.0, "a")
-        w.add("u2", 8.0, "b")
-        expired = w.expire(now=9.0)
-        assert len(expired) == 1
-        assert expired[0].items == ["a"]
-
-    def test_session_bounds_track_items(self):
-        w = SessionWindow(gap=10.0)
-        w.add("u", 3.0, "a")
-        w.add("u", 7.0, "b")
-        pane = w.flush()[0]
-        assert pane.start == 3.0
-        assert pane.end == 7.0
-
-    def test_invalid_gap(self):
-        with pytest.raises(StreamRuntimeError):
-            SessionWindow(0)

@@ -9,12 +9,9 @@ from repro.util.ids import (
     ID_BITS,
     ID_SPACE,
     NodeId,
-    closest_id,
     node_id_from_bytes,
     node_id_from_name,
     random_node_id,
-    ring_between,
-    shard_key,
 )
 
 ids = st.integers(min_value=0, max_value=ID_SPACE - 1).map(NodeId)
@@ -179,40 +176,3 @@ class TestDerivedIds:
 
     def test_random_is_seed_deterministic(self):
         assert random_node_id(random.Random(5)) == random_node_id(random.Random(5))
-
-    def test_shard_key_varies_by_replica(self):
-        a = shard_key("app", "state", 0, 0)
-        b = shard_key("app", "state", 0, 1)
-        assert a != b
-
-    def test_shard_key_varies_by_index(self):
-        assert shard_key("app", "s", 0, 0) != shard_key("app", "s", 1, 0)
-
-
-class TestRingHelpers:
-    def test_ring_between_simple(self):
-        assert ring_between(NodeId(10), NodeId(20), NodeId(30))
-        assert not ring_between(NodeId(10), NodeId(40), NodeId(30))
-
-    def test_ring_between_wraparound(self):
-        low = NodeId(ID_SPACE - 5)
-        high = NodeId(5)
-        assert ring_between(low, NodeId(1), high)
-        assert not ring_between(low, NodeId(100), high)
-
-    def test_ring_between_degenerate(self):
-        assert ring_between(NodeId(7), NodeId(123), NodeId(7))
-
-    def test_closest_id(self):
-        target = NodeId(100)
-        pool = [NodeId(90), NodeId(105), NodeId(300)]
-        assert closest_id(target, pool) == NodeId(105)
-
-    def test_closest_id_empty_pool(self):
-        with pytest.raises(ValueError):
-            closest_id(NodeId(1), [])
-
-    @given(ids, st.lists(ids, min_size=1, max_size=10))
-    def test_closest_id_is_minimal(self, target, pool):
-        best = closest_id(target, pool)
-        assert all(target.distance(best) <= target.distance(c) for c in pool)

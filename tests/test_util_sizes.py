@@ -1,62 +1,13 @@
-"""Unit tests for byte-size helpers."""
+"""Unit tests for the link-rate helper."""
 
 import pytest
 
-from repro.util.sizes import GB, KB, MB, format_bytes, gbit_per_s, mbit_per_s, parse_size
-
-
-class TestFormatBytes:
-    def test_bytes(self):
-        assert format_bytes(512) == "512.0B"
-
-    def test_kilobytes(self):
-        assert format_bytes(2 * KB) == "2.0KB"
-
-    def test_megabytes(self):
-        assert format_bytes(1.5 * MB) == "1.5MB"
-
-    def test_gigabytes(self):
-        assert format_bytes(3 * GB) == "3.0GB"
-
-    def test_large_stays_gb(self):
-        assert format_bytes(4096 * GB).endswith("GB")
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_bytes(-1)
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("1024", 1024),
-            ("1KB", KB),
-            ("64MB", 64 * MB),
-            ("64 mb", 64 * MB),
-            ("1.5GB", int(1.5 * GB)),
-            ("2TB", 2 * 1024 * GB),
-            ("0B", 0),
-        ],
-    )
-    def test_valid(self, text, expected):
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "MB", "12PB", "twelve", "-5MB"])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError):
-            parse_size(text)
-
-    def test_roundtrip_with_format(self):
-        assert parse_size(format_bytes(64 * MB)) == 64 * MB
+from repro.util.sizes import mbit_per_s
 
 
 class TestLinkRates:
     def test_mbit(self):
         assert mbit_per_s(8) == 1_000_000
-
-    def test_gbit(self):
-        assert gbit_per_s(1) == 125_000_000
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

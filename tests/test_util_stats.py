@@ -3,15 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    coefficient_of_variation,
-    mean,
-    median,
-    normal_percentile_points,
-    percentile,
-    stdev,
-    summarize,
-)
+from repro.util.stats import mean, median, percentile
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=50
@@ -31,16 +23,6 @@ class TestBasics:
 
     def test_median_even_interpolates(self):
         assert median([1, 2, 3, 4]) == 2.5
-
-    def test_stdev_constant(self):
-        assert stdev([5, 5, 5]) == 0
-
-    def test_stdev_known(self):
-        assert stdev([2, 4]) == pytest.approx(1.0)
-
-    def test_stdev_empty(self):
-        with pytest.raises(ValueError):
-            stdev([])
 
 
 class TestPercentile:
@@ -71,47 +53,6 @@ class TestPercentile:
     @given(samples)
     def test_monotone_in_pct(self, data):
         assert percentile(data, 25) <= percentile(data, 75)
-
-
-class TestSummary:
-    def test_summary_fields(self):
-        s = summarize([1, 2, 3, 4])
-        assert s.count == 4
-        assert s.minimum == 1
-        assert s.maximum == 4
-        assert s.p50 == 2.5
-
-    def test_as_dict_keys(self):
-        d = summarize([1.0]).as_dict()
-        assert set(d) == {"count", "mean", "stdev", "min", "p50", "p95", "p99", "max"}
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
-class TestNormalPercentiles:
-    def test_points_sorted_and_probabilities(self):
-        points = normal_percentile_points([3, 1, 2])
-        assert [v for v, _ in points] == [1, 2, 3]
-        probs = [p for _, p in points]
-        assert probs == pytest.approx([1 / 6, 3 / 6, 5 / 6])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            normal_percentile_points([])
-
-
-class TestCoV:
-    def test_uniform_is_zero(self):
-        assert coefficient_of_variation([4, 4, 4]) == 0
-
-    def test_zero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            coefficient_of_variation([-1, 1])
-
-    def test_known_value(self):
-        assert coefficient_of_variation([2, 4]) == pytest.approx(1 / 3)
 
 
 class TestPercentileEdgeCases:
