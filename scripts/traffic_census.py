@@ -47,6 +47,7 @@ import shutil
 import sys
 import tempfile
 import threading
+import traceback
 from pathlib import Path
 from time import perf_counter
 from types import CodeType
@@ -261,10 +262,10 @@ def census(only: Optional[Sequence[str]] = None) -> Dict[str, Any]:
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(io.StringIO()):
                         code = items[name](Path(tmp))
-                except (Exception, SystemExit) as exc:
-                    code = f"{type(exc).__name__}: {exc}"
+                except (Exception, SystemExit):  # the census goes on and reports it
+                    code = traceback.format_exc().rstrip()
                 if code:
-                    failed.append(f"{name} ({code})")
+                    failed.append(f"{name}: {code}")
         finally:
             os.chdir(cwd)
     seconds = perf_counter() - started

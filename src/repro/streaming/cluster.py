@@ -240,16 +240,6 @@ class LocalCluster:
                     if collector.pending:
                         queue.extend(collector.drain())
 
-    def flush(self) -> None:
-        """Invoke ``finish(collector)`` on bolts that define it (windows)."""
-        for component_id in sorted(self.topology.bolts):
-            for bolt, collector in zip(self._tasks[component_id], self._collectors[component_id]):
-                finish = getattr(bolt, "finish", None)
-                if callable(finish):
-                    finish(collector)
-                    for out in collector.drain():
-                        self._route(out)
-
     def shutdown(self) -> None:
         for tasks in self._tasks.values():
             for instance in tasks:

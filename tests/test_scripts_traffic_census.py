@@ -50,7 +50,8 @@ def test_every_def_is_catalogued_under_its_qualified_name(traffic_census):
 
 def test_a_failing_item_fails_the_run(traffic_census, capsys):
     assert traffic_census.main(["--only", "no-such-item", "--max-unreached", "100000"]) == 1
-    assert "FAILED no-such-item (KeyError" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "FAILED no-such-item: Traceback" in printed and "KeyError: 'no-such-item'" in printed
 
 
 def test_the_ratchet_trips_above_the_limit(traffic_census, capsys):
