@@ -62,14 +62,11 @@ def protocol_join(
     if not bootstrap.alive:
         raise OverlayError(f"bootstrap {bootstrap.name} is dead")
 
-    index = len(overlay.nodes)
-    node_host = host or overlay.network.add_host(f"node-{index}")
-    newcomer = DhtNode(
-        overlay._fresh_id(),
-        node_host,
-        leaf_set_size=overlay.leaf_set_size,
-        bits_per_digit=overlay.bits_per_digit,
-    )
+    node_host = host or overlay.network.add_host(f"node-{len(overlay.nodes)}")
+    # Adopted like any built or added node, so the overlay's ring, alive
+    # list and holder index see it; nobody's routing state names it until
+    # the announcements below, so the JOIN still routes as if it were absent.
+    newcomer = overlay._adopt(overlay._fresh_id(), node_host)
 
     messages = 0
     control_bytes = 0.0
@@ -107,12 +104,6 @@ def protocol_join(
     ]
     newcomer.leaf_set.rebuild(leaf_candidates)
     send(destination, newcomer, LEAF_SET_BYTES)
-
-    # Register with the overlay before announcing (announcements must be
-    # able to route back to the newcomer).
-    overlay.nodes.append(newcomer)
-    overlay._by_id[newcomer.node_id] = newcomer
-    overlay._index_cache = None
 
     # Step 4: announce to everything the newcomer now knows; receivers
     # insert the newcomer into their own routing state.

@@ -65,32 +65,29 @@ class LeafSet:
     def seed(self, clockwise: List["DhtNode"], counter: List["DhtNode"]) -> None:
         """Install both halves directly, nearest-first.
 
-        Omniscient wiring: the overlay already walked the sorted ring, so
+        Omniscient wiring: the overlay sliced them off its sorted ring, so
         the per-node distance re-sorts of :meth:`rebuild` are redundant.
         Callers guarantee the lists are what ``rebuild`` would select, and
         hand them over: the leaf set keeps them, it does not copy them.
         """
-        old = (self._clockwise, self._counter)
+        old_clockwise, old_counter = self._clockwise, self._counter
+        if clockwise == old_clockwise and counter == old_counter:
+            return  # the same nodes in the same places
         self._clockwise = clockwise
         self._counter = counter
         if self.on_membership_change is not None:
-            old_ids = {n.node_id.value for side in old for n in side}
-            new_ids = {n.node_id.value for side in (clockwise, counter) for n in side}
-            if new_ids != old_ids:
-                self.on_membership_change(self.owner_id, new_ids - old_ids, old_ids - new_ids)
+            old = set(old_clockwise + old_counter)
+            new = set(clockwise + counter)
+            if new != old:
+                came = [n.node_id.value for n in new - old]
+                went = [n.node_id.value for n in old - new]
+                self.on_membership_change(self.owner_id, came, went)
 
-    def remove(self, node_id: NodeId) -> bool:
-        """Drop a failed member; returns True if it was present."""
-        value = node_id.value
-        clockwise = [n for n in self._clockwise if n.node_id.value != value]
-        counter = [n for n in self._counter if n.node_id.value != value]
-        if len(clockwise) == len(self._clockwise) and len(counter) == len(self._counter):
-            return False
+    def install(self, clockwise: List["DhtNode"], counter: List["DhtNode"]) -> None:
+        """:meth:`seed` without the observer call, for a caller that rebuilds
+        its reverse index wholesale (the overlay's bulk wiring)."""
         self._clockwise = clockwise
         self._counter = counter
-        if self.on_membership_change is not None:
-            self.on_membership_change(self.owner_id, (), (value,))
-        return True
 
     def last_member(self) -> Optional["DhtNode"]:
         """The final entry of :meth:`members` without building the copy."""

@@ -42,11 +42,11 @@ class DhtNode:
         # Position in the overlay's join sequence (the overlay sets this
         # when it adopts the node); -1 for nodes outside any overlay.
         self.join_order = -1
-        # Overlay hook fired when liveness actually flips (with the new
-        # state), so the overlay's cached alive-node index and count never
+        # Overlay hook fired with this node when its liveness actually
+        # flips, so the overlay's alive ring, alive list and count never
         # serve a stale view even when callers flip liveness via
         # fail()/revive() directly.
-        self._on_liveness_change: Optional[Callable[[bool], None]] = None
+        self._on_liveness_change: Optional[Callable[["DhtNode"], None]] = None
         # Shard replicas stored on behalf of other operators, keyed by the
         # replica's globally unique key (see repro.state.shard).
         self.shard_store: Dict[object, "ShardReplica"] = {}
@@ -90,11 +90,11 @@ class DhtNode:
             return
         self.alive = False
         if self._on_liveness_change is not None:
-            self._on_liveness_change(False)
+            self._on_liveness_change(self)
 
     def revive(self) -> None:
         if self.alive:
             return
         self.alive = True
         if self._on_liveness_change is not None:
-            self._on_liveness_change(True)
+            self._on_liveness_change(self)

@@ -8,6 +8,12 @@ are filled from global knowledge rather than by replaying the join
 protocol message-by-message — which preserves the structures' invariants
 and asymptotics while letting experiments scale to the paper's 5,000-node
 overlays.
+
+Membership is three structures: the **alive ring** (the alive nodes sorted
+by id, kept current by one bisect insert or delete per adoption, crash and
+revival; leaf-set wiring and repair and the responsible node of a key are
+slices of it), the **join-order alive list** ``sample_nodes`` draws from,
+and the **reverse leaf-set index** (id -> the nodes whose leaf set holds it).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from repro.dht.node import DhtNode
 from repro.errors import OverlayError, RoutingError
 from repro.sim.kernel import Simulator
 from repro.sim.network import Host, Network
-from repro.util.ids import NodeId, random_node_id
+from repro.util.ids import ID_SPACE, NodeId, random_node_id
 
 HostFactory = Callable[[str], Host]
 
@@ -81,24 +87,26 @@ class Overlay:
         self.rng = rng or random.Random(0)
         self.nodes: List[DhtNode] = []
         self._by_id: Dict[NodeId, DhtNode] = {}
-        self._index_cache = None
-        # Lazily rebuilt alive-node list (self.nodes order) plus a
-        # position index (id value -> offset in that list). Invalidated
-        # by membership changes and by any node's liveness hook.
+        # The alive ring: (id values, nodes), both sorted by id. Built with
+        # one sort on first use, then kept current by _membership_changed.
+        self._ring: Optional[Tuple[List[int], List[DhtNode]]] = None
+        # The nodes with the lowest and the highest id ever adopted, dead
+        # or alive: the only wrap-around candidates of responsible_node.
+        self._low: Optional[DhtNode] = None
+        self._high: Optional[DhtNode] = None
+        # The alive nodes in join order, the population sample_nodes draws
+        # from, with a position index (id value -> offset). Rebuilt lazily
+        # after a membership or liveness change.
         self._alive_cache: Optional[List[DhtNode]] = None
         self._alive_pos: Dict[int, int] = {}
-        # Alive-node tally, maintained incrementally from adoptions and
-        # the per-node liveness hooks — alive_count() must not pay the
-        # O(N) cache rebuild on the crash-repair path.
-        self._alive_count = 0
-        # Reverse leaf-set index: id value -> the nodes currently holding
-        # that id in their leaf set (maintained via LeafSet observers), in
-        # no particular order. Turns per-crash repair from an O(N) scan
-        # into a dict lookup.
+        # Reverse leaf-set index: id value -> the nodes whose leaf set
+        # holds that id, in no particular order. A build fills it from the
+        # ring slices it wires (the relation is symmetric there); after
+        # that the leaf sets' observers keep it.
         self._holders: Dict[int, List[DhtNode]] = {}
         # The liveness, leaf-set and routing-table observers every adopted
         # node gets: bound once, so the nodes share three method objects.
-        self._observers = (self._liveness_changed, self._leafset_changed, self._bump_topology)
+        self._observers = (self._membership_changed, self._leafset_changed, self._bump_topology)
         # Monotonic counter bumped on any membership, liveness, leaf-set,
         # or routing-table change. Route memos (e.g. Scribe's) key their
         # validity on it: unchanged topology -> cached routes are exact.
@@ -128,10 +136,10 @@ class Overlay:
         node = self._adopt(self._fresh_id(), node_host)
         # Wire the newcomer fully, then refresh the ring neighbours it
         # landed between (its own leaf-set members must adopt it).
-        node.leaf_set.rebuild(self._ring_pool(node))
+        self._reseed(node)
         node.routing_table.refresh(self.alive_nodes())
         for neighbour in node.leaf_set.members():
-            neighbour.leaf_set.rebuild(self._ring_pool(neighbour))
+            self._reseed(neighbour)
             neighbour.routing_table.add(node)
         self.sim.tracer.instant(
             f"node joined {node.name}", category="overlay.join", node=node.name
@@ -144,25 +152,40 @@ class Overlay:
         node = DhtNode(node_id, host, self.leaf_set_size, self.bits_per_digit)
         node.join_order = len(self.nodes)
         self.nodes.append(node)
-        self._by_id[node.node_id] = node
+        self._by_id[node_id] = node
         (
             node._on_liveness_change,
             node.leaf_set.on_membership_change,
             node.routing_table.on_change,
         ) = self._observers
-        self._index_cache = None
-        self._alive_count += 1
-        self._invalidate_alive()
+        if self._low is None or node_id.value < self._low.node_id.value:
+            self._low = node
+        if self._high is None or node_id.value > self._high.node_id.value:
+            self._high = node
+        self._membership_changed(node)
         return node
 
-    def _invalidate_alive(self) -> None:
+    def _membership_changed(self, node: DhtNode) -> None:
+        """An adoption, or the liveness observer DhtNode.fail()/revive()
+        fire on an actual flip: put the node on the ring or take it off."""
         self._alive_cache = None
         self.topology_version += 1
+        if self._ring is not None:
+            values, nodes = self._ring
+            at = bisect.bisect_left(values, node.node_id.value)
+            if node.alive:
+                values.insert(at, node.node_id.value)
+                nodes.insert(at, node)
+            else:
+                del values[at], nodes[at]
 
-    def _liveness_changed(self, alive: bool) -> None:
-        # Fired by DhtNode.fail()/revive() only on an actual flip.
-        self._alive_count += 1 if alive else -1
-        self._invalidate_alive()
+    def _alive_ring(self) -> Tuple[List[int], List[DhtNode]]:
+        """The alive ring. Callers must not mutate it."""
+        ring = self._ring
+        if ring is None:
+            ordered = sorted((n for n in self.nodes if n.alive), key=lambda n: n.node_id.value)
+            ring = self._ring = ([n.node_id.value for n in ordered], ordered)
+        return ring
 
     def _bump_topology(self) -> None:
         self.topology_version += 1
@@ -187,25 +210,39 @@ class Overlay:
                 return node_id
 
     def _wire_leaf_sets(self) -> None:
-        ordered = sorted(self.nodes, key=lambda n: n.node_id.value)
+        """Install every alive node's leaf set, and the reverse index, from
+        slices of the alive ring: the window around a ring position is what
+        ``rebuild`` would sort out of the whole ring. The relation wired
+        this way is symmetric, so the holders of X are X's own members: one
+        list per node for the index, not one observer call per member."""
+        ordered = self._alive_ring()[1]
         n = len(ordered)
         half = min(self.leaf_set_size // 2, max(0, n - 1))
-        if n - 1 >= 2 * half:
-            # The ring order already determines both halves: the nearest
-            # `half` nodes clockwise/counter-clockwise are the window
-            # itself, nearest first, exactly what `rebuild` would sort
-            # out per node. Seeding directly skips 2N sorts of the
-            # window by 128-bit ring distance. The ring's ends are wrapped
-            # on, one entry more in front so no reversed slice stops at -1.
-            ring = ordered[-half - 1:] + ordered + ordered[:half]
-            for at, node in enumerate(ordered, half + 1):
-                node.leaf_set.seed(ring[at + 1 : at + 1 + half], ring[at - 1 : at - 1 - half : -1])
-        else:
+        if n - 1 < 2 * half:
             # Tiny ring: window offsets overlap modulo n; let rebuild
             # resolve duplicates the way it always has.
             for i, node in enumerate(ordered):
                 window = [ordered[(i + off) % n] for off in range(-half, half + 1) if off]
                 node.leaf_set.rebuild(window)
+            return
+        # Dead nodes keep the leaf sets they died with, and their entries.
+        stale = [
+            (value, [holder for holder in bucket if not holder.alive])
+            for value, bucket in self._holders.items()
+        ]
+        holders = self._holders = {}
+        # The ring's ends are wrapped on, one entry more in front so no
+        # reversed slice stops at -1.
+        ring = ordered[-half - 1:] + ordered + ordered[:half]
+        for at, node in enumerate(ordered, half + 1):
+            clockwise = ring[at + 1 : at + 1 + half]
+            counter = ring[at - 1 : at - 1 - half : -1]
+            node.leaf_set.install(clockwise, counter)
+            holders[node.node_id.value] = counter + clockwise
+        for value, dead in stale:
+            if dead:
+                holders.setdefault(value, []).extend(dead)
+        self.topology_version += 1
 
     def _wire_routing_tables(self) -> None:
         n = len(self.nodes)
@@ -214,7 +251,8 @@ class Overlay:
         cols = 1 << self.bits_per_digit
         max_depth = max(1, math.ceil(math.log(n, cols))) + 2
         buckets: Dict[tuple, List[DhtNode]] = {}
-        digits_of = [node.node_id.digits(self.bits_per_digit) for node in self.nodes]
+        # Rows past max_depth are never filled, so neither are their digits read.
+        digits_of = [node.node_id.digits(self.bits_per_digit, max_depth) for node in self.nodes]
         for node, digits in zip(self.nodes, digits_of):
             for depth in range(1, max_depth + 1):
                 buckets.setdefault(digits[:depth], []).append(node)
@@ -238,22 +276,22 @@ class Overlay:
         for node, digits in zip(self.nodes, digits_of):
             table = node.routing_table
             for row in range(max_depth):
+                entries = children[digits[:row]]
+                if len(entries) == 1:
+                    continue  # nobody but the prefix the node itself is in
                 own = digits[row]
-                slots = None
-                for col, pool, size, bits in children[digits[:row]]:
-                    if col == own:
-                        continue
+                slots = table.row_slots(row)
+                for col, pool, size, bits in entries:
                     # The bucket construction guarantees the pick shares
                     # exactly `row` digits with the owner and differs at
                     # digit `row` (= col), so the slot is written directly
                     # — same entry, same rng draw order as
                     # routing_table.add() would produce.
-                    if slots is None:
-                        slots = table.row_slots(row)
-                    pick = getrandbits(bits)
-                    while pick >= size:
+                    if col != own:
                         pick = getrandbits(bits)
-                    slots[col] = pool[pick]
+                        while pick >= size:
+                            pick = getrandbits(bits)
+                        slots[col] = pool[pick]
 
     # --------------------------------------------------------------- queries
 
@@ -261,8 +299,8 @@ class Overlay:
         return list(self._alive_list())
 
     def alive_count(self) -> int:
-        """Number of alive nodes, O(1) from the incremental tally."""
-        return self._alive_count
+        """Number of alive nodes: the length of the alive ring."""
+        return len(self._alive_ring()[0])
 
     def _alive_list(self) -> List[DhtNode]:
         """The cached alive-node list (self.nodes order). Callers must
@@ -280,91 +318,59 @@ class Overlay:
             raise OverlayError(f"unknown node id {node_id!r}") from None
 
     def responsible_node(self, key: NodeId) -> DhtNode:
-        """Ground truth: the alive node numerically closest to ``key``.
+        """Ground truth: the alive node responsible for ``key``.
 
-        Served from a sorted index (rebuilt lazily after membership
-        changes) so placement of hundreds of thousands of shard replicas
-        on 5,000-node overlays stays O(log N) per lookup.
+        The closest of the alive nodes on either side of the key in linear
+        id order (one bisect of the alive ring) and, for the wrap around
+        the ring's ends, the nodes with the lowest and the highest id ever
+        adopted *while they are alive*. Once such an end node has died a
+        key that wraps no longer sees that end, so the answer may not be
+        the numerically closest alive node: every simulated placement was
+        drawn with this rule, and it is kept as a contract (DESIGN.md).
         """
-        values, ordered = self._sorted_index()
-        if not ordered:
+        values, nodes = self._alive_ring()
+        if not nodes:
             raise OverlayError("overlay has no alive nodes")
-        position = bisect.bisect_left(values, key.value)
-        candidates = []
-        # Nearest alive nodes on either side of the insertion point; scan
-        # outward past any dead entries.
-        for start, direction in ((position - 1, -1), (position, +1)):
-            i = start
-            while 0 <= i < len(ordered):
-                if ordered[i].alive:
-                    candidates.append(ordered[i])
-                    break
-                i += direction
-        # Wrap-around candidates for keys near the ring's ends.
-        for i in (0, len(ordered) - 1):
-            if ordered[i].alive:
-                candidates.append(ordered[i])
-        if not candidates:
-            # Sparse aliveness: fall back to a full scan.
-            candidates = self.alive_nodes()
-            if not candidates:
-                raise OverlayError("overlay has no alive nodes")
+        value = key.value
+        at = bisect.bisect_left(values, value)
+        if 0 < at < len(nodes):
+            # Between two alive nodes neither end can be closer than both,
+            # the long way round included; a tie goes to the lower id.
+            down, up = value - values[at - 1], values[at] - value
+            if min(down, ID_SPACE - down) <= min(up, ID_SPACE - up):
+                return nodes[at - 1]
+            return nodes[at]
+        candidates = [nodes[max(at - 1, 0)]]
+        candidates += [end for end in (self._low, self._high) if end.alive]
         return min(candidates, key=lambda n: (key.distance(n.node_id), n.node_id.value))
-
-    def _sorted_index(self):
-        if self._index_cache is None:
-            ordered = sorted(self.nodes, key=lambda n: n.node_id.value)
-            self._index_cache = ([n.node_id.value for n in ordered], ordered)
-        return self._index_cache
 
     def leaf_set_of(self, node: DhtNode, refresh: bool = False) -> List[DhtNode]:
         """Alive leaf-set members of ``node`` (optionally re-wired first)."""
         if refresh:
-            node.leaf_set.rebuild(self._ring_pool(node))
+            self._reseed(node)
         return [n for n in node.leaf_set.members() if n.alive]
 
-    def _repair_leaf_set(self, holder: DhtNode) -> None:
-        """Re-select ``holder``'s leaf set after a neighbour failure.
-
-        Equivalent to ``rebuild(self._ring_pool(holder))``: when the alive
-        ring is large enough that the two half-windows cannot overlap, the
-        outward walks already yield each side's nearest-first member list,
-        so the halves are installed directly and ``rebuild``'s two distance
-        re-sorts are skipped. Tiny rings keep the sort-based path, which
-        handles overlapping windows.
-        """
-        if self.alive_count() - 1 < 2 * holder.leaf_set.half:
-            holder.leaf_set.rebuild(self._ring_pool(holder))
-        else:
-            holder.leaf_set.seed(*self._ring_sides(holder))
+    def _reseed(self, owner: DhtNode) -> None:
+        """Re-select ``owner``'s leaf set from the alive ring: what
+        ``rebuild`` would sort out of all alive nodes, without the sorts."""
+        owner.leaf_set.seed(*self._ring_sides(owner))
 
     def _ring_sides(self, owner: DhtNode) -> Tuple[List[DhtNode], List[DhtNode]]:
         """The nearest ``half`` alive nodes clockwise and counter-clockwise
-        of ``owner``, nearest first, found by walking outward from its
-        position in the sorted index instead of sorting all N nodes."""
-        half = owner.leaf_set.half
-        values, ordered = self._sorted_index()
-        n = len(ordered)
-        position = bisect.bisect_left(values, owner.node_id.value)
-        sides: Tuple[List[DhtNode], List[DhtNode]] = ([], [])
-        for direction, side in zip((1, -1), sides):
-            i = position
-            for _ in range(n - 1):  # every other node at most once, never the owner
-                if len(side) >= half:
-                    break
-                i = (i + direction) % n
-                if ordered[i].alive:
-                    side.append(ordered[i])
-        return sides
-
-    def _ring_pool(self, owner: DhtNode) -> List[DhtNode]:
-        """A candidate pool equivalent to the full alive set for
-        ``owner.leaf_set.rebuild``: both of :meth:`_ring_sides`, a node the
-        two walks of a small ring both reached listed once. ``rebuild`` on
-        this pool selects exactly the members it would select from
-        :meth:`alive_nodes`."""
-        clockwise, counter = self._ring_sides(owner)
-        return clockwise + [n for n in counter if n not in clockwise]
+        of ``owner`` (alive or dead), nearest first: two slices of the alive
+        ring around its position. A ring with fewer than ``half`` other
+        nodes gives all of them on both sides."""
+        values, nodes = self._alive_ring()
+        n = len(nodes)
+        at = bisect.bisect_left(values, owner.node_id.value)
+        present = at < n and nodes[at] is owner  # the owner is no neighbour of its own
+        take = min(owner.leaf_set.half, n - present)
+        clockwise = nodes[at + present : at + present + take]
+        clockwise += nodes[: take - len(clockwise)]  # wrapped past the highest id
+        counter = nodes[max(at - take, 0) : at][::-1]
+        if len(counter) < take:  # wrapped past the lowest id
+            counter += nodes[: len(counter) - take - 1 : -1]
+        return clockwise, counter
 
     # ---------------------------------------------------------------- routing
 
@@ -454,11 +460,10 @@ class Overlay:
         if not repair:
             return
         for holder in self._leafset_holders(node.node_id):
-            if not holder.alive:
-                continue
-            holder.leaf_set.remove(node.node_id)
             holder.routing_table.remove(node.node_id)
-            self._repair_leaf_set(holder)
+            # The ring no longer holds the failed node, so the one re-seed
+            # both drops it and pulls in the next neighbour.
+            self._reseed(holder)
             # One request/response pair with a leaf-set edge node.
             edge = holder.leaf_set.last_member()
             if edge is not None:

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.dht.node import DhtNode
 from repro.multicast.tree import build_tree, build_tree_with_depth
+from repro.obs.tracer import NULL_SPAN
 from repro.recovery.model import (
     RecoveryContext,
     RecoveryHandle,
@@ -301,15 +302,18 @@ class TreeRecovery:
                     return
 
                 # The per-hop loop runs once per sub-shard of every tree, so
-                # it talks to the network itself instead of ``run.transfer``.
-                hop_span = span.child(
-                    f"sub-shard {node.name}->{parent.name}",
-                    category="recovery.transfer",
-                    bytes=size,
-                    shard=index,
-                    level=tree.depth_of(node),
-                    provider=node.name,
-                )
+                # it talks to the network itself instead of ``run.transfer``
+                # and builds no span name, depth or attrs for the null tracer.
+                hop_span = NULL_SPAN
+                if tracer.enabled:
+                    hop_span = span.child(
+                        f"sub-shard {node.name}->{parent.name}",
+                        category="recovery.transfer",
+                        bytes=size,
+                        shard=index,
+                        level=tree.depth_of(node),
+                        provider=node.name,
+                    )
 
                 # Bound as defaults, and ``merged`` only made on arrival:
                 # flows outlive their hop, and so does whatever they close over.
@@ -327,15 +331,16 @@ class TreeRecovery:
                     run.moved += size
                     # Range concatenation at the parent + level handoff.
                     duration = cost.level_setup + size / cost.install_rate
-                    tracer.record(
-                        f"merge at {p.name}",
-                        sim.now,
-                        sim.now + duration,
-                        category="recovery.merge",
-                        parent=span,
-                        bytes=size,
-                        node=p.name,
-                    )
+                    if tracer.enabled:
+                        tracer.record(
+                            f"merge at {p.name}",
+                            sim.now,
+                            sim.now + duration,
+                            category="recovery.merge",
+                            parent=span,
+                            bytes=size,
+                            node=p.name,
+                        )
                     ctx.charge_cpu(p, sim.now, duration, cost.merge_cpu_fraction)
                     ctx.charge_memory(
                         p, sim.now, duration, size * cost.buffer_memory_factor

@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import total_ordering
+from typing import Optional
 
 ID_BITS = 128
 ID_SPACE = 1 << ID_BITS
@@ -61,17 +62,17 @@ class NodeId:
         """The full 32-hex-digit representation, zero padded."""
         return f"{self.value:032x}"
 
-    def digits(self, bits_per_digit: int = 4) -> tuple:
-        """The id split into base-``2**bits_per_digit`` digits, MSB first."""
+    def digits(self, bits_per_digit: int = 4, count: Optional[int] = None) -> tuple:
+        """The id split into base-``2**bits_per_digit`` digits, MSB first:
+        all of them, or the leading ``count``."""
         if ID_BITS % bits_per_digit:
             raise ValueError("bits_per_digit must divide 128")
-        count = ID_BITS // bits_per_digit
+        total = ID_BITS // bits_per_digit
+        count = total if count is None else min(count, total)
         mask = (1 << bits_per_digit) - 1
-        value = self.value
-        return tuple(
-            (value >> (bits_per_digit * (count - 1 - i))) & mask
-            for i in range(count)
-        )
+        lead = self.value >> (bits_per_digit * (total - count))
+        shifts = range(bits_per_digit * (count - 1), -1, -bits_per_digit)
+        return tuple([(lead >> shift) & mask for shift in shifts])
 
     def digit(self, index: int, bits_per_digit: int = 4) -> int:
         """The ``index``-th (MSB-first) base-``2**b`` digit, without

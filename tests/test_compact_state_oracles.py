@@ -6,8 +6,9 @@ plus an ``_ids`` set) are the classes of the commit before the float64
 arrays and the single-copy leaf-set relation, moved here verbatim apart
 from their names. Random operation sequences must give ``==`` results on
 both, float for float and observer call for observer call; and after
-random crash / join / revive sequences the overlay's reverse index must
-equal a brute-force scan of every leaf set.
+random crash / join / protocol-join / revive sequences with a second
+``build`` in the middle the overlay's reverse index must equal a
+brute-force scan of every leaf set.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dht.join import protocol_join
 from repro.dht.leafset import LeafSet
 from repro.dht.overlay import Overlay
 from repro.obs.registry import MetricsRegistry, TimeSeries
@@ -423,9 +425,13 @@ class TestLeafSetOracle:
                 half = size // 2
                 new.seed(pick(first)[:half], pick(second)[:half])
                 old.seed(pick(first)[:half], pick(second)[:half])
-            else:
-                target = peers[first % len(peers)].node_id
-                assert new.remove(target) == old.remove(target)
+            else:  # the member dropped by a re-seed without it; one report, or none
+                target = peers[first % len(peers)]
+                old.remove(target.node_id)
+                new.seed(
+                    [p for p in new.clockwise() if p is not target],
+                    [p for p in new.counter_clockwise() if p is not target],
+                )
             assert _view(new, peers, keys) == _view(old, peers, keys)
             assert new_calls == old_calls
         assert not hasattr(new, "_ids")
@@ -458,13 +464,19 @@ def test_holder_index_equals_a_scan_of_every_leaf_set(nodes, seed):
         if draw < 0.55 and overlay.alive_count() > 2:
             node = rng.choice(overlay.alive_nodes())
             overlay.fail_node(node, repair=rng.random() < 0.8)
-        elif draw < 0.8 or not dead:
+        elif draw < 0.7:
             node = overlay.add_node()
+        elif draw < 0.8 or not dead:
+            node = protocol_join(overlay).node
         else:
             node = rng.choice(dead)
             node.revive()
             network.recover_host(node.host)
         touched.append(node)
+        if step == 30:  # a second build, over the dead and their stale leaf sets
+            touched += overlay.build(
+                9, host_factory=lambda name: network.add_host(f"again-{name}")
+            )
         if step % 6 == 5:
             check()
     sim.run_until_idle()

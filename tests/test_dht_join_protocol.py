@@ -29,6 +29,21 @@ class TestProtocolJoin:
         assert report.node.alive
         assert len(overlay.nodes) == 61
 
+    def test_join_goes_through_the_overlays_adoption(self):
+        """The newcomer is counted, sampled, indexed and observed like a
+        node ``build`` or ``add_node`` made."""
+        overlay = build_overlay(40, seed=8)
+        newcomer = protocol_join(overlay).node
+        assert overlay.alive_count() == len(overlay.alive_nodes()) == 41
+        assert newcomer.join_order == 40
+        assert newcomer in overlay.sample_nodes(41)
+        assert newcomer in overlay._alive_ring()[1]
+        for member in newcomer.leaf_set.members():
+            assert newcomer in overlay._leafset_holders(member.node_id)
+        overlay.fail_node(newcomer)
+        assert overlay.alive_count() == len(overlay.alive_nodes()) == 40
+        assert newcomer not in overlay._alive_ring()[1]
+
     def test_joined_node_is_routable(self):
         overlay = build_overlay(60, seed=2)
         report = protocol_join(overlay)

@@ -121,15 +121,6 @@ class TestLeafSet:
         ls.rebuild(nodes)  # includes owner, must be filtered
         assert all(n.node_id != nodes[0].node_id for n in ls.members())
 
-    def test_remove(self):
-        nodes = make_nodes(20, seed=3)
-        ls = LeafSet(nodes[0].node_id, size=8)
-        ls.rebuild(nodes[1:])
-        victim = ls.members()[0]
-        assert ls.remove(victim.node_id)
-        assert not ls.contains(victim.node_id)
-        assert not ls.remove(victim.node_id)
-
     def test_covers_keys_within_span(self):
         nodes = make_nodes(100, seed=11)
         owner = nodes[0]
