@@ -2,6 +2,7 @@
 
     python scripts/perf_trajectory.py --base A.json [A2.json ...] \\
         --change B.json [B2.json ...] --label "PR 16: ..." [--out BENCH_perf.json]
+    python scripts/perf_trajectory.py --report [--out BENCH_perf.json]
 
 Every input is a result file written by ``benchmarks/perf/run.py --out``.
 Several files on one side are merged run by run, in the order given, so ten
@@ -9,6 +10,10 @@ alternating pairs measured as twenty single runs go in as they were taken:
 the i-th base run is paired with the i-th change run for the win count.
 Medians, quartiles and verdicts come from ``run.py``'s own ``summarize`` and
 ``verdict``, so the trajectory can never disagree with ``--compare``.
+
+``--report`` appends nothing: it prints the file as one table per workload,
+a row per entry with the median of each end-to-end metric and its ratio to
+the row above (the first row is the first entry's base side).
 """
 
 from __future__ import annotations
@@ -78,13 +83,41 @@ def entry(base: Dict[str, Any], change: Dict[str, Any], label: str) -> Dict[str,
     }
 
 
+def report(entries: List[Dict[str, Any]]) -> str:
+    """The trajectory as text: per workload, a row per entry, a column per metric."""
+    lines: List[str] = []
+    for name in dict.fromkeys(w for e in entries for w in e["workloads"]):
+        held = [e for e in entries if name in e["workloads"]]
+        first = held[0]["workloads"][name]["metrics"]
+        rows = [("base of the first entry", held[0]["base_commit"],
+                 {m: v["base"]["value"] for m, v in first.items()})]
+        rows += [(e["label"], e["commit"],
+                  {m: v["change"]["value"] for m, v in e["workloads"][name]["metrics"].items()})
+                 for e in held]
+        lines += ["", f"== {name}",
+                  f"{'entry':30s} {'commit':8s}" + "".join(f"{m:>20s}" for m in first)]
+        above: Dict[str, float] = {}
+        for label, commit, values in rows:
+            cells = "".join(
+                f"{value:12.4g} " + (f"x{value / above[m]:<6.3f}" if above.get(m) else " " * 7)
+                for m, value in values.items()
+            )
+            lines.append(f"{label[:30]:30s} {commit[:7]:8s}{cells}".rstrip())
+            above = values
+    return "\n".join(lines[1:])
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", nargs="+", required=True, metavar="A.json")
-    parser.add_argument("--change", nargs="+", required=True, metavar="B.json")
-    parser.add_argument("--label", required=True, help="what the change is, e.g. the PR title")
+    parser.add_argument("--base", nargs="+", metavar="A.json")
+    parser.add_argument("--change", nargs="+", metavar="B.json")
+    parser.add_argument("--label", help="what the change is, e.g. the PR title")
+    parser.add_argument("--report", action="store_true",
+                        help="print the trajectory file, one table per workload, and exit")
     parser.add_argument("--out", default=str(ROOT / "BENCH_perf.json"))
     args = parser.parse_args(argv)
+    if not args.report and not (args.base and args.change and args.label):
+        parser.error("--base, --change and --label are required unless --report is given")
 
     out = Path(args.out)
     trajectory = (
@@ -92,6 +125,9 @@ def main(argv: List[str] = None) -> int:
     )
     if trajectory.get("format") != FORMAT:
         sys.exit(f"{out}: not a {FORMAT} file")
+    if args.report:
+        print(report(trajectory["entries"]))
+        return 0
     added = entry(load_side(args.base), load_side(args.change), args.label)
     if not added["workloads"]:
         sys.exit("the two sides share no workload that BENCHMARK.json lists")

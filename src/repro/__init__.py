@@ -30,44 +30,18 @@ paper by Xu, Liu, Cruz-Diaz, Da Silva and Hu. The package contains:
 Quick start: :class:`repro.SR3` (see ``examples/quickstart.py``).
 """
 
-from repro.api import SR3, SelectionResult, SplitResult
-from repro.control import (
-    ControlConfig,
-    Controller,
-    ControlPlane,
-    Diagnosis,
-    PolicyRule,
-    PolicyTable,
-    RemediationRecord,
-    default_policy,
-    shard_granular_policy,
-)
-from repro.errors import ReproError
-from repro.live import LiveCell, LiveReport, LoadDriver, build_live_cell
-from repro.recovery.deployment import MECHANISMS, Deployment, build_deployment
+from repro._exports import export_table
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SR3",
-    "SelectionResult",
-    "SplitResult",
-    "ReproError",
-    "ControlConfig",
-    "ControlPlane",
-    "Controller",
-    "Diagnosis",
-    "PolicyRule",
-    "PolicyTable",
-    "RemediationRecord",
-    "default_policy",
-    "shard_granular_policy",
-    "LiveCell",
-    "LiveReport",
-    "LoadDriver",
-    "build_live_cell",
-    "MECHANISMS",
-    "Deployment",
-    "build_deployment",
-    "__version__",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.api": ("SR3", "SelectionResult", "SplitResult"),
+    "repro.control": (
+        "ControlConfig", "Controller", "ControlPlane", "Diagnosis", "PolicyRule", "PolicyTable",
+        "RemediationRecord", "default_policy", "shard_granular_policy",
+    ),
+    "repro.errors": ("ReproError",),
+    "repro.live": ("LiveCell", "LiveReport", "LoadDriver", "build_live_cell"),
+    "repro.recovery.deployment": ("MECHANISMS", "Deployment", "build_deployment"),
+})
+__all__.append("__version__")

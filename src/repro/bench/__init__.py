@@ -8,13 +8,9 @@ figure's series. :mod:`repro.bench.reporting` renders those results as the
 text tables recorded in EXPERIMENTS.md.
 """
 
-from repro.bench.harness import ExperimentResult, Scenario, build_scenario
-from repro.bench.reporting import format_result, render_markdown
+from repro._exports import export_table
 
-__all__ = [
-    "ExperimentResult",
-    "Scenario",
-    "build_scenario",
-    "format_result",
-    "render_markdown",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.bench.harness": ("ExperimentResult", "Scenario", "build_scenario"),
+    "repro.bench.reporting": ("format_result", "render_markdown"),
+})

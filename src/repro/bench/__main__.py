@@ -524,6 +524,9 @@ USAGE = (
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv) or ["list"]
     command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        print(USAGE)
+        return 0
     if command not in SUBCOMMANDS:
         print(USAGE, file=sys.stderr)
         return 2

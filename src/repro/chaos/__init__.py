@@ -13,82 +13,24 @@ Three layers:
   deterministic resilience report.
 """
 
-from repro.chaos.campaign import (
-    ChaosEngine,
-    ResilienceReport,
-    RunContext,
-    ScenarioOutcome,
-    make_mechanism,
-    run_campaign,
-    run_scenario,
-    streaming_probe,
-)
-from repro.chaos.injectors import (
-    INJECTOR_KINDS,
-    BandwidthFlap,
-    CrashWave,
-    Injector,
-    MidRecoveryCrash,
-    NetworkPartition,
-    PoissonChurn,
-    RackFailure,
-    Straggler,
-    make_injector,
-)
-from repro.chaos.invariants import (
-    DEFAULT_CHECKERS,
-    FlowAccounting,
-    ChainChecksumConsistent,
-    InvariantChecker,
-    InvariantReport,
-    NoOrphanedReplicas,
-    RecoveryLatency,
-    RingConsistency,
-    StateIntegrity,
-    check_invariants,
-)
-from repro.chaos.scenario import (
-    CAMPAIGNS,
-    KNOWN_MECHANISMS,
-    SCENARIOS,
-    SR3_MECHANISMS,
-    Scenario,
-    campaign_scenarios,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "BandwidthFlap",
-    "CAMPAIGNS",
-    "ChainChecksumConsistent",
-    "ChaosEngine",
-    "CrashWave",
-    "DEFAULT_CHECKERS",
-    "FlowAccounting",
-    "INJECTOR_KINDS",
-    "Injector",
-    "InvariantChecker",
-    "InvariantReport",
-    "KNOWN_MECHANISMS",
-    "MidRecoveryCrash",
-    "NetworkPartition",
-    "NoOrphanedReplicas",
-    "PoissonChurn",
-    "RackFailure",
-    "RecoveryLatency",
-    "ResilienceReport",
-    "RingConsistency",
-    "RunContext",
-    "SCENARIOS",
-    "SR3_MECHANISMS",
-    "Scenario",
-    "ScenarioOutcome",
-    "StateIntegrity",
-    "Straggler",
-    "campaign_scenarios",
-    "check_invariants",
-    "make_injector",
-    "make_mechanism",
-    "run_campaign",
-    "run_scenario",
-    "streaming_probe",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.chaos.campaign": (
+        "ChaosEngine", "ResilienceReport", "RunContext", "ScenarioOutcome", "make_mechanism",
+        "run_campaign", "run_scenario", "streaming_probe",
+    ),
+    "repro.chaos.injectors": (
+        "INJECTOR_KINDS", "BandwidthFlap", "CrashWave", "Injector", "MidRecoveryCrash",
+        "NetworkPartition", "PoissonChurn", "RackFailure", "Straggler", "make_injector",
+    ),
+    "repro.chaos.invariants": (
+        "DEFAULT_CHECKERS", "FlowAccounting", "ChainChecksumConsistent", "InvariantChecker",
+        "InvariantReport", "NoOrphanedReplicas", "RecoveryLatency", "RingConsistency",
+        "StateIntegrity", "check_invariants",
+    ),
+    "repro.chaos.scenario": (
+        "CAMPAIGNS", "KNOWN_MECHANISMS", "SCENARIOS", "SR3_MECHANISMS", "Scenario",
+        "campaign_scenarios",
+    ),
+})

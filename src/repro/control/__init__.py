@@ -21,48 +21,18 @@ or standalone over a bench deployment::
     controller.run()
 """
 
-from repro.control.actions import (
-    ACTIONS,
-    Action,
-    ActionOutcome,
-    build_action,
-    register_action,
-)
-from repro.control.controller import (
-    ControlConfig,
-    Controller,
-    ControlPlane,
-    RemediationRecord,
-)
-from repro.control.diagnose import CONDITIONS, TELEMETRY_KINDS, Diagnosis, diagnose
-from repro.control.events import EVENT_KINDS, ControlEvent, EventLog, watch_detector
-from repro.control.policy import (
-    PolicyRule,
-    PolicyTable,
-    default_policy,
-    shard_granular_policy,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "ACTIONS",
-    "Action",
-    "ActionOutcome",
-    "build_action",
-    "register_action",
-    "ControlConfig",
-    "ControlPlane",
-    "Controller",
-    "RemediationRecord",
-    "CONDITIONS",
-    "TELEMETRY_KINDS",
-    "Diagnosis",
-    "diagnose",
-    "EVENT_KINDS",
-    "ControlEvent",
-    "EventLog",
-    "watch_detector",
-    "PolicyRule",
-    "PolicyTable",
-    "default_policy",
-    "shard_granular_policy",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.control.actions": (
+        "ACTIONS", "Action", "ActionOutcome", "build_action", "register_action",
+    ),
+    "repro.control.controller": (
+        "ControlConfig", "Controller", "ControlPlane", "RemediationRecord",
+    ),
+    "repro.control.diagnose": ("CONDITIONS", "TELEMETRY_KINDS", "Diagnosis", "diagnose"),
+    "repro.control.events": ("EVENT_KINDS", "ControlEvent", "EventLog", "watch_detector"),
+    "repro.control.policy": (
+        "PolicyRule", "PolicyTable", "default_policy", "shard_granular_policy",
+    ),
+})

@@ -7,24 +7,14 @@ numerically closest neighbours, used by star-structured recovery), and the
 overlay is self-organizing and self-repairing.
 """
 
-from repro.dht.leafset import LeafSet
-from repro.dht.routing_table import RoutingTable
-from repro.dht.node import DhtNode
-from repro.dht.overlay import Overlay
-from repro.dht.maintenance import MaintenanceConfig, run_maintenance_round, measure_maintenance
-from repro.dht.join import JoinReport, protocol_join
-from repro.dht.failure_detector import DetectorConfig, FailureDetector
+from repro._exports import export_table
 
-__all__ = [
-    "LeafSet",
-    "RoutingTable",
-    "DhtNode",
-    "Overlay",
-    "MaintenanceConfig",
-    "run_maintenance_round",
-    "measure_maintenance",
-    "JoinReport",
-    "protocol_join",
-    "DetectorConfig",
-    "FailureDetector",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.dht.leafset": ("LeafSet",),
+    "repro.dht.routing_table": ("RoutingTable",),
+    "repro.dht.node": ("DhtNode",),
+    "repro.dht.overlay": ("Overlay",),
+    "repro.dht.maintenance": ("MaintenanceConfig", "run_maintenance_round", "measure_maintenance"),
+    "repro.dht.join": ("JoinReport", "protocol_join"),
+    "repro.dht.failure_detector": ("DetectorConfig", "FailureDetector"),
+})

@@ -8,28 +8,13 @@ percentiles segmented around the recovery window, replay lag, catch-up
 throughput, and time-to-drain.
 """
 
-from repro.live.driver import LiveCell, LoadDriver, build_live_cell
-from repro.live.metrics import (
-    LATENCY_PERCENTILES,
-    BacklogTimeline,
-    LatencyRecorder,
-    LiveReport,
-    PhaseSummary,
-    recovery_window,
-)
-from repro.live.rates import ConstantRate, FlashCrowd, RateCurve
+from repro._exports import export_table
 
-__all__ = [
-    "LiveCell",
-    "LoadDriver",
-    "build_live_cell",
-    "LATENCY_PERCENTILES",
-    "BacklogTimeline",
-    "LatencyRecorder",
-    "LiveReport",
-    "PhaseSummary",
-    "recovery_window",
-    "ConstantRate",
-    "FlashCrowd",
-    "RateCurve",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.live.driver": ("LiveCell", "LoadDriver", "build_live_cell"),
+    "repro.live.metrics": (
+        "LATENCY_PERCENTILES", "BacklogTimeline", "LatencyRecorder", "LiveReport", "PhaseSummary",
+        "recovery_window",
+    ),
+    "repro.live.rates": ("ConstantRate", "FlashCrowd", "RateCurve"),
+})

@@ -7,21 +7,12 @@ DHT routes toward the topic root, plus balanced-tree construction with
 configurable fan-out for the recovery mechanism.
 """
 
-from repro.multicast.scribe import ScribeSystem, ScribeTopic
-from repro.multicast.tree import (
-    SpanningTree,
-    build_balanced_tree,
-    build_tree,
-    build_tree_with_depth,
-    fanout_for_depth,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "ScribeSystem",
-    "ScribeTopic",
-    "SpanningTree",
-    "build_balanced_tree",
-    "build_tree",
-    "build_tree_with_depth",
-    "fanout_for_depth",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.multicast.scribe": ("ScribeSystem", "ScribeTopic"),
+    "repro.multicast.tree": (
+        "SpanningTree", "build_balanced_tree", "build_tree", "build_tree_with_depth",
+        "fanout_for_depth",
+    ),
+})

@@ -32,119 +32,35 @@ Enable per deployment (``SR3.create(trace=True)``), per scenario
 records into a collected tracer).
 """
 
-from repro.obs.critical_path import (
-    BLAME_BY_CATEGORY,
-    BLAME_CATEGORIES,
-    CriticalSegment,
-    blame_breakdown,
-    blame_of,
-    critical_path,
-    recovery_roots,
-)
-from repro.obs.export import chrome_trace, dumps_trace, trace_dict, write_trace
-from repro.obs.flamegraph import (
-    collapsed_stacks,
-    flamegraph_text,
-    speedscope_document,
-    write_flamegraph,
-    write_speedscope,
-)
-from repro.obs.profile import (
-    ProfileReport,
-    RecoveryProfile,
-    build_report,
-    profile_recovery,
-    profile_tracers,
-    write_profile,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-    clear_collected_registries,
-    collected_registries,
-    default_registry,
-    enable_metrics_collection,
-    metrics_collection_enabled,
-)
-from repro.obs.anomaly import Anomaly, AnomalyDetector
-from repro.obs.dashboard import render_dashboard, write_dashboard
-from repro.obs.slo import DEFAULT_WINDOWS, SLO, BurnWindow, SLOAlert, SLOEngine
-from repro.obs.timeseries import (
-    SERIES_KINDS,
-    SeriesBuffer,
-    TelemetryConfig,
-    TelemetryPipeline,
-)
-from repro.obs.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    clear_collected,
-    collected_tracers,
-    default_tracer,
-    enable_tracing,
-    tracing_enabled,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "enable_tracing",
-    "tracing_enabled",
-    "default_tracer",
-    "collected_tracers",
-    "clear_collected",
-    "Counter",
-    "TimeSeries",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "default_registry",
-    "enable_metrics_collection",
-    "metrics_collection_enabled",
-    "collected_registries",
-    "clear_collected_registries",
-    "chrome_trace",
-    "trace_dict",
-    "dumps_trace",
-    "write_trace",
-    "BLAME_BY_CATEGORY",
-    "BLAME_CATEGORIES",
-    "CriticalSegment",
-    "blame_of",
-    "blame_breakdown",
-    "critical_path",
-    "recovery_roots",
-    "RecoveryProfile",
-    "ProfileReport",
-    "profile_recovery",
-    "profile_tracers",
-    "build_report",
-    "write_profile",
-    "collapsed_stacks",
-    "flamegraph_text",
-    "speedscope_document",
-    "write_flamegraph",
-    "write_speedscope",
-    "SERIES_KINDS",
-    "SeriesBuffer",
-    "TelemetryConfig",
-    "TelemetryPipeline",
-    "SLO",
-    "BurnWindow",
-    "DEFAULT_WINDOWS",
-    "SLOAlert",
-    "SLOEngine",
-    "Anomaly",
-    "AnomalyDetector",
-    "render_dashboard",
-    "write_dashboard",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.obs.critical_path": (
+        "BLAME_BY_CATEGORY", "BLAME_CATEGORIES", "CriticalSegment", "blame_breakdown", "blame_of",
+        "critical_path", "recovery_roots",
+    ),
+    "repro.obs.export": ("chrome_trace", "dumps_trace", "trace_dict", "write_trace"),
+    "repro.obs.flamegraph": (
+        "collapsed_stacks", "flamegraph_text", "speedscope_document", "write_flamegraph",
+        "write_speedscope",
+    ),
+    "repro.obs.profile": (
+        "ProfileReport", "RecoveryProfile", "build_report", "profile_recovery", "profile_tracers",
+        "write_profile",
+    ),
+    "repro.obs.registry": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeries",
+        "clear_collected_registries", "collected_registries", "default_registry",
+        "enable_metrics_collection", "metrics_collection_enabled",
+    ),
+    "repro.obs.anomaly": ("Anomaly", "AnomalyDetector"),
+    "repro.obs.dashboard": ("render_dashboard", "write_dashboard"),
+    "repro.obs.slo": ("DEFAULT_WINDOWS", "SLO", "BurnWindow", "SLOAlert", "SLOEngine"),
+    "repro.obs.timeseries": (
+        "SERIES_KINDS", "SeriesBuffer", "TelemetryConfig", "TelemetryPipeline",
+    ),
+    "repro.obs.tracer": (
+        "NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer", "clear_collected",
+        "collected_tracers", "default_tracer", "enable_tracing", "tracing_enabled",
+    ),
+})

@@ -17,70 +17,26 @@ and :mod:`~repro.recovery.deployment`: the one builder of a simulated
 deployment and the one name → mechanism table every layer above uses.
 """
 
-from repro.recovery.model import (
-    CostModel,
-    RecoveryContext,
-    RecoveryHandle,
-    RecoveryResult,
-)
-from repro.recovery.save import SaveResult, sr3_save
-from repro.recovery.star import StarRecovery
-from repro.recovery.line import LineRecovery
-from repro.recovery.tree import TreeRecovery
-from repro.recovery.standby import (
-    StandbyRecovery,
-    StandbySyncReport,
-    standby_coverage,
-    standby_node_of,
-    sync_standby,
-)
-from repro.recovery.online import OnlineSelector, ShardDecision, ShardProfile
-from repro.recovery.selection import (
-    Mechanism,
-    SelectionExplanation,
-    SelectionInputs,
-    explain_selection,
-    predict_recovery_seconds,
-    select_mechanism,
-)
-from repro.recovery.speculation import SpeculationConfig, SpeculativeStarRecovery
-from repro.recovery.manager import RecoveryManager
-from repro.recovery.deployment import (
-    MECHANISMS,
-    Deployment,
-    HoldsDeployment,
-    build_deployment,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "CostModel",
-    "RecoveryContext",
-    "RecoveryHandle",
-    "RecoveryResult",
-    "SaveResult",
-    "sr3_save",
-    "StarRecovery",
-    "LineRecovery",
-    "TreeRecovery",
-    "StandbyRecovery",
-    "StandbySyncReport",
-    "standby_coverage",
-    "standby_node_of",
-    "sync_standby",
-    "OnlineSelector",
-    "ShardDecision",
-    "ShardProfile",
-    "Mechanism",
-    "SelectionExplanation",
-    "SelectionInputs",
-    "explain_selection",
-    "predict_recovery_seconds",
-    "select_mechanism",
-    "SpeculationConfig",
-    "SpeculativeStarRecovery",
-    "RecoveryManager",
-    "MECHANISMS",
-    "Deployment",
-    "HoldsDeployment",
-    "build_deployment",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.recovery.model": ("CostModel", "RecoveryContext", "RecoveryHandle", "RecoveryResult"),
+    "repro.recovery.save": ("SaveResult", "sr3_save"),
+    "repro.recovery.star": ("StarRecovery",),
+    "repro.recovery.line": ("LineRecovery",),
+    "repro.recovery.tree": ("TreeRecovery",),
+    "repro.recovery.standby": (
+        "StandbyRecovery", "StandbySyncReport", "standby_coverage", "standby_node_of",
+        "sync_standby",
+    ),
+    "repro.recovery.online": ("OnlineSelector", "ShardDecision", "ShardProfile"),
+    "repro.recovery.selection": (
+        "Mechanism", "SelectionExplanation", "SelectionInputs", "explain_selection",
+        "predict_recovery_seconds", "select_mechanism",
+    ),
+    "repro.recovery.speculation": ("SpeculationConfig", "SpeculativeStarRecovery"),
+    "repro.recovery.manager": ("RecoveryManager",),
+    "repro.recovery.deployment": (
+        "MECHANISMS", "Deployment", "HoldsDeployment", "build_deployment",
+    ),
+})

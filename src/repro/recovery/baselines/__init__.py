@@ -13,20 +13,11 @@
   increment and calibrated coding throughputs.
 """
 
-from repro.recovery.baselines.checkpointing import (
-    CheckpointConfig,
-    CheckpointingBaseline,
-)
-from repro.recovery.baselines.replication import ReplicationBaseline
-from repro.recovery.baselines.lineage import LineageBaseline, LineageConfig
-from repro.recovery.baselines.fp4s import Fp4sBaseline, Fp4sConfig
+from repro._exports import export_table
 
-__all__ = [
-    "CheckpointConfig",
-    "CheckpointingBaseline",
-    "ReplicationBaseline",
-    "LineageBaseline",
-    "LineageConfig",
-    "Fp4sBaseline",
-    "Fp4sConfig",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.recovery.baselines.checkpointing": ("CheckpointConfig", "CheckpointingBaseline"),
+    "repro.recovery.baselines.replication": ("ReplicationBaseline",),
+    "repro.recovery.baselines.lineage": ("LineageBaseline", "LineageConfig"),
+    "repro.recovery.baselines.fp4s": ("Fp4sBaseline", "Fp4sConfig"),
+})

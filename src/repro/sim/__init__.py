@@ -12,24 +12,12 @@ This package replaces the paper's 50-VM emulation testbed. It provides:
 The metric primitives re-exported here live in :mod:`repro.obs.registry`.
 """
 
-from repro.sim.kernel import Event, Simulator
-from repro.sim.network import Flow, Host, Network, RemoteStorage
-from repro.sim.resources import ResourceProfile
-from repro.sim.failure import FailureLog
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro._exports import export_table
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "Flow",
-    "Host",
-    "Network",
-    "RemoteStorage",
-    "ResourceProfile",
-    "FailureLog",
-    "Counter",
-    "TimeSeries",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.sim.kernel": ("Event", "Simulator"),
+    "repro.sim.network": ("Flow", "Host", "Network", "RemoteStorage"),
+    "repro.sim.resources": ("ResourceProfile",),
+    "repro.sim.failure": ("FailureLog",),
+    "repro.obs.registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeries"),
+})

@@ -650,7 +650,7 @@ class Network:
             and flowvec.HAVE_NUMPY
             and len(self._order_cache) >= flowvec.VECTOR_ACTIVATE
         ):
-            vec = self._vec = flowvec.FlowTable(self._order_cache)
+            vec = self._vec = flowvec.attach(self._order_cache)
         if vec is not None:
             moved = vec.settle(elapsed)
             if moved is not None:

@@ -6,49 +6,16 @@ replicated ``n`` times and distributed to peer nodes so that, on failure,
 different sets of available shards reconstruct the lost state in parallel.
 """
 
-from repro.state.version import StateVersion, VersionClock
-from repro.state.store import StateSnapshot, StateStore
-from repro.state.shard import DeltaShard, Shard, ShardReplica, SubShard
-from repro.state.partitioner import merge_shards, partition_snapshot, partition_synthetic
-from repro.state.chain import (
-    ChainLink,
-    ChainPlan,
-    CompactionPolicy,
-    VersionChain,
-    chain_digest,
-    diff_snapshots,
-    partition_delta,
-    reconstruct_chain,
-)
-from repro.state.placement import (
-    HashPlacement,
-    LeafSetPlacement,
-    PlacedShard,
-    PlacementPlan,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "StateVersion",
-    "VersionClock",
-    "StateSnapshot",
-    "StateStore",
-    "DeltaShard",
-    "Shard",
-    "ShardReplica",
-    "SubShard",
-    "merge_shards",
-    "partition_snapshot",
-    "partition_synthetic",
-    "ChainLink",
-    "ChainPlan",
-    "CompactionPolicy",
-    "VersionChain",
-    "chain_digest",
-    "diff_snapshots",
-    "partition_delta",
-    "reconstruct_chain",
-    "HashPlacement",
-    "LeafSetPlacement",
-    "PlacedShard",
-    "PlacementPlan",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.state.version": ("StateVersion", "VersionClock"),
+    "repro.state.store": ("StateSnapshot", "StateStore"),
+    "repro.state.shard": ("DeltaShard", "Shard", "ShardReplica", "SubShard"),
+    "repro.state.partitioner": ("merge_shards", "partition_snapshot", "partition_synthetic"),
+    "repro.state.chain": (
+        "ChainLink", "ChainPlan", "CompactionPolicy", "VersionChain", "chain_digest",
+        "diff_snapshots", "partition_delta", "reconstruct_chain",
+    ),
+    "repro.state.placement": ("HashPlacement", "LeafSetPlacement", "PlacedShard", "PlacementPlan"),
+})

@@ -12,40 +12,19 @@ through real operator code — the examples and integration tests process
 actual data and recover actual state.
 """
 
-from repro.streaming.tuples import StreamTuple
-from repro.streaming.component import Bolt, OutputCollector, Spout
-from repro.streaming.groupings import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    ShuffleGrouping,
-)
-from repro.streaming.topology import Topology, TopologyBuilder
-from repro.streaming.stateful import StatefulBolt
-from repro.streaming.join import IncrementalJoinBolt
-from repro.streaming.microbatch import DStream, MicroBatchEngine, MicroBatchJob
-from repro.streaming.windows import SlidingWindow, WindowPane
-from repro.streaming.cluster import LocalCluster
-from repro.streaming.backend import SR3StateBackend
+from repro._exports import export_table
 
-__all__ = [
-    "StreamTuple",
-    "Spout",
-    "Bolt",
-    "OutputCollector",
-    "ShuffleGrouping",
-    "FieldsGrouping",
-    "GlobalGrouping",
-    "AllGrouping",
-    "Topology",
-    "TopologyBuilder",
-    "StatefulBolt",
-    "IncrementalJoinBolt",
-    "DStream",
-    "MicroBatchEngine",
-    "MicroBatchJob",
-    "SlidingWindow",
-    "WindowPane",
-    "LocalCluster",
-    "SR3StateBackend",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.streaming.tuples": ("StreamTuple",),
+    "repro.streaming.component": ("Bolt", "OutputCollector", "Spout"),
+    "repro.streaming.groupings": (
+        "AllGrouping", "FieldsGrouping", "GlobalGrouping", "ShuffleGrouping",
+    ),
+    "repro.streaming.topology": ("Topology", "TopologyBuilder"),
+    "repro.streaming.stateful": ("StatefulBolt",),
+    "repro.streaming.join": ("IncrementalJoinBolt",),
+    "repro.streaming.microbatch": ("DStream", "MicroBatchEngine", "MicroBatchJob"),
+    "repro.streaming.windows": ("SlidingWindow", "WindowPane"),
+    "repro.streaming.cluster": ("LocalCluster",),
+    "repro.streaming.backend": ("SR3StateBackend",),
+})

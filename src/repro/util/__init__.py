@@ -1,18 +1,10 @@
 """Shared utilities: id generation, sizes, statistics, and a Bloom filter."""
 
-from repro.util.ids import NodeId, random_node_id
-from repro.util.sizes import KB, MB, GB
-from repro.util.stats import mean, median, percentile
-from repro.util.bloom import BloomFilter
+from repro._exports import export_table
 
-__all__ = [
-    "NodeId",
-    "random_node_id",
-    "KB",
-    "MB",
-    "GB",
-    "mean",
-    "median",
-    "percentile",
-    "BloomFilter",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.util.ids": ("NodeId", "random_node_id"),
+    "repro.util.sizes": ("KB", "MB", "GB"),
+    "repro.util.stats": ("mean", "median", "percentile"),
+    "repro.util.bloom": ("BloomFilter",),
+})

@@ -12,46 +12,19 @@ Each module exposes a generator (an iterator of records) and a
 :class:`~repro.streaming.topology.Topology`.
 """
 
-from repro.workloads.finance import (
-    BargainIndexBolt,
-    TickGenerator,
-    build_bargain_index_topology,
-)
-from repro.workloads.wordcount import (
-    SentenceGenerator,
-    SplitSentenceBolt,
-    build_wordcount_topology,
-)
-from repro.workloads.traffic import (
-    BusTraceGenerator,
-    RouteDelayBolt,
-    build_traffic_topology,
-)
-from repro.workloads.clicks import (
-    ClickGenerator,
-    FraudDetectBolt,
-    ProductBundlingBolt,
-    TopKClicksBolt,
-    build_fraud_detection_topology,
-    build_micro_promotion_topology,
-    build_product_bundling_topology,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "TickGenerator",
-    "BargainIndexBolt",
-    "build_bargain_index_topology",
-    "SentenceGenerator",
-    "SplitSentenceBolt",
-    "build_wordcount_topology",
-    "BusTraceGenerator",
-    "RouteDelayBolt",
-    "build_traffic_topology",
-    "ClickGenerator",
-    "TopKClicksBolt",
-    "FraudDetectBolt",
-    "ProductBundlingBolt",
-    "build_micro_promotion_topology",
-    "build_fraud_detection_topology",
-    "build_product_bundling_topology",
-]
+__getattr__, __all__ = export_table(__name__, {
+    "repro.workloads.finance": (
+        "BargainIndexBolt", "TickGenerator", "build_bargain_index_topology",
+    ),
+    "repro.workloads.wordcount": (
+        "SentenceGenerator", "SplitSentenceBolt", "build_wordcount_topology",
+    ),
+    "repro.workloads.traffic": ("BusTraceGenerator", "RouteDelayBolt", "build_traffic_topology"),
+    "repro.workloads.clicks": (
+        "ClickGenerator", "FraudDetectBolt", "ProductBundlingBolt", "TopKClicksBolt",
+        "build_fraud_detection_topology", "build_micro_promotion_topology",
+        "build_product_bundling_topology",
+    ),
+})

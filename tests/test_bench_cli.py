@@ -197,6 +197,14 @@ class TestSubcommands:
             assert "usage: python -m repro.bench {run|campaign|" in captured.err
 
 
+    def test_top_level_help_prints_usage_and_exits_0(self, capsys):
+        for flag in ("--help", "-h"):
+            assert main([flag]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("usage: python -m repro.bench {run|campaign|")
+            assert captured.err == ""
+
+
 class TestDashboardSubcommand:
     def test_writes_selfcontained_html_and_timeline(self, tmp_path, capsys):
         import re

@@ -65,3 +65,39 @@ def test_refuses_a_file_of_another_format(trajectory, tmp_path):
     with pytest.raises(SystemExit):
         trajectory.main(["--base", a, "--change", a, "--label", "x", "--out", str(out)])
     assert out.read_text() == "{}"
+
+
+def test_report_prints_a_table_per_workload_with_ratios_to_the_row_above(
+        trajectory, tmp_path, capsys):
+    first, second = (w["name"] for w in SPEC["workloads"][:2])
+    out = tmp_path / "BENCH_perf.json"
+    sides = {}
+    for commit, workload, wall in (("aaa", first, 2.0), ("bbb", first, 1.0),
+                                   ("ccc", first, 0.5), ("ccc", second, 4.0)):
+        name = f"{commit}-{workload}.json"
+        sides[commit, workload] = _result_file(tmp_path / name, commit, 0, workload, wall)
+    trajectory.main(["--base", sides["aaa", first], "--change", sides["bbb", first],
+                     "--label", "PR 1: halves the cell", "--out", str(out)])
+    trajectory.main(["--base", sides["bbb", first], sides["ccc", second],
+                     "--change", sides["ccc", first], sides["ccc", second],
+                     "--label", "PR 2: and again, with a second workload", "--out", str(out)])
+    before = out.read_text()
+    capsys.readouterr()
+    assert trajectory.main(["--report", "--out", str(out)]) == 0
+    assert out.read_text() == before  # a report appends nothing
+    tables = capsys.readouterr().out.split("\n\n")
+    assert [t.splitlines()[0] for t in tables] == [f"== {first}", f"== {second}"]
+    header, base, pr1, pr2 = tables[0].splitlines()[1:]
+    assert header.split() == ["entry", "commit"] + [m["name"] for m in SPEC["end_to_end"]]
+    assert base.split()[-5:] == ["aaa", "0.4", "2", "156", "116"]
+    assert pr1.split()[-9:] == ["bbb", "0.4", "x1.000", "1", "x0.500", "312", "x2.000",
+                                "116", "x1.000"]
+    assert pr2.startswith("PR 2: and again, with a second ccc")
+    assert pr2.split()[-6:-4] == ["0.5", "x0.500"]
+    assert len(tables[1].splitlines()) == 4  # header lines, the base row, the one entry
+
+
+def test_an_append_without_its_inputs_is_a_usage_error(trajectory, tmp_path):
+    with pytest.raises(SystemExit) as usage:
+        trajectory.main(["--label", "x", "--out", str(tmp_path / "none.json")])
+    assert usage.value.code == 2
