@@ -51,17 +51,17 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 np = None  # numpy, once attach() has imported it
 HAVE_NUMPY = find_spec("numpy") is not None
 
-# Mode thresholds (module-level so tests can monkeypatch them). The
-# vector table attaches when the live-flow count reaches ACTIVATE at a
-# settle point and detaches when it falls below DEACTIVATE; the gap is
-# hysteresis so a population oscillating around one boundary does not
-# thrash O(n) attach/detach conversions. Measured on the 2-vCPU box: a
-# numpy settle plus completion scan cost ~17 us flat against ~0.4 us per
-# flow for the scalar loops, and the table adds ~50 us of row bookkeeping
-# to a flow's admit-to-completion cycle, so a steady population breaks
-# even at ~90 flows (159 vs 149 us per completed flow at 96; 126 vs 150
-# at 64; 314 vs 155 at 256).
-VECTOR_ACTIVATE = 96
+# Mode thresholds (module-level so tests can monkeypatch them). The table
+# attaches when the live-flow count reaches ACTIVATE at a settle point and
+# detaches below DEACTIVATE; the gap keeps a population at one boundary
+# from thrashing O(n) conversions. On the 2-vCPU box a numpy settle plus
+# completion scan costs ~17 us flat against ~0.4 us per flow scalar, and a
+# table adds ~50 us to a flow's life: break-even at ~90 steady flows (159
+# vs 149 us per completed flow at 96; 126 vs 150 at 64; 314 vs 155 at 256).
+# ACTIVATE sits a third above that because the first table also pays the
+# numpy import: two 48-flow recoveries overlapping exactly (one crash-wave
+# chaos cell in 27) hold 96 flows for one settle, not worth 0.1 s and 13 MB.
+VECTOR_ACTIVATE = 128
 VECTOR_DEACTIVATE = 48
 # Minimum solve size for the vectorized water-filling. A call costs
 # 0.3-0.8 ms before the first flow, the scalar solver 1.5-3 us per flow

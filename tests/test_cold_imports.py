@@ -76,9 +76,9 @@ def test_numpy_loads_when_the_first_table_attaches():
         "def look():\n"
         "    seen.append(('numpy' in sys.modules, net._vec is not None))\n"
         "start(flowvec.VECTOR_ACTIVATE - 1)\n"
-        "sim.schedule(1.0, start, 1)  # its admission settles 95 live flows\n"
+        "sim.schedule(1.0, start, 1)  # its admission settles ACTIVATE - 1 live flows\n"
         "sim.schedule(1.5, look)\n"
-        "sim.schedule(2.0, start, 1)  # its admission settles 96: the table attaches\n"
+        "sim.schedule(2.0, start, 1)  # its admission settles ACTIVATE: the table attaches\n"
         "sim.schedule(2.5, look)\n"
         "sim.run(until=3.0)\n"
         "print(seen)\n"
