@@ -228,7 +228,6 @@ class SR3(HoldsDeployment):
         owner: DhtNode,
         shards: Union[SplitResult, List[Shard]],
         num_replicas: Optional[int] = None,
-        serial: bool = True,
     ) -> SaveResult:
         """``Save``: write the shard replicas into the overlay (blocking).
 
@@ -249,7 +248,7 @@ class SR3(HoldsDeployment):
             self.manager.register(owner, shards, replicas)
         else:
             self.manager.refresh_shards(name, shards)
-        handle = self.manager.save(name, serial=serial)
+        handle = self.manager.save(name)
         self.ctx.sim.run_until_idle()
         return handle.result
 
@@ -417,7 +416,7 @@ class SR3(HoldsDeployment):
         controller, self._controller = self._controller, None
         return controller
 
-    def remediate(self, max_rounds: Optional[int] = None):
+    def remediate(self):
         """Run the attached controller's loop until the world is clean.
 
         Returns the list of :class:`~repro.control.RemediationRecord`\\ s
@@ -427,7 +426,7 @@ class SR3(HoldsDeployment):
             raise RecoveryError(
                 "no controller attached; call attach_controller() first"
             )
-        return self._controller.run(max_rounds)
+        return self._controller.run()
 
     # --------------------------------------------------------- observability
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import BenchmarkError
 from repro.recovery.baselines.checkpointing import (
-    CheckpointConfig,
     CheckpointingBaseline,
     checkpointing_to_remote_storage,
 )
@@ -52,9 +51,7 @@ class Scenario(Deployment):
     constrained: bool
 
 
-def build_scenario(
-    checkpoint_config: Optional[CheckpointConfig] = None, **deployment_args
-) -> Scenario:
+def build_scenario(**deployment_args) -> Scenario:
     """:func:`~repro.recovery.deployment.build_deployment` (every keyword
     it takes) plus the checkpointing baseline on its remote store.
 
@@ -65,7 +62,7 @@ def build_scenario(
     uplink_mbit = deployment_args.get("uplink_mbit")
     constrained = uplink_mbit is not None and uplink_mbit < 1000
     deployment.manager.bandwidth_constrained = constrained
-    checkpointing = checkpointing_to_remote_storage(deployment.ctx, checkpoint_config)
+    checkpointing = checkpointing_to_remote_storage(deployment.ctx)
     return Scenario(
         **vars(deployment),
         storage=checkpointing.storage,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.chaos.campaign import ResilienceReport, run_scenario
 from repro.chaos.scenario import SCENARIOS, campaign_scenarios
@@ -110,23 +110,15 @@ def _map_cells(
 
 def _campaign_cell_worker(payload: tuple):
     """One campaign cell, importable at top level for spawn workers."""
-    scenario_name, seed, mechanism, controller, tracing, metrics = payload
+    scenario_name, mechanism, controller, tracing, metrics = payload
 
     def cell():
-        scenario = SCENARIOS[scenario_name]
-        if seed is not None:
-            scenario = scenario.with_seed(seed)
-        return run_scenario(scenario, mechanism, controller=controller)
+        return run_scenario(SCENARIOS[scenario_name], mechanism, controller=controller)
 
     return _run_cell(cell, tracing, metrics)
 
 
-def run_campaign_parallel(
-    campaign: str,
-    jobs: int,
-    controller: bool = False,
-    seed: Optional[int] = None,
-):
+def run_campaign_parallel(campaign: str, jobs: int, controller: bool = False):
     """Sweep a chaos campaign across worker processes.
 
     Byte-identical to :func:`repro.chaos.run_campaign` for the same
@@ -137,7 +129,7 @@ def run_campaign_parallel(
     scenarios = campaign_scenarios(campaign)
     tracing, metrics = _observability_flags()
     payloads = [
-        (scenario.name, seed, mechanism, controller, tracing, metrics)
+        (scenario.name, mechanism, controller, tracing, metrics)
         for scenario in scenarios
         for mechanism in scenario.mechanisms
     ]

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.bench.harness import ExperimentResult
 from repro.obs.export import write_trace
-from repro.obs.tracer import Tracer, collected_tracers
+from repro.obs.tracer import collected_tracers
 
 
 def _format_value(value: object) -> str:
@@ -61,17 +61,8 @@ def render_markdown(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def write_trace_artifact(
-    path: str,
-    tracers: Optional[Sequence[Tracer]] = None,
-    chrome: bool = True,
-) -> str:
-    """Export the span timelines gathered during a bench run.
-
-    Defaults to every tracer registered with the process-wide collector
-    (one per simulation built while tracing was enabled); pass ``tracers``
-    explicitly to export a subset. Returns the written path.
-    """
-    if tracers is None:
-        tracers = collected_tracers()
-    return write_trace(path, tracers, chrome=chrome)
+def write_trace_artifact(path: str, chrome: bool = True) -> str:
+    """Export the span timelines gathered during a bench run: every tracer
+    registered with the process-wide collector (one per simulation built
+    while tracing was enabled). Returns the written path."""
+    return write_trace(path, collected_tracers(), chrome=chrome)

@@ -21,11 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.chaos.invariants import (
-    DEFAULT_CHECKERS,
-    InvariantReport,
-    check_invariants,
-)
+from repro.chaos.invariants import InvariantReport, check_invariants
 from repro.chaos.scenario import (
     CAMPAIGNS,
     SR3_MECHANISMS,
@@ -34,7 +30,7 @@ from repro.chaos.scenario import (
 )
 from repro.control import ControlPlane, Controller, default_policy
 from repro.dht.node import DhtNode
-from repro.errors import OverlayError, RecoveryError, ReproError, SimulationError
+from repro.errors import OverlayError, ReplacementDiedError, ReproError, SimulationError
 from repro.obs.profile import profile_tracers
 from repro.obs.tracer import Tracer, tracing_enabled
 from repro.recovery.baselines.checkpointing import checkpointing_to_remote_storage
@@ -262,13 +258,15 @@ class ChaosEngine(HoldsDeployment):
             return
         self.handles[name] = handle
 
-        def handover(result: RecoveryResult, reg=registered, node=replacement) -> None:
-            # The replacement becomes the new owner; a later crash of it
-            # re-triggers recovery of this state (chained recoveries).
-            reg.owner = node
-            self._recovering.discard(reg.state_name)
+        def landed(_result: RecoveryResult) -> None:
+            # The replacement is the owner now (the manager moved it; the
+            # checkpointing baseline does not go through the manager), so
+            # a later crash of it re-triggers recovery of this state.
+            if self.impl is None:
+                registered.owner = replacement
+            self._recovering.discard(name)
 
-        handle.on_done(handover)
+        handle.on_done(landed)
         for hook in self._hooks:
             hook(name, registered, replacement)
 
@@ -293,12 +291,7 @@ class ChaosEngine(HoldsDeployment):
                 continue
             registered = self.manager.states[name]
             attempts = self.restarts.get(name, 0)
-            replacement_death = (
-                isinstance(error, RecoveryError)
-                and "replacement node" in str(error)
-                and "died during" in str(error)
-            )
-            if replacement_death and attempts < MAX_RECOVERY_RESTARTS:
+            if isinstance(error, ReplacementDiedError) and attempts < MAX_RECOVERY_RESTARTS:
                 self.restarts[name] = attempts + 1
                 self.sim.tracer.instant(
                     f"restart recovery {name}",
@@ -504,8 +497,6 @@ def _attach_controller(engine: ChaosEngine, mechanism: str):
 def run_scenario(
     scenario: Scenario,
     mechanism: str,
-    checkers=DEFAULT_CHECKERS,
-    trace_name: Optional[str] = None,
     controller: bool = False,
 ) -> ScenarioOutcome:
     """Run one scenario under one mechanism and classify the outcome.
@@ -524,8 +515,7 @@ def run_scenario(
     # campaign and control runs produce the same trace artifacts experiments
     # do. Otherwise nobody can read the save spans, and a private tracer is
     # attached just before the fault timeline runs.
-    if trace_name is None and tracing_enabled():
-        trace_name = f"{scenario.name}/{mechanism}"
+    trace_name = f"{scenario.name}/{mechanism}" if tracing_enabled() else None
     deployment = build_deployment(
         num_nodes=scenario.num_nodes,
         seed=scenario.seed,
@@ -560,7 +550,7 @@ def run_scenario(
         pre_checksums=pre_checksums,
         pre_state=engine.pre_state,
     )
-    report = check_invariants(run, checkers)
+    report = check_invariants(run)
     outcome = _classify(run, report)
     if ctl is not None:
         verified = [r for r in ctl.records if r.verified]
@@ -627,17 +617,13 @@ def run_campaign(
     campaign: str = "smoke",
     scenarios: Optional[Sequence[Scenario]] = None,
     mechanisms: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    checkers=DEFAULT_CHECKERS,
-    trace_name: Optional[str] = None,
     controller: bool = False,
 ) -> ResilienceReport:
     """Sweep scenarios × mechanisms and fold outcomes into one report.
 
     ``scenarios`` overrides the named campaign's list; ``mechanisms``
-    overrides each scenario's own sweep; ``seed`` re-seeds every scenario
-    (for replication studies — the default keeps each scenario's own
-    seed, so the shipped campaigns are reproducible as published);
+    overrides each scenario's own sweep (every scenario runs under its own
+    seed; ``Scenario.with_seed`` makes a replica under another);
     ``controller`` hands each SR3 cell's response to the auto-remediation
     control plane (see :func:`run_scenario`).
     """
@@ -645,19 +631,9 @@ def run_campaign(
         scenarios = campaign_scenarios(campaign)
     report = ResilienceReport(campaign=campaign)
     for scenario in scenarios:
-        if seed is not None:
-            scenario = scenario.with_seed(seed)
         sweep = tuple(mechanisms) if mechanisms else scenario.mechanisms
         for mechanism in sweep:
-            report.outcomes.append(
-                run_scenario(
-                    scenario,
-                    mechanism,
-                    checkers=checkers,
-                    trace_name=trace_name,
-                    controller=controller,
-                )
-            )
+            report.outcomes.append(run_scenario(scenario, mechanism, controller=controller))
     return report
 
 

@@ -248,10 +248,10 @@ class InvariantReport:
         return not self.hard_violations and not self.soft_violations
 
 
-def check_invariants(run: "RunContext", checkers=DEFAULT_CHECKERS) -> InvariantReport:
+def check_invariants(run: "RunContext") -> InvariantReport:
     """Run every checker against the final world state."""
     report = InvariantReport()
-    for checker in checkers:
+    for checker in DEFAULT_CHECKERS:
         violations = checker.check(run)
         if not violations:
             continue

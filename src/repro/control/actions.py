@@ -317,18 +317,12 @@ class RecoverState(Action):
             if pinned is not None
             else world.manager.mechanism_for(state_name)
         )
-        handle = world.manager.recover(
+        return world.manager.recover(
             state_name,
             replacement=replacement,
             mechanism=impl,
             parent_span=parent_span,
         )
-
-        def handover(result, reg=registered, node=replacement) -> None:
-            reg.owner = node
-
-        handle.on_done(handover)
-        return handle
 
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
         registered, failure = self._saved_state(world, diagnosis.state)
@@ -367,7 +361,7 @@ class RecoverDegraded(Action):
 
     name = "recover-degraded"
 
-    def begin_all(self, world, diagnosis: Diagnosis, replacement=None, parent_span=None):
+    def begin_all(self, world, diagnosis: Diagnosis, parent_span=None):
         """Start one recovery per implicated dead-owner state; no blocking.
 
         Returns ``[(state_name, handle), ...]`` — empty when the alert
@@ -393,9 +387,7 @@ class RecoverDegraded(Action):
             begun.append(
                 (
                     state_name,
-                    recover.begin(
-                        world, sub, replacement=replacement, parent_span=parent_span
-                    ),
+                    recover.begin(world, sub, parent_span=parent_span),
                 )
             )
         return begun
@@ -783,11 +775,6 @@ class PromoteStandby(Action):
                     mechanism=StandbyRecovery(),
                     parent_span=parent_span,
                 )
-
-                def handover(result, reg=registered, node=standby) -> None:
-                    reg.owner = node
-
-                handle.on_done(handover)
                 world.sim.run_until_idle()
                 result = handle.result
             except (ReproError, OverlayError) as exc:

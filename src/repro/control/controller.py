@@ -48,15 +48,15 @@ from repro.errors import RecoveryError
 from repro.recovery.deployment import Deployment, HoldsDeployment
 
 
+#: Iteration budget of :meth:`Controller.run`: each iteration handles every
+#: fresh diagnosis, so this bounds cascades, not conditions.
+_MAX_ROUNDS = 8
+
+
 @dataclass
 class ControlConfig:
     """Loop-wide knobs (per-condition policy lives in the table)."""
 
-    #: Iteration budget for :meth:`Controller.run` — each iteration handles
-    #: every fresh diagnosis, so this bounds cascades, not conditions.
-    max_rounds: int = 8
-    #: A host below this fraction of its nominal bandwidth is flaky.
-    flaky_bw_fraction: float = 0.5
     #: A node holding this multiple of a state's per-node mean replica
     #: count is a hot shard.
     hot_shard_factor: float = 3.0
@@ -129,14 +129,12 @@ class Controller:
         world: ControlPlane,
         policy: Optional[PolicyTable] = None,
         config: Optional[ControlConfig] = None,
-        checkers=None,
         slo_engine=None,
         anomalies=None,
     ) -> None:
         self.world = world
         self.policy = policy if policy is not None else default_policy()
         self.config = config or ControlConfig()
-        self._checkers = checkers
         #: Telemetry attachments: an :class:`~repro.obs.slo.SLOEngine` and
         #: an :class:`~repro.obs.anomaly.AnomalyDetector` pumped by
         #: :meth:`observe` — their alerts enter the loop as events.
@@ -169,13 +167,6 @@ class Controller:
     def _count(self, name: str, value: float = 1.0) -> None:
         if value:
             self.world.sim.metrics.counter(f"control.{name}").add(value)
-
-    def checkers(self):
-        if self._checkers is None:
-            from repro.chaos.invariants import DEFAULT_CHECKERS
-
-            self._checkers = DEFAULT_CHECKERS
-        return self._checkers
 
     def bind_ground_truth(
         self,
@@ -225,7 +216,7 @@ class Controller:
                 self.log.emit(anomaly_event(anomaly))
         degraded = getattr(self.world.network, "degraded_hosts", None)
         if degraded is not None:
-            current = {host.name: frac for host, frac in degraded(self.config.flaky_bw_fraction)}
+            current = {host.name: frac for host, frac in degraded()}
             self._degraded_seen &= set(current)  # recovered hosts may re-flag
             for name in sorted(current):
                 if name in self._degraded_seen:
@@ -247,7 +238,6 @@ class Controller:
         return diagnose(
             self.world,
             events,
-            flaky_bw_fraction=self.config.flaky_bw_fraction,
             hot_shard_factor=self.config.hot_shard_factor,
             cold_shard_factor=self.config.cold_shard_factor,
         )
@@ -271,11 +261,10 @@ class Controller:
         span.finish(remediations=len(handled))
         return handled
 
-    def run(self, max_rounds: Optional[int] = None) -> List[RemediationRecord]:
+    def run(self) -> List[RemediationRecord]:
         """Iterate :meth:`step` until the world is clean (or budget spent)."""
-        rounds = max_rounds if max_rounds is not None else self.config.max_rounds
         handled: List[RemediationRecord] = []
-        for _ in range(rounds):
+        for _ in range(_MAX_ROUNDS):
             batch = self.step()
             if not batch:
                 break
@@ -348,7 +337,7 @@ class Controller:
         if ok and self.config.verify_invariants:
             from repro.chaos.invariants import check_invariants
 
-            report = check_invariants(self._check_context(), self.checkers())
+            report = check_invariants(self._check_context())
             for name in sorted(report.hard_violations):
                 for message in report.hard_violations[name]:
                     record.violations.append(f"{name}: {message}")
@@ -486,7 +475,7 @@ class Controller:
                 record.landed_at = self.world.sim.now
         return landed
 
-    def sweep(self, max_rounds: Optional[int] = None) -> List[RemediationRecord]:
+    def sweep(self) -> List[RemediationRecord]:
         """Post-quiescence pass: settle in-flight remediations, then loop."""
         for state_name in sorted(self._open):
             record, rule = self._open.pop(state_name)
@@ -504,7 +493,7 @@ class Controller:
             else:
                 self._parked.add(self._key(record.diagnosis))
                 self._count("unresolved")
-        return self.run(max_rounds)
+        return self.run()
 
     # --------------------------------------------------------------- report
 

@@ -193,13 +193,13 @@ def _diagnose_chain_too_long(world, out: List[Diagnosis]) -> None:
         )
 
 
-def _diagnose_flaky_node(world, out: List[Diagnosis], flaky_bw_fraction: float) -> None:
+def _diagnose_flaky_node(world, out: List[Diagnosis]) -> None:
     network = world.network
     degraded = getattr(network, "degraded_hosts", None)
     if degraded is None:
         return
     by_host: Dict[str, float] = {
-        host.name: fraction for host, fraction in degraded(flaky_bw_fraction)
+        host.name: fraction for host, fraction in degraded()
     }
     if not by_host:
         return
@@ -340,7 +340,6 @@ def _diagnose_standby_lagging(world, out: List[Diagnosis]) -> None:
 def diagnose(
     world,
     events: Sequence[ControlEvent] = (),
-    flaky_bw_fraction: float = 0.5,
     hot_shard_factor: float = 3.0,
     cold_shard_factor: float = 0.0,
 ) -> List[Diagnosis]:
@@ -359,7 +358,7 @@ def diagnose(
     _diagnose_owner_lost(world, out)
     _diagnose_replica_thin(world, out)
     _diagnose_chain_too_long(world, out)
-    _diagnose_flaky_node(world, out, flaky_bw_fraction)
+    _diagnose_flaky_node(world, out)
     _diagnose_hot_shard(world, out, hot_shard_factor)
     _diagnose_shard_cold(world, out, cold_shard_factor)
     _diagnose_standby_lagging(world, out)

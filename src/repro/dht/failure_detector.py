@@ -38,12 +38,6 @@ class DetectorConfig:
         if self.suspicion_threshold < 1:
             raise ValueError("suspicion_threshold must be at least 1")
 
-    @property
-    def expected_detection_delay(self) -> float:
-        """Mean time from crash to declaration (half a period of phase
-        uncertainty plus the threshold's worth of missed beats)."""
-        return self.period * (self.suspicion_threshold + 0.5)
-
 
 @dataclass
 class FailureDetector:
@@ -123,12 +117,3 @@ class FailureDetector:
         """The earliest time any watcher declared ``node`` failed."""
         times = [t for _, name, t in self.detections if name == node.name]
         return min(times) if times else None
-
-    def false_positives(self) -> List[Tuple[str, str, float]]:
-        """Declarations against nodes that are actually alive."""
-        by_name = {n.name: n for n in self.overlay.nodes}
-        return [
-            (watcher, name, t)
-            for watcher, name, t in self.detections
-            if by_name[name].alive
-        ]

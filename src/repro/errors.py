@@ -60,6 +60,11 @@ class InsufficientShardsError(RecoveryError):
     """Not enough surviving shard replicas remain to rebuild the state."""
 
 
+class ReplacementDiedError(RecoveryError):
+    """The replacement node died while the state was being recovered onto it;
+    the recovery can be restarted onto a new replacement."""
+
+
 class SelectionError(RecoveryError):
     """The mechanism-selection heuristic received unusable inputs."""
 

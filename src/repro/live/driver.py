@@ -61,6 +61,16 @@ __all__ = ["LiveCell", "build_live_cell", "LoadDriver"]
 #: Backing generator length: effectively inexhaustible at bench rates.
 _SOURCE_DEPTH = 10_000_000
 
+#: The driver's loop: seconds between ticks, and between controller polls.
+_TICK = 0.1
+_POLL_INTERVAL = 0.5
+#: Application traffic: bytes a record puts on its task's ingest flow, and
+#: the share of that which each task forwards to its shuffle neighbour.
+_BYTES_PER_EVENT = 16_384.0
+_SHUFFLE_FRACTION = 0.5
+#: Seconds past ``duration`` after which a run that has not drained is cut.
+_DRAIN_GRACE = 120.0
+
 
 @dataclass
 class LiveCell(Deployment):
@@ -157,44 +167,27 @@ class LoadDriver:
         cell: LiveCell,
         rate: RateCurve,
         duration: float,
-        tick: float = 0.1,
         service_rate: float = 4_000.0,
-        bytes_per_event: float = 16_384.0,
         app_load: bool = True,
-        shuffle_fraction: float = 0.5,
         checkpoint_at: Tuple[float, ...] = (),
         kill_at: Optional[float] = None,
-        kill_task: Optional[Tuple[str, int]] = None,
         mechanism: Optional[MechanismImpl] = None,
         bulk_state_mb: float = 0.0,
         standby: bool = False,
-        drain_grace: float = 120.0,
         telemetry=None,
         controller=None,
-        poll_interval: float = 0.5,
     ) -> None:
         if duration <= 0:
             raise LiveHarnessError("duration must be positive")
-        if tick <= 0:
-            raise LiveHarnessError("tick must be positive")
         if service_rate <= 0:
             raise LiveHarnessError("service_rate must be positive")
-        if bytes_per_event <= 0:
-            raise LiveHarnessError("bytes_per_event must be positive")
-        if not 0.0 <= shuffle_fraction <= 1.0:
-            raise LiveHarnessError("shuffle_fraction must lie in [0, 1]")
         if bulk_state_mb < 0:
             raise LiveHarnessError("bulk_state_mb must be non-negative")
-        if poll_interval <= 0:
-            raise LiveHarnessError("poll_interval must be positive")
         self.cell = cell
         self.rate = rate
         self.duration = float(duration)
-        self.tick = float(tick)
         self.service_rate = float(service_rate)
-        self.bytes_per_event = float(bytes_per_event)
         self.app_load = app_load
-        self.shuffle_fraction = float(shuffle_fraction)
         self.checkpoint_at = tuple(sorted(float(t) for t in checkpoint_at))
         self.kill_at = None if kill_at is None else float(kill_at)
         self.mechanism = mechanism
@@ -205,7 +198,6 @@ class LoadDriver:
         self.standby_syncs = 0
         # state name -> warm image bytes after its latest sync round.
         self._standby_warm: Dict[str, float] = {}
-        self.drain_grace = float(drain_grace)
 
         self.sim = cell.sim
         self.cluster = cell.cluster
@@ -219,12 +211,11 @@ class LoadDriver:
         #: pipeline's own scheduler stays off).
         self.telemetry = telemetry
         #: A :class:`~repro.control.controller.Controller` polled every
-        #: ``poll_interval`` seconds; when set, the driver stops recovering
+        #: half second; when set, the driver stops recovering
         #: on its own at the kill — the control plane must notice the fault
         #: (heartbeats, SLO burn) and begin recovery via ``poll()``.
         self.controller = controller
-        self.poll_interval = float(poll_interval)
-        self._next_poll = self.poll_interval
+        self._next_poll = _POLL_INTERVAL
         self._served_mark = 0
         self._replayed_mark = 0
         self._latency_hist = self.sim.metrics.histogram("live.latency_s")
@@ -243,12 +234,9 @@ class LoadDriver:
         }
         if not self._task_keys:
             raise LiveHarnessError("the cell's topology has no stateful tasks")
-        if kill_task is None:
-            kill_task = self._task_keys[sorted(self._task_keys)[0]]
-        self.kill_task = kill_task
-        self._kill_tid = f"{kill_task[0]}[{kill_task[1]}]"
-        if self._kill_tid not in self._task_keys:
-            raise LiveHarnessError(f"kill target {self._kill_tid} is not a protected task")
+        #: The kill target: the first protected task.
+        self._kill_tid = sorted(self._task_keys)[0]
+        self.kill_task = self._task_keys[self._kill_tid]
         if self.kill_at is not None:
             if self.kill_at >= self.duration:
                 raise LiveHarnessError("kill_at must fall inside the run duration")
@@ -321,7 +309,7 @@ class LoadDriver:
         self._stream = iter(self.cell.source_factory())
         if self.app_load:
             self._open_app_flows()
-        self.sim.schedule(self.tick, self._tick)
+        self.sim.schedule(_TICK, self._tick)
         self.sim.run_until_idle()
         if not self._done:
             raise LiveHarnessError("simulation went idle before the driver finalized")
@@ -361,10 +349,10 @@ class LoadDriver:
         if finished_load and drained and killed_ok and self._pending_barrier is None:
             self._finalize(t)
             return
-        if t >= self.duration + self.drain_grace:
+        if t >= self.duration + _DRAIN_GRACE:
             self._finalize(t)
             return
-        self.sim.schedule(self.tick, self._tick)
+        self.sim.schedule(_TICK, self._tick)
 
     def _sample_series(self, t: float) -> None:
         """Per-tick instrumentation, then the telemetry/control pump."""
@@ -386,7 +374,7 @@ class LoadDriver:
             self.telemetry.sample(t)
         if self.controller is not None and t >= self._next_poll:
             self.controller.poll()
-            self._next_poll = t + self.poll_interval
+            self._next_poll = t + _POLL_INTERVAL
 
     def _generate_arrivals(self, t: float) -> None:
         t1 = min(t, self.duration)
@@ -657,7 +645,7 @@ class LoadDriver:
             self._ingest_flows[tid] = self.network.open_app_flow(
                 self.cell.ingest, host, demand=per_task, tag=f"live/ingest/{tid}"
             )
-        if self.shuffle_fraction > 0 and len(tids) > 1:
+        if len(tids) > 1:
             for i, src_tid in enumerate(tids):
                 dst_tid = tids[(i + 1) % len(tids)]
                 flow = self.network.open_app_flow(
@@ -669,9 +657,9 @@ class LoadDriver:
                 self._shuffle_flows.append((src_tid, dst_tid, flow))
 
     def _demands(self, t: float) -> Tuple[float, float]:
-        total = self.rate.rate_at(t) * self.bytes_per_event
+        total = self.rate.rate_at(t) * _BYTES_PER_EVENT
         per_task = max(1.0, total / len(self._task_keys))
-        return per_task, max(1.0, per_task * self.shuffle_fraction)
+        return per_task, max(1.0, per_task * _SHUFFLE_FRACTION)
 
     def _update_demands(self, t: float) -> None:
         per_task, per_shuffle = self._demands(t)

@@ -57,7 +57,7 @@ __getattr__, __all__ = export_table(__name__, {
     "repro.obs.dashboard": ("render_dashboard", "write_dashboard"),
     "repro.obs.slo": ("DEFAULT_WINDOWS", "SLO", "BurnWindow", "SLOAlert", "SLOEngine"),
     "repro.obs.timeseries": (
-        "SERIES_KINDS", "SeriesBuffer", "TelemetryConfig", "TelemetryPipeline",
+        "SERIES_KINDS", "SeriesBuffer", "TelemetryPipeline",
     ),
     "repro.obs.tracer": (
         "NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer", "clear_collected",

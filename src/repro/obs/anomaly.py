@@ -32,6 +32,9 @@ __all__ = ["Anomaly", "AnomalyDetector"]
 #: Scale factor making MAD consistent with the stdev of a normal
 #: distribution — the conventional robust z-score normaliser.
 _MAD_TO_SIGMA = 0.6745
+#: A rate series' halves differ by a level shift when their medians are this
+#: many (older-half) MADs apart.
+_SHIFT_FACTOR = 4.0
 
 
 def _mad(values: Sequence[float], center: float) -> float:
@@ -71,14 +74,13 @@ class AnomalyDetector:
         z_threshold: float = 4.5,
         min_points: int = 12,
         cooldown_s: float = 5.0,
-        shift_factor: float = 4.0,
     ) -> None:
         if window < 4:
             raise ConfigError("window must be at least 4 points")
         if min_points < 4 or min_points > window:
             raise ConfigError("min_points must lie in [4, window]")
-        if z_threshold <= 0 or shift_factor <= 0:
-            raise ConfigError("thresholds must be positive")
+        if z_threshold <= 0:
+            raise ConfigError("z_threshold must be positive")
         if cooldown_s < 0:
             raise ConfigError("cooldown_s must be non-negative")
         self.pipeline = pipeline
@@ -89,7 +91,6 @@ class AnomalyDetector:
         self.z_threshold = float(z_threshold)
         self.min_points = int(min_points)
         self.cooldown_s = float(cooldown_s)
-        self.shift_factor = float(shift_factor)
         self.anomalies: List[Anomaly] = []
         self._last_fired: Dict[Tuple[str, str], float] = {}
         self._last_scanned: Dict[str, float] = {}
@@ -166,7 +167,7 @@ class AnomalyDetector:
         spread = _mad(older, old_center)
         denom = spread if spread > 0 else max(abs(old_center) * 0.05, 1e-9)
         score = (new_center - old_center) / denom
-        if abs(score) < self.shift_factor:
+        if abs(score) < _SHIFT_FACTOR:
             return None
         self._last_fired[key] = at
         return Anomaly(

@@ -118,17 +118,17 @@ class CriticalSegment:
         }
 
 
-def recovery_roots(tracer: Tracer, include_saves: bool = False) -> List[Span]:
-    """The root spans worth profiling: one per recovery (and optionally
-    per save round) recorded by the tracer."""
-    roots = []
-    for span in tracer.roots():
-        if span.category != "recovery" or span.kind == "instant":
-            continue
-        if not include_saves and span.name == "recovery/save":
-            continue
-        roots.append(span)
-    return roots
+def recovery_roots(tracer: Tracer) -> List[Span]:
+    """The root spans worth profiling: one per recovery recorded by the
+    tracer. Save rounds share the category, but their "blame" answers a
+    different question."""
+    return [
+        span
+        for span in tracer.roots()
+        if span.category == "recovery"
+        and span.kind != "instant"
+        and span.name != "recovery/save"
+    ]
 
 
 def children_index(tracer: Tracer) -> Dict[int, List[Span]]:

@@ -66,13 +66,11 @@ def _self_time(span: Span, children: List[Span]) -> float:
     return max(0.0, span.duration - covered)
 
 
-def collapsed_stacks(
-    tracer: Tracer, root_filter: Optional[str] = None
-) -> Dict[str, float]:
+def collapsed_stacks(tracer: Tracer) -> Dict[str, float]:
     """Map ``frame;frame;...`` stacks to self-time seconds for one tracer.
 
-    ``root_filter`` keeps only subtrees whose root span has that category
-    (e.g. ``"recovery"`` to drop DHT maintenance noise from the graph).
+    Only subtrees whose root span is in the ``recovery`` category are kept,
+    which drops DHT maintenance noise from the graph.
     """
     children: Dict[int, List[Span]] = {}
     for span in tracer.spans:
@@ -90,17 +88,12 @@ def collapsed_stacks(
             walk(kid, stack)
 
     for root in tracer.roots():
-        if root.kind == "instant":
-            continue
-        if root_filter is not None and root.category != root_filter:
-            continue
-        walk(root, "")
+        if root.kind != "instant" and root.category == "recovery":
+            walk(root, "")
     return stacks
 
 
-def flamegraph_text(
-    tracers: Optional[TracerLike] = None, root_filter: Optional[str] = "recovery"
-) -> str:
+def flamegraph_text(tracers: Optional[TracerLike] = None) -> str:
     """Collapsed-stack lines for ``flamegraph.pl`` (or speedscope import).
 
     Values are integer virtual-clock microseconds; stacks from several
@@ -111,18 +104,14 @@ def flamegraph_text(
     tracer_list = _as_tracers(tracers)
     for tracer in tracer_list:
         prefix = f"{tracer.name};" if len(tracer_list) > 1 else ""
-        for stack, seconds in collapsed_stacks(tracer, root_filter).items():
+        for stack, seconds in collapsed_stacks(tracer).items():
             micros = int(round(seconds * 1e6))
             if micros > 0:
                 lines.append(f"{prefix}{stack} {micros}")
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
 
-def speedscope_document(
-    tracers: Optional[TracerLike] = None,
-    name: str = "sr3-recovery",
-    root_filter: Optional[str] = "recovery",
-) -> Dict[str, object]:
+def speedscope_document(tracers: Optional[TracerLike] = None) -> Dict[str, object]:
     """A speedscope file: one ``sampled`` profile per tracer.
 
     Loadable at https://www.speedscope.app (or ``speedscope file.json``).
@@ -140,7 +129,7 @@ def speedscope_document(
     for tracer in _as_tracers(tracers):
         samples: List[List[int]] = []
         weights: List[float] = []
-        for stack, seconds in sorted(collapsed_stacks(tracer, root_filter).items()):
+        for stack, seconds in sorted(collapsed_stacks(tracer).items()):
             if seconds <= 0:
                 continue
             samples.append([frame_of(part) for part in stack.split(";")])
@@ -160,31 +149,22 @@ def speedscope_document(
         "$schema": "https://www.speedscope.app/file-format-schema.json",
         "shared": {"frames": frames},
         "profiles": profiles,
-        "name": name,
+        "name": "sr3-recovery",
         "exporter": "sr3-profiler",
         "activeProfileIndex": 0,
     }
 
 
-def write_flamegraph(
-    path: str,
-    tracers: Optional[TracerLike] = None,
-    root_filter: Optional[str] = "recovery",
-) -> str:
+def write_flamegraph(path: str, tracers: Optional[TracerLike] = None) -> str:
     """Write collapsed stacks to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(flamegraph_text(tracers, root_filter))
+        fh.write(flamegraph_text(tracers))
     return path
 
 
-def write_speedscope(
-    path: str,
-    tracers: Optional[TracerLike] = None,
-    name: str = "sr3-recovery",
-    root_filter: Optional[str] = "recovery",
-) -> str:
+def write_speedscope(path: str, tracers: Optional[TracerLike] = None) -> str:
     """Write a speedscope JSON document to ``path``; returns the path."""
-    payload = speedscope_document(tracers, name=name, root_filter=root_filter)
+    payload = speedscope_document(tracers)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         fh.write("\n")

@@ -174,25 +174,21 @@ def _count_subtree(root: Span, children: Dict[int, List[Span]]) -> int:
     return count
 
 
-def profile_tracers(
-    tracers: Optional[TracerLike] = None, include_saves: bool = False
-) -> List[RecoveryProfile]:
+def profile_tracers(tracers: Optional[TracerLike] = None) -> List[RecoveryProfile]:
     """One profile per recovery root across the given tracers.
 
     Defaults to every tracer in the process-wide collector (the bench
-    CLI's ``--trace``/``--profile`` path). Save rounds are excluded unless
-    ``include_saves`` — their spans share the category machinery but their
-    "blame" answers a different question.
+    CLI's ``--trace``/``--profile`` path).
     """
     profiles: List[RecoveryProfile] = []
     for tracer in _as_tracers(tracers):
         children = children_index(tracer)
-        for root in recovery_roots(tracer, include_saves=include_saves):
+        for root in recovery_roots(tracer):
             profiles.append(profile_recovery(tracer, root, children))
     return profiles
 
 
-def _attach_explanations(profiles: List[RecoveryProfile], cost_model=None) -> None:
+def _attach_explanations(profiles: List[RecoveryProfile]) -> None:
     """Feed measured makespans back into the selection model's predictions.
 
     Imported lazily: ``repro.recovery`` imports the observability layer at
@@ -201,7 +197,7 @@ def _attach_explanations(profiles: List[RecoveryProfile], cost_model=None) -> No
     from repro.recovery.selection import SelectionInputs, explain_selection
 
     for profile in profiles:
-        if profile.state_bytes <= 0 or profile.mechanism == "save":
+        if profile.state_bytes <= 0:
             continue
         base = profile.mechanism.split("+", 1)[0]
         if base not in ("star", "line", "tree"):
@@ -211,8 +207,7 @@ def _attach_explanations(profiles: List[RecoveryProfile], cost_model=None) -> No
                 state_bytes=profile.state_bytes,
                 chain_links=profile.chain_len,
                 delta_bytes=min(profile.delta_bytes, profile.state_bytes),
-            ),
-            cost_model=cost_model,
+            )
         )
         explanation.observe(base, profile.makespan)
         profile.explanation = explanation
@@ -281,32 +276,20 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def build_report(
-    tracers: Optional[TracerLike] = None,
-    include_saves: bool = False,
-    explain: bool = True,
-    cost_model=None,
-) -> ProfileReport:
+def build_report(tracers: Optional[TracerLike] = None) -> ProfileReport:
     """Profile every recovery in the tracers into one report.
 
-    ``explain`` attaches a :class:`SelectionExplanation` (predicted vs
-    observed cost) to each star/line/tree profile whose root span carries
-    a ``state_bytes`` attribute.
+    Each star/line/tree profile whose root span carries a ``state_bytes``
+    attribute gets a :class:`SelectionExplanation` (predicted vs observed
+    cost).
     """
-    profiles = profile_tracers(tracers, include_saves=include_saves)
-    if explain:
-        _attach_explanations(profiles, cost_model=cost_model)
+    profiles = profile_tracers(tracers)
+    _attach_explanations(profiles)
     return ProfileReport(profiles=profiles)
 
 
-def write_profile(
-    path: str,
-    tracers: Optional[TracerLike] = None,
-    include_saves: bool = False,
-    explain: bool = True,
-) -> str:
+def write_profile(path: str, tracers: Optional[TracerLike] = None) -> str:
     """Write the profile report for ``tracers`` to ``path``; returns it."""
-    report = build_report(tracers, include_saves=include_saves, explain=explain)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        fh.write(build_report(tracers).to_json())
     return path

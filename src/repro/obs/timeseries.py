@@ -27,7 +27,7 @@ derives series from them —
 - open ``recovery*`` spans become a ``telemetry.recovery_active`` gauge
   series when the simulation carries a real tracer.
 
-Buffers are bounded (``retention`` points), so a long-running cell holds
+Buffers are bounded (4,096 points), so a long-running cell holds
 a dashboard's worth of history, not the full firehose. Everything is
 deterministic: sampling happens on the simulated clock, iteration orders
 are sorted, and no wall time is consulted.
@@ -42,7 +42,6 @@ quiescence.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
@@ -50,26 +49,34 @@ from repro.util.stats import percentile
 
 __all__ = [
     "SeriesBuffer",
-    "TelemetryConfig",
     "TelemetryPipeline",
 ]
 
 #: Series kinds the pipeline produces (anomaly detection keys off these).
 SERIES_KINDS = ("gauge", "rate", "series", "percentile")
 
+#: Ring size per series.
+RETENTION = 4096
+#: Seconds of simulated time between the samples ``start()`` schedules. It
+#: paces ``start()`` only: an embedding that owns the loop calls ``sample()``
+#: from its own tick and never reads it.
+SAMPLE_INTERVAL = 0.5
+#: Trailing window of the histogram percentile series, and the percentiles
+#: derived from observation-keeping histograms, by series suffix.
+HISTOGRAM_WINDOW = 5.0
+HISTOGRAM_PERCENTILES = (("p50", 50.0), ("p99", 99.0))
+
 
 class SeriesBuffer:
     """A bounded ``(time, value)`` ring buffer: every appended point is kept
-    verbatim, up to ``retention`` points."""
+    verbatim, up to :data:`RETENTION` points."""
 
-    def __init__(self, name: str, kind: str = "gauge", retention: int = 4096) -> None:
-        if retention <= 0:
-            raise ConfigError("retention must be positive")
+    def __init__(self, name: str, kind: str = "gauge") -> None:
         if kind not in SERIES_KINDS:
             raise ConfigError(f"unknown series kind {kind!r}; known: {SERIES_KINDS}")
         self.name = name
         self.kind = kind
-        self._points: Deque[Tuple[float, float]] = deque(maxlen=int(retention))
+        self._points: Deque[Tuple[float, float]] = deque(maxlen=RETENTION)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -104,41 +111,11 @@ class SeriesBuffer:
         }
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Sampling knobs for one pipeline."""
-
-    #: Seconds of simulated time between the samples :meth:`start` schedules.
-    #: It paces ``start()`` only: an embedding that owns the loop calls
-    #: :meth:`sample` from its own tick and never reads it.
-    interval: float = 0.5
-    #: Ring size per series.
-    retention: int = 4096
-    #: Trailing window for histogram percentile series.
-    histogram_window: float = 5.0
-    #: Percentiles derived from observation-keeping histograms.
-    histogram_percentiles: Tuple[float, ...] = (50.0, 99.0)
-    #: Sample open recovery spans into ``telemetry.recovery_active``.
-    track_spans: bool = True
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ConfigError("interval must be positive")
-        if self.retention <= 0:
-            raise ConfigError("retention must be positive")
-        if self.histogram_window <= 0:
-            raise ConfigError("histogram_window must be positive")
-        for q in self.histogram_percentiles:
-            if not 0 <= q <= 100:
-                raise ConfigError("histogram percentiles must lie in [0, 100]")
-
-
 class TelemetryPipeline:
     """Samples one simulation's registry (and tracer) into series buffers."""
 
-    def __init__(self, sim, config: Optional[TelemetryConfig] = None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.config = config or TelemetryConfig()
         self._buffers: Dict[str, SeriesBuffer] = {}
         self._counter_totals: Dict[str, float] = {}
         self._series_cursors: Dict[str, int] = {}
@@ -152,7 +129,7 @@ class TelemetryPipeline:
     def _ensure(self, name: str, kind: str) -> SeriesBuffer:
         buf = self._buffers.get(name)
         if buf is None:
-            buf = SeriesBuffer(name, kind=kind, retention=self.config.retention)
+            buf = SeriesBuffer(name, kind=kind)
             self._buffers[name] = buf
         return buf
 
@@ -220,26 +197,24 @@ class TelemetryPipeline:
             window_values = [
                 v
                 for t, v in histogram.observations()
-                if now - self.config.histogram_window < t <= now
+                if now - HISTOGRAM_WINDOW < t <= now
             ]
             if not window_values:
                 continue
-            for q in self.config.histogram_percentiles:
-                label = ("%g" % q).replace(".", "_")
-                self._ensure(f"{name}.p{label}", "percentile").append(
+            for suffix, q in HISTOGRAM_PERCENTILES:
+                self._ensure(f"{name}.{suffix}", "percentile").append(
                     now, percentile(window_values, q)
                 )
-        if self.config.track_spans:
-            spans = getattr(self.sim.tracer, "spans", None)
-            if spans:  # NullTracer keeps an empty list — nothing to count
-                open_recoveries = sum(
-                    1
-                    for span in spans
-                    if span.category.startswith("recovery") and not span.done
-                )
-                self._ensure("telemetry.recovery_active", "gauge").append(
-                    now, float(open_recoveries)
-                )
+        spans = getattr(self.sim.tracer, "spans", None)
+        if spans:  # NullTracer keeps an empty list — nothing to count
+            open_recoveries = sum(
+                1
+                for span in spans
+                if span.category.startswith("recovery") and not span.done
+            )
+            self._ensure("telemetry.recovery_active", "gauge").append(
+                now, float(open_recoveries)
+            )
         self._last_sample = now
         self.samples += 1
 
@@ -250,7 +225,7 @@ class TelemetryPipeline:
         if self._running:
             raise ConfigError("telemetry pipeline already running")
         self._running = True
-        self.sim.schedule(self.config.interval, self._tick)
+        self.sim.schedule(SAMPLE_INTERVAL, self._tick)
 
     def stop(self) -> None:
         """Stop self-scheduled sampling (the pending tick becomes a no-op)."""
@@ -264,7 +239,7 @@ class TelemetryPipeline:
         if not self._running:
             return
         self.sample(self.sim.now)
-        self.sim.schedule(self.config.interval, self._tick)
+        self.sim.schedule(SAMPLE_INTERVAL, self._tick)
 
     # -------------------------------------------------------------- export
 

@@ -237,7 +237,6 @@ class Tracer:
         self,
         name: str,
         category: str = "",
-        parent: Optional[Span] = None,
         at: Optional[float] = None,
         **attrs: Any,
     ) -> Span:
@@ -246,7 +245,7 @@ class Tracer:
         span = Span(
             self,
             self._next_id,
-            parent.span_id if parent is not None and parent.span_id >= 0 else None,
+            None,
             name,
             category,
             "instant",
@@ -319,7 +318,7 @@ class NullTracer:
     def record(self, name: str, start: float, end: float, category: str = "", parent: Any = None, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
 
-    def instant(self, name: str, category: str = "", parent: Any = None, at: Any = None, **attrs: Any) -> _NullSpan:
+    def instant(self, name: str, category: str = "", at: Any = None, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
 
     def roots(self) -> List[Span]:

@@ -20,7 +20,6 @@ Costs modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError
@@ -267,11 +266,9 @@ class CheckpointingBaseline:
         return handle
 
 
-def checkpointing_to_remote_storage(
-    ctx: RecoveryContext, config: Optional[CheckpointConfig] = None
-) -> CheckpointingBaseline:
+def checkpointing_to_remote_storage(ctx: RecoveryContext) -> CheckpointingBaseline:
     """The baseline on the testbed's remote store (Sec. 5.1): a 400 MB/s
     ``remote-storage`` host, registered on ``ctx.network``."""
     storage = RemoteStorage("remote-storage", up_bw=400 * MB, down_bw=400 * MB)
     ctx.network.hosts[storage.name] = storage
-    return CheckpointingBaseline(ctx, storage, config or CheckpointConfig())
+    return CheckpointingBaseline(ctx, storage)

@@ -106,9 +106,9 @@ class Fp4sBaseline:
         providers: List[DhtNode],
         replacement: DhtNode,
         state_bytes: float,
-        state_name: str = "fp4s-state",
     ) -> RecoveryHandle:
         """Fetch any ``m`` fragments in parallel, then decode and install."""
+        state_name = "fp4s-state"
         cfg = self.config
         cost = self.ctx.cost_model
         alive = [n for n in providers if n.alive]

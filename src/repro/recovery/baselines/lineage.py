@@ -8,10 +8,8 @@ well for multiple failures" (Sec. 2.2).
 
 Model: the lost state is the output of a lineage of ``lineage_depth``
 deterministic stages. Recovery re-executes every stage in order; within a
-stage, ``parallelism`` workers recompute partitions concurrently. Each
-simultaneous failure invalidates additional partitions that must flow
-through the same serial lineage, so recovery time grows with both lineage
-depth and failure count.
+stage, ``parallelism`` workers recompute partitions concurrently, so
+recovery time grows with the lineage depth.
 """
 
 from __future__ import annotations
@@ -56,41 +54,16 @@ class LineageBaseline:
         self.ctx = ctx
         self.config = config
 
-    def recovery_time(self, state_bytes: float, simultaneous_failures: int = 1) -> float:
-        """Closed-form recovery latency (used for validation in tests)."""
-        cfg = self.config
-        per_stage = state_bytes / (cfg.recompute_rate * cfg.parallelism)
-        failure_scaling = max(1, simultaneous_failures)
-        return (
-            self.ctx.cost_model.detection_delay
-            + cfg.lineage_depth * (cfg.stage_overhead + per_stage * failure_scaling)
-        )
-
-    def recover(
-        self,
-        workers: DhtNode,
-        state_bytes: float,
-        simultaneous_failures: int = 1,
-        state_name: str = "lineage-state",
-    ) -> RecoveryHandle:
-        """Re-run the lineage for the lost state on ``workers``' cluster.
-
-        ``simultaneous_failures`` scales the partition volume forced
-        through the serial lineage (every failed node's partitions join
-        the same ordered re-execution).
-        """
+    def recover(self, workers: DhtNode, state_bytes: float) -> RecoveryHandle:
+        """Re-run the lineage for the lost state on ``workers``' cluster."""
         if state_bytes < 0:
             raise RecoveryError("state size must be non-negative")
-        if simultaneous_failures < 1:
-            raise RecoveryError("at least one failure must have occurred")
         sim = self.ctx.sim
         cfg = self.config
+        state_name = "lineage-state"
         handle = RecoveryHandle(self.name, state_name)
         started_at = sim.now
-        per_stage = (
-            cfg.stage_overhead
-            + state_bytes * simultaneous_failures / (cfg.recompute_rate * cfg.parallelism)
-        )
+        per_stage = cfg.stage_overhead + state_bytes / (cfg.recompute_rate * cfg.parallelism)
         tracer = sim.tracer
         root_span = tracer.start(
             "baseline/lineage-recover",
@@ -116,7 +89,7 @@ class LineageBaseline:
                         finished_at=sim.now,
                         bytes_transferred=state_bytes * cfg.lineage_depth,
                         nodes_involved=cfg.parallelism,
-                        shards_recovered=simultaneous_failures,
+                        shards_recovered=1,
                         replacement=workers.name,
                         detail={"lineage_depth": float(cfg.lineage_depth)},
                     )

@@ -35,11 +35,10 @@ class ReplicationBaseline:
 
     name = "replication"
 
-    def __init__(self, ctx: RecoveryContext, config: ReplicationConfig = ReplicationConfig()) -> None:
+    def __init__(self, ctx: RecoveryContext) -> None:
         self.ctx = ctx
-        self.config = config
+        self.config = ReplicationConfig()
         self._standbys: Dict[str, DhtNode] = {}
-        self.duplicated_bytes = 0.0
 
     def protect(self, primary: DhtNode, standby: DhtNode) -> None:
         """Dedicate ``standby`` as the hot failover of ``primary``."""
@@ -47,29 +46,9 @@ class ReplicationBaseline:
             raise RecoveryError("standby must be a distinct node")
         self._standbys[primary.name] = standby
 
-    def standby_count(self) -> int:
-        """Extra nodes permanently consumed (the 2x hardware cost)."""
-        return len(self._standbys)
-
-    def duplicate_input(self, primary: DhtNode, nbytes: float) -> None:
-        """Account the second copy of every input record.
-
-        The standby consumes the same stream; this is continuous overhead
-        paid even when nothing ever fails.
-        """
-        standby = self._standbys.get(primary.name)
-        if standby is None:
-            raise RecoveryError(f"{primary.name} has no standby registered")
-        self.ctx.network.send_control(primary.host, standby.host, nbytes)
-        self.duplicated_bytes += nbytes
-
-    def recover(
-        self,
-        primary: DhtNode,
-        state_bytes: float,
-        state_name: str = "replicated-state",
-    ) -> RecoveryHandle:
+    def recover(self, primary: DhtNode, state_bytes: float) -> RecoveryHandle:
         """Fail over to the standby: no state movement, tiny fixed delay."""
+        state_name = "replicated-state"
         standby = self._standbys.get(primary.name)
         if standby is None:
             raise RecoveryError(f"{primary.name} has no standby registered")

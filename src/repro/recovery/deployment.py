@@ -151,7 +151,6 @@ def saved_state(
     num_shards: Optional[int] = None,
     num_replicas: int = 2,
     owner: Optional[DhtNode] = None,
-    serial: bool = True,
 ):
     """Register + save one synthetic state; returns (registered, SaveResult)."""
     owner = owner or deployment.overlay.nodes[0]
@@ -162,17 +161,12 @@ def saved_state(
         StateVersion(deployment.sim.now, 1),
     )
     registered = deployment.manager.register(owner, shards, num_replicas)
-    handle = deployment.manager.save(state_name, serial=serial)
+    handle = deployment.manager.save(state_name)
     deployment.sim.run_until_idle()
     return registered, handle.result
 
 
-def saved_delta(
-    deployment: Deployment,
-    state_name: str,
-    delta_bytes: float,
-    serial: bool = True,
-):
+def saved_delta(deployment: Deployment, state_name: str, delta_bytes: float):
     """Append one synthetic delta round to an already-saved state.
 
     Splits ``delta_bytes`` evenly over the chain's shard count and ships
@@ -202,17 +196,16 @@ def saved_delta(
         )
         for index in range(num_shards)
     ]
-    handle = deployment.manager.save_delta(state_name, delta_shards, serial=serial)
+    handle = deployment.manager.save_delta(state_name, delta_shards)
     deployment.sim.run_until_idle()
     return registered, handle.result
 
 
-def timed_recovery(deployment: Deployment, mechanism, state_name: str, replacement=None):
+def timed_recovery(deployment: Deployment, mechanism, state_name: str):
     """Fail the owner and run one recovery; returns the RecoveryResult."""
     registered = deployment.manager.states[state_name]
     if registered.owner.alive:
         deployment.overlay.fail_node(registered.owner)
-    if replacement is None:
-        replacement = deployment.overlay.replacement_for(registered.owner)
+    replacement = deployment.overlay.replacement_for(registered.owner)
     handle = mechanism.start(deployment.ctx, registered.plan, replacement, state_name)
     return run_handles(deployment.sim, [handle])[0]

@@ -137,7 +137,7 @@ class RecoveryManager:
                 f"that state is still in flight"
             )
 
-    def save(self, state_name: str, serial: bool = True) -> SaveHandle:
+    def save(self, state_name: str) -> SaveHandle:
         """Start a full save round for one registered state.
 
         Resets the state's version chain to a fresh base and garbage
@@ -161,7 +161,6 @@ class RecoveryManager:
             registered.shards,
             registered.num_replicas,
             self.placement,
-            serial=serial,
         )
 
         def record(result) -> None:
@@ -175,9 +174,7 @@ class RecoveryManager:
         handle.on_done(record)
         return handle
 
-    def save_delta(
-        self, state_name: str, delta_shards: Sequence[Shard], serial: bool = True
-    ) -> SaveHandle:
+    def save_delta(self, state_name: str, delta_shards: Sequence[Shard]) -> SaveHandle:
         """Start an incremental save round, or fall back to a full one.
 
         Ships only ``delta_shards`` (the changed keys since the chain tip)
@@ -191,7 +188,7 @@ class RecoveryManager:
         self._check_no_active_recovery(state_name)
         delta_bytes = sum(s.size_bytes for s in delta_shards)
         if not self._can_extend_chain(registered, delta_bytes):
-            return self.save(state_name, serial=serial)
+            return self.save(state_name)
         chain = registered.chain
         handle = sr3_save(
             self.ctx,
@@ -199,7 +196,6 @@ class RecoveryManager:
             delta_shards,
             registered.num_replicas,
             self.placement,
-            serial=serial,
             mode="delta",
             chain_len=chain.length + 1,
         )
@@ -245,8 +241,8 @@ class RecoveryManager:
             if (node.node_id, key) not in kept:
                 node.drop_shard(key)
 
-    def save_all(self, serial: bool = True) -> List[SaveHandle]:
-        return [self.save(name, serial=serial) for name in sorted(self.states)]
+    def save_all(self) -> List[SaveHandle]:
+        return [self.save(name) for name in sorted(self.states)]
 
     # ------------------------------------------------------------- recovery
 
@@ -271,7 +267,12 @@ class RecoveryManager:
         mechanism: Optional[MechanismImpl] = None,
         parent_span=None,
     ) -> RecoveryHandle:
-        """Start recovering one state onto a replacement node."""
+        """Start recovering one state onto a replacement node.
+
+        When the handle resolves the replacement owns the state: the next
+        save round writes from it, and its death is the next owner loss.
+        A recovery that fails leaves the owner where it was.
+        """
         registered = self._get(state_name)
         if registered.plan is None:
             raise RecoveryError(f"state {state_name!r} was never saved")
@@ -302,6 +303,11 @@ class RecoveryManager:
             self.ctx, registered.plan, replacement, state_name, parent_span=parent_span
         )
         self.active_recoveries[state_name] = handle
+
+        def handover(_result) -> None:
+            registered.owner = replacement
+
+        handle.on_done(handover)
         return handle
 
     def on_failures(self, failed: Sequence[DhtNode]) -> List[RecoveryHandle]:

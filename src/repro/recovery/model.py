@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set,
 
 from repro.dht.node import DhtNode
 from repro.dht.overlay import Overlay
-from repro.errors import InsufficientShardsError, RecoveryError
+from repro.errors import InsufficientShardsError, RecoveryError, ReplacementDiedError
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.resources import ResourceProfile
@@ -158,14 +158,16 @@ class RetryPolicy:
         return self.backoff * (2 ** attempt)
 
 
-def replacement_died(mechanism: str, state_name: str, replacement: DhtNode) -> RecoveryError:
+def replacement_died(
+    mechanism: str, state_name: str, replacement: DhtNode
+) -> ReplacementDiedError:
     """The error every mechanism raises when its replacement node dies.
 
-    Kept uniform (and a plain :class:`RecoveryError`, never an overlay or
-    network internal) so callers can catch it and restart the recovery
-    onto a fresh replacement.
+    Kept uniform (and a :class:`RecoveryError`, never an overlay or network
+    internal) so callers can catch it by type and restart the recovery onto
+    a fresh replacement.
     """
-    return RecoveryError(
+    return ReplacementDiedError(
         f"state {state_name!r}: replacement node {replacement.name} died during "
         f"{mechanism} recovery; restart the recovery onto a new replacement"
     )

@@ -75,20 +75,7 @@ class ShardDecision:
 class OnlineSelector:
     """Least-squares calibration of per-mechanism cost coefficients."""
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        bandwidth: Optional[float] = None,
-        min_samples: int = 2,
-    ) -> None:
-        if min_samples < 2:
-            raise SelectionError(
-                "min_samples must be at least 2 (a 2-coefficient fit needs "
-                "two points)"
-            )
-        self.cost_model = cost_model
-        self.bandwidth = bandwidth
-        self.min_samples = min_samples
+    def __init__(self) -> None:
         # Per mechanism: [(static_predicted_s, observed_s), ...] in
         # observation order (kept — order is part of the serialized state).
         self._samples: Dict[str, List[Tuple[float, float]]] = {}
@@ -104,9 +91,7 @@ class OnlineSelector:
         """Record one measured recovery makespan for one mechanism."""
         if observed_seconds < 0:
             raise SelectionError("observed_seconds must be non-negative")
-        predicted = predict_recovery_seconds(
-            mechanism, inputs, self.cost_model, self.bandwidth
-        )
+        predicted = predict_recovery_seconds(mechanism, inputs)
         self._samples.setdefault(_key(mechanism), []).append(
             (float(predicted), float(observed_seconds))
         )
@@ -134,14 +119,15 @@ class OnlineSelector:
         :meth:`calibrated_error` report. The static model is the
         ``(1, 0)`` point of this family, so by optimality the calibrated
         error can never exceed the static error. Falls back to the
-        identity until ``min_samples`` observations exist.
+        identity until two observations exist (a 2-coefficient fit needs
+        two points).
         """
         points = [
             (p, o)
             for p, o in self._samples.get(_key(mechanism), [])
             if o > 0
         ]
-        if len(points) < self.min_samples:
+        if len(points) < 2:
             return (1.0, 0.0)
         # Rows [pᵢ/oᵢ, 1/oᵢ] against target 1: normal equations of the
         # relative-error-weighted 2-coefficient fit.
@@ -165,9 +151,7 @@ class OnlineSelector:
         self, mechanism: Union[Mechanism, str], inputs: SelectionInputs
     ) -> float:
         """The calibrated prediction: fitted line over the static form."""
-        static = predict_recovery_seconds(
-            mechanism, inputs, self.cost_model, self.bandwidth
-        )
+        static = predict_recovery_seconds(mechanism, inputs)
         a, b = self.coefficients(mechanism)
         return max(0.0, a * static + b)
 
@@ -265,8 +249,6 @@ class OnlineSelector:
                 coefficients[key] = {"a": a, "b": b}
         return {
             "format": "sr3-online-selector-1",
-            "min_samples": self.min_samples,
-            "bandwidth": self.bandwidth,
             "samples": {
                 key: [[p, o] for p, o in self._samples[key]]
                 for key in sorted(self._samples)
@@ -275,11 +257,7 @@ class OnlineSelector:
         }
 
     @classmethod
-    def from_dict(
-        cls,
-        payload: Dict[str, object],
-        cost_model: Optional[CostModel] = None,
-    ) -> "OnlineSelector":
+    def from_dict(cls, payload: Dict[str, object]) -> "OnlineSelector":
         """Rebuild a selector from :meth:`to_dict` output.
 
         Coefficients are re-derived from the samples, so the round-trip is
@@ -289,11 +267,7 @@ class OnlineSelector:
             raise SelectionError(
                 f"not an OnlineSelector payload: {payload.get('format')!r}"
             )
-        selector = cls(
-            cost_model=cost_model,
-            bandwidth=payload.get("bandwidth"),
-            min_samples=int(payload.get("min_samples", 2)),
-        )
+        selector = cls()
         for key, points in dict(payload.get("samples") or {}).items():
             selector._samples[_key(key)] = [
                 (float(p), float(o)) for p, o in points
@@ -303,8 +277,4 @@ class OnlineSelector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OnlineSelector):
             return NotImplemented
-        return (
-            self._samples == other._samples
-            and self.min_samples == other.min_samples
-            and self.bandwidth == other.bandwidth
-        )
+        return self._samples == other._samples

@@ -4,7 +4,7 @@ Periodically each node's state is divided into ``m`` shards, each shard is
 replicated ``n`` times, and the replicas are written to peer nodes chosen
 by the placement strategy (Sec. 3.3 Layer 2). The paper's Fig. 8c writes
 replicas to the leaf set *serially* "to enable a fair comparison with the
-checkpointing recovery"; parallel writes are also supported.
+checkpointing recovery", and so does this pipeline.
 
 The save cost = partition CPU + (replicate + transfer + per-replica write
 overhead) over the network, all executed as simulation events.
@@ -98,7 +98,6 @@ def sr3_save(
     shards: Sequence[Shard],
     num_replicas: int,
     placement,
-    serial: bool = True,
     mode: str = "full",
     chain_len: int = 1,
 ) -> SaveHandle:
@@ -109,7 +108,7 @@ def sr3_save(
 
     1. partition CPU on the owner (``state_bytes / partition_rate``),
     2. per replica: one network flow of the shard's bytes plus a fixed
-       per-replica write overhead, serial or parallel,
+       per-replica write overhead, one after the other,
     3. each arrival installs the replica into the target's shard store.
 
     ``mode`` is ``"full"`` for a base round or ``"delta"`` for an
@@ -139,7 +138,7 @@ def sr3_save(
         owner=owner.name,
         bytes=state_bytes,
         num_replicas=num_replicas,
-        serial=serial,
+        serial=True,
         mode=mode,
         delta_bytes=delta_bytes,
         chain_len=chain_len,
@@ -159,8 +158,7 @@ def sr3_save(
     ctx.charge_memory(owner, started_at, partition_time, state_bytes * 0.5)
 
     pending = list(plan.placements)
-    total = len(pending)
-    progress = {"written": 0, "acked": 0, "bytes": 0.0}
+    progress = {"written": 0, "bytes": 0.0}
 
     def finish() -> None:
         if handle.done:
@@ -183,7 +181,12 @@ def sr3_save(
             )
         )
 
-    def write_one(placed, then: Optional[Callable[[], None]]) -> None:
+    def write(index: int) -> None:
+        """Write replica ``index``; its ack starts the next one."""
+        if index >= len(pending):
+            finish()
+            return
+        placed = pending[index]
         replica: ShardReplica = placed.replica
         target = placed.node
         write_span = NULL_SPAN
@@ -206,11 +209,7 @@ def sr3_save(
 
         def ack() -> None:
             write_span.finish()
-            progress["acked"] += 1
-            if then is not None:
-                then()
-            elif progress["acked"] == total:
-                finish()
+            write(index + 1)
 
         ctx.network.transfer(
             owner.host,
@@ -220,18 +219,5 @@ def sr3_save(
             parent_span=write_span,
         )
 
-    def after_partition() -> None:
-        if serial:
-            def chain(index: int) -> None:
-                if index >= total:
-                    finish()
-                    return
-                write_one(pending[index], then=lambda: chain(index + 1))
-
-            chain(0)
-        else:
-            for placed in pending:
-                write_one(placed, then=None)
-
-    sim.schedule(partition_time, after_partition)
+    sim.schedule(partition_time, write, 0)
     return handle

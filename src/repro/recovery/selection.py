@@ -215,17 +215,16 @@ def _predicted_shards(state_bytes: float) -> int:
 def predict_recovery_seconds(
     mechanism: Union[Mechanism, str],
     inputs: SelectionInputs,
-    cost_model: Optional[CostModel] = None,
     bandwidth: Optional[float] = None,
 ) -> float:
     """Closed-form predicted recovery time for one mechanism.
 
-    Deliberately simple — serial transfer at ``bandwidth`` plus the
+    Deliberately simple — serial transfer at ``bandwidth`` plus the default
     CostModel's CPU terms — so the *gap* between prediction and measurement
     is meaningful: it is exactly the queueing/contention behaviour the
     closed forms ignore and the simulation captures.
     """
-    cost = cost_model if cost_model is not None else CostModel()
+    cost = CostModel()
     bw = bandwidth if bandwidth is not None else DEFAULT_PREDICTION_BANDWIDTH
     if inputs.background_load > 0.0:
         # Sustained ingest/shuffle traffic holds its share of every link;
@@ -384,11 +383,7 @@ class SelectionExplanation:
         )
 
 
-def explain_selection(
-    inputs: SelectionInputs,
-    cost_model: Optional[CostModel] = None,
-    bandwidth: Optional[float] = None,
-) -> SelectionExplanation:
+def explain_selection(inputs: SelectionInputs) -> SelectionExplanation:
     """Run the heuristic and predict every mechanism's cost for comparison.
 
     The standby tier only appears among the predictions when the inputs
@@ -402,7 +397,6 @@ def explain_selection(
         inputs=inputs,
         chosen=select_mechanism(inputs),
         predicted_seconds={
-            mech.value: predict_recovery_seconds(mech, inputs, cost_model, bandwidth)
-            for mech in tiers
+            mech.value: predict_recovery_seconds(mech, inputs) for mech in tiers
         },
     )

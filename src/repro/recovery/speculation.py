@@ -56,15 +56,11 @@ class SpeculativeStarRecovery:
 
     name = "star+speculation"
 
-    def __init__(
-        self,
-        fanout_bits: int = 2,
-        config: SpeculationConfig = SpeculationConfig(),
-    ) -> None:
+    def __init__(self, fanout_bits: int = 2) -> None:
         if fanout_bits < 0:
             raise ValueError("fanout_bits must be non-negative")
         self.fanout_bits = fanout_bits
-        self.config = config
+        self.config = SpeculationConfig()
 
     def start(
         self,

@@ -396,8 +396,8 @@ class Network:
             self._dirty_links.add(host.down_link)
         self._request_recompute()
 
-    def degraded_hosts(self, fraction: float = 0.5) -> List[Tuple[Host, float]]:
-        """Alive hosts running below ``fraction`` of their nominal capacity.
+    def degraded_hosts(self) -> List[Tuple[Host, float]]:
+        """Alive hosts running below half of their nominal capacity.
 
         Returns ``(host, current/nominal)`` pairs sorted by host name — the
         control plane's flaky-node signal.
@@ -408,7 +408,7 @@ class Network:
             if not host.alive:
                 continue
             ratio = host.bw_fraction()
-            if ratio < fraction:
+            if ratio < 0.5:
                 out.append((host, ratio))
         return out
 
@@ -496,9 +496,7 @@ class Network:
         src: Host,
         dst: Host,
         demand: float = math.inf,
-        on_abort: Optional[Callable[[Flow], None]] = None,
         tag: Optional[str] = None,
-        parent_span=None,
     ) -> Flow:
         """Register long-running application traffic as a first-class flow.
 
@@ -511,7 +509,7 @@ class Network:
 
         Close it with :meth:`close_app_flow`; adjust the offered load with
         :meth:`set_flow_demand`. A host failure or partition aborts it like
-        any other flow (``on_abort`` fires so the workload can re-route).
+        any other flow (the workload sees ``flow.aborted`` and re-routes).
         """
         if not src.alive or not dst.alive:
             raise NetworkError(
@@ -526,11 +524,11 @@ class Network:
                 f"the flow a finite demand or the hosts finite capacity"
             )
         flow = Flow(
-            src, dst, math.inf, None, on_abort, tag, self.sim.now,
+            src, dst, math.inf, None, None, tag, self.sim.now,
             seq=self.started_flows, demand=demand, app=True,
         )
         self.sim.metrics.counter("net.app_flows_opened").add(1)
-        return self._launch(flow, parent_span)
+        return self._launch(flow, None)
 
     def set_flow_demand(self, flow: Flow, demand: float) -> None:
         """Change an app flow's offered load (rate-curve tracking)."""
@@ -557,7 +555,6 @@ class Network:
     def close_app_flow(self, flow: Flow) -> None:
         """Retire an app flow (workload drained or re-routed).
 
-        A deliberate close — unlike an abort, ``on_abort`` does not fire.
         Closing an already closed/aborted flow is harmless.
         """
         if not flow.app:
@@ -1024,18 +1021,11 @@ class RemoteStorage(Host):
     message rates and remote key-value request rates cited in Sec. 2.1.
     """
 
-    def __init__(
-        self,
-        name: str,
-        up_bw: float,
-        down_bw: float,
-        request_overhead: float = 0.05,
-        latency: float = 0.005,
-    ) -> None:
-        super().__init__(name, up_bw=up_bw, down_bw=down_bw, latency=latency)
-        if request_overhead < 0:
-            raise NetworkError("request_overhead must be non-negative")
-        self.request_overhead = request_overhead
+    #: Seconds every read or write request pays on top of its transfer.
+    request_overhead = 0.05
+
+    def __init__(self, name: str, up_bw: float, down_bw: float) -> None:
+        super().__init__(name, up_bw=up_bw, down_bw=down_bw, latency=0.005)
         self.requests_served = 0
 
     def charge_request(self) -> float:

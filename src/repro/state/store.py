@@ -56,8 +56,8 @@ class StateSnapshot:
     def __contains__(self, key: Any) -> bool:
         return key in self._entries
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        return self._entries.get(key, default)
+    def get(self, key: Any) -> Any:
+        return self._entries.get(key)
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         return iter(self._entries.items())
@@ -109,9 +109,9 @@ class StateStore:
     def get(self, key: Any, default: Any = None) -> Any:
         return self._entries.get(key, default)
 
-    def update(self, key: Any, fn, initial: Any = None) -> Any:
-        """Read-modify-write: ``store[key] = fn(current or initial)``."""
-        new_value = fn(self._entries.get(key, initial))
+    def update(self, key: Any, fn) -> Any:
+        """Read-modify-write: ``store[key] = fn(current or None)``."""
+        new_value = fn(self._entries.get(key))
         self.put(key, new_value)
         return new_value
 

@@ -18,7 +18,7 @@ __getattr__, __all__ = export_table(__name__, {
     "repro.streaming.tuples": ("StreamTuple",),
     "repro.streaming.component": ("Bolt", "OutputCollector", "Spout"),
     "repro.streaming.groupings": (
-        "AllGrouping", "FieldsGrouping", "GlobalGrouping", "ShuffleGrouping",
+        "FieldsGrouping", "GlobalGrouping", "ShuffleGrouping",
     ),
     "repro.streaming.topology": ("Topology", "TopologyBuilder"),
     "repro.streaming.stateful": ("StatefulBolt",),

@@ -54,14 +54,7 @@ class SR3StateBackend:
     def sim(self):
         return self.manager.ctx.sim
 
-    def protect(
-        self,
-        task_id: str,
-        store: StateStore,
-        node: DhtNode,
-        num_shards: Optional[int] = None,
-        num_replicas: Optional[int] = None,
-    ) -> ProtectedTask:
+    def protect(self, task_id: str, store: StateStore, node: DhtNode) -> ProtectedTask:
         """Associate a task's state store with a DHT node."""
         if task_id in self._tasks:
             raise StateError(f"task {task_id!r} is already protected")
@@ -69,8 +62,8 @@ class SR3StateBackend:
             task_id=task_id,
             store=store,
             node=node,
-            num_shards=num_shards or self.num_shards,
-            num_replicas=num_replicas or self.num_replicas,
+            num_shards=self.num_shards,
+            num_replicas=self.num_replicas,
         )
         self._tasks[task_id] = task
         return task
@@ -80,7 +73,7 @@ class SR3StateBackend:
 
     # ----------------------------------------------------------------- save
 
-    def save_task(self, task_id: str, serial: bool = True, incremental: bool = True):
+    def save_task(self, task_id: str, incremental: bool = True):
         """Run one save round for a task; returns the SaveHandle.
 
         When ``incremental`` and a previous round has landed, only the
@@ -125,9 +118,9 @@ class SR3StateBackend:
                 parent_version=parent.version,
                 chain_link=chain.length,
             )
-            handle = self.manager.save_delta(store.name, delta_shards, serial=serial)
+            handle = self.manager.save_delta(store.name, delta_shards)
         else:
-            handle = self.manager.save(store.name, serial=serial)
+            handle = self.manager.save(store.name)
 
         def landed(_result) -> None:
             task.last_snapshot = snapshot
@@ -135,36 +128,35 @@ class SR3StateBackend:
         handle.on_done(landed)
         return handle
 
-    def save_all(self, serial: bool = True, incremental: bool = True):
+    def save_all(self, incremental: bool = True):
         """Save every protected task; returns the handles."""
         return [
-            self.save_task(task_id, serial=serial, incremental=incremental)
+            self.save_task(task_id, incremental=incremental)
             for task_id in sorted(self._tasks)
         ]
 
     # -------------------------------------------------------------- recovery
 
     def recover_task(
-        self,
-        task_id: str,
-        replacement: Optional[DhtNode] = None,
-        mechanism: Optional[MechanismImpl] = None,
+        self, task_id: str, mechanism: Optional[MechanismImpl] = None
     ) -> tuple:
         """Recover a task's last-saved state.
 
         Runs the (timed) recovery through the manager, then reconstructs
         the actual state contents from the surviving shard replicas and
-        returns ``(recovered_store, recovery_result)``.
+        returns ``(recovered_store, recovery_result)``. The task moves to
+        the node the state was recovered onto.
         """
         task = self._get(task_id)
         if not task.registered:
             raise RecoveryError(f"task {task_id!r} was never saved")
-        if replacement is None and task.node.alive:
-            # Worker process died but the machine survived: the state is
-            # recovered back onto the same node.
-            replacement = task.node
+        # Worker process died but the machine survived: the state is
+        # recovered back onto the same node. A dead node's state goes to
+        # the node that takes over its key range.
+        replacement = task.node if task.node.alive else None
         handle = self.manager.recover(task.store.name, replacement, mechanism)
         result: RecoveryResult = self.manager.run([handle])[0]
+        task.node = self.manager.states[task.store.name].owner
         store = self._rebuild_store(task)
         return store, result
 

@@ -38,17 +38,18 @@ TaskKey = Tuple[str, int]
 class LocalCluster:
     """Deterministic single-process topology runtime."""
 
+    #: Tuples a captured ``outputs`` list keeps; later ones are dropped.
+    output_cap = 100_000
+
     def __init__(
         self,
         topology: Topology,
         backend: Optional[SR3StateBackend] = None,
         capture_outputs: bool = True,
-        output_cap: int = 100_000,
     ) -> None:
         self.topology = topology
         self.backend = backend
         self.capture_outputs = capture_outputs
-        self.output_cap = output_cap
         # Per component, one slot per task; a killed task's slot is None.
         self._tasks: Dict[str, List[Any]] = {}
         self._collectors: Dict[str, List[OutputCollector]] = {}
@@ -205,7 +206,7 @@ class LocalCluster:
         collectors = self._collectors.get(source_id)
         if collectors is None:
             raise TopologyError(f"unknown component {source_id!r}")
-        tuple_ = StreamTuple(values, collectors[0].fields, source_id, "default", timestamp)
+        tuple_ = StreamTuple(values, collectors[0].fields, source_id, timestamp)
         self.executed_counts[source_id] += 1
         self._route(tuple_)
 
@@ -239,12 +240,6 @@ class LocalCluster:
                     executed[target] += 1
                     if collector.pending:
                         queue.extend(collector.drain())
-
-    def shutdown(self) -> None:
-        for tasks in self._tasks.values():
-            for instance in tasks:
-                if instance is not None:
-                    instance.cleanup()
 
     # ------------------------------------------------------ failure handling
 
@@ -337,7 +332,7 @@ class LocalCluster:
             protected.append(task_id)
         return protected
 
-    def checkpoint(self, serial: bool = True, incremental: bool = True) -> None:
+    def checkpoint(self, incremental: bool = True) -> None:
         """Save all protected task states and run the sim to completion.
 
         ``incremental`` lets rounds after the first ship only dirtied keys
@@ -346,7 +341,7 @@ class LocalCluster:
         if self.backend is None:
             raise StreamRuntimeError("no SR3 backend attached to this cluster")
         span = self._tracer.start("streaming/checkpoint", category="streaming.save")
-        handles = self.backend.save_all(serial=serial, incremental=incremental)
+        handles = self.backend.save_all(incremental=incremental)
         self.backend.sim.run_until_idle()
         span.finish(states=len(handles))
         self.backend.sim.metrics.counter("streaming.checkpoints").add(1)

@@ -29,7 +29,7 @@ class OutputCollector:
 
     def emit(self, values: Sequence[Any], timestamp: Optional[float] = None) -> StreamTuple:
         """Emit one tuple with this component's declared fields."""
-        out = StreamTuple(values, self.fields, self.source, "default", timestamp)
+        out = StreamTuple(values, self.fields, self.source, timestamp)
         self.pending.append(out)
         return out
 
@@ -57,9 +57,6 @@ class Component:
 
     def prepare(self, context: "TaskContext") -> None:
         """Called once before the first tuple (Storm's ``prepare``/``open``)."""
-
-    def cleanup(self) -> None:
-        """Called when the topology shuts down."""
 
 
 class Spout(Component):
@@ -95,26 +92,6 @@ class TaskContext:
 
     def __repr__(self) -> str:
         return f"TaskContext({self.task_id})"
-
-
-class FunctionBolt(Bolt):
-    """Wrap a plain function ``f(tuple) -> iterable of value-sequences``.
-
-    Convenience for map/filter-style stateless transforms:
-
-    >>> bolt = FunctionBolt(lambda t: [(t["word"].upper(),)], ["word"])
-    """
-
-    def __init__(self, fn, output_fields: Sequence[str]) -> None:
-        self._fn = fn
-        self._fields = tuple(output_fields)
-
-    def declare_output_fields(self) -> Sequence[str]:
-        return self._fields
-
-    def execute(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
-        for values in self._fn(tuple_) or ():
-            collector.emit(values, timestamp=tuple_.timestamp)
 
 
 class IteratorSpout(Spout):

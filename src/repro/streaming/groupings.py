@@ -91,10 +91,3 @@ class GlobalGrouping(Grouping):
 
     def choose(self, tuple_: StreamTuple, num_tasks: int) -> List[int]:
         return [0]
-
-
-class AllGrouping(Grouping):
-    """Replicate every tuple to every task."""
-
-    def choose(self, tuple_: StreamTuple, num_tasks: int) -> List[int]:
-        return list(range(num_tasks))

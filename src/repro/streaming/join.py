@@ -91,9 +91,3 @@ class IncrementalJoinBolt(StatefulBolt):
             collector.emit(
                 (key,) + left_row + right_row, timestamp=tuple_.timestamp
             )
-
-    def buffered_rows(self, side: str, key) -> tuple:
-        """Inspect the buffered rows of one side (for tests/debugging)."""
-        if side not in ("left", "right"):
-            raise StreamRuntimeError("side must be 'left' or 'right'")
-        return self.state.get((side, key), ())

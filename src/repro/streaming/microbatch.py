@@ -49,34 +49,12 @@ class _FlatMap(Transformation):
         return out
 
 
-class _Filter(Transformation):
-    def __init__(self, predicate: Callable[[Any], bool]) -> None:
-        self.predicate = predicate
-
-    def apply(self, batch, engine):
-        return [item for item in batch if self.predicate(item)]
-
-
-class _ReduceByKey(Transformation):
-    """Per-batch (key, value) aggregation — stateless across batches."""
-
-    def __init__(self, fn: Callable[[Any, Any], Any]) -> None:
-        self.fn = fn
-
-    def apply(self, batch, engine):
-        grouped: Dict[Any, Any] = {}
-        for item in batch:
-            key, value = self._unpack(item)
-            grouped[key] = value if key not in grouped else self.fn(grouped[key], value)
-        return list(grouped.items())
-
-    @staticmethod
-    def _unpack(item) -> Tuple[Any, Any]:
-        if not isinstance(item, tuple) or len(item) != 2:
-            raise StreamRuntimeError(
-                f"reduce_by_key expects (key, value) pairs, got {item!r}"
-            )
-        return item
+def _unpack(item) -> Tuple[Any, Any]:
+    if not isinstance(item, tuple) or len(item) != 2:
+        raise StreamRuntimeError(
+            f"update_state_by_key expects (key, value) pairs, got {item!r}"
+        )
+    return item
 
 
 class _UpdateStateByKey(Transformation):
@@ -90,7 +68,7 @@ class _UpdateStateByKey(Transformation):
         store = engine.state_store(self.state_name)
         grouped: Dict[Any, List[Any]] = {}
         for item in batch:
-            key, value = _ReduceByKey._unpack(item)
+            key, value = _unpack(item)
             grouped.setdefault(key, []).append(value)
         out = []
         for key, values in grouped.items():
@@ -117,12 +95,6 @@ class DStream:
 
     def flat_map(self, fn: Callable[[Any], Iterable[Any]]) -> "DStream":
         return self._extend(_FlatMap(fn))
-
-    def filter(self, predicate: Callable[[Any], bool]) -> "DStream":
-        return self._extend(_Filter(predicate))
-
-    def reduce_by_key(self, fn: Callable[[Any, Any], Any]) -> "DStream":
-        return self._extend(_ReduceByKey(fn))
 
     def update_state_by_key(
         self, state_name: str, fn: Callable[[Any, List[Any]], Any]
@@ -231,18 +203,15 @@ class MicroBatchEngine:
             ran += 1
         return ran
 
-    def recompute_from_lineage(self, up_to_batch: Optional[int] = None) -> "MicroBatchEngine":
+    def recompute_from_lineage(self) -> "MicroBatchEngine":
         """DStream lineage recovery: rebuild state by replaying batches.
 
         Returns a fresh engine whose stores were reconstructed by
-        re-running batches ``0..up_to_batch`` (default: everything this
-        engine has processed). This is the slow path SR3 replaces — cost
-        grows with the lineage length — but it is exact.
+        re-running every batch this engine has processed. This is the slow
+        path SR3 replaces — cost grows with the lineage length — but it is
+        exact.
         """
-        target = self.batches_processed if up_to_batch is None else up_to_batch
-        if target > self.job.num_batches():
-            raise StreamRuntimeError("cannot recompute beyond the source")
         replica = MicroBatchEngine(self.job)
-        for _ in range(target):
+        for _ in range(self.batches_processed):
             replica.run_batch()
         return replica

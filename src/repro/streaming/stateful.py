@@ -79,28 +79,3 @@ class CountingBolt(StatefulBolt):
         count = (state.get(key) or 0) + 1
         state.put(key, count)
         collector.emit((key, count), tuple_.timestamp)
-
-
-class AggregatingBolt(StatefulBolt):
-    """Group-by aggregate with a user-supplied reducer.
-
-    ``reducer(previous_value_or_None, tuple) -> new_value``; emits
-    ``(key, aggregate)`` per input (the micro-promotion application's
-    groupby-aggregate stage, Fig. 1 top).
-    """
-
-    def __init__(self, key_field: str, reducer, value_field: str = "aggregate") -> None:
-        super().__init__()
-        self.key_field = key_field
-        self.value_field = value_field
-        self._reducer = reducer
-
-    def declare_output_fields(self):
-        return (self.key_field, self.value_field)
-
-    def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
-        key = tuple_[self.key_field]
-        state = self.state
-        new_value = self._reducer(state.get(key), tuple_)
-        state.put(key, new_value)
-        collector.emit((key, new_value), tuple_.timestamp)

@@ -55,9 +55,6 @@ class Topology:
     def downstream_of(self, component_id: str) -> List[Edge]:
         return [e for e in self.edges if e.source == component_id]
 
-    def upstream_of(self, component_id: str) -> List[Edge]:
-        return [e for e in self.edges if e.target == component_id]
-
     def component_ids(self) -> List[str]:
         return list(self.spouts) + list(self.bolts)
 

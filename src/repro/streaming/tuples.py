@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import TopologyError
 
@@ -14,14 +14,13 @@ class StreamTuple:
     declared field names; ``tuple_["field"]`` reads by name.
     """
 
-    __slots__ = ("values", "fields", "source", "stream", "timestamp")
+    __slots__ = ("values", "fields", "source", "timestamp")
 
     def __init__(
         self,
         values: Sequence[Any],
         fields: Sequence[str],
         source: str = "",
-        stream: str = "default",
         timestamp: Optional[float] = None,
     ) -> None:
         if len(values) != len(fields):
@@ -31,7 +30,6 @@ class StreamTuple:
         self.values = tuple(values)
         self.fields = tuple(fields)
         self.source = source
-        self.stream = stream
         self.timestamp = timestamp
 
     def __getitem__(self, field: str) -> Any:
@@ -42,23 +40,6 @@ class StreamTuple:
                 f"tuple from {self.source!r} has no field {field!r}; has {self.fields}"
             ) from None
 
-    def get(self, field: str, default: Any = None) -> Any:
-        try:
-            return self[field]
-        except KeyError:
-            return default
-
-    def as_dict(self) -> Dict[str, Any]:
-        return dict(zip(self.fields, self.values))
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self.fields, self.values))
         return f"StreamTuple({pairs})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StreamTuple):
-            return NotImplemented
-        return self.values == other.values and self.fields == other.fields
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.fields))

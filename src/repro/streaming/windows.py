@@ -23,9 +23,6 @@ class WindowPane:
     end: float
     items: List[Any] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 class SlidingWindow:
     """Overlapping windows of ``size``, advancing every ``slide`` units."""
@@ -56,6 +53,3 @@ class SlidingWindow:
             if self._panes[i].end <= timestamp
         ]
         return closed
-
-    def flush(self) -> List[WindowPane]:
-        return [self._panes.pop(i) for i in sorted(self._panes)]

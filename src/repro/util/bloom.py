@@ -40,9 +40,6 @@ class BloomFilter:
     def __len__(self) -> int:
         return self._count
 
-    def __contains__(self, item: str) -> bool:
-        return all(self._get_bit(pos) for pos in self._positions(item))
-
     def _positions(self, item: str) -> Iterable[int]:
         h1, h2 = self._hash_pair(item)
         for i in range(self.num_hashes):
@@ -69,10 +66,6 @@ class BloomFilter:
         if not present:
             self._count += 1
         return present
-
-    def update(self, items: Iterable[str]) -> None:
-        for item in items:
-            self.add(item)
 
     @property
     def fill_ratio(self) -> float:
@@ -104,11 +97,3 @@ class BloomFilter:
         bloom._bits = bytearray(body)
         bloom._count = count
         return bloom
-
-    def merge(self, other: "BloomFilter") -> None:
-        """Bitwise-OR union with a filter of identical geometry."""
-        if (self.num_bits, self.num_hashes) != (other.num_bits, other.num_hashes):
-            raise ValueError("cannot merge bloom filters with different geometry")
-        for i, byte in enumerate(other._bits):
-            self._bits[i] |= byte
-        self._count = max(self._count, other._count)

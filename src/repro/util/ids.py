@@ -11,20 +11,19 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Optional
 
 ID_BITS = 128
 ID_SPACE = 1 << ID_BITS
 
 
-@total_ordering
 @dataclass(frozen=True)
 class NodeId:
     """An identifier on the 128-bit ring.
 
-    Instances are immutable, hashable, ordered by numeric value, and carry
-    helpers for ring distance and prefix comparison used by Pastry routing.
+    Instances are immutable and hashable, and carry helpers for ring
+    distance and prefix comparison used by Pastry routing; order them by
+    ``value``.
     """
 
     __slots__ = ("value",)
@@ -39,9 +38,6 @@ class NodeId:
         # Frozen and slotted: the default slot-state restore calls setattr.
         return NodeId, (self.value,)
 
-    def __int__(self) -> int:
-        return self.value
-
     # Written out: the dataclass-generated pair builds a 1-tuple per call,
     # and ids are compared and hashed on every leaf-set and placement step.
     def __eq__(self, other: object) -> bool:
@@ -52,15 +48,8 @@ class NodeId:
     def __hash__(self) -> int:
         return hash(self.value)
 
-    def __lt__(self, other: "NodeId") -> bool:
-        return self.value < other.value
-
     def __repr__(self) -> str:
-        return f"NodeId({self.hex()[:8]}..)"
-
-    def hex(self) -> str:
-        """The full 32-hex-digit representation, zero padded."""
-        return f"{self.value:032x}"
+        return f"NodeId({self.value >> (ID_BITS - 32):08x}..)"
 
     def digits(self, bits_per_digit: int = 4, count: Optional[int] = None) -> tuple:
         """The id split into base-``2**bits_per_digit`` digits, MSB first:

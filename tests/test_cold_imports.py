@@ -37,7 +37,7 @@ def test_one_class_costs_the_modules_it_needs():
 def test_a_chaos_cell_never_loads_numpy():
     count, numpy_loaded = loaded_after(
         "from repro.chaos import SCENARIOS, run_campaign\n"
-        "report = run_campaign(scenarios=[SCENARIOS['crash-wave']], mechanisms=['star'], seed=0)\n"
+        "report = run_campaign(scenarios=[SCENARIOS['crash-wave'].with_seed(0)], mechanisms=['star'])\n"
         "assert [o.status for o in report.outcomes] == ['survived'], report.outcomes\n"
     )
     assert count > 3 and not numpy_loaded

@@ -27,10 +27,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             DetectorConfig(suspicion_threshold=0)
 
-    def test_expected_delay(self):
-        config = DetectorConfig(period=2.0, suspicion_threshold=3)
-        assert config.expected_detection_delay == 7.0
-
 
 class TestDetection:
     def test_crash_is_detected_within_bound(self):
@@ -51,7 +47,6 @@ class TestDetection:
         detector.start()
         sim.run(until=20.0)
         assert detector.detections == []
-        assert detector.false_positives() == []
 
     def test_multiple_watchers_detect(self):
         sim, overlay, detector = build()

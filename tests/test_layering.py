@@ -89,8 +89,6 @@ FUNCTION_LOCAL_IMPORTS = {
         "cycle: experiments imports parallel's run_scale_cells at module level",
     ("chaos/scenario.py", "from_toml", "tomllib"):
         "optional: tomllib exists from Python 3.11, the package supports 3.9",
-    ("control/controller.py", "checkers", "repro.chaos.invariants"):
-        "cycle: chaos.campaign imports control at module level",
     ("control/controller.py", "_verify", "repro.chaos.invariants"):
         "cycle: chaos.campaign imports control at module level",
     ("obs/profile.py", "_attach_explanations", "repro.recovery.selection"):

@@ -122,11 +122,9 @@ class TestValidation:
         with pytest.raises(LiveHarnessError):
             LoadDriver(cell, ConstantRate(100.0), duration=0.0)
         with pytest.raises(LiveHarnessError):
-            LoadDriver(cell, ConstantRate(100.0), duration=5.0, tick=0.0)
-        with pytest.raises(LiveHarnessError):
             LoadDriver(cell, ConstantRate(100.0), duration=5.0, service_rate=-1.0)
         with pytest.raises(LiveHarnessError):
-            LoadDriver(cell, ConstantRate(100.0), duration=5.0, shuffle_fraction=1.5)
+            LoadDriver(cell, ConstantRate(100.0), duration=5.0, bulk_state_mb=-1.0)
 
 
 class TestBarrierConsistency:

@@ -10,8 +10,7 @@ carried the signal.
 import pytest
 
 from repro.bench.experiments import run_slo_cell
-from repro.errors import BenchmarkError, LiveHarnessError
-from repro.live import ConstantRate, LoadDriver, build_live_cell
+from repro.errors import BenchmarkError
 
 
 @pytest.fixture(scope="module")
@@ -116,16 +115,6 @@ class TestDeterminism:
 
 
 class TestDriverValidation:
-    def test_poll_interval_must_be_positive(self):
-        cell = build_live_cell(num_nodes=12, seed=3)
-        with pytest.raises(LiveHarnessError):
-            LoadDriver(
-                cell,
-                ConstantRate(100.0),
-                duration=5.0,
-                poll_interval=0.0,
-            )
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(BenchmarkError):
             run_slo_cell("psychic")

@@ -94,9 +94,7 @@ class TestLevelShift:
     def test_fires_on_rate_series_only(self):
         for kind, expected in (("rate", 1), ("gauge", 0)):
             pipe = pipeline_with(self.shifted_rate(), kind=kind)
-            det = AnomalyDetector(
-                pipe, window=16, min_points=8, z_threshold=1e9, shift_factor=4.0
-            )
+            det = AnomalyDetector(pipe, window=16, min_points=8, z_threshold=1e9)
             found = det.scan(16.0)
             assert len(found) == expected, kind
             if expected:

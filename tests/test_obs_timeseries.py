@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.obs import Tracer
 from repro.obs.registry import TimeSeries
-from repro.obs.timeseries import SeriesBuffer, TelemetryConfig, TelemetryPipeline
+from repro.obs.timeseries import RETENTION, SeriesBuffer, TelemetryPipeline
 from repro.sim import Simulator
 
 
@@ -28,10 +28,11 @@ class TestSeriesBuffer:
         assert len(buf) == 2
 
     def test_retention_ring_drops_oldest(self):
-        buf = SeriesBuffer("s", retention=3)
-        for i in range(5):
+        buf = SeriesBuffer("s")
+        for i in range(RETENTION + 2):
             buf.append(float(i), float(i))
-        assert buf.points() == [(2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
+        assert len(buf) == RETENTION
+        assert buf.points()[0] == (2.0, 2.0) and buf.last() == (RETENTION + 1.0, RETENTION + 1.0)
 
     def test_window_is_left_open_right_closed(self):
         buf = SeriesBuffer("s")
@@ -43,8 +44,6 @@ class TestSeriesBuffer:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SeriesBuffer("s", retention=0)
-        with pytest.raises(ConfigError):
             SeriesBuffer("s", kind="histogram")
 
     def test_to_dict(self):
@@ -55,18 +54,6 @@ class TestSeriesBuffer:
             "kind": "rate",
             "points": [[1.0, 2.0]],
         }
-
-
-class TestTelemetryConfig:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(interval=0.0)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(retention=0)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(histogram_window=0.0)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(histogram_percentiles=(50.0, 101.0))
 
 
 class TestTelemetryPipeline:
@@ -105,7 +92,7 @@ class TestTelemetryPipeline:
         assert pipe.series("lag").points() == [(0.5, 1.0), (0.9, 2.0), (1.5, 3.0)]
 
     def test_each_tick_reads_only_the_tail(self, monkeypatch):
-        """200 samples of a growing series materialise each point once."""
+        """160 samples of a growing series materialise each point once."""
         materialised = []
         points_from = TimeSeries.points_from
 
@@ -116,17 +103,16 @@ class TestTelemetryPipeline:
 
         monkeypatch.setattr(TimeSeries, "points_from", counting)
         sim = Simulator()
-        config = TelemetryConfig(retention=10_000)
-        pipe = TelemetryPipeline(sim, config)
+        pipe = TelemetryPipeline(sim)
         series = sim.metrics.series("lag")
-        for tick in range(200):
+        for tick in range(160):
             for step in range(25):
                 series.record(tick + step / 25, float(tick * step))
             pipe.sample(tick + 1.0)
-        assert len(series) == 5_000
-        assert sum(materialised) == 5_000
-        one_shot = TelemetryPipeline(sim, config)
-        one_shot.sample(200.0)
+        assert len(series) == 4_000 < RETENTION
+        assert sum(materialised) == 4_000
+        one_shot = TelemetryPipeline(sim)
+        one_shot.sample(160.0)
         assert pipe.series("lag").points() == one_shot.series("lag").points()
         assert pipe.series("lag").points() == series.points
 
@@ -197,7 +183,7 @@ class TestTelemetryPipeline:
 
     def test_self_scheduled_mode_stops_cleanly(self):
         sim = Simulator()
-        pipe = TelemetryPipeline(sim, TelemetryConfig(interval=0.5))
+        pipe = TelemetryPipeline(sim)
         sim.metrics.gauge("g").set(1.0)
         pipe.start()
         with pytest.raises(ConfigError):

@@ -65,7 +65,7 @@ EXPORTS = {
             "Anomaly AnomalyDetector BLAME_BY_CATEGORY BLAME_CATEGORIES BurnWindow Counter "
             "CriticalSegment DEFAULT_WINDOWS Gauge Histogram MetricsRegistry NULL_SPAN "
             "NULL_TRACER NullTracer ProfileReport RecoveryProfile SERIES_KINDS SLO SLOAlert "
-            "SLOEngine SeriesBuffer Span TelemetryConfig TelemetryPipeline TimeSeries Tracer "
+            "SLOEngine SeriesBuffer Span TelemetryPipeline TimeSeries Tracer "
             "blame_breakdown blame_of build_report chrome_trace clear_collected "
             "clear_collected_registries collapsed_stacks collected_registries "
             "collected_tracers critical_path default_registry default_tracer dumps_trace "
@@ -99,7 +99,7 @@ EXPORTS = {
             "reconstruct_chain"
         ),
         "repro.streaming": (
-            "AllGrouping Bolt DStream FieldsGrouping GlobalGrouping IncrementalJoinBolt "
+            "Bolt DStream FieldsGrouping GlobalGrouping IncrementalJoinBolt "
             "LocalCluster MicroBatchEngine MicroBatchJob OutputCollector SR3StateBackend "
             "ShuffleGrouping SlidingWindow Spout StatefulBolt StreamTuple Topology "
             "TopologyBuilder WindowPane"

@@ -15,7 +15,7 @@ Two fault families, applied to every mechanism:
 
 import pytest
 
-from repro.errors import InsufficientShardsError, RecoveryError
+from repro.errors import InsufficientShardsError, RecoveryError, ReplacementDiedError
 from repro.obs.tracer import Tracer
 from repro.recovery.line import LineRecovery
 from repro.recovery.model import RetryPolicy
@@ -59,8 +59,8 @@ class TestReplacementDeath:
             RecoveryError, match="replacement node .* died during"
         ):
             handle.result
-        # The uniform restart hint, not an overlay/network internal.
-        assert type(handle._error) is RecoveryError
+        # The uniform restart hint by its own type, not an overlay/network internal.
+        assert type(handle._error) is ReplacementDiedError
         assert "restart the recovery onto a new replacement" in str(handle._error)
 
 

@@ -35,29 +35,6 @@ class TestSave:
         assert result.duration > 0
         assert result.bytes_transferred == pytest.approx(2 * 8 * MB)
 
-    def test_serial_slower_than_parallel_under_constraint(self, world_factory):
-        serial_world = world_factory(link_mbit=100)
-        h1 = sr3_save(
-            serial_world.ctx,
-            serial_world.overlay.nodes[0],
-            make_shards(),
-            2,
-            LeafSetPlacement(),
-            serial=True,
-        )
-        serial_world.sim.run_until_idle()
-        parallel_world = world_factory(link_mbit=100)
-        h2 = sr3_save(
-            parallel_world.ctx,
-            parallel_world.overlay.nodes[0],
-            make_shards(),
-            2,
-            LeafSetPlacement(),
-            serial=False,
-        )
-        parallel_world.sim.run_until_idle()
-        assert h2.result.duration <= h1.result.duration
-
     def test_larger_state_takes_longer(self, world_factory):
         durations = []
         for size in (8 * MB, 64 * MB):

@@ -30,9 +30,8 @@ def observed_cluster(selector, a=1.4, b=1.0, mechanism="tree"):
 
 class TestCalibration:
     def test_identity_until_min_samples(self):
-        selector = OnlineSelector(min_samples=3)
+        selector = OnlineSelector()
         inputs = SelectionInputs(state_bytes=8 * MB)
-        selector.observe("tree", inputs, 5.0)
         selector.observe("tree", inputs, 5.0)
         assert selector.coefficients("tree") == (1.0, 0.0)
         assert selector.predict("tree", inputs) == pytest.approx(
@@ -96,8 +95,6 @@ class TestCalibration:
         assert selector.total_samples == 2
 
     def test_validation(self):
-        with pytest.raises(SelectionError):
-            OnlineSelector(min_samples=1)
         selector = OnlineSelector()
         with pytest.raises(SelectionError):
             selector.samples("rocket")
@@ -109,12 +106,12 @@ class TestCalibration:
 
 class TestSelectorRoundTrip:
     def test_to_from_dict_is_exact(self):
-        selector = OnlineSelector(bandwidth=100 * MB, min_samples=3)
+        selector = OnlineSelector()
         observed_cluster(selector)
         observed_cluster(selector, a=1.1, b=0.2, mechanism="standby")
         payload = selector.to_dict()
         assert payload["format"] == "sr3-online-selector-1"
-        restored = OnlineSelector.from_dict(payload, cost_model=None)
+        restored = OnlineSelector.from_dict(payload)
         assert restored == selector
         assert restored.coefficients("tree") == selector.coefficients("tree")
         assert restored.calibrated_error("standby") == pytest.approx(

@@ -234,11 +234,7 @@ class TestControlMessages:
 
 class TestRemoteStorage:
     def test_request_overhead_accumulates(self):
-        storage = RemoteStorage("s", up_bw=100.0, down_bw=100.0, request_overhead=0.05)
+        storage = RemoteStorage("s", up_bw=100.0, down_bw=100.0)
         assert storage.charge_request() == 0.05
         assert storage.charge_request() == 0.05
         assert storage.requests_served == 2
-
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(NetworkError):
-            RemoteStorage("s", up_bw=1.0, down_bw=1.0, request_overhead=-0.1)

@@ -111,29 +111,17 @@ class TestCloseAppFlow:
         assert done == [pytest.approx(10.0)]
         assert flow.aborted
         assert net.app_flows() == []
-
-    def test_close_does_not_fire_on_abort(self):
-        sim, net = make_net()
-        a = net.add_host("a", up_bw=100.0)
-        b = net.add_host("b", down_bw=100.0)
-        aborted = []
-        flow = net.open_app_flow(a, b, demand=10.0, on_abort=aborted.append)
-        sim.run_until_idle()
-        net.close_app_flow(flow)
-        assert aborted == []
-        # Idempotent: closing again is a no-op.
-        net.close_app_flow(flow)
+        net.close_app_flow(flow)  # idempotent: closing again is a no-op
 
     def test_host_failure_aborts_app_flows(self):
         sim, net = make_net()
         a = net.add_host("a", up_bw=100.0)
         b = net.add_host("b", down_bw=100.0)
-        aborted = []
-        flow = net.open_app_flow(a, b, demand=10.0, on_abort=aborted.append)
+        flow = net.open_app_flow(a, b, demand=10.0)
         sim.run_until_idle()
         net.fail_host(b)
         assert flow.aborted
-        assert aborted == [flow]
+        assert net.app_flows() == []
 
 
 class TestQuiescentEquivalence:

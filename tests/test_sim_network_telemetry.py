@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.timeseries import TelemetryConfig, TelemetryPipeline
+from repro.obs.timeseries import TelemetryPipeline
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -19,7 +19,7 @@ def two_host_net(up_bw=100.0, down_bw=100.0):
 
 def run_sampled(sim, until, pipe=None):
     """Run to ``until`` with a pipeline sampling the links every 0.5 s."""
-    pipe = pipe or TelemetryPipeline(sim, TelemetryConfig(interval=0.5))
+    pipe = pipe or TelemetryPipeline(sim)
     pipe.start()
     sim.run(until=until)
     pipe.stop()

