@@ -13,7 +13,10 @@ Medians, quartiles and verdicts come from ``run.py``'s own ``summarize`` and
 
 ``--report`` appends nothing: it prints the file as one table per workload,
 a row per entry with the median of each end-to-end metric and its ratio to
-the row above (the first row is the first entry's base side).
+the row above (the first row is the first entry's base side). Under each
+entry's row goes the manifest the numbers were taken under: the two commits,
+the seeds, the length of a run, the interpreter and how much slower than its
+quiet self the host ran (entries appended before that was kept have none).
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ def entry(base: Dict[str, Any], change: Dict[str, Any], label: str) -> Dict[str,
                 "pairs": len(pairs),
                 "verdict": perf.verdict(metric, a, b),
             }
+        slowdowns = [run["host_slowdown"] for run in a_runs + b_runs if "host_slowdown" in run]
         workloads[name] = {
             "seeds": sorted({run["seed"] for run in a_runs + b_runs}),
+            **({"host_slowdown": [min(slowdowns), max(slowdowns)]} if slowdowns else {}),
             "failed": [sum(r["failed"] for r in side) for side in (a_runs, b_runs)],
             "attempted": [sum(r["attempted"] for r in side) for side in (a_runs, b_runs)],
             "metrics": metrics,
@@ -83,26 +88,49 @@ def entry(base: Dict[str, Any], change: Dict[str, Any], label: str) -> Dict[str,
     }
 
 
+def manifest_line(entry: Dict[str, Any], workload: str) -> str:
+    """What one entry's numbers for ``workload`` were taken under."""
+    cell = entry["workloads"][workload]
+    seeds = cell["seeds"]
+    if len(seeds) > 1 and seeds == list(range(seeds[0], seeds[-1] + 1)):
+        seeds = f"{seeds[0]}-{seeds[-1]}"
+    else:
+        seeds = ",".join(map(str, seeds))
+    parts = [
+        f"{entry['base_commit'][:7]}..{entry['commit'][:7]}",
+        f"{next(iter(cell['metrics'].values()))['pairs']} pairs, seeds {seeds}",
+        f"{entry['seconds']:g} s runs",
+        f"Python {entry['python']}, numpy {entry['numpy']}, {entry['nproc']} CPUs",
+    ]
+    if "host_slowdown" in cell:
+        parts.append("host slowdown {:.2f}-{:.2f}".format(*cell["host_slowdown"]))
+    return "    " + "; ".join(parts)
+
+
 def report(entries: List[Dict[str, Any]]) -> str:
-    """The trajectory as text: per workload, a row per entry, a column per metric."""
+    """The trajectory as text: per workload, a row per entry, a column per
+    metric, and each entry's manifest under its row."""
     lines: List[str] = []
     for name in dict.fromkeys(w for e in entries for w in e["workloads"]):
         held = [e for e in entries if name in e["workloads"]]
         first = held[0]["workloads"][name]["metrics"]
         rows = [("base of the first entry", held[0]["base_commit"],
-                 {m: v["base"]["value"] for m, v in first.items()})]
+                 {m: v["base"]["value"] for m, v in first.items()}, None)]
         rows += [(e["label"], e["commit"],
-                  {m: v["change"]["value"] for m, v in e["workloads"][name]["metrics"].items()})
+                  {m: v["change"]["value"] for m, v in e["workloads"][name]["metrics"].items()},
+                  manifest_line(e, name))
                  for e in held]
         lines += ["", f"== {name}",
                   f"{'entry':30s} {'commit':8s}" + "".join(f"{m:>20s}" for m in first)]
         above: Dict[str, float] = {}
-        for label, commit, values in rows:
+        for label, commit, values, manifest in rows:
             cells = "".join(
                 f"{value:12.4g} " + (f"x{value / above[m]:<6.3f}" if above.get(m) else " " * 7)
                 for m, value in values.items()
             )
             lines.append(f"{label[:30]:30s} {commit[:7]:8s}{cells}".rstrip())
+            if manifest:
+                lines.append(manifest)
             above = values
     return "\n".join(lines[1:])
 

@@ -23,8 +23,8 @@ class DhtNode:
     """One peer of the consistent ring overlay."""
 
     __slots__ = (
-        "node_id", "host", "routing_table", "leaf_set", "alive", "join_order",
-        "_on_liveness_change", "shard_store",
+        "node_id", "host", "_routing_table", "leaf_set", "alive", "join_order",
+        "_on_liveness_change", "_settle_routing", "shard_store",
     )
 
     def __init__(
@@ -36,17 +36,19 @@ class DhtNode:
     ) -> None:
         self.node_id = node_id
         self.host = host
-        self.routing_table = RoutingTable(node_id, bits_per_digit)
+        self._routing_table = RoutingTable(node_id, bits_per_digit)
         self.leaf_set = LeafSet(node_id, leaf_set_size)
         self.alive = True
         # Position in the overlay's join sequence (the overlay sets this
         # when it adopts the node); -1 for nodes outside any overlay.
         self.join_order = -1
-        # Overlay hook fired with this node when its liveness actually
-        # flips, so the overlay's alive ring, alive list and count never
-        # serve a stale view even when callers flip liveness via
-        # fail()/revive() directly.
+        # Overlay hooks. One fires with this node when its liveness actually
+        # flips, so the alive ring, list and count never go stale even when
+        # callers use fail()/revive() directly; the other runs before every
+        # read of the routing table, which a build leaves unwired until the
+        # first one (Overlay.settle_routing).
         self._on_liveness_change: Optional[Callable[["DhtNode"], None]] = None
+        self._settle_routing: Optional[Callable[[], None]] = None
         # Shard replicas stored on behalf of other operators, keyed by the
         # replica's globally unique key (see repro.state.shard).
         self.shard_store: Dict[object, "ShardReplica"] = {}
@@ -54,6 +56,12 @@ class DhtNode:
     @property
     def name(self) -> str:
         return self.host.name
+
+    @property
+    def routing_table(self) -> RoutingTable:
+        if self._settle_routing is not None:
+            self._settle_routing()
+        return self._routing_table
 
     def __repr__(self) -> str:
         return f"DhtNode({self.name}, {self.node_id!r}, alive={self.alive})"

@@ -68,7 +68,12 @@ class _FilteredPool(_SequenceABC):
 
 
 class Overlay:
-    """A self-organizing Pastry-style ring of :class:`DhtNode` peers."""
+    """A self-organizing Pastry-style ring of :class:`DhtNode` peers.
+
+    The overlay owns the generator it is given: a caller that kept it and
+    drew from it directly would see the state before a build's table picks,
+    which are drawn when ``rng`` is next read (:meth:`settle_routing`).
+    """
 
     MAX_ROUTE_HOPS = 128
 
@@ -84,7 +89,10 @@ class Overlay:
         self.network = network
         self.leaf_set_size = leaf_set_size
         self.bits_per_digit = bits_per_digit
-        self.rng = rng or random.Random(0)
+        self._rng = rng or random.Random(0)
+        # (holder, failed id) of the repairs since a build whose routing
+        # tables are not wired yet; None once they are.
+        self._unwired_removals: Optional[List[Tuple[DhtNode, NodeId]]] = None
         self.nodes: List[DhtNode] = []
         self._by_id: Dict[NodeId, DhtNode] = {}
         # The alive ring: (id values, nodes), both sorted by id. Built with
@@ -104,9 +112,10 @@ class Overlay:
         # ring slices it wires (the relation is symmetric there); after
         # that the leaf sets' observers keep it.
         self._holders: Dict[int, List[DhtNode]] = {}
-        # The liveness, leaf-set and routing-table observers every adopted
-        # node gets: bound once, so the nodes share three method objects.
-        self._observers = (self._membership_changed, self._leafset_changed, self._bump_topology)
+        # The liveness, leaf-set and routing-table observers and the table
+        # door every adopted node gets: bound once, four shared method objects.
+        self._observers = (self._membership_changed, self._leafset_changed,
+                           self._bump_topology, self.settle_routing)
         # Monotonic counter bumped on any membership, liveness, leaf-set,
         # or routing-table change. Route memos (e.g. Scribe's) key their
         # validity on it: unchanged topology -> cached routes are exact.
@@ -119,16 +128,38 @@ class Overlay:
 
     # ------------------------------------------------------------ membership
 
+    @property
+    def rng(self) -> random.Random:
+        """The overlay's one generator, the pending table picks drawn."""
+        self.settle_routing()
+        return self._rng
+
     def build(self, count: int, host_factory: Optional[HostFactory] = None) -> List[DhtNode]:
-        """Create ``count`` nodes with random ids and wire the overlay."""
+        """Create ``count`` nodes with random ids and wire their leaf sets."""
         if count <= 0:
             raise OverlayError("overlay must contain at least one node")
         factory = host_factory or (lambda name: self.network.add_host(name))
         for i in range(count):
             self._adopt(self._fresh_id(), factory(f"node-{i}"))
         self._wire_leaf_sets()
-        self._wire_routing_tables()
+        self._unwired_removals = []
         return list(self.nodes)
+
+    def settle_routing(self) -> None:
+        """Wire the routing tables of the last build, if nothing has yet.
+
+        Nothing comes between a build and the first door: an adoption draws
+        an id and a table mutation reads the table, so the node list and the
+        generator are still the build's; the repairs since only took entries
+        out, replayed here in their order.
+        """
+        removals = self._unwired_removals
+        if removals is None:
+            return
+        self._unwired_removals = None
+        self._wire_routing_tables()
+        for holder, failed_id in removals:
+            holder._routing_table.remove(failed_id)
 
     def add_node(self, host: Optional[Host] = None) -> DhtNode:
         """Join one node after the initial build (the replacing-node path)."""
@@ -156,7 +187,8 @@ class Overlay:
         (
             node._on_liveness_change,
             node.leaf_set.on_membership_change,
-            node.routing_table.on_change,
+            node._routing_table.on_change,
+            node._settle_routing,
         ) = self._observers
         if self._low is None or node_id.value < self._low.node_id.value:
             self._low = node
@@ -272,9 +304,9 @@ class Overlay:
         # `getrandbits(n.bit_length())` until the value falls below n, so
         # this loop consumes the identical bit stream without two call
         # layers on the ~4.5M picks a 50k build makes.
-        getrandbits = self.rng.getrandbits
+        getrandbits = self._rng.getrandbits
         for node, digits in zip(self.nodes, digits_of):
-            table = node.routing_table
+            table = node._routing_table
             for row in range(max_depth):
                 entries = children[digits[:row]]
                 if len(entries) == 1:
@@ -459,8 +491,12 @@ class Overlay:
         self.sim.metrics.counter("overlay.failures").add(1)
         if not repair:
             return
+        unwired = self._unwired_removals
         for holder in self._leafset_holders(node.node_id):
-            holder.routing_table.remove(node.node_id)
+            if unwired is None:
+                holder._routing_table.remove(node.node_id)
+            else:
+                unwired.append((holder, node.node_id))
             # The ring no longer holds the failed node, so the one re-seed
             # both drops it and pulls in the next neighbour.
             self._reseed(holder)
@@ -473,11 +509,7 @@ class Overlay:
             self._repairs_counter.add(1)
 
     def _leafset_holders(self, node_id: NodeId) -> List[DhtNode]:
-        """Nodes that (should) hold ``node_id`` in their leaf set.
-
-        Served from the reverse index in join order — the same order the
-        previous full scan over ``self.nodes`` produced.
-        """
+        """The alive nodes whose leaf set holds ``node_id``, in join order."""
         bucket = self._holders.get(node_id.value)
         if not bucket:
             return []
@@ -499,10 +531,8 @@ class Overlay:
     def sample_nodes(self, count: int, exclude: Sequence[DhtNode] = ()) -> List[DhtNode]:
         """Uniformly sample distinct alive nodes, excluding the given ones.
 
-        The population is a lazy view over the cached alive list with the
-        excluded positions masked out; ``rng.sample`` sees the same length
-        and elements as the old per-call filtered copy, so the draws are
-        byte-identical while each call stays O(|exclude| + count).
+        The population is the cached alive list with the excluded positions
+        masked out (:class:`_FilteredPool`): O(|exclude| + count) a call.
         """
         alive = self._alive_list()
         skips: List[int] = []

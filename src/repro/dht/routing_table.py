@@ -80,13 +80,9 @@ class RoutingTable:
         return None
 
     def row_slots(self, row: int) -> Dict[int, "DhtNode"]:
-        """The mutable column -> node mapping for one row.
-
-        Omniscient overlay wiring derives (row, col) for every entry from
-        its digit buckets, so it writes slots directly instead of paying
-        :meth:`add`'s prefix arithmetic per entry (millions of big-int ops
-        at 50k nodes).
-        """
+        """The mutable column -> node mapping for one row: the overlay's
+        wiring knows (row, col) of every entry from its digit buckets and
+        writes slots directly, without :meth:`add`'s prefix arithmetic."""
         return self._rows.setdefault(row, {})
 
     def all_entries(self) -> List["DhtNode"]:

@@ -9,11 +9,11 @@ time.
 
 Scale fast paths (all exactly order-preserving):
 
-* ``pending`` is a live counter maintained on schedule/cancel/pop instead
-  of an O(queue) scan — it sits on the ``run()`` epilogue and telemetry.
-* Both queues hold ``(time, seq, event)`` tuples: ``seq`` is unique, so
-  heap sifts and head comparisons are decided in C on the first two fields
-  and never reach the event object.
+* The queue entry is the event: one ``[time, seq, callback, args]`` list,
+  handed back by ``schedule`` as the handle ``cancel`` takes. ``seq`` is
+  unique, so heap sifts and head comparisons are decided in C on the first
+  two fields and never reach the callback, which cancelling and
+  dispatching clear: an entry without one is no longer live.
 * Zero-delay events (the network's coalesced "settle" events, completion
   ticks of unconstrained flows) go to a FIFO batch instead of the heap.
   Because the clock is monotonic and sequence numbers only grow, the batch
@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -41,24 +41,10 @@ from repro.obs.tracer import default_tracer
 _COMPACT_MIN_CANCELLED = 64
 
 
-class Event:
-    """A scheduled callback. Cancel via :meth:`Simulator.cancel`."""
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "done")
-
-    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        # Set once the event leaves the queue (executed or swept); a cancel
-        # arriving after that must not touch the live-event counter.
-        self.done = False
-
-    def __repr__(self) -> str:
-        name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, {name}, cancelled={self.cancelled})"
+#: A scheduled callback, ``[time, seq, callback, args]``: what ``schedule``
+#: returns and ``cancel`` takes. Only the kernel writes to it.
+Event = list
+_CALLBACK = 2
 
 
 class Simulator:
@@ -69,68 +55,54 @@ class Simulator:
     """
 
     def __init__(self, tracer=None, metrics: Optional[MetricsRegistry] = None) -> None:
-        self._now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []  # heap
+        # Read by everyone, written by the kernel alone: the virtual time in
+        # seconds, the callbacks executed so far and the live (scheduled, not
+        # cancelled) events still queued, kept as a count on schedule/cancel/pop.
+        self.now = 0.0
+        self.events_processed = 0
+        self.pending = 0
+        self._queue: List[Event] = []  # heap
         self._batch: deque = deque()  # zero-delay entries, (time, seq)-sorted
         self._seq = itertools.count()
         self._running = False
-        self._processed = 0
-        self._live = 0  # non-cancelled events still queued (O(1) `pending`)
         self._cancelled_queued = 0  # cancelled events not yet swept out
         # Observability: the tracer defaults to the process-wide setting
         # (a no-op unless tracing was enabled), the metrics registry is
         # always real — counters are cheap and every layer shares this one.
         self.attach_tracer(tracer if tracer is not None else default_tracer())
         self.metrics = metrics if metrics is not None else default_registry("sim")
-        self.metrics.bind_clock(lambda: self._now)
+        self.metrics.bind_clock(lambda: self.now)
 
     def attach_tracer(self, tracer) -> None:
         """Make ``tracer`` the one every layer reads from here on, on this clock."""
         self.tracer = tracer
-        tracer.bind_clock(lambda: self._now)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Total callbacks executed so far (for overhead accounting)."""
-        return self._processed
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return self._live
+        tracer.bind_clock(lambda: self.now)
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
-        self._live += 1
+        event = [self.now + delay, next(self._seq), callback, args]
+        self.pending += 1
         if delay == 0.0:
             # Same-instant events land behind every queued event at this
             # time (their seq is the largest so far), so a FIFO preserves
             # the (time, seq) order without heap churn.
-            self._batch.append((time, seq, event))
+            self._batch.append(event)
         else:
-            heapq.heappush(self._queue, (time, seq, event))
+            heapq.heappush(self._queue, event)
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        return self.schedule(time - self._now, callback, *args)
+        return self.schedule(time - self.now, callback, *args)
 
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a pending event; cancelling None or twice is harmless."""
-        if event is None or event.cancelled or event.done:
+        if event is None or event[_CALLBACK] is None:
             return
-        event.cancelled = True
-        self._live -= 1
+        event[_CALLBACK] = None
+        self.pending -= 1
         self._cancelled_queued += 1
         if (
             self._cancelled_queued > _COMPACT_MIN_CANCELLED
@@ -140,17 +112,9 @@ class Simulator:
 
     def _compact(self) -> None:
         """Sweep cancelled events out of both queues (order-preserving)."""
-        live_queue = []
-        live_batch = deque()
-        for entries, live in ((self._queue, live_queue), (self._batch, live_batch)):
-            for entry in entries:
-                if entry[2].cancelled:
-                    entry[2].done = True
-                else:
-                    live.append(entry)
-        heapq.heapify(live_queue)
-        self._queue = live_queue
-        self._batch = live_batch
+        self._queue = [event for event in self._queue if event[_CALLBACK] is not None]
+        heapq.heapify(self._queue)
+        self._batch = deque(event for event in self._batch if event[_CALLBACK] is not None)
         self._cancelled_queued = 0
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
@@ -172,43 +136,44 @@ class Simulator:
                 # The batch is FIFO and the heap (time, seq)-ordered, so the
                 # smaller of the two heads is the globally earliest entry.
                 if batch and (not queue or batch[0] < queue[0]):
-                    time, _, event = batch[0]
+                    event = batch[0]
                     from_batch = True
                 elif queue:
-                    time, _, event = queue[0]
+                    event = queue[0]
                     from_batch = False
                 else:
-                    if until is not None and until > self._now:
-                        self._now = until
+                    if until is not None and until > self.now:
+                        self.now = until
                     break
-                if until is not None and time > until and not event.cancelled:
-                    self._now = until
+                time, _, callback, args = event
+                if until is not None and time > until and callback is not None:
+                    self.now = until
                     break
                 if from_batch:
                     batch.popleft()
                 else:
                     heappop(queue)
-                event.done = True
-                if event.cancelled:
+                if callback is None:
                     self._cancelled_queued -= 1
                     continue
-                if time < self._now - 1e-9:
+                if time < self.now - 1e-9:
                     raise SimulationError(
-                        f"event queue corrupted: event at {time} < now {self._now}"
+                        f"event queue corrupted: event at {time} < now {self.now}"
                     )
-                self._live -= 1
-                if time > self._now:
-                    self._now = time
-                event.callback(*event.args)
-                self._processed += 1
+                event[_CALLBACK] = None  # a cancel from here on changes nothing
+                self.pending -= 1
+                if time > self.now:
+                    self.now = time
+                callback(*args)
+                self.events_processed += 1
                 executed += 1
                 if executed >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}; likely a loop")
         finally:
             self._running = False
-            self.metrics.gauge("sim.events_processed").set(self._processed)
+            self.metrics.gauge("sim.events_processed").set(self.events_processed)
             self.metrics.gauge("sim.pending_events").set(self.pending)
-        return self._now
+        return self.now
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Drain every pending event; returns final virtual time."""

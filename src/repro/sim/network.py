@@ -10,22 +10,17 @@ finishes.
 
 Paper-scale fast paths (none may change a simulated result):
 
-* **Incremental allocation.** The link-constraint graph is held in the
-  objects themselves: every host owns an uplink and a downlink record
-  listing the live flows that cross it, and every flow points at its two
-  records. A flow admission/removal or bandwidth change only dirties its
-  own records, and water-filling re-runs over the connected component
-  reachable from them; flows in untouched components keep their rates,
-  which is bit-identical because each component's allocation is an
-  independent subproblem (the equivalence tests compare serialized output
-  against a network that re-solves every flow on every reallocation).
+* **Incremental allocation.** Every host owns an uplink and a downlink
+  record listing the live flows that cross it, and every flow points at its
+  two records. A mutation dirties only its own records, and water-filling
+  re-runs over the connected component reachable from them (a flow alone on
+  both its links is answered without the loop); other components keep their
+  rates, bit-identically, because each is an independent subproblem (the
+  equivalence tests re-solve every flow on every reallocation).
 * **Sampled link telemetry.** The network stores no per-host series: it
-  registers :meth:`Network.link_readings` (utilization and flow count of
-  every host carrying a flow, under the allocation in force) as a collector
-  on the registry. A :class:`~repro.obs.timeseries.TelemetryPipeline` reads
-  it at its own ticks, appends a value that moved and writes the drop to
-  0.0 for a host it saw busy last tick. Without a pipeline none of it is
-  computed, and ``registry.dump()`` holds only what was recorded:
+  registers :meth:`Network.link_readings` as a collector on the registry,
+  read by a :class:`~repro.obs.timeseries.TelemetryPipeline` at its ticks.
+  Without one none of it is computed, and ``registry.dump()`` holds only
   ``net.flows_active``, one point per reallocation.
 * **Event coalescing.** Mutations don't reallocate inline; they settle
   byte progress and schedule one zero-delay *settle event*, so N
@@ -864,6 +859,12 @@ class Network:
         divide the same residuals, fixed flows subtract in admission order.
         A flow is fixed once it has an entry in the returned dict.
         """
+        if len(flows) == 1:
+            # Alone on both its links: the loop below would divide each
+            # capacity by one and stop at the smaller, or at the demand.
+            (flow,) = flows
+            share = min(flow.src.up_bw, flow.dst.down_bw)
+            return {flow: flow.demand if share == _INF or flow.demand <= share else share}
         links: List[Link] = []
         # Demand caps only enter the solve when some member actually has
         # one — the all-elastic case must run the exact same float-op

@@ -16,12 +16,12 @@ def trajectory():
     return load_script("perf_trajectory")
 
 
-def _result_file(path, commit, seed, workload, cell_wall_s):
+def _result_file(path, commit, seed, workload, cell_wall_s, **extra):
     """What ``run.py --workload W --seed N --out FILE`` writes, one run."""
     values = {"setup_s": 0.4, "cell_wall_s": cell_wall_s,
               "work_per_s": 312 / cell_wall_s, "peak_rss_mb": 116.0}
     units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
-    run = {"seed": seed, "attempted": 12, "failed": 0,
+    run = {"seed": seed, "attempted": 12, "failed": 0, **extra,
            "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
     path.write_text(json.dumps({
         "manifest": {"commit": commit, "python": "3.11.7", "numpy": "2.4.6",
@@ -87,14 +87,44 @@ def test_report_prints_a_table_per_workload_with_ratios_to_the_row_above(
     assert out.read_text() == before  # a report appends nothing
     tables = capsys.readouterr().out.split("\n\n")
     assert [t.splitlines()[0] for t in tables] == [f"== {first}", f"== {second}"]
-    header, base, pr1, pr2 = tables[0].splitlines()[1:]
+    header, base, pr1, manifest1, pr2, manifest2 = tables[0].splitlines()[1:]
+    # Under each entry's row, what it was measured under; the result files
+    # above carry no host_slowdown, as the entries before PR 23 do not.
+    assert manifest1 == ("    aaa..bbb; 1 pairs, seeds 0; 30 s runs; "
+                         "Python 3.11.7, numpy 2.4.6, 2 CPUs")
+    assert manifest2.startswith("    bbb..ccc; 1 pairs, seeds 0; 30 s runs; ")
     assert header.split() == ["entry", "commit"] + [m["name"] for m in SPEC["end_to_end"]]
     assert base.split()[-5:] == ["aaa", "0.4", "2", "156", "116"]
     assert pr1.split()[-9:] == ["bbb", "0.4", "x1.000", "1", "x0.500", "312", "x2.000",
                                 "116", "x1.000"]
     assert pr2.startswith("PR 2: and again, with a second ccc")
     assert pr2.split()[-6:-4] == ["0.5", "x0.500"]
-    assert len(tables[1].splitlines()) == 4  # header lines, the base row, the one entry
+    # Header lines, the base row, the one entry and its manifest.
+    assert len(tables[1].splitlines()) == 5
+
+
+def test_the_manifest_line_carries_the_seeds_and_the_host_slowdown_range(
+        trajectory, tmp_path, capsys):
+    workload = SPEC["workloads"][0]["name"]
+    out = tmp_path / "BENCH_perf.json"
+    slow = {(side, seed): 1.0 + 0.01 * seed + (0.2 if side == "b" else 0.0)
+            for side in "ab" for seed in (7, 8, 9, 12)}
+    files = {side: [_result_file(tmp_path / f"{side}{seed}.json", side * 3, seed, workload, 2.0,
+                                 host_slowdown=slow[side, seed]) for seed in (7, 8, 9, 12)]
+             for side in "ab"}
+    trajectory.main(["--base", *files["a"][:3], "--change", *files["b"][:3],
+                     "--label", "contiguous", "--out", str(out)])
+    trajectory.main(["--base", *files["a"], "--change", *files["b"],
+                     "--label", "with a gap", "--out", str(out)])
+    entries = json.loads(out.read_text())["entries"]
+    assert entries[0]["workloads"][workload]["host_slowdown"] == [1.07, 1.29]
+    capsys.readouterr()
+    trajectory.main(["--report", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4] == ("    aaa..bbb; 3 pairs, seeds 7-9; 30 s runs; "
+                        "Python 3.11.7, numpy 2.4.6, 2 CPUs; host slowdown 1.07-1.29")
+    assert lines[6] == ("    aaa..bbb; 4 pairs, seeds 7,8,9,12; 30 s runs; "
+                        "Python 3.11.7, numpy 2.4.6, 2 CPUs; host slowdown 1.07-1.32")
 
 
 def test_an_append_without_its_inputs_is_a_usage_error(trajectory, tmp_path):

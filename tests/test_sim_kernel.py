@@ -257,13 +257,13 @@ class TestGlobalOrder:
 
         def add(delay):
             event = sim.schedule(delay, fire)
-            event.args = (event,)
-            pending[event.seq] = event
+            event[3] = (event,)  # the entry is [time, seq, callback, args]
+            pending[event[1]] = event
 
         def fire(event):
-            fired.append((event.time, event.seq))
-            del pending[event.seq]
-            assert event.time == sim.now
+            fired.append((event[0], event[1]))
+            del pending[event[1]]
+            assert event[0] == sim.now
             for _ in range(rng.randrange(5) if len(fired) < 3000 else 0):
                 # Zero delays feed the batch, repeated delays make heap ties.
                 add(rng.choice([0.0, 0.0, 0.25, 0.5, rng.uniform(0.0, 2.0)]))
@@ -279,7 +279,7 @@ class TestGlobalOrder:
         while pending:
             horizon += rng.uniform(0.0, 0.7)
             sim.run(until=horizon)
-            assert all(event.time > horizon for event in pending.values())
+            assert all(event[0] > horizon for event in pending.values())
         assert len(fired) > 1000 and compactions
         assert fired == sorted(fired)
         assert sim.pending == len(pending)

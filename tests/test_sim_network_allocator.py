@@ -232,6 +232,32 @@ class TestScalarWaterfill:
         )
 
 
+    @pytest.mark.parametrize("same_host", [False, True])
+    @pytest.mark.parametrize("down_bw", [50.0, 100.0, math.inf])
+    @pytest.mark.parametrize("up_bw", [50.0, 100.0, math.inf])
+    def test_a_flow_alone_on_both_links_takes_the_loops_value(self, up_bw, down_bw, same_host):
+        """One flow is answered without the loop: the smaller capacity over
+        one, or the demand of an app flow at or below it."""
+        net = Network(Simulator())
+        src = net.add_host("src", up_bw=up_bw, down_bw=down_bw)
+        dst = src if same_host else net.add_host("dst", up_bw=7.0, down_bw=down_bw)
+        share = min(up_bw, down_bw)
+        demands = [math.inf, 0.0, 25.0, 1e9]
+        if share != math.inf:
+            demands += [share * (1 - 2**-52), share, share * (1 + 2**-52)]  # below, at, above
+        for demand in demands:
+            capped = demand != math.inf
+            flow = Flow(
+                src, dst, math.inf if capped else 1000.0, None, None, None, 0.0,
+                seq=0, demand=demand, app=capped,
+            )
+            solved = net._waterfill([flow])
+            assert solved == reference_waterfill([flow])
+            assert solved[flow] == min(share, demand)
+            # No working record was filled in on the way.
+            assert not hasattr(src.up_link, "residual") and dst.down_link.members is None
+
+
 class OneByOneNetwork(ReferenceLinkRecorder):
     """Completion oracle: each finished flow leaves through ``_remove_flow``."""
 
