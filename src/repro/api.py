@@ -98,10 +98,6 @@ class SelectionResult:
     def value(self) -> str:
         return self.mechanism.value
 
-    @property
-    def name(self) -> str:
-        return self.mechanism.name
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SelectionResult):
             return (self.mechanism, self.knobs) == (other.mechanism, other.knobs)

@@ -243,10 +243,6 @@ class InvariantReport:
     hard_violations: Dict[str, List[str]] = field(default_factory=dict)
     soft_violations: Dict[str, List[str]] = field(default_factory=dict)
 
-    @property
-    def clean(self) -> bool:
-        return not self.hard_violations and not self.soft_violations
-
 
 def check_invariants(run: "RunContext") -> InvariantReport:
     """Run every checker against the final world state."""

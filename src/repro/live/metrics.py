@@ -88,9 +88,6 @@ class LatencyRecorder:
     def record(self, arrival: float, completion: float) -> None:
         self._events.append((arrival, completion))
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     def split(
         self, window: Optional[Tuple[float, float]]
     ) -> Dict[str, List[float]]:
@@ -124,10 +121,6 @@ class BacklogTimeline:
 
     def sample(self, t: float, backlog: int) -> None:
         self._samples.append((t, backlog))
-
-    @property
-    def samples(self) -> List[Tuple[float, int]]:
-        return list(self._samples)
 
     def peak(self) -> int:
         """Largest observed backlog (the replay-lag high-water mark)."""

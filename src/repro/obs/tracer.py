@@ -91,11 +91,6 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def add_bytes(self, nbytes: float) -> "Span":
-        """Accumulate into the conventional ``bytes`` attribute."""
-        self.attrs["bytes"] = self.attrs.get("bytes", 0.0) + nbytes
-        return self
-
     def finish(self, at: Optional[float] = None, **attrs: Any) -> "Span":
         """Close the span at ``at`` (default: the tracer's clock now).
 
@@ -156,9 +151,6 @@ class _NullSpan:
         return self
 
     def annotate(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def add_bytes(self, nbytes: float) -> "_NullSpan":
         return self
 
     def finish(self, at: Optional[float] = None, **attrs: Any) -> "_NullSpan":

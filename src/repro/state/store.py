@@ -99,7 +99,10 @@ class StateStore:
         """Insert or replace one entry; ``size_bytes`` moves by the difference."""
         entries = self._entries
         if key in entries:
-            self._size_bytes += _estimate(value) - _estimate(entries[key])
+            kind = type(value)
+            # An int replacing an int (a float a float) is 16 - 16: a counter's steady state.
+            if kind is not type(entries[key]) or (kind is not int and kind is not float):
+                self._size_bytes += _estimate(value) - _estimate(entries[key])
         else:
             self._size_bytes += _estimate(key) + _estimate(value)
         entries[key] = value

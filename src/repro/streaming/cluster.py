@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StreamRuntimeError, TopologyError
@@ -55,6 +55,8 @@ class LocalCluster:
         self._collectors: Dict[str, List[OutputCollector]] = {}
         self._spout_done: Dict[TaskKey, bool] = {}
         self.outputs: Dict[str, List[StreamTuple]] = {}
+        #: Per captured component, the terminal tuples ``output_cap`` turned away.
+        self.dropped_outputs: Dict[str, int] = Counter()
         self.executed_counts: Dict[str, int] = {}
         self._routes: Dict[str, List[tuple]] = {}
         self._instantiate()
@@ -226,8 +228,11 @@ class LocalCluster:
             tuple_ = next_tuple()
             component_id = tuple_.source
             sink = sinks.get(component_id)
-            if sink is not None and len(sink) < self.output_cap:
-                sink.append(tuple_)
+            if sink is not None:
+                if len(sink) < self.output_cap:
+                    sink.append(tuple_)
+                else:
+                    self.dropped_outputs[component_id] += 1
             for target, grouping, parallelism, tasks, collectors in routes[component_id]:
                 for index in grouping.choose(tuple_, parallelism):
                     bolt = tasks[index]

@@ -29,7 +29,14 @@ class OutputCollector:
 
     def emit(self, values: Sequence[Any], timestamp: Optional[float] = None) -> StreamTuple:
         """Emit one tuple with this component's declared fields."""
-        out = StreamTuple(values, self.fields, self.source, timestamp)
+        fields = self.fields
+        if len(values) != len(fields):
+            StreamTuple(values, fields)  # raises the arity error
+        out = StreamTuple.__new__(StreamTuple)  # the constructor would re-tuple and re-measure
+        out.values = values if type(values) is tuple else tuple(values)
+        out.fields = fields
+        out.source = self.source
+        out.timestamp = timestamp
         self.pending.append(out)
         return out
 

@@ -56,18 +56,23 @@ class FieldsGrouping(Grouping):
         self._memo: Dict[tuple, int] = {}
 
     def choose(self, tuple_: StreamTuple, num_tasks: int) -> List[int]:
-        fields, row = tuple_.fields, tuple_.values
+        fields, row, names = tuple_.fields, tuple_.values, self.fields
         # 1, 1.0 and True compare equal but repr differently: the memo key is
-        # (type, value, type, value, ...), built in one list (this is per tuple).
-        typed = []
-        for name in self.fields:
-            try:
-                value = row[fields.index(name)]
-            except ValueError:
-                value = tuple_[name]  # raises the KeyError that names the field
-            typed.append(type(value))
-            typed.append(value)
-        memo_key = tuple(typed)
+        # (type, value, type, value, ...); one field builds it directly.
+        try:
+            if len(names) == 1:
+                value = row[fields.index(names[0])]
+                typed = memo_key = (type(value), value)
+            else:
+                typed = []
+                for name in names:
+                    value = row[fields.index(name)]
+                    typed.append(type(value))
+                    typed.append(value)
+                memo_key = tuple(typed)
+        except ValueError:
+            for name in names:
+                tuple_[name]  # raises the KeyError that names the first missing field
         try:
             prefix = self._memo.get(memo_key)
         except TypeError:  # an unhashable field value

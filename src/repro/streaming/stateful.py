@@ -74,8 +74,11 @@ class CountingBolt(StatefulBolt):
         return (self.key_field, "count")
 
     def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
-        key = tuple_[self.key_field]
-        state = self.state
+        try:
+            key = tuple_.values[tuple_.fields.index(self.key_field)]
+        except ValueError:
+            key = tuple_[self.key_field]  # raises the KeyError that names the field
+        state = self._state if self._state is not None else self.state  # raises unprepared
         count = (state.get(key) or 0) + 1
         state.put(key, count)
         collector.emit((key, count), tuple_.timestamp)

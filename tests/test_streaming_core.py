@@ -125,6 +125,23 @@ class TestGroupings:
             t = StreamTuple(row, ("a", "b"))
             assert memoized.choose(t, tasks) == reference_choose(fields, t, tasks)
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.tuples(key_values, key_values), min_size=1, max_size=30),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"], ["a", "a"], ["b", "a", "b"]]),
+    )
+    def test_fields_matches_reference_on_emitted_tuples(self, rows, tasks, fields):
+        # A one-field key is built without the list and the collector sets a
+        # tuple's slots itself; an unhashable value may sit in either position.
+        memoized = FieldsGrouping(fields)
+        collector = OutputCollector("up", ("a", "b"))
+        for row in rows + rows:
+            for t in (collector.emit(row), collector.emit(list(row)), StreamTuple(row, ["a", "b"])):
+                assert memoized.choose(t, tasks) == reference_choose(fields, t, tasks)
+        for key in memoized._memo:
+            assert len(key) == 2 * len(fields) and groupings._MEMO_TYPES.issuperset(key[::2])
+
     def test_fields_memo_is_bounded_and_survives_a_clear(self, monkeypatch):
         monkeypatch.setattr(groupings, "_MEMO_LIMIT", 4)
         g = FieldsGrouping(["k"])
