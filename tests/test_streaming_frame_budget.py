@@ -18,11 +18,12 @@ from collections import Counter
 
 import pytest
 
+import repro
 from repro.streaming.cluster import LocalCluster
 from repro.workloads.wordcount import SentenceGenerator, build_wordcount_topology
 
 WARM_UP = MEASURED = 100
-PROGRAM = os.sep + "repro" + os.sep
+PROGRAM = os.path.dirname(repro.__file__) + os.sep
 #: Frames a sentence; this interpreter reads 70.04 and 78.04 (3.12: 68.28 and 76.28).
 BUDGET = {False: 72.0, True: 80.0}
 
@@ -40,7 +41,7 @@ def frames_per_sentence(capture_outputs):
     def hook(frame, event, arg):
         # Only the program's frames: inside a long test session the collector
         # runs other libraries' weakref callbacks in the middle of anything.
-        if event == "call" and PROGRAM in frame.f_code.co_filename:
+        if event == "call" and frame.f_code.co_filename.startswith(PROGRAM):
             entered[frame.f_code.co_name] += 1
 
     previous = sys.getprofile()

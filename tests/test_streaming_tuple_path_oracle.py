@@ -93,12 +93,16 @@ REFERENCES = (
 )
 
 
+def install_references(patch):
+    for cls, name, fn in REFERENCES:
+        patch.setattr(cls, name, fn)
+
+
 @pytest.fixture(params=["fast", "reference"])
 def path(request, monkeypatch):
     """Runs the test body on the shipped path and on the parent's."""
     if request.param == "reference":
-        for cls, name, fn in REFERENCES:
-            monkeypatch.setattr(cls, name, fn)
+        install_references(monkeypatch)
     return request.param
 
 
@@ -106,8 +110,7 @@ def on_both_paths(body):
     """``body()`` on the shipped path, then with the parent's four methods."""
     fast = body()
     with pytest.MonkeyPatch.context() as patch:
-        for cls, name, fn in REFERENCES:
-            patch.setattr(cls, name, fn)
+        install_references(patch)
         reference = body()
     return fast, reference
 
