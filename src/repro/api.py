@@ -376,8 +376,8 @@ class SR3(HoldsDeployment):
             replacement = registered.owner
         handle = self.manager.recover(state_name, replacement, mechanism)
         result = self.manager.run([handle])[0]
-        # Chain-aware reconstruction: base-then-deltas when the state's
-        # plan is a version chain, plain shard merge otherwise.
+        # Chain-aware reconstruction: base-then-deltas when the chain has
+        # delta links, plain shard merge otherwise.
         snapshot = self.manager.recovered_snapshot(state_name)
         return snapshot, result
 

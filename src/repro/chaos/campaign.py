@@ -156,11 +156,10 @@ class ChaosEngine(HoldsDeployment):
         Fills :attr:`pre_state` (segment digest, chain length, tip shape)
         and returns the per-segment checksums.
         """
-        registered = self.manager.states[state_name]
-        chain = registered.chain
+        chain = self.manager.states[state_name].plan
         snapshot = self.manager.recovered_snapshot(state_name)
         self.pre_state[state_name] = {
-            "digest": chain_digest(registered.plan.available_shards()),
+            "digest": chain_digest(chain.available_shards()),
             "chain_length": chain.length,
             "size_bytes": snapshot.size_bytes,
             "version": repr(chain.tip_version),
@@ -481,8 +480,7 @@ def _attach_controller(engine: ChaosEngine, mechanism: str):
     engine.controller = controller
 
     def reanchor(state_name: str) -> None:
-        chain = engine.manager.states[state_name].chain
-        if chain is None or not chain.links:
+        if engine.manager.states[state_name].plan is None:
             return
         checksums = engine.anchor_ground_truth(state_name)
         controller._pre_checksums[state_name] = checksums
@@ -661,9 +659,9 @@ def streaming_probe(seed: int = 0, num_nodes: int = 32) -> ScenarioOutcome:
     cluster.checkpoint()
     errors: List[str] = []
     chain_lengths = [
-        registered.chain.length
+        registered.plan.length
         for registered in manager.states.values()
-        if registered.chain is not None and registered.chain.links
+        if registered.plan is not None
     ]
     if not chain_lengths or max(chain_lengths) < 2:
         errors.append("no incremental save round landed during the probe")

@@ -260,11 +260,7 @@ def _current_base_shards(world, registered) -> List[object]:
     single-version, chain-link-zero shard set.
     """
     snapshot = world.manager.recovered_snapshot(registered.state_name)
-    num_shards = (
-        registered.chain.num_shards
-        if registered.chain is not None and registered.chain.links
-        else len(registered.shards)
-    )
+    num_shards = registered.plan.num_shards
     if len(snapshot) == 0 and snapshot.size_bytes > 0:
         # Synthetic state: carry the byte size forward, bump the version
         # so the rewrite is distinguishable from the image it folded.
@@ -281,7 +277,10 @@ def _resident_replicas(registered, node=None):
     ``node`` restricts the scan to one node. Standby copies are pinned to
     their standby node; they are warm capacity, not load to shed or move.
     """
-    for plan in registered.link_plans():
+    if registered.plan is None:
+        return
+    for link in registered.plan.links:
+        plan = link.plan
         for placed in list(plan.placements):
             if getattr(placed.replica, "standby", False):
                 continue
@@ -418,7 +417,7 @@ class ReReplicate(Action):
         registered, failure = self._saved_state(world, state_name)
         if failure is not None:
             return failure
-        plans = registered.link_plans()
+        plans = [link.plan for link in registered.plan.links]
         pending: Dict[str, int] = {}
         copies = 0
         for plan in plans:
@@ -475,7 +474,7 @@ class RewriteState(Action):
         result, failure = self._resave(world, registered)
         return failure or self._ok(
             changed=True,
-            chain_length=registered.chain.length,
+            chain_length=registered.plan.length,
             duration_s=round(result.duration, 6),
         )
 
@@ -493,7 +492,7 @@ class CompactChain(RewriteState):
     def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
         registered, failure = self._saved_state(world, diagnosis.state, "rewriting")
         if registered is not None and (
-            registered.chain is None or registered.chain.length <= 1
+            registered.plan is None or registered.plan.length <= 1
         ):
             return self._ok(changed=False)
         return failure or self._rewrite(world, registered)
@@ -793,7 +792,7 @@ class PromoteStandby(Action):
                 world.manager.ctx, registered, standby, parent_span=parent_span
             )
             world.sim.run_until_idle()
-            report = sync.report
+            report = sync.result
         except ReproError as exc:
             return self._fail(str(exc))
         return self._ok(

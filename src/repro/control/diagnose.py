@@ -144,16 +144,14 @@ def _diagnose_replica_thin(world, out: List[Diagnosis]) -> None:
     manager = world.manager
     for name in sorted(manager.states):
         registered = manager.states[name]
-        thin: List[Tuple[int, int, int]] = []  # (link, shard index, providers)
-        floor = registered.num_replicas
-        for link_pos, plan in enumerate(registered.link_plans()):
-            for index in plan.shard_indexes():
-                providers = len(plan.providers_for(index))
-                if providers < registered.num_replicas:
-                    thin.append((link_pos, index, providers))
-                    floor = min(floor, providers)
+        chain = registered.plan
+        if chain is None:
+            continue
+        alive = [len(chain.providers_for(s)) for s in chain.shard_indexes()]
+        thin = [count for count in alive if count < registered.num_replicas]
         if not thin:
             continue
+        floor = min(thin)
         out.append(
             Diagnosis(
                 condition="replica-thin",
@@ -172,9 +170,8 @@ def _diagnose_replica_thin(world, out: List[Diagnosis]) -> None:
 def _diagnose_chain_too_long(world, out: List[Diagnosis]) -> None:
     manager = world.manager
     for name in sorted(manager.states):
-        registered = manager.states[name]
-        chain = registered.chain
-        if chain is None or not chain.links:
+        chain = manager.states[name].plan
+        if chain is None:
             continue
         if not chain.needs_compaction(manager.compaction):
             continue
@@ -225,20 +222,21 @@ def _diagnose_hot_shard(world, out: List[Diagnosis], hot_shard_factor: float) ->
     manager = world.manager
     for name in sorted(manager.states):
         registered = manager.states[name]
+        if registered.plan is None:
+            continue
         counts: Dict[str, int] = {}
         nodes_by_name: Dict[str, object] = {}
-        for plan in registered.link_plans():
-            for placed in plan.placements:
-                if not placed.node.alive:
-                    continue
-                if placed.node.get_shard(placed.replica.key) is None:
-                    continue
-                if getattr(placed.replica, "standby", False):
-                    # A warm standby concentrates segments by design; that
-                    # is provisioning, not skew to disperse.
-                    continue
-                counts[placed.node.name] = counts.get(placed.node.name, 0) + 1
-                nodes_by_name[placed.node.name] = placed.node
+        for placed in registered.plan.placements:
+            if not placed.node.alive:
+                continue
+            if placed.node.get_shard(placed.replica.key) is None:
+                continue
+            if getattr(placed.replica, "standby", False):
+                # A warm standby concentrates segments by design; that is
+                # provisioning, not skew to disperse.
+                continue
+            counts[placed.node.name] = counts.get(placed.node.name, 0) + 1
+            nodes_by_name[placed.node.name] = placed.node
         if len(counts) < 2:
             continue
         mean = sum(counts.values()) / len(counts)
@@ -314,7 +312,7 @@ def _diagnose_standby_lagging(world, out: List[Diagnosis]) -> None:
     manager = world.manager
     for name in sorted(manager.states):
         registered = manager.states[name]
-        if not registered.owner.alive:
+        if not registered.owner.alive or registered.plan is None:
             continue
         standby = standby_node_of(registered)
         if standby is None:

@@ -17,22 +17,11 @@ the determinism tests assert.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
-from repro.obs.tracer import Span, Tracer, collected_tracers
+from repro.obs.tracer import Span, TracerLike, as_tracers
 
 __all__ = ["trace_dict", "chrome_trace", "dumps_trace", "write_trace"]
-
-TracerLike = Union[Tracer, Sequence[Tracer]]
-
-
-def _as_tracers(tracers: Optional[TracerLike]) -> List[Tracer]:
-    if tracers is None:
-        return collected_tracers()
-    if isinstance(tracers, Tracer):
-        return [tracers]
-    return list(tracers)
-
 
 def _span_row(span: Span) -> Dict[str, object]:
     return {
@@ -56,7 +45,7 @@ def trace_dict(tracers: Optional[TracerLike] = None) -> Dict[str, object]:
                 "name": tracer.name,
                 "spans": [_span_row(span) for span in tracer.spans],
             }
-            for tracer in _as_tracers(tracers)
+            for tracer in as_tracers(tracers)
         ],
     }
 
@@ -81,7 +70,7 @@ def chrome_trace(tracers: Optional[TracerLike] = None) -> Dict[str, object]:
     simulations when several tracers are merged into one artifact.
     """
     events: List[Dict[str, object]] = []
-    for pid, tracer in enumerate(_as_tracers(tracers), start=1):
+    for pid, tracer in enumerate(as_tracers(tracers), start=1):
         by_id = {span.span_id: span for span in tracer.spans}
         events.append(
             {

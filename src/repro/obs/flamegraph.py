@@ -21,9 +21,9 @@ write byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.tracer import Span, Tracer, collected_tracers
+from repro.obs.tracer import Span, Tracer, TracerLike, as_tracers
 
 __all__ = [
     "collapsed_stacks",
@@ -32,17 +32,6 @@ __all__ = [
     "write_flamegraph",
     "write_speedscope",
 ]
-
-TracerLike = Union[Tracer, Sequence[Tracer]]
-
-
-def _as_tracers(tracers: Optional[TracerLike]) -> List[Tracer]:
-    if tracers is None:
-        return collected_tracers()
-    if isinstance(tracers, Tracer):
-        return [tracers]
-    return list(tracers)
-
 
 def _interval_union(intervals: List[Tuple[float, float]]) -> float:
     """Total length covered by possibly-overlapping intervals."""
@@ -101,7 +90,7 @@ def flamegraph_text(tracers: Optional[TracerLike] = None) -> str:
     simulations distinguishable. Lines are sorted for determinism.
     """
     lines: List[str] = []
-    tracer_list = _as_tracers(tracers)
+    tracer_list = as_tracers(tracers)
     for tracer in tracer_list:
         prefix = f"{tracer.name};" if len(tracer_list) > 1 else ""
         for stack, seconds in collapsed_stacks(tracer).items():
@@ -126,7 +115,7 @@ def speedscope_document(tracers: Optional[TracerLike] = None) -> Dict[str, objec
         return frame_index[frame_name]
 
     profiles: List[Dict[str, object]] = []
-    for tracer in _as_tracers(tracers):
+    for tracer in as_tracers(tracers):
         samples: List[List[int]] = []
         weights: List[float] = []
         for stack, seconds in sorted(collapsed_stacks(tracer).items()):

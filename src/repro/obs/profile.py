@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 from repro.obs.critical_path import (
     BLAME_CATEGORIES,
@@ -33,7 +33,7 @@ from repro.obs.critical_path import (
     critical_path,
     recovery_roots,
 )
-from repro.obs.tracer import Span, Tracer, collected_tracers
+from repro.obs.tracer import Span, Tracer, TracerLike, as_tracers
 
 __all__ = [
     "RecoveryProfile",
@@ -43,17 +43,6 @@ __all__ = [
     "build_report",
     "write_profile",
 ]
-
-TracerLike = Union[Tracer, Sequence[Tracer]]
-
-
-def _as_tracers(tracers: Optional[TracerLike]) -> List[Tracer]:
-    if tracers is None:
-        return collected_tracers()
-    if isinstance(tracers, Tracer):
-        return [tracers]
-    return list(tracers)
-
 
 @dataclass
 class RecoveryProfile:
@@ -181,7 +170,7 @@ def profile_tracers(tracers: Optional[TracerLike] = None) -> List[RecoveryProfil
     CLI's ``--trace``/``--profile`` path).
     """
     profiles: List[RecoveryProfile] = []
-    for tracer in _as_tracers(tracers):
+    for tracer in as_tracers(tracers):
         children = children_index(tracer)
         for root in recovery_roots(tracer):
             profiles.append(profile_recovery(tracer, root, children))

@@ -30,7 +30,7 @@ CLI (``python -m repro.bench run fig8a --trace out.json``): once
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "Span",
@@ -368,6 +368,19 @@ def default_tracer(name: str = "sim") -> Any:
 
 def collected_tracers() -> List[Tracer]:
     return list(_COLLECTED)
+
+
+#: One tracer, several, or None for every collected one.
+TracerLike = Union[Tracer, Sequence[Tracer]]
+
+
+def as_tracers(tracers: Optional[TracerLike]) -> List[Tracer]:
+    """The tracers an exporter reads: the given ones, or every collected one."""
+    if tracers is None:
+        return collected_tracers()
+    if isinstance(tracers, Tracer):
+        return [tracers]
+    return list(tracers)
 
 
 def clear_collected() -> None:

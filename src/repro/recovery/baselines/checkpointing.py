@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError
-from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryResult, replacement_died
+from repro.recovery.model import (
+    RecoveryContext,
+    RecoveryHandle,
+    RecoverySession,
+    replacement_died,
+)
 from repro.recovery.save import SaveHandle, SaveResult
 from repro.sim.network import RemoteStorage
 from repro.state.placement import PlacementPlan
@@ -138,17 +143,19 @@ class CheckpointingBaseline:
         sim = self.ctx.sim
         cfg = self.config
         cost = self.ctx.cost_model
-        handle = RecoveryHandle(self.name, state_name)
-        started_at = sim.now
-        progress = {"bytes": 0.0}
-        tracer = sim.tracer
-        root_span = tracer.start(
+        session = RecoverySession(
+            sim,
+            self.name,
+            state_name,
+            replacement,
             "baseline/checkpoint-recover",
-            category="recovery",
+            None,  # no parent span
             state=state_name,
             replacement=replacement.name,
             bytes=state_bytes,
         )
+        root_span = session.root_span
+        tracer = sim.tracer
 
         def start_fetch() -> None:
             overhead = self._chunk_overhead(state_bytes)
@@ -167,7 +174,7 @@ class CheckpointingBaseline:
                 replacement, sim.now, fetch_time, cost.transfer_cpu_fraction
             )
             self.ctx.charge_memory(replacement, sim.now, fetch_time, state_bytes)
-            progress["bytes"] += state_bytes
+            session.moved += state_bytes
             sim.schedule(fetch_time, start_replay)
 
         def fail() -> None:
@@ -179,9 +186,7 @@ class CheckpointingBaseline:
                 if replacement.alive
                 else replacement_died(self.name, state_name, replacement)
             )
-            root_span.finish(aborted=True, error=str(error))
-            sim.metrics.counter("recovery.failed").add(1, label=self.name)
-            handle._fail(error)
+            session.fail(error, aborted=True)
 
         def start_replay() -> None:
             replay_bytes = state_bytes * cfg.replay_factor
@@ -205,7 +210,7 @@ class CheckpointingBaseline:
                 replay_cpu,
                 state_bytes * cost.buffer_memory_factor,
             )
-            progress["bytes"] += replay_bytes
+            session.moved += replay_bytes
             done = {"flow": False, "cpu": False}
 
             def flow_done(_flow) -> None:
@@ -235,35 +240,22 @@ class CheckpointingBaseline:
             sim.schedule(replay_cpu, cpu_done)
 
         def finish() -> None:
-            root_span.finish(bytes=progress["bytes"])
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
             # Retroactively account the coordinator session held by both
             # participating nodes for the whole recovery window.
+            started, window = session.started_at, sim.now - session.started_at
             for node in (upstream, replacement):
-                self.ctx.charge_memory(
-                    node, started_at, sim.now - started_at, cfg.coordination_memory
-                )
-                self.ctx.charge_cpu(
-                    node, started_at, sim.now - started_at, cfg.coordination_cpu
-                )
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=state_name,
-                    state_bytes=state_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=progress["bytes"],
-                    nodes_involved=3,  # storage, upstream, replacement
-                    shards_recovered=1,
-                    replacement=replacement.name,
-                    detail={"replay_factor": cfg.replay_factor},
-                )
+                self.ctx.charge_memory(node, started, window, cfg.coordination_memory)
+                self.ctx.charge_cpu(node, started, window, cfg.coordination_cpu)
+            session.finish(
+                state_bytes,
+                3,  # storage, upstream, replacement
+                1,
+                {"replay_factor": cfg.replay_factor},
+                bytes=session.moved,
             )
 
         sim.schedule(cost.detection_delay + cfg.recover_coordination, start_fetch)
-        return handle
+        return session.handle
 
 
 def checkpointing_to_remote_storage(ctx: RecoveryContext) -> CheckpointingBaseline:

@@ -17,7 +17,7 @@ from typing import List
 
 from repro.dht.node import DhtNode
 from repro.errors import InsufficientShardsError, RecoveryError
-from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryResult
+from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoverySession
 from repro.recovery.save import SaveHandle, SaveResult
 from repro.state.placement import PlacementPlan
 from repro.util.sizes import MB
@@ -117,18 +117,21 @@ class Fp4sBaseline:
                 f"only {len(alive)} fragment providers survive; need {cfg.num_data}"
             )
         sim = self.ctx.sim
-        handle = RecoveryHandle(self.name, state_name)
-        started_at = sim.now
-        fragment_bytes = state_bytes / cfg.num_data
-        remaining = {"count": cfg.num_data, "bytes": 0.0}
-        tracer = sim.tracer
-        root_span = tracer.start(
+        session = RecoverySession(
+            sim,
+            self.name,
+            state_name,
+            replacement,
             "baseline/fp4s-recover",
-            category="recovery",
+            None,  # no parent span
             state=state_name,
             replacement=replacement.name,
             bytes=state_bytes,
         )
+        fragment_bytes = state_bytes / cfg.num_data
+        remaining = {"count": cfg.num_data}
+        root_span = session.root_span
+        tracer = sim.tracer
 
         def launch() -> None:
             for provider in alive[: cfg.num_data]:
@@ -149,7 +152,7 @@ class Fp4sBaseline:
         def one_fetched(flow, fetch_span) -> None:
             fetch_span.finish()
             remaining["count"] -= 1
-            remaining["bytes"] += flow.size
+            session.moved += flow.size
             if remaining["count"] == 0:
                 # Reconstruction = the usual hash-table merge PLUS the
                 # erasure-decode computation — the "extra overhead in the
@@ -178,23 +181,13 @@ class Fp4sBaseline:
                 sim.schedule(rebuild_time + cost.install_time(state_bytes), finish)
 
         def finish() -> None:
-            root_span.finish(bytes=remaining["bytes"])
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=state_name,
-                    state_bytes=state_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=remaining["bytes"],
-                    nodes_involved=cfg.num_data + 1,
-                    shards_recovered=cfg.num_data,
-                    replacement=replacement.name,
-                    detail={"storage_overhead": cfg.storage_overhead},
-                )
+            session.finish(
+                state_bytes,
+                cfg.num_data + 1,
+                cfg.num_data,
+                {"storage_overhead": cfg.storage_overhead},
+                bytes=session.moved,
             )
 
         sim.schedule(cost.detection_delay, launch)
-        return handle
+        return session.handle

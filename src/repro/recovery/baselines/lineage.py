@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError
-from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryResult
+from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoverySession
 from repro.util.sizes import MB
 
 
@@ -61,13 +61,15 @@ class LineageBaseline:
         sim = self.ctx.sim
         cfg = self.config
         state_name = "lineage-state"
-        handle = RecoveryHandle(self.name, state_name)
-        started_at = sim.now
         per_stage = cfg.stage_overhead + state_bytes / (cfg.recompute_rate * cfg.parallelism)
         tracer = sim.tracer
-        root_span = tracer.start(
+        session = RecoverySession(
+            sim,
+            self.name,
+            state_name,
+            workers,
             "baseline/lineage-recover",
-            category="recovery",
+            None,  # no parent span
             state=state_name,
             lineage_depth=cfg.lineage_depth,
             bytes=state_bytes,
@@ -75,24 +77,12 @@ class LineageBaseline:
 
         def run_stage(stage: int) -> None:
             if stage >= cfg.lineage_depth:
-                root_span.finish()
-                sim.metrics.counter("recovery.completed").add(1, label=self.name)
-                sim.metrics.histogram("recovery.duration").observe(
-                    sim.now - started_at
-                )
-                handle._resolve(
-                    RecoveryResult(
-                        mechanism=self.name,
-                        state_name=state_name,
-                        state_bytes=state_bytes,
-                        started_at=started_at,
-                        finished_at=sim.now,
-                        bytes_transferred=state_bytes * cfg.lineage_depth,
-                        nodes_involved=cfg.parallelism,
-                        shards_recovered=1,
-                        replacement=workers.name,
-                        detail={"lineage_depth": float(cfg.lineage_depth)},
-                    )
+                session.moved = state_bytes * cfg.lineage_depth
+                session.finish(
+                    state_bytes,
+                    cfg.parallelism,
+                    1,
+                    {"lineage_depth": float(cfg.lineage_depth)},
                 )
                 return
             tracer.record(
@@ -100,7 +90,7 @@ class LineageBaseline:
                 sim.now,
                 sim.now + per_stage,
                 category="recovery.replay",
-                parent=root_span,
+                parent=session.root_span,
                 stage=stage,
             )
             self.ctx.charge_cpu(
@@ -109,4 +99,4 @@ class LineageBaseline:
             sim.schedule(per_stage, run_stage, stage + 1)
 
         sim.schedule(self.ctx.cost_model.detection_delay, run_stage, 0)
-        return handle
+        return session.handle

@@ -17,7 +17,7 @@ from typing import Dict
 
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError
-from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoveryResult
+from repro.recovery.model import RecoveryContext, RecoveryHandle, RecoverySession
 
 
 @dataclass(frozen=True)
@@ -56,35 +56,23 @@ class ReplicationBaseline:
             raise RecoveryError(
                 f"standby {standby.name} of {primary.name} has also failed"
             )
-        sim = self.ctx.sim
-        handle = RecoveryHandle(self.name, state_name)
-        started_at = sim.now
-        root_span = sim.tracer.start(
+        session = RecoverySession(
+            self.ctx.sim,
+            self.name,
+            state_name,
+            standby,
             "baseline/replication-failover",
-            category="recovery",
+            None,  # no parent span
             state=state_name,
             primary=primary.name,
             standby=standby.name,
         )
-
-        def finish() -> None:
-            root_span.finish()
-            sim.metrics.counter("recovery.completed").add(1, label=self.name)
-            sim.metrics.histogram("recovery.duration").observe(sim.now - started_at)
-            handle._resolve(
-                RecoveryResult(
-                    mechanism=self.name,
-                    state_name=state_name,
-                    state_bytes=state_bytes,
-                    started_at=started_at,
-                    finished_at=sim.now,
-                    bytes_transferred=0.0,
-                    nodes_involved=1,
-                    shards_recovered=1,
-                    replacement=standby.name,
-                    detail={"hardware_factor": self.config.hardware_factor},
-                )
-            )
-
-        sim.schedule(self.config.failover_delay, finish)
-        return handle
+        self.ctx.sim.schedule(
+            self.config.failover_delay,
+            session.finish,
+            state_bytes,
+            1,
+            1,
+            {"hardware_factor": self.config.hardware_factor},
+        )
+        return session.handle

@@ -175,8 +175,8 @@ def saved_delta(deployment: Deployment, state_name: str, delta_bytes: float):
     ``(registered, SaveResult)`` like :func:`saved_state`.
     """
     registered = deployment.manager.states[state_name]
-    chain = registered.chain
-    if chain is None or not chain.links:
+    chain = registered.plan
+    if chain is None:
         raise BenchmarkError(
             f"{state_name}: no version chain to extend — save a base first"
         )

@@ -101,7 +101,7 @@ class LineRecovery:
                 prefetches.append(
                     {
                         # Carry the plan's shard index (a global chain
-                        # segment id for ChainPlans) — recomputing it from
+                        # segment id for a VersionChain) — recomputing it from
                         # the shard object would lose the link offset.
                         "index": index,
                         "placed": placed,

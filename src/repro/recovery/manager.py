@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.dht.node import DhtNode
 from repro.errors import OverlayError, RecoveryError, StateError
 from repro.recovery.line import LineRecovery
-from repro.state.chain import ChainPlan, CompactionPolicy, VersionChain, reconstruct_chain
+from repro.state.chain import CompactionPolicy, VersionChain, reconstruct_chain
 from repro.state.partitioner import merge_shards
 from repro.state.store import StateSnapshot
 from repro.recovery.model import (
@@ -33,7 +33,7 @@ from repro.recovery.selection import (
 from repro.recovery.standby import StandbyRecovery
 from repro.recovery.star import StarRecovery
 from repro.recovery.tree import TreeRecovery
-from repro.state.placement import LeafSetPlacement, PlacementPlan
+from repro.state.placement import LeafSetPlacement
 from repro.state.shard import Shard
 
 MechanismImpl = Union[StarRecovery, LineRecovery, TreeRecovery, StandbyRecovery]
@@ -48,28 +48,14 @@ class RegisteredState:
     shards: List[Shard]
     num_replicas: int
     latency_sensitive: bool = True
-    plan: Optional[PlacementPlan] = None
+    # The saved state: built by the first full save, extended by delta
+    # rounds, reset in place whenever a full save lands; None until then.
+    plan: Optional[VersionChain] = None
     last_save_duration: Optional[float] = None
-    # Version chain behind the plan: set by the first full save, extended
-    # by delta rounds, reset whenever a full save lands.
-    chain: Optional[VersionChain] = None
 
     @property
     def state_bytes(self) -> float:
         return float(sum(s.size_bytes for s in self.shards))
-
-    def link_plans(self) -> List[PlacementPlan]:
-        """The flat placement plans behind this state, base first.
-
-        A chain-backed state exposes one flat plan per link; a flat state
-        exposes its single plan. A state never saved (plan ``None``) yields
-        an empty list — there is nothing placed to reason about.
-        """
-        if self.chain is not None and self.chain.links:
-            return [link.plan for link in self.chain.links]
-        if self.plan is None:
-            return []
-        return [self.plan]
 
 
 @dataclass
@@ -149,11 +135,10 @@ class RecoveryManager:
         # Snapshot the superseded chain's placements now: the chain object
         # itself is reset in-place once the new base lands.
         stale = []
-        if registered.chain is not None:
+        if registered.plan is not None:
             stale = [
                 (placed.node, placed.replica.key)
-                for link in registered.chain.links
-                for placed in link.plan.placements
+                for placed in registered.plan.placements
             ]
         handle = sr3_save(
             self.ctx,
@@ -164,11 +149,11 @@ class RecoveryManager:
         )
 
         def record(result) -> None:
-            registered.plan = result.plan
             registered.last_save_duration = result.duration
-            chain = registered.chain or VersionChain(state_name)
-            chain.reset(registered.shards, result.plan)
-            registered.chain = chain
+            if registered.plan is None:
+                registered.plan = VersionChain(state_name, registered.shards, result.plan)
+            else:
+                registered.plan.reset(registered.shards, result.plan)
             self._collect_stale_replicas(stale, result.plan)
 
         handle.on_done(record)
@@ -189,7 +174,7 @@ class RecoveryManager:
         delta_bytes = sum(s.size_bytes for s in delta_shards)
         if not self._can_extend_chain(registered, delta_bytes):
             return self.save(state_name)
-        chain = registered.chain
+        chain = registered.plan
         handle = sr3_save(
             self.ctx,
             registered.owner,
@@ -202,29 +187,27 @@ class RecoveryManager:
 
         def record(result) -> None:
             chain.append_delta(delta_shards, result.plan)
-            registered.plan = ChainPlan(chain)
             registered.last_save_duration = result.duration
 
         handle.on_done(record)
         return handle
 
     def _can_extend_chain(self, registered: RegisteredState, delta_bytes: float) -> bool:
-        chain = registered.chain
-        if chain is None or not chain.links:
+        chain = registered.plan
+        if chain is None:
             return False
         if chain.needs_compaction(self.compaction, extra_delta_bytes=int(delta_bytes)):
             return False
-        base_owner = chain.links[0].plan.owner
+        base_owner = chain.owner
         if base_owner is None or base_owner.node_id != registered.owner.node_id:
             return False  # placement changed: the chain belongs to another owner
         # Replica loss anywhere in the chain degrades redundancy below the
         # configured factor — rewrite a full base rather than stack more
         # deltas on a weakened foundation.
-        for link in chain.links:
-            for index in link.plan.shard_indexes():
-                if len(link.plan.providers_for(index)) < registered.num_replicas:
-                    return False
-        return True
+        return all(
+            len(chain.providers_for(segment)) >= registered.num_replicas
+            for segment in chain.shard_indexes()
+        )
 
     def _collect_stale_replicas(self, stale, new_plan) -> None:
         """Drop superseded-chain replicas that the new plan reuses nowhere.
@@ -332,9 +315,9 @@ class RecoveryManager:
     def recovered_snapshot(self, state_name: str) -> StateSnapshot:
         """Rebuild the state image from whatever replicas survive.
 
-        Chain-aware: when the plan spans delta links, surviving segments
-        are replayed base-then-deltas in version order; a flat (single
-        base) plan merges exactly as before.
+        Chain-aware: when the chain has delta links, surviving segments
+        are replayed base-then-deltas in version order; a lone base merges
+        shard by shard.
         """
         registered = self._get(state_name)
         if registered.plan is None:

@@ -220,7 +220,57 @@ class RecoveryResult:
         return self.finished_at - self.started_at
 
 
-class RecoveryHandle:
+class Pending:
+    """A save, standby sync or recovery in flight; resolves exactly once.
+
+    Callers run the simulator and then read ``result``. A callback given
+    to ``on_done`` after the value landed fires at once; resolving twice
+    is an error; a failure surfaces its exception from ``result``. Each
+    kind words its two errors in ``unfinished`` and ``twice``, formatted
+    with the handle's own attributes.
+    """
+
+    unfinished: str
+    twice: str
+
+    def __init__(self, state_name: str) -> None:
+        self.state_name = state_name
+        self._result: Any = None
+        self._error: Optional[Exception] = None
+        self._callbacks: List[Callable[[Any], None]] = []
+
+    @property
+    def done(self) -> bool:
+        return self._result is not None or self._error is not None
+
+    @property
+    def result(self) -> Any:
+        if self._error is not None:
+            raise self._error
+        if self._result is None:
+            raise RecoveryError(self.unfinished.format_map(vars(self)))
+        return self._result
+
+    def on_done(self, callback: Callable[[Any], None]) -> None:
+        if self._result is not None:
+            callback(self._result)
+        else:
+            self._callbacks.append(callback)
+
+    def _resolve(self, result: Any) -> None:
+        if self.done:
+            raise RecoveryError(self.twice.format_map(vars(self)))
+        self._result = result
+        for callback in self._callbacks:
+            callback(result)
+
+    def _fail(self, error: Exception) -> None:
+        if self.done:
+            raise RecoveryError(self.twice.format_map(vars(self)))
+        self._error = error
+
+
+class RecoveryHandle(Pending):
     """A recovery in flight; resolves to a :class:`RecoveryResult`.
 
     Mechanisms schedule their event cascade and return a handle; callers
@@ -228,55 +278,96 @@ class RecoveryHandle:
     then read ``handle.result``.
     """
 
+    unfinished = "recovery of {state_name!r} via {mechanism} has not finished"
+    twice = "handle for {state_name!r} resolved twice"
+    # In the class's own dict, so a harness can wrap it for this kind alone.
+    on_done = Pending.on_done
+
     def __init__(self, mechanism: str, state_name: str) -> None:
+        super().__init__(state_name)
         self.mechanism = mechanism
-        self.state_name = state_name
-        self._result: Optional[RecoveryResult] = None
-        self._error: Optional[Exception] = None
-        self._callbacks: List[Callable[[RecoveryResult], None]] = []
 
-    @property
-    def done(self) -> bool:
-        return self._result is not None or self._error is not None
 
-    @property
-    def result(self) -> RecoveryResult:
-        if self._error is not None:
-            raise self._error
-        if self._result is None:
-            raise RecoveryError(
-                f"recovery of {self.state_name!r} via {self.mechanism} has not finished"
+class RecoverySession:
+    """Where every recovery, mechanism or baseline, opens and closes.
+
+    Opening creates the handle and starts the root span ``span`` (category
+    ``recovery``, ``attrs`` in the caller's order). ``fail`` and
+    ``finish`` each close the root span, count the outcome and resolve the
+    handle, in that order; once the handle is done both are no-ops.
+    ``moved`` is the bytes put on the wire, reported on the result.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        mechanism: str,
+        state_name: str,
+        replacement: DhtNode,
+        span: str,
+        parent_span,
+        /,
+        **attrs: Any,
+    ) -> None:
+        self.sim = sim
+        self.mechanism = mechanism
+        self.name = state_name
+        self.replacement = replacement
+        self.handle = RecoveryHandle(mechanism, state_name)
+        self.started_at = sim.now
+        self.moved = 0.0
+        self.root_span = sim.tracer.start(
+            span, category="recovery", parent=parent_span, **attrs
+        )
+
+    def fail(self, error: Exception, **span_attrs: Any) -> None:
+        """Close the root span with the error, count, then fail the handle."""
+        if self.handle.done:
+            return
+        self.root_span.finish(**span_attrs, error=str(error))
+        self.sim.metrics.counter("recovery.failed").add(1, label=self.mechanism)
+        self.handle._fail(error)
+
+    def finish(
+        self,
+        state_bytes: float,
+        nodes_involved: int,
+        shards_recovered: int,
+        detail: Dict[str, float],
+        **span_attrs: Any,
+    ) -> None:
+        """Close the root span, count, time, then resolve with the result."""
+        if self.handle.done:
+            return
+        sim = self.sim
+        self.root_span.finish(**span_attrs)
+        sim.metrics.counter("recovery.completed").add(1, label=self.mechanism)
+        sim.metrics.histogram("recovery.duration").observe(sim.now - self.started_at)
+        self.handle._resolve(
+            RecoveryResult(
+                mechanism=self.mechanism,
+                state_name=self.name,
+                state_bytes=state_bytes,
+                started_at=self.started_at,
+                finished_at=sim.now,
+                bytes_transferred=self.moved,
+                nodes_involved=nodes_involved,
+                shards_recovered=shards_recovered,
+                replacement=self.replacement.name,
+                detail=detail,
             )
-        return self._result
-
-    def on_done(self, callback: Callable[[RecoveryResult], None]) -> None:
-        if self._result is not None:
-            callback(self._result)
-        else:
-            self._callbacks.append(callback)
-
-    def _resolve(self, result: RecoveryResult) -> None:
-        if self.done:
-            raise RecoveryError(f"handle for {self.state_name!r} resolved twice")
-        self._result = result
-        for callback in self._callbacks:
-            callback(result)
-
-    def _fail(self, error: Exception) -> None:
-        if self.done:
-            raise RecoveryError(f"handle for {self.state_name!r} resolved twice")
-        self._error = error
+        )
 
 
-class RecoveryRun:
-    """One recovery in flight: everything the mechanisms share, once.
+class RecoveryRun(RecoverySession):
+    """One mechanism's recovery in flight: everything the mechanisms share, once.
 
     A mechanism's ``start()`` opens a run and then describes only its
     shape: which replica travels where, and in what order. The run owns
-    the handle and root span, the snapshot of surviving providers, the
-    guards against a dead replacement, the retry budget, the traced
-    transfer, the ``merge -> replay deltas -> install`` tail and the
-    result.
+    the session (handle, root span, outcome), the snapshot of surviving
+    providers, the guards against a dead replacement, the retry budget,
+    the traced transfer and the ``merge -> replay deltas -> install``
+    tail.
 
     Call order is part of the contract. Within one event the run issues
     ``tracer.*``, ``metrics.*``, ``sim.schedule`` and ``network.transfer``
@@ -296,7 +387,7 @@ class RecoveryRun:
         retry_policy: RetryPolicy = RetryPolicy(),
         **knobs: Any,
     ) -> None:
-        """Open the handle and root span, then snapshot the providers.
+        """Open the session, then snapshot the providers.
 
         A shard with no surviving replica fails the handle here; callers
         return ``run.handle`` at once when ``run.handle.done``. ``knobs``
@@ -306,31 +397,28 @@ class RecoveryRun:
             if not plan.placements:
                 raise InsufficientShardsError("empty placement plan")
             state_name = plan.placements[0].replica.shard.state_name
-        self.ctx = ctx
-        self.sim = ctx.sim
-        self.mechanism = mechanism
-        self.name = state_name
-        self.plan = plan
-        self.replacement = replacement
-        self.policy = retry_policy
-        self.handle = RecoveryHandle(mechanism, state_name)
-        self.started_at = self.sim.now
-        self.root_span = self.sim.tracer.start(
+        super().__init__(
+            ctx.sim,
+            mechanism,
+            state_name,
+            replacement,
             f"recovery/{mechanism}",
-            category="recovery",
-            parent=parent_span,
+            parent_span,
             state=state_name,
             replacement=replacement.name,
             **knobs,
         )
+        self.ctx = ctx
+        self.plan = plan
+        self.policy = retry_policy
         self.involved: Set[str] = {replacement.name}  # names of nodes that took part
-        self.moved = 0.0  # bytes put on the wire so far
         self.retries: Dict[Hashable, int] = {}  # retries spent, per budget key
         self._used: Set[object] = set()
         self.providers: Dict[int, List[PlacedShard]] = {}
         for index in plan.shard_indexes():
             providers = plan.providers_for(index)
             if not providers:
+                # Closed here rather than by fail(): recovery.failed stays uncounted.
                 self.root_span.finish(error="insufficient_shards", shard=index)
                 self.handle._fail(
                     InsufficientShardsError(
@@ -345,7 +433,7 @@ class RecoveryRun:
         # Version-chain shape of the plan (1 link / 0 bytes for flat plans):
         # how many links the segments span, and how much of the payload is
         # delta to replay on top of the base.
-        self.chain_len = int(getattr(plan, "chain_length", 1))
+        self.chain_len = int(getattr(plan, "length", 1))
         self.delta_bytes = float(getattr(plan, "delta_bytes", 0.0))
         self.root_span.annotate(
             state_bytes=self.total_bytes,
@@ -383,14 +471,6 @@ class RecoveryRun:
             launch()
 
         self.sim.schedule(delay, detected)
-
-    def fail(self, error: Exception) -> None:
-        """Fail the handle once: close the root span, count, then resolve."""
-        if self.handle.done:
-            return
-        self.root_span.finish(error=str(error))
-        self.sim.metrics.counter("recovery.failed").add(1, label=self.mechanism)
-        self.handle._fail(error)
 
     def live(self) -> bool:
         """Whether to go on; fails the handle first if the replacement died."""
@@ -534,31 +614,19 @@ class RecoveryRun:
         self.ctx.charge_cpu(node, now, busy, cost.merge_cpu_fraction)
         self.ctx.charge_memory(node, now, busy, buffer_bytes)
         if busy > 0:
-            sim.schedule(busy, self.finish, detail, span_attrs)
+            sim.schedule(busy, self.complete, detail, span_attrs)
         else:
-            self.finish(detail, span_attrs)
+            self.complete(detail, span_attrs)
 
-    def finish(self, detail: Dict[str, float], span_attrs: Dict[str, Any]) -> None:
-        """Resolve the handle: root span, two metrics, then the result."""
-        if self.handle.done:
-            return
-        sim = self.sim
-        self.root_span.finish(bytes=self.moved, **span_attrs)
-        sim.metrics.counter("recovery.completed").add(1, label=self.mechanism)
-        sim.metrics.histogram("recovery.duration").observe(sim.now - self.started_at)
-        self.handle._resolve(
-            RecoveryResult(
-                mechanism=self.mechanism,
-                state_name=self.name,
-                state_bytes=self.total_bytes,
-                started_at=self.started_at,
-                finished_at=sim.now,
-                bytes_transferred=self.moved,
-                nodes_involved=len(self.involved),
-                shards_recovered=len(self.providers),
-                replacement=self.replacement.name,
-                detail=detail,
-            )
+    def complete(self, detail: Dict[str, float], span_attrs: Dict[str, Any]) -> None:
+        """Finish the session with the bytes moved, nodes involved and shards."""
+        self.finish(
+            self.total_bytes,
+            len(self.involved),
+            len(self.providers),
+            detail,
+            bytes=self.moved,
+            **span_attrs,
         )
 
 

@@ -13,12 +13,12 @@ overhead) over the network, all executed as simulation events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 from repro.dht.node import DhtNode
-from repro.errors import RecoveryError, StateError
+from repro.errors import StateError
 from repro.obs.tracer import NULL_SPAN
-from repro.recovery.model import RecoveryContext
+from repro.recovery.model import Pending, RecoveryContext
 from repro.state.partitioner import replicate
 from repro.state.placement import PlacementPlan
 from repro.state.shard import Shard, ShardReplica
@@ -47,49 +47,13 @@ class SaveResult:
         return self.finished_at - self.started_at
 
 
-class SaveHandle:
-    """A save round in flight; resolves to :class:`SaveResult`.
+class SaveHandle(Pending):
+    """A save round in flight; resolves to :class:`SaveResult`."""
 
-    Mirrors :class:`~repro.recovery.model.RecoveryHandle` semantics:
-    late ``on_done`` registrations fire immediately, resolving twice is an
-    error, and a failed save surfaces its exception from ``result``.
-    """
-
-    def __init__(self, state_name: str) -> None:
-        self.state_name = state_name
-        self._result: Optional[SaveResult] = None
-        self._error: Optional[Exception] = None
-        self._callbacks: List[Callable[[SaveResult], None]] = []
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None or self._error is not None
-
-    @property
-    def result(self) -> SaveResult:
-        if self._error is not None:
-            raise self._error
-        if self._result is None:
-            raise RecoveryError(f"save of {self.state_name!r} has not finished")
-        return self._result
-
-    def on_done(self, callback: Callable[[SaveResult], None]) -> None:
-        if self._result is not None:
-            callback(self._result)
-        else:
-            self._callbacks.append(callback)
-
-    def _resolve(self, result: SaveResult) -> None:
-        if self.done:
-            raise RecoveryError(f"save handle for {self.state_name!r} resolved twice")
-        self._result = result
-        for callback in self._callbacks:
-            callback(result)
-
-    def _fail(self, error: Exception) -> None:
-        if self.done:
-            raise RecoveryError(f"save handle for {self.state_name!r} resolved twice")
-        self._error = error
+    unfinished = "save of {state_name!r} has not finished"
+    twice = "save handle for {state_name!r} resolved twice"
+    # In the class's own dict, so a harness can wrap it for this kind alone.
+    on_done = Pending.on_done
 
 
 def sr3_save(

@@ -25,11 +25,11 @@ correct — just no longer O(flip).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dht.node import DhtNode
-from repro.errors import RecoveryError
 from repro.recovery.model import (
+    Pending,
     RecoveryContext,
     RecoveryHandle,
     RecoveryRun,
@@ -56,8 +56,8 @@ class StandbyReplica(ShardReplica):
         super().__init__(shard, num_replicas, num_replicas + 1)
 
 
-def _holds_warm(plan: PlacementPlan, index: int, node: DhtNode) -> bool:
-    """Does ``node`` hold a live warm copy of segment ``index``?"""
+def _holds_warm(plan, index: int, node: DhtNode) -> bool:
+    """Does ``node`` hold a live warm copy of segment ``index`` of ``plan``?"""
     if not node.alive:
         return False
     for placed in plan.for_shard(index):
@@ -77,15 +77,14 @@ def standby_node_of(registered) -> Optional[DhtNode]:
     ties break by name for determinism. ``None`` when nothing is warm.
     """
     held: Dict[str, Tuple[int, DhtNode]] = {}
-    for plan in registered.link_plans():
-        for placed in plan.placements:
-            if not getattr(placed.replica, "standby", False):
-                continue
-            node = placed.node
-            if not node.alive or node.get_shard(placed.replica.key) is None:
-                continue
-            count, _ = held.get(node.name, (0, node))
-            held[node.name] = (count + 1, node)
+    for placed in registered.plan.placements:
+        if not getattr(placed.replica, "standby", False):
+            continue
+        node = placed.node
+        if not node.alive or node.get_shard(placed.replica.key) is None:
+            continue
+        count, _ = held.get(node.name, (0, node))
+        held[node.name] = (count + 1, node)
     if not held:
         return None
     name = max(held, key=lambda n: (held[n][0], n))
@@ -94,14 +93,10 @@ def standby_node_of(registered) -> Optional[DhtNode]:
 
 def standby_coverage(registered, node: DhtNode) -> Tuple[int, int]:
     """(segments warm on ``node``, total segments) for one state."""
-    covered = 0
-    total = 0
-    for plan in registered.link_plans():
-        for index in plan.shard_indexes():
-            total += 1
-            if _holds_warm(plan, index, node):
-                covered += 1
-    return covered, total
+    chain = registered.plan
+    segments = chain.shard_indexes()
+    covered = sum(1 for segment in segments if _holds_warm(chain, segment, node))
+    return covered, len(segments)
 
 
 @dataclass
@@ -121,37 +116,11 @@ class StandbySyncReport:
         return self.warm_segments + self.copied_segments + self.missed_segments
 
 
-class StandbySync:
-    """A provisioning round in flight; resolves to a report."""
+class StandbySync(Pending):
+    """A provisioning round in flight; resolves to a :class:`StandbySyncReport`."""
 
-    def __init__(self, state_name: str, standby: str) -> None:
-        self.state_name = state_name
-        self.standby = standby
-        self._report: Optional[StandbySyncReport] = None
-        self._callbacks: List[Callable[[StandbySyncReport], None]] = []
-
-    @property
-    def done(self) -> bool:
-        return self._report is not None
-
-    @property
-    def report(self) -> StandbySyncReport:
-        if self._report is None:
-            raise RecoveryError(
-                f"standby sync of {self.state_name!r} has not finished"
-            )
-        return self._report
-
-    def on_done(self, callback: Callable[[StandbySyncReport], None]) -> None:
-        if self._report is not None:
-            callback(self._report)
-        else:
-            self._callbacks.append(callback)
-
-    def _resolve(self, report: StandbySyncReport) -> None:
-        self._report = report
-        for callback in self._callbacks:
-            callback(report)
+    unfinished = "standby sync of {state_name!r} has not finished"
+    twice = "standby sync of {state_name!r} resolved twice"
 
 
 def sync_standby(
@@ -172,7 +141,7 @@ def sync_standby(
     """
     sim = ctx.sim
     name = registered.state_name
-    handle = StandbySync(name, standby.name)
+    handle = StandbySync(name)
     span = sim.tracer.start(
         "standby/sync",
         category="standby.sync",
@@ -184,7 +153,8 @@ def sync_standby(
     warm_bytes = 0.0
     missed = {"count": 0}
     todo: List[Tuple[PlacementPlan, PlacedShard]] = []
-    for plan in registered.link_plans():
+    for link in registered.plan.links:
+        plan = link.plan
         for index in plan.shard_indexes():
             if _holds_warm(plan, index, standby):
                 warm_segments += 1
@@ -370,7 +340,7 @@ class StandbyRecovery:
                 "cold_segments": float(len(cold)),
                 "flip_s": float(cost.standby_flip),
             }
-            sim.schedule(busy, run.finish, detail, {})
+            sim.schedule(busy, run.complete, detail, {})
 
         # The dedicated primary↔standby heartbeat notices the failure in a
         # fraction of the DHT-wide detection delay.

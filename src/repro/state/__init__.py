@@ -14,7 +14,7 @@ __getattr__, __all__ = export_table(__name__, {
     "repro.state.shard": ("DeltaShard", "Shard", "ShardReplica", "SubShard"),
     "repro.state.partitioner": ("merge_shards", "partition_snapshot", "partition_synthetic"),
     "repro.state.chain": (
-        "ChainLink", "ChainPlan", "CompactionPolicy", "VersionChain", "chain_digest",
+        "ChainLink", "CompactionPolicy", "VersionChain", "chain_digest",
         "diff_snapshots", "partition_delta", "reconstruct_chain",
     ),
     "repro.state.placement": ("HashPlacement", "LeafSetPlacement", "PlacedShard", "PlacementPlan"),

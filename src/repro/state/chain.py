@@ -13,11 +13,9 @@ base-then-deltas in version order.
 chain resets (the save pipeline's fallback conditions live in
 :meth:`repro.recovery.manager.RecoveryManager.save_delta`).
 
-:class:`ChainPlan` presents the whole chain through the
-:class:`~repro.state.placement.PlacementPlan` interface the mechanisms
-already speak — segment ``k*m + i`` resolves to shard ``i`` of link ``k``
-— so star/line/tree/speculation recover chains without knowing they are
-chains beyond the ``chain_length``/``delta_bytes`` attributes they
+A :class:`VersionChain` is the whole saved state of one protected state,
+and its placement plan too: star/line/tree/speculation recover a chain
+without knowing it is one beyond the ``length``/``delta_bytes`` they
 annotate onto their spans.
 """
 
@@ -29,13 +27,13 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import IntegrityError, ShardError, VersionConflictError
 from repro.state.partitioner import check_reconstruction_set, shard_index_for_key
+from repro.state.placement import PlacementPlan
 from repro.state.shard import DeltaShard, Shard
 from repro.state.store import StateSnapshot
 from repro.state.version import StateVersion
 
 __all__ = [
     "ChainLink",
-    "ChainPlan",
     "CompactionPolicy",
     "VersionChain",
     "chain_digest",
@@ -80,11 +78,20 @@ class ChainLink:
 
 
 class VersionChain:
-    """The ordered base + delta history of one protected state."""
+    """The ordered base + delta history of one protected state, and its plan.
 
-    def __init__(self, state_name: str) -> None:
+    Built from its base link, so it is never empty. It answers the
+    :class:`~repro.state.placement.PlacementPlan` protocol the mechanisms
+    read: global segment ``k * m + i`` is shard ``i`` of link ``k``, so
+    the base occupies segments ``0..m-1`` and the j-th delta round
+    ``j*m..j*m+m-1``. Mechanisms iterate ``shard_indexes()`` and query
+    ``providers_for()`` exactly as on one round's flat plan, and read
+    ``length``/``delta_bytes`` for the replay they annotate onto spans.
+    """
+
+    def __init__(self, state_name: str, base_shards: Sequence[Shard], plan: Any) -> None:
         self.state_name = state_name
-        self.links: List[ChainLink] = []
+        self.reset(base_shards, plan)
 
     @property
     def length(self) -> int:
@@ -92,19 +99,15 @@ class VersionChain:
 
     @property
     def num_shards(self) -> int:
-        if not self.links:
-            raise ShardError(f"chain for {self.state_name!r} has no base link")
         return self.links[0].shards[0].num_shards
 
     @property
     def tip_version(self) -> StateVersion:
-        if not self.links:
-            raise ShardError(f"chain for {self.state_name!r} has no base link")
         return self.links[-1].version
 
     @property
     def base_bytes(self) -> int:
-        return self.links[0].bytes if self.links else 0
+        return self.links[0].bytes
 
     @property
     def delta_bytes(self) -> int:
@@ -120,10 +123,6 @@ class VersionChain:
 
     def append_delta(self, delta_shards: Sequence[Shard], plan: Any) -> None:
         """Append one delta save round against the current tip."""
-        if not self.links:
-            raise ShardError(
-                f"chain for {self.state_name!r} has no base to delta against"
-            )
         shards = sorted(delta_shards, key=lambda s: s.index)
         version = check_reconstruction_set(shards)
         tip = self.tip_version
@@ -146,8 +145,6 @@ class VersionChain:
         self, policy: CompactionPolicy, extra_delta_bytes: int = 0
     ) -> bool:
         """Would appending another delta round violate the policy?"""
-        if not self.links:
-            return True
         if self.length + 1 > policy.max_chain_len:
             return True
         base = self.base_bytes
@@ -159,62 +156,26 @@ class VersionChain:
     def all_shards(self) -> List[Shard]:
         return [s for link in self.links for s in link.shards]
 
-    def __repr__(self) -> str:
-        return (
-            f"VersionChain({self.state_name!r}, {self.length} links, "
-            f"base {self.base_bytes}B + deltas {self.delta_bytes}B)"
-        )
-
-
-class ChainPlan:
-    """A whole chain exposed through the PlacementPlan interface.
-
-    Global segment index ``k * m + i`` maps to shard ``i`` of link ``k``,
-    so the base occupies segments ``0..m-1`` and the j-th delta round
-    ``j*m..j*m+m-1``. Mechanisms iterate ``shard_indexes()`` and query
-    ``providers_for()`` exactly as they would on a flat plan.
-    """
-
-    def __init__(self, chain: VersionChain) -> None:
-        if not chain.links:
-            raise ShardError(f"chain for {chain.state_name!r} has no base link")
-        self.chain = chain
+    # ------------------------------------------------- placement-plan protocol
 
     @property
     def owner(self):
-        return self.chain.links[0].plan.owner
-
-    @property
-    def num_shards(self) -> int:
-        return self.chain.num_shards
-
-    @property
-    def chain_length(self) -> int:
-        return self.chain.length
-
-    @property
-    def delta_bytes(self) -> int:
-        return self.chain.delta_bytes
+        return self.links[0].plan.owner
 
     @property
     def placements(self) -> List[Any]:
-        return [p for link in self.chain.links for p in link.plan.placements]
-
-    def nodes(self) -> List[Any]:
-        seen: Dict[object, Any] = {}
-        for placed in self.placements:
-            seen[placed.node.node_id] = placed.node
-        return list(seen.values())
+        """Every link's placements, base first (a new list each read)."""
+        return [p for link in self.links for p in link.plan.placements]
 
     def _locate(self, segment: int) -> Tuple[Any, int]:
         m = self.num_shards
         link_pos, index = divmod(segment, m)
-        if not 0 <= link_pos < self.chain.length:
+        if not 0 <= link_pos < self.length:
             raise ShardError(
-                f"segment {segment} out of range for a {self.chain.length}-link "
+                f"segment {segment} out of range for a {self.length}-link "
                 f"chain of {m} shards"
             )
-        return self.chain.links[link_pos].plan, index
+        return self.links[link_pos].plan, index
 
     def for_shard(self, segment: int) -> List[Any]:
         plan, index = self._locate(segment)
@@ -225,23 +186,16 @@ class ChainPlan:
         return plan.providers_for(index)
 
     def shard_indexes(self) -> List[int]:
-        return list(range(self.chain.length * self.num_shards))
+        return list(range(self.length * self.num_shards))
 
-    def store_all(self) -> None:
-        for link in self.chain.links:
-            link.plan.store_all()
-
-    def available_shards(self) -> List[Shard]:
-        """One surviving shard object per segment, if any replica survives."""
-        result: List[Shard] = []
-        for segment in self.shard_indexes():
-            providers = self.providers_for(segment)
-            if providers:
-                result.append(providers[0].replica.shard)
-        return result
+    # The same walk over shard_indexes() and providers_for() as one round's.
+    available_shards = PlacementPlan.available_shards
 
     def __repr__(self) -> str:
-        return f"ChainPlan({self.chain!r})"
+        return (
+            f"VersionChain({self.state_name!r}, {self.length} links, "
+            f"base {self.base_bytes}B + deltas {self.delta_bytes}B)"
+        )
 
 
 def diff_snapshots(

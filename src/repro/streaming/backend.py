@@ -98,13 +98,12 @@ class SR3StateBackend:
             self.manager.refresh_shards(store.name, shards)
         task.save_rounds += 1
 
-        chain = self.manager.states[store.name].chain
+        chain = self.manager.states[store.name].plan
         parent = task.last_snapshot
         if (
             incremental
             and parent is not None
             and chain is not None
-            and chain.links
             and chain.tip_version == parent.version
         ):
             changed = {key: snapshot.get(key) for key in dirty if key in snapshot}

@@ -11,7 +11,7 @@ from repro.state.chain import chain_digest
 def ground_truth(world, name="app/state"):
     """The same chain-level snapshot ChaosEngine.setup_states captures."""
     registered = world.manager.states[name]
-    chain = registered.chain
+    chain = registered.plan
     return {
         name: {
             "digest": chain_digest(registered.plan.available_shards()),
@@ -64,7 +64,7 @@ class TestChainChecksumConsistent:
     def test_tampered_segment_detected(self, world):
         pre_state = chained_state(world)
         registered = world.manager.states["app/state"]
-        victim = registered.chain.links[1].shards[0]
+        victim = registered.plan.links[1].shards[0]
         victim.checksum = "0" * 64
         violations = ChainChecksumConsistent().check(make_run(world, pre_state))
         assert violations
@@ -73,7 +73,7 @@ class TestChainChecksumConsistent:
     def test_truncated_chain_detected(self, world):
         pre_state = chained_state(world)
         registered = world.manager.states["app/state"]
-        for placed in registered.chain.links[1].plan.placements:
+        for placed in registered.plan.links[1].plan.placements:
             placed.node.drop_shard(placed.replica.key)
         violations = ChainChecksumConsistent().check(make_run(world, pre_state))
         assert violations

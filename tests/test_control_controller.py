@@ -151,7 +151,7 @@ class TestChainTooLong:
         registered, _ = saved_state(sc, "app/state", 32 * MB)
         for _ in range(3):
             saved_delta(sc, "app/state", 2 * MB)
-        assert registered.chain.length == 4
+        assert registered.plan.length == 4
         # The manager self-compacts during saves, so a too-long chain only
         # appears when the policy tightens under an existing chain.
         sc.manager.compaction = CompactionPolicy(max_chain_len=2, max_delta_ratio=0.5)
@@ -160,7 +160,7 @@ class TestChainTooLong:
         compactions = [r for r in records if r.action == "compact-chain"]
         assert len(compactions) == 1
         assert compactions[0].verified
-        assert registered.chain.length == 1
+        assert registered.plan.length == 1
         assert ctl.diagnose() == []
 
     def test_compact_noop_on_flat_chain(self):
@@ -277,7 +277,7 @@ class TestHotShard:
     def test_rebalances_hot_node(self):
         sc = build_scenario(num_nodes=32, seed=10)
         registered, _ = saved_state(sc, "app/state", 32 * MB, num_shards=8)
-        plan = registered.plan
+        plan = registered.plan.links[0].plan  # the base round's own placements
         placed_nodes = {p.node.name for p in plan.placements}
         hot = next(
             n

@@ -92,7 +92,7 @@ EXPORTS = {
             "RemoteStorage ResourceProfile Simulator TimeSeries"
         ),
         "repro.state": (
-            "ChainLink ChainPlan CompactionPolicy DeltaShard HashPlacement LeafSetPlacement "
+            "ChainLink CompactionPolicy DeltaShard HashPlacement LeafSetPlacement "
             "PlacedShard PlacementPlan Shard ShardReplica StateSnapshot StateStore "
             "StateVersion SubShard VersionChain VersionClock chain_digest diff_snapshots "
             "merge_shards partition_delta partition_snapshot partition_synthetic "

@@ -7,7 +7,7 @@ from repro.errors import RecoveryError, StateError
 from repro.recovery.line import LineRecovery
 from repro.recovery.star import StarRecovery
 from repro.recovery.tree import TreeRecovery
-from repro.state.chain import ChainPlan, CompactionPolicy
+from repro.state.chain import CompactionPolicy, VersionChain
 from repro.state.partitioner import partition_synthetic
 from repro.state.version import StateVersion
 from repro.util.sizes import MB
@@ -157,8 +157,9 @@ class TestChainSaves:
         _, result = saved_delta(world, "app/state", 128 * 1024)
         assert result.mode == "delta"
         assert result.chain_len == 2
-        assert registered.chain.length == 2
-        assert isinstance(registered.plan, ChainPlan)
+        assert registered.plan.length == 2
+        assert isinstance(registered.plan, VersionChain)
+        assert registered.plan.shard_indexes() == list(range(2 * 4))
 
     def test_full_save_resets_chain(self, world):
         registered, _ = world.save_synthetic()
@@ -166,8 +167,8 @@ class TestChainSaves:
         handle = world.manager.save("app/state")
         world.sim.run_until_idle()
         assert handle.result.mode == "full"
-        assert registered.chain.length == 1
-        assert not isinstance(registered.plan, ChainPlan)
+        assert registered.plan.length == 1
+        assert registered.plan.shard_indexes() == list(range(4))
 
     def test_compaction_length_promotes_delta_to_full(self, world):
         world.manager.compaction = CompactionPolicy(max_chain_len=2)
@@ -176,7 +177,7 @@ class TestChainSaves:
         assert first.mode == "delta"
         _, second = saved_delta(world, "app/state", 64 * 1024)
         assert second.mode == "full"
-        assert registered.chain.length == 1
+        assert registered.plan.length == 1
 
     def test_compaction_ratio_promotes_delta_to_full(self, world):
         # 5 MB of deltas against an 8 MB base overshoots the default 0.5
@@ -190,27 +191,27 @@ class TestChainSaves:
         saved_delta(world, "app/state", 64 * 1024)
         holder = next(
             placed.node
-            for link in registered.chain.links
+            for link in registered.plan.links
             for placed in link.plan.placements
             if placed.node is not registered.owner
         )
         world.overlay.fail_node(holder)
         _, result = saved_delta(world, "app/state", 64 * 1024)
         assert result.mode == "full"
-        assert registered.chain.length == 1
+        assert registered.plan.length == 1
 
     def test_recovered_snapshot_replays_chain(self, world):
         registered, _ = world.save_synthetic(size=8 * MB)
         saved_delta(world, "app/state", 64 * 1024)
         snapshot = world.manager.recovered_snapshot("app/state")
         assert snapshot.size_bytes == 8 * MB
-        assert snapshot.version == registered.chain.tip_version
+        assert snapshot.version == registered.plan.tip_version
 
     def test_chain_recovery_fetches_every_segment(self, world):
         registered, _ = world.save_synthetic()
         saved_delta(world, "app/state", 64 * 1024)
         saved_delta(world, "app/state", 64 * 1024)
-        assert registered.chain.length == 3
+        assert registered.plan.length == 3
         world.fail_owner("app/state")
         result = world.manager.run([world.manager.recover("app/state")])[0]
         assert result.shards_recovered == 3 * 4

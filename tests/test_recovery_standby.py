@@ -29,12 +29,12 @@ def provision(world, name="app/state"):
     standby = pick_standby(world, name)
     sync = sync_standby(world.ctx, registered, standby)
     world.sim.run_until_idle()
-    return registered, standby, sync.report
+    return registered, standby, sync.result
 
 
 def add_delta(world, name="app/state", delta_bytes=1 * MB):
     registered = world.manager.states[name]
-    chain = registered.chain
+    chain = registered.plan
     parent = chain.tip_version
     version = StateVersion(world.sim.now, parent.sequence + 1)
     per_shard = int(delta_bytes // chain.num_shards)
@@ -64,9 +64,9 @@ class TestSync:
         registered, standby, _ = provision(world)
         again = sync_standby(world.ctx, registered, standby)
         world.sim.run_until_idle()
-        assert again.report.copied_segments == 0
-        assert again.report.warm_segments == 4
-        assert again.report.warm_bytes == pytest.approx(8 * MB)
+        assert again.result.copied_segments == 0
+        assert again.result.warm_segments == 4
+        assert again.result.warm_bytes == pytest.approx(8 * MB)
 
     def test_sync_covers_the_delta_chain(self, world):
         world.save_synthetic(size=8 * MB, shards=4)

@@ -8,7 +8,6 @@ from repro.errors import (
     VersionConflictError,
 )
 from repro.state.chain import (
-    ChainPlan,
     CompactionPolicy,
     VersionChain,
     chain_digest,
@@ -120,7 +119,7 @@ class TestPartitionDelta:
 
 class TestVersionChain:
     def test_reset_then_append(self):
-        chain = VersionChain("s")
+        chain = VersionChain("s", base_shards({"a": 9}, V0, name="s"), plan=None)
         chain.reset(base_shards({"a": 1, "b": 2}, V0, name="s"), plan=None)
         assert chain.length == 1 and chain.tip_version == V0
         chain.append_delta(partition_delta("s", {"a": 9}, [], 4, V1, V0, 1), plan=None)
@@ -128,35 +127,24 @@ class TestVersionChain:
         assert chain.delta_bytes > 0
 
     def test_base_must_be_link_zero(self):
-        chain = VersionChain("s")
         with pytest.raises(ShardError):
-            chain.reset(partition_delta("s", {"a": 1}, [], 4, V1, V0, 1), plan=None)
+            VersionChain("s", partition_delta("s", {"a": 1}, [], 4, V1, V0, 1), plan=None)
 
     def test_delta_parent_must_match_tip(self):
-        chain = VersionChain("s")
-        chain.reset(base_shards({"a": 1}, V0, name="s"), plan=None)
+        chain = VersionChain("s", base_shards({"a": 1}, V0, name="s"), plan=None)
         stale = partition_delta("s", {"a": 2}, [], 4, V2, V1, 1)
         with pytest.raises(VersionConflictError):
             chain.append_delta(stale, plan=None)
 
     def test_delta_link_must_be_in_order(self):
-        chain = VersionChain("s")
-        chain.reset(base_shards({"a": 1}, V0, name="s"), plan=None)
+        chain = VersionChain("s", base_shards({"a": 1}, V0, name="s"), plan=None)
         skipped = partition_delta("s", {"a": 2}, [], 4, V1, V0, chain_link=2)
         with pytest.raises(ShardError):
             chain.append_delta(skipped, plan=None)
 
-    def test_append_without_base_rejected(self):
-        chain = VersionChain("s")
-        with pytest.raises(ShardError):
-            chain.append_delta(partition_delta("s", {}, [], 4, V1, V0, 1), plan=None)
-
     def test_needs_compaction_by_length(self):
         policy = CompactionPolicy(max_chain_len=2, max_delta_ratio=100.0)
-        chain = VersionChain("s")
-        chain.reset(
-            partition_synthetic("s", 8 * MB, 4, V0), plan=None
-        )
+        chain = VersionChain("s", partition_synthetic("s", 8 * MB, 4, V0), plan=None)
         assert not chain.needs_compaction(policy)
         delta = [
             DeltaShard.synthetic_delta("s", i, 4, V1, V0, 1, 1024) for i in range(4)
@@ -166,8 +154,7 @@ class TestVersionChain:
 
     def test_needs_compaction_by_delta_ratio(self):
         policy = CompactionPolicy(max_chain_len=10, max_delta_ratio=0.5)
-        chain = VersionChain("s")
-        chain.reset(partition_synthetic("s", 8 * MB, 4, V0), plan=None)
+        chain = VersionChain("s", partition_synthetic("s", 8 * MB, 4, V0), plan=None)
         assert not chain.needs_compaction(policy, extra_delta_bytes=1 * MB)
         assert chain.needs_compaction(policy, extra_delta_bytes=5 * MB)
 
@@ -253,8 +240,8 @@ class TestChainPlan:
     def test_segments_map_links_to_shards(self, world):
         registered = self.saved_chain(world, rounds=2)
         plan = registered.plan
-        assert isinstance(plan, ChainPlan)
-        assert plan.chain_length == 3
+        assert isinstance(plan, VersionChain)
+        assert plan.length == 3
         assert plan.shard_indexes() == list(range(3 * 4))
         # Segment k*m+i serves shard i of link k.
         for segment in plan.shard_indexes():
@@ -272,8 +259,8 @@ class TestChainPlan:
         registered = self.saved_chain(world, rounds=2)
         shards = registered.plan.available_shards()
         assert len(shards) == 3 * 4
-        assert chain_digest(shards) == chain_digest(registered.chain.all_shards())
+        assert chain_digest(shards) == chain_digest(registered.plan.all_shards())
 
     def test_plan_requires_a_base(self):
         with pytest.raises(ShardError):
-            ChainPlan(VersionChain("s"))
+            VersionChain("s", [], plan=None)

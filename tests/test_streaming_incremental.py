@@ -87,7 +87,7 @@ class TestChainRecovery:
         cluster.checkpoint()
         manager = backend.manager
         assert any(
-            r.chain is not None and r.chain.length >= 2
+            r.plan is not None and r.plan.length >= 2
             for r in manager.states.values()
         )
         before = cluster.state_checksums()
