@@ -45,8 +45,8 @@ class DhtNode:
         # Overlay hooks. One fires with this node when its liveness actually
         # flips, so the alive ring, list and count never go stale even when
         # callers use fail()/revive() directly; the other runs before every
-        # read of the routing table, which a build leaves unwired until the
-        # first one (Overlay.settle_routing).
+        # read of the routing table, whose rows a build leaves unplaced until
+        # the first one (Overlay.settle_routing, the table door).
         self._on_liveness_change: Optional[Callable[["DhtNode"], None]] = None
         self._settle_routing: Optional[Callable[[], None]] = None
         # Shard replicas stored on behalf of other operators, keyed by the

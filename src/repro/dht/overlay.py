@@ -21,7 +21,9 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import Counter
 from collections.abc import Sequence as _SequenceABC
+from copy import copy
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dht.node import DhtNode
@@ -72,7 +74,7 @@ class Overlay:
 
     The overlay owns the generator it is given: a caller that kept it and
     drew from it directly would see the state before a build's table picks,
-    which are drawn when ``rng`` is next read (:meth:`settle_routing`).
+    which are drawn when ``rng`` or a routing table is next read.
     """
 
     MAX_ROUTE_HOPS = 128
@@ -90,9 +92,11 @@ class Overlay:
         self.leaf_set_size = leaf_set_size
         self.bits_per_digit = bits_per_digit
         self._rng = rng or random.Random(0)
-        # (holder, failed id) of the repairs since a build whose routing
-        # tables are not wired yet; None once they are.
+        # (holder, failed id) of the repairs since a build whose rows are not
+        # placed yet, None once they are; once the generator door has drawn
+        # their picks, a copy of the generator before them and the build's nodes.
         self._unwired_removals: Optional[List[Tuple[DhtNode, NodeId]]] = None
+        self._drawn: Optional[Tuple[random.Random, List[DhtNode]]] = None
         self.nodes: List[DhtNode] = []
         self._by_id: Dict[NodeId, DhtNode] = {}
         # The alive ring: (id values, nodes), both sorted by id. Built with
@@ -130,14 +134,22 @@ class Overlay:
 
     @property
     def rng(self) -> random.Random:
-        """The overlay's one generator, the pending table picks drawn."""
-        self.settle_routing()
+        """The overlay's one generator, past the pending table picks.
+
+        The generator door: the first read after a build keeps a copy of the
+        generator and the build's node list, then draws the picks without
+        placing them (:meth:`settle_routing` places them).
+        """
+        if self._unwired_removals is not None and self._drawn is None:
+            self._drawn = (copy(self._rng), list(self.nodes))
+            self._table_picks(self.nodes, self._rng, place=False)
         return self._rng
 
     def build(self, count: int, host_factory: Optional[HostFactory] = None) -> List[DhtNode]:
         """Create ``count`` nodes with random ids and wire their leaf sets."""
         if count <= 0:
             raise OverlayError("overlay must contain at least one node")
+        self.settle_routing()  # the previous build's rows go under this one's
         factory = host_factory or (lambda name: self.network.add_host(name))
         for i in range(count):
             self._adopt(self._fresh_id(), factory(f"node-{i}"))
@@ -146,18 +158,21 @@ class Overlay:
         return list(self.nodes)
 
     def settle_routing(self) -> None:
-        """Wire the routing tables of the last build, if nothing has yet.
+        """The table door: place the last build's routing rows, if nothing has.
 
-        Nothing comes between a build and the first door: an adoption draws
-        an id and a table mutation reads the table, so the node list and the
-        generator are still the build's; the repairs since only took entries
-        out, replayed here in their order.
+        Nothing moves a pick between a build and its doors: an adoption
+        draws an id through the generator door first, and a table mutation
+        reads the table. So the picks are drawn again from the copy and the
+        node list that door kept, or from the live generator if it never
+        opened; the repairs since only took entries out, replayed in order.
         """
         removals = self._unwired_removals
         if removals is None:
             return
         self._unwired_removals = None
-        self._wire_routing_tables()
+        rng, nodes = self._drawn or (self._rng, self.nodes)
+        self._drawn = None
+        self._table_picks(nodes, rng, place=True)
         for holder, failed_id in removals:
             holder._routing_table.remove(failed_id)
 
@@ -276,54 +291,48 @@ class Overlay:
                 holders.setdefault(value, []).extend(dead)
         self.topology_version += 1
 
-    def _wire_routing_tables(self) -> None:
-        n = len(self.nodes)
-        if n < 2:
-            return
-        cols = 1 << self.bits_per_digit
-        max_depth = max(1, math.ceil(math.log(n, cols))) + 2
-        buckets: Dict[tuple, List[DhtNode]] = {}
+    def _table_picks(self, nodes: List[DhtNode], rng: random.Random, place: bool) -> None:
+        """Draw the routing-table picks of a build over ``nodes`` from ``rng``
+        and, with ``place``, write each into its slot. A draw needs only the
+        prefix buckets' sizes: their pools of nodes are built only to place."""
+        max_depth = max(1, math.ceil(math.log(len(nodes), 1 << self.bits_per_digit))) + 2
         # Rows past max_depth are never filled, so neither are their digits read.
-        digits_of = [node.node_id.digits(self.bits_per_digit, max_depth) for node in self.nodes]
-        for node, digits in zip(self.nodes, digits_of):
-            for depth in range(1, max_depth + 1):
-                buckets.setdefault(digits[:depth], []).append(node)
-        # Regroup the buckets per parent prefix, columns ascending, so the
-        # fill loop below walks only the populated columns of a row instead
-        # of hashing a fresh `prefix + (col,)` tuple per (node, row, col) —
-        # ~4.5M tuple constructions at 50k nodes. Each entry carries the
-        # pool's size and bit length for the draw.
+        digits_of = [node.node_id.digits(self.bits_per_digit, max_depth) for node in nodes]
+        pools: Dict[tuple, List[DhtNode]] = {}
+        if place:
+            for node, digits in zip(nodes, digits_of):
+                for depth in range(1, max_depth + 1):
+                    pools.setdefault(digits[:depth], []).append(node)
+        sizes = Counter(d[:depth] for d in digits_of for depth in range(max_depth + 1))
+        # The populated columns under each prefix of two or more nodes, so a
+        # row walks them instead of hashing `prefix + (col,)` per column.
         children: Dict[tuple, List[tuple]] = {}
-        for key, pool in buckets.items():
-            children.setdefault(key[:-1], []).append(
-                (key[-1], pool, len(pool), len(pool).bit_length())
-            )
+        for key, size in sizes.items():
+            if key and sizes[key[:-1]] > 1:
+                entry = (key[-1], size, size.bit_length(), pools.get(key))
+                children.setdefault(key[:-1], []).append(entry)
         for entries in children.values():
-            entries.sort()  # columns are unique, so the pools are never compared
+            entries.sort()  # columns are unique, so nothing past them is compared
         # The pick is `rng.choice(pool)` written out: random.Random draws
-        # `getrandbits(n.bit_length())` until the value falls below n, so
-        # this loop consumes the identical bit stream without two call
-        # layers on the ~4.5M picks a 50k build makes.
-        getrandbits = self._rng.getrandbits
-        for node, digits in zip(self.nodes, digits_of):
-            table = node._routing_table
+        # `getrandbits(n.bit_length())` until the value falls below n.
+        getrandbits = rng.getrandbits
+        for node, digits in zip(nodes, digits_of):
             for row in range(max_depth):
-                entries = children[digits[:row]]
-                if len(entries) == 1:
-                    continue  # nobody but the prefix the node itself is in
+                entries = children.get(digits[:row])
+                if entries is None:
+                    break  # the node is alone under this prefix and every longer one
                 own = digits[row]
-                slots = table.row_slots(row)
-                for col, pool, size, bits in entries:
-                    # The bucket construction guarantees the pick shares
-                    # exactly `row` digits with the owner and differs at
-                    # digit `row` (= col), so the slot is written directly
-                    # — same entry, same rng draw order as
-                    # routing_table.add() would produce.
+                if place and len(entries) > 1:  # not for the node's own column alone
+                    # Each pick shares exactly `row` digits with the owner and
+                    # has `col` next: the slot add() would choose, written directly.
+                    slots = node._routing_table._rows.setdefault(row, {})
+                for col, size, bits, pool in entries:
                     if col != own:
                         pick = getrandbits(bits)
                         while pick >= size:
                             pick = getrandbits(bits)
-                        slots[col] = pool[pick]
+                        if place:
+                            slots[col] = pool[pick]
 
     # --------------------------------------------------------------- queries
 

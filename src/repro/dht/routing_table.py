@@ -31,10 +31,6 @@ class RoutingTable:
         # topology so route memos (Scribe) invalidate on any change.
         self.on_change = None
 
-    def entry(self, row: int, col: int) -> Optional["DhtNode"]:
-        """The node stored at (row, col), or None if the slot is empty."""
-        return self._rows.get(row, {}).get(col)
-
     def add(self, node: "DhtNode") -> bool:
         """Insert ``node`` into its slot; returns True if the table changed.
 
@@ -74,16 +70,10 @@ class RoutingTable:
         """The routing-table entry that shares one more digit with ``key``."""
         row = self.owner_id.shared_prefix_length(key, self.bits_per_digit)
         col = key.digit(row, self.bits_per_digit)
-        candidate = self.entry(row, col)
+        candidate = self._rows.get(row, {}).get(col)
         if candidate is not None and candidate.alive:
             return candidate
         return None
-
-    def row_slots(self, row: int) -> Dict[int, "DhtNode"]:
-        """The mutable column -> node mapping for one row: the overlay's
-        wiring knows (row, col) of every entry from its digit buckets and
-        writes slots directly, without :meth:`add`'s prefix arithmetic."""
-        return self._rows.setdefault(row, {})
 
     def all_entries(self) -> List["DhtNode"]:
         """Every node currently referenced by the table."""

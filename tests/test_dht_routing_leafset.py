@@ -28,7 +28,7 @@ class TestRoutingTable:
         assert table.add(nodes[1])
         row = nodes[0].node_id.shared_prefix_length(nodes[1].node_id)
         col = nodes[1].node_id.digits()[row]
-        assert table.entry(row, col) is nodes[1]
+        assert table._rows == {row: {col: nodes[1]}}
 
     def test_add_self_is_noop(self):
         nodes = make_nodes(1)
