@@ -18,7 +18,9 @@ over the whole cell. The heap (GC-tracked objects by type, ``tracemalloc``
 lines, resident memory) is read when a group is left *for the first time*
 and at the end of the cell; in the scale cells every group runs once, so
 that is the end of each group, and in ``chaos_sweep`` it is the first of the
-224 scenario x mechanism cells plus the end.
+224 scenario x mechanism cells plus the end. numpy, when installed, is
+imported before either pass: its import, and the objects the collector frees
+after it, would otherwise land in whichever group first holds 128 flows.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ from repro.recovery import RecoveryManager  # noqa: E402
 from repro.recovery.baselines import CheckpointingBaseline  # noqa: E402
 from repro.recovery.deployment import MECHANISMS  # noqa: E402
 from repro.streaming import LocalCluster  # noqa: E402
+
+try:  # imported by the first 128-flow table: the process's cost, not a group's
+    import numpy  # noqa: E402, F401
+except ImportError:
+    pass
 
 GROUPS = ("build", "save", "fail wave", "recovery")
 

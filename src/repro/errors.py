@@ -65,6 +65,10 @@ class ReplacementDiedError(RecoveryError):
     the recovery can be restarted onto a new replacement."""
 
 
+class SaveAbortedError(RecoveryError):
+    """A save round lost a replica write: an endpoint died or was cut off."""
+
+
 class SelectionError(RecoveryError):
     """The mechanism-selection heuristic received unusable inputs."""
 

@@ -630,14 +630,8 @@ class RecoveryRun(RecoverySession):
         )
 
 
-def fetch_windowed(
-    run: RecoveryRun,
-    chosen: Sequence[Tuple[int, PlacedShard, Optional[float]]],
-    window: int,
-    noun: str,
-    then: Callable[[], None],
-) -> None:
-    """Fetch replicas straight onto the replacement, ``window`` at a time.
+class FetchWindow:
+    """Replicas fetched straight onto the replacement, ``window`` at a time.
 
     Each entry of ``chosen`` is ``(shard index, replica, lookup penalty)``.
     A fetch starts one penalty event after its slot frees up, or within
@@ -645,88 +639,85 @@ def fetch_windowed(
     off, before or during its transfer, costs one retry: back off, then
     re-fetch from a replica that can reach the replacement. ``then`` runs
     when every entry has landed; ``noun`` names an entry in spans and
-    errors.
+    errors. The window is the record its flows and events call; it points
+    at the run, never the other way.
     """
-    sim, replacement = run.sim, run.replacement
-    reachable = run.ctx.network.reachable
-    queue = iter(chosen)
-    pending = {"count": len(chosen)}
 
-    def fetch_next() -> None:
-        entry = next(queue, None)
+    __slots__ = ("run", "queue", "left", "noun", "then")
+
+    def __init__(self, run: RecoveryRun, chosen: Sequence[Tuple[int, PlacedShard, Optional[float]]],
+                 window: int, noun: str, then: Callable[[], None]) -> None:
+        self.run, self.queue, self.left = run, iter(chosen), len(chosen)
+        self.noun, self.then = noun, then
+        if not chosen:
+            then()
+        for _ in range(min(window, len(chosen))):
+            self.next()
+
+    def next(self) -> None:
+        entry = next(self.queue, None)
         if entry is None:
             return
         index, placed, penalty = entry
         if penalty is None:
-            start_fetch(index, placed)
+            self.start(index, placed)
         else:
-            sim.schedule(penalty, start_fetch, index, placed)
+            self.run.sim.schedule(penalty, self.start, index, placed)
 
-    def start_fetch(index: int, placed: PlacedShard) -> None:
+    def start(self, index: int, placed: PlacedShard) -> None:
+        run = self.run
         if not run.live():
             return
-        if not reachable(placed.node.host, replacement.host):
+        if not run.ctx.network.reachable(placed.node.host, run.replacement.host):
             # The chosen provider died (or was cut off) before this fetch
             # started, e.g. during the detection window.
-            retry(index)
+            self.retry(index)
             return
-        size = placed.replica.size_bytes
         run.involved.add(placed.node.name)
-
-        def arrived(span, _flow) -> None:
-            if run.handle.done:
-                return
-            span.finish()
-            run.moved += size
-            pending["count"] -= 1
-            if pending["count"] == 0:
-                then()
-            else:
-                fetch_next()
-
-        def aborted(span, _flow) -> None:
-            span.finish(aborted=True)
-            if run.live():
-                retry(index)
-
+        landed = partial(self.landed, index)
         run.transfer(
-            run.root_span,
-            f"fetch {noun} {index} from {placed.node.name}",
-            placed.node,
-            replacement,
-            size,
-            arrived,
-            aborted,
-            shard=index,
-            provider=placed.node.name,
-            attempt=run.retries.get(index, 0),
+            run.root_span, f"fetch {self.noun} {index} from {placed.node.name}", placed.node,
+            run.replacement, placed.replica.size_bytes, landed, landed,
+            shard=index, provider=placed.node.name, attempt=run.retries.get(index, 0),
         )
 
-    def retry(index: int) -> None:
+    def landed(self, index: int, span, flow) -> None:
+        """A fetch's flow ended: count it and start the next, or retry."""
+        run = self.run
+        if flow.aborted:
+            span.finish(aborted=True)
+            if run.live():
+                self.retry(index)
+            return
+        if run.handle.done:
+            return
+        span.finish()
+        run.moved += flow.size
+        self.left -= 1
+        if self.left == 0:
+            self.then()
+        else:
+            self.next()
+
+    def retry(self, index: int) -> None:
+        run = self.run
         delay = run.backoff(
-            index,
-            f"shard {index}",
-            f"{noun} {index} could not be fetched after "
-            f"{run.policy.max_retries} retries (providers kept dying or "
-            f"stayed unreachable)",
+            index, f"shard {index}",
+            f"{self.noun} {index} could not be fetched after {run.policy.max_retries} "
+            f"retries (providers kept dying or stayed unreachable)",
             shard=index,
         )
         if delay is not None:
-            sim.schedule(delay, reassign, index)
+            run.sim.schedule(delay, self.reassign, index)
 
-    def reassign(index: int) -> None:
-        if run.handle.done:
+    def reassign(self, index: int) -> None:
+        if self.run.handle.done:
             return
-        usable = run.usable(index, replacement)
+        usable = self.run.usable(index, self.run.replacement)
         if usable:
-            start_fetch(index, usable[0])
+            self.start(index, usable[0])
         elif usable is not None:
-            retry(index)
-
-    if not chosen:
-        then()
-    for _ in range(min(window, len(chosen))):
-        fetch_next()
+            self.retry(index)
 
 
 def run_handles(sim: Simulator, handles: List[RecoveryHandle]) -> List[RecoveryResult]:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.dht.node import DhtNode
-from repro.errors import StateError
+from repro.errors import SaveAbortedError, StateError
 from repro.obs.tracer import NULL_SPAN
 from repro.recovery.model import Pending, RecoveryContext
 from repro.state.partitioner import replicate
 from repro.state.placement import PlacementPlan
-from repro.state.shard import Shard, ShardReplica
+from repro.state.shard import Shard
 
 
 @dataclass
@@ -91,7 +91,6 @@ def sr3_save(
     state_bytes = float(sum(s.size_bytes for s in shards))
     replicas = replicate(list(shards), num_replicas)
     plan = placement.place(owner, replicas, ctx.overlay)
-    handle = SaveHandle(state_name)
     started_at = sim.now
     tracer = sim.tracer
     delta_bytes = state_bytes if mode == "delta" else 0.0
@@ -120,68 +119,91 @@ def sr3_save(
     )
     ctx.charge_cpu(owner, started_at, partition_time, cost.merge_cpu_fraction)
     ctx.charge_memory(owner, started_at, partition_time, state_bytes * 0.5)
+    result = SaveResult(
+        state_name, state_bytes, started_at, finished_at=started_at, replicas_written=0,
+        bytes_transferred=0.0, plan=plan, mode=mode, delta_bytes=delta_bytes, chain_len=chain_len,
+    )
+    round_ = SaveRound(ctx, owner, SaveHandle(state_name), root_span, result)
+    sim.schedule(partition_time, round_.write)
+    return round_.handle
 
-    pending = list(plan.placements)
-    progress = {"written": 0, "bytes": 0.0}
 
-    def finish() -> None:
-        if handle.done:
-            return
-        root_span.finish(bytes=progress["bytes"], replicas=progress["written"])
-        sim.metrics.counter("save.completed").add(1)
-        sim.metrics.histogram("save.duration").observe(sim.now - started_at)
-        handle._resolve(
-            SaveResult(
-                state_name=state_name,
-                state_bytes=state_bytes,
-                started_at=started_at,
-                finished_at=sim.now,
-                replicas_written=progress["written"],
-                bytes_transferred=progress["bytes"],
-                plan=plan,
-                mode=mode,
-                delta_bytes=delta_bytes,
-                chain_len=chain_len,
-            )
-        )
+class SaveRound:
+    """One save round in flight: the record its flows and events call.
 
-    def write(index: int) -> None:
+    Replicas are written one after the other: ``index`` is the one on the
+    wire and ``span`` its write span. ``result`` fills in as writes land
+    and resolves the handle after the last ack. The round points at what it
+    writes and at nothing that points back, and stores no bound method of
+    its own, so reference counting frees it once its last event has run.
+    """
+
+    __slots__ = ("ctx", "owner", "handle", "root_span", "result", "span", "index")
+
+    def __init__(self, ctx: RecoveryContext, owner: DhtNode, handle: SaveHandle,
+                 root_span, result: SaveResult) -> None:
+        self.ctx, self.owner, self.handle = ctx, owner, handle
+        self.root_span, self.result = root_span, result
+        self.span = NULL_SPAN
+        self.index = 0
+
+    def write(self) -> None:
         """Write replica ``index``; its ack starts the next one."""
-        if index >= len(pending):
-            finish()
+        placements = self.result.plan.placements
+        if self.index == len(placements):
+            self.finish()
             return
-        placed = pending[index]
-        replica: ShardReplica = placed.replica
-        target = placed.node
-        write_span = NULL_SPAN
-        if tracer.enabled:  # the null tracer costs no span name or attrs
-            write_span = root_span.child(
-                f"write {replica.key} to {target.name}",
-                category="recovery.write",
-                bytes=float(replica.size_bytes),
-                target=target.name,
+        placed = placements[self.index]
+        replica, target = placed.replica, placed.node
+        if self.ctx.sim.tracer.enabled:  # the null tracer costs no span name or attrs
+            self.span = self.root_span.child(
+                f"write {replica.key} to {target.name}", category="recovery.write",
+                bytes=float(replica.size_bytes), target=target.name,
             )
-
-        def arrived(_flow) -> None:
-            target.store_shard(replica.key, replica)
-            progress["written"] += 1
-            progress["bytes"] += replica.size_bytes
-            ctx.charge_cpu(
-                target, sim.now, cost.replica_write_overhead, cost.transfer_cpu_fraction
-            )
-            sim.schedule(cost.replica_write_overhead, ack)
-
-        def ack() -> None:
-            write_span.finish()
-            write(index + 1)
-
-        ctx.network.transfer(
-            owner.host,
-            target.host,
-            replica.size_bytes,
-            on_complete=arrived,
-            parent_span=write_span,
+        if not (self.owner.host.alive and target.host.alive):
+            self.fail()
+            return
+        landed = self.landed
+        self.ctx.network.transfer(
+            self.owner.host, target.host, replica.size_bytes, landed, landed, parent_span=self.span
         )
 
-    sim.schedule(partition_time, write, 0)
-    return handle
+    def landed(self, flow) -> None:
+        """The write's flow ended: install the replica and ack it, or fail."""
+        if flow.aborted:
+            self.fail()
+            return
+        ctx, cost, result = self.ctx, self.ctx.cost_model, self.result
+        placed = result.plan.placements[self.index]
+        placed.node.store_shard(placed.replica.key, placed.replica)
+        result.replicas_written += 1
+        result.bytes_transferred += placed.replica.size_bytes
+        ctx.charge_cpu(
+            placed.node, ctx.sim.now, cost.replica_write_overhead, cost.transfer_cpu_fraction
+        )
+        ctx.sim.schedule(cost.replica_write_overhead, self.ack)
+
+    def ack(self) -> None:
+        self.span.finish()
+        self.index += 1
+        self.write()
+
+    def finish(self) -> None:
+        sim, result = self.ctx.sim, self.result
+        self.root_span.finish(bytes=result.bytes_transferred, replicas=result.replicas_written)
+        sim.metrics.counter("save.completed").add(1)
+        sim.metrics.histogram("save.duration").observe(sim.now - result.started_at)
+        result.finished_at = sim.now
+        self.handle._resolve(result)
+
+    def fail(self) -> None:
+        """A write's endpoint died or was cut off, before its flow or during it."""
+        placed = self.result.plan.placements[self.index]
+        error = SaveAbortedError(
+            f"save of {self.handle.state_name!r}: the write of replica "
+            f"{placed.replica.key} from {self.owner.name} to {placed.node.name} was "
+            f"lost (an endpoint died or a partition cut them apart); save again"
+        )
+        self.span.finish(aborted=True)
+        self.root_span.finish(error=str(error))
+        self.handle._fail(error)

@@ -29,12 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dht.node import DhtNode
 from repro.recovery.model import (
+    FetchWindow,
     Pending,
     RecoveryContext,
     RecoveryHandle,
     RecoveryRun,
     RetryPolicy,
-    fetch_windowed,
 )
 from repro.state.placement import PlacedShard, PlacementPlan
 from repro.state.shard import Shard, ShardReplica
@@ -346,8 +346,6 @@ class StandbyRecovery:
         # fraction of the DHT-wide detection delay.
         run.detect(
             cost.detection_delay * cost.standby_detection_factor,
-            lambda: fetch_windowed(
-                run, cold, self.fetch_window, "cold segment", takeover
-            ),
+            lambda: FetchWindow(run, cold, self.fetch_window, "cold segment", takeover),
         )
         return run.handle

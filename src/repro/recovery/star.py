@@ -17,11 +17,11 @@ from typing import Optional
 
 from repro.dht.node import DhtNode
 from repro.recovery.model import (
+    FetchWindow,
     RecoveryContext,
     RecoveryHandle,
     RecoveryRun,
     RetryPolicy,
-    fetch_windowed,
 )
 from repro.state.placement import PlacementPlan
 
@@ -89,6 +89,6 @@ class StarRecovery:
 
         run.detect(
             cost.detection_delay,
-            lambda: fetch_windowed(run, chosen, self.window, "shard", merge),
+            lambda: FetchWindow(run, chosen, self.window, "shard", merge),
         )
         return run.handle

@@ -290,6 +290,11 @@ class Network:
         # Per-link evidence ("was the bottleneck the provider's uplink or
         # the replacement's downlink") is read live by whoever samples.
         sim.metrics.add_collector(self.link_readings)
+        # The three callbacks every flow schedules, bound once: a bound
+        # method made per event is one more allocation for the collector.
+        self._admit_cb = self._admit
+        self._settle_cb = self._settle_event
+        self._tick_cb = self._on_completion_tick
 
     def in_flight_flows(self) -> int:
         """Number of admitted flows still moving bytes (audit hook)."""
@@ -453,7 +458,7 @@ class Network:
                 parent=parent_span,
                 **attrs,
             )
-        self.sim.schedule(src.latency + dst.latency, self._admit, flow)
+        self.sim.schedule(src.latency + dst.latency, self._admit_cb, flow)
         return flow
 
     def _admit(self, flow: Flow) -> None:
@@ -744,7 +749,7 @@ class Network:
         if self._recompute_pending:
             return
         self._recompute_pending = True
-        self.sim.schedule(0.0, self._settle_event)
+        self.sim.schedule(0.0, self._settle_cb)
 
     def _settle_event(self) -> None:
         self._recompute_pending = False
@@ -803,7 +808,7 @@ class Network:
         self._inf_rates = inf_rates
         if next_completion != _INF:
             delay = max(0.0, next_completion - now)
-            self._completion_event = self.sim.schedule(delay, self._on_completion_tick)
+            self._completion_event = self.sim.schedule(delay, self._tick_cb)
         self._flows_active_series.record(now, float(len(self._flows)))
 
     def _solve_component(self, affected: List[Flow]) -> None:

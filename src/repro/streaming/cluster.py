@@ -353,3 +353,5 @@ class LocalCluster:
         unresolved = [h.state_name for h in handles if not h.done]
         if unresolved:
             raise StreamRuntimeError(f"saves never completed: {unresolved}")
+        for handle in handles:
+            handle.result  # a failed round raises its error here

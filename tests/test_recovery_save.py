@@ -1,8 +1,11 @@
 """Unit tests for the SR3 save pipeline."""
 
+import re
+
 import pytest
 
-from repro.errors import RecoveryError, StateError
+from repro.errors import RecoveryError, SaveAbortedError, StateError
+from repro.obs.tracer import Tracer
 from repro.recovery.save import SaveHandle, SaveResult, sr3_save
 from repro.state.shard import DeltaShard
 from repro.state.partitioner import partition_synthetic
@@ -77,6 +80,92 @@ class TestSave:
         handle.on_done(lambda r: seen.append(r.state_name))
         world.sim.run_until_idle()
         assert seen == ["app/state"]
+
+
+def node_on(world, host):
+    return next(node for node in world.overlay.nodes if node.host is host)
+
+
+def in_flight(world):
+    (flow,) = world.network._flows
+    return flow
+
+
+def kill_target(world):
+    world.overlay.fail_node(node_on(world, in_flight(world).dst))
+
+
+def kill_owner(world):
+    world.overlay.fail_node(node_on(world, in_flight(world).src))
+
+
+def cut_owner_off(world):
+    world.network.partition([in_flight(world).src])
+
+
+class TestSaveUnderFaults:
+    """A write that loses an endpoint fails the round; no handle hangs.
+
+    32 MB in four shards, two replicas each, written serially over 100 Mb/s
+    links: at t=2.0 s the second write is on the wire.
+    """
+
+    def failed_save(self, world_factory, fault):
+        world = world_factory(num_nodes=32, link_mbit=100)
+        handle = sr3_save(
+            world.ctx, world.overlay.nodes[0], make_shards(32 * MB), 2, LeafSetPlacement()
+        )
+        seen = {}
+
+        def strike():
+            seen["target"] = node_on(world, in_flight(world).dst).name
+            fault(world)
+
+        world.sim.schedule(2.0, strike)
+        world.sim.run_until_idle()
+        assert handle.done and world.sim.pending == 0
+        with pytest.raises(SaveAbortedError) as raised:
+            _ = handle.result
+        message = str(raised.value)
+        assert "'app/state'" in message
+        assert re.search(rf"replica app/state/s\d\.r\d from \S+ to {seen['target']}\b", message)
+        return world
+
+    def test_target_killed_mid_write(self, world_factory):
+        self.failed_save(world_factory, kill_target)
+
+    def test_owner_killed_mid_write(self, world_factory):
+        self.failed_save(world_factory, kill_owner)
+
+    def test_owner_killed_between_writes(self, world_factory):
+        # The first write lands at ~1.31 s and its ack runs until ~1.71 s.
+        world = world_factory(num_nodes=32, link_mbit=100)
+        owner = world.overlay.nodes[0]
+        handle = sr3_save(world.ctx, owner, make_shards(32 * MB), 2, LeafSetPlacement())
+        world.sim.schedule(1.5, world.overlay.fail_node, owner)
+        world.sim.run_until_idle()
+        assert world.sim.pending == 0
+        with pytest.raises(SaveAbortedError, match=f"from {owner.name} to "):
+            _ = handle.result
+
+    def test_partition_cuts_the_write(self, world_factory):
+        world = self.failed_save(world_factory, cut_owner_off)
+        assert world.network.in_flight_flows() == 0
+
+    def test_a_failed_round_closes_its_spans_and_counts_no_save(self, world_factory):
+        world = world_factory(num_nodes=32, link_mbit=100)
+        world.sim.attach_tracer(Tracer("save"))
+        handle = sr3_save(
+            world.ctx, world.overlay.nodes[0], make_shards(32 * MB), 2, LeafSetPlacement()
+        )
+        world.sim.schedule(2.0, kill_target, world)
+        world.sim.run_until_idle()
+        assert handle.done
+        spans = world.sim.tracer.spans
+        assert all(span.done for span in spans)
+        (root,) = [s for s in spans if s.name == "recovery/save"]
+        assert "error" in root.attrs
+        assert "save.completed" not in world.sim.metrics.counters()
 
 
 class TestSaveHandle:

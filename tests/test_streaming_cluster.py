@@ -6,7 +6,13 @@ from collections import Counter
 import pytest
 
 from repro.dht.overlay import Overlay
-from repro.errors import RecoveryError, StateError, StreamRuntimeError, TopologyError
+from repro.errors import (
+    RecoveryError,
+    SaveAbortedError,
+    StateError,
+    StreamRuntimeError,
+    TopologyError,
+)
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.model import RecoveryContext
 from repro.sim.kernel import Simulator
@@ -158,6 +164,25 @@ class TestSR3Integration:
         cluster.recover_task("count", 0)
         cluster.run()
         assert dict(cluster.task("count", 0).state.items()) == dict(Counter(WORDS))
+
+    def test_checkpoint_raises_a_failed_save(self):
+        backend = sr3_backend()
+        cluster = LocalCluster(wordcount_topology(), backend=backend)
+        cluster.protect_stateful_tasks()
+        cluster.run()
+        owners = {task.node.node_id for task in backend.protected_tasks().values()}
+        overlay = backend.manager.ctx.overlay
+
+        def kill_every_target():
+            for node in overlay.alive_nodes():
+                if node.node_id not in owners:
+                    overlay.fail_node(node)
+
+        # Each round's first write has landed; its ack is still running.
+        backend.sim.schedule(0.2, kill_every_target)
+        with pytest.raises(SaveAbortedError, match="the write of replica"):
+            cluster.checkpoint()
+        assert backend.sim.pending == 0
 
     def test_unprotected_checkpoint_rejected(self):
         cluster = LocalCluster(wordcount_topology())
