@@ -50,11 +50,14 @@ def run_with_failure_and_recovery() -> list:
     cluster.checkpoint()
     print("checkpointed the ranking state into the overlay")
 
-    # The worker dies; its in-memory hashtable is gone.
+    # A few hundred clicks later the worker dies; its in-memory hashtable
+    # is gone, and so are the clicks it counted since the checkpoint.
+    cluster.run(max_emissions=NUM_EVENTS // 10)
     cluster.kill_task("topk")
     print("killed the topk task (state lost)")
 
-    # SR3 pulls the shards back from the leaf set and rebuilds the store.
+    # SR3 pulls the shards back from the leaf set and rebuilds the store;
+    # the spout rewinds to the checkpoint, so those clicks are replayed.
     cluster.recover_task("topk")
     print(f"recovered; resuming the remaining {NUM_EVENTS // 2} events")
 

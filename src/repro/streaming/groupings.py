@@ -26,11 +26,11 @@ class ShuffleGrouping(Grouping):
     """Round-robin distribution (deterministic, balanced)."""
 
     def __init__(self) -> None:
-        self._counter = 0
+        self.position = 0  # tuples routed so far; a checkpoint barrier records it
 
     def choose(self, tuple_: StreamTuple, num_tasks: int) -> List[int]:
-        index = self._counter % num_tasks
-        self._counter += 1
+        index = self.position % num_tasks
+        self.position += 1
         return [index]
 
 

@@ -93,7 +93,9 @@ class SentenceSpout(Spout):
         return ("sentence",)
 
     def prepare(self, context) -> None:
+        # A rewound spout re-stamps the replayed sentences as they were.
         self._iterator = iter(self._generator)
+        self._sequence = 0
 
     def next_tuple(self, collector: OutputCollector) -> bool:
         if self._iterator is None:
