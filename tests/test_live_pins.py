@@ -3,11 +3,11 @@
 Each case plays a small word-count cell through a kill and its
 rollback/replay and hashes three things: the span dump plus the metrics
 registry, the fields of the :class:`~repro.live.metrics.LiveReport` a
-reader acts on, and every count task's final store. The digests were
-taken while the global-rollback protocol (barrier image, survivor
-rollback, source rewind) still lived inside the driver; they pin that
-moving it into ``LocalCluster`` changed no span, metric, report field or
-stored count. A digest that moves means live behaviour moved.
+reader acts on (the recovery window and the three phase summaries
+included), and every count task's final store. Two more pins hash the
+``burn`` and ``detector`` SLO cells' rendered dashboard together with the
+telemetry pipeline's series. A digest that moves means live behaviour,
+or what a reader of the run sees, moved.
 
 To regenerate after a deliberate behaviour change::
 
@@ -21,6 +21,7 @@ import pytest
 
 from repro.bench.experiments import run_slo_cell
 from repro.live import ConstantRate, LoadDriver, build_live_cell
+from repro.obs.dashboard import render_dashboard
 from repro.obs.export import dumps_trace
 from repro.recovery.star import StarRecovery
 
@@ -38,8 +39,13 @@ def _digests(cell, report):
         name: getattr(report, name)
         for name in (
             "arrived", "served", "replayed", "killed_at", "recovered_at",
-            "recovery_s", "drain_s", "replay_lag_peak", "replay_lag_at_recovery",
+            "recovery_s", "recovery_window", "drain_s", "replay_lag_peak",
+            "replay_lag_at_recovery",
         )
+    }
+    fields["phases"] = {
+        name: None if summary is None else summary.as_dict()
+        for name, summary in report.phases.items()
     }
     stores = {
         f"{cid}[{index}]": sorted(bolt.state.items())
@@ -67,9 +73,26 @@ def _driver_case(**overrides):
     return _digests(cell, report)
 
 
+def _slo_cell(mode):
+    return run_slo_cell(mode, seed=1, duration_s=20.0, num_nodes=12)
+
+
 def _detector_case():
-    outcome = run_slo_cell("detector", seed=1, duration_s=20.0, num_nodes=12)
+    outcome = _slo_cell("detector")
     return _digests(outcome["cell"], outcome["report"])
+
+
+def _dashboard_digest(mode):
+    """The rendered dashboard of one SLO cell plus every series it drew."""
+    outcome = _slo_cell(mode)
+    html = render_dashboard(
+        outcome["pipeline"],
+        slo_engine=outcome["engine"],
+        anomalies=outcome["anomalies"],
+        controller=outcome["controller"],
+        title=f"SR3 telemetry — {mode} cell",
+    )
+    return _sha(html + json.dumps(outcome["pipeline"].to_dict(), sort_keys=True))
 
 
 CASES = {
@@ -84,40 +107,50 @@ CASES = {
 PINS = {
     "controller-detector": (
         "41a29e198be5b7469df1a7325adf667f2202d0735651481862b779c0039df81a",
-        "6e282c5edcb456ec522d3ce36fa79b3ee8e0f774129dd51ee8996577cdc3c264",
+        "5bee303cd95a9cbb6a7df1c53ae342cb126d920ecd3b499182f8580600777425",
         "fe9bdf7a7ed35feb8eb35e1b90e1872c7234831a0efd0ec495dd6268bce65539",
     ),
     "kill-during-save": (
         "c75d489c18a579d2e6a88d60d4105001f69e606b1dc8887193ad1a8394aa3667",
-        "e9daa8257f9a239a71b4dcfb3e24d6e7be07b3aa86a0ae864c2eb259ef780342",
+        "6bbc8d6fb2cbe21a0a60fa4af28674222febde5701269978b08bf59c06adb902",
         "8b8f5fc149a8ec5ed5341a63ad442ba47743d8c33aa08fde470b75ac8555c58c",
     ),
     "no-app-load": (
         "1ff92bfb3ee633d74c2a8eefb468160fa6ce6ab9d2c7019f1529edf93d0414c8",
-        "4c53ad233c63d01f2e0d17d7231cf3727ffedef11d07b1553c865067c479e4a9",
+        "2121a7c8e70afc68e0d3bd016d2b3fcab344c77a570d0dba54b1ce602945f91f",
         "8b8f5fc149a8ec5ed5341a63ad442ba47743d8c33aa08fde470b75ac8555c58c",
     ),
     "standby": (
         "9bcb53704cfaea51b61effce4f14ce04754eb8a220c988118e0543e83a6f6473",
-        "39c7f858e7e68ec212798bf2ebd64f9bfa96a1de499690b0d7e3717265601490",
+        "49b0083ad171a5b2d4efc11057001bec503d93bce3532f76627671cd0a397c8f",
         "8b8f5fc149a8ec5ed5341a63ad442ba47743d8c33aa08fde470b75ac8555c58c",
     ),
     "star-one-barrier": (
         "f6d4321a6bc0c668e70c376e71adf345962809180c48e79f711280ab86e4cba4",
-        "39c7f858e7e68ec212798bf2ebd64f9bfa96a1de499690b0d7e3717265601490",
+        "49b0083ad171a5b2d4efc11057001bec503d93bce3532f76627671cd0a397c8f",
         "8b8f5fc149a8ec5ed5341a63ad442ba47743d8c33aa08fde470b75ac8555c58c",
     ),
     "two-barriers": (
         "51b474f66a4089d37ee92fc6c95da8dc0d8e0730fd4b6ce2067febb88fec1acb",
-        "05f783176b8fae8683f40e61b253b4b6b1ff15d62728fbe740dbc533c6bd3ea0",
+        "9b613371b95fdea4ce39980946430c2dba07a1c251c7901cbc9dbbc83866da6b",
         "8b8f5fc149a8ec5ed5341a63ad442ba47743d8c33aa08fde470b75ac8555c58c",
     ),
+}
+
+DASHBOARD_PINS = {
+    "burn": "084c4b2bfedf55d58c3788ba85275c804e5940aa5676562082a855cdd7054452",
+    "detector": "792ca572eb7cc97f3ded5e8ca729c5904e720e898f923b606a47a96450eeaabb",
 }
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_live_run_is_pinned(key):
     assert CASES[key]() == PINS[key]
+
+
+@pytest.mark.parametrize("mode", sorted(DASHBOARD_PINS))
+def test_dashboard_is_pinned(mode):
+    assert _dashboard_digest(mode) == DASHBOARD_PINS[mode]
 
 
 if __name__ == "__main__":
@@ -127,4 +160,8 @@ if __name__ == "__main__":
         for digest in CASES[key]():
             print(f'        "{digest}",')
         print("    ),")
+    print("}")
+    print("\nDASHBOARD_PINS = {")
+    for mode in sorted(DASHBOARD_PINS):
+        print(f'    "{mode}": "{_dashboard_digest(mode)}",')
     print("}")
