@@ -12,9 +12,6 @@ from repro._exports import export_table
 
 __getattr__, __all__ = export_table(__name__, {
     "repro.live.driver": ("LiveCell", "LoadDriver", "build_live_cell"),
-    "repro.live.metrics": (
-        "LATENCY_PERCENTILES", "BacklogTimeline", "LatencyRecorder", "LiveReport", "PhaseSummary",
-        "recovery_window",
-    ),
+    "repro.live.metrics": ("LATENCY_PERCENTILES", "LatencyRecorder", "LiveReport", "PhaseSummary"),
     "repro.live.rates": ("ConstantRate", "FlashCrowd", "RateCurve"),
 })

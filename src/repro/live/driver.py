@@ -35,14 +35,7 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.dht.node import DhtNode
 from repro.errors import LiveHarnessError
-from repro.live.metrics import (
-    BacklogTimeline,
-    LatencyRecorder,
-    LiveReport,
-    PHASES,
-    PhaseSummary,
-    recovery_window,
-)
+from repro.live.metrics import LatencyRecorder, LiveReport, PHASES, PhaseSummary
 from repro.live.rates import RateCurve
 from repro.obs.tracer import Tracer, default_tracer, tracing_enabled
 from repro.recovery.deployment import Deployment, build_deployment
@@ -278,7 +271,6 @@ class LoadDriver:
 
         # ----- run bookkeeping
         self._recorder = LatencyRecorder()
-        self._backlog = BacklogTimeline()
         self._ran = False
         self._done = False
         self._end: Optional[float] = None
@@ -324,7 +316,6 @@ class LoadDriver:
         # stall starts exactly at the next arrival.
         self._maybe_kill(t)
         backlog = len(self._arrivals) + max(0, self._replay_boundary - self._stream_index)
-        self._backlog.sample(t, backlog)
         self.sim.metrics.series("live.backlog").record(t, float(backlog))
         self._sample_series(t)
         if (
@@ -450,7 +441,10 @@ class LoadDriver:
         which *is* the steady-state overhead the standby tier pays.
         """
         owner = self.backend.protected_tasks()[self._kill_tid].node
-        standby = self._predict_replacement(owner)
+        # The replacement recovery will pick is the owner's closest alive
+        # ring neighbour, so a standby placed there finds every synced
+        # segment local at takeover.
+        standby = owner.leaf_set.closest(owner.node_id)
         if standby is None:
             return
         for name in sorted(self.manager.states):
@@ -471,25 +465,6 @@ class LoadDriver:
     def standby_warm_bytes(self) -> float:
         """Total warm image resident on the standby (steady-state memory)."""
         return float(sum(self._standby_warm.values()))
-
-    def _predict_replacement(self, owner: DhtNode) -> Optional[DhtNode]:
-        """The node that *will* replace ``owner``, computed pre-failure.
-
-        Mirrors :meth:`Overlay.responsible_node`'s closest-node rule with
-        the owner excluded, so the standby lands exactly where recovery
-        will run — takeover then finds every synced segment local.
-        """
-        candidates = [
-            n
-            for n in self.cell.overlay.alive_nodes()
-            if n.node_id != owner.node_id
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda n: (owner.node_id.distance(n.node_id), n.node_id.value),
-        )
 
     # -------------------------------------------------------------- failure
 
@@ -660,13 +635,10 @@ class LoadDriver:
                 detector.stop()
 
     def _build_report(self) -> LiveReport:
-        window = recovery_window(self.sim.tracer)
-        if window is None and self._killed_at is not None:
-            window = (self._killed_at, self._recovered_at or self._end or self._killed_at)
-        elif window is not None and self._killed_at is not None:
-            # The user feels the outage from the kill, not from the moment
-            # detection fires and the first recovery span opens.
-            window = (min(window[0], self._killed_at), window[1])
+        killed, recovered = self._killed_at, self._recovered_at
+        # The user feels the outage from the kill until the pipeline is
+        # restored, or until the run ends if it never is.
+        window = None if killed is None else (killed, recovered or self._end)
         split = self._recorder.split(window)
         phases: Dict[str, Optional[PhaseSummary]] = {}
         for name in PHASES:
@@ -674,33 +646,29 @@ class LoadDriver:
             phases[name] = (
                 PhaseSummary.from_latencies(name, latencies) if latencies else None
             )
-        recovery_s = None
-        if self._killed_at is not None and self._recovered_at is not None:
-            recovery_s = self._recovered_at - self._killed_at
-        drained_at = None
-        drain_s = None
-        if self._recovered_at is not None:
-            drained_at = self._backlog.first_drain_after(self._recovered_at)
+        backlog = self.sim.metrics.series("live.backlog")
+        recovery_s = drained_at = drain_s = None
+        lag_at_recovery = 0
+        if recovered is not None:
+            recovery_s = recovered - killed
+            lag_at_recovery = int(backlog.value_at(recovered))
+            drained_at = next(
+                (t for t, lag in backlog.points if t >= recovered and lag == 0), None
+            )
             if drained_at is not None:
-                drain_s = drained_at - self._recovered_at
-        lag_at_recovery = (
-            self._backlog.lag_at(self._recovered_at)
-            if self._recovered_at is not None
-            else 0
-        )
+                drain_s = drained_at - recovered
         return LiveReport(
             arrived=self._arrived,
             served=self._served,
             replayed=self._replayed,
             phases=phases,
-            killed_at=self._killed_at,
-            recovered_at=self._recovered_at,
+            killed_at=killed,
+            recovered_at=recovered,
             recovery_s=recovery_s,
             recovery_window=window,
-            replay_lag_peak=self._backlog.peak(),
+            replay_lag_peak=int(max(backlog.values(), default=0.0)),
             replay_lag_at_recovery=lag_at_recovery,
             drained_at=drained_at,
             drain_s=drain_s,
             catchup_events_per_s=self._catchup_rate,
-            backlog=self._backlog,
         )

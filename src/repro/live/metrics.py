@@ -6,29 +6,26 @@ per-tuple end-to-end latency percentiles segmented around the recovery
 window, how far the source reader fell behind (replay lag), how fast the
 pipeline caught back up, and how long until the backlog drained.
 
-Phases are keyed off the recovery spans the mechanisms emit into
-``repro.obs`` — "during" is the union window of every root recovery span,
-and a tuple belongs to the phase its *arrival* falls in (a user who
-clicked during the outage experienced the outage, whenever their click
-finally got served).
+"During" runs from the kill to the moment the pipeline was restored (the
+end of the run if it never was), and a tuple belongs to the phase its
+*arrival* falls in (a user who clicked during the outage experienced the
+outage, whenever their click finally got served). The backlog numbers
+are read from the ``live.backlog`` series the driver records every tick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.critical_path import recovery_roots
 from repro.util.stats import percentiles
 
 __all__ = [
     "LATENCY_PERCENTILES",
     "PhaseSummary",
     "LatencyRecorder",
-    "BacklogTimeline",
     "LiveReport",
-    "recovery_window",
 ]
 
 #: The latency points every phase summary reports.
@@ -113,51 +110,6 @@ class LatencyRecorder:
         return phases
 
 
-class BacklogTimeline:
-    """Sampled source backlog (unserved + unreplayed events) over time."""
-
-    def __init__(self) -> None:
-        self._samples: List[Tuple[float, int]] = []
-
-    def sample(self, t: float, backlog: int) -> None:
-        self._samples.append((t, backlog))
-
-    def peak(self) -> int:
-        """Largest observed backlog (the replay-lag high-water mark)."""
-        return max((lag for _, lag in self._samples), default=0)
-
-    def lag_at(self, t: float) -> int:
-        """Backlog at the last sample taken at or before ``t``."""
-        lag = 0
-        for ts, value in self._samples:
-            if ts > t:
-                break
-            lag = value
-        return lag
-
-    def first_drain_after(self, t: float) -> Optional[float]:
-        """First sample time >= ``t`` where the backlog hit zero."""
-        for ts, value in self._samples:
-            if ts >= t and value == 0:
-                return ts
-        return None
-
-
-def recovery_window(tracer) -> Optional[Tuple[float, float]]:
-    """The union (start, end) window of all root recovery spans.
-
-    With concurrent recoveries (the operator's state plus co-located bulk
-    state on the same dead owner) the window covers the first start to the
-    last finish — the pipeline cannot resume before everything is back.
-    """
-    roots = recovery_roots(tracer)
-    if not roots:
-        return None
-    start = min(span.start for span in roots)
-    end = max(span.effective_end for span in roots)
-    return (start, end)
-
-
 @dataclass
 class LiveReport:
     """Everything one live run measured."""
@@ -175,7 +127,6 @@ class LiveReport:
     drained_at: Optional[float]
     drain_s: Optional[float]
     catchup_events_per_s: Optional[float]
-    backlog: BacklogTimeline = field(repr=False, default_factory=BacklogTimeline)
 
     def phase(self, name: str) -> PhaseSummary:
         summary = self.phases.get(name)

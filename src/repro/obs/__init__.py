@@ -17,8 +17,8 @@ The layer behind every "where does recovery time go" question:
 - :mod:`repro.obs.flamegraph` — collapsed-stack and speedscope exports;
 - :mod:`repro.obs.timeseries` — the continuous telemetry pipeline: a
   :class:`TelemetryPipeline` samples the registry and tracer into
-  ring-buffered sim-clock series (rates from counters, windowed
-  percentiles from histograms);
+  sim-clock series (rates from counters, windowed percentiles from
+  histograms);
 - :mod:`repro.obs.slo` — multi-window burn-rate SLO alerting over those
   series;
 - :mod:`repro.obs.anomaly` — rolling median/MAD z-score spikes and
@@ -56,9 +56,7 @@ __getattr__, __all__ = export_table(__name__, {
     "repro.obs.anomaly": ("Anomaly", "AnomalyDetector"),
     "repro.obs.dashboard": ("render_dashboard", "write_dashboard"),
     "repro.obs.slo": ("DEFAULT_WINDOWS", "SLO", "BurnWindow", "SLOAlert", "SLOEngine"),
-    "repro.obs.timeseries": (
-        "SERIES_KINDS", "SeriesBuffer", "TelemetryPipeline",
-    ),
+    "repro.obs.timeseries": ("SERIES_KINDS", "TelemetryPipeline"),
     "repro.obs.tracer": (
         "NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer", "clear_collected",
         "collected_tracers", "default_tracer", "enable_tracing", "tracing_enabled",

@@ -106,7 +106,7 @@ class AnomalyDetector:
             if not self.pipeline.has_series(name):
                 continue
             buf = self.pipeline.series(name)
-            points = buf.points()[-self.window :]
+            points = buf.points_from(max(0, len(buf) - self.window))
             if len(points) < self.min_points:
                 continue
             at = points[-1][0]

@@ -77,7 +77,7 @@ def _series_cards(pipeline) -> List[str]:
     cards = []
     for name in sorted(pipeline.names()):
         buf = pipeline.series(name)
-        points = buf.points()
+        points = buf.points
         last = points[-1][1] if points else None
         values = [v for _, v in points]
         cards.append(

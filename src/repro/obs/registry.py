@@ -23,6 +23,8 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.util.stats import percentile
+
 __all__ = [
     "Counter",
     "TimeSeries",
@@ -67,13 +69,15 @@ class TimeSeries:
 
     A series is float64: its points are one flat ``array('d')`` of
     ``time, value`` pairs, so an ``int`` a caller records reads back as the
-    equal ``float``.
+    equal ``float``. ``kind`` says what the points are; the telemetry
+    pipeline retags its copies (``gauge``, ``rate``, ``percentile``).
     """
 
-    __slots__ = ("name", "_flat")
+    __slots__ = ("name", "kind", "_flat")
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self.kind = "series"
         self._flat = array("d")
 
     def record(self, time: float, value: float) -> None:
@@ -100,10 +104,18 @@ class TimeSeries:
     def times(self) -> List[float]:
         return self._flat[::2].tolist()
 
-    def last(self) -> Tuple[float, float]:
+    def last(self) -> Optional[Tuple[float, float]]:
+        """The newest point, or None while the series is empty."""
         if not self._flat:
-            raise ValueError(f"time series {self.name} is empty")
+            return None
         return self._flat[-2], self._flat[-1]
+
+    def window(self, t0: float, t1: float) -> List[Tuple[float, float]]:
+        """Points with ``t0 < t <= t1`` (trailing-window semantics)."""
+        return [(t, v) for t, v in self.points if t0 < t <= t1]
+
+    def values_in(self, t0: float, t1: float) -> List[float]:
+        return [v for _, v in self.window(t0, t1)]
 
     def value_at(self, time: float) -> float:
         """Step-function lookup: last value at or before ``time``."""
@@ -206,14 +218,11 @@ class Histogram:
         return max(self._values)
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0..100), nearest-rank on sorted values."""
+        """The q-th percentile (0..100), interpolated as everywhere else
+        (:func:`repro.util.stats.percentile`)."""
         if not self._values:
             raise ValueError(f"histogram {self.name} is empty")
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be within [0, 100]")
-        ordered = sorted(self._values)
-        rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+        return percentile(self._values, q)
 
     def values(self) -> List[float]:
         return list(self._values)

@@ -1,9 +1,9 @@
 """Declarative SLOs with multi-window burn-rate alerting.
 
-An :class:`SLO` names a telemetry series (any :class:`~repro.obs.
-timeseries.SeriesBuffer` the pipeline produces), a good/bad predicate
-over its samples (``value <= threshold`` or ``value >= threshold``), and
-an error budget — the fraction of samples allowed to be bad. The
+An :class:`SLO` names a telemetry series (any series the
+:class:`~repro.obs.timeseries.TelemetryPipeline` produces), a good/bad
+predicate over its samples (``value <= threshold`` or ``value >=
+threshold``), and an error budget — the fraction of samples allowed to be bad. The
 :class:`SLOEngine` evaluates every objective against sliding windows on
 the simulated clock using the SRE multi-window burn-rate recipe: an
 alert fires when *both* a long window and a short window burn the budget

@@ -4,10 +4,10 @@ Everything else in :mod:`repro.obs` is post-hoc — span profiles after the
 run, one-shot metric dumps at exit. This module is the continuous view:
 a :class:`TelemetryPipeline` periodically samples the simulation's
 existing :class:`~repro.obs.registry.MetricsRegistry` (and, when tracing
-is on, the span tracer) into named :class:`SeriesBuffer` ring buffers, so
-the SLO engine (:mod:`repro.obs.slo`) and the anomaly detector
-(:mod:`repro.obs.anomaly`) can evaluate objectives over sliding windows
-on the virtual clock.
+is on, the span tracer) into kind-tagged
+:class:`~repro.obs.registry.TimeSeries` of its own, so the SLO engine
+(:mod:`repro.obs.slo`) and the anomaly detector (:mod:`repro.obs.anomaly`)
+can evaluate objectives over sliding windows on the virtual clock.
 
 The pipeline *subscribes* rather than re-instruments: call sites keep
 feeding the registry primitives they already feed, and each sample tick
@@ -27,10 +27,9 @@ derives series from them —
 - open ``recovery*`` spans become a ``telemetry.recovery_active`` gauge
   series when the simulation carries a real tracer.
 
-Buffers are bounded (4,096 points), so a long-running cell holds
-a dashboard's worth of history, not the full firehose. Everything is
-deterministic: sampling happens on the simulated clock, iteration orders
-are sorted, and no wall time is consulted.
+The pipeline keeps every point it copies. Everything is deterministic:
+sampling happens on the simulated clock, iteration orders are sorted, and
+no wall time is consulted.
 
 Embeddings that own the event loop (the live :class:`~repro.live.driver.
 LoadDriver`) call :meth:`TelemetryPipeline.sample` from their own tick;
@@ -41,22 +40,17 @@ quiescence.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ConfigError
+from repro.obs.registry import TimeSeries
 from repro.util.stats import percentile
 
-__all__ = [
-    "SeriesBuffer",
-    "TelemetryPipeline",
-]
+__all__ = ["TelemetryPipeline"]
 
 #: Series kinds the pipeline produces (anomaly detection keys off these).
 SERIES_KINDS = ("gauge", "rate", "series", "percentile")
 
-#: Ring size per series.
-RETENTION = 4096
 #: Seconds of simulated time between the samples ``start()`` schedules. It
 #: paces ``start()`` only: an embedding that owns the loop calls ``sample()``
 #: from its own tick and never reads it.
@@ -67,56 +61,12 @@ HISTOGRAM_WINDOW = 5.0
 HISTOGRAM_PERCENTILES = (("p50", 50.0), ("p99", 99.0))
 
 
-class SeriesBuffer:
-    """A bounded ``(time, value)`` ring buffer: every appended point is kept
-    verbatim, up to :data:`RETENTION` points."""
-
-    def __init__(self, name: str, kind: str = "gauge") -> None:
-        if kind not in SERIES_KINDS:
-            raise ConfigError(f"unknown series kind {kind!r}; known: {SERIES_KINDS}")
-        self.name = name
-        self.kind = kind
-        self._points: Deque[Tuple[float, float]] = deque(maxlen=RETENTION)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def append(self, t: float, value: float) -> None:
-        t = float(t)
-        value = float(value)
-        if self._points and t < self._points[-1][0]:
-            raise ConfigError(
-                f"series {self.name!r} points must be appended in time order"
-            )
-        self._points.append((t, value))
-
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self._points[-1] if self._points else None
-
-    def window(self, t0: float, t1: float) -> List[Tuple[float, float]]:
-        """Points with ``t0 < t <= t1`` (trailing-window semantics)."""
-        return [(t, v) for t, v in self._points if t0 < t <= t1]
-
-    def values_in(self, t0: float, t1: float) -> List[float]:
-        return [v for _, v in self.window(t0, t1)]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "points": [[t, v] for t, v in self._points],
-        }
-
-
 class TelemetryPipeline:
-    """Samples one simulation's registry (and tracer) into series buffers."""
+    """Samples one simulation's registry (and tracer) into series of its own."""
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self._buffers: Dict[str, SeriesBuffer] = {}
+        self._buffers: Dict[str, TimeSeries] = {}
         self._counter_totals: Dict[str, float] = {}
         self._series_cursors: Dict[str, int] = {}
         self._live: Set[str] = set()  # collector names read at the last tick
@@ -124,17 +74,19 @@ class TelemetryPipeline:
         self._running = False
         self.samples = 0
 
-    # ------------------------------------------------------------- buffers
+    # -------------------------------------------------------------- series
 
-    def _ensure(self, name: str, kind: str) -> SeriesBuffer:
+    def _ensure(self, name: str, kind: str) -> TimeSeries:
         buf = self._buffers.get(name)
         if buf is None:
-            buf = SeriesBuffer(name, kind=kind)
-            self._buffers[name] = buf
+            if kind not in SERIES_KINDS:
+                raise ConfigError(f"unknown series kind {kind!r}; known: {SERIES_KINDS}")
+            buf = self._buffers[name] = TimeSeries(name)
+            buf.kind = kind
         return buf
 
-    def series(self, name: str) -> SeriesBuffer:
-        """The named buffer; raises for names the pipeline never produced."""
+    def series(self, name: str) -> TimeSeries:
+        """The named series; raises for names the pipeline never produced."""
         buf = self._buffers.get(name)
         if buf is None:
             raise ConfigError(
@@ -150,7 +102,7 @@ class TelemetryPipeline:
 
     def record(self, name: str, t: float, value: float, kind: str = "gauge") -> None:
         """Directly feed a point (for embedders with pipeline-only signals)."""
-        self._ensure(name, kind).append(t, value)
+        self._ensure(name, kind).record(t, value)
 
     # ------------------------------------------------------------ sampling
 
@@ -169,16 +121,16 @@ class TelemetryPipeline:
             self._counter_totals[name] = total
             if previous is None or dt is None:
                 continue  # first sight: no interval to rate over
-            self._ensure(f"{name}.rate", "rate").append(now, (total - previous) / dt)
+            self._ensure(f"{name}.rate", "rate").record(now, (total - previous) / dt)
         gauges = registry.gauges()
         for name in sorted(gauges):
-            self._ensure(name, "gauge").append(now, gauges[name].value)
+            self._ensure(name, "gauge").record(now, gauges[name].value)
         all_series = registry.all_series()
         for name in sorted(all_series):
             series = all_series[name]
             buf = self._ensure(name, "series")
             for t, v in series.points_from(self._series_cursors.get(name, 0)):
-                buf.append(t, v)
+                buf.record(t, v)
             self._series_cursors[name] = len(series)
         live = registry.collect()
         readings = dict.fromkeys(self._live - live.keys(), 0.0)  # idle since last tick
@@ -188,7 +140,7 @@ class TelemetryPipeline:
             buf = self._ensure(name, "series")
             last = buf.last()
             if last is None or last[1] != readings[name]:
-                buf.append(now, readings[name])
+                buf.record(now, readings[name])
         histograms = registry.histograms()
         for name in sorted(histograms):
             histogram = histograms[name]
@@ -202,7 +154,7 @@ class TelemetryPipeline:
             if not window_values:
                 continue
             for suffix, q in HISTOGRAM_PERCENTILES:
-                self._ensure(f"{name}.{suffix}", "percentile").append(
+                self._ensure(f"{name}.{suffix}", "percentile").record(
                     now, percentile(window_values, q)
                 )
         spans = getattr(self.sim.tracer, "spans", None)
@@ -212,7 +164,7 @@ class TelemetryPipeline:
                 for span in spans
                 if span.category.startswith("recovery") and not span.done
             )
-            self._ensure("telemetry.recovery_active", "gauge").append(
+            self._ensure("telemetry.recovery_active", "gauge").record(
                 now, float(open_recoveries)
             )
         self._last_sample = now
@@ -244,9 +196,16 @@ class TelemetryPipeline:
     # -------------------------------------------------------------- export
 
     def to_dict(self) -> Dict[str, object]:
-        """A deterministic, JSON-friendly snapshot of every buffer."""
+        """A deterministic, JSON-friendly snapshot of every series."""
         return {
             "format": "sr3-telemetry-1",
             "samples": self.samples,
-            "series": {name: self._buffers[name].to_dict() for name in self.names()},
+            "series": {
+                name: {
+                    "name": name,
+                    "kind": self._buffers[name].kind,
+                    "points": [[t, v] for t, v in self._buffers[name].points],
+                }
+                for name in self.names()
+            },
         }

@@ -290,7 +290,8 @@ class TestTimeSeriesOracle:
             assert len(new) == len(old)
         assert new.points == old.points
         assert new.values() == old.values() and new.times() == old.times()
-        assert _outcome(new.last) == _outcome(old.last)
+        # An empty series has no last point: the old structure raised.
+        assert new.last() == (old.last() if len(old) else None)
         for query in queries + new.times()[:3]:
             assert _outcome(lambda: new.value_at(query)) == _outcome(lambda: old.value_at(query))
         registries = []

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.control import ControlConfig, ControlPlane, Controller, PolicyTable
 from repro.errors import LiveHarnessError
-from repro.live import ConstantRate, FlashCrowd, LoadDriver, build_live_cell
+from repro.live import ConstantRate, FlashCrowd, LatencyRecorder, LoadDriver, build_live_cell
+from repro.live.driver import _DRAIN_GRACE
+from repro.live.metrics import PHASES
 from repro.recovery.line import LineRecovery
 from repro.recovery.star import StarRecovery
 
@@ -92,6 +95,33 @@ class TestKillAndRecovery:
         _, star = kill_run(mechanism=StarRecovery(fanout_bits=2))
         _, line = kill_run(mechanism=LineRecovery(path_length=4))
         assert star.recovery_s != line.recovery_s
+
+    def test_a_recovery_that_never_lands_keeps_the_window_open_to_the_end(self):
+        # A controller with no rules notices nothing and starts nothing.
+        cell = small_cell()
+        controller = Controller(
+            ControlPlane(cell), policy=PolicyTable(), config=ControlConfig(verify_invariants=False)
+        )
+        duration = 6.0
+        report = LoadDriver(
+            cell, ConstantRate(200.0), duration=duration, service_rate=2_000.0,
+            checkpoint_at=(2.0,), kill_at=4.0, controller=controller,
+        ).run()
+        assert report.recovered_at is None
+        assert report.recovery_s is None and report.drain_s is None
+        end = cell.sim.now
+        assert end == pytest.approx(duration + _DRAIN_GRACE, abs=0.1)
+        assert report.recovery_window == (report.killed_at, end)
+        # Nothing after the kill was served: it is all still queued. Every
+        # arrival after it (they stop at ``duration``) falls in "during".
+        _, queued = cell.sim.metrics.series("live.backlog").last()
+        assert queued == report.arrived - report.served > 0
+        assert report.phases["after"] is None
+        recorder = LatencyRecorder()
+        for arrival in (report.killed_at + 0.005, duration):
+            recorder.record(arrival, end)
+        split = recorder.split(report.recovery_window)
+        assert [len(split[phase]) for phase in PHASES] == [0, 2, 0]
 
 
 class TestValidation:

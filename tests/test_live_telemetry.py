@@ -92,7 +92,7 @@ class TestDetectorCell:
     def test_detector_feeds_telemetry_series(self, detector_cell):
         pipeline = detector_cell["pipeline"]
         assert pipeline.has_series("detector.suspicion")
-        suspicion = [v for _, v in pipeline.series("detector.suspicion").points()]
+        suspicion = [v for _, v in pipeline.series("detector.suspicion").points]
         assert max(suspicion) >= 3.0  # the threshold was reached
         assert pipeline.has_series("detector.heartbeats.rate")
 

@@ -1,55 +1,51 @@
-"""The continuous telemetry layer: series buffers and the pipeline."""
+"""The continuous telemetry layer: the pipeline and the series it keeps."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.obs import Tracer
 from repro.obs.registry import TimeSeries
-from repro.obs.timeseries import RETENTION, SeriesBuffer, TelemetryPipeline
+from repro.obs.timeseries import TelemetryPipeline
 from repro.sim import Simulator
 
 
 class TestSeriesBuffer:
+    """What the pipeline stores a series in: a registry ``TimeSeries``."""
+
     def test_keeps_points_in_order(self):
-        buf = SeriesBuffer("s")
-        buf.append(1.0, 10.0)
-        buf.append(2.0, 20.0)
-        assert buf.points() == [(1.0, 10.0), (2.0, 20.0)]
+        buf = TimeSeries("s")
+        buf.record(1.0, 10.0)
+        buf.record(2.0, 20.0)
+        assert buf.points == [(1.0, 10.0), (2.0, 20.0)]
         assert buf.last() == (2.0, 20.0)
         assert len(buf) == 2
 
     def test_rejects_time_travel(self):
-        buf = SeriesBuffer("s")
-        buf.append(5.0, 1.0)
-        with pytest.raises(ConfigError):
-            buf.append(4.0, 2.0)
+        buf = TimeSeries("s")
+        buf.record(5.0, 1.0)
+        with pytest.raises(ValueError):
+            buf.record(4.0, 2.0)
         # Same-instant appends are allowed (distinct samples, one tick).
-        buf.append(5.0, 3.0)
+        buf.record(5.0, 3.0)
         assert len(buf) == 2
 
-    def test_retention_ring_drops_oldest(self):
-        buf = SeriesBuffer("s")
-        for i in range(RETENTION + 2):
-            buf.append(float(i), float(i))
-        assert len(buf) == RETENTION
-        assert buf.points()[0] == (2.0, 2.0) and buf.last() == (RETENTION + 1.0, RETENTION + 1.0)
-
     def test_window_is_left_open_right_closed(self):
-        buf = SeriesBuffer("s")
+        buf = TimeSeries("s")
         for t in (1.0, 2.0, 3.0, 4.0):
-            buf.append(t, t)
+            buf.record(t, t)
         assert buf.values_in(1.0, 3.0) == [2.0, 3.0]
         assert buf.window(3.0, 10.0) == [(4.0, 4.0)]
         assert buf.values_in(10.0, 20.0) == []
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SeriesBuffer("s", kind="histogram")
+            TelemetryPipeline(Simulator()).record("s", 1.0, 1.0, kind="histogram")
 
     def test_to_dict(self):
-        buf = SeriesBuffer("s", kind="rate")
-        buf.append(1.0, 2.0)
-        assert buf.to_dict() == {
+        pipe = TelemetryPipeline(Simulator())
+        pipe.record("s", 1.0, 2.0, kind="rate")
+        assert pipe.series("s").kind == "rate"
+        assert pipe.to_dict()["series"]["s"] == {
             "name": "s",
             "kind": "rate",
             "points": [[1.0, 2.0]],
@@ -68,7 +64,7 @@ class TestTelemetryPipeline:
         assert not pipe.has_series("served.rate")
         counter.add(30)
         pipe.sample(3.0)
-        assert pipe.series("served.rate").points() == [(3.0, 15.0)]
+        assert pipe.series("served.rate").points == [(3.0, 15.0)]
         assert pipe.series("served.rate").kind == "rate"
 
     def test_gauges_are_sampled_verbatim(self):
@@ -76,7 +72,7 @@ class TestTelemetryPipeline:
         pipe = TelemetryPipeline(sim)
         sim.metrics.gauge("depth").set(7.0)
         pipe.sample(1.0)
-        assert pipe.series("depth").points() == [(1.0, 7.0)]
+        assert pipe.series("depth").points == [(1.0, 7.0)]
 
     def test_registry_series_are_cursor_copied(self):
         sim = Simulator()
@@ -85,11 +81,11 @@ class TestTelemetryPipeline:
         series.record(0.5, 1.0)
         series.record(0.9, 2.0)
         pipe.sample(1.0)
-        assert pipe.series("lag").points() == [(0.5, 1.0), (0.9, 2.0)]
+        assert pipe.series("lag").points == [(0.5, 1.0), (0.9, 2.0)]
         series.record(1.5, 3.0)
         pipe.sample(2.0)
         # Only the new point was copied — no rescan, no duplicates.
-        assert pipe.series("lag").points() == [(0.5, 1.0), (0.9, 2.0), (1.5, 3.0)]
+        assert pipe.series("lag").points == [(0.5, 1.0), (0.9, 2.0), (1.5, 3.0)]
 
     def test_each_tick_reads_only_the_tail(self, monkeypatch):
         """160 samples of a growing series materialise each point once."""
@@ -109,12 +105,12 @@ class TestTelemetryPipeline:
             for step in range(25):
                 series.record(tick + step / 25, float(tick * step))
             pipe.sample(tick + 1.0)
-        assert len(series) == 4_000 < RETENTION
+        assert len(series) == 4_000
         assert sum(materialised) == 4_000
         one_shot = TelemetryPipeline(sim)
         one_shot.sample(160.0)
-        assert pipe.series("lag").points() == one_shot.series("lag").points()
-        assert pipe.series("lag").points() == series.points
+        assert pipe.series("lag").points == one_shot.series("lag").points
+        assert pipe.series("lag").points == series.points
 
     def test_collector_readings_append_on_change_and_drop_to_zero(self):
         sim = Simulator()
@@ -131,7 +127,7 @@ class TestTelemetryPipeline:
         del live["link"]  # went idle: the next tick writes the drop
         pipe.sample(5.0)
         pipe.sample(6.0)
-        assert pipe.series("link").points() == [(2.0, 0.5), (4.0, 0.75), (5.0, 0.0)]
+        assert pipe.series("link").points == [(2.0, 0.5), (4.0, 0.75), (5.0, 0.0)]
         assert pipe.series("link").kind == "series"
         assert "link" not in sim.metrics.dump()["series"]
 
@@ -170,7 +166,7 @@ class TestTelemetryPipeline:
         pipe.sample(1.0)
         sim.metrics.gauge("g").set(2.0)
         pipe.sample(1.0)
-        assert pipe.series("g").points() == [(1.0, 1.0)]
+        assert pipe.series("g").points == [(1.0, 1.0)]
         assert pipe.samples == 1
 
     def test_record_and_unknown_series(self):

@@ -21,6 +21,7 @@ from repro.obs.tracer import (
     default_tracer,
     enable_tracing,
 )
+from repro.util.stats import percentile
 
 
 def run_pipeline(seed=11, tracer=None):
@@ -247,6 +248,18 @@ class TestRegistryPrimitives:
         assert hist.percentile(50) == 3.0
         assert hist.percentile(100) == 10.0
         assert hist.min == 1.0 and hist.max == 10.0
+
+    def test_histogram_percentile_interpolates_like_the_pipeline(self):
+        """An even count: nearest rank would give 3.0, interpolation 2.5."""
+        hist = MetricsRegistry("m").histogram("latency")
+        for v in [4.0, 1.0, 3.0, 2.0]:
+            hist.observe(v)
+        assert hist.percentile(50) == 2.5 == percentile(hist.values(), 50)
+        assert hist.percentile(99) == percentile(hist.values(), 99)
+        with pytest.raises(ValueError):
+            hist.percentile(101)
+        with pytest.raises(ValueError):
+            MetricsRegistry("m").histogram("empty").percentile(50)
 
     def test_counter_labels(self):
         registry = MetricsRegistry("m")

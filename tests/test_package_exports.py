@@ -53,9 +53,8 @@ EXPORTS = {
             "Overlay RoutingTable measure_maintenance protocol_join run_maintenance_round"
         ),
         "repro.live": (
-            "BacklogTimeline ConstantRate FlashCrowd LATENCY_PERCENTILES LatencyRecorder "
-            "LiveCell LiveReport LoadDriver PhaseSummary RateCurve build_live_cell "
-            "recovery_window"
+            "ConstantRate FlashCrowd LATENCY_PERCENTILES LatencyRecorder LiveCell "
+            "LiveReport LoadDriver PhaseSummary RateCurve build_live_cell"
         ),
         "repro.multicast": (
             "ScribeSystem ScribeTopic SpanningTree build_balanced_tree build_tree "
@@ -65,7 +64,7 @@ EXPORTS = {
             "Anomaly AnomalyDetector BLAME_BY_CATEGORY BLAME_CATEGORIES BurnWindow Counter "
             "CriticalSegment DEFAULT_WINDOWS Gauge Histogram MetricsRegistry NULL_SPAN "
             "NULL_TRACER NullTracer ProfileReport RecoveryProfile SERIES_KINDS SLO SLOAlert "
-            "SLOEngine SeriesBuffer Span TelemetryPipeline TimeSeries Tracer "
+            "SLOEngine Span TelemetryPipeline TimeSeries Tracer "
             "blame_breakdown blame_of build_report chrome_trace clear_collected "
             "clear_collected_registries collapsed_stacks collected_registries "
             "collected_tracers critical_path default_registry default_tracer dumps_trace "

@@ -74,7 +74,7 @@ def _assert_samples_equal_reference(sim, pipe, ticks):
         if name.startswith("ref.host.")
     }
     sampled = {
-        name: pipe.series(name).points()
+        name: pipe.series(name).points
         for name in pipe.names()
         if name.startswith("net.host.")
     }

@@ -27,7 +27,7 @@ def run_sampled(sim, until, pipe=None):
 
 
 def sampled_values(pipe, name):
-    return [v for _, v in pipe.series(name).points()]
+    return [v for _, v in pipe.series(name).points]
 
 
 class TestUtilizationSeries:
@@ -40,7 +40,7 @@ class TestUtilizationSeries:
         assert 1.0 in up  # saturated while transferring
         assert up[-1] == 0.0  # closed out at the first tick after the drain
         assert down[-1] == 0.0
-        assert pipe.series("net.host.a.flows").points() == [(0.5, 1.0), (10.0, 0.0)]
+        assert pipe.series("net.host.a.flows").points == [(0.5, 1.0), (10.0, 0.0)]
 
     def test_fair_share_shows_up_in_utilization(self):
         sim, net, a, b = two_host_net()

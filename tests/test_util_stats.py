@@ -34,6 +34,10 @@ class TestPercentile:
     def test_interpolation(self):
         assert percentile([0, 10], 50) == 5
 
+    def test_even_count_interpolates_between_the_middle_two(self):
+        # Nearest rank would pick 3.
+        assert percentile([4, 1, 3, 2], 50) == 2.5
+
     def test_single_value(self):
         assert percentile([7], 99) == 7
 
