@@ -14,13 +14,7 @@ alert timeline, remediation table).
 Usage: python examples/slo_dashboard.py
 """
 
-from repro.control import (
-    ControlConfig,
-    Controller,
-    ControlPlane,
-    PolicyRule,
-    PolicyTable,
-)
+from repro.control import Controller, ControlPlane, PolicyRule, PolicyTable
 from repro.live import FlashCrowd, LoadDriver, build_live_cell
 from repro.obs import (
     SLO,
@@ -65,7 +59,7 @@ def main() -> None:
     controller = Controller(
         world,
         policy=policy,
-        config=ControlConfig(verify_invariants=False),
+        verify_invariants=False,
         slo_engine=engine,
         anomalies=anomalies,
     )

@@ -37,8 +37,8 @@ __version__ = "1.0.0"
 __getattr__, __all__ = export_table(__name__, {
     "repro.api": ("SR3", "SelectionResult", "SplitResult"),
     "repro.control": (
-        "ControlConfig", "Controller", "ControlPlane", "Diagnosis", "PolicyRule", "PolicyTable",
-        "RemediationRecord", "default_policy", "shard_granular_policy",
+        "Controller", "ControlPlane", "Diagnosis", "PolicyRule", "PolicyTable",
+        "RemediationRecord", "default_policy",
     ),
     "repro.errors": ("ReproError",),
     "repro.live": ("LiveCell", "LiveReport", "LoadDriver", "build_live_cell"),

@@ -388,12 +388,11 @@ class SR3(HoldsDeployment):
         """The attached remediation controller, or ``None``."""
         return self._controller
 
-    def attach_controller(self, policy=None, config=None, detector=None):
+    def attach_controller(self, policy=None, detector=None):
         """Attach a closed-loop auto-remediation controller.
 
         ``policy`` is a :class:`~repro.control.PolicyTable` (default: the
-        shipped :func:`~repro.control.default_policy`); ``config`` a
-        :class:`~repro.control.ControlConfig`; ``detector`` an optional
+        shipped :func:`~repro.control.default_policy`); ``detector`` an optional
         running :class:`~repro.dht.failure_detector.FailureDetector` whose
         declarations feed the controller's event log (and date its MTTR
         measurements). Returns the :class:`~repro.control.Controller` —
@@ -404,7 +403,7 @@ class SR3(HoldsDeployment):
                 "a controller is already attached; detach_controller() first"
             )
         world = ControlPlane(self.deployment, detector=detector)
-        self._controller = Controller(world, policy=policy, config=config)
+        self._controller = Controller(world, policy=policy)
         return self._controller
 
     def detach_controller(self):

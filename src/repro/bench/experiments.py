@@ -17,7 +17,6 @@ from repro.bench.parallel import run_scale_cells
 from repro.chaos.campaign import run_scenario
 from repro.chaos.scenario import SCENARIOS
 from repro.control import (
-    ControlConfig,
     Controller,
     ControlPlane,
     PolicyRule,
@@ -1504,7 +1503,7 @@ def run_slo_cell(
     controller = Controller(
         ControlPlane(cell, detector=detector),
         policy=policy,
-        config=ControlConfig(verify_invariants=False),
+        verify_invariants=False,
         slo_engine=engine,
         anomalies=anomalies,
     )

@@ -245,9 +245,7 @@ class ChaosEngine(HoldsDeployment):
                     name, registered, replacement
                 )
             elif self.controller is not None:
-                handle = self.controller.begin_owner_loss(
-                    name, replacement=replacement, mechanism=self.mechanism
-                )
+                handle = self.controller.begin_owner_loss(name)
             else:
                 handle = self.manager.recover(
                     name, replacement=replacement, mechanism=self.impl
@@ -471,24 +469,11 @@ def _attach_controller(engine: ChaosEngine, mechanism: str):
     The controller's policy pins proactive recovery to the cell's
     mechanism so the resilience matrix still compares mechanisms, and its
     verification step gets the campaign's pre-failure ground truth.
-    A control-plane rewrite resets a state's chain, so the hook re-anchors
-    that ground truth (and the recovery's segment accounting) to the new
-    chain — the invariants audit what the world is *supposed* to hold now.
     """
-    world = ControlPlane(engine.deployment)
-    controller = Controller(world, policy=default_policy(mechanism=mechanism))
+    controller = Controller(
+        ControlPlane(engine.deployment), policy=default_policy(mechanism=mechanism)
+    )
     engine.controller = controller
-
-    def reanchor(state_name: str) -> None:
-        if engine.manager.states[state_name].plan is None:
-            return
-        checksums = engine.anchor_ground_truth(state_name)
-        controller._pre_checksums[state_name] = checksums
-        result = engine.results.get(state_name)
-        if result is not None:
-            result.shards_recovered = len(checksums)
-
-    world.on_chain_rewritten = reanchor
     return controller
 
 
@@ -504,7 +489,7 @@ def run_scenario(
     :class:`~repro.control.Controller` owns the response: owner-loss
     recoveries route through its policy table during the run, and after
     quiescence it sweeps the world for residual damage — thinned
-    replicas, degraded hosts, over-long chains — remediating until the
+    replicas, degraded hosts, hot nodes — remediating until the
     invariants hold.
     """
     # Chaos runs always trace: the blame breakdown of each cell needs the

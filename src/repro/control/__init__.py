@@ -4,8 +4,8 @@ The control plane watches a running deployment (failure-detector events,
 placement plans, version chains, per-host bandwidth), diagnoses named
 conditions, plans actions from a declarative policy table, executes them
 through the recovery manager, and verifies the result against the chaos
-invariant checkers — retrying and escalating until the world is clean or
-the policy's budget is spent.
+invariant checkers — retrying until the world is clean or the policy's
+budget is spent.
 
 Typical use through the public façade::
 
@@ -28,11 +28,9 @@ __getattr__, __all__ = export_table(__name__, {
         "ACTIONS", "Action", "ActionOutcome", "build_action", "register_action",
     ),
     "repro.control.controller": (
-        "ControlConfig", "Controller", "ControlPlane", "RemediationRecord",
+        "Controller", "ControlPlane", "RemediationRecord",
     ),
     "repro.control.diagnose": ("CONDITIONS", "TELEMETRY_KINDS", "Diagnosis", "diagnose"),
     "repro.control.events": ("EVENT_KINDS", "ControlEvent", "EventLog", "watch_detector"),
-    "repro.control.policy": (
-        "PolicyRule", "PolicyTable", "default_policy", "shard_granular_policy",
-    ),
+    "repro.control.policy": ("PolicyRule", "PolicyTable", "default_policy"),
 })

@@ -1,10 +1,15 @@
 """Remediation actions: what the control plane can actually do.
 
-Every action follows the same contract: ``execute(world, diagnosis)``
-inspects the *current* world first and returns ``changed=False`` when the
-condition is already gone — actions are idempotent, so the controller can
-retry them freely. Execution drives the simulator to quiescence before
-reporting, so an outcome reflects landed bytes, not scheduled intentions.
+Every action has the same two halves. ``begin(world, diagnosis, span)``
+inspects the *current* world, checks the action's guard and puts its work
+in flight without blocking: it returns the :class:`Launch` (the recoveries
+or transfers it started) or, when there is nothing to launch, an
+:class:`ActionOutcome` (the condition is already gone, or the guard
+failed). ``finish(world, diagnosis, launch)`` reads the outcome once the
+simulator is quiescent. :meth:`Action.execute` is the blocking form:
+begin, drive the simulator to quiescence if something was launched, then
+finish — so an outcome reflects landed bytes, not scheduled intentions.
+Actions are idempotent, so the controller can retry them freely.
 
 The catalog:
 
@@ -13,29 +18,13 @@ The catalog:
   Fig. 7 selection-recommended mechanism unless the policy pins one.
 - :class:`RecoverDegraded` (``recover-degraded``) — the telemetry-alert
   form of recovery: scan the registry for states stranded on dead owners
-  (all of them, or the one the alert binds) and recover each. Exposes a
-  non-blocking ``begin_all`` for embeddings that own the event loop.
+  (all of them, or the one the alert binds) and recover each.
 - :class:`ReReplicate` (``re-replicate``) — copy thin chain segments from
   a surviving provider onto fresh nodes until every segment is back at
   the configured replication factor. Copies preserve shard checksums and
   the chain structure (this is *not* a new save round).
-- :class:`RewriteState` (``rewrite``) — a fresh full save of the current
-  reconstructed image: resets the chain, restores full replication.
-- :class:`CompactChain` (``compact-chain``) — rewrite, but a no-op unless
-  the state actually carries a multi-link chain.
 - :class:`RebalanceNode` (``rebalance``) — move replicas off a flagged
   node (all of them for a flaky node, the excess for a hot shard).
-- :class:`EvictNode` (``evict-node``) — rebalance everything away, then
-  remove the node from the ring (refuses to evict a state owner).
-- :class:`SplitShard` (``split-shard``) — split a state's hottest shard
-  in two (``m`` → ``m + 1``) and land the result with a fresh save.
-- :class:`MergeShards` (``merge-shards``) — fold two cold shards into
-  one (``m`` → ``m - 1``), same re-save flow.
-- :class:`MigrateShard` (``migrate-shard``) — live-migrate one replica
-  of the heaviest shard off a flagged node; chain and checksums are
-  untouched.
-- :class:`PromoteStandby` (``promote-standby``) — flip ownership to a
-  warm standby (dead owner) or re-warm a lagging one (live owner).
 """
 
 from __future__ import annotations
@@ -45,23 +34,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.control.diagnose import Diagnosis
-from repro.errors import ConfigError, OverlayError, ReproError
+from repro.errors import ConfigError, ReproError
 from repro.recovery.deployment import MECHANISMS
-from repro.recovery.standby import (
-    StandbyRecovery,
-    standby_coverage,
-    standby_node_of,
-    sync_standby,
-)
-from repro.state.partitioner import (
-    merge_shard_pair,
-    partition_snapshot,
-    partition_synthetic,
-    split_shard,
-)
-from repro.state.placement import PlacedShard, migrate_replica
+from repro.state.placement import PlacedShard
 from repro.state.shard import ShardReplica
-from repro.state.version import StateVersion
 
 #: Flow tag stamped on every byte the control plane moves.
 CONTROL_TAG = "control.copy"
@@ -87,18 +63,35 @@ class ActionOutcome:
         }
 
 
+@dataclass(frozen=True)
+class Launch:
+    """What a ``begin`` put in flight: recoveries (by state) or transfers."""
+
+    recoveries: Tuple[Tuple[str, object], ...] = ()
+    transfers: int = 0
+
+
 class Action:
-    """Base class: a named, parameterized remediation."""
+    """Base class: a named, parameterized remediation.
+
+    A subclass defines ``begin(world, diagnosis, span)``, which returns a
+    :class:`Launch` or an :class:`ActionOutcome` and never drives the
+    simulator, and ``finish(world, diagnosis, launch)``, which reads the
+    outcome once the simulator is quiescent.
+    """
 
     name = "action"
 
     def __init__(self, **params) -> None:
         self.params = params
 
-    def execute(
-        self, world, diagnosis: Diagnosis, parent_span=None
-    ) -> ActionOutcome:  # pragma: no cover - interface
-        raise NotImplementedError
+    def execute(self, world, diagnosis: Diagnosis, span=None) -> ActionOutcome:
+        """Begin, run to quiescence if anything was launched, then finish."""
+        launch = self.begin(world, diagnosis, span)
+        if isinstance(launch, ActionOutcome):
+            return launch
+        world.sim.run_until_idle()
+        return self.finish(world, diagnosis, launch)
 
     # ------------------------------------------------------------- helpers
 
@@ -119,48 +112,17 @@ class Action:
             error=error,
         )
 
-    def _saved_state(self, world, state_name, live_owner_before: str = ""):
+    def _saved_state(self, world, state_name):
         """``(registered, failure)`` for the state a diagnosis names.
 
-        ``failure`` is ``None`` when the state is registered and saved —
-        and, if ``live_owner_before`` names what the caller is about to
-        do, its owner is alive. ``registered`` is set whenever the name
-        is known, so a caller can still no-op on an unsaved state.
+        ``failure`` is ``None`` when the state is registered and saved.
         """
         registered = world.manager.states.get(state_name)
         if registered is None:
             return None, self._fail(f"unknown state {state_name!r}")
         if registered.plan is None:
             return registered, self._fail(f"state {state_name!r} was never saved")
-        if live_owner_before and not registered.owner.alive:
-            return registered, self._fail(
-                f"owner of {state_name!r} is dead; recover it before "
-                f"{live_owner_before}"
-            )
         return registered, None
-
-    def _resave(self, world, registered, transform=lambda shards: shards):
-        """Fold the chain, repartition the image, land it with a full save.
-
-        ``transform`` maps the current base partition to the one to save
-        (identity: a plain rewrite). The save round re-scatters the shards
-        across the leaf set and resets the chain; ``state_checksums()``
-        ground truth is preserved because the merged snapshot is
-        byte-identical before and after. Returns ``(SaveResult, failure)``.
-        """
-        state_name = registered.state_name
-        try:
-            shards = transform(_current_base_shards(world, registered))
-            world.manager.refresh_shards(state_name, shards)
-            handle = world.manager.save(state_name)
-            world.sim.run_until_idle()
-            result = handle.result
-        except ReproError as exc:
-            return None, self._fail(str(exc))
-        rewritten = getattr(world, "on_chain_rewritten", None)
-        if rewritten is not None:
-            rewritten(state_name)
-        return result, None
 
 
 ACTIONS: Dict[str, type] = {}
@@ -228,7 +190,7 @@ def _pick_target(world, exclude_ids, pending: Dict[str, int]):
     )
 
 
-def _copy_replica(world, source_node, target_node, replica, parent_span=None) -> None:
+def _copy_replica(world, source_node, target_node, replica, span) -> None:
     """Ship one replica's bytes and install it on arrival."""
 
     def arrived(flow, key=replica.key, rep=replica, node=target_node):
@@ -240,35 +202,8 @@ def _copy_replica(world, source_node, target_node, replica, parent_span=None) ->
         replica.size_bytes,
         on_complete=arrived,
         tag=CONTROL_TAG,
-        parent_span=parent_span,
+        parent_span=span,
     )
-
-
-def _mechanism_instance(name: str):
-    """A fresh mechanism implementation for a pinned policy name."""
-    cls = MECHANISMS.get(name)
-    if cls is None:
-        raise ConfigError(f"unknown mechanism {name!r}; known: {sorted(MECHANISMS)}")
-    return cls()
-
-
-def _current_base_shards(world, registered) -> List[object]:
-    """The state's current image re-partitioned at today's shard count.
-
-    Folds any delta chain first, so a rewrite and the split/merge
-    primitives — which operate on a base partition — always see a
-    single-version, chain-link-zero shard set.
-    """
-    snapshot = world.manager.recovered_snapshot(registered.state_name)
-    num_shards = registered.plan.num_shards
-    if len(snapshot) == 0 and snapshot.size_bytes > 0:
-        # Synthetic state: carry the byte size forward, bump the version
-        # so the rewrite is distinguishable from the image it folded.
-        version = StateVersion(world.sim.now, snapshot.version.sequence + 1)
-        return partition_synthetic(
-            registered.state_name, int(snapshot.size_bytes), num_shards, version
-        )
-    return partition_snapshot(snapshot, num_shards)
 
 
 def _resident_replicas(registered, node=None):
@@ -293,47 +228,46 @@ def _resident_replicas(registered, node=None):
 
 @register_action
 class RecoverState(Action):
-    """Recover an owner-lost state onto a replacement node.
+    """Recover an owner-lost state onto its replacement node.
 
-    ``mechanism`` (param) pins a mechanism by name; otherwise the manager
-    runs the Fig. 7 selection heuristic for the state. :meth:`begin`
-    starts the recovery and returns the handle without driving the
-    simulator — the chaos engine uses it so mid-recovery fault injectors
-    still see the recovery in flight; :meth:`execute` is the synchronous
-    form the controller's sweep uses.
+    ``mechanism`` (param) pins a mechanism by name, checked when the
+    action is built; otherwise the manager runs the Fig. 7 selection
+    heuristic for the state. The chaos engine and the live driver use the
+    non-blocking :meth:`begin` (through the controller), so mid-recovery
+    fault injectors and the tuple path still see the recovery in flight.
     """
 
     name = "recover"
 
-    def begin(self, world, diagnosis: Diagnosis, replacement=None, parent_span=None):
-        state_name = diagnosis.state
-        registered = world.manager.states[state_name]
-        if replacement is None:
-            replacement = world.overlay.replacement_for(registered.owner)
-        pinned = self.params.get("mechanism")
-        impl = (
-            _mechanism_instance(pinned)
-            if pinned is not None
-            else world.manager.mechanism_for(state_name)
-        )
-        return world.manager.recover(
-            state_name,
-            replacement=replacement,
-            mechanism=impl,
-            parent_span=parent_span,
-        )
+    def __init__(self, **params) -> None:
+        super().__init__(**params)
+        pinned = params.get("mechanism")
+        if pinned is not None and pinned not in MECHANISMS:
+            raise ConfigError(
+                f"unknown mechanism {pinned!r}; known: {sorted(MECHANISMS)}"
+            )
 
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
+    def _start(self, world, state_name: str) -> Tuple[str, object]:
+        pinned = self.params.get("mechanism")
+        mechanism = MECHANISMS[pinned]() if pinned is not None else None
+        return state_name, world.manager.recover(state_name, mechanism=mechanism)
+
+    def begin(self, world, diagnosis: Diagnosis, span):
         registered, failure = self._saved_state(world, diagnosis.state)
         if failure is not None:
             return failure
         if registered.owner.alive:
             return self._ok(changed=False, owner=registered.owner.name)
         try:
-            handle = self.begin(world, diagnosis, parent_span=parent_span)
-            world.sim.run_until_idle()
+            return Launch(recoveries=(self._start(world, diagnosis.state),))
+        except ReproError as exc:
+            return self._fail(str(exc))
+
+    def finish(self, world, diagnosis: Diagnosis, launch: Launch) -> ActionOutcome:
+        ((_, handle),) = launch.recoveries
+        try:
             result = handle.result
-        except (ReproError, OverlayError) as exc:
+        except ReproError as exc:
             return self._fail(str(exc))
         return self._ok(
             changed=True,
@@ -344,65 +278,35 @@ class RecoverState(Action):
 
 
 @register_action
-class RecoverDegraded(Action):
+class RecoverDegraded(RecoverState):
     """Recover every dead-owner state a telemetry alert implicates.
 
     An SLO alert names a *symptom* (p99 burning, replay lag climbing),
     not a corpse; this action turns the symptom into recoveries by
     scanning the registry for states whose owner is dead — all of them
     when the alert carries no subject binding, just the bound state when
-    it does. Parameters (``mechanism``) forward to :class:`RecoverState`.
-    :meth:`begin_all` is the non-blocking form for embeddings that own
-    the event loop (the live driver via :meth:`Controller.poll`);
-    :meth:`execute` drives the simulator to quiescence like every other
-    synchronous action.
+    it does. ``mechanism`` pins the mechanism as for :class:`RecoverState`.
     """
 
     name = "recover-degraded"
 
-    def begin_all(self, world, diagnosis: Diagnosis, parent_span=None):
-        """Start one recovery per implicated dead-owner state; no blocking.
-
-        Returns ``[(state_name, handle), ...]`` — empty when the alert
-        implicates nothing currently recoverable (the owner lives, or
-        nothing was ever saved).
-        """
-        recover = RecoverState(**self.params)
-        begun = []
-        for registered in _implicated_states(world, diagnosis):
-            if registered.plan is None or registered.owner.alive:
-                continue
-            state_name = registered.state_name
-            sub = Diagnosis(
-                condition="owner-lost",
-                severity="critical",
-                detected_at=diagnosis.detected_at,
-                state=state_name,
-                evidence=(
-                    ("owner", registered.owner.name),
-                    ("trigger", diagnosis.condition),
-                ),
-            )
-            begun.append(
-                (
-                    state_name,
-                    recover.begin(world, sub, parent_span=parent_span),
-                )
-            )
-        return begun
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
+    def begin(self, world, diagnosis: Diagnosis, span):
+        recoveries = []
         try:
-            begun = self.begin_all(world, diagnosis, parent_span=parent_span)
-        except (ReproError, OverlayError) as exc:
+            for registered in _implicated_states(world, diagnosis):
+                if registered.plan is not None and not registered.owner.alive:
+                    recoveries.append(self._start(world, registered.state_name))
+        except ReproError as exc:
             return self._fail(str(exc))
-        if not begun:
+        if not recoveries:
             return self._ok(changed=False)
-        world.sim.run_until_idle()
+        return Launch(recoveries=tuple(recoveries))
+
+    def finish(self, world, diagnosis: Diagnosis, launch: Launch) -> ActionOutcome:
         return self._ok(
             changed=True,
-            recovered=len(begun),
-            states=",".join(name for name, _ in begun),
+            recovered=len(launch.recoveries),
+            states=",".join(name for name, _ in launch.recoveries),
         )
 
 
@@ -412,15 +316,15 @@ class ReReplicate(Action):
 
     name = "re-replicate"
 
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
+    def begin(self, world, diagnosis: Diagnosis, span):
         state_name = diagnosis.state
         registered, failure = self._saved_state(world, state_name)
         if failure is not None:
             return failure
-        plans = [link.plan for link in registered.plan.links]
         pending: Dict[str, int] = {}
         copies = 0
-        for plan in plans:
+        for link in registered.plan.links:
+            plan = link.plan
             for index in plan.shard_indexes():
                 providers = plan.providers_for(index)
                 if len(providers) >= registered.num_replicas:
@@ -446,56 +350,26 @@ class ReReplicate(Action):
                     replica = ShardReplica(
                         source.replica.shard, replica_index, registered.num_replicas
                     )
-                    _copy_replica(world, source.node, target, replica, parent_span)
+                    _copy_replica(world, source.node, target, replica, span)
                     plan.placements.append(PlacedShard(replica, target))
                     occupied.add(target.node_id)
                     pending[target.name] = pending.get(target.name, 0) + 1
                     copies += 1
         if copies == 0:
             return self._ok(changed=False)
-        world.sim.run_until_idle()
-        for plan in plans:
+        return Launch(transfers=copies)
+
+    def finish(self, world, diagnosis: Diagnosis, launch: Launch) -> ActionOutcome:
+        registered = world.manager.states[diagnosis.state]
+        for link in registered.plan.links:
+            plan = link.plan
             for index in plan.shard_indexes():
                 if len(plan.providers_for(index)) < registered.num_replicas:
                     return self._fail(
-                        f"segment {index} of {state_name!r} still thin after "
-                        f"re-replication"
+                        f"segment {index} of {diagnosis.state!r} still thin "
+                        f"after re-replication"
                     )
-        return self._ok(changed=True, copies=copies)
-
-
-@register_action
-class RewriteState(Action):
-    """A fresh full save of the reconstructed image (resets the chain)."""
-
-    name = "rewrite"
-
-    def _rewrite(self, world, registered) -> ActionOutcome:
-        result, failure = self._resave(world, registered)
-        return failure or self._ok(
-            changed=True,
-            chain_length=registered.plan.length,
-            duration_s=round(result.duration, 6),
-        )
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        registered, failure = self._saved_state(world, diagnosis.state, "rewriting")
-        return failure or self._rewrite(world, registered)
-
-
-@register_action
-class CompactChain(RewriteState):
-    """Fold a too-long version chain into a fresh single-link base."""
-
-    name = "compact-chain"
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        registered, failure = self._saved_state(world, diagnosis.state, "rewriting")
-        if registered is not None and (
-            registered.plan is None or registered.plan.length <= 1
-        ):
-            return self._ok(changed=False)
-        return failure or self._rewrite(world, registered)
+        return self._ok(changed=True, copies=launch.transfers)
 
 
 @register_action
@@ -528,7 +402,7 @@ class RebalanceNode(Action):
                 moves.append((registered, plan, placed))
         return moves
 
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
+    def begin(self, world, diagnosis: Diagnosis, span):
         node = _node_by_name(world, diagnosis.node)
         if node is None or not node.alive:
             return self._ok(changed=False)
@@ -567,258 +441,32 @@ class RebalanceNode(Action):
                 replica.size_bytes,
                 on_complete=relocated,
                 tag=CONTROL_TAG,
-                parent_span=parent_span,
+                parent_span=span,
             )
             pending[target.name] = pending.get(target.name, 0) + 1
             moved += 1
-        world.sim.run_until_idle()
+        return Launch(transfers=moved)
+
+    def finish(self, world, diagnosis: Diagnosis, launch: Launch) -> ActionOutcome:
+        node = _node_by_name(world, diagnosis.node)
         leftovers = self._moves_for(world, node, diagnosis)
         if leftovers:
             return self._fail(
                 f"{len(leftovers)} replicas still on {node.name} after rebalance"
             )
-        return self._ok(changed=True, moved=moved, drained=node.name)
-
-
-@register_action
-class EvictNode(Action):
-    """Drain a chronically degraded node, then remove it from the ring."""
-
-    name = "evict-node"
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        node = _node_by_name(world, diagnosis.node)
-        if node is None or not node.alive:
-            return self._ok(changed=False)
-        owners = [
-            name
-            for name in sorted(world.manager.states)
-            if world.manager.states[name].owner.node_id == node.node_id
-        ]
-        if owners:
-            return self._fail(
-                f"{node.name} owns {owners}; recover or migrate ownership "
-                f"before eviction"
-            )
-        drain = RebalanceNode().execute(world, diagnosis, parent_span=parent_span)
-        if not drain.ok:
-            return self._fail(f"drain failed: {drain.error}")
-        world.overlay.fail_node(node, repair=True)
-        world.sim.run_until_idle()
-        return self._ok(changed=True, evicted=node.name)
-
-
-@register_action
-class SplitShard(Action):
-    """Split the hottest shard of a state in two (``m`` → ``m + 1``).
-
-    The target defaults to the state's largest shard; a policy can pin
-    ``shard_index`` explicitly. Keys divide by the next hash bit, so the
-    halves land deterministically and later saves re-scatter them.
-    """
-
-    name = "split-shard"
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        registered, failure = self._saved_state(
-            world, diagnosis.state, "repartitioning"
-        )
-        if failure is not None:
-            return failure
-        index = self.params.get("shard_index")
-        if index is None:
-            hottest = max(
-                registered.shards, key=lambda s: (s.size_bytes, -s.index)
-            )
-            index = hottest.index
-        index = int(index)
-        result, failure = self._resave(
-            world, registered, lambda shards: split_shard(shards, index)
-        )
-        return failure or self._ok(
-            changed=True,
-            num_shards=len(registered.shards),
-            duration_s=round(result.duration, 6),
-            split_index=index,
-        )
-
-
-@register_action
-class MergeShards(Action):
-    """Merge two cold shards into one (``m`` → ``m - 1``).
-
-    The pair comes from the ``shard-cold`` diagnosis evidence when
-    available (the two smallest cold shards), else the two smallest
-    shards overall; ``index_a``/``index_b`` params pin it explicitly.
-    A state already at two shards is left alone — merging further would
-    erase the parallelism every recovery mechanism feeds on.
-    """
-
-    name = "merge-shards"
-
-    def _pick_pair(self, diagnosis: Diagnosis, registered) -> Tuple[int, int]:
-        a = self.params.get("index_a")
-        b = self.params.get("index_b")
-        if a is not None and b is not None:
-            low, high = sorted((int(a), int(b)))
-            return low, high
-        by_size = {s.index: s.size_bytes for s in registered.shards}
-        evidence = dict(diagnosis.evidence)
-        cold = [i for i in evidence.get("cold_shards", ()) if i in by_size]
-        pool = cold if len(cold) >= 2 else sorted(by_size)
-        ranked = sorted(pool, key=lambda i: (by_size[i], i))
-        low, high = sorted(ranked[:2])
-        return low, high
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        registered, failure = self._saved_state(
-            world, diagnosis.state, "repartitioning"
-        )
-        if failure is not None:
-            return failure
-        if len(registered.shards) <= 2:
-            return self._ok(changed=False, num_shards=len(registered.shards))
-        low, high = self._pick_pair(diagnosis, registered)
-        result, failure = self._resave(
-            world, registered, lambda shards: merge_shard_pair(shards, low, high)
-        )
-        return failure or self._ok(
-            changed=True,
-            num_shards=len(registered.shards),
-            duration_s=round(result.duration, 6),
-            merged=f"{low}+{high}",
-        )
-
-
-@register_action
-class MigrateShard(Action):
-    """Move one replica of the heaviest shard off a flagged node.
-
-    The surgical alternative to :class:`RebalanceNode`: a single replica
-    of the node's largest resident shard rides a live network flow to the
-    least-loaded eligible node, preserving checksums, versions, and the
-    chain (no re-save, no ground-truth re-anchor). Standby copies are
-    never migrated — they are pinned to their standby node.
-    """
-
-    name = "migrate-shard"
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        node = _node_by_name(world, diagnosis.node)
-        if node is None or not node.alive:
-            return self._ok(changed=False)
-        best = None
-        for registered in _implicated_states(world, diagnosis):
-            for plan, placed in _resident_replicas(registered, node):
-                rank = (placed.replica.size_bytes, repr(placed.replica.key))
-                if best is None or rank > best[0]:
-                    best = (rank, plan, placed)
-        if best is None:
-            return self._ok(changed=False)
-        _, plan, placed = best
-        shard_index = placed.replica.shard.index
-        target = _pick_target(world, _occupied(plan, shard_index), {})
-        if target is None:
-            return self._fail(
-                f"no eligible node to absorb shard {shard_index} from {node.name}"
-            )
-        try:
-            migrate_replica(
-                world.network,
-                plan,
-                shard_index,
-                node,
-                target,
-                tag=CONTROL_TAG,
-                parent_span=parent_span,
-            )
-        except ReproError as exc:
-            return self._fail(str(exc))
-        world.sim.run_until_idle()
-        return self._ok(
-            changed=True,
-            shard=shard_index,
-            source=node.name,
-            target=target.name,
-            bytes=round(placed.replica.size_bytes, 3),
-        )
-
-
-@register_action
-class PromoteStandby(Action):
-    """Flip ownership to the warm standby, or re-warm a lagging one.
-
-    Dead owner: the standby node becomes the replacement and the standby
-    mechanism takes over (warm segments are already local, so the
-    takeover is a flip plus tail replay). Live owner (the
-    ``standby-lagging`` case): the standby merely fell behind — an
-    incremental :func:`~repro.recovery.standby.sync_standby` ships only
-    the missing segments.
-    """
-
-    name = "promote-standby"
-
-    def execute(self, world, diagnosis: Diagnosis, parent_span=None) -> ActionOutcome:
-        state_name = diagnosis.state
-        registered, failure = self._saved_state(world, state_name)
-        if failure is not None:
-            return failure
-        standby = standby_node_of(registered)
-        if standby is None:
-            return self._fail(f"state {state_name!r} has no provisioned standby")
-        if not registered.owner.alive:
-            try:
-                handle = world.manager.recover(
-                    state_name,
-                    replacement=standby,
-                    mechanism=StandbyRecovery(),
-                    parent_span=parent_span,
-                )
-                world.sim.run_until_idle()
-                result = handle.result
-            except (ReproError, OverlayError) as exc:
-                return self._fail(str(exc))
-            return self._ok(
-                changed=True,
-                promoted=standby.name,
-                mechanism=result.mechanism,
-                duration_s=round(result.duration, 6),
-            )
-        covered, total = standby_coverage(registered, standby)
-        if total and covered == total:
-            return self._ok(changed=False, standby=standby.name)
-        try:
-            sync = sync_standby(
-                world.manager.ctx, registered, standby, parent_span=parent_span
-            )
-            world.sim.run_until_idle()
-            report = sync.result
-        except ReproError as exc:
-            return self._fail(str(exc))
-        return self._ok(
-            changed=True,
-            standby=standby.name,
-            copied_segments=report.copied_segments,
-            copied_bytes=round(report.copied_bytes, 3),
-        )
+        return self._ok(changed=True, moved=launch.transfers, drained=node.name)
 
 
 __all__ = [
     "ACTIONS",
     "Action",
     "ActionOutcome",
-    "CompactChain",
     "CONTROL_TAG",
-    "EvictNode",
-    "MergeShards",
-    "MigrateShard",
-    "PromoteStandby",
+    "Launch",
     "ReReplicate",
     "RebalanceNode",
     "RecoverDegraded",
     "RecoverState",
-    "RewriteState",
-    "SplitShard",
     "build_action",
     "register_action",
 ]

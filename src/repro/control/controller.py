@@ -6,9 +6,8 @@ degraded links) → **diagnose** (:mod:`repro.control.diagnose`) → **plan**
 (first matching :class:`~repro.control.policy.PolicyRule`) → **execute**
 (:mod:`repro.control.actions`) → **verify** (the condition must be gone
 *and* the chaos invariant checkers must hold). Verification failure
-retries the action up to the rule's budget, then runs the rule's
-escalation action; a condition that survives escalation is parked so the
-loop always terminates.
+retries the action up to the rule's budget; a condition that survives
+its retries is parked so the loop always terminates.
 
 Every remediation is timed on the simulated clock from the moment its
 condition was detected to the moment verification passed — the MTTR the
@@ -30,8 +29,9 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.control.actions import (
+    Action,
     ActionOutcome,
-    RecoverDegraded,
+    Launch,
     RecoverState,
     build_action,
 )
@@ -43,7 +43,7 @@ from repro.control.events import (
     slo_event,
     watch_detector,
 )
-from repro.control.policy import PolicyRule, PolicyTable, default_policy
+from repro.control.policy import PolicyTable, default_policy
 from repro.errors import RecoveryError
 from repro.recovery.deployment import Deployment, HoldsDeployment
 
@@ -54,31 +54,11 @@ _MAX_ROUNDS = 8
 
 
 @dataclass
-class ControlConfig:
-    """Loop-wide knobs (per-condition policy lives in the table)."""
-
-    #: A node holding this multiple of a state's per-node mean replica
-    #: count is a hot shard.
-    hot_shard_factor: float = 3.0
-    #: A shard below this fraction of its state's mean byte size is cold
-    #: (merge candidate). Zero — the default — disables the scan, keeping
-    #: deployments that never opted into shard-granular remediation
-    #: byte-identical.
-    cold_shard_factor: float = 0.0
-    #: Run the chaos invariant checkers as part of verification.
-    verify_invariants: bool = True
-
-
-@dataclass
 class ControlPlane(HoldsDeployment):
     """Everything the controller observes and acts through."""
 
     deployment: Deployment
     detector: Optional[object] = None
-    #: Fired after a control-plane rewrite resets a state's chain, so an
-    #: embedding that keeps pre-failure ground truth (the chaos engine)
-    #: can re-anchor it to the new chain.
-    on_chain_rewritten: Optional[Callable[[str], None]] = None
 
 
 @dataclass
@@ -88,7 +68,6 @@ class RemediationRecord:
     diagnosis: Diagnosis
     action: str
     attempts: int = 0
-    escalated: bool = False
     verified: bool = False
     resolved_at: Optional[float] = None
     #: When a non-blocking remediation's last recovery handle landed (set
@@ -110,7 +89,6 @@ class RemediationRecord:
             "diagnosis": self.diagnosis.to_dict(),
             "action": self.action,
             "attempts": self.attempts,
-            "escalated": self.escalated,
             "verified": self.verified,
             "resolved_at": (
                 round(self.resolved_at, 6) if self.resolved_at is not None else None
@@ -122,19 +100,27 @@ class RemediationRecord:
 
 
 class Controller:
-    """Policy-driven auto-remediation over one deployment."""
+    """Policy-driven auto-remediation over one deployment.
+
+    Records open through one path (:meth:`_open_record`, from :meth:`step`,
+    :meth:`poll` and :meth:`begin_owner_loss`) and every attempt settles
+    through one path (:meth:`_settle`). :meth:`step` runs its attempts to
+    quiescence in place; :meth:`poll` and :meth:`begin_owner_loss` only
+    begin them, and :meth:`sweep` settles what they left open.
+    """
 
     def __init__(
         self,
         world: ControlPlane,
         policy: Optional[PolicyTable] = None,
-        config: Optional[ControlConfig] = None,
+        verify_invariants: bool = True,
         slo_engine=None,
         anomalies=None,
     ) -> None:
         self.world = world
         self.policy = policy if policy is not None else default_policy()
-        self.config = config or ControlConfig()
+        #: Run the chaos invariant checkers as part of verification.
+        self.verify_invariants = verify_invariants
         #: Telemetry attachments: an :class:`~repro.obs.slo.SLOEngine` and
         #: an :class:`~repro.obs.anomaly.AnomalyDetector` pumped by
         #: :meth:`observe` — their alerts enter the loop as events.
@@ -146,11 +132,10 @@ class Controller:
         self.on_recovery_begun: Optional[Callable[[str, object], None]] = None
         self.log = EventLog()
         self.records: List[RemediationRecord] = []
-        #: In-flight owner-loss remediations started via :meth:`begin_owner_loss`.
-        self._open: Dict[str, Tuple[RemediationRecord, PolicyRule]] = {}
-        #: Blocking remediations :meth:`poll` could not run mid-stream,
-        #: executed by :meth:`sweep` once the embedding reaches quiescence.
-        self._deferred: List[Tuple[RemediationRecord, PolicyRule, object]] = []
+        #: Remediations begun but not yet settled, each with its action and
+        #: what its ``begin`` returned: owner losses by state name, polled
+        #: remediations under ``poll/<condition>/<subject>/<node>``.
+        self._open: Dict[str, Tuple[RemediationRecord, Action, object]] = {}
         self._parked: Set[Tuple[str, str, str]] = set()
         self._degraded_seen: Set[str] = set()
         # Verification context beyond the live world: recovery results and
@@ -235,26 +220,27 @@ class Controller:
         return events
 
     def diagnose(self, events=()) -> List[Diagnosis]:
-        return diagnose(
-            self.world,
-            events,
-            hot_shard_factor=self.config.hot_shard_factor,
-            cold_shard_factor=self.config.cold_shard_factor,
-        )
+        return diagnose(self.world, events)
+
+    def _fresh(self, events) -> List[Diagnosis]:
+        """Diagnoses not parked, not already open, not of a state in recovery."""
+        open_keys = {self._key(record.diagnosis) for record, _, _ in self._open.values()}
+        fresh = [
+            d
+            for d in self.diagnose(events)
+            if self._key(d) not in self._parked
+            and self._key(d) not in open_keys
+            and d.state not in self._open
+        ]
+        self._count("diagnoses", len(fresh))
+        return fresh
 
     def step(self) -> List[RemediationRecord]:
         """One full observe → diagnose → plan → execute → verify pass."""
         tracer = self.world.sim.tracer
         span = tracer.start("control loop", category="control.loop")
-        events = self.observe()
-        fresh = [
-            d
-            for d in self.diagnose(events)
-            if self._key(d) not in self._parked and d.state not in self._open
-        ]
-        self._count("diagnoses", len(fresh))
         handled: List[RemediationRecord] = []
-        for diagnosis in fresh:
+        for diagnosis in self._fresh(self.observe()):
             record = self._remediate(diagnosis)
             if record is not None:
                 handled.append(record)
@@ -275,7 +261,12 @@ class Controller:
     def _key(diagnosis: Diagnosis) -> Tuple[str, str, str]:
         return (diagnosis.condition, diagnosis.subject, diagnosis.node or "")
 
-    def _remediate(self, diagnosis: Diagnosis) -> Optional[RemediationRecord]:
+    def _open_record(self, diagnosis: Diagnosis):
+        """Match a rule, open its record and build its action.
+
+        Returns ``(record, rule, action)``, or ``None`` (the diagnosis is
+        parked) when no rule matches.
+        """
         rule = self.policy.lookup(diagnosis)
         if rule is None:
             self._count("unmatched")
@@ -283,44 +274,52 @@ class Controller:
             return None
         record = RemediationRecord(diagnosis=diagnosis, action=rule.action)
         self.records.append(record)
-        action = build_action(rule.action, **{k: v for k, v in rule.params})
+        return record, rule, build_action(rule.action, **dict(rule.params))
+
+    def _remediate(self, diagnosis: Diagnosis) -> Optional[RemediationRecord]:
+        """Run a rule's attempts to quiescence until one verifies, else park."""
+        opened = self._open_record(diagnosis)
+        if opened is None:
+            return None
+        record, rule, action = opened
+        tracer = self.world.sim.tracer
         for attempt in range(rule.max_retries + 1):
             if attempt:
                 self._count("retries")
-            if self._execute(record, action, diagnosis) and self._verify(
-                record, diagnosis
-            ):
-                self._resolve(record)
-                return record
-        if rule.escalation is not None:
-            record.escalated = True
-            self._count("escalations")
-            escalation = build_action(rule.escalation)
-            if self._execute(record, escalation, diagnosis) and self._verify(
-                record, diagnosis
-            ):
-                self._resolve(record)
+            span = tracer.start(
+                f"control {action.name} {diagnosis.subject}",
+                category="control.action",
+                condition=diagnosis.condition,
+            )
+            outcome = action.execute(self.world, diagnosis, span)
+            span.finish(ok=outcome.ok, changed=outcome.changed)
+            record.attempts += 1
+            self._count("actions")
+            if self._settle(record, outcome):
                 return record
         self._parked.add(self._key(diagnosis))
         self._count("unresolved")
         return record
 
-    def _execute(self, record: RemediationRecord, action, diagnosis: Diagnosis) -> bool:
-        tracer = self.world.sim.tracer
-        span = tracer.start(
-            f"control {action.name} {diagnosis.subject}",
-            category="control.action",
-            condition=diagnosis.condition,
-        )
-        outcome = action.execute(self.world, diagnosis, parent_span=span)
-        span.finish(ok=outcome.ok, changed=outcome.changed)
+    def _begin(self, key: str, record: RemediationRecord, action: Action):
+        """Begin one attempt without blocking and leave it open for sweep()."""
+        launch = action.begin(self.world, record.diagnosis, None)
         record.attempts += 1
-        record.outcomes.append(outcome)
         self._count("actions")
-        return outcome.ok
+        self._open[key] = (record, action, launch)
+        return launch
 
-    def _verify(self, record: RemediationRecord, diagnosis: Diagnosis) -> bool:
+    def _settle(self, record: RemediationRecord, outcome: ActionOutcome) -> bool:
+        """Record an attempt's outcome; resolve the record if it verifies."""
+        record.outcomes.append(outcome)
+        if outcome.ok and self._verify(record):
+            self._resolve(record)
+            return True
+        return False
+
+    def _verify(self, record: RemediationRecord) -> bool:
         """The condition must be gone and the hard invariants must hold."""
+        diagnosis = record.diagnosis
         tracer = self.world.sim.tracer
         span = tracer.start(
             f"control verify {diagnosis.subject}", category="control.verify"
@@ -334,7 +333,7 @@ class Controller:
                 )
                 ok = False
                 break
-        if ok and self.config.verify_invariants:
+        if ok and self.verify_invariants:
             from repro.chaos.invariants import check_invariants
 
             report = check_invariants(self._check_context())
@@ -355,27 +354,22 @@ class Controller:
         if mttr is not None:
             self.world.sim.metrics.histogram("control.mttr_s").observe(mttr)
 
-    # ------------------------------------------- asynchronous (campaign) mode
+    # ------------------------------------ non-blocking (campaign, live) mode
 
-    def begin_owner_loss(
-        self,
-        state_name: str,
-        replacement=None,
-        mechanism: Optional[str] = None,
-    ):
+    def begin_owner_loss(self, state_name: str):
         """Plan and *start* an owner-loss remediation, without blocking.
 
         The chaos engine drives the simulator itself (so mid-recovery
         fault injectors see the recovery in flight) and the remediation is
-        verified later by :meth:`sweep`. Calling again for the same state
-        (the engine's restart path after a replacement death) re-executes
-        the same remediation record. Returns the recovery handle; raises
-        :class:`RecoveryError` when no policy rule covers the loss or the
-        matched rule is not a recovery.
+        settled later by :meth:`sweep`. Calling again for the same state
+        (the engine's restart path after a replacement death) begins
+        another attempt of the same record. Returns the recovery handle;
+        raises :class:`RecoveryError` when no policy rule covers the loss,
+        the matched rule is not a recovery, or the recovery cannot start.
         """
-        registered = self.world.manager.states[state_name]
-        open_entry = self._open.get(state_name)
-        if open_entry is None:
+        entry = self._open.get(state_name)
+        if entry is None:
+            registered = self.world.manager.states[state_name]
             diagnosis = Diagnosis(
                 condition="owner-lost",
                 severity="critical",
@@ -385,30 +379,25 @@ class Controller:
                 state=state_name,
                 evidence=(("owner", registered.owner.name),),
             )
-            rule = self.policy.lookup(diagnosis)
-            if rule is None:
+            opened = self._open_record(diagnosis)
+            if opened is None:
                 raise RecoveryError(
                     f"no policy rule matches owner-lost for {state_name!r}"
                 )
-            record = RemediationRecord(diagnosis=diagnosis, action=rule.action)
-            self.records.append(record)
-            self._open[state_name] = (record, rule)
+            record, rule, action = opened
+            if not isinstance(action, RecoverState):
+                raise RecoveryError(
+                    f"policy maps owner-lost to {rule.action!r}, which cannot "
+                    f"recover a state"
+                )
         else:
-            record, rule = open_entry
-        params = {k: v for k, v in rule.params}
-        if mechanism is not None:
-            params["mechanism"] = mechanism
-        action = build_action(rule.action, **params)
-        if not isinstance(action, RecoverState):
+            record, action, _ = entry
+        launch = self._begin(state_name, record, action)
+        if isinstance(launch, ActionOutcome):
             raise RecoveryError(
-                f"policy maps owner-lost to {rule.action!r}, which cannot "
-                f"recover a state"
+                launch.error or f"owner of {state_name!r} is alive; nothing to recover"
             )
-        handle = action.begin(
-            self.world, record.diagnosis, replacement=replacement
-        )
-        record.attempts += 1
-        self._count("actions")
+        ((_, handle),) = launch.recoveries
         return handle
 
     def poll(self) -> List[RemediationRecord]:
@@ -416,53 +405,25 @@ class Controller:
 
         A :class:`~repro.live.driver.LoadDriver` tick loop cannot tolerate
         an action calling ``run_until_idle`` mid-stream, so this pass only
-        *starts* recoveries: a matched recovery rule begins its transfers
-        and returns immediately (handles complete as the embedding drives
-        the simulator; :attr:`on_recovery_begun` lets it chain revival
-        logic), while any other matched rule is deferred for
-        :meth:`sweep` to execute after quiescence. MTTR for polled
-        recoveries is dated at the moment the last handle lands.
+        *begins* each matched action: recoveries and transfers complete as
+        the embedding drives the simulator (:attr:`on_recovery_begun` lets
+        it chain revival logic onto each recovery), and :meth:`sweep`
+        settles them after quiescence. MTTR for polled recoveries is dated
+        at the moment the last handle lands.
         """
-        events = self.observe()
-        open_keys = {
-            self._key(record.diagnosis) for record, _rule in self._open.values()
-        }
-        fresh = [
-            d
-            for d in self.diagnose(events)
-            if self._key(d) not in self._parked
-            and self._key(d) not in open_keys
-            and d.state not in self._open
-        ]
-        self._count("diagnoses", len(fresh))
         begun: List[RemediationRecord] = []
-        for diagnosis in fresh:
-            rule = self.policy.lookup(diagnosis)
-            if rule is None:
-                self._count("unmatched")
-                self._parked.add(self._key(diagnosis))
+        for diagnosis in self._fresh(self.observe()):
+            opened = self._open_record(diagnosis)
+            if opened is None:
                 continue
-            record = RemediationRecord(diagnosis=diagnosis, action=rule.action)
-            self.records.append(record)
-            action = build_action(rule.action, **{k: v for k, v in rule.params})
-            if isinstance(action, RecoverDegraded):
-                started = action.begin_all(self.world, diagnosis)
-            elif isinstance(action, RecoverState) and diagnosis.state is not None:
-                started = [
-                    (diagnosis.state, action.begin(self.world, diagnosis))
-                ]
-            else:
-                self._deferred.append((record, rule, action))
-                continue
-            record.attempts += 1
-            self._count("actions")
-            # Even an empty begin (nothing left to recover) stays open so
-            # sweep() still verifies the condition actually cleared.
-            self._open["poll/" + "/".join(self._key(diagnosis))] = (record, rule)
+            record, _, action = opened
+            # Even an empty begin (nothing left to do) stays open so sweep()
+            # still verifies the condition actually cleared.
+            launch = self._begin("poll/" + "/".join(self._key(diagnosis)), record, action)
             begun.append(record)
-            if started:
-                outstanding = {"left": len(started)}
-                for state_name, handle in started:
+            if isinstance(launch, Launch) and launch.recoveries:
+                outstanding = {"left": len(launch.recoveries)}
+                for state_name, handle in launch.recoveries:
                     handle.on_done(self._poll_landed(record, outstanding))
                     if self.on_recovery_begun is not None:
                         self.on_recovery_begun(state_name, handle)
@@ -476,21 +437,12 @@ class Controller:
         return landed
 
     def sweep(self) -> List[RemediationRecord]:
-        """Post-quiescence pass: settle in-flight remediations, then loop."""
-        for state_name in sorted(self._open):
-            record, rule = self._open.pop(state_name)
-            if self._verify(record, record.diagnosis):
-                self._resolve(record)
-            else:
-                self._parked.add(self._key(record.diagnosis))
-                self._count("unresolved")
-        deferred, self._deferred = self._deferred, []
-        for record, rule, action in deferred:
-            if self._execute(record, action, record.diagnosis) and self._verify(
-                record, record.diagnosis
-            ):
-                self._resolve(record)
-            else:
+        """Post-quiescence pass: settle every open remediation, then loop."""
+        for key in sorted(self._open):
+            record, action, launch = self._open.pop(key)
+            if isinstance(launch, Launch):
+                launch = action.finish(self.world, record.diagnosis, launch)
+            if not self._settle(record, launch):
                 self._parked.add(self._key(record.diagnosis))
                 self._count("unresolved")
         return self.run()
@@ -514,7 +466,6 @@ class Controller:
             "summary": {
                 "remediations": len(ordered),
                 "verified": verified,
-                "escalated": sum(1 for r in ordered if r.escalated),
                 "unresolved": len(ordered) - verified,
                 "actions": sum(r.attempts for r in ordered),
                 "max_mttr_s": round(max(mttrs), 6) if mttrs else 0.0,
@@ -527,7 +478,6 @@ class Controller:
 
 
 __all__ = [
-    "ControlConfig",
     "ControlPlane",
     "Controller",
     "RemediationRecord",

@@ -16,20 +16,15 @@ Conditions, in the order the paper's operational story motivates them:
 - ``replica-thin`` — some chain segment has fewer alive providers than
   the configured replication factor; one more failure may make the state
   unrecoverable (critical when any segment has a single provider left).
-- ``chain-too-long`` — the version chain violates the compaction policy;
-  recovery replay cost is drifting up.
 - ``flaky-node`` — an alive node's host runs far below its nominal link
   capacity while holding shard replicas; reads through it drag every
   recovery that touches it.
-- ``hot-shard`` — one node holds a disproportionate share of a state's
-  replicas; losing it would thin many segments at once.
-- ``shard-cold`` — two or more of a state's shards are far below the mean
-  shard size; the partition is over-split and the per-shard fixed costs
-  (setup, placement, chain bookkeeping) are being paid for nothing. Only
-  scanned when a positive ``cold_shard_factor`` opts in.
-- ``standby-lagging`` — a state has a provisioned warm standby
-  (``repro.recovery.standby``) whose image no longer covers every chain
-  segment; its flip-takeover guarantee is quietly eroding.
+- ``hot-shard`` — one node holds :data:`HOT_SHARD_FACTOR` times a
+  state's per-node mean replica count (and at least four replicas);
+  losing it would thin many segments at once.
+
+The telemetry conditions ``slo-burning`` and ``metric-anomaly`` come from
+alerts, not from the scan.
 """
 
 from __future__ import annotations
@@ -38,22 +33,22 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control.events import ControlEvent
-from repro.recovery.standby import standby_coverage, standby_node_of
 
-#: Every condition the diagnosis scan can produce. The first seven come
+#: Every condition the diagnosis scan can produce. The first four come
 #: from the world scan; the last two are telemetry-driven (the ordering is
 #: load-bearing: it is the controller's work order within a severity).
 CONDITIONS = (
     "owner-lost",
     "replica-thin",
-    "chain-too-long",
     "flaky-node",
     "hot-shard",
-    "shard-cold",
-    "standby-lagging",
     "slo-burning",
     "metric-anomaly",
 )
+
+#: A node holding this multiple of a state's per-node mean replica count
+#: is a hot shard.
+HOT_SHARD_FACTOR = 3.0
 
 #: Event kinds that become diagnoses directly (no world-scan equivalent).
 TELEMETRY_KINDS = ("slo-burning", "metric-anomaly")
@@ -167,29 +162,6 @@ def _diagnose_replica_thin(world, out: List[Diagnosis]) -> None:
         )
 
 
-def _diagnose_chain_too_long(world, out: List[Diagnosis]) -> None:
-    manager = world.manager
-    for name in sorted(manager.states):
-        chain = manager.states[name].plan
-        if chain is None:
-            continue
-        if not chain.needs_compaction(manager.compaction):
-            continue
-        out.append(
-            Diagnosis(
-                condition="chain-too-long",
-                severity="warning",
-                detected_at=world.sim.now,
-                state=name,
-                evidence=(
-                    ("chain_length", chain.length),
-                    ("delta_bytes", chain.delta_bytes),
-                    ("base_bytes", chain.base_bytes),
-                ),
-            )
-        )
-
-
 def _diagnose_flaky_node(world, out: List[Diagnosis]) -> None:
     network = world.network
     degraded = getattr(network, "degraded_hosts", None)
@@ -218,7 +190,7 @@ def _diagnose_flaky_node(world, out: List[Diagnosis]) -> None:
         )
 
 
-def _diagnose_hot_shard(world, out: List[Diagnosis], hot_shard_factor: float) -> None:
+def _diagnose_hot_shard(world, out: List[Diagnosis]) -> None:
     manager = world.manager
     for name in sorted(manager.states):
         registered = manager.states[name]
@@ -242,7 +214,7 @@ def _diagnose_hot_shard(world, out: List[Diagnosis], hot_shard_factor: float) ->
         mean = sum(counts.values()) / len(counts)
         for node_name in sorted(counts):
             held = counts[node_name]
-            if held >= hot_shard_factor * mean and held >= 4:
+            if held >= HOT_SHARD_FACTOR * mean and held >= 4:
                 out.append(
                     Diagnosis(
                         condition="hot-shard",
@@ -258,89 +230,7 @@ def _diagnose_hot_shard(world, out: List[Diagnosis], hot_shard_factor: float) ->
                 )
 
 
-def _diagnose_shard_cold(world, out: List[Diagnosis], cold_shard_factor: float) -> None:
-    """Two or more shards far below the state's mean size: merge fodder.
-
-    Disabled while ``cold_shard_factor`` is zero (the default): no shard
-    sits below zero times the mean, so deployments that never opt in see
-    no new diagnoses.
-    """
-    if cold_shard_factor <= 0:
-        return
-    manager = world.manager
-    for name in sorted(manager.states):
-        registered = manager.states[name]
-        shards = registered.shards
-        if len(shards) <= 2:
-            # Merging a 2-shard partition would collapse it entirely.
-            continue
-        sizes = {s.index: s.size_bytes for s in shards}
-        total = float(sum(sizes.values()))
-        if total <= 0:
-            continue
-        mean = total / len(sizes)
-        cold = sorted(
-            index
-            for index, size in sizes.items()
-            if size < cold_shard_factor * mean
-        )
-        if len(cold) < 2:
-            continue
-        out.append(
-            Diagnosis(
-                condition="shard-cold",
-                severity="warning",
-                detected_at=world.sim.now,
-                state=name,
-                evidence=(
-                    ("cold_shards", tuple(cold)),
-                    ("mean_bytes", round(mean, 6)),
-                    ("factor", cold_shard_factor),
-                ),
-            )
-        )
-
-
-def _diagnose_standby_lagging(world, out: List[Diagnosis]) -> None:
-    """A provisioned warm standby no longer covers every chain segment.
-
-    Only states that actually hold standby-flagged replicas can produce
-    this, so standby-free deployments are untouched. Dead owners are the
-    ``owner-lost`` scan's business — this one guards the takeover
-    guarantee while the primary is still up.
-    """
-    manager = world.manager
-    for name in sorted(manager.states):
-        registered = manager.states[name]
-        if not registered.owner.alive or registered.plan is None:
-            continue
-        standby = standby_node_of(registered)
-        if standby is None:
-            continue
-        covered, total = standby_coverage(registered, standby)
-        if covered >= total:
-            continue
-        out.append(
-            Diagnosis(
-                condition="standby-lagging",
-                severity="warning",
-                detected_at=world.sim.now,
-                state=name,
-                node=standby.name,
-                evidence=(
-                    ("covered_segments", covered),
-                    ("total_segments", total),
-                ),
-            )
-        )
-
-
-def diagnose(
-    world,
-    events: Sequence[ControlEvent] = (),
-    hot_shard_factor: float = 3.0,
-    cold_shard_factor: float = 0.0,
-) -> List[Diagnosis]:
+def diagnose(world, events: Sequence[ControlEvent] = ()) -> List[Diagnosis]:
     """Scan the world (and fresh events) for remediable conditions.
 
     Returns a deterministic list: critical conditions first, then by
@@ -355,11 +245,8 @@ def diagnose(
     _diagnose_telemetry(events, out)
     _diagnose_owner_lost(world, out)
     _diagnose_replica_thin(world, out)
-    _diagnose_chain_too_long(world, out)
     _diagnose_flaky_node(world, out)
-    _diagnose_hot_shard(world, out, hot_shard_factor)
-    _diagnose_shard_cold(world, out, cold_shard_factor)
-    _diagnose_standby_lagging(world, out)
+    _diagnose_hot_shard(world, out)
     out.sort(
         key=lambda d: (
             _SEVERITY_RANK.get(d.severity, 9),

@@ -4,48 +4,41 @@ SR3's premise is that recovery is *customizable*; the control plane keeps
 that promise by making remediation policy data, not code. A
 :class:`PolicyTable` is an ordered list of :class:`PolicyRule`\\ s; the
 first rule whose condition, severity filter, and subject glob match a
-diagnosis wins and names the action to run, the retry budget, and the
-escalation action should verification keep failing. Tables round-trip
-through plain dicts, so a deployment can ship its policy next to its
-scenario TOML.
+diagnosis wins and names the action to run and its retry budget. A rule
+naming an unknown condition or action is rejected when it is built, so a
+table loaded with :meth:`PolicyTable.from_dict` fails at load, not
+partway through a remediation. Tables round-trip through plain dicts, so
+a deployment can ship its policy next to its scenario TOML.
 
 :func:`default_policy` encodes the paper-faithful defaults:
 
-=================  =================  ==================================
-condition          action             escalation
-=================  =================  ==================================
-owner-lost         recover            — (nothing is bigger than recovery)
-replica-thin       re-replicate       rewrite (fresh full save round)
-chain-too-long     compact-chain      —
-flaky-node         rebalance          evict-node
-hot-shard          rebalance          —
-shard-cold         merge-shards       —
-standby-lagging    promote-standby    —
-slo-burning        recover-degraded   —
-metric-anomaly     rebalance          —
-=================  =================  ==================================
+=================  =================  ===========
+condition          action             max retries
+=================  =================  ===========
+owner-lost         recover            2
+replica-thin       re-replicate       1
+flaky-node         rebalance          1
+hot-shard          rebalance          1
+slo-burning        recover-degraded   1
+metric-anomaly     rebalance          1
+=================  =================  ===========
 
 The telemetry rows make alerts actionable out of the box: a burning SLO
 proactively recovers every registered state stranded on a dead owner
 (the alert names the symptom, not the corpse), and a node-scoped metric
 anomaly drains the implicated node. Both are inert in deployments that
 never attach a telemetry pipeline — the conditions simply never arise.
-The same holds for the shard-granular rows: ``shard-cold`` needs an
-opted-in ``cold_shard_factor`` and ``standby-lagging`` needs a
-provisioned standby, so neither fires in a stock deployment.
-
-:func:`shard_granular_policy` goes one step further for deployments that
-want per-shard remediation: it reroutes ``hot-shard`` from wholesale
-rebalancing to :class:`~repro.control.actions.SplitShard` (split the hot
-shard, re-save, let placement re-scatter the halves).
+A condition that survives its retries is parked, so the loop always
+terminates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.control.actions import ACTIONS
 from repro.control.diagnose import CONDITIONS, Diagnosis
 from repro.errors import ConfigError
 
@@ -66,13 +59,16 @@ class PolicyRule:
     severity: Optional[str] = None
     match: str = "*"
     max_retries: int = 1
-    escalation: Optional[str] = None
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if self.condition not in CONDITIONS:
             raise ConfigError(
                 f"unknown condition {self.condition!r}; known: {CONDITIONS}"
+            )
+        if self.action not in ACTIONS:
+            raise ConfigError(
+                f"unknown action {self.action!r}; known: {sorted(ACTIONS)}"
             )
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
@@ -95,13 +91,15 @@ class PolicyRule:
             "severity": self.severity,
             "match": self.match,
             "max_retries": self.max_retries,
-            "escalation": self.escalation,
             "params": {k: v for k, v in self.params},
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PolicyRule":
         spec = dict(data)
+        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown policy rule field(s) {unknown}")
         params = spec.pop("params", {})
         if isinstance(params, dict):
             params = tuple(sorted(params.items()))
@@ -120,10 +118,6 @@ class PolicyTable:
                 return rule
         return None
 
-    def extend(self, rules: Sequence[PolicyRule]) -> "PolicyTable":
-        """A new table with ``rules`` prepended (overrides first-match)."""
-        return PolicyTable(rules=list(rules) + list(self.rules))
-
     def to_dict(self) -> Dict[str, object]:
         return {"rules": [rule.to_dict() for rule in self.rules]}
 
@@ -132,9 +126,7 @@ class PolicyTable:
         return cls(rules=[PolicyRule.from_dict(r) for r in data.get("rules", [])])
 
 
-def default_policy(
-    mechanism: Optional[str] = None, max_retries: int = 1
-) -> PolicyTable:
+def default_policy(mechanism: Optional[str] = None) -> PolicyTable:
     """The shipped policy (see the module docstring's table).
 
     ``mechanism`` pins proactive recovery to one mechanism name instead of
@@ -149,78 +141,20 @@ def default_policy(
             PolicyRule(
                 condition="owner-lost",
                 action="recover",
-                max_retries=max(max_retries, 2),
+                max_retries=2,
                 params=recover_params,
             ),
-            PolicyRule(
-                condition="replica-thin",
-                action="re-replicate",
-                max_retries=max_retries,
-                escalation="rewrite",
-            ),
-            PolicyRule(
-                condition="chain-too-long",
-                action="compact-chain",
-                max_retries=max_retries,
-            ),
-            PolicyRule(
-                condition="flaky-node",
-                action="rebalance",
-                max_retries=max_retries,
-                escalation="evict-node",
-            ),
-            PolicyRule(
-                condition="hot-shard",
-                action="rebalance",
-                max_retries=max_retries,
-            ),
-            PolicyRule(
-                condition="shard-cold",
-                action="merge-shards",
-                max_retries=max_retries,
-            ),
-            PolicyRule(
-                condition="standby-lagging",
-                action="promote-standby",
-                max_retries=max_retries,
-            ),
+            PolicyRule(condition="replica-thin", action="re-replicate"),
+            PolicyRule(condition="flaky-node", action="rebalance"),
+            PolicyRule(condition="hot-shard", action="rebalance"),
             PolicyRule(
                 condition="slo-burning",
                 action="recover-degraded",
-                max_retries=max_retries,
                 params=recover_params,
             ),
-            PolicyRule(
-                condition="metric-anomaly",
-                action="rebalance",
-                max_retries=max_retries,
-            ),
+            PolicyRule(condition="metric-anomaly", action="rebalance"),
         ]
     )
 
 
-def shard_granular_policy(
-    mechanism: Optional[str] = None, max_retries: int = 1
-) -> PolicyTable:
-    """The default policy with shard-granular responses layered on top.
-
-    One override: ``hot-shard`` splits the hot shard in place
-    (``split-shard``) instead of draining the node wholesale — the
-    following save round re-scatters the halves, which disperses the
-    concentration as a side effect. Everything else (including the
-    ``shard-cold``/``standby-lagging`` rows) is inherited from
-    :func:`default_policy`.
-    """
-    return default_policy(mechanism=mechanism, max_retries=max_retries).extend(
-        [
-            PolicyRule(
-                condition="hot-shard",
-                action="split-shard",
-                max_retries=max_retries,
-                escalation="rebalance",
-            ),
-        ]
-    )
-
-
-__all__ = ["PolicyRule", "PolicyTable", "default_policy", "shard_granular_policy"]
+__all__ = ["PolicyRule", "PolicyTable", "default_policy"]

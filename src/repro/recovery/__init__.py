@@ -25,11 +25,8 @@ __getattr__, __all__ = export_table(__name__, {
     "repro.recovery.star": ("StarRecovery",),
     "repro.recovery.line": ("LineRecovery",),
     "repro.recovery.tree": ("TreeRecovery",),
-    "repro.recovery.standby": (
-        "StandbyRecovery", "StandbySyncReport", "standby_coverage", "standby_node_of",
-        "sync_standby",
-    ),
-    "repro.recovery.online": ("OnlineSelector", "ShardDecision", "ShardProfile"),
+    "repro.recovery.standby": ("StandbyRecovery", "StandbySyncReport", "sync_standby"),
+    "repro.recovery.online": ("OnlineSelector",),
     "repro.recovery.selection": (
         "Mechanism", "SelectionExplanation", "SelectionInputs", "explain_selection",
         "predict_recovery_seconds", "select_mechanism",

@@ -149,7 +149,6 @@ class CheckpointingBaseline:
             state_name,
             replacement,
             "baseline/checkpoint-recover",
-            None,  # no parent span
             state=state_name,
             replacement=replacement.name,
             bytes=state_bytes,

@@ -123,7 +123,6 @@ class Fp4sBaseline:
             state_name,
             replacement,
             "baseline/fp4s-recover",
-            None,  # no parent span
             state=state_name,
             replacement=replacement.name,
             bytes=state_bytes,

@@ -69,7 +69,6 @@ class LineageBaseline:
             state_name,
             workers,
             "baseline/lineage-recover",
-            None,  # no parent span
             state=state_name,
             lineage_depth=cfg.lineage_depth,
             bytes=state_bytes,

@@ -62,7 +62,6 @@ class ReplicationBaseline:
             state_name,
             standby,
             "baseline/replication-failover",
-            None,  # no parent span
             state=state_name,
             primary=primary.name,
             standby=standby.name,

@@ -48,7 +48,6 @@ class LineRecovery:
         plan: PlacementPlan,
         replacement: DhtNode,
         state_name: Optional[str] = None,
-        parent_span=None,
     ) -> RecoveryHandle:
         run = RecoveryRun(
             ctx,
@@ -56,7 +55,6 @@ class LineRecovery:
             plan,
             replacement,
             state_name,
-            parent_span,
             self.retry_policy,
             path_length=self.path_length,
         )

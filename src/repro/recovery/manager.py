@@ -248,7 +248,6 @@ class RecoveryManager:
         state_name: str,
         replacement: Optional[DhtNode] = None,
         mechanism: Optional[MechanismImpl] = None,
-        parent_span=None,
     ) -> RecoveryHandle:
         """Start recovering one state onto a replacement node.
 
@@ -282,9 +281,7 @@ class RecoveryManager:
             replacement=replacement.name,
         )
         self.ctx.sim.metrics.counter("recovery.started").add(1, label=chosen.name)
-        handle = chosen.start(
-            self.ctx, registered.plan, replacement, state_name, parent_span=parent_span
-        )
+        handle = chosen.start(self.ctx, registered.plan, replacement, state_name)
         self.active_recoveries[state_name] = handle
 
         def handover(_result) -> None:

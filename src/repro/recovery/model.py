@@ -305,7 +305,6 @@ class RecoverySession:
         state_name: str,
         replacement: DhtNode,
         span: str,
-        parent_span,
         /,
         **attrs: Any,
     ) -> None:
@@ -316,9 +315,7 @@ class RecoverySession:
         self.handle = RecoveryHandle(mechanism, state_name)
         self.started_at = sim.now
         self.moved = 0.0
-        self.root_span = sim.tracer.start(
-            span, category="recovery", parent=parent_span, **attrs
-        )
+        self.root_span = sim.tracer.start(span, category="recovery", **attrs)
 
     def fail(self, error: Exception, **span_attrs: Any) -> None:
         """Close the root span with the error, count, then fail the handle."""
@@ -383,7 +380,6 @@ class RecoveryRun(RecoverySession):
         plan: PlacementPlan,
         replacement: DhtNode,
         state_name: Optional[str] = None,
-        parent_span=None,
         retry_policy: RetryPolicy = RetryPolicy(),
         **knobs: Any,
     ) -> None:
@@ -403,7 +399,6 @@ class RecoveryRun(RecoverySession):
             state_name,
             replacement,
             f"recovery/{mechanism}",
-            parent_span,
             state=state_name,
             replacement=replacement.name,
             **knobs,

@@ -1,4 +1,4 @@
-"""Online calibration of the closed-form cost model, per shard.
+"""Online calibration of the closed-form cost model.
 
 ``predict_recovery_seconds`` is a static closed form: serial transfer plus
 the CostModel's CPU terms. The gap between it and measured makespans is
@@ -7,31 +7,23 @@ is *systematic* per cluster, so it can be learned. :class:`OnlineSelector`
 feeds observed :class:`~repro.recovery.selection.SelectionExplanation`
 samples back into the model: per mechanism it fits ``observed ≈ a ×
 predicted + b`` by ordinary least squares (closed form, no RNG — the
-"seed-determinism" is structural) and predicts with the fitted line from
-then on. Because the static prediction is the ``a=1, b=0`` point of the
-same family, the fitted in-sample error can never exceed the static error,
-and after a handful of observations it is strictly below whenever the
-cluster deviates from the closed form at all.
-
-The same object answers the *per-shard* question: given per-shard
-profiles (bytes, SLO-criticality, heat), SLO-critical shards with a warm
-standby get the standby tier, cold shards keep the cheapest tier, and
-everything else takes the calibrated-cost argmin.
+"seed-determinism" is structural) and reports the fitted line's error
+next to the static one. Because the static prediction is the ``a=1, b=0``
+point of the same family, the fitted in-sample error can never exceed the
+static error, and after a handful of observations it is strictly below
+whenever the cluster deviates from the closed form at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import SelectionError
-from repro.recovery.model import CostModel
 from repro.recovery.selection import (
     Mechanism,
     SelectionExplanation,
     SelectionInputs,
     predict_recovery_seconds,
-    select_mechanism,
 )
 
 # Mechanisms the calibrator tracks; NONE never recovers so never calibrates.
@@ -43,33 +35,6 @@ def _key(mechanism: Union[Mechanism, str]) -> str:
     if key not in CALIBRATED_MECHANISMS:
         raise SelectionError(f"unknown mechanism to calibrate: {key!r}")
     return key
-
-
-@dataclass(frozen=True)
-class ShardProfile:
-    """What the per-shard decision looks at for one shard."""
-
-    shard_index: int
-    state_bytes: float
-    slo_critical: bool = False
-    cold: bool = False
-    standby_provisioned: bool = False
-
-    def __post_init__(self) -> None:
-        if self.shard_index < 0:
-            raise SelectionError("shard_index must be non-negative")
-        if self.state_bytes < 0:
-            raise SelectionError("state_bytes must be non-negative")
-
-
-@dataclass(frozen=True)
-class ShardDecision:
-    """The tier one shard gets, and why."""
-
-    shard_index: int
-    mechanism: Mechanism
-    predicted_seconds: float
-    reason: str
 
 
 class OnlineSelector:
@@ -104,10 +69,6 @@ class OnlineSelector:
 
     def samples(self, mechanism: Union[Mechanism, str]) -> int:
         return len(self._samples.get(_key(mechanism), ()))
-
-    @property
-    def total_samples(self) -> int:
-        return sum(len(v) for v in self._samples.values())
 
     # ----------------------------------------------------------- calibrating
 
@@ -147,14 +108,6 @@ class OnlineSelector:
         b = (sum_v * sum_uu - sum_u * sum_uv) / denom
         return (a, b)
 
-    def predict(
-        self, mechanism: Union[Mechanism, str], inputs: SelectionInputs
-    ) -> float:
-        """The calibrated prediction: fitted line over the static form."""
-        static = predict_recovery_seconds(mechanism, inputs)
-        a, b = self.coefficients(mechanism)
-        return max(0.0, a * static + b)
-
     def _errors(
         self, mechanism: Union[Mechanism, str], a: float, b: float
     ) -> Optional[float]:
@@ -174,69 +127,6 @@ class OnlineSelector:
         """RMS relative error of the fitted line (in-sample)."""
         a, b = self.coefficients(mechanism)
         return self._errors(mechanism, a, b)
-
-    # ------------------------------------------------------ per-shard policy
-
-    def decide_shards(
-        self,
-        profiles: Sequence[ShardProfile],
-        base_inputs: Optional[SelectionInputs] = None,
-    ) -> List[ShardDecision]:
-        """Per-shard tiers: standby where the SLO demands it, cheap where
-        nobody is looking, calibrated argmin elsewhere.
-
-        ``base_inputs`` carries the application-level context (latency
-        sensitivity, bandwidth, chain shape); per-shard fields override
-        its size and standby provisioning.
-        """
-        base = base_inputs or SelectionInputs(state_bytes=0.0)
-        decisions: List[ShardDecision] = []
-        for profile in sorted(profiles, key=lambda p: p.shard_index):
-            inputs = SelectionInputs(
-                state_bytes=profile.state_bytes,
-                stateful=base.stateful,
-                latency_sensitive=base.latency_sensitive,
-                bandwidth_constrained=base.bandwidth_constrained,
-                computation_model=base.computation_model,
-                large_state_threshold=base.large_state_threshold,
-                chain_links=base.chain_links,
-                delta_bytes=min(base.delta_bytes, profile.state_bytes),
-                background_load=base.background_load,
-                standby_provisioned=profile.standby_provisioned,
-                standby_refresh_bytes_per_s=base.standby_refresh_bytes_per_s,
-                standby_memory_bytes=base.standby_memory_bytes,
-            )
-            if profile.slo_critical and profile.standby_provisioned:
-                mech = Mechanism.STANDBY
-                reason = "slo-critical with warm standby: flip takeover"
-            elif profile.cold:
-                mech = Mechanism.STAR
-                reason = "cold shard: cheapest tier, no steady-state cost"
-            else:
-                candidates = [Mechanism.STAR, Mechanism.LINE, Mechanism.TREE]
-                if profile.standby_provisioned:
-                    candidates.append(Mechanism.STANDBY)
-                mech = min(
-                    candidates,
-                    key=lambda m: (self.predict(m, inputs), m.value),
-                )
-                reason = "calibrated-cost argmin"
-                if self.total_samples == 0:
-                    # Nothing observed yet: fall back to the Fig. 7 diagram
-                    # rather than trusting uncalibrated closed forms.
-                    mech = select_mechanism(inputs)
-                    if mech is Mechanism.NONE:
-                        mech = Mechanism.STAR
-                    reason = "uncalibrated: Fig. 7 heuristic"
-            decisions.append(
-                ShardDecision(
-                    shard_index=profile.shard_index,
-                    mechanism=mech,
-                    predicted_seconds=self.predict(mech, inputs),
-                    reason=reason,
-                )
-            )
-        return decisions
 
     # ---------------------------------------------------------- serializing
 

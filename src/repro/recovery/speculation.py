@@ -68,7 +68,6 @@ class SpeculativeStarRecovery:
         plan: PlacementPlan,
         replacement: DhtNode,
         state_name: Optional[str] = None,
-        parent_span=None,
     ) -> RecoveryHandle:
         run = RecoveryRun(
             ctx,
@@ -76,7 +75,6 @@ class SpeculativeStarRecovery:
             plan,
             replacement,
             state_name,
-            parent_span,
             fanout_bits=self.fanout_bits,
         )
         if run.handle.done:

@@ -25,7 +25,7 @@ correct — just no longer O(flip).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dht.node import DhtNode
 from repro.recovery.model import (
@@ -70,35 +70,6 @@ def _holds_warm(plan, index: int, node: DhtNode) -> bool:
     return False
 
 
-def standby_node_of(registered) -> Optional[DhtNode]:
-    """The node acting as warm standby for a state, if one is provisioned.
-
-    The node holding the most live standby-flagged segment copies wins;
-    ties break by name for determinism. ``None`` when nothing is warm.
-    """
-    held: Dict[str, Tuple[int, DhtNode]] = {}
-    for placed in registered.plan.placements:
-        if not getattr(placed.replica, "standby", False):
-            continue
-        node = placed.node
-        if not node.alive or node.get_shard(placed.replica.key) is None:
-            continue
-        count, _ = held.get(node.name, (0, node))
-        held[node.name] = (count + 1, node)
-    if not held:
-        return None
-    name = max(held, key=lambda n: (held[n][0], n))
-    return held[name][1]
-
-
-def standby_coverage(registered, node: DhtNode) -> Tuple[int, int]:
-    """(segments warm on ``node``, total segments) for one state."""
-    chain = registered.plan
-    segments = chain.shard_indexes()
-    covered = sum(1 for segment in segments if _holds_warm(chain, segment, node))
-    return covered, len(segments)
-
-
 @dataclass
 class StandbySyncReport:
     """Outcome of one provisioning round."""
@@ -111,10 +82,6 @@ class StandbySyncReport:
     copied_bytes: float
     warm_bytes: float  # resident warm image after the round
 
-    @property
-    def total_segments(self) -> int:
-        return self.warm_segments + self.copied_segments + self.missed_segments
-
 
 class StandbySync(Pending):
     """A provisioning round in flight; resolves to a :class:`StandbySyncReport`."""
@@ -123,12 +90,7 @@ class StandbySync(Pending):
     twice = "standby sync of {state_name!r} resolved twice"
 
 
-def sync_standby(
-    ctx: RecoveryContext,
-    registered,
-    standby: DhtNode,
-    parent_span=None,
-) -> StandbySync:
+def sync_standby(ctx: RecoveryContext, registered, standby: DhtNode) -> StandbySync:
     """Warm (or re-warm) ``standby`` with every segment it is missing.
 
     Idempotent and incremental: segments already resident are skipped, so
@@ -145,7 +107,6 @@ def sync_standby(
     span = sim.tracer.start(
         "standby/sync",
         category="standby.sync",
-        parent=parent_span,
         state=name,
         standby=standby.name,
     )
@@ -259,7 +220,6 @@ class StandbyRecovery:
         plan: PlacementPlan,
         replacement: DhtNode,
         state_name: Optional[str] = None,
-        parent_span=None,
     ) -> RecoveryHandle:
         """Promote ``replacement``: flip ownership, replay the tail.
 
@@ -267,9 +227,7 @@ class StandbyRecovery:
         regular replica it happens to hold) cost nothing to move; missing
         segments are fetched star-style from surviving providers first.
         """
-        run = RecoveryRun(
-            ctx, self.name, plan, replacement, state_name, parent_span, self.retry_policy
-        )
+        run = RecoveryRun(ctx, self.name, plan, replacement, state_name, self.retry_policy)
         if run.handle.done:
             return run.handle
         sim = ctx.sim

@@ -47,7 +47,6 @@ class StarRecovery:
         plan: PlacementPlan,
         replacement: DhtNode,
         state_name: Optional[str] = None,
-        parent_span=None,
     ) -> RecoveryHandle:
         """Begin recovering the state described by ``plan`` onto ``replacement``."""
         run = RecoveryRun(
@@ -56,7 +55,6 @@ class StarRecovery:
             plan,
             replacement,
             state_name,
-            parent_span,
             self.retry_policy,
             fanout_bits=self.fanout_bits,
         )

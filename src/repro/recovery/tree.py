@@ -73,9 +73,8 @@ class TreeRecovery:
         plan: PlacementPlan,
         replacement: DhtNode,
         state_name: Optional[str] = None,
-        parent_span=None,
     ) -> RecoveryHandle:
-        run = TreeRun(self, ctx, plan, replacement, state_name, parent_span)
+        run = TreeRun(self, ctx, plan, replacement, state_name)
         if not run.handle.done:
             run.detect(ctx.cost_model.detection_delay, run.launch)
         return run.handle
@@ -91,9 +90,9 @@ class TreeRun(RecoveryRun):
     """
 
     def __init__(self, config: TreeRecovery, ctx: RecoveryContext, plan: PlacementPlan,
-                 replacement: DhtNode, state_name: Optional[str], parent_span) -> None:
+                 replacement: DhtNode, state_name: Optional[str]) -> None:
         super().__init__(
-            ctx, config.name, plan, replacement, state_name, parent_span, config.retry_policy,
+            ctx, config.name, plan, replacement, state_name, config.retry_policy,
             fanout_bits=config.fanout_bits, sub_shards=config.sub_shards,
         )
         self.config = config

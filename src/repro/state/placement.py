@@ -92,7 +92,6 @@ def migrate_replica(
     target: DhtNode,
     on_done=None,
     tag: str = "state.migrate",
-    parent_span=None,
 ):
     """Live-migrate one replica of a shard from ``source`` to ``target``.
 
@@ -151,7 +150,6 @@ def migrate_replica(
         replica.size_bytes,
         on_complete=landed,
         tag=tag,
-        parent_span=parent_span,
     )
 
 

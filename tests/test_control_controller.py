@@ -4,20 +4,19 @@ import pytest
 
 from repro import SR3
 from repro.bench.harness import build_scenario
-from repro.recovery.deployment import saved_delta, saved_state
+from repro.recovery.deployment import saved_state
 from repro.chaos.campaign import run_scenario
 from repro.chaos.scenario import SCENARIOS
 from repro.control import (
-    ControlConfig,
     Controller,
     ControlPlane,
     PolicyRule,
     PolicyTable,
+    default_policy,
 )
 from repro.control.actions import ACTIONS, Action, build_action, register_action
 from repro.control.events import ControlEvent, EventLog, watch_detector
 from repro.errors import ConfigError, RecoveryError
-from repro.state.chain import CompactionPolicy
 from repro.state.placement import PlacedShard
 from repro.util.sizes import MB
 
@@ -82,8 +81,8 @@ class TestOwnerLost:
         sc = build_scenario(num_nodes=32, seed=4)
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         sc.overlay.fail_node(registered.owner)
-        ctl = controller_for(sc)
-        handle = ctl.begin_owner_loss("app/state", mechanism="star")
+        ctl = controller_for(sc, policy=default_policy(mechanism="star"))
+        handle = ctl.begin_owner_loss("app/state")
         assert ctl.records and not ctl.records[0].verified
         sc.sim.run_until_idle()
         assert handle.result.mechanism == "star"
@@ -101,7 +100,7 @@ class TestOwnerLost:
         wrong = controller_for(
             sc,
             policy=PolicyTable(
-                rules=[PolicyRule(condition="owner-lost", action="rewrite")]
+                rules=[PolicyRule(condition="owner-lost", action="rebalance")]
             ),
         )
         with pytest.raises(RecoveryError):
@@ -145,41 +144,6 @@ class TestReplicaThin:
         assert again.ok and not again.changed
 
 
-class TestChainTooLong:
-    def test_compacts_over_long_chain(self):
-        sc = build_scenario(num_nodes=32, seed=6)
-        registered, _ = saved_state(sc, "app/state", 32 * MB)
-        for _ in range(3):
-            saved_delta(sc, "app/state", 2 * MB)
-        assert registered.plan.length == 4
-        # The manager self-compacts during saves, so a too-long chain only
-        # appears when the policy tightens under an existing chain.
-        sc.manager.compaction = CompactionPolicy(max_chain_len=2, max_delta_ratio=0.5)
-        ctl = controller_for(sc)
-        records = ctl.run()
-        compactions = [r for r in records if r.action == "compact-chain"]
-        assert len(compactions) == 1
-        assert compactions[0].verified
-        assert registered.plan.length == 1
-        assert ctl.diagnose() == []
-
-    def test_compact_noop_on_flat_chain(self):
-        sc = build_scenario(num_nodes=32, seed=6)
-        saved_state(sc, "app/state", 16 * MB)
-        ctl = controller_for(sc)
-        diagnosis = ctl.diagnose()
-        assert diagnosis == []  # healthy chain, nothing to do
-        outcome = build_action("compact-chain").execute(
-            ctl.world,
-            # Hand-built diagnosis: the action must refuse to churn a
-            # chain that already satisfies the policy.
-            type(
-                "D", (), {"state": "app/state", "node": None, "subject": "app/state"}
-            )(),
-        )
-        assert outcome.ok and not outcome.changed
-
-
 class TestFlakyNode:
     def build_flaky(self, seed=7):
         sc = build_scenario(num_nodes=24, seed=seed, uplink_mbit=200, downlink_mbit=200)
@@ -209,24 +173,21 @@ class TestFlakyNode:
         assert flaky.stored_shard_count() == 0
         assert ctl.diagnose() == []
 
-    def test_retry_then_escalate_on_persistent_condition(self):
+    def test_retry_then_park_on_persistent_condition(self):
         sc, registered, flaky = self.build_flaky(seed=8)
 
         @register_action
         class NoopFix(Action):
             name = "noop-fix"
 
-            def execute(self, world, diagnosis, parent_span=None):
+            def begin(self, world, diagnosis, span):
                 return self._ok(changed=False)
 
         try:
             policy = PolicyTable(
                 rules=[
                     PolicyRule(
-                        condition="flaky-node",
-                        action="noop-fix",
-                        max_retries=1,
-                        escalation="rebalance",
+                        condition="flaky-node", action="noop-fix", max_retries=2
                     )
                 ]
             )
@@ -234,12 +195,14 @@ class TestFlakyNode:
             records = ctl.run()
             assert len(records) == 1
             record = records[0]
-            # Two failed noop attempts, then the escalation lands.
+            # The first attempt and both retries fail verification, then
+            # the record parks with every attempt on file.
             assert record.attempts == 3
-            assert record.escalated
-            assert record.verified
-            assert sum("persists" in v for v in record.violations) == 2
-            assert flaky.stored_shard_count() == 0
+            assert len(record.outcomes) == 3
+            assert not record.verified
+            assert sum("persists" in v for v in record.violations) == 3
+            assert flaky.stored_shard_count() > 0
+            assert ctl.run() == []  # parked: not retried again
         finally:
             ACTIONS.pop("noop-fix")
 
@@ -250,7 +213,7 @@ class TestFlakyNode:
         class NoopFix(Action):
             name = "noop-fix"
 
-            def execute(self, world, diagnosis, parent_span=None):
+            def begin(self, world, diagnosis, span):
                 return self._ok(changed=False)
 
         try:
@@ -292,7 +255,7 @@ class TestHotShard:
             placed.node.drop_shard(placed.replica.key)
             plan.placements.remove(placed)
             plan.placements.append(PlacedShard(placed.replica, hot))
-        ctl = controller_for(sc, config=ControlConfig(hot_shard_factor=2.0))
+        ctl = controller_for(sc)
         diagnoses = ctl.diagnose()
         assert any(
             d.condition == "hot-shard" and d.node == hot.name for d in diagnoses
@@ -314,9 +277,15 @@ class TestActionRegistry:
             build_action("no-such-action")
 
     def test_catalog(self):
-        for name in ("recover", "re-replicate", "rewrite", "compact-chain",
-                     "rebalance", "evict-node"):
-            assert name in ACTIONS
+        assert sorted(ACTIONS) == [
+            "re-replicate", "rebalance", "recover", "recover-degraded",
+        ]
+
+    def test_every_default_policy_action_builds(self):
+        for mechanism in (None, "tree"):
+            for rule in default_policy(mechanism=mechanism).rules:
+                action = build_action(rule.action, **dict(rule.params))
+                assert action.name == rule.action
 
 
 class TestReport:

@@ -10,7 +10,6 @@ emissions.
 from repro.bench.harness import build_scenario
 from repro.recovery.deployment import saved_state
 from repro.control import (
-    ControlConfig,
     Controller,
     ControlPlane,
     PolicyRule,
@@ -128,7 +127,7 @@ class TestAlertTriggeredRemediation:
         )
         ctl = controller_for(
             sc, policy=policy, slo_engine=engine,
-            config=ControlConfig(verify_invariants=False),
+            verify_invariants=False,
         )
         alert_at = sc.sim.now
         records = ctl.run()
@@ -183,7 +182,7 @@ class TestPollMode:
         sc = build_scenario(num_nodes=32, seed=15)
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         sc.overlay.fail_node(registered.owner)
-        ctl = controller_for(sc, config=ControlConfig(verify_invariants=False))
+        ctl = controller_for(sc, verify_invariants=False)
         begun_states = []
         ctl.on_recovery_begun = lambda name, handle: begun_states.append(name)
         begun = ctl.poll()
@@ -210,30 +209,35 @@ class TestPollMode:
         sc = build_scenario(num_nodes=32, seed=16)
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         sc.overlay.fail_node(registered.owner)
-        ctl = controller_for(sc, config=ControlConfig(verify_invariants=False))
+        ctl = controller_for(sc, verify_invariants=False)
         first = ctl.poll()
         assert any(r.diagnosis.condition == "owner-lost" for r in first)
-        assert ctl.poll() == []  # everything in flight or deferred: no dupes
+        assert ctl.poll() == []  # everything in flight: no dupes
         sc.sim.run_until_idle()
         ctl.sweep()
         lost = [r for r in ctl.records if r.diagnosis.condition == "owner-lost"]
         assert len(lost) == 1 and lost[0].verified
 
-    def test_poll_defers_blocking_actions_to_sweep(self):
+    def test_poll_begins_re_replicate_and_sweep_verifies_it(self):
         sc = build_scenario(num_nodes=32, seed=17)
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         holder = next(
             p.node for p in registered.plan.placements if p.node is not registered.owner
         )
         sc.overlay.fail_node(holder)
-        ctl = controller_for(sc, config=ControlConfig(verify_invariants=False))
-        assert ctl.poll() == []  # re-replicate blocks: deferred, not begun
-        thin = [r for r in ctl.records if r.diagnosis.condition == "replica-thin"]
-        assert len(thin) == 1 and thin[0].attempts == 0
+        ctl = controller_for(sc, verify_invariants=False)
+        begun = ctl.poll()  # the copies start; nothing is driven to quiescence
+        thin = [r for r in begun if r.diagnosis.condition == "replica-thin"]
+        assert len(thin) == 1 and thin[0].attempts == 1
+        assert not thin[0].verified and thin[0].outcomes == []
+        # The copies are in flight: the segment is still thin until they land.
+        assert any(d.condition == "replica-thin" for d in ctl.diagnose())
         sc.sim.run_until_idle()
         ctl.sweep()
         assert thin[0].verified
         assert thin[0].attempts == 1
+        (outcome,) = thin[0].outcomes
+        assert outcome.ok and outcome.changed
         for index in registered.plan.shard_indexes():
             assert len(registered.plan.providers_for(index)) >= registered.num_replicas
 
@@ -242,7 +246,7 @@ class TestPollMode:
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         sc.overlay.fail_node(registered.owner)
         ctl = controller_for(
-            sc, policy=PolicyTable(), config=ControlConfig(verify_invariants=False)
+            sc, policy=PolicyTable(), verify_invariants=False
         )
         assert ctl.poll() == []
         assert ctl.records == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import ControlConfig, ControlPlane, Controller, PolicyTable
+from repro.control import ControlPlane, Controller, PolicyTable
 from repro.errors import LiveHarnessError
 from repro.live import ConstantRate, FlashCrowd, LatencyRecorder, LoadDriver, build_live_cell
 from repro.live.driver import _DRAIN_GRACE
@@ -100,7 +100,7 @@ class TestKillAndRecovery:
         # A controller with no rules notices nothing and starts nothing.
         cell = small_cell()
         controller = Controller(
-            ControlPlane(cell), policy=PolicyTable(), config=ControlConfig(verify_invariants=False)
+            ControlPlane(cell), policy=PolicyTable(), verify_invariants=False
         )
         duration = 6.0
         report = LoadDriver(

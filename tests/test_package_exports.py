@@ -22,15 +22,16 @@ import repro
 
 SRC = Path(repro.__file__).parents[1]
 
-#: package -> every name it exports, as listed in ``__all__`` at ``4cb7a8e``.
+#: package -> every name it exports, as listed in ``__all__`` at ``4cb7a8e``,
+#: less the names whose code was deleted since.
 EXPORTS = {
     package: names.split()
     for package, names in {
         "repro": (
-            "ControlConfig ControlPlane Controller Deployment Diagnosis LiveCell LiveReport "
+            "ControlPlane Controller Deployment Diagnosis LiveCell LiveReport "
             "LoadDriver MECHANISMS PolicyRule PolicyTable RemediationRecord ReproError SR3 "
             "SelectionResult SplitResult __version__ build_deployment build_live_cell "
-            "default_policy shard_granular_policy"
+            "default_policy"
         ),
         "repro.bench": "ExperimentResult Scenario build_scenario format_result render_markdown",
         "repro.chaos": (
@@ -43,10 +44,10 @@ EXPORTS = {
             "make_mechanism run_campaign run_scenario streaming_probe"
         ),
         "repro.control": (
-            "ACTIONS Action ActionOutcome CONDITIONS ControlConfig ControlEvent ControlPlane "
+            "ACTIONS Action ActionOutcome CONDITIONS ControlEvent ControlPlane "
             "Controller Diagnosis EVENT_KINDS EventLog PolicyRule PolicyTable "
             "RemediationRecord TELEMETRY_KINDS build_action default_policy diagnose "
-            "register_action shard_granular_policy watch_detector"
+            "register_action watch_detector"
         ),
         "repro.dht": (
             "DetectorConfig DhtNode FailureDetector JoinReport LeafSet MaintenanceConfig "
@@ -76,11 +77,10 @@ EXPORTS = {
         "repro.recovery": (
             "CostModel Deployment HoldsDeployment LineRecovery MECHANISMS Mechanism "
             "OnlineSelector RecoveryContext RecoveryHandle RecoveryManager RecoveryResult "
-            "SaveResult SelectionExplanation SelectionInputs ShardDecision ShardProfile "
+            "SaveResult SelectionExplanation SelectionInputs "
             "SpeculationConfig SpeculativeStarRecovery StandbyRecovery StandbySyncReport "
             "StarRecovery TreeRecovery build_deployment explain_selection "
-            "predict_recovery_seconds select_mechanism sr3_save standby_coverage "
-            "standby_node_of sync_standby"
+            "predict_recovery_seconds select_mechanism sr3_save sync_standby"
         ),
         "repro.recovery.baselines": (
             "CheckpointConfig CheckpointingBaseline Fp4sBaseline Fp4sConfig LineageBaseline "

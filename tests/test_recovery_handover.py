@@ -13,12 +13,12 @@ import pytest
 from repro import SR3
 from repro.chaos import SCENARIOS
 from repro.chaos.campaign import ChaosEngine
-from repro.control.actions import PromoteStandby, RecoverState
+from repro.control.actions import RecoverState
 from repro.control.controller import ControlPlane
 from repro.control.diagnose import Diagnosis
 from repro.errors import RecoveryError, ReplacementDiedError
 from repro.recovery.deployment import MECHANISMS, build_deployment, saved_state
-from repro.recovery.standby import sync_standby
+from repro.recovery.standby import StandbyRecovery, sync_standby
 from repro.streaming.backend import SR3StateBackend
 from repro.streaming.cluster import LocalCluster
 from repro.util.sizes import MB
@@ -131,8 +131,12 @@ class TestControlActions:
         sync_standby(world.manager.ctx, registered, standby)
         world.sim.run_until_idle()
         world.overlay.fail_node(dead)
-        outcome = PromoteStandby().execute(world, self.owner_lost(world))
-        assert outcome.ok and registered.owner is standby
+        handle = world.manager.recover(
+            "app/state", replacement=standby, mechanism=StandbyRecovery()
+        )
+        world.manager.run([handle])
+        assert handle.result.mechanism == "standby"
+        assert registered.owner is standby
         assert world.manager.on_failures([dead]) == []
 
 

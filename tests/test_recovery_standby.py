@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import InsufficientShardsError
-from repro.recovery.standby import (
-    StandbyRecovery,
-    standby_coverage,
-    standby_node_of,
-    sync_standby,
-)
+from repro.recovery.standby import StandbyRecovery, sync_standby
 from repro.recovery.star import StarRecovery
 from repro.recovery.tree import TreeRecovery
 from repro.state.shard import DeltaShard
@@ -56,8 +51,11 @@ class TestSync:
         assert report.copied_segments == 4
         assert report.missed_segments == 0
         assert report.copied_bytes == pytest.approx(8 * MB)
-        assert standby_coverage(registered, standby) == (4, 4)
-        assert standby_node_of(registered) is standby
+        # Every segment is warm on the standby: a re-sync ships nothing.
+        again = sync_standby(world.ctx, registered, standby)
+        world.sim.run_until_idle()
+        assert again.result.warm_segments == 4
+        assert again.result.copied_segments == 0
 
     def test_resync_is_incremental(self, world):
         world.save_synthetic(size=8 * MB, shards=4)
@@ -76,7 +74,10 @@ class TestSync:
         # Base already warm; only the fresh delta link ships.
         assert report.warm_segments == 4
         assert report.copied_segments == 4
-        assert standby_coverage(registered, standby) == (8, 8)
+        again = sync_standby(world.ctx, registered, standby)
+        world.sim.run_until_idle()
+        assert again.result.warm_segments == 8
+        assert again.result.copied_segments == 0
 
     def test_sync_counts_unreachable_segments_as_missed(self, world):
         registered, _ = world.save_synthetic(size=8 * MB, shards=4, replicas=2)
@@ -88,8 +89,11 @@ class TestSync:
 
     def test_no_standby_without_provisioning(self, world):
         registered, _ = world.save_synthetic()
-        assert standby_node_of(registered) is None
-        assert standby_coverage(registered, world.overlay.nodes[3])[0] == 0
+        # Nothing is warm anywhere: a first sync finds no segment resident.
+        sync = sync_standby(world.ctx, registered, pick_standby(world))
+        world.sim.run_until_idle()
+        assert sync.result.warm_segments == 0
+        assert sync.result.copied_segments == registered.plan.num_shards
 
 
 class TestTakeover:

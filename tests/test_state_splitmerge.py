@@ -13,10 +13,9 @@ from repro.state.partitioner import (
     partition_snapshot,
     partition_synthetic,
     replicate,
-    shard_index_for_key,
     split_shard,
 )
-from repro.state.placement import HashPlacement, PlacedShard, migrate_replica
+from repro.state.placement import HashPlacement, migrate_replica
 from repro.state.shard import Shard
 from repro.state.store import StateSnapshot
 from repro.state.version import StateVersion
