@@ -218,21 +218,16 @@ def _generate_experiments(tmp: Path) -> int:
 
 
 def _inline_campaign(tmp: Path) -> int:
-    """The campaign workers' bodies, with the collection a ``--trace
-    --metrics-out`` parent ships to them switched on."""
+    """The campaign workers' bodies, recording what a ``--trace
+    --metrics-out`` parent ships to them."""
     from repro.bench.parallel import run_campaign_parallel
-    from repro.obs.registry import clear_collected_registries, enable_metrics_collection
-    from repro.obs.tracer import clear_collected, enable_tracing
+    from repro.obs import recorder
 
-    enable_tracing(True)
-    enable_metrics_collection(True)
+    recorder.start(spans=True, metrics=True)
     try:
         return run_campaign_parallel("smoke", jobs=1).counts()["failed"]
     finally:
-        enable_tracing(False)
-        enable_metrics_collection(False)
-        clear_collected()
-        clear_collected_registries()
+        recorder.stop()
 
 
 def _inline_scale(tmp: Path) -> int:

@@ -43,18 +43,14 @@ from repro.bench.baseline import (
     write_baseline,
 )
 from repro.bench.parallel import run_campaign_parallel
-from repro.bench.reporting import format_result, write_trace_artifact
+from repro.bench.reporting import format_result
 from repro.chaos import CAMPAIGNS, SCENARIOS, run_campaign
 from repro.errors import ReproError, SimulationError
+from repro.obs import recorder
 from repro.obs.dashboard import write_dashboard
+from repro.obs.export import write_trace
 from repro.obs.flamegraph import write_flamegraph, write_speedscope
 from repro.obs.profile import build_report
-from repro.obs.registry import (
-    clear_collected_registries,
-    collected_registries,
-    enable_metrics_collection,
-)
-from repro.obs.tracer import clear_collected, enable_tracing
 from repro.recovery.deployment import MECHANISMS
 
 
@@ -351,33 +347,24 @@ def _add_observability_flags(parser) -> None:
 def _with_observability(args, runner, extra_metrics=None) -> int:
     """Run ``runner`` with the shared observability flags honoured.
 
-    Collection is enabled up front and the trace/profile/metrics artifacts
-    are written after, whatever ``runner`` returned or raised, so every
-    subcommand produces the same artifacts from the same flags.
+    The recorder records what the artifacts need — spans for the span
+    artifacts, registries for ``--metrics-out`` — and the artifacts are
+    written after, whatever ``runner`` returned or raised, so every
+    subcommand produces the same artifacts from the same flags. The
+    recorder stops even when an artifact cannot be written.
     """
-    tracing = bool(
+    spans = bool(
         args.trace or args.profile or args.flamegraph or args.speedscope or args.baseline
     )
-    if tracing:
-        clear_collected()
-        enable_tracing(True)
-    if args.metrics_out:
-        clear_collected_registries()
-        enable_metrics_collection(True)
+    recorder.start(spans=spans, metrics=bool(args.metrics_out))
     exit_code = 0
     try:
         exit_code = runner()
     finally:
-        if args.trace:
-            path = write_trace_artifact(
-                args.trace, chrome=args.trace_format == "chrome"
-            )
-            print(f"trace written to {path}", file=sys.stderr)
-        if tracing or args.metrics_out:
-            artifact_code = write_profile_artifacts(args, extra_metrics)
-            enable_tracing(False)
-            enable_metrics_collection(False)
-            exit_code = exit_code or artifact_code
+        try:
+            exit_code = exit_code or write_artifacts(args, extra_metrics)
+        finally:
+            recorder.stop()
     return exit_code
 
 
@@ -425,8 +412,9 @@ def run_dashboard_cli(args) -> int:
     return 0
 
 
-def write_profile_artifacts(args, extra_metrics=None) -> int:
-    """Write profile/flamegraph/baseline artifacts after a traced run.
+def write_artifacts(args, extra_metrics=None) -> int:
+    """Write the trace/profile/flamegraph/baseline/metrics artifacts of a run
+    from what the recorder kept.
 
     ``extra_metrics`` are experiment-provided baseline entries (e.g. the
     saveamp byte ratios) merged into the measured makespans before the
@@ -435,17 +423,21 @@ def write_profile_artifacts(args, extra_metrics=None) -> int:
     """
     exit_code = 0
     report = None
+    tracers = recorder.as_tracers(None)
+    if args.trace:
+        write_trace(args.trace, tracers, chrome=args.trace_format == "chrome")
+        print(f"trace written to {args.trace}", file=sys.stderr)
     if args.profile or args.baseline:
-        report = build_report()
+        report = build_report(tracers)
     if args.profile:
         with open(args.profile, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         print(f"profile written to {args.profile}", file=sys.stderr)
     if args.flamegraph:
-        write_flamegraph(args.flamegraph)
+        write_flamegraph(args.flamegraph, tracers)
         print(f"flamegraph written to {args.flamegraph}", file=sys.stderr)
     if args.speedscope:
-        write_speedscope(args.speedscope)
+        write_speedscope(args.speedscope, tracers)
         print(f"speedscope document written to {args.speedscope}", file=sys.stderr)
     if args.baseline:
         measured = baseline_metrics(report.profiles)
@@ -477,7 +469,7 @@ def write_profile_artifacts(args, extra_metrics=None) -> int:
     if args.metrics_out:
         payload = {
             "format": "sr3-metrics-1",
-            "registries": [r.dump() for r in collected_registries()],
+            "registries": recorder.registry_dumps(),
         }
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))

@@ -15,11 +15,12 @@ Determinism contract (see also DESIGN.md):
   via SHA-512 of the string, which is process-independent.
 * **Merge order.** Results and observability artifacts are merged in the
   serial sweep's submission order (cell-key order), never completion order.
-  Collected tracers and metric registries are renumbered with the parent's
-  collection indices on adoption, so ``--trace`` / ``--metrics-out`` /
+  Each cell's recorded tracers and registries travel as one
+  :func:`repro.obs.recorder.take` payload and are renumbered by the parent's
+  :func:`~repro.obs.recorder.adopt`, so ``--trace`` / ``--metrics-out`` /
   report artifacts come out byte-identical to the in-process sweep.
 * **Spawn isolation.** Workers use the ``spawn`` start method: each is a
-  fresh interpreter, so no collector state or module caches leak from the
+  fresh interpreter, so no recorder state or module caches leak from the
   parent or between cells, and behaviour matches across platforms.
 
 ``--jobs 1`` (the default) never enters this module — the CLI keeps the
@@ -34,8 +35,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.chaos.campaign import ResilienceReport, run_scenario
 from repro.chaos.scenario import SCENARIOS, campaign_scenarios
-from repro.obs import registry as _registry
-from repro.obs import tracer as _tracer
+from repro.obs import recorder
 
 #: One scale cell's key + inputs: (num_nodes, mechanism, state_mb, seed).
 ScaleCell = Tuple[int, str, int, int]
@@ -44,47 +44,16 @@ ScaleCell = Tuple[int, str, int, int]
 # ------------------------------------------------------------- worker plumbing
 
 
-def _observability_flags() -> Tuple[bool, bool]:
-    """The parent's collection switches, shipped to workers by value."""
-    return _tracer.tracing_enabled(), _registry.metrics_collection_enabled()
+def _run_cell(fn: Callable[[], Any], recording: Tuple[bool, bool]) -> Tuple[Any, Dict[str, Any]]:
+    """Run one cell recording what the parent records, and take what it recorded.
 
-
-def _run_cell(
-    fn: Callable[[], Any], tracing: bool, metrics: bool
-) -> Tuple[Any, List[Dict[str, Any]], List[Dict[str, object]]]:
-    """Run one cell with observability collection scoped to it.
-
-    Enables the collection switches the parent had on, runs the cell, and
-    exports (then forgets) exactly the tracers/registries the cell
-    collected — so the same code is correct in a spawn-fresh worker (where
-    the collectors start empty) and when run inline in the parent.
+    The same code is correct in a spawn-fresh worker (whose recorder starts
+    empty) and when run inline in the parent.
     """
-    if tracing:
-        _tracer.enable_tracing(True)
-    if metrics:
-        _registry.enable_metrics_collection(True)
-    start_tracers = len(_tracer.collected_tracers()) if tracing else 0
-    start_registries = len(_registry.collected_registries()) if metrics else 0
+    recorder.start(*recording)
+    start = recorder.mark()
     value = fn()
-    traces: List[Dict[str, Any]] = []
-    registries: List[Dict[str, object]] = []
-    if tracing:
-        traces = _tracer.export_collected(start_tracers)
-        _tracer.drop_collected(start_tracers)
-    if metrics:
-        registries = _registry.export_collected_registries(start_registries)
-        _registry.drop_collected_registries(start_registries)
-    return value, traces, registries
-
-
-def _adopt_observability(
-    traces: Sequence[Dict[str, Any]], registries: Sequence[Dict[str, object]]
-) -> None:
-    """Adopt one cell's exported artifacts into this process's collectors."""
-    for payload in traces:
-        _tracer.inject_collected(payload)
-    for payload in registries:
-        _registry.inject_registry_dump(payload)
+    return value, recorder.take(start)
 
 
 def _map_cells(
@@ -110,12 +79,12 @@ def _map_cells(
 
 def _campaign_cell_worker(payload: tuple):
     """One campaign cell, importable at top level for spawn workers."""
-    scenario_name, mechanism, controller, tracing, metrics = payload
+    scenario_name, mechanism, controller, recording = payload
 
     def cell():
         return run_scenario(SCENARIOS[scenario_name], mechanism, controller=controller)
 
-    return _run_cell(cell, tracing, metrics)
+    return _run_cell(cell, recording)
 
 
 def run_campaign_parallel(campaign: str, jobs: int, controller: bool = False):
@@ -127,17 +96,14 @@ def run_campaign_parallel(campaign: str, jobs: int, controller: bool = False):
     merged back in that order.
     """
     scenarios = campaign_scenarios(campaign)
-    tracing, metrics = _observability_flags()
     payloads = [
-        (scenario.name, mechanism, controller, tracing, metrics)
+        (scenario.name, mechanism, controller, recorder.recording())
         for scenario in scenarios
         for mechanism in scenario.mechanisms
     ]
     report = ResilienceReport(campaign=campaign)
-    for outcome, traces, registries in _map_cells(
-        _campaign_cell_worker, payloads, jobs
-    ):
-        _adopt_observability(traces, registries)
+    for outcome, recorded in _map_cells(_campaign_cell_worker, payloads, jobs):
+        recorder.adopt(recorded)
         report.outcomes.append(outcome)
     return report
 
@@ -147,24 +113,23 @@ def run_campaign_parallel(campaign: str, jobs: int, controller: bool = False):
 
 def _scale_cell_worker(payload: tuple):
     """One scale-experiment cell, importable at top level for spawn workers."""
-    num_nodes, mech_name, state_mb, seed, tracing, metrics = payload
+    num_nodes, mech_name, state_mb, seed, recording = payload
     from repro.bench.experiments import _scale_cell
 
     def cell():
         return _scale_cell(num_nodes, mech_name, state_mb, seed)
 
-    return _run_cell(cell, tracing, metrics)
+    return _run_cell(cell, recording)
 
 
 def run_scale_cells(
     cells: Sequence[ScaleCell], jobs: int
 ) -> List[Tuple[Dict[str, object], Dict[str, float]]]:
     """Run scale cells across workers; (row, extras) pairs in sweep order."""
-    tracing, metrics = _observability_flags()
-    payloads = [tuple(cell) + (tracing, metrics) for cell in cells]
+    payloads = [tuple(cell) + (recorder.recording(),) for cell in cells]
     results = []
-    for value, traces, registries in _map_cells(_scale_cell_worker, payloads, jobs):
-        _adopt_observability(traces, registries)
+    for value, recorded in _map_cells(_scale_cell_worker, payloads, jobs):
+        recorder.adopt(recorded)
         results.append(value)
     return results
 

@@ -1,12 +1,10 @@
-"""Rendering experiment results as text/markdown tables and trace artifacts."""
+"""Rendering experiment results as text and markdown tables."""
 
 from __future__ import annotations
 
 from typing import List
 
 from repro.bench.harness import ExperimentResult
-from repro.obs.export import write_trace
-from repro.obs.tracer import collected_tracers
 
 
 def _format_value(value: object) -> str:
@@ -59,10 +57,3 @@ def render_markdown(result: ExperimentResult) -> str:
         lines.append("")
         lines.append(f"*{result.notes}*")
     return "\n".join(lines)
-
-
-def write_trace_artifact(path: str, chrome: bool = True) -> str:
-    """Export the span timelines gathered during a bench run: every tracer
-    registered with the process-wide collector (one per simulation built
-    while tracing was enabled). Returns the written path."""
-    return write_trace(path, collected_tracers(), chrome=chrome)

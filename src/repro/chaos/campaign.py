@@ -32,7 +32,7 @@ from repro.control import ControlPlane, Controller, default_policy
 from repro.dht.node import DhtNode
 from repro.errors import OverlayError, ReplacementDiedError, ReproError, SimulationError
 from repro.obs.profile import profile_tracers
-from repro.obs.tracer import Tracer, tracing_enabled
+from repro.obs.recorder import new_tracer
 from repro.recovery.baselines.checkpointing import checkpointing_to_remote_storage
 from repro.recovery.deployment import (
     MECHANISMS,
@@ -493,12 +493,12 @@ def run_scenario(
     invariants hold.
     """
     # Chaos runs always trace: the blame breakdown of each cell needs the
-    # span forest of its recoveries. With process-wide collection on (the
-    # CLI's --trace flag) the cell joins the collector from the build on, so
+    # span forest of its recoveries. While spans are recorded (the CLI's
+    # --trace flag) the cell's tracer is recorded from the build on, so
     # campaign and control runs produce the same trace artifacts experiments
     # do. Otherwise nobody can read the save spans, and a private tracer is
     # attached just before the fault timeline runs.
-    trace_name = f"{scenario.name}/{mechanism}" if tracing_enabled() else None
+    trace_name = f"{scenario.name}/{mechanism}"
     deployment = build_deployment(
         num_nodes=scenario.num_nodes,
         seed=scenario.seed,
@@ -518,8 +518,8 @@ def run_scenario(
             pre_state=engine.pre_state,
             mechanism=mechanism,
         )
-    if trace_name is None:
-        engine.sim.attach_tracer(Tracer(f"{scenario.name}/{mechanism}"))
+    if not engine.sim.tracer.enabled:
+        engine.sim.attach_tracer(new_tracer(trace_name, private=True))
     engine.run()
     if ctl is not None:
         ctl.sweep()
@@ -546,8 +546,6 @@ def run_scenario(
 
 def _aggregate_blame(tracer) -> Dict[str, float]:
     """Campaign-level blame fractions: all recoveries of one run, combined."""
-    if not getattr(tracer, "enabled", False):
-        return {}
     profiles = profile_tracers(tracer)
     total = sum(p.makespan for p in profiles)
     if total <= 0:

@@ -37,7 +37,7 @@ from repro.dht.node import DhtNode
 from repro.errors import LiveHarnessError
 from repro.live.metrics import LatencyRecorder, LiveReport, PHASES, PhaseSummary
 from repro.live.rates import RateCurve
-from repro.obs.tracer import Tracer, default_tracer, tracing_enabled
+from repro.obs.recorder import new_tracer
 from repro.recovery.deployment import Deployment, build_deployment
 from repro.recovery.manager import MechanismImpl
 from repro.recovery.standby import sync_standby
@@ -95,10 +95,9 @@ def build_live_cell(
     from ``source_factory`` (a fresh, seed-deterministic iterator each
     call, which is what makes the post-failure source rewind exact).
     """
-    # Phase segmentation needs real recovery spans even when global trace
-    # collection is off, so fall back to a private tracer rather than the
-    # null one.
-    tracer = default_tracer(trace_name) if tracing_enabled() else Tracer(name=trace_name)
+    # Phase segmentation needs real recovery spans even when no span is
+    # recorded, so the tracer is private rather than the null one.
+    tracer = new_tracer(trace_name, private=True)
     deployment = build_deployment(
         num_nodes=num_nodes,
         seed=seed,

@@ -7,6 +7,8 @@ The layer behind every "where does recovery time go" question:
   with a zero-cost :class:`NullTracer` default;
 - :mod:`repro.obs.registry` — counters, time series, gauges, and
   histograms behind one named :class:`MetricsRegistry` per simulation;
+- :mod:`repro.obs.recorder` — the tracers and registries a bench run
+  keeps, and how a worker process ships them to its parent;
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON and plain-dict
   dumps, byte-identical across same-seed runs;
 - :mod:`repro.obs.critical_path` — the critical path through a recovery's
@@ -26,10 +28,13 @@ The layer behind every "where does recovery time go" question:
 - :mod:`repro.obs.dashboard` — a self-contained HTML dashboard (inline
   SVG sparklines, SLO status, alert timeline).
 
-Enable per deployment (``SR3.create(trace=True)``), per scenario
-(``build_scenario(tracer=Tracer())``), or process-wide for the bench CLI
-(:func:`enable_tracing`, then every new :class:`~repro.sim.kernel.Simulator`
-records into a collected tracer).
+Trace one deployment by handing it a tracer
+(``SR3.create(tracer=Tracer())``). The bench CLI cannot reach the
+simulations an experiment builds, so it starts :mod:`repro.obs.recorder`
+instead: until it stops, every new :class:`~repro.sim.kernel.Simulator`
+records into a recorded tracer while spans are asked for (``--trace``,
+``--profile``, ``--flamegraph``, ``--speedscope``, ``--baseline``) and
+into a recorded registry while metrics are (``--metrics-out``).
 """
 
 from repro._exports import export_table
@@ -48,17 +53,10 @@ __getattr__, __all__ = export_table(__name__, {
         "ProfileReport", "RecoveryProfile", "build_report", "profile_recovery", "profile_tracers",
         "write_profile",
     ),
-    "repro.obs.registry": (
-        "Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeries",
-        "clear_collected_registries", "collected_registries", "default_registry",
-        "enable_metrics_collection", "metrics_collection_enabled",
-    ),
+    "repro.obs.registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeries"),
     "repro.obs.anomaly": ("Anomaly", "AnomalyDetector"),
     "repro.obs.dashboard": ("render_dashboard", "write_dashboard"),
     "repro.obs.slo": ("DEFAULT_WINDOWS", "SLO", "BurnWindow", "SLOAlert", "SLOEngine"),
     "repro.obs.timeseries": ("SERIES_KINDS", "TelemetryPipeline"),
-    "repro.obs.tracer": (
-        "NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer", "clear_collected",
-        "collected_tracers", "default_tracer", "enable_tracing", "tracing_enabled",
-    ),
+    "repro.obs.tracer": ("NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer"),
 })

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.obs.tracer import Span, TracerLike, as_tracers
+from repro.obs.recorder import TracerLike, as_tracers
+from repro.obs.tracer import Span
 
 __all__ = ["trace_dict", "chrome_trace", "dumps_trace", "write_trace"]
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.tracer import Span, Tracer, TracerLike, as_tracers
+from repro.obs.recorder import TracerLike, as_tracers
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "collapsed_stacks",

@@ -33,7 +33,8 @@ from repro.obs.critical_path import (
     critical_path,
     recovery_roots,
 )
-from repro.obs.tracer import Span, Tracer, TracerLike, as_tracers
+from repro.obs.recorder import TracerLike, as_tracers
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "RecoveryProfile",
@@ -166,8 +167,8 @@ def _count_subtree(root: Span, children: Dict[int, List[Span]]) -> int:
 def profile_tracers(tracers: Optional[TracerLike] = None) -> List[RecoveryProfile]:
     """One profile per recovery root across the given tracers.
 
-    Defaults to every tracer in the process-wide collector (the bench
-    CLI's ``--trace``/``--profile`` path).
+    Defaults to every recorded tracer (the bench CLI's
+    ``--trace``/``--profile`` path).
     """
     profiles: List[RecoveryProfile] = []
     for tracer in as_tracers(tracers):

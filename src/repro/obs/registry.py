@@ -31,11 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
-    "enable_metrics_collection",
-    "metrics_collection_enabled",
-    "collected_registries",
-    "clear_collected_registries",
 ]
 
 
@@ -330,97 +325,3 @@ class MetricsRegistry:
         if h.keeps_observations:
             out["observations"] = [[t, v] for t, v in h.observations()]
         return out
-
-
-# ----------------------------------------------------- process-wide collection
-#
-# Mirrors the tracer collector: the bench CLI flips the switch on, every
-# freshly built Simulator asks :func:`default_registry` for its registry,
-# and ``--metrics-out`` dumps the whole collected list as one artifact.
-
-_COLLECT_REGISTRIES = False
-_COLLECTED_REGISTRIES: List[MetricsRegistry] = []
-
-
-def enable_metrics_collection(enabled: bool = True) -> None:
-    """Turn on (or off) registry collection for every new simulation."""
-    global _COLLECT_REGISTRIES
-    _COLLECT_REGISTRIES = enabled
-
-
-def metrics_collection_enabled() -> bool:
-    return _COLLECT_REGISTRIES
-
-
-def default_registry(name: str = "sim") -> MetricsRegistry:
-    """A registry for a new simulation; collected while the switch is on.
-
-    Unlike tracers there is no null variant — counters are cheap enough to
-    keep always — so a fresh registry is returned either way; collection
-    only changes whether it is retained (with an indexed name) for export.
-    """
-    if not _COLLECT_REGISTRIES:
-        return MetricsRegistry(name)
-    registry = MetricsRegistry(f"{name}-{len(_COLLECTED_REGISTRIES)}")
-    _COLLECTED_REGISTRIES.append(registry)
-    return registry
-
-
-def collected_registries() -> List[MetricsRegistry]:
-    return list(_COLLECTED_REGISTRIES)
-
-
-def clear_collected_registries() -> None:
-    del _COLLECTED_REGISTRIES[:]
-
-
-# ------------------------------------------------- cross-process import/export
-#
-# Mirrors the tracer module: the parallel sweep runner (repro.bench.parallel)
-# collects registries inside spawn-fresh worker processes, exports them as
-# plain dump payloads, and the parent re-adopts them in cell order with its
-# own collection indices — so ``--metrics-out`` artifacts come out
-# byte-identical to an in-process sweep.
-
-
-class RestoredRegistry:
-    """A collected registry re-imported from another process's dump.
-
-    Quacks like :class:`MetricsRegistry` for artifact export — ``name`` and
-    ``dump()`` — which is all the metrics artifact writer reads.
-    """
-
-    def __init__(self, payload: Dict[str, object]) -> None:
-        self._payload = payload
-        self.name = str(payload.get("name", "sim"))
-
-    def dump(self) -> Dict[str, object]:
-        return self._payload
-
-
-def export_collected_registries(start: int = 0) -> List[Dict[str, object]]:
-    """Picklable dumps of collected registries (from ``start``), with the
-    per-collection index suffix stripped for renumbering on import."""
-    payloads: List[Dict[str, object]] = []
-    for index in range(start, len(_COLLECTED_REGISTRIES)):
-        payload = _COLLECTED_REGISTRIES[index].dump()
-        name = payload.get("name")
-        suffix = f"-{index}"
-        if isinstance(name, str) and name.endswith(suffix):
-            payload = dict(payload)
-            payload["name"] = name[: -len(suffix)]
-        payloads.append(payload)
-    return payloads
-
-
-def drop_collected_registries(start: int = 0) -> None:
-    """Forget collected registries from ``start`` on (after exporting)."""
-    del _COLLECTED_REGISTRIES[start:]
-
-
-def inject_registry_dump(payload: Dict[str, object]) -> None:
-    """Adopt an exported registry dump, renumbered like a fresh
-    :func:`default_registry` collection would have named it."""
-    adopted = dict(payload)
-    adopted["name"] = f"{payload.get('name', 'sim')}-{len(_COLLECTED_REGISTRIES)}"
-    _COLLECTED_REGISTRIES.append(RestoredRegistry(adopted))  # type: ignore[arg-type]

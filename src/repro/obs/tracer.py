@@ -22,15 +22,14 @@ Design rules:
   clamp open spans to the tracer's current clock so aborted experiments
   still render.
 
-The module also hosts the process-wide collection switch used by the bench
-CLI (``python -m repro.bench run fig8a --trace out.json``): once
-:func:`enable_tracing` is on, every freshly built :class:`Simulator` asks
-:func:`default_tracer` for a live tracer and registers it for export.
+A tracer is handed in (``SR3.create(tracer=Tracer())``) or comes from
+:mod:`repro.obs.recorder`, which records one per simulation while the
+bench CLI's span flags are on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -38,14 +37,6 @@ __all__ = [
     "NullTracer",
     "NULL_SPAN",
     "NULL_TRACER",
-    "enable_tracing",
-    "tracing_enabled",
-    "default_tracer",
-    "collected_tracers",
-    "clear_collected",
-    "export_collected",
-    "drop_collected",
-    "inject_collected",
 ]
 
 
@@ -333,128 +324,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-
-# ----------------------------------------------------- process-wide collection
-
-_COLLECT_ENABLED = False
-_COLLECTED: List[Tracer] = []
-
-
-def enable_tracing(enabled: bool = True) -> None:
-    """Turn on (or off) tracer creation for every new simulation.
-
-    While enabled, :func:`default_tracer` hands each caller a live tracer
-    and keeps it in the collected list for a combined export — this is how
-    the bench CLI traces experiments whose scenarios it does not build
-    itself.
-    """
-    global _COLLECT_ENABLED
-    _COLLECT_ENABLED = enabled
-
-
-def tracing_enabled() -> bool:
-    return _COLLECT_ENABLED
-
-
-def default_tracer(name: str = "sim") -> Any:
-    """A tracer for a new simulation: live when collection is on, else null."""
-    if not _COLLECT_ENABLED:
-        return NULL_TRACER
-    tracer = Tracer(name=f"{name}-{len(_COLLECTED)}")
-    _COLLECTED.append(tracer)
-    return tracer
-
-
-def collected_tracers() -> List[Tracer]:
-    return list(_COLLECTED)
-
-
-#: One tracer, several, or None for every collected one.
-TracerLike = Union[Tracer, Sequence[Tracer]]
-
-
-def as_tracers(tracers: Optional[TracerLike]) -> List[Tracer]:
-    """The tracers an exporter reads: the given ones, or every collected one."""
-    if tracers is None:
-        return collected_tracers()
-    if isinstance(tracers, Tracer):
-        return [tracers]
-    return list(tracers)
-
-
-def clear_collected() -> None:
-    del _COLLECTED[:]
-
-
-# ------------------------------------------------- cross-process import/export
-#
-# The parallel sweep runner (repro.bench.parallel) runs cells in spawn-fresh
-# worker processes whose collectors start empty. Each worker exports its
-# collected tracers as plain, picklable payloads; the parent re-adopts them
-# in cell order, renumbering with its own collection indices, so trace
-# artifacts come out byte-identical to an in-process sweep.
-
-
-def export_collected(start: int = 0) -> List[Dict[str, Any]]:
-    """Snapshot collected tracers (from ``start``) as picklable payloads.
-
-    The per-collection index suffix that :func:`default_tracer` appended is
-    stripped so the importing process can re-apply its own numbering. The
-    tracer's current clock is captured too: open spans clamp to it on
-    export, and the reconstruction must keep clamping to the same instant.
-    """
-    payloads: List[Dict[str, Any]] = []
-    for index in range(start, len(_COLLECTED)):
-        tracer = _COLLECTED[index]
-        suffix = f"-{index}"
-        name = tracer.name
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-        payloads.append(
-            {
-                "name": name,
-                "now": tracer.now,
-                "spans": [
-                    (
-                        s.span_id,
-                        s.parent_id,
-                        s.name,
-                        s.category,
-                        s.kind,
-                        s.start,
-                        s.end,
-                        dict(s.attrs),
-                    )
-                    for s in tracer.spans
-                ],
-            }
-        )
-    return payloads
-
-
-def drop_collected(start: int = 0) -> None:
-    """Forget collected tracers from ``start`` on (after exporting them)."""
-    del _COLLECTED[start:]
-
-
-def inject_collected(payload: Dict[str, Any]) -> Tracer:
-    """Rebuild an exported tracer and adopt it into this process's collection.
-
-    Mirrors :func:`default_tracer`'s naming: the payload's base name gets
-    this collection's next index appended, so injecting worker payloads in
-    cell order reproduces the serial sweep's tracer names exactly. The
-    rebuilt tracer's clock is frozen at the exported ``now`` so open spans
-    keep clamping to the same instant they did in the worker.
-    """
-    tracer = Tracer(name=f"{payload['name']}-{len(_COLLECTED)}")
-    tracer.bind_clock(lambda now=float(payload.get("now", 0.0)): now)
-    next_id = 1
-    for span_id, parent_id, name, category, kind, start, end, attrs in payload["spans"]:
-        span = Span(tracer, span_id, parent_id, name, category, kind, start, attrs)
-        span.end = end
-        tracer.spans.append(span)
-        next_id = max(next_id, span_id + 1)
-    tracer._next_id = next_id
-    _COLLECTED.append(tracer)
-    return tracer

@@ -32,7 +32,8 @@ from typing import Dict, Optional
 from repro.dht.node import DhtNode
 from repro.dht.overlay import Overlay
 from repro.errors import BenchmarkError
-from repro.obs.tracer import Tracer, default_tracer
+from repro.obs.recorder import new_tracer
+from repro.obs.tracer import Tracer
 from repro.recovery.line import LineRecovery
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.model import CostModel, RecoveryContext, run_handles
@@ -114,13 +115,12 @@ def build_deployment(
     bandwidth limited to 100 Mb/s per server" configuration of Fig. 8b.
 
     ``tracer`` attaches an explicit span tracer; ``trace_name`` instead
-    requests one from the process-wide collector (active when tracing was
-    switched on with :func:`repro.obs.enable_tracing`, e.g. by the bench
-    CLI's ``--trace`` flag), so every deployment built during a traced run
-    lands in the same exported artifact.
+    names the one :func:`repro.obs.recorder.new_tracer` hands out (recorded
+    while the bench CLI's span flags are on), so every deployment built
+    during a traced run lands in the same exported artifact.
     """
     if tracer is None and trace_name is not None:
-        tracer = default_tracer(trace_name)
+        tracer = new_tracer(trace_name)
     sim = Simulator(tracer=tracer)
     network = Network(sim)
     up = mbit_per_s(uplink_mbit) if uplink_mbit else float("inf")

@@ -33,8 +33,8 @@ from collections import deque
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.obs.registry import MetricsRegistry, default_registry
-from repro.obs.tracer import default_tracer
+from repro.obs.recorder import new_registry, new_tracer
+from repro.obs.registry import MetricsRegistry
 
 # Compact the queues once cancelled events outnumber live ones and there is
 # enough garbage for the O(n) sweep to pay for itself.
@@ -66,11 +66,11 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._cancelled_queued = 0  # cancelled events not yet swept out
-        # Observability: the tracer defaults to the process-wide setting
-        # (a no-op unless tracing was enabled), the metrics registry is
-        # always real — counters are cheap and every layer shares this one.
-        self.attach_tracer(tracer if tracer is not None else default_tracer())
-        self.metrics = metrics if metrics is not None else default_registry("sim")
+        # Observability: the tracer defaults to the recorder's (a no-op
+        # unless spans are recorded), the metrics registry is always real —
+        # counters are cheap and every layer shares this one.
+        self.attach_tracer(tracer if tracer is not None else new_tracer())
+        self.metrics = metrics if metrics is not None else new_registry()
         self.metrics.bind_clock(lambda: self.now)
 
     def attach_tracer(self, tracer) -> None:

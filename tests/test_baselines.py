@@ -88,7 +88,7 @@ class TestCheckpointing:
         """A dead end of the replay used to raise ``NetworkError`` out of
         ``sim.run()`` (dead at the start) or leave the handle pending for
         ever (dying mid-flow); both are a failed handle now."""
-        monkeypatch.setattr("repro.sim.kernel.default_tracer", lambda: Tracer("test"))
+        monkeypatch.setattr("repro.sim.kernel.new_tracer", lambda: Tracer("test"))
         w = world_factory(link_mbit=100)
         cp = CheckpointingBaseline(w.ctx, w.storage)
         upstream, replacement = w.overlay.nodes[1], w.overlay.nodes[2]

@@ -11,68 +11,69 @@ import json
 
 from repro.bench import experiments as exp
 from repro.bench.parallel import run_campaign_parallel
-from repro.bench.reporting import write_trace_artifact
 from repro.chaos.campaign import run_campaign
-from repro.obs import registry, tracer
+from repro.obs import recorder
+from repro.obs.export import write_trace
 
 
 class TestTracerExportInject:
+    """``take`` and ``adopt`` of recorded tracers: what a worker ships."""
+
     def test_roundtrip_renumbers_and_freezes_clock(self):
-        tracer.clear_collected()
-        tracer.enable_tracing(True)
+        recorder.start(spans=True)
         try:
-            cell_tracer = tracer.default_tracer("cell")
+            cell_tracer = recorder.new_tracer("cell")
             cell_tracer.bind_clock(lambda: 5.0)
             cell_tracer.start("work", category="x", bytes=7.0)  # stays open
             cell_tracer.instant("tick", at=1.0)
-            payloads = tracer.export_collected()
-            assert [p["name"] for p in payloads] == ["cell"]  # suffix stripped
-            tracer.clear_collected()
-            rebuilt = tracer.inject_collected(payloads[0])
-            assert rebuilt.name == "cell-0"  # renumbered on adoption
+            payload = recorder.take((0, 0))
+            assert [t["name"] for t in payload["tracers"]] == ["cell"]  # suffix stripped
+            assert recorder.as_tracers(None) == []  # taken, not copied
+            first = recorder.new_tracer("first")
+            recorder.adopt(payload)
+            first_again, rebuilt = recorder.as_tracers(None)
+            assert first_again is first and rebuilt.name == "cell-1"  # renumbered
             assert [s.name for s in rebuilt.spans] == ["work", "tick"]
             assert rebuilt.spans[0].attrs == {"bytes": 7.0}
-            # The open span keeps clamping to the exported clock instant.
+            # The open span keeps clamping to the clock instant it was taken at.
             assert rebuilt.spans[0].effective_end == 5.0
             assert rebuilt.spans[1].end == 1.0
-            assert tracer.collected_tracers() == [rebuilt]
         finally:
-            tracer.enable_tracing(False)
-            tracer.clear_collected()
+            recorder.stop()
 
     def test_export_start_scopes_to_new_cells(self):
-        tracer.clear_collected()
-        tracer.enable_tracing(True)
+        recorder.start(spans=True, metrics=True)
         try:
-            tracer.default_tracer("first")
-            start = len(tracer.collected_tracers())
-            tracer.default_tracer("second")
-            payloads = tracer.export_collected(start)
-            assert [p["name"] for p in payloads] == ["second"]
-            tracer.drop_collected(start)
-            assert [t.name for t in tracer.collected_tracers()] == ["first-0"]
+            recorder.new_tracer("first")
+            recorder.new_registry()
+            start = recorder.mark()
+            recorder.new_tracer("second")
+            recorder.new_registry().counter("c").add(1.0)
+            payload = recorder.take(start)
+            assert [t["name"] for t in payload["tracers"]] == ["second"]
+            assert [r["name"] for r in payload["registries"]] == ["sim"]
+            assert [t.name for t in recorder.as_tracers(None)] == ["first-0"]
+            assert [r["name"] for r in recorder.registry_dumps()] == ["sim-0"]
         finally:
-            tracer.enable_tracing(False)
-            tracer.clear_collected()
+            recorder.stop()
 
 
 class TestRegistryExportInject:
     def test_roundtrip_renumbers(self):
-        registry.clear_collected_registries()
-        registry.enable_metrics_collection(True)
+        recorder.start(metrics=True)
         try:
-            cell = registry.default_registry("cell")
-            cell.counter("net.bytes").add(3.0)
-            payloads = registry.export_collected_registries()
-            assert [p["name"] for p in payloads] == ["cell"]
-            registry.clear_collected_registries()
-            registry.inject_registry_dump(payloads[0])
-            dumps = [r.dump() for r in registry.collected_registries()]
-            assert dumps[0]["name"] == "cell-0"
-            assert dumps[0]["counters"]["net.bytes"]["total"] == 3.0
+            recorder.new_registry().counter("net.bytes").add(3.0)
+            payload = recorder.take((0, 0))
+            assert [r["name"] for r in payload["registries"]] == ["sim"]
+            assert payload["tracers"] == []  # spans are not recorded
+            assert recorder.registry_dumps() == []
+            recorder.new_registry()
+            recorder.adopt(payload)
+            dumps = recorder.registry_dumps()
+            assert [d["name"] for d in dumps] == ["sim-0", "sim-1"]
+            assert dumps[1]["counters"]["net.bytes"]["total"] == 3.0
         finally:
-            registry.enable_metrics_collection(False)
-            registry.clear_collected_registries()
+            recorder.stop()
 
 
 class TestParallelCampaign:
@@ -83,28 +84,17 @@ class TestParallelCampaign:
 
     def test_observability_artifacts_byte_identical(self, tmp_path):
         def run(runner, tag):
-            tracer.clear_collected()
-            tracer.enable_tracing(True)
-            registry.clear_collected_registries()
-            registry.enable_metrics_collection(True)
+            recorder.start(spans=True, metrics=True)
             try:
                 report = runner()
                 trace_path = tmp_path / f"trace-{tag}.json"
-                write_trace_artifact(str(trace_path), chrome=True)
+                write_trace(str(trace_path))
                 metrics = json.dumps(
-                    {
-                        "registries": [
-                            r.dump() for r in registry.collected_registries()
-                        ]
-                    },
-                    sort_keys=True,
+                    {"registries": recorder.registry_dumps()}, sort_keys=True
                 )
-                names = [t.name for t in tracer.collected_tracers()]
+                names = [t.name for t in recorder.as_tracers(None)]
             finally:
-                tracer.enable_tracing(False)
-                tracer.clear_collected()
-                registry.enable_metrics_collection(False)
-                registry.clear_collected_registries()
+                recorder.stop()
             return report.to_json(), trace_path.read_text(), metrics, names
 
         serial = run(lambda: run_campaign("smoke"), "serial")

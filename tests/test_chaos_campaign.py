@@ -19,8 +19,8 @@ from repro.chaos import (
     streaming_probe,
 )
 from repro.errors import SimulationError
+from repro.obs import recorder
 from repro.obs.export import dumps_trace
-from repro.obs.tracer import clear_collected, collected_tracers, enable_tracing
 from repro.sim.kernel import Simulator
 
 SMALL_CRASH = Scenario(
@@ -125,14 +125,12 @@ class TestRunCampaign:
 
 @pytest.fixture
 def collecting():
-    """Process-wide tracing, as the CLI's ``--trace`` switches it on."""
-    clear_collected()
-    enable_tracing(True)
+    """Recorded spans, as the CLI's ``--trace`` starts the recorder."""
+    recorder.start(spans=True)
     try:
-        yield collected_tracers
+        yield lambda: recorder.as_tracers(None)
     finally:
-        enable_tracing(False)
-        clear_collected()
+        recorder.stop()
 
 
 CELLS = [
@@ -178,7 +176,7 @@ class TestPrivateTracer:
         collected = run_scenario(SCENARIOS[name], mechanism, controller=controller)
         (tracer,) = collecting()
         assert tracer.find("recovery/save") or mechanism == "checkpointing"
-        enable_tracing(False)
+        recorder.stop()
         assert run_scenario(SCENARIOS[name], mechanism, controller=controller) == collected
 
     def test_collected_trace_keeps_its_save_spans(self, collecting):

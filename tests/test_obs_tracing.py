@@ -5,21 +5,25 @@ import json
 import pytest
 
 from repro import SR3
+from repro.bench.__main__ import main
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
     NULL_SPAN,
     NULL_TRACER,
     Tracer,
+    build_report,
     chrome_trace,
     dumps_trace,
+    flamegraph_text,
+    profile_tracers,
+    recorder,
+    speedscope_document,
     trace_dict,
-)
-from repro.obs.tracer import (
-    clear_collected,
-    collected_tracers,
-    default_tracer,
-    enable_tracing,
+    write_flamegraph,
+    write_profile,
+    write_speedscope,
+    write_trace,
 )
 from repro.util.stats import percentile
 
@@ -214,18 +218,73 @@ class TestExportFormats:
 
 
 class TestCollection:
+    """The recorder: what a bench run keeps, and when it stops keeping it."""
+
     def test_default_tracer_respects_switch(self):
-        clear_collected()
+        assert recorder.recording() == (False, False)
+        assert recorder.new_tracer() is NULL_TRACER
+        private = recorder.new_tracer("live", private=True)
+        assert isinstance(private, Tracer) and private.name == "live"
+        assert recorder.new_registry().name == "sim"
+        assert recorder.as_tracers(None) == [] and recorder.registry_dumps() == []
+        recorder.start(spans=True)
         try:
-            assert default_tracer() is NULL_TRACER
-            enable_tracing(True)
-            tracer = default_tracer("bench")
-            assert isinstance(tracer, Tracer)
-            assert collected_tracers() == [tracer]
+            tracer = recorder.new_tracer("bench")
+            assert recorder.new_tracer("live", private=True).name == "live-1"
+            assert tracer.name == "bench-0"
+            assert recorder.as_tracers(None)[0] is tracer
+            recorder.new_registry()  # metrics are not recorded
+            assert recorder.registry_dumps() == []
         finally:
-            enable_tracing(False)
-            clear_collected()
-        assert collected_tracers() == []
+            recorder.stop()
+        assert recorder.recording() == (False, False)
+        assert recorder.as_tracers(None) == []
+
+    def test_failed_artifact_write_stops_the_recorder(self, tmp_path):
+        metrics = tmp_path / "m.json"
+        with pytest.raises(FileNotFoundError):
+            main([
+                "run", "fig12c", "--trace", str(tmp_path / "missing" / "t.json"),
+                "--metrics-out", str(metrics),
+            ])
+        assert recorder.recording() == (False, False)
+        assert recorder.as_tracers(None) == [] and recorder.registry_dumps() == []
+        assert recorder.new_tracer() is NULL_TRACER
+
+    def test_metrics_only_run_records_no_span(self, tmp_path, monkeypatch):
+        kept = []
+        stop = recorder.stop
+
+        def snapshot():
+            kept.append((recorder.as_tracers(None), recorder.registry_dumps()))
+            stop()
+
+        monkeypatch.setattr(recorder, "stop", snapshot)
+        assert main(["run", "fig12c", "--metrics-out", str(tmp_path / "m.json")]) == 0
+        ((tracers, registries),) = kept
+        assert tracers == [] and registries
+        assert [r["name"] for r in registries] == [f"sim-{i}" for i in range(len(registries))]
+
+
+class TestNullTracerExports:
+    """A lone null tracer exports as the one-element list holding it."""
+
+    @pytest.mark.parametrize(
+        "export",
+        [trace_dict, chrome_trace, dumps_trace, flamegraph_text, speedscope_document,
+         lambda t: [p.to_dict() for p in profile_tracers(t)],
+         lambda t: build_report(t).to_json()],
+    )
+    def test_exporter(self, export):
+        assert export(NULL_TRACER) == export([NULL_TRACER])
+
+    @pytest.mark.parametrize(
+        "write", [write_trace, write_flamegraph, write_speedscope, write_profile]
+    )
+    def test_writer(self, write, tmp_path):
+        write(str(tmp_path / "lone"), NULL_TRACER)
+        write(str(tmp_path / "list"), [NULL_TRACER])
+        assert (tmp_path / "lone").read_bytes() == (tmp_path / "list").read_bytes()
 
 
 class TestRegistryPrimitives:

@@ -66,12 +66,9 @@ EXPORTS = {
             "CriticalSegment DEFAULT_WINDOWS Gauge Histogram MetricsRegistry NULL_SPAN "
             "NULL_TRACER NullTracer ProfileReport RecoveryProfile SERIES_KINDS SLO SLOAlert "
             "SLOEngine Span TelemetryPipeline TimeSeries Tracer "
-            "blame_breakdown blame_of build_report chrome_trace clear_collected "
-            "clear_collected_registries collapsed_stacks collected_registries "
-            "collected_tracers critical_path default_registry default_tracer dumps_trace "
-            "enable_metrics_collection enable_tracing flamegraph_text "
-            "metrics_collection_enabled profile_recovery profile_tracers recovery_roots "
-            "render_dashboard speedscope_document trace_dict tracing_enabled write_dashboard "
+            "blame_breakdown blame_of build_report chrome_trace collapsed_stacks "
+            "critical_path dumps_trace flamegraph_text profile_recovery profile_tracers "
+            "recovery_roots render_dashboard speedscope_document trace_dict write_dashboard "
             "write_flamegraph write_profile write_speedscope write_trace"
         ),
         "repro.recovery": (

@@ -21,6 +21,7 @@ from repro.errors import (
     TopologyError,
     VersionConflictError,
 )
+from repro.obs import recorder
 
 PACKAGES = [
     "repro.sim",
@@ -79,11 +80,10 @@ class TestImports:
             "trace_dict",
             "chrome_trace",
             "write_trace",
-            "enable_tracing",
-            "default_tracer",
-            "collected_tracers",
         ):
             assert hasattr(obs, name), f"repro.obs.{name} missing"
+        for name in ("start", "stop", "new_tracer", "new_registry", "take", "adopt"):
+            assert callable(getattr(recorder, name)), f"repro.obs.recorder.{name} missing"
 
     def test_deployment_surface(self):
         from repro import recovery

@@ -139,7 +139,7 @@ def retry_instants(w):
 @pytest.fixture
 def traced(monkeypatch):
     """Give every simulator of the test a recording tracer."""
-    monkeypatch.setattr("repro.sim.kernel.default_tracer", lambda: Tracer("test"))
+    monkeypatch.setattr("repro.sim.kernel.new_tracer", lambda: Tracer("test"))
 
 
 @pytest.mark.parametrize("name", sorted(RETRYING))
