@@ -348,10 +348,9 @@ def _with_observability(args, runner, extra_metrics=None) -> int:
     """Run ``runner`` with the shared observability flags honoured.
 
     The recorder records what the artifacts need — spans for the span
-    artifacts, registries for ``--metrics-out`` — and the artifacts are
-    written after, whatever ``runner`` returned or raised, so every
-    subcommand produces the same artifacts from the same flags. The
-    recorder stops even when an artifact cannot be written.
+    artifacts, registries for ``--metrics-out`` — and every artifact is
+    written after, whatever ``runner`` returned or raised; the recorder
+    stops even when one cannot be written.
     """
     spans = bool(
         args.trace or args.profile or args.flamegraph or args.speedscope or args.baseline
@@ -362,7 +361,8 @@ def _with_observability(args, runner, extra_metrics=None) -> int:
         exit_code = runner()
     finally:
         try:
-            exit_code = exit_code or write_artifacts(args, extra_metrics)
+            artifact_code = write_artifacts(args, extra_metrics)
+            exit_code = exit_code or artifact_code
         finally:
             recorder.stop()
     return exit_code

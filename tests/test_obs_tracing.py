@@ -1,11 +1,12 @@
 """The observability layer: span tracing, metrics, and trace export."""
 
+import argparse
 import json
 
 import pytest
 
 from repro import SR3
-from repro.bench.__main__ import main
+from repro.bench.__main__ import _add_observability_flags, _with_observability, main
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -25,6 +26,7 @@ from repro.obs import (
     write_speedscope,
     write_trace,
 )
+from repro.sim.kernel import Simulator
 from repro.util.stats import percentile
 
 
@@ -250,6 +252,25 @@ class TestCollection:
         assert recorder.recording() == (False, False)
         assert recorder.as_tracers(None) == [] and recorder.registry_dumps() == []
         assert recorder.new_tracer() is NULL_TRACER
+
+    def test_failed_runner_still_writes_artifacts(self, tmp_path):
+        parser = argparse.ArgumentParser()
+        _add_observability_flags(parser)
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
+        args = parser.parse_args(["--trace", str(trace), "--metrics-out", str(metrics)])
+
+        def failing_runner():
+            sim = Simulator()
+            sim.tracer.start("cell", category="campaign").finish()
+            sim.metrics.counter("cells.failed").add(1)
+            return 1
+
+        assert _with_observability(args, failing_runner) == 1
+        assert recorder.recording() == (False, False)
+        assert [e["name"] for e in json.loads(trace.read_text())["traceEvents"]
+                if e.get("ph") == "X"] == ["cell"]
+        (registry,) = json.loads(metrics.read_text())["registries"]
+        assert registry["name"] == "sim-0" and registry["counters"]["cells.failed"]["total"] == 1
 
     def test_metrics_only_run_records_no_span(self, tmp_path, monkeypatch):
         kept = []

@@ -38,7 +38,7 @@ def test_a_two_item_subset_reports_what_it_never_entered(traffic_census, capsys)
     # Options: the quickstart picks a seed and lets recover() find the replacement;
     # its num_nodes=64 is the default, passed, which sets nothing.
     api = result["unset"]["repro/api.py"]
-    assert result["options"] == len(traffic_census.defined_options()) > 500
+    assert result["options"] == len(traffic_census.defined_options()) >= 600
     assert result["unset_count"] == sum(len(labels) for labels in result["unset"].values())
     assert "SR3.recover(replacement)" in api and "SR3.create(num_nodes)" in api
     assert "SR3.create(seed)" not in api
