@@ -25,7 +25,7 @@ from repro.control import (
 from repro.dht.failure_detector import DetectorConfig, FailureDetector
 from repro.dht.maintenance import MaintenanceConfig, measure_maintenance
 from repro.errors import BenchmarkError
-from repro.live.driver import LoadDriver, build_live_cell
+from repro.live.driver import LoadDriver, app_flow_demands, build_live_cell
 from repro.live.rates import FlashCrowd
 from repro.obs.anomaly import AnomalyDetector
 from repro.obs.slo import SLO, BurnWindow, SLOEngine
@@ -1236,8 +1236,8 @@ def live_recovery(
         # The closed form sees the replacement downlink's contention: its
         # ingest share plus one inbound shuffle flow, at the plateau rate
         # the crowd holds while the state moves.
-        per_task = peak_rate * 16_384.0 / 4.0
-        background = min(0.95, per_task * 1.5 / mbit_per_s(link_mbit))
+        ingest, shuffle = app_flow_demands(peak_rate, len(cell.backend.protected_tasks()))
+        background = min(0.95, (ingest + shuffle) / mbit_per_s(link_mbit))
         predicted = predict_recovery_seconds(
             label,
             SelectionInputs(state_bytes=bulk_bytes, background_load=background),

@@ -1,10 +1,11 @@
 """Closed-loop auto-remediation for SR3 deployments.
 
-The control plane watches a running deployment (failure-detector events,
-placement plans, version chains, per-host bandwidth), diagnoses named
-conditions, plans actions from a declarative policy table, executes them
-through the recovery manager, and verifies the result against the chaos
-invariant checkers — retrying until the world is clean or the policy's
+The control plane watches a running deployment (failure-detector
+declarations, placement plans, version chains, per-host bandwidth) and
+takes in SLO and anomaly alerts, diagnoses named conditions, plans
+actions from a declarative policy table, executes them through the
+recovery manager, and verifies the result against the chaos invariant
+checkers — retrying until the world is clean or the policy's
 budget is spent.
 
 Typical use through the public façade::
@@ -30,7 +31,6 @@ __getattr__, __all__ = export_table(__name__, {
     "repro.control.controller": (
         "Controller", "ControlPlane", "RemediationRecord",
     ),
-    "repro.control.diagnose": ("CONDITIONS", "TELEMETRY_KINDS", "Diagnosis", "diagnose"),
-    "repro.control.events": ("EVENT_KINDS", "ControlEvent", "EventLog", "watch_detector"),
+    "repro.control.diagnose": ("CONDITIONS", "Diagnosis", "diagnose"),
     "repro.control.policy": ("PolicyRule", "PolicyTable", "default_policy"),
 })

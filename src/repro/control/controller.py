@@ -1,13 +1,13 @@
 """The closed-loop remediation controller.
 
 One :class:`Controller` iteration (:meth:`Controller.step`) is the classic
-auto-remediation shape: **observe** (drain detector events, scan for
-degraded links) → **diagnose** (:mod:`repro.control.diagnose`) → **plan**
-(first matching :class:`~repro.control.policy.PolicyRule`) → **execute**
-(:mod:`repro.control.actions`) → **verify** (the condition must be gone
-*and* the chaos invariant checkers must hold). Verification failure
-retries the action up to the rule's budget; a condition that survives
-its retries is parked so the loop always terminates.
+auto-remediation shape: **observe** (the fresh alerts of the SLO engine
+and the anomaly detector) → **diagnose** (:mod:`repro.control.diagnose`)
+→ **plan** (first matching :class:`~repro.control.policy.PolicyRule`) →
+**execute** (:mod:`repro.control.actions`) → **verify** (the condition
+must be gone *and* the chaos invariant checkers must hold). Verification
+failure retries the action up to the rule's budget; a condition that
+survives its retries is parked so the loop always terminates.
 
 Every remediation is timed on the simulated clock from the moment its
 condition was detected to the moment verification passed — the MTTR the
@@ -35,13 +35,12 @@ from repro.control.actions import (
     RecoverState,
     build_action,
 )
-from repro.control.diagnose import Diagnosis, _detection_time, diagnose
-from repro.control.events import (
-    ControlEvent,
-    EventLog,
-    anomaly_event,
-    slo_event,
-    watch_detector,
+from repro.control.diagnose import (
+    Diagnosis,
+    _detection_time,
+    anomaly_diagnosis,
+    diagnose,
+    slo_diagnosis,
 )
 from repro.control.policy import PolicyTable, default_policy
 from repro.errors import RecoveryError
@@ -123,29 +122,25 @@ class Controller:
         self.verify_invariants = verify_invariants
         #: Telemetry attachments: an :class:`~repro.obs.slo.SLOEngine` and
         #: an :class:`~repro.obs.anomaly.AnomalyDetector` pumped by
-        #: :meth:`observe` — their alerts enter the loop as events.
+        #: :meth:`observe` — their alerts enter the loop as diagnoses.
         self.slo_engine = slo_engine
         self.anomalies = anomalies
         #: Embedding hook: called ``(state_name, handle)`` for every
         #: recovery :meth:`poll` begins, so a live harness can chain its
         #: own completion logic (revive, rollback, rewind).
         self.on_recovery_begun: Optional[Callable[[str, object], None]] = None
-        self.log = EventLog()
         self.records: List[RemediationRecord] = []
         #: Remediations begun but not yet settled, each with its action and
         #: what its ``begin`` returned: owner losses by state name, polled
         #: remediations under ``poll/<condition>/<subject>/<node>``.
         self._open: Dict[str, Tuple[RemediationRecord, Action, object]] = {}
         self._parked: Set[Tuple[str, str, str]] = set()
-        self._degraded_seen: Set[str] = set()
         # Verification context beyond the live world: recovery results and
         # pre-failure ground truth, bound by the chaos engine.
         self._results: Dict[str, object] = {}
         self._pre_checksums: Dict[str, Dict[int, str]] = {}
         self._pre_state: Dict[str, Dict[str, object]] = {}
         self._mechanism = "control"
-        if world.detector is not None:
-            watch_detector(world.detector, self.log)
 
     # ------------------------------------------------------------- plumbing
 
@@ -189,45 +184,26 @@ class Controller:
 
     # ------------------------------------------------------------- the loop
 
-    def observe(self) -> List[ControlEvent]:
-        """Drain fresh events, pump telemetry, scan for degraded hosts."""
-        events = self.log.drain()
+    def observe(self) -> List[Diagnosis]:
+        """Pump the telemetry attachments; their fresh alerts as diagnoses."""
         now = self.world.sim.now
+        alerts: List[Diagnosis] = []
         if self.slo_engine is not None:
-            for alert in self.slo_engine.evaluate(now):
-                self.log.emit(slo_event(alert))
+            alerts.extend(map(slo_diagnosis, self.slo_engine.evaluate(now)))
         if self.anomalies is not None:
-            for anomaly in self.anomalies.scan(now):
-                self.log.emit(anomaly_event(anomaly))
-        degraded = getattr(self.world.network, "degraded_hosts", None)
-        if degraded is not None:
-            current = {host.name: frac for host, frac in degraded()}
-            self._degraded_seen &= set(current)  # recovered hosts may re-flag
-            for name in sorted(current):
-                if name in self._degraded_seen:
-                    continue
-                self._degraded_seen.add(name)
-                self.log.emit(
-                    ControlEvent(
-                        kind="node-degraded",
-                        at=now,
-                        node=name,
-                        attrs=(("bw_fraction", round(current[name], 6)),),
-                    )
-                )
-        events.extend(self.log.drain())
-        self._count("events", len(events))
-        return events
+            alerts.extend(map(anomaly_diagnosis, self.anomalies.scan(now)))
+        self._count("events", len(alerts))
+        return alerts
 
-    def diagnose(self, events=()) -> List[Diagnosis]:
-        return diagnose(self.world, events)
+    def diagnose(self, alerts=()) -> List[Diagnosis]:
+        return diagnose(self.world, alerts)
 
-    def _fresh(self, events) -> List[Diagnosis]:
+    def _fresh(self, alerts) -> List[Diagnosis]:
         """Diagnoses not parked, not already open, not of a state in recovery."""
         open_keys = {self._key(record.diagnosis) for record, _, _ in self._open.values()}
         fresh = [
             d
-            for d in self.diagnose(events)
+            for d in self.diagnose(alerts)
             if self._key(d) not in self._parked
             and self._key(d) not in open_keys
             and d.state not in self._open

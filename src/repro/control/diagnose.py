@@ -2,12 +2,12 @@
 
 A :class:`Diagnosis` is the control plane's unit of work: one condition
 (from :data:`CONDITIONS`), one subject (a protected state or an overlay
-node), a severity, and the evidence that justified it. The
-:func:`diagnose` scan reads the *actual* world — the recovery manager's
-registry, placement plans, version chains, the overlay's membership, the
-network's per-host capacity — rather than trusting any event at face
-value: a ``node-failed`` event whose node has since been replaced produces
-no diagnosis.
+node), a severity, and the evidence that justified it; it is the only
+record the controller takes in. The :func:`diagnose` scan reads the
+*actual* world — the recovery manager's registry, placement plans,
+version chains, the overlay's membership, the failure detector's
+declarations, the network's per-host capacity — so a dead node whose
+state has since been recovered produces no diagnosis.
 
 Conditions, in the order the paper's operational story motivates them:
 
@@ -24,15 +24,16 @@ Conditions, in the order the paper's operational story motivates them:
   losing it would thin many segments at once.
 
 The telemetry conditions ``slo-burning`` and ``metric-anomaly`` come from
-alerts, not from the scan.
+alerts, not from the scan: :func:`slo_diagnosis` and
+:func:`anomaly_diagnosis` convert an :class:`~repro.obs.slo.SLOAlert` or
+an :class:`~repro.obs.anomaly.Anomaly`, since no world scan can
+reproduce a burn rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.control.events import ControlEvent
 
 #: Every condition the diagnosis scan can produce. The first four come
 #: from the world scan; the last two are telemetry-driven (the ordering is
@@ -49,9 +50,6 @@ CONDITIONS = (
 #: A node holding this multiple of a state's per-node mean replica count
 #: is a hot shard.
 HOT_SHARD_FACTOR = 3.0
-
-#: Event kinds that become diagnoses directly (no world-scan equivalent).
-TELEMETRY_KINDS = ("slo-burning", "metric-anomaly")
 
 _SEVERITY_RANK = {"critical": 0, "warning": 1}
 
@@ -85,36 +83,51 @@ class Diagnosis:
 
 def _detection_time(world, node, default: float) -> float:
     """When the failure of ``node`` was first declared, if a detector ran."""
-    detector = getattr(world, "detector", None)
-    if detector is not None:
-        declared = detector.detected_by_anyone(node)
+    if world.detector is not None:
+        declared = world.detector.detected_by_anyone(node)
         if declared is not None:
             return declared
     return default
 
 
-def _diagnose_telemetry(events: Sequence[ControlEvent], out: List[Diagnosis]) -> None:
-    """Telemetry alerts become diagnoses verbatim, dated at alert time."""
-    for event in events:
-        if event.kind not in TELEMETRY_KINDS:
-            continue
-        attrs = {k: v for k, v in event.attrs}
-        default = "critical" if event.kind == "slo-burning" else "warning"
-        out.append(
-            Diagnosis(
-                condition=event.kind,
-                severity=str(attrs.get("severity", default)),
-                detected_at=event.at,
-                state=event.state,
-                node=event.node,
-                evidence=event.attrs,
-            )
-        )
+def slo_diagnosis(alert) -> Diagnosis:
+    """An :class:`~repro.obs.slo.SLOAlert` as a ``slo-burning`` diagnosis."""
+    return Diagnosis(
+        condition="slo-burning",
+        severity=alert.severity,
+        detected_at=alert.at,
+        state=alert.state,
+        evidence=(
+            ("slo", alert.slo),
+            ("series", alert.series),
+            ("severity", alert.severity),
+            ("burn_long", round(alert.burn_long, 6)),
+            ("burn_short", round(alert.burn_short, 6)),
+            ("long_s", alert.long_s),
+            ("short_s", alert.short_s),
+        ),
+    )
+
+
+def anomaly_diagnosis(anomaly) -> Diagnosis:
+    """An :class:`~repro.obs.anomaly.Anomaly` as a ``metric-anomaly`` diagnosis."""
+    return Diagnosis(
+        condition="metric-anomaly",
+        severity="warning",
+        detected_at=anomaly.at,
+        evidence=(
+            ("series", anomaly.series),
+            ("anomaly", anomaly.kind),
+            ("value", round(anomaly.value, 6)),
+            ("score", round(anomaly.score, 6)),
+            ("baseline", round(anomaly.baseline, 6)),
+        ),
+    )
 
 
 def _diagnose_owner_lost(world, out: List[Diagnosis]) -> None:
     manager = world.manager
-    detector = getattr(world, "detector", None)
+    detector = world.detector
     for name in sorted(manager.states):
         registered = manager.states[name]
         if registered.owner.alive or registered.plan is None:
@@ -163,12 +176,8 @@ def _diagnose_replica_thin(world, out: List[Diagnosis]) -> None:
 
 
 def _diagnose_flaky_node(world, out: List[Diagnosis]) -> None:
-    network = world.network
-    degraded = getattr(network, "degraded_hosts", None)
-    if degraded is None:
-        return
     by_host: Dict[str, float] = {
-        host.name: fraction for host, fraction in degraded()
+        host.name: fraction for host, fraction in world.network.degraded_hosts()
     }
     if not by_host:
         return
@@ -230,19 +239,17 @@ def _diagnose_hot_shard(world, out: List[Diagnosis]) -> None:
                 )
 
 
-def diagnose(world, events: Sequence[ControlEvent] = ()) -> List[Diagnosis]:
-    """Scan the world (and fresh events) for remediable conditions.
+def diagnose(world, alerts: Sequence[Diagnosis] = ()) -> List[Diagnosis]:
+    """Scan the world for remediable conditions, alongside fresh ``alerts``.
 
     Returns a deterministic list: critical conditions first, then by
     condition name and subject — the order the controller works in.
-    Detector events sharpen timestamps (a detector-declared failure dates
-    an ``owner-lost`` diagnosis at declaration time, not scan time) but
-    never create a diagnosis on their own; telemetry events
-    (:data:`TELEMETRY_KINDS`) *do* — an SLO burn or a metric anomaly is an
-    observation the world scan has no other way to reproduce.
+    ``alerts`` are the telemetry diagnoses :meth:`Controller.observe
+    <repro.control.controller.Controller.observe>` returns; a
+    detector-declared failure dates an ``owner-lost`` diagnosis at
+    declaration time, not scan time.
     """
-    out: List[Diagnosis] = []
-    _diagnose_telemetry(events, out)
+    out: List[Diagnosis] = list(alerts)
     _diagnose_owner_lost(world, out)
     _diagnose_replica_thin(world, out)
     _diagnose_flaky_node(world, out)
@@ -258,4 +265,4 @@ def diagnose(world, events: Sequence[ControlEvent] = ()) -> List[Diagnosis]:
     return out
 
 
-__all__ = ["CONDITIONS", "Diagnosis", "TELEMETRY_KINDS", "diagnose"]
+__all__ = ["CONDITIONS", "Diagnosis", "anomaly_diagnosis", "diagnose", "slo_diagnosis"]

@@ -65,6 +65,12 @@ _SHUFFLE_FRACTION = 0.5
 _DRAIN_GRACE = 120.0
 
 
+def app_flow_demands(rate: float, tasks: int) -> Tuple[float, float]:
+    """Bytes/s on each task's ingest flow and on each shuffle flow at ``rate``."""
+    per_task = max(1.0, rate * _BYTES_PER_EVENT / tasks)
+    return per_task, max(1.0, per_task * _SHUFFLE_FRACTION)
+
+
 @dataclass
 class LiveCell(Deployment):
     """A deployment with the word-count topology and its ingest host wired in."""
@@ -596,9 +602,7 @@ class LoadDriver:
                 self._shuffle_flows.append((src_tid, dst_tid, flow))
 
     def _demands(self, t: float) -> Tuple[float, float]:
-        total = self.rate.rate_at(t) * _BYTES_PER_EVENT
-        per_task = max(1.0, total / len(self._task_keys))
-        return per_task, max(1.0, per_task * _SHUFFLE_FRACTION)
+        return app_flow_demands(self.rate.rate_at(t), len(self._task_keys))
 
     def _update_demands(self, t: float) -> None:
         per_task, per_shuffle = self._demands(t)

@@ -18,10 +18,10 @@ sustains. Fired alerts latch per (objective, severity) and re-arm only
 after the long-window burn drops below 1.0, so a sustained outage pages
 once, not once per evaluation.
 
-Alerts convert to first-class control-plane events
-(:func:`repro.control.events.slo_event`, kind ``slo-burning``) — the
-remediation controller treats them exactly like detector-declared failures, which is
-what lets a policy trigger proactive recovery from telemetry alone.
+The remediation controller turns each alert into a ``slo-burning``
+diagnosis (:func:`repro.control.diagnose.slo_diagnosis`) that a policy
+rule matches like any world-scan condition, which is what lets a policy
+trigger proactive recovery from telemetry alone.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ complete, and closed panes are handed to the caller for aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import StreamRuntimeError
 
@@ -53,3 +53,15 @@ class SlidingWindow:
             if self._panes[i].end <= timestamp
         ]
         return closed
+
+    def open_panes(self) -> Tuple[Tuple[int, Tuple[Any, ...]], ...]:
+        """The panes not yet closed, as plain ``(index, items)`` tuples."""
+        return tuple((i, tuple(self._panes[i].items)) for i in sorted(self._panes))
+
+    def reopen(self, panes: Iterable[Tuple[int, Tuple[Any, ...]]]) -> "SlidingWindow":
+        """Replace the open panes with ones :meth:`open_panes` exported."""
+        self._panes = {
+            i: WindowPane(i * self.slide, i * self.slide + self.size, list(items))
+            for i, items in panes
+        }
+        return self

@@ -96,7 +96,6 @@ class TopKClicksBolt(StatefulBolt):
         if k < 1:
             raise WorkloadError("k must be positive")
         self.k = k
-        self._last_ranking: Optional[tuple] = None
 
     def declare_output_fields(self):
         return ("ranking", "ts")
@@ -104,19 +103,16 @@ class TopKClicksBolt(StatefulBolt):
     def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
         if tuple_["event"] != "click":
             return
-        product = tuple_["product"]
-        self.state.update(product, lambda c: (c or 0) + 1)
-        ranking = tuple(
-            sorted(self.state.items(), key=lambda kv: (-kv[1], kv[0]))[: self.k]
-        )
-        if ranking != self._last_ranking:
-            self._last_ranking = ranking
-            collector.emit((ranking, tuple_["ts"]), timestamp=tuple_["ts"])
+        # The ranking before the update is derived from the store, so a
+        # restored task compares against what its store says, not a memory.
+        before = self.top_k()
+        self.state.update(tuple_["product"], lambda c: (c or 0) + 1)
+        ranking = self.top_k()
+        if ranking != before:
+            collector.emit((tuple(ranking), tuple_["ts"]), timestamp=tuple_["ts"])
 
     def top_k(self) -> List[Tuple[str, int]]:
-        return list(
-            sorted(self.state.items(), key=lambda kv: (-kv[1], kv[0]))[: self.k]
-        )
+        return sorted(self.state.items(), key=lambda kv: (-kv[1], kv[0]))[: self.k]
 
 
 class ProductBundlingBolt(StatefulBolt):

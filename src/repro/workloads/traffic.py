@@ -70,8 +70,10 @@ class BusTraceGenerator:
 class RouteDelayBolt(StatefulBolt):
     """Sliding-window average delay per route, with congestion alerts.
 
-    State per route: ``(delay_sum, event_count)`` of the lifetime totals
-    plus the live sliding window. Emits
+    State per route: ``(delay_sum, event_count, panes)``, the lifetime
+    totals and the sliding window's open panes
+    (:meth:`~repro.streaming.windows.SlidingWindow.open_panes`), so a
+    restored task reopens its windows where its store left them. Emits
     ``(route, window_avg_delay, lifetime_avg_delay, ts)`` whenever the
     window average crosses ``alert_threshold``.
     """
@@ -88,7 +90,6 @@ class RouteDelayBolt(StatefulBolt):
         self.window_size = window_size
         self.window_slide = window_slide
         self.alert_threshold = alert_threshold
-        self._windows: Dict[str, SlidingWindow] = {}
 
     def declare_output_fields(self):
         return ("route", "window_avg", "lifetime_avg", "ts")
@@ -97,15 +98,13 @@ class RouteDelayBolt(StatefulBolt):
         route = tuple_["route"]
         delay = tuple_["delay"]
         ts = tuple_["ts"]
-        total, count = self.state.get(route, (0.0, 0))
+        total, count, panes = self.state.get(route, (0.0, 0, ()))
         total += delay
         count += 1
-        self.state.put(route, (total, count))
-        window = self._windows.get(route)
-        if window is None:
-            window = SlidingWindow(self.window_size, self.window_slide)
-            self._windows[route] = window
-        for pane in window.add(ts, delay):
+        window = SlidingWindow(self.window_size, self.window_slide).reopen(panes)
+        closed = window.add(ts, delay)
+        self.state.put(route, (total, count, window.open_panes()))
+        for pane in closed:
             if pane.items:
                 window_avg = sum(pane.items) / len(pane.items)
                 if window_avg > self.alert_threshold:

@@ -15,7 +15,6 @@ from repro.control import (
     default_policy,
 )
 from repro.control.actions import ACTIONS, Action, build_action, register_action
-from repro.control.events import ControlEvent, EventLog, watch_detector
 from repro.errors import ConfigError, RecoveryError
 from repro.state.placement import PlacedShard
 from repro.util.sizes import MB
@@ -23,40 +22,6 @@ from repro.util.sizes import MB
 
 def controller_for(scenario, **kwargs):
     return Controller(ControlPlane(scenario), **kwargs)
-
-
-class TestEvents:
-    def test_drain_cursor(self):
-        log = EventLog()
-        log.emit(ControlEvent(kind="node-failed", at=1.0, node="a"))
-        log.emit(ControlEvent(kind="node-failed", at=2.0, node="b"))
-        assert [e.node for e in log.drain()] == ["a", "b"]
-        assert log.drain() == []
-        log.emit(ControlEvent(kind="node-degraded", at=3.0, node="c"))
-        assert [e.node for e in log.drain()] == ["c"]
-        assert len(log) == 3
-        assert [e.node for e in log.history()] == ["a", "b", "c"]
-
-    def test_watch_detector_chains_and_dedupes(self):
-        class Thing:
-            def __init__(self, name):
-                self.name = name
-
-        calls = []
-        detector = Thing("det")
-        detector.on_failure = lambda watcher, member, at: calls.append(member.name)
-        log = EventLog()
-        watch_detector(detector, log)
-        watcher, member = Thing("node-1"), Thing("node-2")
-        detector.on_failure(watcher, member, 5.0)
-        detector.on_failure(Thing("node-3"), member, 6.0)  # duplicate declaration
-        assert calls == ["node-2", "node-2"]  # previous callback still runs
-        events = log.drain()
-        assert len(events) == 1
-        assert events[0].kind == "node-failed"
-        assert events[0].node == "node-2"
-        assert events[0].at == 5.0
-        assert dict(events[0].attrs) == {"watcher": "node-1"}
 
 
 class TestOwnerLost:
@@ -157,14 +122,13 @@ class TestFlakyNode:
         )
         return sc, registered, flaky
 
-    def test_degraded_host_emits_event_and_drains(self):
+    def test_degraded_host_is_diagnosed_and_drained(self):
         sc, registered, flaky = self.build_flaky()
         ctl = controller_for(sc)
-        events = ctl.observe()
-        assert any(
-            e.kind == "node-degraded" and e.node == flaky.host.name for e in events
-        )
-        assert ctl.observe() == []  # seen hosts do not re-flag
+        assert ctl.observe() == []  # no alert: the scan reads the host itself
+        (found,) = [d for d in ctl.diagnose() if d.condition == "flaky-node"]
+        assert found.node == flaky.name
+        assert dict(found.evidence)["bw_fraction"] == 0.2
         records = ctl.run()
         drained = [r for r in records if r.diagnosis.condition == "flaky-node"]
         assert len(drained) == 1

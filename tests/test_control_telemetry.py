@@ -1,9 +1,8 @@
-"""Telemetry alerts as first-class control-plane signals.
+"""Telemetry alerts as control-plane diagnoses.
 
 Covers the observe → diagnose path for ``slo-burning`` / ``metric-anomaly``
-events, the detector-gated owner-loss scan, the non-blocking
-:meth:`Controller.poll` mode, and event-log ordering under same-instant
-emissions.
+alerts, the detector-gated owner-loss scan and the non-blocking
+:meth:`Controller.poll` mode.
 """
 
 
@@ -15,10 +14,9 @@ from repro.control import (
     PolicyRule,
     PolicyTable,
 )
-from repro.control.diagnose import diagnose
-from repro.control.events import ControlEvent, EventLog, watch_detector
-from repro.obs.anomaly import AnomalyDetector
-from repro.obs.slo import SLO, BurnWindow, SLOEngine
+from repro.control.diagnose import anomaly_diagnosis, diagnose, slo_diagnosis
+from repro.obs.anomaly import Anomaly, AnomalyDetector
+from repro.obs.slo import SLO, BurnWindow, SLOAlert, SLOEngine
 from repro.obs.timeseries import TelemetryPipeline
 from repro.util.sizes import MB
 
@@ -51,13 +49,19 @@ def burning_engine(scenario, state=None):
 class TestTelemetryDiagnosis:
     def test_slo_event_becomes_critical_diagnosis(self):
         sc = build_scenario(num_nodes=32, seed=11)
-        event = ControlEvent(
-            kind="slo-burning",
+        alert = SLOAlert(
+            slo="backlog-drains",
+            series="live.backlog",
             at=4.5,
+            severity="critical",
+            burn_long=10.0,
+            burn_short=10.0,
+            long_s=3.0,
+            short_s=1.0,
+            threshold=200.0,
             state="app/state",
-            attrs=(("severity", "critical"), ("slo", "backlog-drains")),
         )
-        out = diagnose(ControlPlane(sc), [event])
+        out = diagnose(ControlPlane(sc), [slo_diagnosis(alert)])
         burning = [d for d in out if d.condition == "slo-burning"]
         assert len(burning) == 1
         d = burning[0]
@@ -68,18 +72,15 @@ class TestTelemetryDiagnosis:
 
     def test_anomaly_event_defaults_to_warning(self):
         sc = build_scenario(num_nodes=32, seed=11)
-        event = ControlEvent(kind="metric-anomaly", at=2.0, node="node-3")
-        out = diagnose(ControlPlane(sc), [event])
+        anomaly = Anomaly(
+            series="tput", at=2.0, value=5_000.0, score=40.0, kind="spike", baseline=100.0
+        )
+        out = diagnose(ControlPlane(sc), [anomaly_diagnosis(anomaly)])
         anomalous = [d for d in out if d.condition == "metric-anomaly"]
         assert len(anomalous) == 1
         assert anomalous[0].severity == "warning"
-        assert anomalous[0].subject == "node-3"
-
-    def test_detector_events_never_create_diagnoses(self):
-        sc = build_scenario(num_nodes=32, seed=11)
-        event = ControlEvent(kind="node-failed", at=1.0, node="node-1")
-        out = diagnose(ControlPlane(sc), [event])
-        assert out == []  # healthy world: the event alone proves nothing
+        assert anomalous[0].detected_at == 2.0
+        assert dict(anomalous[0].evidence)["series"] == "tput"
 
 
 class TestObserve:
@@ -91,18 +92,19 @@ class TestObserve:
         pipeline.record("tput", 16.0, 5_000.0)
         anomalies = AnomalyDetector(pipeline, series=("tput",), window=16, min_points=8)
         ctl = controller_for(sc, slo_engine=engine, anomalies=anomalies)
-        events = ctl.observe()
-        kinds = sorted(e.kind for e in events)
-        assert kinds == ["metric-anomaly", "slo-burning"]
-        # The log keeps both for the report, and a re-observe is quiet.
-        assert len(ctl.log) == 2
+        alerts = ctl.observe()
+        # SLO alerts first, then anomalies: the order diagnose() keeps.
+        assert [d.condition for d in alerts] == ["slo-burning", "metric-anomaly"]
+        assert sc.sim.metrics.counter("control.events").total == 2
+        # A re-observe is quiet and counts nothing.
         assert ctl.observe() == []
+        assert sc.sim.metrics.counter("control.events").total == 2
 
     def test_latched_alert_does_not_reobserve(self):
         sc = build_scenario(num_nodes=32, seed=12)
         _, engine = burning_engine(sc)
         ctl = controller_for(sc, slo_engine=engine)
-        assert [e.kind for e in ctl.observe()] == ["slo-burning"]
+        assert [d.condition for d in ctl.observe()] == ["slo-burning"]
         assert ctl.observe() == []  # latched: the burn is still on, no re-page
 
 
@@ -251,40 +253,3 @@ class TestPollMode:
         assert ctl.poll() == []
         assert ctl.records == []
         assert ctl.poll() == []  # parked, not re-diagnosed forever
-
-
-class TestEventLogSameInstant:
-    def test_same_instant_events_keep_emit_order(self):
-        log = EventLog()
-        for node in ("c", "a", "b"):
-            log.emit(ControlEvent(kind="node-failed", at=5.0, node=node))
-        assert [e.node for e in log.drain()] == ["c", "a", "b"]
-        log.emit(ControlEvent(kind="node-degraded", at=5.0, node="d"))
-        log.emit(ControlEvent(kind="node-degraded", at=5.0, node="e"))
-        assert [e.node for e in log.drain()] == ["d", "e"]
-        assert [e.node for e in log.history()] == ["c", "a", "b", "d", "e"]
-
-    def test_watch_detector_same_instant_duplicates_collapse(self):
-        class Thing:
-            def __init__(self, name):
-                self.name = name
-
-        chained = []
-        detector = Thing("det")
-        detector.on_failure = lambda watcher, member, at: chained.append(
-            (watcher.name, member.name, at)
-        )
-        log = EventLog()
-        watch_detector(detector, log)
-        dead = Thing("node-9")
-        other = Thing("node-4")
-        # Two watchers declare the same member at the same instant, and a
-        # third declares a different member at that instant too.
-        detector.on_failure(Thing("w1"), dead, 7.0)
-        detector.on_failure(Thing("w2"), dead, 7.0)
-        detector.on_failure(Thing("w3"), other, 7.0)
-        events = log.drain()
-        assert [(e.node, e.at) for e in events] == [("node-9", 7.0), ("node-4", 7.0)]
-        assert dict(events[0].attrs) == {"watcher": "w1"}  # first declaration wins
-        # The pre-existing callback still saw every declaration.
-        assert [c[0] for c in chained] == ["w1", "w2", "w3"]

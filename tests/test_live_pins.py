@@ -106,7 +106,7 @@ CASES = {
 
 PINS = {
     "controller-detector": (
-        "41a29e198be5b7469df1a7325adf667f2202d0735651481862b779c0039df81a",
+        "5c9eda46625defc6f49e44747c0ff87a5e9b55dc4252c6bb81041116db592065",
         "5bee303cd95a9cbb6a7df1c53ae342cb126d920ecd3b499182f8580600777425",
         "fe9bdf7a7ed35feb8eb35e1b90e1872c7234831a0efd0ec495dd6268bce65539",
     ),
@@ -139,7 +139,7 @@ PINS = {
 
 DASHBOARD_PINS = {
     "burn": "084c4b2bfedf55d58c3788ba85275c804e5940aa5676562082a855cdd7054452",
-    "detector": "792ca572eb7cc97f3ded5e8ca729c5904e720e898f923b606a47a96450eeaabb",
+    "detector": "d047ce27e91ec1cb5764fe51637ea55608b3bff5eb785c8c8a4e9e96f8c20e90",
 }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.events import anomaly_event
+from repro.control.diagnose import anomaly_diagnosis
 from repro.errors import ConfigError
 from repro.obs.anomaly import AnomalyDetector
 from repro.obs.timeseries import TelemetryPipeline
@@ -118,10 +118,11 @@ class TestWatchSet:
     def test_to_event(self):
         pipe = pipeline_with(noisy_baseline() + [(16.0, 100.0)])
         det = AnomalyDetector(pipe, window=16, min_points=8)
-        event = anomaly_event(det.scan(16.0)[0])
-        assert event.kind == "metric-anomaly"
-        assert event.at == 16.0
-        attrs = dict(event.attrs)
+        diagnosis = anomaly_diagnosis(det.scan(16.0)[0])
+        assert diagnosis.condition == "metric-anomaly"
+        assert diagnosis.severity == "warning"
+        assert diagnosis.detected_at == 16.0
+        attrs = dict(diagnosis.evidence)
         assert attrs["series"] == "m"
         assert attrs["anomaly"] == "spike"
         assert attrs["value"] == 100.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.events import slo_event
+from repro.control.diagnose import slo_diagnosis
 from repro.errors import ConfigError
 from repro.obs.slo import DEFAULT_WINDOWS, SLO, BurnWindow, SLOEngine
 from repro.obs.timeseries import TelemetryPipeline
@@ -131,11 +131,12 @@ class TestAlerting:
 
     def test_to_event_carries_the_alert(self):
         engine = engine_with(self.all_bad(), state="app/state")
-        event = slo_event(engine.evaluate(4.0)[0])
-        assert event.kind == "slo-burning"
-        assert event.at == 4.0
-        assert event.state == "app/state"
-        attrs = dict(event.attrs)
+        diagnosis = slo_diagnosis(engine.evaluate(4.0)[0])
+        assert diagnosis.condition == "slo-burning"
+        assert diagnosis.severity == "critical"
+        assert diagnosis.detected_at == 4.0
+        assert diagnosis.state == "app/state"
+        attrs = dict(diagnosis.evidence)
         assert attrs["slo"] == "lat-ok"
         assert attrs["series"] == "lat"
         assert attrs["severity"] == "critical"

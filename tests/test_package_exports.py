@@ -44,10 +44,9 @@ EXPORTS = {
             "make_mechanism run_campaign run_scenario streaming_probe"
         ),
         "repro.control": (
-            "ACTIONS Action ActionOutcome CONDITIONS ControlEvent ControlPlane "
-            "Controller Diagnosis EVENT_KINDS EventLog PolicyRule PolicyTable "
-            "RemediationRecord TELEMETRY_KINDS build_action default_policy diagnose "
-            "register_action watch_detector"
+            "ACTIONS Action ActionOutcome CONDITIONS ControlPlane Controller Diagnosis "
+            "PolicyRule PolicyTable RemediationRecord build_action default_policy "
+            "diagnose register_action"
         ),
         "repro.dht": (
             "DetectorConfig DhtNode FailureDetector JoinReport LeafSet MaintenanceConfig "

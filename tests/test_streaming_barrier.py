@@ -4,8 +4,9 @@
 after the last one is recovered through SR3 by ``recover_task``, which
 restores the whole topology to that barrier (survivors rolled back,
 shuffle positions reset, spouts rewound), and the rest of ``run()``
-replays the gap. Every store must then equal a failure-free run's. Two
-mutants of the protocol must fail the same check.
+replays the gap. Every store must then equal a failure-free run's, and so
+must every shipped application's outputs. Two mutants of the protocol must
+fail the same check.
 """
 
 import random
@@ -29,6 +30,7 @@ from repro.workloads.wordcount import (
     SentenceSpout,
     build_wordcount_topology,
 )
+from tests.test_streaming_tuple_path_oracle import APPLICATIONS
 
 WORDS = [(f"w{(i * 7) % 23}",) for i in range(300)]
 
@@ -96,6 +98,41 @@ def test_recovered_run_equals_failure_free_run(name):
 def test_kill_right_on_a_barrier_replays_nothing(name):
     build = TOPOLOGIES[name]
     assert kill_between_barriers(build, emitted=200) == failure_free(build)
+
+
+def sinks(cluster):
+    return {cid: [(t.values, t.timestamp) for t in sink] for cid, sink in cluster.outputs.items()}
+
+
+@pytest.mark.parametrize("name", sorted(APPLICATIONS))
+def test_recovered_outputs_equal_the_failure_free_outputs(name):
+    """What the sinks held at the last barrier, then what came after the
+    restore, is the failure-free output: state kept outside the store
+    would make a restored task emit differently."""
+    cluster = backed_cluster(APPLICATIONS[name](0))
+    at_barrier = []
+    checkpoint = cluster.checkpoint
+
+    def record_on_landing(incremental=True):
+        checkpoint(incremental)
+        at_barrier.append({cid: len(sink) for cid, sink in cluster.outputs.items()})
+
+    cluster.checkpoint = record_on_landing
+    cluster.run(max_emissions=250, checkpoint_every=100)
+    cid, index = min(cluster.stateful_tasks())
+    cluster.kill_task(cid, index)
+    cluster.recover_task(cid, index)
+    at_restore = {cid: len(sink) for cid, sink in cluster.outputs.items()}
+    cluster.run()
+    recovered = {
+        cid: sink[: at_barrier[-1][cid]] + sink[at_restore[cid]:]
+        for cid, sink in sinks(cluster).items()
+    }
+    reference = LocalCluster(APPLICATIONS[name](0))
+    reference.run()
+    assert len(at_barrier) == 2
+    assert recovered == sinks(reference)
+    assert cluster.state_checksums() == reference.state_checksums()
 
 
 def test_restore_resets_the_shuffle_position():

@@ -34,3 +34,14 @@ class TestSliding:
         closed = sliding.add(11.0, "b")
         assert len(closed) == 1
         assert closed[0].items == ["a"]
+
+    def test_reopened_panes_close_like_the_originals(self):
+        original = SlidingWindow(size=10.0, slide=5.0)
+        original.add(3.0, "a")
+        original.add(7.0, "b")
+        panes = original.open_panes()
+        assert panes == ((0, ("a", "b")), (1, ("b",)))
+        reopened = SlidingWindow(size=10.0, slide=5.0).reopen(panes)
+        assert reopened.open_panes() == panes
+        closed = [(p.start, p.end, p.items) for p in original.add(16.0, "c")]
+        assert [(p.start, p.end, p.items) for p in reopened.add(16.0, "c")] == closed
