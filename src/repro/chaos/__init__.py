@@ -22,7 +22,7 @@ __getattr__, __all__ = export_table(__name__, {
     ),
     "repro.chaos.injectors": (
         "INJECTOR_KINDS", "BandwidthFlap", "CrashWave", "Injector", "MidRecoveryCrash",
-        "NetworkPartition", "PoissonChurn", "RackFailure", "Straggler", "make_injector",
+        "NetworkPartition", "PoissonChurn", "RackFailure", "Straggler",
     ),
     "repro.chaos.invariants": (
         "DEFAULT_CHECKERS", "FlowAccounting", "ChainChecksumConsistent", "InvariantChecker",

@@ -16,7 +16,7 @@ per-host bandwidth control).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Type
 
 from repro.errors import SimulationError
@@ -34,11 +34,6 @@ class Injector:
 
     def arm(self, engine: "ChaosEngine") -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {"kind": self.kind}
-        data.update(asdict(self))
-        return data
 
 
 @dataclass(frozen=True)
@@ -324,13 +319,3 @@ INJECTOR_KINDS: Dict[str, Type[Injector]] = {
     )
 }
 
-
-def make_injector(spec: Dict[str, object]) -> Injector:
-    """Build an injector from its dict form (the scenario DSL)."""
-    data = dict(spec)
-    kind = data.pop("kind", None)
-    if kind not in INJECTOR_KINDS:
-        raise SimulationError(
-            f"unknown injector kind {kind!r}; known: {sorted(INJECTOR_KINDS)}"
-        )
-    return INJECTOR_KINDS[kind](**data)

@@ -6,8 +6,6 @@ clock, and the mechanisms to sweep. Everything is derived from the
 scenario ``seed``, so the same spec always yields the same fault timeline
 and, downstream, a byte-identical resilience report.
 
-Scenarios round-trip through plain dicts (``to_dict``/``from_dict``) and
-load from TOML files, so campaigns can live next to the code or in config.
 The shipped catalog (``SCENARIOS``) covers the failure modes the paper
 argues SR3 must survive, plus the recovery-during-recovery cases its
 mechanisms historically mishandled; ``CAMPAIGNS`` groups them into the CI
@@ -28,7 +26,6 @@ from repro.chaos.injectors import (
     PoissonChurn,
     RackFailure,
     Straggler,
-    make_injector,
 )
 from repro.errors import SimulationError
 from repro.util.sizes import MB
@@ -87,7 +84,7 @@ class Scenario:
                 raise SimulationError(
                     f"unknown mechanism {mechanism!r}; known: {KNOWN_MECHANISMS}"
                 )
-        # Normalize list inputs (from_dict / hand-written specs) to tuples.
+        # Normalize list inputs (hand-written specs) to tuples.
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "injections", tuple(self.injections))
 
@@ -100,52 +97,6 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
-
-    # -------------------------------------------------------------- dict form
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "num_nodes": self.num_nodes,
-            "seed": self.seed,
-            "num_states": self.num_states,
-            "state_mb": self.state_mb,
-            "num_shards": self.num_shards,
-            "num_replicas": self.num_replicas,
-            "uplink_mbit": self.uplink_mbit,
-            "latency_bound": self.latency_bound,
-            "delta_rounds": self.delta_rounds,
-            "delta_fraction": self.delta_fraction,
-            "mechanisms": list(self.mechanisms),
-            "injections": [inj.to_dict() for inj in self.injections],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Scenario":
-        spec = dict(data)
-        injections = tuple(
-            inj if isinstance(inj, Injector) else make_injector(inj)
-            for inj in spec.pop("injections", ())
-        )
-        mechanisms = tuple(spec.pop("mechanisms", SR3_MECHANISMS))
-        return cls(injections=injections, mechanisms=mechanisms, **spec)
-
-    @classmethod
-    def from_toml(cls, path: str) -> List["Scenario"]:
-        """Load scenario specs from a TOML file's ``[[scenario]]`` tables."""
-        try:
-            import tomllib
-        except ImportError as exc:  # pragma: no cover - py<3.11
-            raise SimulationError(
-                "TOML scenario files need Python 3.11+ (tomllib)"
-            ) from exc
-        with open(path, "rb") as fh:
-            data = tomllib.load(fh)
-        tables = data.get("scenario", [])
-        if not tables:
-            raise SimulationError(f"{path}: no [[scenario]] tables found")
-        return [cls.from_dict(table) for table in tables]
 
 
 # --------------------------------------------------------------------- catalog

@@ -7,8 +7,7 @@ first rule whose condition, severity filter, and subject glob match a
 diagnosis wins and names the action to run and its retry budget. A rule
 naming an unknown condition or action is rejected when it is built, so a
 table loaded with :meth:`PolicyTable.from_dict` fails at load, not
-partway through a remediation. Tables round-trip through plain dicts, so
-a deployment can ship its policy next to its scenario TOML.
+partway through a remediation. Tables round-trip through plain dicts.
 
 :func:`default_policy` encodes the paper-faithful defaults:
 

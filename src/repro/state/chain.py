@@ -153,9 +153,6 @@ class VersionChain:
         ratio = (self.delta_bytes + extra_delta_bytes) / base
         return ratio > policy.max_delta_ratio
 
-    def all_shards(self) -> List[Shard]:
-        return [s for link in self.links for s in link.shards]
-
     # ------------------------------------------------- placement-plan protocol
 
     @property
@@ -176,10 +173,6 @@ class VersionChain:
                 f"chain of {m} shards"
             )
         return self.links[link_pos].plan, index
-
-    def for_shard(self, segment: int) -> List[Any]:
-        plan, index = self._locate(segment)
-        return plan.for_shard(index)
 
     def providers_for(self, segment: int) -> List[Any]:
         plan, index = self._locate(segment)

@@ -75,132 +75,6 @@ def replicate(shards: Sequence[Shard], num_replicas: int) -> List[ShardReplica]:
     ]
 
 
-def _sub_bucket_for_key(key: Any, num_shards: int) -> int:
-    """The next hash bit above the shard index: which half of a split.
-
-    Derived from the same digest as :func:`shard_index_for_key` but from
-    the quotient rather than the remainder, so it is independent of the
-    index and stable across save rounds.
-    """
-    digest = hashlib.sha256(repr(key).encode("utf-8")).digest()
-    return (int.from_bytes(digest[:8], "big") // num_shards) % 2
-
-
-def _relabel(shard: Shard, new_index: int, new_count: int) -> Shard:
-    """The same shard contents under a new (index, num_shards) label."""
-    if shard.synthetic:
-        return Shard.synthetic_shard(
-            shard.state_name, new_index, new_count, shard.version, shard.size_bytes
-        )
-    return Shard(
-        shard.state_name,
-        new_index,
-        new_count,
-        shard.version,
-        entries=dict(shard.entries),
-    )
-
-
-def _check_base_partition(shards: Sequence[Shard]) -> None:
-    if any(getattr(s, "chain_link", 0) != 0 for s in shards):
-        raise ShardError(
-            "split/merge operate on the base partition; compact the delta "
-            "chain first"
-        )
-
-
-def split_shard(shards: Sequence[Shard], index: int) -> List[Shard]:
-    """Split shard ``index``'s key range in two: ``m`` shards become ``m+1``.
-
-    The hot shard's keys divide by the next hash bit above the index (so
-    the assignment stays deterministic per key); synthetic shards split
-    byte-for-byte in half. Index remapping: shards up to ``index`` keep
-    their positions, the new upper half lands at ``index + 1``, and every
-    later shard shifts up by one — the result is again a complete
-    partition (``check_reconstruction_set`` passes) whose merged snapshot
-    equals the input's, so ``state_checksums()`` ground truth is preserved
-    through the following save round.
-    """
-    version = check_reconstruction_set(shards)
-    _check_base_partition(shards)
-    ordered = sorted(shards, key=lambda s: s.index)
-    old_count = len(ordered)
-    if not 0 <= index < old_count:
-        raise ShardError(f"shard index {index} out of range for m={old_count}")
-    hot = ordered[index]
-    new_count = old_count + 1
-    name = hot.state_name
-    if hot.synthetic:
-        upper_bytes = hot.size_bytes // 2
-        lower = Shard.synthetic_shard(
-            name, index, new_count, version, hot.size_bytes - upper_bytes
-        )
-        upper = Shard.synthetic_shard(name, index + 1, new_count, version, upper_bytes)
-    else:
-        halves: List[Dict[Any, Any]] = [{}, {}]
-        for key, value in hot.entries.items():
-            halves[_sub_bucket_for_key(key, old_count)][key] = value
-        lower = Shard(name, index, new_count, version, entries=halves[0])
-        upper = Shard(name, index + 1, new_count, version, entries=halves[1])
-    result: List[Shard] = []
-    for shard in ordered[:index]:
-        result.append(_relabel(shard, shard.index, new_count))
-    result.extend([lower, upper])
-    for shard in ordered[index + 1 :]:
-        result.append(_relabel(shard, shard.index + 1, new_count))
-    return result
-
-
-def merge_shard_pair(shards: Sequence[Shard], index_a: int, index_b: int) -> List[Shard]:
-    """Merge two cold shards into one: ``m`` shards become ``m-1``.
-
-    The pair's entries (disjoint by construction) union into the lower
-    index; every shard above the higher index shifts down by one. Like
-    :func:`split_shard`, the result is a complete partition whose merged
-    snapshot equals the input's.
-    """
-    version = check_reconstruction_set(shards)
-    _check_base_partition(shards)
-    ordered = sorted(shards, key=lambda s: s.index)
-    old_count = len(ordered)
-    if old_count < 2:
-        raise ShardError("cannot merge below one shard")
-    low, high = sorted((index_a, index_b))
-    if low == high:
-        raise ShardError("cannot merge a shard with itself")
-    if not 0 <= low < high < old_count:
-        raise ShardError(
-            f"merge pair ({index_a}, {index_b}) out of range for m={old_count}"
-        )
-    a, b = ordered[low], ordered[high]
-    if a.synthetic != b.synthetic:
-        raise ShardError("cannot merge a synthetic shard with a materialized one")
-    new_count = old_count - 1
-    name = a.state_name
-    if a.synthetic:
-        merged = Shard.synthetic_shard(
-            name, low, new_count, version, a.size_bytes + b.size_bytes
-        )
-    else:
-        entries = dict(a.entries)
-        for key, value in b.entries.items():
-            if key in entries:
-                raise ShardError(f"key {key!r} appears in both merge shards")
-            entries[key] = value
-        merged = Shard(name, low, new_count, version, entries=entries)
-    result: List[Shard] = []
-    for shard in ordered:
-        if shard.index == high:
-            continue
-        if shard.index == low:
-            result.append(merged)
-        elif shard.index > high:
-            result.append(_relabel(shard, shard.index - 1, new_count))
-        else:
-            result.append(_relabel(shard, shard.index, new_count))
-    return result
-
-
 def check_reconstruction_set(shards: Sequence[Shard]) -> StateVersion:
     """Validate that ``shards`` form a complete, consistent partition.
 

@@ -18,7 +18,7 @@ with it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.dht.node import DhtNode
 from repro.dht.overlay import Overlay
@@ -41,13 +41,6 @@ class PlacementPlan:
 
     owner: Optional[DhtNode]
     placements: List[PlacedShard] = field(default_factory=list)
-
-    def nodes(self) -> List[DhtNode]:
-        """All distinct storage nodes used by this plan."""
-        seen: Dict[object, DhtNode] = {}
-        for placed in self.placements:
-            seen[placed.node.node_id] = placed.node
-        return list(seen.values())
 
     def for_shard(self, shard_index: int) -> List[PlacedShard]:
         """Every replica placement of one shard."""
@@ -82,75 +75,6 @@ class PlacementPlan:
             if providers:
                 result.append(providers[0].replica.shard)
         return result
-
-
-def migrate_replica(
-    network,
-    plan: PlacementPlan,
-    shard_index: int,
-    source: DhtNode,
-    target: DhtNode,
-    on_done=None,
-    tag: str = "state.migrate",
-):
-    """Live-migrate one replica of a shard from ``source`` to ``target``.
-
-    The bytes ride an ordinary network flow (the same app-flow-contended
-    path every other transfer uses); on arrival the replica is stored on
-    the target, dropped from the source, and the plan's placement swaps in
-    place — checksums, versions, and the delta chain are untouched, so no
-    ground-truth re-anchor is needed. Placement invariants are enforced:
-    never onto the owner, never co-locating two replicas of one shard.
-
-    Returns the flow driving the copy; the caller runs the simulator (or
-    lets the live loop tick) until it lands, then ``on_done(placed)``
-    fires with the new placement.
-    """
-    candidates = [
-        p
-        for p in plan.for_shard(shard_index)
-        if p.node.node_id == source.node_id
-        and source.get_shard(p.replica.key) is not None
-    ]
-    if not candidates:
-        raise StateError(
-            f"{source.name} holds no live replica of shard {shard_index}"
-        )
-    placed = candidates[0]
-    replica = placed.replica
-    if not target.alive:
-        raise StateError(f"migration target {target.name} is dead")
-    if plan.owner is not None and target.node_id == plan.owner.node_id:
-        raise StateError(
-            f"cannot migrate shard {shard_index} onto its owner {target.name}"
-        )
-    if any(
-        p.node.node_id == target.node_id for p in plan.for_shard(shard_index)
-    ):
-        raise StateError(
-            f"{target.name} already holds a replica of shard {shard_index}"
-        )
-
-    def landed(flow) -> None:
-        target.store_shard(replica.key, replica)
-        source.drop_shard(replica.key)
-        new_placed = PlacedShard(replica, target)
-        try:
-            where = plan.placements.index(placed)
-        except ValueError:
-            plan.placements.append(new_placed)
-        else:
-            plan.placements[where] = new_placed
-        if on_done is not None:
-            on_done(new_placed)
-
-    return network.transfer(
-        source.host,
-        target.host,
-        replica.size_bytes,
-        on_complete=landed,
-        tag=tag,
-    )
 
 
 class LeafSetPlacement:

@@ -87,9 +87,6 @@ class StateStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
     @property
     def size_bytes(self) -> int:
         """Approximate in-memory footprint of all entries."""
@@ -133,12 +130,6 @@ class StateStore:
 
     def keys(self) -> Iterator[Any]:
         return iter(self._entries.keys())
-
-    def clear(self) -> None:
-        self._deleted |= set(self._entries)
-        self._dirty.clear()
-        self._entries.clear()
-        self._size_bytes = 0
 
     def dirty_keys(self) -> Set[Any]:
         """Keys inserted or updated since the last :meth:`mark_clean`."""

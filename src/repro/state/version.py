@@ -51,10 +51,6 @@ class VersionClock:
     def __init__(self) -> None:
         self._last = StateVersion.ZERO
 
-    @property
-    def current(self) -> StateVersion:
-        return self._last
-
     def next(self, timestamp: float) -> StateVersion:
         """Issue the next version at ``timestamp``.
 

@@ -116,9 +116,8 @@ class SplitSentenceBolt(Bolt):
         return ("word",)
 
     def execute(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
-        emit, timestamp = collector.emit, tuple_.timestamp
-        for word in tuple_["sentence"].split():
-            emit((word,), timestamp)
+        # zip() of one iterable yields the one-value rows (word,)
+        collector.emit_all(zip(tuple_["sentence"].split()), tuple_.timestamp)
 
 
 def build_wordcount_topology(

@@ -1,9 +1,8 @@
-"""A bolt and a grouping the streaming engine's tests are written with."""
+"""A bolt the streaming engine's tests are written with."""
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.streaming.component import Bolt, OutputCollector
-from repro.streaming.groupings import Grouping
 from repro.streaming.tuples import StreamTuple
 
 
@@ -21,9 +20,3 @@ class FunctionBolt(Bolt):
         for values in self._fn(tuple_) or ():
             collector.emit(values, timestamp=tuple_.timestamp)
 
-
-class AllGrouping(Grouping):
-    """Replicate every tuple to every task."""
-
-    def choose(self, tuple_: StreamTuple, num_tasks: int) -> List[int]:
-        return list(range(num_tasks))

@@ -12,7 +12,6 @@ from repro.chaos import (
     RackFailure,
     SCENARIOS,
     Straggler,
-    make_injector,
     run_scenario,
 )
 from repro.chaos.campaign import ChaosEngine
@@ -35,16 +34,6 @@ def make_engine(scenario=None, mechanism="star", num_nodes=16):
 class TestRegistry:
     def test_at_least_six_injector_kinds(self):
         assert len(INJECTOR_KINDS) >= 6
-
-    def test_round_trip_through_dict(self):
-        for cls in INJECTOR_KINDS.values():
-            original = cls()
-            rebuilt = make_injector(original.to_dict())
-            assert rebuilt == original
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SimulationError, match="unknown injector kind"):
-            make_injector({"kind": "meteor_strike"})
 
 
 class TestValidation:

@@ -8,8 +8,6 @@ from repro.chaos import (
     KNOWN_MECHANISMS,
     SCENARIOS,
     SR3_MECHANISMS,
-    CrashWave,
-    MidRecoveryCrash,
     Scenario,
     campaign_scenarios,
 )
@@ -46,64 +44,6 @@ class TestScenarioValidation:
         assert reseeded.seed == 7
         assert scenario.seed == 0
         assert reseeded.name == scenario.name
-
-
-class TestDictRoundTrip:
-    def test_round_trip_preserves_everything(self):
-        scenario = Scenario(
-            name="rt",
-            description="round trip",
-            num_nodes=16,
-            seed=3,
-            uplink_mbit=100.0,
-            mechanisms=("star", "tree"),
-            injections=(
-                CrashWave(at=2.0, count=1),
-                MidRecoveryCrash(target="replacement", delay=1.0),
-            ),
-        )
-        assert Scenario.from_dict(scenario.to_dict()) == scenario
-
-    def test_catalog_round_trips(self):
-        for scenario in SCENARIOS.values():
-            assert Scenario.from_dict(scenario.to_dict()) == scenario
-
-
-class TestTomlLoading:
-    def test_load_from_toml(self, tmp_path):
-        tomllib = pytest.importorskip("tomllib")
-        assert tomllib is not None
-        path = tmp_path / "campaign.toml"
-        path.write_text(
-            "\n".join(
-                [
-                    "[[scenario]]",
-                    'name = "toml-crash"',
-                    "num_nodes = 16",
-                    "num_states = 1",
-                    'mechanisms = ["star"]',
-                    "",
-                    "[[scenario.injections]]",
-                    'kind = "crash_wave"',
-                    "at = 2.0",
-                    "count = 1",
-                    'victims = "owners"',
-                ]
-            )
-        )
-        scenarios = Scenario.from_toml(str(path))
-        assert len(scenarios) == 1
-        scenario = scenarios[0]
-        assert scenario.name == "toml-crash"
-        assert scenario.mechanisms == ("star",)
-        assert scenario.injections == (CrashWave(at=2.0, count=1),)
-
-    def test_empty_toml_rejected(self, tmp_path):
-        pytest.importorskip("tomllib")
-        path = tmp_path / "empty.toml"
-        path.write_text('title = "no scenarios here"\n')
-        with pytest.raises(SimulationError, match=r"no \[\[scenario\]\] tables"):
-            Scenario.from_toml(str(path))
 
 
 class TestCatalog:

@@ -87,8 +87,6 @@ def test_export_tables_are_read_as_imports(tmp_path):
 FUNCTION_LOCAL_IMPORTS = {
     ("bench/parallel.py", "_scale_cell_worker", "repro.bench.experiments"):
         "cycle: experiments imports parallel's run_scale_cells at module level",
-    ("chaos/scenario.py", "from_toml", "tomllib"):
-        "optional: tomllib exists from Python 3.11, the package supports 3.9",
     ("control/controller.py", "_verify", "repro.chaos.invariants"):
         "cycle: chaos.campaign imports control at module level",
     ("obs/profile.py", "_attach_explanations", "repro.recovery.selection"):

@@ -40,7 +40,7 @@ EXPORTS = {
             "InvariantReport KNOWN_MECHANISMS MidRecoveryCrash NetworkPartition "
             "NoOrphanedReplicas PoissonChurn RackFailure RecoveryLatency ResilienceReport "
             "RingConsistency RunContext SCENARIOS SR3_MECHANISMS Scenario ScenarioOutcome "
-            "StateIntegrity Straggler campaign_scenarios check_invariants make_injector "
+            "StateIntegrity Straggler campaign_scenarios check_invariants "
             "make_mechanism run_campaign run_scenario streaming_probe"
         ),
         "repro.control": (

@@ -51,7 +51,7 @@ class TestStar:
 
     def test_missing_all_replicas_fails(self, world):
         registered, _ = world.save_synthetic(size=8 * MB, shards=4)
-        for placed in registered.plan.for_shard(0):
+        for placed in registered.plan.links[0].plan.for_shard(0):
             placed.node.drop_shard(placed.replica.key)
         replacement = world.fail_owner()
         handle = StarRecovery().start(
@@ -68,7 +68,7 @@ class TestStar:
         registered, _ = world.save_synthetic(size=8 * MB, shards=4, replicas=2)
         # Drop one replica of every shard.
         for index in registered.plan.shard_indexes():
-            placed = registered.plan.for_shard(index)[0]
+            placed = registered.plan.links[0].plan.for_shard(index)[0]
             placed.node.drop_shard(placed.replica.key)
         result = recover(world, StarRecovery())
         assert result.shards_recovered == 4
@@ -101,7 +101,7 @@ class TestLine:
 
     def test_missing_shard_fails(self, world):
         registered, _ = world.save_synthetic(size=8 * MB, shards=4)
-        for placed in registered.plan.for_shard(1):
+        for placed in registered.plan.links[0].plan.for_shard(1):
             placed.node.drop_shard(placed.replica.key)
         replacement = world.fail_owner()
         handle = LineRecovery().start(
@@ -157,7 +157,7 @@ class TestTree:
     def test_missing_shard_fails(self, world_factory):
         w = world_factory(num_nodes=128, placement="hash")
         registered, _ = w.save_synthetic(size=8 * MB, shards=4)
-        for placed in registered.plan.for_shard(2):
+        for placed in registered.plan.links[0].plan.for_shard(2):
             placed.node.drop_shard(placed.replica.key)
         replacement = w.fail_owner()
         handle = TreeRecovery().start(w.ctx, registered.plan, replacement, "app/state")

@@ -81,14 +81,14 @@ class TestSpeculativeRecovery:
     def test_recovers_even_when_all_replicas_slow(self, world_factory):
         w = world_factory(link_mbit=1000)
         registered, _ = w.save_synthetic(size=16 * MB, shards=4, replicas=2)
-        for placed in registered.plan.for_shard(0):
+        for placed in registered.plan.links[0].plan.for_shard(0):
             placed.node.host.up_bw = mbit_per_s(5.0)
         result = run_mechanism(w, SpeculativeStarRecovery())
         assert result.shards_recovered == 4
 
     def test_missing_shard_fails(self, world):
         registered, _ = world.save_synthetic(size=8 * MB, shards=4)
-        for placed in registered.plan.for_shard(0):
+        for placed in registered.plan.links[0].plan.for_shard(0):
             placed.node.drop_shard(placed.replica.key)
         replacement = world.fail_owner()
         handle = SpeculativeStarRecovery().start(

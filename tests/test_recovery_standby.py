@@ -81,7 +81,7 @@ class TestSync:
 
     def test_sync_counts_unreachable_segments_as_missed(self, world):
         registered, _ = world.save_synthetic(size=8 * MB, shards=4, replicas=2)
-        for placed in list(registered.plan.for_shard(0)):
+        for placed in list(registered.plan.links[0].plan.for_shard(0)):
             placed.node.drop_shard(placed.replica.key)
         _, _, report = provision(world)
         assert report.missed_segments == 1
@@ -176,7 +176,7 @@ class TestTakeover:
 
     def test_insufficient_shards_fails(self, world):
         registered, _ = world.save_synthetic(size=8 * MB, shards=4)
-        for placed in list(registered.plan.for_shard(2)):
+        for placed in list(registered.plan.links[0].plan.for_shard(2)):
             placed.node.drop_shard(placed.replica.key)
         replacement = world.fail_owner()
         handle = StandbyRecovery().start(

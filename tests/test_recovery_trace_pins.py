@@ -178,7 +178,7 @@ def run_case(mechanism: str, case: str) -> str:
     if case == "straggler":
         primaries[0].host.up_bw = mbit_per_s(1.0)
     elif case == "no-replica":
-        for placed in w.registered.plan.for_shard(2):
+        for placed in w.registered.plan.links[0].plan.for_shard(2):
             placed.node.drop_shard(placed.replica.key)
     elif case == "provider-dies":
         for node in (primaries[0], primaries[-1]):

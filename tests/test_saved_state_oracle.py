@@ -8,14 +8,14 @@ choosing between them. It is now one ``VersionChain`` held in ``plan``.
 ``ReferenceVersionChain``, ``ReferenceChainPlan`` and
 ``ReferenceRegisteredState`` are the classes of the commit before, moved
 here verbatim apart from their names and the members nothing here reads
-(``nodes``, ``store_all``, ``state_bytes``, the reprs).
+(``nodes``, ``store_all``, ``state_bytes``, ``for_shard``, the reprs).
 ``ReferenceRecord`` holds that commit's manager bookkeeping: what a
 landed full or delta save wrote, when a delta could extend the chain, and
 how the image was rebuilt.
 The reference is fed the same save results as the live manager, so both
 records point at the same placements. Seeded sequences of full saves,
 deltas, compaction fallbacks, ownership moves, node deaths,
-re-replication, replica migration and standby syncs must leave both
+re-replication and standby syncs must leave both
 answering every placement query alike, after every step.
 """
 
@@ -48,7 +48,7 @@ from repro.state.partitioner import (
     merge_shards,
     partition_snapshot,
 )
-from repro.state.placement import PlacementPlan, migrate_replica
+from repro.state.placement import PlacementPlan
 from repro.state.shard import DeltaShard, Shard
 from repro.state.store import StateSnapshot
 from repro.state.version import StateVersion
@@ -185,10 +185,6 @@ class ReferenceChainPlan:
             )
         return self.chain.links[link_pos].plan, index
 
-    def for_shard(self, segment: int) -> List[Any]:
-        plan, index = self._locate(segment)
-        return plan.for_shard(index)
-
     def providers_for(self, segment: int) -> List[Any]:
         plan, index = self._locate(segment)
         return plan.providers_for(index)
@@ -303,7 +299,6 @@ def assert_same_record(manager, reference: ReferenceRecord, step: str) -> None:
     where = f"after {step}"
     assert chain.shard_indexes() == ref.shard_indexes(), where
     for segment in ref.shard_indexes():
-        assert chain.for_shard(segment) == ref.for_shard(segment), where
         assert chain.providers_for(segment) == ref.providers_for(segment), where
     assert chain.available_shards() == ref.available_shards(), where
     assert chain.placements == ref.placements, where
@@ -423,27 +418,6 @@ class Run:
         outcome = ReReplicate().execute(world, diagnosis)
         self.events["re-replicate" if outcome.changed else "re-replicate no-op"] += 1
 
-    def migrate(self) -> None:
-        link = self.rng.choice(self.live.plan.links)
-        index = self.rng.randrange(SHARDS)
-        providers = link.plan.providers_for(index)
-        occupied = {p.node.node_id for p in link.plan.for_shard(index)}
-        occupied.add(self.live.owner.node_id)
-        targets = [
-            n for n in self.deployment.overlay.alive_nodes() if n.node_id not in occupied
-        ]
-        if not providers or not targets:
-            return
-        migrate_replica(
-            self.deployment.network,
-            link.plan,
-            index,
-            self.rng.choice(providers).node,
-            self.rng.choice(targets),
-        )
-        self.run()
-        self.events["migrate_replica"] += 1
-
     def sync_standby(self) -> None:
         standby = self.rng.choice(
             [n for n in self.deployment.overlay.alive_nodes() if n is not self.live.owner]
@@ -477,7 +451,7 @@ def check_sequence(seed: int, steps: int = 20) -> Counter:
     for _ in range(steps):
         step = run.rng.choice(
             ["delta", "delta", "delta", "big delta", "full", "owner", "fail",
-             "re-replicate", "migrate", "standby"]
+             "re-replicate", "standby"]
         )
         if step == "delta":
             run.save_delta(run.rng.randint(1, 4))
@@ -491,8 +465,6 @@ def check_sequence(seed: int, steps: int = 20) -> Counter:
             run.fail_node()
         elif step == "re-replicate":
             run.re_replicate()
-        elif step == "migrate":
-            run.migrate()
         else:
             run.sync_standby()
         assert_same_record(run.manager, run.reference, step)
@@ -520,7 +492,6 @@ def test_the_sequences_reach_every_step():
         "owner moved",
         "fail_node",
         "re-replicate",
-        "migrate_replica",
         "sync_standby",
     }, events
 

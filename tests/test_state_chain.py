@@ -259,7 +259,8 @@ class TestChainPlan:
         registered = self.saved_chain(world, rounds=2)
         shards = registered.plan.available_shards()
         assert len(shards) == 3 * 4
-        assert chain_digest(shards) == chain_digest(registered.plan.all_shards())
+        saved = [shard for link in registered.plan.links for shard in link.shards]
+        assert chain_digest(shards) == chain_digest(saved)
 
     def test_plan_requires_a_base(self):
         with pytest.raises(ShardError):

@@ -8,8 +8,11 @@ from repro.dht.overlay import Overlay
 from repro.errors import StateError
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.state.partitioner import partition_synthetic, replicate
+from repro.state.partitioner import (
+    check_reconstruction_set, partition_snapshot, partition_synthetic, replicate,
+)
 from repro.state.placement import HashPlacement, LeafSetPlacement, PlacementPlan
+from repro.state.store import StateSnapshot
 from repro.state.version import StateVersion
 
 V1 = StateVersion(1.0, 1)
@@ -60,7 +63,7 @@ class TestLeafSetPlacement:
         plan = LeafSetPlacement().place(
             overlay.nodes[0], make_replicas(shards=12, replicas=2), overlay
         )
-        assert len(plan.nodes()) >= 12
+        assert len({p.node.node_id for p in plan.placements}) >= 12
 
 
 class TestHashPlacement:
@@ -137,5 +140,44 @@ class TestPlacementPlan:
 
     def test_empty_plan(self):
         plan = PlacementPlan(owner=None)
-        assert plan.nodes() == []
+        assert plan.placements == []
         assert plan.shard_indexes() == []
+
+
+def placed_materialized(num_shards=4, keys=200, replicas=2, seed=0):
+    """A materialized snapshot's shards hash-placed on 16 nodes and stored."""
+    snapshot = StateSnapshot("app/state", {f"k{i}": i for i in range(keys)}, V1)
+    sim = Simulator()
+    network = Network(sim)
+    overlay = Overlay(sim, network, rng=random.Random(seed))
+    overlay.build(16, host_factory=lambda n: network.add_host(n))
+    plan = HashPlacement().place(
+        overlay.nodes[0], replicate(partition_snapshot(snapshot, num_shards), replicas), overlay
+    )
+    plan.store_all()
+    return overlay, plan
+
+
+class TestPlacementUnderLoss:
+    def test_providers_exclude_lost_replicas(self):
+        overlay, plan = placed_materialized()
+        victim = plan.providers_for(0)[0]
+        overlay.fail_node(victim.node)
+        survivors = plan.providers_for(0)
+        assert len(survivors) == 1
+        assert all(p.node.alive for p in survivors)
+        assert victim.node.node_id not in {p.node.node_id for p in survivors}
+
+    def test_available_shards_survive_partial_loss(self):
+        overlay, plan = placed_materialized()
+        overlay.fail_node(plan.providers_for(2)[0].node)
+        available = plan.available_shards()
+        assert sorted(s.index for s in available) == [0, 1, 2, 3]
+        assert check_reconstruction_set(available) == V1
+
+    def test_total_loss_drops_the_index(self):
+        _, plan = placed_materialized()
+        for placed in list(plan.for_shard(1)):
+            placed.node.drop_shard(placed.replica.key)
+        assert plan.providers_for(1) == []
+        assert sorted(s.index for s in plan.available_shards()) == [0, 2, 3]

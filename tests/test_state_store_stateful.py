@@ -1,6 +1,6 @@
 """Model-based (stateful) property test: StateStore behaves like a dict.
 
-Hypothesis drives random sequences of put/get/update/delete/clear/
+Hypothesis drives random sequences of put/get/update/delete/
 snapshot/restore/mark_clean operations against both the store and a
 plain-dict model; any divergence in contents, length, size accounting
 (kept by difference in ``put``) or dirty/deleted tracking is a bug.
@@ -84,13 +84,6 @@ class StateStoreMachine(RuleBasedStateMachine):
             del self.model[key]
             self.deleted.add(key)
             self.dirty.discard(key)
-
-    @rule()
-    def clear(self):
-        self.store.clear()
-        self.deleted |= set(self.model)
-        self.dirty.clear()
-        self.model.clear()
 
     @rule()
     def mark_clean(self):

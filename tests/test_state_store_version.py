@@ -27,7 +27,7 @@ class TestVersion:
         v2 = clock.next(1.0)
         v3 = clock.next(2.0)
         assert v1 < v2 < v3
-        assert clock.current == v3
+        assert clock.next(2.0) == StateVersion(2.0, v3.sequence + 1)  # issued after v3
 
     def test_clock_rejects_time_travel(self):
         clock = VersionClock()
@@ -38,9 +38,10 @@ class TestVersion:
     def test_observe_advances(self):
         clock = VersionClock()
         clock.observe(StateVersion(9.0, 3))
-        assert clock.current == StateVersion(9.0, 3)
         clock.observe(StateVersion(1.0, 1))  # older: ignored
-        assert clock.current == StateVersion(9.0, 3)
+        assert clock.next(9.0) == StateVersion(9.0, 4)
+        with pytest.raises(VersionConflictError):
+            clock.next(8.0)  # the observed version's time is the floor
 
 
 class TestStore:
@@ -48,7 +49,7 @@ class TestStore:
         store = StateStore("s")
         store.put("k", 1)
         assert store.get("k") == 1
-        assert "k" in store
+        assert list(store.keys()) == ["k"]
         assert store.delete("k")
         assert not store.delete("k")
         assert store.get("k", "default") == "default"
@@ -82,13 +83,6 @@ class TestStore:
         assert store.update("count", lambda c: (c or 0) + 1) == 1
         assert store.update("count", lambda c: (c or 0) + 1) == 2
 
-    def test_clear(self):
-        store = StateStore("s")
-        store.put("a", 1)
-        store.clear()
-        assert len(store) == 0
-        assert store.size_bytes == 0
-
     def test_len_and_iteration(self):
         store = StateStore("s")
         for i in range(5):
@@ -119,8 +113,7 @@ class TestSnapshotRestore:
         snap = store.snapshot(1.0)
         store.put("b", 2)
         store.restore(snap)
-        assert "b" not in store
-        assert store.get("a") == 1
+        assert dict(store.items()) == {"a": 1}
 
     def test_restore_wrong_name_rejected(self):
         store = StateStore("s")
@@ -133,7 +126,7 @@ class TestSnapshotRestore:
         store = StateStore("s")
         snap = StateSnapshot("s", {"x": 1}, StateVersion(9.0, 9))
         store.restore(snap)
-        assert store.clock.current == StateVersion(9.0, 9)
+        assert store.snapshot(9.0).version == StateVersion(9.0, 10)
 
     def test_snapshot_size_matches_entries(self):
         store = StateStore("s")
