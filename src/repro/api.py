@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.control import ControlPlane, Controller
 from repro.dht.node import DhtNode
 from repro.errors import RecoveryError, StateError
 from repro.obs.export import write_trace
@@ -136,7 +135,6 @@ class SR3(HoldsDeployment):
         self.num_replicas = num_replicas
         #: Per-application mechanism pinned by :meth:`define`.
         self._policies: Dict[str, MechanismImpl] = {}
-        self._controller = None
 
     # -------------------------------------------------------------- creation
 
@@ -381,59 +379,12 @@ class SR3(HoldsDeployment):
         snapshot = self.manager.recovered_snapshot(state_name)
         return snapshot, result
 
-    # --------------------------------------------------- control plane (SR3+)
-
-    @property
-    def controller(self):
-        """The attached remediation controller, or ``None``."""
-        return self._controller
-
-    def attach_controller(self, policy=None, detector=None):
-        """Attach a closed-loop auto-remediation controller.
-
-        ``policy`` is a :class:`~repro.control.PolicyTable` (default: the
-        shipped :func:`~repro.control.default_policy`); ``detector`` an optional
-        running :class:`~repro.dht.failure_detector.FailureDetector` whose
-        declarations feed the controller's event log (and date its MTTR
-        measurements). Returns the :class:`~repro.control.Controller` —
-        call :meth:`remediate` (or ``controller.run()``) after faults.
-        """
-        if self._controller is not None:
-            raise RecoveryError(
-                "a controller is already attached; detach_controller() first"
-            )
-        world = ControlPlane(self.deployment, detector=detector)
-        self._controller = Controller(world, policy=policy)
-        return self._controller
-
-    def detach_controller(self):
-        """Detach and return the current controller (``None`` if none)."""
-        controller, self._controller = self._controller, None
-        return controller
-
-    def remediate(self):
-        """Run the attached controller's loop until the world is clean.
-
-        Returns the list of :class:`~repro.control.RemediationRecord`\\ s
-        the sweep produced. Requires :meth:`attach_controller` first.
-        """
-        if self._controller is None:
-            raise RecoveryError(
-                "no controller attached; call attach_controller() first"
-            )
-        return self._controller.run()
-
     # --------------------------------------------------------- observability
 
     @property
     def tracer(self):
         """The simulation's span tracer (a no-op one unless enabled)."""
         return self.ctx.sim.tracer
-
-    @property
-    def metrics(self):
-        """The simulation's metrics registry."""
-        return self.ctx.sim.metrics
 
     def export_trace(self, path: str, chrome: bool = True) -> str:
         """Write the captured span timeline to ``path`` as JSON.
@@ -443,14 +394,3 @@ class SR3(HoldsDeployment):
         plain sr3-trace dict. Returns ``path``.
         """
         return write_trace(path, [self.ctx.sim.tracer], chrome=chrome)
-
-    # ----------------------------------------------------------------- misc
-
-    def protected_states(self) -> List[str]:
-        return sorted(self.manager.states)
-
-    def state_bytes(self, state_name: str) -> float:
-        registered = self.manager.states.get(state_name)
-        if registered is None:
-            raise RecoveryError(f"unknown state {state_name!r}")
-        return registered.state_bytes

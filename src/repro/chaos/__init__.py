@@ -18,7 +18,7 @@ from repro._exports import export_table
 __getattr__, __all__ = export_table(__name__, {
     "repro.chaos.campaign": (
         "ChaosEngine", "ResilienceReport", "RunContext", "ScenarioOutcome", "make_mechanism",
-        "run_campaign", "run_scenario", "streaming_probe",
+        "run_campaign", "run_scenario",
     ),
     "repro.chaos.injectors": (
         "INJECTOR_KINDS", "BandwidthFlap", "CrashWave", "Injector", "MidRecoveryCrash",

@@ -47,9 +47,6 @@ from repro.sim.failure import FailureLog, FailureRecord
 from repro.state.chain import chain_digest
 from repro.state.partitioner import partition_synthetic
 from repro.state.version import StateVersion
-from repro.streaming.backend import SR3StateBackend
-from repro.streaming.cluster import LocalCluster
-from repro.workloads.wordcount import build_wordcount_topology
 
 #: How many times the engine re-runs a recovery whose replacement died
 #: before writing the state off as lost.
@@ -618,60 +615,6 @@ def run_campaign(
     return report
 
 
-# ------------------------------------------------------------------ streaming
-
-
-def streaming_probe(seed: int = 0, num_nodes: int = 32) -> ScenarioOutcome:
-    """End-to-end chaos probe through the streaming layer.
-
-    Runs the word-count topology on a :class:`LocalCluster` with the SR3
-    backend, checkpointing periodically along the way — so rounds after
-    the first ship delta shards and grow each task's version chain —
-    then kills every counting task (losing their in-memory stores),
-    recovers them through SR3, and verifies the recovered state checksums
-    byte-match the pre-kill snapshot.
-    """
-    manager = build_deployment(num_nodes=num_nodes, seed=seed).manager
-    backend = SR3StateBackend(manager, num_shards=4, num_replicas=2)
-    cluster = LocalCluster(
-        build_wordcount_topology(num_sentences=400, seed=seed), backend=backend
-    )
-    cluster.protect_stateful_tasks()
-    cluster.run(checkpoint_every=150)
-    expected = cluster.state_checksums()
-    cluster.checkpoint()
-    errors: List[str] = []
-    chain_lengths = [
-        registered.plan.length
-        for registered in manager.states.values()
-        if registered.plan is not None
-    ]
-    if not chain_lengths or max(chain_lengths) < 2:
-        errors.append("no incremental save round landed during the probe")
-    for component_id, index in sorted(cluster.stateful_tasks()):
-        cluster.kill_task(component_id, index)
-        try:
-            cluster.recover_task(component_id, index)
-        except ReproError as exc:
-            errors.append(f"{component_id}[{index}]: {exc}")
-    recovered = cluster.state_checksums()
-    mismatches = [
-        task
-        for task in sorted(expected)
-        if recovered.get(task) != expected[task]
-    ]
-    for task in mismatches:
-        errors.append(f"{task}: recovered state checksum differs from snapshot")
-    return ScenarioOutcome(
-        scenario="streaming-wordcount",
-        mechanism="auto",
-        status="failed" if errors else "survived",
-        recovered=len(expected) - len(mismatches),
-        expected=len(expected),
-        errors=errors,
-    )
-
-
 __all__ = [
     "CAMPAIGNS",
     "ChaosEngine",
@@ -683,5 +626,4 @@ __all__ = [
     "make_mechanism",
     "run_campaign",
     "run_scenario",
-    "streaming_probe",
 ]

@@ -13,7 +13,7 @@ ledger — rather than anything the recovery path reports about itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, ClassVar, Dict, List
 
 from repro.errors import ReproError
 from repro.state.chain import chain_digest
@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 class InvariantChecker:
     """Base: one post-run assertion over the final world state."""
 
-    name: str = ""
-    severity: str = "hard"  # "hard" -> failed, "soft" -> degraded
+    name: ClassVar[str] = ""
+    severity: ClassVar[str] = "hard"  # "hard" -> failed, "soft" -> degraded
 
     def check(self, run: "RunContext") -> List[str]:  # pragma: no cover
         raise NotImplementedError
@@ -47,7 +47,7 @@ class StateIntegrity(InvariantChecker):
     storage, outside the shard stores.
     """
 
-    name: str = "state-integrity"
+    name: ClassVar[str] = "state-integrity"
 
     def check(self, run: "RunContext") -> List[str]:
         if run.mechanism == "checkpointing":
@@ -87,7 +87,7 @@ class NoOrphanedReplicas(InvariantChecker):
     collected nor served.
     """
 
-    name: str = "no-orphaned-replicas"
+    name: ClassVar[str] = "no-orphaned-replicas"
 
     def check(self, run: "RunContext") -> List[str]:
         expected = set()
@@ -110,7 +110,7 @@ class NoOrphanedReplicas(InvariantChecker):
 class RingConsistency(InvariantChecker):
     """Leaf sets of alive nodes contain no dead members after repair."""
 
-    name: str = "ring-consistency"
+    name: ClassVar[str] = "ring-consistency"
 
     def check(self, run: "RunContext") -> List[str]:
         violations: List[str] = []
@@ -130,7 +130,7 @@ class RingConsistency(InvariantChecker):
 class FlowAccounting(InvariantChecker):
     """Every flow ever started either completed or aborted; none leaked."""
 
-    name: str = "flow-accounting"
+    name: ClassVar[str] = "flow-accounting"
 
     def check(self, run: "RunContext") -> List[str]:
         network = run.engine.network
@@ -156,8 +156,8 @@ class FlowAccounting(InvariantChecker):
 class RecoveryLatency(InvariantChecker):
     """Soft bound: recoveries finish within the scenario's latency budget."""
 
-    name: str = "recovery-latency"
-    severity: str = "soft"
+    name: ClassVar[str] = "recovery-latency"
+    severity: ClassVar[str] = "soft"
 
     def check(self, run: "RunContext") -> List[str]:
         bound = run.scenario.latency_bound
@@ -187,7 +187,7 @@ class ChainChecksumConsistent(InvariantChecker):
     re-failure.
     """
 
-    name: str = "chain-checksum-consistent"
+    name: ClassVar[str] = "chain-checksum-consistent"
 
     def check(self, run: "RunContext") -> List[str]:
         if run.mechanism == "checkpointing":

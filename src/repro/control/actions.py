@@ -53,15 +53,6 @@ class ActionOutcome:
     details: Tuple[Tuple[str, object], ...] = ()
     error: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "action": self.action,
-            "ok": self.ok,
-            "changed": self.changed,
-            "details": {k: v for k, v in self.details},
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class Launch:

@@ -18,8 +18,7 @@ metrics registry.
 
 :class:`ControlPlane` is the world the controller acts through: any
 :class:`~repro.recovery.deployment.Deployment` (a bench scenario, a live
-cell, the façade's own — see :meth:`repro.api.SR3.attach_controller`)
-plus the failure detector watching it.
+cell, the façade's ``deployment``) plus the failure detector watching it.
 """
 
 from __future__ import annotations
@@ -82,20 +81,6 @@ class RemediationRecord:
         if self.resolved_at is None:
             return None
         return self.resolved_at - self.diagnosis.detected_at
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "diagnosis": self.diagnosis.to_dict(),
-            "action": self.action,
-            "attempts": self.attempts,
-            "verified": self.verified,
-            "resolved_at": (
-                round(self.resolved_at, 6) if self.resolved_at is not None else None
-            ),
-            "mttr_s": round(self.mttr_s, 6) if self.mttr_s is not None else None,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "violations": list(self.violations),
-        }
 
 
 class Controller:
@@ -422,35 +407,6 @@ class Controller:
                 self._parked.add(self._key(record.diagnosis))
                 self._count("unresolved")
         return self.run()
-
-    # --------------------------------------------------------------- report
-
-    def report(self) -> Dict[str, object]:
-        """A deterministic summary of everything the loop did."""
-        ordered = sorted(
-            self.records,
-            key=lambda r: (
-                r.diagnosis.detected_at,
-                r.diagnosis.condition,
-                r.diagnosis.subject,
-            ),
-        )
-        mttrs = [r.mttr_s for r in ordered if r.mttr_s is not None]
-        verified = sum(1 for r in ordered if r.verified)
-        return {
-            "format": "sr3-control-1",
-            "summary": {
-                "remediations": len(ordered),
-                "verified": verified,
-                "unresolved": len(ordered) - verified,
-                "actions": sum(r.attempts for r in ordered),
-                "max_mttr_s": round(max(mttrs), 6) if mttrs else 0.0,
-                "mean_mttr_s": (
-                    round(sum(mttrs) / len(mttrs), 6) if mttrs else 0.0
-                ),
-            },
-            "records": [r.to_dict() for r in ordered],
-        }
 
 
 __all__ = [

@@ -70,16 +70,6 @@ class Diagnosis:
         """What the policy table matches on: the state, else the node."""
         return self.state if self.state is not None else (self.node or "")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "condition": self.condition,
-            "severity": self.severity,
-            "detected_at": round(self.detected_at, 6),
-            "state": self.state,
-            "node": self.node,
-            "evidence": {k: v for k, v in self.evidence},
-        }
-
 
 def _detection_time(world, node, default: float) -> float:
     """When the failure of ``node`` was first declared, if a detector ran."""

@@ -5,9 +5,8 @@ that promise by making remediation policy data, not code. A
 :class:`PolicyTable` is an ordered list of :class:`PolicyRule`\\ s; the
 first rule whose condition, severity filter, and subject glob match a
 diagnosis wins and names the action to run and its retry budget. A rule
-naming an unknown condition or action is rejected when it is built, so a
-table loaded with :meth:`PolicyTable.from_dict` fails at load, not
-partway through a remediation. Tables round-trip through plain dicts.
+naming an unknown condition or action is rejected when it is built, not
+partway through a remediation.
 
 :func:`default_policy` encodes the paper-faithful defaults:
 
@@ -33,9 +32,9 @@ terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.control.actions import ACTIONS
 from repro.control.diagnose import CONDITIONS, Diagnosis
@@ -83,27 +82,6 @@ class PolicyRule:
             return False
         return fnmatchcase(diagnosis.subject, self.match)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "condition": self.condition,
-            "action": self.action,
-            "severity": self.severity,
-            "match": self.match,
-            "max_retries": self.max_retries,
-            "params": {k: v for k, v in self.params},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PolicyRule":
-        spec = dict(data)
-        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown policy rule field(s) {unknown}")
-        params = spec.pop("params", {})
-        if isinstance(params, dict):
-            params = tuple(sorted(params.items()))
-        return cls(params=tuple(params), **spec)
-
 
 @dataclass
 class PolicyTable:
@@ -116,13 +94,6 @@ class PolicyTable:
             if rule.matches(diagnosis):
                 return rule
         return None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"rules": [rule.to_dict() for rule in self.rules]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PolicyTable":
-        return cls(rules=[PolicyRule.from_dict(r) for r in data.get("rules", [])])
 
 
 def default_policy(mechanism: Optional[str] = None) -> PolicyTable:

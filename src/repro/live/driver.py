@@ -101,8 +101,9 @@ def build_live_cell(
     from ``source_factory`` (a fresh, seed-deterministic iterator each
     call, which is what makes the post-failure source rewind exact).
     """
-    # Phase segmentation needs real recovery spans even when no span is
-    # recorded, so the tracer is private rather than the null one.
+    # The telemetry pipeline's ``telemetry.recovery_active`` series reads
+    # open recovery spans, and the live pins hash the trace, so the tracer
+    # is private rather than the null one even when no span is recorded.
     tracer = new_tracer(trace_name, private=True)
     deployment = build_deployment(
         num_nodes=num_nodes,

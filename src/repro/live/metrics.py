@@ -64,17 +64,6 @@ class PhaseSummary:
             maximum=max(latencies),
         )
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "p50_s": self.p50,
-            "p95_s": self.p95,
-            "p99_s": self.p99,
-            "p999_s": self.p999,
-            "mean_s": self.mean,
-            "max_s": self.maximum,
-        }
-
 
 class LatencyRecorder:
     """Per-tuple (arrival, completion) pairs, split into phases at report time."""
@@ -133,25 +122,6 @@ class LiveReport:
         if summary is None:
             raise KeyError(f"phase {name!r} has no samples")
         return summary
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "arrived": self.arrived,
-            "served": self.served,
-            "replayed": self.replayed,
-            "killed_at_s": self.killed_at,
-            "recovered_at_s": self.recovered_at,
-            "recovery_s": self.recovery_s,
-            "replay_lag_peak": self.replay_lag_peak,
-            "replay_lag_at_recovery": self.replay_lag_at_recovery,
-            "drain_s": self.drain_s,
-            "catchup_events_per_s": self.catchup_events_per_s,
-            "phases": {
-                name: (summary.as_dict() if summary is not None else None)
-                for name, summary in self.phases.items()
-            },
-        }
-        return out
 
     def format(self) -> str:
         """A terminal-friendly phase table (the example script's output)."""

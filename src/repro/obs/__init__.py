@@ -23,8 +23,7 @@ The layer behind every "where does recovery time go" question:
   histograms);
 - :mod:`repro.obs.slo` — multi-window burn-rate SLO alerting over those
   series;
-- :mod:`repro.obs.anomaly` — rolling median/MAD z-score spikes and
-  level-shift change points;
+- :mod:`repro.obs.anomaly` — rolling median/MAD z-score spikes;
 - :mod:`repro.obs.dashboard` — a self-contained HTML dashboard (inline
   SVG sparklines, SLO status, alert timeline).
 
@@ -51,7 +50,6 @@ __getattr__, __all__ = export_table(__name__, {
     ),
     "repro.obs.profile": (
         "ProfileReport", "RecoveryProfile", "build_report", "profile_recovery", "profile_tracers",
-        "write_profile",
     ),
     "repro.obs.registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeries"),
     "repro.obs.anomaly": ("Anomaly", "AnomalyDetector"),

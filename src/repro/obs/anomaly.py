@@ -1,27 +1,21 @@
 """Lightweight statistical anomaly detection over telemetry series.
 
-Two detectors, both robust (median/MAD, not mean/stdev, so one outlier
-cannot poison the baseline that should flag it):
+One robust detector (median/MAD, not mean/stdev, so one outlier cannot
+poison the baseline that should flag it): a **spike** is a newest sample
+whose robust z-score (``0.6745 * (x - median) / MAD`` over a trailing
+window) exceeds the threshold. It catches latency spikes, backlog jumps,
+utilisation bursts and throughput collapses.
 
-- **spike** — the newest sample's robust z-score
-  (``0.6745 * (x - median) / MAD`` over a trailing window) exceeds the
-  threshold. Catches latency spikes, backlog jumps, utilisation bursts.
-- **level-shift** — on rate-kind series only, the median of the recent
-  half of the window moved away from the older half's median by more
-  than ``shift_factor`` times the older half's spread. Catches the
-  changes a per-point z-score misses: a throughput collapse to a new
-  (steady) level, a counter going quiet.
-
-Anomalies are deduplicated per (series, kind) by timestamp (one scan per
-new point) and rate-limited by a cooldown, so a sustained excursion
-flags once rather than every sample. Like SLO alerts, anomalies convert
-to control-plane events (kind ``metric-anomaly``) and can drive policy.
+Anomalies are deduplicated per series by timestamp (one scan per new
+point) and rate-limited by a cooldown, so a sustained excursion flags
+once rather than every sample. Like SLO alerts, anomalies convert to
+``metric-anomaly`` diagnoses and can drive policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.obs.timeseries import TelemetryPipeline
@@ -32,9 +26,6 @@ __all__ = ["Anomaly", "AnomalyDetector"]
 #: Scale factor making MAD consistent with the stdev of a normal
 #: distribution — the conventional robust z-score normaliser.
 _MAD_TO_SIGMA = 0.6745
-#: A rate series' halves differ by a level shift when their medians are this
-#: many (older-half) MADs apart.
-_SHIFT_FACTOR = 4.0
 
 
 def _mad(values: Sequence[float], center: float) -> float:
@@ -49,22 +40,12 @@ class Anomaly:
     at: float
     value: float
     score: float
-    kind: str  # "spike" | "level-shift"
+    kind: str  # "spike"
     baseline: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "series": self.series,
-            "at": round(self.at, 6),
-            "value": round(self.value, 6),
-            "score": round(self.score, 6),
-            "kind": self.kind,
-            "baseline": round(self.baseline, 6),
-        }
 
 
 class AnomalyDetector:
-    """Scans pipeline series for spikes and (on rates) level shifts."""
+    """Scans pipeline series for spikes."""
 
     def __init__(
         self,
@@ -92,7 +73,7 @@ class AnomalyDetector:
         self.min_points = int(min_points)
         self.cooldown_s = float(cooldown_s)
         self.anomalies: List[Anomaly] = []
-        self._last_fired: Dict[Tuple[str, str], float] = {}
+        self._last_fired: Dict[str, float] = {}
         self._last_scanned: Dict[str, float] = {}
 
     # ------------------------------------------------------------- scanning
@@ -116,21 +97,13 @@ class AnomalyDetector:
             spike = self._spike(name, points)
             if spike is not None:
                 found.append(spike)
-            if buf.kind == "rate":
-                shift = self._level_shift(name, points)
-                if shift is not None:
-                    found.append(shift)
         self.anomalies.extend(found)
         return found
 
-    def _cooled(self, key: Tuple[str, str], at: float) -> bool:
-        last = self._last_fired.get(key)
-        return last is None or at - last >= self.cooldown_s
-
     def _spike(self, name: str, points) -> Optional[Anomaly]:
         at, value = points[-1]
-        key = (name, "spike")
-        if not self._cooled(key, at):
+        last = self._last_fired.get(name)
+        if last is not None and at - last < self.cooldown_s:
             return None
         baseline = [v for _, v in points[:-1]]
         center = median(baseline)
@@ -144,7 +117,7 @@ class AnomalyDetector:
         score = _MAD_TO_SIGMA * (value - center) / denom
         if abs(score) < self.z_threshold:
             return None
-        self._last_fired[key] = at
+        self._last_fired[name] = at
         return Anomaly(
             series=name,
             at=at,
@@ -152,29 +125,4 @@ class AnomalyDetector:
             score=score,
             kind="spike",
             baseline=center,
-        )
-
-    def _level_shift(self, name: str, points) -> Optional[Anomaly]:
-        at = points[-1][0]
-        key = (name, "level-shift")
-        if not self._cooled(key, at):
-            return None
-        values = [v for _, v in points]
-        half = len(values) // 2
-        older, recent = values[:half], values[half:]
-        old_center = median(older)
-        new_center = median(recent)
-        spread = _mad(older, old_center)
-        denom = spread if spread > 0 else max(abs(old_center) * 0.05, 1e-9)
-        score = (new_center - old_center) / denom
-        if abs(score) < _SHIFT_FACTOR:
-            return None
-        self._last_fired[key] = at
-        return Anomaly(
-            series=name,
-            at=at,
-            value=new_center,
-            score=score,
-            kind="level-shift",
-            baseline=old_center,
         )

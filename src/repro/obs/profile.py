@@ -42,7 +42,6 @@ __all__ = [
     "profile_recovery",
     "profile_tracers",
     "build_report",
-    "write_profile",
 ]
 
 @dataclass
@@ -276,10 +275,3 @@ def build_report(tracers: Optional[TracerLike] = None) -> ProfileReport:
     profiles = profile_tracers(tracers)
     _attach_explanations(profiles)
     return ProfileReport(profiles=profiles)
-
-
-def write_profile(path: str, tracers: Optional[TracerLike] = None) -> str:
-    """Write the profile report for ``tracers`` to ``path``; returns it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(build_report(tracers).to_json())
-    return path

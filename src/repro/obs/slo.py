@@ -115,20 +115,6 @@ class SLOAlert:
     threshold: float
     state: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "slo": self.slo,
-            "series": self.series,
-            "at": round(self.at, 6),
-            "severity": self.severity,
-            "burn_long": round(self.burn_long, 6),
-            "burn_short": round(self.burn_short, 6),
-            "long_s": self.long_s,
-            "short_s": self.short_s,
-            "threshold": self.threshold,
-            "state": self.state,
-        }
-
 
 @dataclass
 class SLOEngine:

@@ -192,20 +192,3 @@ class TelemetryPipeline:
             return
         self.sample(self.sim.now)
         self.sim.schedule(SAMPLE_INTERVAL, self._tick)
-
-    # -------------------------------------------------------------- export
-
-    def to_dict(self) -> Dict[str, object]:
-        """A deterministic, JSON-friendly snapshot of every series."""
-        return {
-            "format": "sr3-telemetry-1",
-            "samples": self.samples,
-            "series": {
-                name: {
-                    "name": name,
-                    "kind": self._buffers[name].kind,
-                    "points": [[t, v] for t, v in self._buffers[name].points],
-                }
-                for name in self.names()
-            },
-        }

@@ -136,13 +136,11 @@ class SR3StateBackend:
 
     def recover_task(
         self, task_id: str, mechanism: Optional[MechanismImpl] = None
-    ) -> tuple:
-        """Recover a task's last-saved state.
+    ) -> RecoveryResult:
+        """Recover a task's last-saved state; returns the timed result.
 
-        Runs the (timed) recovery through the manager, then reconstructs
-        the actual state contents from the surviving shard replicas and
-        returns ``(recovered_store, recovery_result)``. The task moves to
-        the node the state was recovered onto.
+        Runs the recovery through the manager and leaves the store alone:
+        :meth:`rebuild_store` materializes it from the surviving replicas.
         """
         task = self._get(task_id)
         if task.store.name not in self.manager.states:
@@ -152,8 +150,7 @@ class SR3StateBackend:
         # the node that takes over its key range.
         replacement = task.node if task.node.alive else None
         handle = self.manager.recover(task.store.name, replacement, mechanism)
-        result: RecoveryResult = self.manager.run([handle])[0]
-        return self.rebuild_store(task_id), result
+        return self.manager.run([handle])[0]
 
     def rebuild_store(self, task_id: str) -> StateStore:
         """Materialize a protected task's store from the recovered image.

@@ -92,7 +92,7 @@ class TestSaveRecover:
         _, result = protect_dict(sr3)
         assert result.replicas_written == 8
         assert result.duration > 0
-        assert "app/state" in sr3.protected_states()
+        assert "app/state" in sr3.manager.states
 
     def test_recover_after_failure_restores_content(self, sr3):
         owner, _ = protect_dict(sr3)
@@ -121,12 +121,6 @@ class TestSaveRecover:
     def test_save_zero_shards_rejected(self, sr3):
         with pytest.raises(StateError):
             sr3.save(sr3.overlay.nodes[0], [])
-
-    def test_state_bytes_query(self, sr3):
-        protect_dict(sr3)
-        assert sr3.state_bytes("app/state") > 0
-        with pytest.raises(RecoveryError):
-            sr3.state_bytes("ghost")
 
 
 class TestDefines:

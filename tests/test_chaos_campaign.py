@@ -16,7 +16,6 @@ from repro.chaos import (
     make_mechanism,
     run_campaign,
     run_scenario,
-    streaming_probe,
 )
 from repro.errors import SimulationError
 from repro.obs import recorder
@@ -218,11 +217,3 @@ class TestResilienceReport:
         assert "survived=1 degraded=1 failed=1" in lines[-1]
         # s2 was never swept under tree: the cell renders as "-".
         assert [cell for cell in lines[2].split()] == ["s2", "failed", "-"]
-
-
-class TestStreamingProbe:
-    def test_wordcount_recovers_byte_identical_state(self):
-        outcome = streaming_probe(seed=0, num_nodes=16)
-        assert outcome.status == "survived"
-        assert outcome.recovered == outcome.expected > 0
-        assert outcome.errors == []

@@ -34,6 +34,15 @@ def test_one_class_costs_the_modules_it_needs():
     assert count <= 5 and not numpy_loaded
 
 
+def test_the_facade_loads_no_control_module():
+    out = fresh_interpreter(
+        "import sys\n"
+        "from repro import SR3\n"
+        "print([m for m in sorted(sys.modules) if m.startswith('repro.control')])\n"
+    )
+    assert out.strip() == "[]"
+
+
 def test_a_chaos_cell_never_loads_numpy():
     count, numpy_loaded = loaded_after(
         "from repro.chaos import SCENARIOS, run_campaign\n"

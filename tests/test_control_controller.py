@@ -193,9 +193,7 @@ class TestFlakyNode:
             assert len(records) == 1
             assert not records[0].verified
             assert ctl.run() == []  # parked: the loop terminates
-            summary = ctl.report()["summary"]
-            assert summary["unresolved"] == 1
-            assert summary["verified"] == 0
+            assert [r.verified for r in ctl.records] == [False]
         finally:
             ACTIONS.pop("noop-fix")
 
@@ -252,45 +250,31 @@ class TestActionRegistry:
                 assert action.name == rule.action
 
 
-class TestReport:
-    def test_report_shape(self):
+class TestRecords:
+    def test_records_carry_outcomes_and_mttr(self):
         sc = build_scenario(num_nodes=32, seed=11)
         registered, _ = saved_state(sc, "app/state", 16 * MB)
         sc.overlay.fail_node(registered.owner)
         ctl = controller_for(sc)
-        ctl.run()
-        report = ctl.report()
-        assert report["format"] == "sr3-control-1"
-        summary = report["summary"]
-        assert summary["remediations"] == len(report["records"])
-        assert summary["verified"] >= 1
-        assert summary["max_mttr_s"] >= summary["mean_mttr_s"] > 0
-        for record in report["records"]:
-            assert record["diagnosis"]["condition"]
-            assert record["outcomes"]
+        assert ctl.run() == ctl.records
+        assert any(r.verified for r in ctl.records)
+        for record in ctl.records:
+            assert record.diagnosis.condition
+            assert record.outcomes
+            assert record.attempts == len(record.outcomes)
+        mttrs = [r.mttr_s for r in ctl.records if r.mttr_s is not None]
+        assert mttrs and min(mttrs) > 0
 
 
 class TestSR3Facade:
-    def test_attach_detach_lifecycle(self):
-        sr3 = SR3.create(num_nodes=32, seed=7)
-        with pytest.raises(RecoveryError):
-            sr3.remediate()
-        ctl = sr3.attach_controller()
-        assert sr3.controller is ctl
-        with pytest.raises(RecoveryError):
-            sr3.attach_controller()
-        assert sr3.remediate() == []  # healthy world: nothing to do
-        assert sr3.detach_controller() is ctl
-        assert sr3.controller is None
-
     def test_remediates_protected_state(self):
         sr3 = SR3.create(num_nodes=32, seed=7)
         owner = sr3.overlay.nodes[0]
         pieces = sr3.state_split(32 * MB, "app/state", num_shards=4)
         sr3.save(owner, pieces)
-        sr3.attach_controller()
+        ctl = Controller(ControlPlane(sr3.deployment))
         sr3.overlay.fail_node(owner)
-        records = sr3.remediate()
+        records = ctl.run()
         recoveries = [r for r in records if r.action == "recover"]
         assert len(recoveries) == 1 and recoveries[0].verified
         assert sr3.manager.states["app/state"].owner.alive

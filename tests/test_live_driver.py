@@ -83,7 +83,7 @@ class TestKillAndRecovery:
     def test_deterministic_given_seed(self):
         _, a = kill_run()
         _, b = kill_run()
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_app_flows_slow_recovery(self):
         rate = FlashCrowd(base=300.0, peak=1_200.0, at=6.0, ramp=2.0, hold=8.0, decay=4.0)

@@ -44,7 +44,15 @@ def _digests(cell, report):
         )
     }
     fields["phases"] = {
-        name: None if summary is None else summary.as_dict()
+        name: None if summary is None else {
+            "count": float(summary.count),
+            "p50_s": summary.p50,
+            "p95_s": summary.p95,
+            "p99_s": summary.p99,
+            "p999_s": summary.p999,
+            "mean_s": summary.mean,
+            "max_s": summary.maximum,
+        }
         for name, summary in report.phases.items()
     }
     stores = {
@@ -92,7 +100,20 @@ def _dashboard_digest(mode):
         controller=outcome["controller"],
         title=f"SR3 telemetry — {mode} cell",
     )
-    return _sha(html + json.dumps(outcome["pipeline"].to_dict(), sort_keys=True))
+    pipeline = outcome["pipeline"]
+    series = {
+        "format": "sr3-telemetry-1",
+        "samples": pipeline.samples,
+        "series": {
+            name: {
+                "name": name,
+                "kind": pipeline.series(name).kind,
+                "points": [[t, v] for t, v in pipeline.series(name).points],
+            }
+            for name in pipeline.names()
+        },
+    }
+    return _sha(html + json.dumps(series, sort_keys=True))
 
 
 CASES = {

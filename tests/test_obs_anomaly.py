@@ -1,4 +1,4 @@
-"""Robust spike and level-shift detection over telemetry series."""
+"""Robust spike detection over telemetry series."""
 
 import pytest
 
@@ -9,10 +9,10 @@ from repro.obs.timeseries import TelemetryPipeline
 from repro.sim import Simulator
 
 
-def pipeline_with(points, series="m", kind="gauge"):
+def pipeline_with(points, series="m"):
     pipe = TelemetryPipeline(Simulator())
     for t, v in points:
-        pipe.record(series, t, v, kind=kind)
+        pipe.record(series, t, v)
     return pipe
 
 
@@ -83,25 +83,6 @@ class TestSpike:
         pipe.record("m", 22.0, 120.0)
         assert len(det.scan(22.0)) == 1  # cooled off
         assert len(det.anomalies) == 2
-
-
-class TestLevelShift:
-    def shifted_rate(self):
-        older = [(float(i), 100.0 + (0.5 if i % 2 else -0.5)) for i in range(8)]
-        recent = [(8.0 + i, 10.0 + (0.5 if i % 2 else -0.5)) for i in range(8)]
-        return older + recent
-
-    def test_fires_on_rate_series_only(self):
-        for kind, expected in (("rate", 1), ("gauge", 0)):
-            pipe = pipeline_with(self.shifted_rate(), kind=kind)
-            det = AnomalyDetector(pipe, window=16, min_points=8, z_threshold=1e9)
-            found = det.scan(16.0)
-            assert len(found) == expected, kind
-            if expected:
-                assert found[0].kind == "level-shift"
-                assert found[0].baseline == pytest.approx(100.0, abs=1.0)
-                assert found[0].value == pytest.approx(10.0, abs=1.0)
-                assert found[0].score < 0  # a collapse, not a surge
 
 
 class TestWatchSet:

@@ -16,7 +16,6 @@ from repro.obs import (
     profile_recovery,
     profile_tracers,
     recovery_roots,
-    write_profile,
 )
 from repro.recovery import LineRecovery, StarRecovery
 from repro.util.sizes import MB
@@ -174,15 +173,13 @@ class TestRecoveryProfile:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical_profiles(self, tmp_path):
-        paths = []
-        for i in range(2):
-            tracer, _ = run_recovery(StarRecovery(), seed=5)
-            path = tmp_path / f"profile-{i}.json"
-            write_profile(str(path), tracer)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        payload = json.loads(paths[0].read_text())
+    def test_same_seed_byte_identical_profiles(self):
+        texts = [
+            build_report(run_recovery(StarRecovery(), seed=5)[0]).to_json()
+            for _ in range(2)
+        ]
+        assert texts[0] == texts[1]
+        payload = json.loads(texts[0])
         assert payload["format"] == "sr3-profile-1"
         assert payload["recoveries"] == 1
 

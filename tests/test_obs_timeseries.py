@@ -41,15 +41,11 @@ class TestSeriesBuffer:
         with pytest.raises(ConfigError):
             TelemetryPipeline(Simulator()).record("s", 1.0, 1.0, kind="histogram")
 
-    def test_to_dict(self):
+    def test_record_keeps_kind_and_points(self):
         pipe = TelemetryPipeline(Simulator())
         pipe.record("s", 1.0, 2.0, kind="rate")
         assert pipe.series("s").kind == "rate"
-        assert pipe.to_dict()["series"]["s"] == {
-            "name": "s",
-            "kind": "rate",
-            "points": [[1.0, 2.0]],
-        }
+        assert pipe.series("s").points == [(1.0, 2.0)]
 
 
 class TestTelemetryPipeline:
@@ -192,16 +188,14 @@ class TestTelemetryPipeline:
         assert pipe.samples == 3
         assert sim.now == pytest.approx(2.0)
 
-    def test_to_dict_is_deterministic(self):
+    def test_names_are_sorted(self):
         sim = Simulator()
         pipe = TelemetryPipeline(sim)
         sim.metrics.gauge("b").set(2.0)
         sim.metrics.gauge("a").set(1.0)
         pipe.sample(1.0)
-        out = pipe.to_dict()
-        assert out["format"] == "sr3-telemetry-1"
-        assert list(out["series"]) == ["a", "b"]
-        assert out["samples"] == 1
+        assert pipe.names() == ["a", "b"]
+        assert pipe.samples == 1
 
 
 class TestHistogramObservations:

@@ -22,7 +22,6 @@ from repro.obs import (
     speedscope_document,
     trace_dict,
     write_flamegraph,
-    write_profile,
     write_speedscope,
     write_trace,
 )
@@ -148,7 +147,7 @@ class TestPipelineTracing:
 
     def test_metrics_registry_populated(self):
         sr3 = run_pipeline(tracer=Tracer("t"))
-        metrics = sr3.metrics
+        metrics = sr3.ctx.sim.metrics
         assert metrics.counter("recovery.completed").total == 1
         assert metrics.counter("save.completed").total == 1
         assert metrics.histogram("recovery.duration").count == 1
@@ -300,7 +299,7 @@ class TestNullTracerExports:
         assert export(NULL_TRACER) == export([NULL_TRACER])
 
     @pytest.mark.parametrize(
-        "write", [write_trace, write_flamegraph, write_speedscope, write_profile]
+        "write", [write_trace, write_flamegraph, write_speedscope]
     )
     def test_writer(self, write, tmp_path):
         write(str(tmp_path / "lone"), NULL_TRACER)

@@ -41,7 +41,7 @@ EXPORTS = {
             "NoOrphanedReplicas PoissonChurn RackFailure RecoveryLatency ResilienceReport "
             "RingConsistency RunContext SCENARIOS SR3_MECHANISMS Scenario ScenarioOutcome "
             "StateIntegrity Straggler campaign_scenarios check_invariants "
-            "make_mechanism run_campaign run_scenario streaming_probe"
+            "make_mechanism run_campaign run_scenario"
         ),
         "repro.control": (
             "ACTIONS Action ActionOutcome CONDITIONS ControlPlane Controller Diagnosis "
@@ -68,7 +68,7 @@ EXPORTS = {
             "blame_breakdown blame_of build_report chrome_trace collapsed_stacks "
             "critical_path dumps_trace flamegraph_text profile_recovery profile_tracers "
             "recovery_roots render_dashboard speedscope_document trace_dict write_dashboard "
-            "write_flamegraph write_profile write_speedscope write_trace"
+            "write_flamegraph write_speedscope write_trace"
         ),
         "repro.recovery": (
             "CostModel Deployment HoldsDeployment LineRecovery MECHANISMS Mechanism "

@@ -63,7 +63,8 @@ class TestEveryMechanism:
             # The second death takes two tasks with it: the first one moved in.
             for tid in sorted(tid for tid, t in tasks.items() if t.node is dead):
                 moved = tasks[tid]
-                store, result = backend.recover_task(tid, mechanism=MECHANISMS[name]())
+                result = backend.recover_task(tid, mechanism=MECHANISMS[name]())
+                store = backend.rebuild_store(tid)
                 assert dict(store.items()) == before[tid]
                 assert moved.node is manager.states[moved.store.name].owner is not dead
                 assert moved.node.alive and result.replacement == moved.node.name

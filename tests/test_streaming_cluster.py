@@ -146,6 +146,24 @@ class TestSR3Integration:
         for key, bolt in cluster.stateful_tasks().items():
             assert dict(bolt.state.items()) == expected[key]
 
+    def test_recovered_store_is_rebuilt_once(self, monkeypatch):
+        backend = sr3_backend()
+        cluster = LocalCluster(wordcount_topology(), backend=backend)
+        cluster.protect_stateful_tasks()
+        cluster.run()
+        cluster.checkpoint()
+        calls = []
+        real = RecoveryManager.recovered_snapshot
+
+        def counted(manager, state_name):
+            calls.append(state_name)
+            return real(manager, state_name)
+
+        monkeypatch.setattr(RecoveryManager, "recovered_snapshot", counted)
+        cluster.kill_task("count", 1)
+        cluster.recover_task("count", 1)
+        assert calls == ["count[1]/state"]
+
     def test_processing_resumes_after_recovery(self):
         backend = sr3_backend(seed=1)
         builder = TopologyBuilder("wc")
@@ -247,7 +265,8 @@ class TestBackendUnit:
         backend.save_task("t")
         backend.sim.run_until_idle()
         overlay.fail_node(node)
-        recovered, result = backend.recover_task("t")
+        result = backend.recover_task("t")
+        recovered = backend.rebuild_store("t")
         assert dict(recovered.items()) == {f"k{i}": i for i in range(100)}
         assert result.duration > 0
 
