@@ -28,11 +28,9 @@ from repro.chaos.scenario import (
     Scenario,
     campaign_scenarios,
 )
-from repro.control import ControlPlane, Controller, default_policy
 from repro.dht.node import DhtNode
 from repro.errors import OverlayError, ReplacementDiedError, ReproError, SimulationError
 from repro.obs.profile import profile_tracers
-from repro.obs.recorder import new_tracer
 from repro.recovery.baselines.checkpointing import checkpointing_to_remote_storage
 from repro.recovery.deployment import (
     MECHANISMS,
@@ -368,6 +366,8 @@ class ScenarioOutcome:
     # Aggregated blame fractions across every recovery the run performed
     # (detection/transfer/merge/replay/control/queueing, summing to 1.0) —
     # the "why was this cell degraded" answer, straight from the profiler.
+    # Computed only while spans are recorded (--trace, --profile, ...);
+    # otherwise empty, as for a cell that recovered nothing.
     blame: Dict[str, float] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     hard_violations: Dict[str, List[str]] = field(default_factory=dict)
@@ -467,6 +467,8 @@ def _attach_controller(engine: ChaosEngine, mechanism: str):
     mechanism so the resilience matrix still compares mechanisms, and its
     verification step gets the campaign's pre-failure ground truth.
     """
+    from repro.control import ControlPlane, Controller, default_policy
+
     controller = Controller(
         ControlPlane(engine.deployment), policy=default_policy(mechanism=mechanism)
     )
@@ -489,12 +491,11 @@ def run_scenario(
     replicas, degraded hosts, hot nodes — remediating until the
     invariants hold.
     """
-    # Chaos runs always trace: the blame breakdown of each cell needs the
-    # span forest of its recoveries. While spans are recorded (the CLI's
-    # --trace flag) the cell's tracer is recorded from the build on, so
-    # campaign and control runs produce the same trace artifacts experiments
-    # do. Otherwise nobody can read the save spans, and a private tracer is
-    # attached just before the fault timeline runs.
+    # While spans are recorded (the CLI's --trace and --profile flags) the
+    # cell's tracer is recorded from the build on, so campaign and control
+    # runs produce the same trace artifacts experiments do, and the outcome
+    # carries the blame its recoveries' spans give. Otherwise the cell runs
+    # on the null tracer and records nothing.
     trace_name = f"{scenario.name}/{mechanism}"
     deployment = build_deployment(
         num_nodes=scenario.num_nodes,
@@ -515,8 +516,6 @@ def run_scenario(
             pre_state=engine.pre_state,
             mechanism=mechanism,
         )
-    if not engine.sim.tracer.enabled:
-        engine.sim.attach_tracer(new_tracer(trace_name, private=True))
     engine.run()
     if ctl is not None:
         ctl.sweep()
@@ -584,7 +583,7 @@ def _classify(run: RunContext, invariants: InvariantReport) -> ScenarioOutcome:
         max_recovery_s=max(
             (r.duration for r in run.results.values()), default=0.0
         ),
-        blame=_aggregate_blame(engine.sim.tracer),
+        blame=_aggregate_blame(engine.sim.tracer) if engine.sim.tracer.enabled else {},
         errors=list(run.errors),
         hard_violations=dict(invariants.hard_violations),
         soft_violations=dict(invariants.soft_violations),

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.chaos.invariants import check_invariants
 from repro.control.actions import (
     Action,
     ActionOutcome,
@@ -295,8 +296,6 @@ class Controller:
                 ok = False
                 break
         if ok and self.verify_invariants:
-            from repro.chaos.invariants import check_invariants
-
             report = check_invariants(self._check_context())
             for name in sorted(report.hard_violations):
                 for message in report.hard_violations[name]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,9 +18,11 @@ from repro.chaos import (
     run_campaign,
     run_scenario,
 )
+from repro.chaos import campaign
 from repro.errors import SimulationError
 from repro.obs import recorder
 from repro.obs.export import dumps_trace
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.kernel import Simulator
 
 SMALL_CRASH = Scenario(
@@ -103,23 +106,48 @@ class TestRunCampaign:
         second = run_campaign(scenarios=[SMALL_CRASH]).to_json()
         assert first == second
 
-    def test_smoke_campaign_report_digest_is_pinned(self):
-        """Taken on the commit before replica keys were built once per
-        replica and the world state was compacted; neither may move a byte
-        of what a campaign reports."""
-        digest = hashlib.sha256(run_campaign("smoke").to_json().encode()).hexdigest()
-        assert digest == "f9f99708d4d6e91a6c021a9727086c9b072d5d13a92eb866b5420645bff4ed27"
+    def test_smoke_campaign_report_digest_is_pinned(self, collecting):
+        """The recorded report, blame included. Taken on the commit before
+        replica keys were built once per replica and the world state was
+        compacted; neither may move a byte of what a campaign reports."""
+        assert digest(run_campaign("smoke")) == SMOKE_RECORDED
 
-    def test_full_campaign_scenario_report_digest_is_pinned(self):
-        """Taken on the commit before an unexported cell's tracer was
-        attached at the fault timeline instead of at the build."""
+    def test_full_campaign_scenario_report_digest_is_pinned(self, collecting):
+        """The recorded report. Taken on the commit before an unexported
+        cell's tracer was attached at the fault timeline instead of at the
+        build."""
         report = run_campaign("full", scenarios=[SCENARIOS["partition-heal"]])
-        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "2d9a1b040e1e060f85bf0b447b22783508155cb89f3713b7d499199e36d35d14"
+        assert digest(report) == PARTITION_HEAL_RECORDED
+
+    def test_default_campaign_report_digests_are_pinned(self):
+        """The report nobody asked spans for: the recorded one without blame."""
+        assert digest(run_campaign("smoke")) == SMOKE_DEFAULT
+        report = run_campaign("full", scenarios=[SCENARIOS["partition-heal"]])
+        assert digest(report) == PARTITION_HEAL_DEFAULT
+
+    def test_default_report_is_the_recorded_one_without_blame(self):
+        recorder.start(spans=True)
+        try:
+            recorded = run_campaign("smoke")
+        finally:
+            recorder.stop()
+        for outcome in recorded.outcomes:
+            outcome.blame = {}
+        assert run_campaign("smoke").to_json() == recorded.to_json()
 
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SimulationError, match="unknown campaign"):
             run_campaign("nope")
+
+
+SMOKE_RECORDED = "f9f99708d4d6e91a6c021a9727086c9b072d5d13a92eb866b5420645bff4ed27"
+PARTITION_HEAL_RECORDED = "2d9a1b040e1e060f85bf0b447b22783508155cb89f3713b7d499199e36d35d14"
+SMOKE_DEFAULT = "38e3aa6e4a8dec54f3538dc23f8f3f1d9a50e1ca82a85028eb84c5a3818ea45b"
+PARTITION_HEAL_DEFAULT = "7b7a034b5d18aaa02b920431a864414765e145215415c76658b2d048545cec49"
+
+
+def digest(report: ResilienceReport) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 @pytest.fixture
@@ -144,39 +172,46 @@ CELLS = [
 
 
 class TestPrivateTracer:
-    """A cell nobody can export records from the fault timeline on."""
+    """A cell keeps no private tracer: it records spans, and reports blame,
+    only while the recorder asks for spans."""
 
-    def test_no_span_starts_before_the_first_injection(self, monkeypatch):
+    def test_a_default_cell_constructs_no_tracer(self, monkeypatch):
+        built, classified = [], []
+        monkeypatch.setattr(Tracer, "__init__", lambda *args: built.append(args))
+        classify = campaign._classify
+
+        def classifying(run, invariants):
+            classified.append(run.engine.sim.tracer)
+            return classify(run, invariants)
+
+        monkeypatch.setattr(campaign, "_classify", classifying)
         attached = []
         attach = Simulator.attach_tracer
 
-        def recording(sim, tracer):
+        def attaching(sim, tracer):
             attach(sim, tracer)
-            attached.append((tracer, sim.now))
+            attached.append(tracer)
 
-        monkeypatch.setattr(Simulator, "attach_tracer", recording)
-        scenario = SCENARIOS["crash-wave"]
-        outcome = run_scenario(scenario, "star")
-        (built_with, built_at), (tracer, armed_at) = attached
-        assert not built_with.enabled and built_at == 0.0
-        assert armed_at > 0.0  # the saves took simulated time, and left no span
-        first_injection = armed_at + min(i.at for i in scenario.injections)
-        assert tracer.spans
-        assert min(span.start for span in tracer.spans) >= first_injection
-        assert not tracer.find("recovery/save")
-        assert outcome.blame
+        monkeypatch.setattr(Simulator, "attach_tracer", attaching)
+        outcome = run_scenario(SCENARIOS["crash-wave"], "star")
+        assert outcome.recovered > 0 and outcome.blame == {}
+        assert attached == [NULL_TRACER] and classified == [NULL_TRACER]
+        assert built == []
 
     @pytest.mark.parametrize("name,mechanism,controller", CELLS)
     def test_outcome_equals_the_collected_cell(
         self, name, mechanism, controller, collecting
     ):
-        """With collection on the tracer is attached at the build, as it
-        always was; every field of the outcome, blame included, must agree."""
+        """With collection on the tracer is attached at the build; the
+        outcome is the default one plus the blame of its recoveries."""
         collected = run_scenario(SCENARIOS[name], mechanism, controller=controller)
         (tracer,) = collecting()
         assert tracer.find("recovery/save") or mechanism == "checkpointing"
+        assert collected.blame or collected.recovered == 0
         recorder.stop()
-        assert run_scenario(SCENARIOS[name], mechanism, controller=controller) == collected
+        assert replace(collected, blame={}) == run_scenario(
+            SCENARIOS[name], mechanism, controller=controller
+        )
 
     def test_collected_trace_keeps_its_save_spans(self, collecting):
         """Digest taken on the commit before the private tracer moved."""

@@ -43,6 +43,15 @@ def test_the_facade_loads_no_control_module():
     assert out.strip() == "[]"
 
 
+def test_the_campaign_runner_loads_no_control_module():
+    out = fresh_interpreter(
+        "import sys\n"
+        "from repro.chaos import run_campaign\n"
+        "print([m for m in sorted(sys.modules) if m.startswith('repro.control')])\n"
+    )
+    assert out.strip() == "[]"
+
+
 def test_a_chaos_cell_never_loads_numpy():
     count, numpy_loaded = loaded_after(
         "from repro.chaos import SCENARIOS, run_campaign\n"

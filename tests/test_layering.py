@@ -87,8 +87,8 @@ def test_export_tables_are_read_as_imports(tmp_path):
 FUNCTION_LOCAL_IMPORTS = {
     ("bench/parallel.py", "_scale_cell_worker", "repro.bench.experiments"):
         "cycle: experiments imports parallel's run_scale_cells at module level",
-    ("control/controller.py", "_verify", "repro.chaos.invariants"):
-        "cycle: chaos.campaign imports control at module level",
+    ("chaos/campaign.py", "_attach_controller", "repro.control"):
+        "5 modules only a controller cell runs: every chaos import would load them",
     ("obs/profile.py", "_attach_explanations", "repro.recovery.selection"):
         "cycle: recovery.model imports sim.kernel, which imports obs at module level",
     ("sim/flowvec.py", "attach", "numpy"):
