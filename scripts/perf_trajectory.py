@@ -12,11 +12,14 @@ Medians, quartiles and verdicts come from ``run.py``'s own ``summarize`` and
 ``verdict``, so the trajectory can never disagree with ``--compare``.
 
 ``--report`` appends nothing: it prints the file as one table per workload,
-a row per entry with the median of each end-to-end metric and its ratio to
-the row above (the first row is the first entry's base side). Under each
-entry's row goes the manifest the numbers were taken under: the two commits,
-the seeds, the length of a run, the interpreter and how much slower than its
-quiet self the host ran (entries appended before that was kept have none).
+a row per entry with the change side's median of each end-to-end metric and
+what the entry stored from its own pairs: the ratio to its base side, the
+paired wins and the verdict. Rows are not divided by one another: two
+entries were measured in different sessions, on a host whose speed drifts.
+Under each entry's row goes the manifest the numbers were taken under: the
+two commits, the seeds, the length of a run, the interpreter and how much
+slower than its quiet self the host ran (entries appended before that was
+kept have none).
 """
 
 from __future__ import annotations
@@ -109,29 +112,20 @@ def manifest_line(entry: Dict[str, Any], workload: str) -> str:
 
 def report(entries: List[Dict[str, Any]]) -> str:
     """The trajectory as text: per workload, a row per entry, a column per
-    metric, and each entry's manifest under its row."""
+    metric (median, ratio, wins/pairs, verdict), the manifest under each row."""
     lines: List[str] = []
     for name in dict.fromkeys(w for e in entries for w in e["workloads"]):
         held = [e for e in entries if name in e["workloads"]]
-        first = held[0]["workloads"][name]["metrics"]
-        rows = [("base of the first entry", held[0]["base_commit"],
-                 {m: v["base"]["value"] for m, v in first.items()}, None)]
-        rows += [(e["label"], e["commit"],
-                  {m: v["change"]["value"] for m, v in e["workloads"][name]["metrics"].items()},
-                  manifest_line(e, name))
-                 for e in held]
-        lines += ["", f"== {name}",
-                  f"{'entry':30s} {'commit':8s}" + "".join(f"{m:>20s}" for m in first)]
-        above: Dict[str, float] = {}
-        for label, commit, values, manifest in rows:
+        lines += ["", f"== {name}", f"{'entry':30s} {'commit':8s}"
+                  + "".join(f"{m:>33s}" for m in held[0]["workloads"][name]["metrics"])]
+        for e in held:
             cells = "".join(
-                f"{value:12.4g} " + (f"x{value / above[m]:<6.3f}" if above.get(m) else " " * 7)
-                for m, value in values.items()
+                f"{v['change']['value']:11.4g} x{v['ratio']:<6.3f}"
+                f"{v['wins']:>3d}/{v['pairs']:<3d}{v['verdict']:>7s}"
+                for v in e["workloads"][name]["metrics"].values()
             )
-            lines.append(f"{label[:30]:30s} {commit[:7]:8s}{cells}".rstrip())
-            if manifest:
-                lines.append(manifest)
-            above = values
+            lines += [f"{e['label'][:30]:30s} {e['commit'][:7]:8s}{cells}".rstrip(),
+                      manifest_line(e, name)]
     return "\n".join(lines[1:])
 
 

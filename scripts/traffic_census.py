@@ -113,11 +113,13 @@ def defined_functions() -> Dict[Tuple[str, int], Tuple[str, str, int]]:
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
+    """A dataclass, or a ``NamedTuple`` (its fields are options the same way)."""
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
             return True
-    return False
+    return any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+               for base in node.bases)
 
 
 def _is_option_field(stmt: ast.stmt) -> bool:
@@ -137,7 +139,7 @@ def defined_options() -> Set[Tuple[str, str]]:
 
     ``function(parameter)`` for a parameter with a default of a module- or
     class-level ``def`` (by qualified name), ``Class.field`` for a dataclass
-    field with one.
+    or named-tuple field with one.
     """
     options: Set[Tuple[str, str]] = set()
     for _path, module, tree in _sources():
@@ -345,8 +347,11 @@ class Recorder:
 
     def _options_of(self, frame: Any) -> Optional[list]:
         code = frame.f_code
-        if code.co_filename == "<string>" and code.co_name == "__init__":
-            return self._dataclass_options(code, frame.f_locals.get("self"))
+        if code.co_filename == "<string>" and code.co_name in ("__init__", "<lambda>"):
+            # A dataclass's generated __init__ or a named tuple's __new__.
+            local = frame.f_locals
+            cls = type(local["self"]) if "self" in local else local.get("_cls")
+            return self._dataclass_options(code, cls)
         path = self._in_package.get(code.co_filename, _UNSEEN)
         if path is _UNSEEN:
             path = os.path.realpath(code.co_filename)
@@ -363,13 +368,15 @@ class Recorder:
         return [((module, f"{qualname}({name})"), name, default)
                 for name, default in _defaults_of(function).items()] or None
 
-    def _dataclass_options(self, code: CodeType, instance: Any) -> Optional[list]:
-        """The generated ``__init__`` of a dataclass of the package: each field
-        belongs to the class of the hierarchy that declares it."""
-        cls = type(instance)
-        if not cls.__module__.startswith(PACKAGE.name + "."):
+    def _dataclass_options(self, code: CodeType, cls: Any) -> Optional[list]:
+        """The generated constructor of a dataclass or named tuple of the
+        package: each field belongs to the class of the hierarchy that
+        declares it."""
+        if not isinstance(cls, type) or not cls.__module__.startswith(PACKAGE.name + "."):
             return None
-        init = next((vars(k)["__init__"] for k in cls.__mro__ if "__init__" in vars(k)), None)
+        method = "__init__" if code.co_name == "__init__" else "__new__"
+        init = next((vars(k)[method] for k in cls.__mro__ if method in vars(k)), None)
+        init = getattr(init, "__func__", init)
         if getattr(init, "__code__", None) is not code:
             return None
         options = []

@@ -293,7 +293,7 @@ class Network:
         # The three callbacks every flow schedules, bound once: a bound
         # method made per event is one more allocation for the collector.
         self._admit_cb = self._admit
-        self._settle_cb = self._settle_event
+        self._settle_cb = self._recompute_rates
         self._tick_cb = self._on_completion_tick
 
     def in_flight_flows(self) -> int:
@@ -435,11 +435,18 @@ class Network:
             raise NetworkError(f"transfer between dead hosts: {src.name}->{dst.name}")
         if nbytes < 0:
             raise NetworkError("transfer size must be non-negative")
+        sim = self.sim
         flow = Flow(
-            src, dst, nbytes, on_complete, on_abort, tag, self.sim.now,
+            src, dst, nbytes, on_complete, on_abort, tag, sim.now,
             seq=self.started_flows,
         )
-        return self._launch(flow, parent_span)
+        if sim.tracer.enabled:
+            return self._launch(flow, parent_span)
+        # Untraced, _launch is these three lines.
+        self.started_flows += 1
+        self._flows_started_counter.add(1)
+        sim.schedule(src.latency + dst.latency, self._admit_cb, flow)
+        return flow
 
     def _launch(self, flow: Flow, parent_span) -> Flow:
         """Count and trace a new flow; admit it one propagation latency on."""
@@ -462,24 +469,51 @@ class Network:
         return flow
 
     def _admit(self, flow: Flow) -> None:
-        if flow.aborted or not self.reachable(flow.src, flow.dst):
-            alive = flow.src.alive and flow.dst.alive
+        # Once per flow, so reachable(), the settle when already settled
+        # and _request_recompute() are written out here.
+        src, dst = flow.src, flow.dst
+        alive = src.alive and dst.alive
+        cut = self._partition
+        if (
+            flow.aborted
+            or not alive
+            or (cut is not None and (src.name in cut) != (dst.name in cut))
+        ):
             self._abort(flow, "partitioned" if alive else "dead_endpoint")
             return
-        self._settle_progress()
-        flow.admitted_at = self.sim.now
-        self._queue_wait_hist.observe(self.sim.now - flow.started_at)
+        now = self.sim.now
+        if now != self._settled_at or self._inf_rates:
+            self._settle_progress()
+        flow.admitted_at = now
+        self._queue_wait_hist.observe(now - flow.started_at)
         if flow.remaining <= _EPSILON_BYTES:
             self._finish_flow(flow)
             return
         self._flows.add(flow)
-        position = self._insert_ordered(flow)
+        order = self._order_cache
+        seq = flow.seq
+        position = len(order)
+        if position and order[-1].seq > seq:
+            # Differing propagation latencies admit flows out of sequence
+            # order: bisect for the first one admitted after it.
+            low = 0
+            while low < position:
+                mid = (low + position) // 2
+                if order[mid].seq < seq:
+                    low = mid + 1
+                else:
+                    position = mid
+        order.insert(position, flow)  # the table inserts its row at the same index
         if self._vec is not None:
             self._vec.insert(position, flow)
-        flow.up_link.flows[flow] = None
-        flow.down_link.flows[flow] = None
-        self._touch(flow)
-        self._request_recompute()
+        up, down = flow.up_link, flow.down_link
+        up.flows[flow] = None
+        down.flows[flow] = None
+        self._dirty_links.add(up)
+        self._dirty_links.add(down)
+        if not self._recompute_pending:
+            self._recompute_pending = True
+            self.sim.schedule(0.0, self._settle_cb)
 
     def abort_flow(self, flow: Flow) -> None:
         """Cancel an in-flight (or not yet admitted) transfer."""
@@ -549,7 +583,8 @@ class Network:
         if flow in self._flows:
             if self._vec is not None:
                 self._vec.demand[self._vec.pos_of(flow)] = demand
-            self._touch(flow)
+            self._dirty_links.add(flow.up_link)
+            self._dirty_links.add(flow.down_link)
             self._request_recompute()
 
     def close_app_flow(self, flow: Flow) -> None:
@@ -604,28 +639,6 @@ class Network:
             self.sim.schedule(src.latency + dst.latency, on_delivery)
 
     # ---------------------------------------------------------------- internal
-
-    def _insert_ordered(self, flow: Flow) -> int:
-        """Bisection insert into the admission-ordered live list.
-
-        Returns the insertion position so the vectorized mirror can
-        insert its row at the same index (differing propagation
-        latencies admit flows out of sequence order, so the position is
-        not always the end).
-        """
-        lst = self._order_cache
-        seq = flow.seq
-        lo, hi = 0, len(lst)
-        if hi and lst[-1].seq < seq:
-            lo = hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid].seq < seq:
-                lo = mid + 1
-            else:
-                hi = mid
-        lst.insert(lo, flow)
-        return lo
 
     def _settle_progress(self) -> None:
         """Advance every flow's remaining-byte count to the current instant.
@@ -693,17 +706,6 @@ class Network:
             flow.remaining = left
         vec.detach()
 
-    def _touch(self, flow: Flow) -> None:
-        """A flow joined, left or changed its demand: re-solve its links."""
-        self._dirty_links.add(flow.up_link)
-        self._dirty_links.add(flow.down_link)
-
-    def _unlink(self, flow: Flow) -> None:
-        self._flows.discard(flow)
-        del flow.up_link.flows[flow]
-        del flow.down_link.flows[flow]
-        self._touch(flow)
-
     def _remove_flow(self, flow: Flow) -> None:
         vec = self._vec
         if vec is not None:
@@ -717,7 +719,11 @@ class Network:
                 self._deactivate_vector()
         else:
             self._order_cache.remove(flow)
-        self._unlink(flow)
+        self._flows.discard(flow)
+        del flow.up_link.flows[flow]
+        del flow.down_link.flows[flow]
+        self._dirty_links.add(flow.up_link)
+        self._dirty_links.add(flow.down_link)
 
     def _finish_flow(self, flow: Flow) -> None:
         flow.completed_at = self.sim.now
@@ -751,18 +757,15 @@ class Network:
         self._recompute_pending = True
         self.sim.schedule(0.0, self._settle_cb)
 
-    def _settle_event(self) -> None:
-        self._recompute_pending = False
-        self._recompute_rates()
-
     def _recompute_rates(self) -> None:
-        """Max-min fair allocation by progressive water-filling.
+        """The settle event: max-min fair allocation by progressive water-filling.
 
         Only the connected component of the link graph reachable from
         dirty links is re-solved; rates of flows in untouched components
         are provably unchanged (their water-filling subproblem has
         identical inputs).
         """
+        self._recompute_pending = False
         if self._completion_event is not None:
             self.sim.cancel(self._completion_event)
             self._completion_event = None
@@ -773,15 +776,25 @@ class Network:
             self._flows_active_series.record(self.sim.now, 0.0)
             return
 
+        order = self._order_cache
         if dirty:
-            component = self._dirty_component()
+            if len(order) == 1 and self._vec is None:
+                # A lone flow's component is itself when a dirty link carries
+                # it, else empty; its rate is _waterfill's single-flow case.
+                (flow,) = order
+                if flow.up_link in dirty or flow.down_link in dirty:
+                    share = min(flow.src.up_bw, flow.dst.down_bw)
+                    demand = flow.demand
+                    flow.rate = demand if share == _INF or demand <= share else share
+            else:
+                component = self._dirty_component()
+                if 2 * len(component) >= len(order):
+                    # Most flows are affected anyway — the restricted solve
+                    # would walk the same links as the full one.
+                    self._rerate(order, full=True)
+                elif component:
+                    self._rerate(sorted(component, key=_BY_SEQ), full=False)
             dirty.clear()
-            if 2 * len(component) >= len(self._order_cache):
-                # Most flows are affected anyway — the restricted solve
-                # would walk the same links as the full one.
-                self._rerate(self._order_cache, full=True)
-            elif component:
-                self._solve_component(sorted(component, key=_BY_SEQ))
         # else: nothing touching the link graph changed (e.g. an abort of
         # a not-yet-admitted flow) — every rate is still valid.
 
@@ -791,7 +804,7 @@ class Network:
         else:
             next_completion = _INF
             inf_rates = False
-            for flow in self._order_cache:
+            for flow in order:
                 rate = flow.rate
                 # Long-running app traffic (infinite remaining) never
                 # completes; an infinite rate on it moves no bytes either,
@@ -810,10 +823,6 @@ class Network:
             delay = max(0.0, next_completion - now)
             self._completion_event = self.sim.schedule(delay, self._tick_cb)
         self._flows_active_series.record(now, float(len(self._flows)))
-
-    def _solve_component(self, affected: List[Flow]) -> None:
-        """Re-rate one dirty component (admission-ordered ``affected``)."""
-        self._rerate(affected, full=False)
 
     def _rerate(self, flows: List[Flow], full: bool) -> None:
         """Water-fill ``flows`` and apply the rates that actually moved.
@@ -992,15 +1001,25 @@ class Network:
                 del order[position]
             if vec.n < flowvec.VECTOR_DEACTIVATE:
                 self._deactivate_vector()
+        elif len(order) == 1:  # the comprehensions below, without their frames
+            finished = [order.pop()] if order[0].remaining <= _EPSILON_BYTES else []
         else:
             finished = [f for f in order if f.remaining <= _EPSILON_BYTES]
             if finished:
                 order[:] = [f for f in order if f.remaining > _EPSILON_BYTES]
-        for flow in finished:
-            self._unlink(flow)
+        dirty = self._dirty_links
+        for flow in finished:  # _remove_flow's unlinking, the list already cut
+            self._flows.discard(flow)
+            up, down = flow.up_link, flow.down_link
+            del up.flows[flow]
+            del down.flows[flow]
+            dirty.add(up)
+            dirty.add(down)
         for flow in finished:
             self._finish_flow(flow)
-        self._request_recompute()
+        if not self._recompute_pending:
+            self._recompute_pending = True
+            self.sim.schedule(0.0, self._settle_cb)
 
 
 def _utilization(flows: Dict[Flow, None], capacity: float) -> float:

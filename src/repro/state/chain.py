@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import IntegrityError, ShardError, VersionConflictError
 from repro.state.partitioner import check_reconstruction_set, shard_index_for_key
-from repro.state.placement import PlacementPlan
 from repro.state.shard import DeltaShard, Shard
 from repro.state.store import StateSnapshot
 from repro.state.version import StateVersion
@@ -181,8 +180,9 @@ class VersionChain:
     def shard_indexes(self) -> List[int]:
         return list(range(self.length * self.num_shards))
 
-    # The same walk over shard_indexes() and providers_for() as one round's.
-    available_shards = PlacementPlan.available_shards
+    def available_shards(self) -> List[Any]:
+        """Each link's surviving shards in turn, base first: segment order."""
+        return [shard for link in self.links for shard in link.plan.available_shards()]
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,7 @@ with it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.dht.node import DhtNode
 from repro.dht.overlay import Overlay
@@ -50,8 +50,10 @@ class PlacementPlan:
         """Alive nodes still holding a replica of the shard."""
         return [
             p
-            for p in self.for_shard(shard_index)
-            if p.node.alive and p.node.get_shard(p.replica.key) is not None
+            for p in self.placements
+            if p.replica.shard.index == shard_index
+            and p.node.alive
+            and p.replica.key in p.node.shard_store
         ]
 
     def shard_indexes(self) -> List[int]:
@@ -68,13 +70,18 @@ class PlacementPlan:
             placed.node.store_shard(placed.replica.key, placed.replica)
 
     def available_shards(self) -> List[Shard]:
-        """One surviving shard object per index, if any replica survives."""
-        result: List[Shard] = []
-        for index in self.shard_indexes():
-            providers = self.providers_for(index)
-            if providers:
-                result.append(providers[0].replica.shard)
-        return result
+        """One surviving shard object per index, if any replica survives:
+        the first live holder's (``providers_for(index)[0]``), indexes sorted."""
+        first: Dict[int, Shard] = {}
+        for p in self.placements:
+            shard = p.replica.shard
+            if (
+                shard.index not in first
+                and p.node.alive
+                and p.replica.key in p.node.shard_store
+            ):
+                first[shard.index] = shard
+        return [first[index] for index in sorted(first)]
 
 
 class LeafSetPlacement:
@@ -99,20 +106,19 @@ class LeafSetPlacement:
         # Walk the leaf set round-robin; replicas of shard i occupy
         # consecutive leaf positions so they are always distinct nodes.
         cursor = 0
+        taken = set()  # (node id, shard index) of every replica placed so far
         for replica in sorted(replicas, key=lambda r: (r.shard.index, r.replica_index)):
             node = leaf_nodes[cursor % len(leaf_nodes)]
+            index = replica.shard.index
             # Never co-locate two replicas of the same shard.
             attempts = 0
-            while any(
-                p.node.node_id == node.node_id
-                and p.replica.shard.index == replica.shard.index
-                for p in plan.placements
-            ):
+            while (node.node_id.value, index) in taken:
                 cursor += 1
                 node = leaf_nodes[cursor % len(leaf_nodes)]
                 attempts += 1
                 if attempts > len(leaf_nodes):
                     raise StateError("leaf set too small for replica separation")
+            taken.add((node.node_id.value, index))
             plan.placements.append(PlacedShard(replica, node))
             cursor += 1
         return plan

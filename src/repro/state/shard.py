@@ -18,8 +18,7 @@ order (see :mod:`repro.state.chain`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ShardError
 from repro.state.store import estimate_entry_bytes
@@ -44,13 +43,13 @@ def _entries_checksum(entries: Dict[Any, Any]) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class ReplicaKey:
+class ReplicaKey(NamedTuple):
     """Globally unique identity of one stored shard replica.
 
     ``link`` distinguishes chain positions: base shards store at link 0,
     the k-th delta round at link k — so a delta replica never collides
-    with the base replica of the same shard index on the same node.
+    with the base replica of the same shard index on the same node. A
+    named tuple hashes in C, to what a frozen dataclass of these fields does.
     """
 
     state_name: str

@@ -67,40 +67,45 @@ def test_refuses_a_file_of_another_format(trajectory, tmp_path):
     assert out.read_text() == "{}"
 
 
-def test_report_prints_a_table_per_workload_with_ratios_to_the_row_above(
+def test_report_prints_each_entrys_own_ratio_wins_and_verdict(
         trajectory, tmp_path, capsys):
     first, second = (w["name"] for w in SPEC["workloads"][:2])
     out = tmp_path / "BENCH_perf.json"
     sides = {}
     for commit, workload, wall in (("aaa", first, 2.0), ("bbb", first, 1.0),
-                                   ("ccc", first, 0.5), ("ccc", second, 4.0)):
+                                   ("ccc", first, 0.5), ("ccc", second, 4.0),
+                                   ("ddd", first, 0.8)):
         name = f"{commit}-{workload}.json"
         sides[commit, workload] = _result_file(tmp_path / name, commit, 0, workload, wall)
     trajectory.main(["--base", sides["aaa", first], "--change", sides["bbb", first],
                      "--label", "PR 1: halves the cell", "--out", str(out)])
-    trajectory.main(["--base", sides["bbb", first], sides["ccc", second],
-                     "--change", sides["ccc", first], sides["ccc", second],
-                     "--label", "PR 2: and again, with a second workload", "--out", str(out)])
+    # Measured in a slower session: its base reads 0.5 where PR 1's change read 1.0.
+    trajectory.main(["--base", sides["ccc", first], sides["ccc", second],
+                     "--change", sides["ddd", first], sides["ccc", second],
+                     "--label", "PR 2: slower, with a second workload", "--out", str(out)])
     before = out.read_text()
     capsys.readouterr()
     assert trajectory.main(["--report", "--out", str(out)]) == 0
     assert out.read_text() == before  # a report appends nothing
     tables = capsys.readouterr().out.split("\n\n")
     assert [t.splitlines()[0] for t in tables] == [f"== {first}", f"== {second}"]
-    header, base, pr1, manifest1, pr2, manifest2 = tables[0].splitlines()[1:]
+    header, pr1, manifest1, pr2, manifest2 = tables[0].splitlines()[1:]
     # Under each entry's row, what it was measured under; the result files
     # above carry no host_slowdown, as the entries before PR 23 do not.
     assert manifest1 == ("    aaa..bbb; 1 pairs, seeds 0; 30 s runs; "
                          "Python 3.11.7, numpy 2.4.6, 2 CPUs")
-    assert manifest2.startswith("    bbb..ccc; 1 pairs, seeds 0; 30 s runs; ")
+    assert manifest2.startswith("    ccc..ddd; 1 pairs, seeds 0; 30 s runs; ")
     assert header.split() == ["entry", "commit"] + [m["name"] for m in SPEC["end_to_end"]]
-    assert base.split()[-5:] == ["aaa", "0.4", "2", "156", "116"]
-    assert pr1.split()[-9:] == ["bbb", "0.4", "x1.000", "1", "x0.500", "312", "x2.000",
-                                "116", "x1.000"]
-    assert pr2.startswith("PR 2: and again, with a second ccc")
-    assert pr2.split()[-6:-4] == ["0.5", "x0.500"]
-    # Header lines, the base row, the one entry and its manifest.
-    assert len(tables[1].splitlines()) == 5
+    # Each metric: the change side's median, then the entry's own ratio,
+    # paired wins and verdict; a tie is no win.
+    assert pr1.split()[-17:] == ["bbb", "0.4", "x1.000", "0/1", "same",
+                                 "1", "x0.500", "1/1", "better", "312", "x2.000", "1/1",
+                                 "better", "116", "x1.000", "0/1", "same"]
+    # PR 2 is read against its own base (0.8 / 0.5), not PR 1's row (0.8 / 1.0).
+    assert pr2.startswith("PR 2: slower, with a second wo ddd")
+    assert pr2.split()[-12:-8] == ["0.8", "x1.600", "0/1", "worse"]
+    # Header lines, the one entry and its manifest.
+    assert len(tables[1].splitlines()) == 4
 
 
 def test_the_manifest_line_carries_the_seeds_and_the_host_slowdown_range(
@@ -121,9 +126,9 @@ def test_the_manifest_line_carries_the_seeds_and_the_host_slowdown_range(
     capsys.readouterr()
     trajectory.main(["--report", "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[4] == ("    aaa..bbb; 3 pairs, seeds 7-9; 30 s runs; "
+    assert lines[3] == ("    aaa..bbb; 3 pairs, seeds 7-9; 30 s runs; "
                         "Python 3.11.7, numpy 2.4.6, 2 CPUs; host slowdown 1.07-1.29")
-    assert lines[6] == ("    aaa..bbb; 4 pairs, seeds 7,8,9,12; 30 s runs; "
+    assert lines[5] == ("    aaa..bbb; 4 pairs, seeds 7,8,9,12; 30 s runs; "
                         "Python 3.11.7, numpy 2.4.6, 2 CPUs; host slowdown 1.07-1.32")
 
 

@@ -52,14 +52,19 @@ class ReferenceLinkRecorder(Network):
 
 
 class FullSolveNetwork(ReferenceLinkRecorder):
-    """The oracle: every dirty component is the whole flow set.
+    """The oracle: every reallocation re-solves every live flow.
 
-    Claiming every live flow makes ``_recompute_rates`` take its
-    "most flows are affected anyway" branch, the full solve.
+    Before the network's own settle runs, any dirty link sends the whole
+    admission-ordered flow list through ``_rerate``, the general solve, and
+    clears the dirty set, so neither the component walk nor the lone-flow
+    answer ever decides a rate here.
     """
 
-    def _dirty_component(self):
-        return set(self._flows)
+    def _recompute_rates(self):
+        if self._flows and self._dirty_links:
+            self._rerate(self._order_cache, full=True)
+            self._dirty_links.clear()
+        super()._recompute_rates()
 
 
 def _trace_dump(tracer: Tracer) -> str:
@@ -146,6 +151,75 @@ def _run_mixed_sequence(seed: int, network_cls):
     return completions, aborts, telemetry, _trace_dump(tracer)
 
 
+def _run_serial_sequence(seed: int, network_cls):
+    """Flows one at a time: each starts after the last one ended.
+
+    Along the chain come aborts, a partition and its heal, bandwidth
+    changes, a host crash, zero-byte and unconstrained transfers and an
+    app flow whose demand moves, so every reallocation but the app flow's
+    meets a lone flow. Returns what ``_run_mixed_sequence`` returns.
+    """
+    rng = random.Random(seed)
+    tracer = Tracer(f"serial-{seed}")
+    sim = Simulator(tracer=tracer)
+    net = network_cls(sim)
+    hosts = [
+        net.add_host(
+            f"h{i}",
+            up_bw=rng.choice([50.0, 100.0, math.inf]),
+            down_bw=rng.choice([50.0, 100.0, math.inf]),
+            latency=rng.choice([0.0, 0.001, 0.01]),
+        )
+        for i in range(5)
+    ]
+    completions, aborts = [], []
+    steps = iter(range(40))
+
+    def later(delay, action):
+        sim.schedule(delay, action)
+
+    def next_step(_flow=None):
+        step = next(steps, None)
+        if step is None:
+            return
+        src, dst = rng.sample([h for h in hosts if h.alive], 2)
+        kind = rng.choice(
+            ["plain", "abort", "bandwidth", "partition", "crash", "empty", "app"]
+        )
+        if kind == "app":
+            flow = net.open_app_flow(src, dst, demand=rng.uniform(10.0, 120.0), tag=f"a{step}")
+            later(rng.uniform(0.5, 2.0), lambda: net.set_flow_demand(flow, 40.0))
+            later(3.0, lambda: (net.close_app_flow(flow), next_step()))
+            return
+        flow = net.transfer(
+            src,
+            dst,
+            0.0 if kind == "empty" else rng.uniform(10.0, 400.0),
+            on_complete=lambda f: (completions.append((f.tag, sim.now)), next_step()),
+            on_abort=lambda f: (aborts.append((f.tag, sim.now)), next_step()),
+            tag=f"t{step}",
+        )
+        at = rng.uniform(0.0, 3.0)
+        if kind == "abort":
+            later(at, lambda: net.abort_flow(flow))
+        elif kind == "bandwidth":
+            later(at, lambda: net.set_host_bandwidth(
+                src, rng.choice([30.0, 200.0]), rng.choice([30.0, 200.0])
+            ))
+        elif kind == "partition":
+            later(at, lambda: net.partition([src.name]))
+            later(at + 0.5, net.heal_partition)
+        elif kind == "crash":
+            later(at, lambda: net.fail_host(dst))
+            later(at + 0.5, lambda: net.recover_host(dst))
+
+    next_step()
+    sim.run_until_idle()
+    assert max(sim.metrics.all_series()["net.flows_active"].values()) == 1.0
+    telemetry = json.dumps(sim.metrics.dump(), sort_keys=True)
+    return completions, aborts, telemetry, _trace_dump(tracer)
+
+
 class TestAllocatorEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 23])
     def test_mixed_sequences_byte_identical(self, seed):
@@ -155,6 +229,12 @@ class TestAllocatorEquivalence:
         assert inc[1] == ref[1]  # abort (tag, time) pairs, in order
         assert inc[2] == ref[2]  # serialized telemetry timelines
         assert inc[3] == ref[3]  # serialized trace spans
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 23])
+    def test_flows_one_at_a_time_byte_identical(self, seed):
+        inc = _run_serial_sequence(seed, ReferenceLinkRecorder)
+        assert inc == _run_serial_sequence(seed, FullSolveNetwork)
+        assert len(inc[0]) > 5 and inc[1]  # both completions and aborts
 
     def test_component_merge_matches_global(self):
         """Two independent components merged by a bridging flow."""
@@ -208,16 +288,22 @@ class TestAllocatorEquivalence:
         assert done["ab"] == pytest.approx(15.0)
 
     def test_the_two_sides_take_different_paths(self, monkeypatch):
-        """The oracle never solves a component; the network under test does."""
-        component_solves = []
-        solve_component = Network._solve_component
+        """The oracle never solves a component or answers a lone flow
+        directly; the network under test does both."""
+        solves = []
+        rerate = Network._rerate
 
-        def counting(net, affected):
-            component_solves.append(type(net))
-            return solve_component(net, affected)
+        def counting(net, flows, full):
+            solves.append((type(net), full))
+            return rerate(net, flows, full)
 
-        monkeypatch.setattr(Network, "_solve_component", counting)
+        monkeypatch.setattr(Network, "_rerate", counting)
         _run_mixed_sequence(0, Network)
         _run_mixed_sequence(0, FullSolveNetwork)
-        assert Network in component_solves
-        assert FullSolveNetwork not in component_solves
+        assert (Network, False) in solves
+        assert (FullSolveNetwork, False) not in solves
+        del solves[:]
+        _run_serial_sequence(0, Network)
+        assert solves == []  # every rate was the lone-flow answer
+        _run_serial_sequence(0, FullSolveNetwork)
+        assert (FullSolveNetwork, True) in solves
