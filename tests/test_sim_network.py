@@ -183,6 +183,19 @@ class TestFailures:
         sim.run_until_idle()
         assert events == {"done": 0, "aborted": 1}
 
+    def test_a_tick_whose_flow_left_first_keeps_the_survivor_running(self):
+        """An abort queued at a completion instant runs before that tick,
+        which then finds one live flow that has not finished."""
+        sim, net = make_net()
+        hosts = [net.add_host(n, up_bw=100.0, down_bw=100.0, latency=0.0) for n in "abcd"]
+        done = []
+        holder = {}
+        sim.schedule(1.0, lambda: net.abort_flow(holder["short"]))  # before the tick
+        holder["short"] = net.transfer(hosts[0], hosts[1], 100.0)  # completes at 1.0
+        net.transfer(hosts[2], hosts[3], 500.0, on_complete=lambda f: done.append(sim.now))
+        sim.run_until_idle()
+        assert holder["short"].aborted and done == [5.0]
+
     def test_recover_host_allows_new_transfers(self):
         sim, net = make_net()
         a = net.add_host("a", latency=0.0)

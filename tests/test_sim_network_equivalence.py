@@ -174,9 +174,7 @@ def _run_serial_sequence(seed: int, network_cls):
     ]
     completions, aborts = [], []
     steps = iter(range(40))
-
-    def later(delay, action):
-        sim.schedule(delay, action)
+    later = sim.schedule
 
     def next_step(_flow=None):
         step = next(steps, None)

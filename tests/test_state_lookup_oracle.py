@@ -43,19 +43,20 @@ def reference_providers_for(plan, index):
     ]
 
 
-def reference_available_shards(plan):
-    """The walk over ``shard_indexes()``; a chain's segment ``k*m+i`` is
-    shard ``i`` of link ``k``."""
+def reference_lookups(plan):
+    """``(index, flat plan, shard index)`` for each of ``shard_indexes()``: a
+    chain's segment ``k*m+i`` is shard ``i`` of link ``k``."""
     if isinstance(plan, VersionChain):
         m = plan.num_shards
-        lookups = [
-            (plan.links[segment // m].plan, segment % m) for segment in plan.shard_indexes()
-        ]
-    else:
-        lookups = [(plan, index) for index in plan.shard_indexes()]
+        return [(s, plan.links[s // m].plan, s % m) for s in plan.shard_indexes()]
+    return [(index, plan, index) for index in plan.shard_indexes()]
+
+
+def reference_available_shards(plan):
+    """The walk over ``shard_indexes()``, asking each index's providers."""
     result = []
-    for flat, index in lookups:
-        providers = reference_providers_for(flat, index)
+    for _index, flat, shard_index in reference_lookups(plan):
+        providers = reference_providers_for(flat, shard_index)
         if providers:
             result.append(providers[0].replica.shard)
     return result
@@ -141,16 +142,12 @@ def shuffle_holders(rng, overlay, plans):
 
 
 def assert_lookups_match(plan):
-    for index in range(-1, max(plan.shard_indexes(), default=0) + 2):
-        if isinstance(plan, VersionChain) and not 0 <= index < plan.length * plan.num_shards:
-            continue
-        if isinstance(plan, VersionChain):
-            link, shard = divmod(index, plan.num_shards)
-            expected = reference_providers_for(plan.links[link].plan, shard)
-        else:
-            expected = reference_providers_for(plan, index)
-        got = plan.providers_for(index)
-        assert [id(p) for p in got] == [id(p) for p in expected]
+    lookups = reference_lookups(plan)
+    if not isinstance(plan, VersionChain):  # and indexes no placement holds
+        lookups = [(i, plan, i) for i in range(-1, max(plan.shard_indexes(), default=0) + 2)]
+    for index, flat, shard_index in lookups:
+        expected = reference_providers_for(flat, shard_index)
+        assert [id(p) for p in plan.providers_for(index)] == [id(p) for p in expected]
     assert [id(s) for s in plan.available_shards()] == [
         id(s) for s in reference_available_shards(plan)
     ]
@@ -170,6 +167,9 @@ def test_flat_plans_answer_like_the_scans(seed):
     plan = placed(rng, overlay, replicas)
     if plan is None:
         return
+    if seed % 2:  # a second shard object per index: which holder comes first matters
+        again = partition_synthetic(STATE, 2048, len(shards), StateVersion(1.0, 1))
+        plan.placements += placed(rng, overlay, replicate(again, 1)).placements
     plan.store_all()
     for _ in range(4):
         assert_lookups_match(plan)
