@@ -1,14 +1,15 @@
 """A budget on the Python frames one flow alone on the network costs.
 
-Most reallocations in a chaos cell meet a single live flow, and what such a
-flow costs is call overhead, so the number of frames it enters is the
+The median reallocation in a chaos cell meets a single live flow, and what
+such a flow costs is call overhead, so the number of frames it enters is the
 quantity a change to the flow path moves. ``sys.setprofile`` counts them over
 1,000 serial flows between two hosts, each started by the completion
 callback of the one before, after ten warm-up flows: from ``transfer``
 through admission, the settle event that rates it, the completion tick and
 the callback, to the settle event after it (four kernel events). The count
 repeats exactly and is the same on an unconstrained and a finite pair.
-Before the lone-flow path of DESIGN.md's "Network" section it read 39.00.
+Before the lone-flow path (DESIGN.md, "Max–min allocation over link
+records") it read 39.00.
 """
 
 import math
