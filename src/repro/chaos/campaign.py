@@ -325,6 +325,11 @@ class ChaosEngine(HoldsDeployment):
     def metric(self, name: str) -> float:
         return self.sim.metrics.counter(name).total
 
+    def close(self) -> None:
+        """Drop what points back here (handles, hooks, controller); close the world."""
+        self.handles, self._hooks, self.controller = {}, [], None
+        self.deployment.close()
+
 
 # ------------------------------------------------------------------- outcomes
 
@@ -505,39 +510,42 @@ def run_scenario(
         trace_name=trace_name,
     )
     engine = ChaosEngine(deployment, scenario, mechanism)
-    ctl = None
-    if controller and mechanism != "checkpointing":
-        ctl = _attach_controller(engine, mechanism)
-    pre_checksums = engine.setup_states()
-    if ctl is not None:
-        ctl.bind_ground_truth(
+    try:
+        ctl = None
+        if controller and mechanism != "checkpointing":
+            ctl = _attach_controller(engine, mechanism)
+        pre_checksums = engine.setup_states()
+        if ctl is not None:
+            ctl.bind_ground_truth(
+                results=engine.results,
+                pre_checksums=pre_checksums,
+                pre_state=engine.pre_state,
+                mechanism=mechanism,
+            )
+        engine.run()
+        if ctl is not None:
+            ctl.sweep()
+            engine.sim.run_until_idle()
+        run = RunContext(
+            scenario=scenario,
+            mechanism=mechanism,
+            engine=engine,
             results=engine.results,
+            errors=engine.errors,
             pre_checksums=pre_checksums,
             pre_state=engine.pre_state,
-            mechanism=mechanism,
         )
-    engine.run()
-    if ctl is not None:
-        ctl.sweep()
-        engine.sim.run_until_idle()
-    run = RunContext(
-        scenario=scenario,
-        mechanism=mechanism,
-        engine=engine,
-        results=engine.results,
-        errors=engine.errors,
-        pre_checksums=pre_checksums,
-        pre_state=engine.pre_state,
-    )
-    report = check_invariants(run)
-    outcome = _classify(run, report)
-    if ctl is not None:
-        verified = [r for r in ctl.records if r.verified]
-        outcome.remediations = len(verified)
-        outcome.remediation_mttr_s = max(
-            (r.mttr_s for r in verified if r.mttr_s is not None), default=0.0
-        )
-    return outcome
+        report = check_invariants(run)
+        outcome = _classify(run, report)
+        if ctl is not None:
+            verified = [r for r in ctl.records if r.verified]
+            outcome.remediations = len(verified)
+            outcome.remediation_mttr_s = max(
+                (r.mttr_s for r in verified if r.mttr_s is not None), default=0.0
+            )
+        return outcome
+    finally:
+        engine.close()  # the outcome holds no part of the world, which frees now
 
 
 def _aggregate_blame(tracer) -> Dict[str, float]:

@@ -133,20 +133,22 @@ class PoissonChurn(Injector):
 
     def arm(self, engine: "ChaosEngine") -> None:
         deadline = engine.sim.now + self.start + self.duration
-
-        def next_event() -> None:
-            if engine.sim.now >= deadline:
-                return
-            pool = engine.bystander_nodes()
-            if pool:
-                victim = engine.pick(pool, 1)[0]
-                engine.crash_node(victim)
-                if self.rejoin:
-                    engine.sim.schedule(self.rejoin_delay, engine.join_node)
-            engine.sim.schedule(engine.rng.expovariate(self.rate), next_event)
-
         engine.sim.schedule(
-            self.start + engine.rng.expovariate(self.rate), next_event
+            self.start + engine.rng.expovariate(self.rate),
+            self.next_event, engine, deadline,
+        )
+
+    def next_event(self, engine: "ChaosEngine", deadline: float) -> None:
+        if engine.sim.now >= deadline:
+            return
+        pool = engine.bystander_nodes()
+        if pool:
+            victim = engine.pick(pool, 1)[0]
+            engine.crash_node(victim)
+            if self.rejoin:
+                engine.sim.schedule(self.rejoin_delay, engine.join_node)
+        engine.sim.schedule(
+            engine.rng.expovariate(self.rate), self.next_event, engine, deadline
         )
 
 
@@ -201,24 +203,21 @@ class BandwidthFlap(Injector):
             raise SimulationError("hosts and cycles must be at least 1")
 
     def arm(self, engine: "ChaosEngine") -> None:
-        def flap(cycle: int) -> None:
-            victims = engine.pick(engine.overlay.alive_nodes(), self.hosts)
-            originals = [(n.host, n.host.up_bw, n.host.down_bw) for n in victims]
-            for host, up, down in originals:
-                engine.network.set_host_bandwidth(
-                    host, up * self.factor, down * self.factor
-                )
+        engine.sim.schedule(self.at, self.flap, engine, 0)
 
-            def restore() -> None:
-                for host, up, down in originals:
-                    if host.alive:
-                        engine.network.set_host_bandwidth(host, up, down)
-                if cycle + 1 < self.cycles:
-                    flap(cycle + 1)
+    def flap(self, engine: "ChaosEngine", cycle: int) -> None:
+        victims = engine.pick(engine.overlay.alive_nodes(), self.hosts)
+        originals = [(n.host, n.host.up_bw, n.host.down_bw) for n in victims]
+        for host, up, down in originals:
+            engine.network.set_host_bandwidth(host, up * self.factor, down * self.factor)
+        engine.sim.schedule(self.period, self.restore, engine, cycle, originals)
 
-            engine.sim.schedule(self.period, restore)
-
-        engine.sim.schedule(self.at, lambda: flap(0))
+    def restore(self, engine: "ChaosEngine", cycle: int, originals) -> None:
+        for host, up, down in originals:
+            if host.alive:
+                engine.network.set_host_bandwidth(host, up, down)
+        if cycle + 1 < self.cycles:
+            self.flap(engine, cycle + 1)
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,17 @@ class Overlay:
         self._unwired_removals = []
         return list(self.nodes)
 
+    def close(self) -> None:
+        """Cut the node graph (cyclic by nature: neighbours hold each other)
+        and the observers that point nodes here. Nodes, liveness, counters
+        and the doors' state stay readable; twice is harmless."""
+        for node in self.nodes:
+            node._on_liveness_change = node._settle_routing = None
+            node.leaf_set.install([], [])
+            node.leaf_set.on_membership_change = node._routing_table.on_change = None
+            node._routing_table._rows = {}
+        self._holders, self._ring, self._alive_cache, self._observers = {}, None, None, ()
+
     def settle_routing(self) -> None:
         """The table door: place the last build's routing rows, if nothing has.
 

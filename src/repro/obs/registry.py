@@ -277,6 +277,11 @@ class MetricsRegistry:
         """
         self._collectors.append(collect)
 
+    def remove_collector(self, collect: Callable[[], Dict[str, float]]) -> None:
+        """Stop sampling ``collect``; one never added is ignored."""
+        if collect in self._collectors:
+            self._collectors.remove(collect)
+
     def collect(self) -> Dict[str, float]:
         """The current readings of every registered collector."""
         readings: Dict[str, float] = {}

@@ -70,6 +70,13 @@ class Deployment:
     ctx: RecoveryContext
     manager: RecoveryManager
 
+    def close(self) -> None:
+        """Cut the cycles of the world's shape, so it frees by reference
+        counting (DESIGN.md, "World lifecycle"). Run nothing on it after."""
+        self.overlay.close()
+        self.network.close()
+        self.sim.close()
+
 
 class HoldsDeployment:
     """Reads ``self.deployment``'s parts through, so a wrapper copies none."""

@@ -185,11 +185,13 @@ class RecoveryContext:
 
     def profile_for(self, node: DhtNode) -> ResourceProfile:
         """The resource profile of a node, created on first use."""
-        if node.name not in self.profiles:
-            self.profiles[node.name] = ResourceProfile(
-                node.name, baseline_cpu=0.18, baseline_memory=500 * MB
+        name = node.host.name  # DhtNode.name without the property frame
+        profile = self.profiles.get(name)
+        if profile is None:
+            profile = self.profiles[name] = ResourceProfile(
+                name, baseline_cpu=0.18, baseline_memory=500 * MB
             )
-        return self.profiles[node.name]
+        return profile
 
     def charge_cpu(self, node: DhtNode, start: float, duration: float, fraction: float) -> None:
         if duration > 0:
@@ -238,10 +240,7 @@ class Pending:
         self._result: Any = None
         self._error: Optional[Exception] = None
         self._callbacks: List[Callable[[Any], None]] = []
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None or self._error is not None
+        self.done = False  # a field, not a property: every recovery step reads it
 
     @property
     def result(self) -> Any:
@@ -261,13 +260,17 @@ class Pending:
         if self.done:
             raise RecoveryError(self.twice.format_map(vars(self)))
         self._result = result
-        for callback in self._callbacks:
+        self.done = True
+        callbacks, self._callbacks = self._callbacks, []  # dropped, as a flow's are
+        for callback in callbacks:
             callback(result)
 
     def _fail(self, error: Exception) -> None:
         if self.done:
             raise RecoveryError(self.twice.format_map(vars(self)))
         self._error = error
+        self.done = True
+        self._callbacks = []  # a failed handle fires none of them
 
 
 class RecoveryHandle(Pending):

@@ -78,6 +78,13 @@ class Simulator:
         self.tracer = tracer
         tracer.bind_clock(lambda: self.now)
 
+    def close(self) -> None:
+        """Stop the clock: the tracer and the registry read the time it
+        stopped at through closures that no longer reach this simulator."""
+        now = self.now
+        for clocked in (self.tracer, self.metrics):
+            clocked.bind_clock(lambda: now)
+
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:

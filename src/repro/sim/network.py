@@ -290,11 +290,16 @@ class Network:
         # Per-link evidence ("was the bottleneck the provider's uplink or
         # the replacement's downlink") is read live by whoever samples.
         sim.metrics.add_collector(self.link_readings)
-        # The three callbacks every flow schedules, bound once: a bound
-        # method made per event is one more allocation for the collector.
+        # The three callbacks every flow schedules, bound once rather than per
+        # event. They point back here: the network is a cycle until close().
         self._admit_cb = self._admit
         self._settle_cb = self._recompute_rates
         self._tick_cb = self._on_completion_tick
+
+    def close(self) -> None:
+        """Drop the cached callbacks and the link collector; twice is harmless."""
+        self._admit_cb = self._settle_cb = self._tick_cb = None
+        self.sim.metrics.remove_collector(self.link_readings)
 
     def in_flight_flows(self) -> int:
         """Number of admitted flows still moving bytes (audit hook)."""
@@ -738,8 +743,11 @@ class Network:
             stall = (flow.completed_at - flow.admitted_at) - ideal
             self._flow_stall_hist.observe(max(0.0, stall))
         flow.span.finish()
-        if flow.on_complete is not None:
-            flow.on_complete(flow)
+        # A finished flow drops both callbacks, or one reaching it is a cycle.
+        on_complete = flow.on_complete
+        flow.on_complete = flow.on_abort = None
+        if on_complete is not None:
+            on_complete(flow)
 
     def _abort(self, flow: Flow, reason: str) -> None:
         if flow in self._flows:
@@ -747,8 +755,10 @@ class Network:
         flow.aborted = True
         self._flows_aborted_counter.add(1)
         flow.span.finish(aborted=True, reason=reason)
-        if flow.on_abort is not None:
-            flow.on_abort(flow)
+        on_abort = flow.on_abort
+        flow.on_complete = flow.on_abort = None
+        if on_abort is not None:
+            on_abort(flow)
 
     def _request_recompute(self) -> None:
         """Coalesce same-instant reallocations behind one settle event."""

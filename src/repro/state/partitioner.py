@@ -91,17 +91,21 @@ def check_reconstruction_set(shards: Sequence[Shard]) -> StateVersion:
     counts = {s.num_shards for s in shards}
     if len(counts) != 1:
         raise ShardError(f"inconsistent num_shards: {sorted(counts)}")
-    versions = {s.version for s in shards}
-    if len(versions) != 1:
-        raise VersionConflictError(
-            f"shards from different save rounds: {sorted(versions)}"
-        )
+    # A save round stamps one version object: the dataclass's __eq__ and
+    # __hash__ run only on a mismatch.
+    version = shards[0].version
+    for shard in shards:
+        if shard.version is not version and shard.version != version:
+            versions = {s.version for s in shards}
+            raise VersionConflictError(
+                f"shards from different save rounds: {sorted(versions)}"
+            )
     expected = counts.pop()
     indexes = sorted(s.index for s in shards)
     if indexes != list(range(expected)):
         missing = sorted(set(range(expected)) - set(indexes))
         raise ShardError(f"incomplete shard set; missing indexes {missing}")
-    return versions.pop()
+    return version
 
 
 def merge_shards(shards: Sequence[Shard]) -> StateSnapshot:

@@ -180,6 +180,11 @@ def door(overlay: Overlay) -> str:
 
 
 def rows_held(overlay: Overlay) -> int:
+    """The rows the nodes hold, or held as the overlay closed (``world``
+    takes that reading: closing a finished world cuts the rows)."""
+    held = getattr(overlay, "rows_held_at_close", None)
+    if held is not None:
+        return held
     return sum(len(node._routing_table._rows) for node in overlay.nodes)
 
 
@@ -428,9 +433,10 @@ def test_a_placement_over_the_door_time_node_list_is_caught(monkeypatch):
 @pytest.fixture
 def world(monkeypatch):
     """The overlays made, and the (overlay, place) of every pick pass, while
-    the test lasts."""
+    the test lasts. A chaos cell closes its world before it returns, so each
+    overlay's rows are read as it closes; the doors' state is left as it was."""
     overlays, passes = [], []
-    init, picks = Overlay.__init__, Overlay._table_picks
+    init, picks, close = Overlay.__init__, Overlay._table_picks, Overlay.close
 
     def collecting_init(overlay, *args, **kwargs):
         overlays.append(overlay)
@@ -440,8 +446,13 @@ def world(monkeypatch):
         passes.append((overlay, place))
         picks(overlay, nodes, rng, place)
 
+    def reading_close(overlay):
+        overlay.rows_held_at_close = rows_held(overlay)
+        close(overlay)
+
     monkeypatch.setattr(Overlay, "__init__", collecting_init)
     monkeypatch.setattr(Overlay, "_table_picks", counting_picks)
+    monkeypatch.setattr(Overlay, "close", reading_close)
     return overlays, passes
 
 
