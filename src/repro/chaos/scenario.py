@@ -15,7 +15,7 @@ smoke sweep and the full matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 from repro.chaos.injectors import (
     BandwidthFlap,
@@ -42,41 +42,32 @@ SR3_MECHANISMS = ("star", "line", "tree", "speculation")
 class Scenario:
     """One declarative fault campaign against a simulated deployment."""
 
+    num_nodes: ClassVar[int] = 32
+    state_bytes: ClassVar[float] = 16.0 * MB
+    num_shards: ClassVar[int] = 4
+    num_replicas: ClassVar[int] = 3
+    # Incremental save rounds after the base save, each ``delta_fraction`` of
+    # the state bytes: campaigns exercise chain-aware recovery by default.
+    delta_rounds: ClassVar[int] = 2
+    delta_fraction: ClassVar[float] = 0.1
+
     name: str
     description: str = ""
-    num_nodes: int = 32
-    seed: int = 0
     num_states: int = 2
-    state_mb: float = 16.0
-    num_shards: int = 4
-    num_replicas: int = 3
     uplink_mbit: float = 0.0  # 0 means unconstrained (GbE LAN mode)
     latency_bound: float = 120.0
-    # Incremental save rounds appended to each state's version chain after
-    # the base save, each carrying ``delta_fraction`` of the state bytes —
-    # campaigns exercise chain-aware recovery by default.
-    delta_rounds: int = 2
-    delta_fraction: float = 0.1
     mechanisms: Tuple[str, ...] = SR3_MECHANISMS
     injections: Tuple[Injector, ...] = field(default_factory=tuple)
+    #: Which replica of the spec runs; set by :meth:`with_seed` only.
+    seed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SimulationError("scenario needs a name")
-        if self.num_nodes < 4:
-            raise SimulationError("scenario needs at least 4 nodes")
         if self.num_states < 1:
             raise SimulationError("scenario needs at least one state")
-        if self.state_mb <= 0:
-            raise SimulationError("state size must be positive")
-        if self.num_shards < 1 or self.num_replicas < 1:
-            raise SimulationError("shards and replicas must be at least 1")
         if self.latency_bound <= 0:
             raise SimulationError("latency bound must be positive")
-        if self.delta_rounds < 0:
-            raise SimulationError("delta_rounds must be non-negative")
-        if not 0 < self.delta_fraction <= 1:
-            raise SimulationError("delta_fraction must be in (0, 1]")
         if not self.mechanisms:
             raise SimulationError("scenario must sweep at least one mechanism")
         for mechanism in self.mechanisms:
@@ -88,15 +79,13 @@ class Scenario:
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "injections", tuple(self.injections))
 
-    @property
-    def state_bytes(self) -> float:
-        return self.state_mb * MB
-
     def state_names(self) -> List[str]:
         return [f"{self.name}/state-{i}" for i in range(self.num_states)]
 
     def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
+        reseeded = replace(self)
+        object.__setattr__(reseeded, "seed", seed)
+        return reseeded
 
 
 # --------------------------------------------------------------------- catalog
@@ -109,7 +98,7 @@ SCENARIOS: Dict[str, Scenario] = {
             description="Two state owners die simultaneously; recoveries "
             "run in parallel on disjoint provider sets.",
             num_states=2,
-            injections=(CrashWave(at=5.0, count=2, victims="owners"),),
+            injections=(CrashWave(at=5.0, count=2),),
             mechanisms=SR3_MECHANISMS + ("checkpointing",),
         ),
         Scenario(
@@ -117,8 +106,7 @@ SCENARIOS: Dict[str, Scenario] = {
             description="A state owner and its nearest ring neighbours "
             "(replica holders) fail together.",
             num_states=1,
-            num_replicas=3,
-            injections=(RackFailure(at=5.0, size=3),),
+            injections=(RackFailure(),),
         ),
         Scenario(
             name="churn",
@@ -126,8 +114,8 @@ SCENARIOS: Dict[str, Scenario] = {
             "one owner crash drives a recovery.",
             num_states=1,
             injections=(
-                PoissonChurn(start=2.0, duration=15.0, rate=0.3),
-                CrashWave(at=6.0, count=1, victims="owners"),
+                PoissonChurn(duration=15.0, rate=0.3),
+                CrashWave(at=6.0, count=1),
             ),
         ),
         Scenario(
@@ -136,8 +124,8 @@ SCENARIOS: Dict[str, Scenario] = {
             "the cut heals within the retry budget.",
             num_states=1,
             injections=(
-                CrashWave(at=3.0, count=1, victims="owners"),
-                NetworkPartition(at=5.0, fraction=0.3, heal_after=8.0),
+                CrashWave(at=3.0, count=1),
+                NetworkPartition(at=5.0, heal_after=8.0),
             ),
         ),
         Scenario(
@@ -147,8 +135,8 @@ SCENARIOS: Dict[str, Scenario] = {
             num_states=1,
             uplink_mbit=200.0,  # flapping needs finite links to bite
             injections=(
-                CrashWave(at=3.0, count=1, victims="owners"),
-                BandwidthFlap(at=4.0, hosts=3, factor=0.1, period=4.0, cycles=2),
+                CrashWave(at=3.0, count=1),
+                BandwidthFlap(at=4.0, hosts=3, period=4.0),
             ),
         ),
         Scenario(
@@ -159,8 +147,8 @@ SCENARIOS: Dict[str, Scenario] = {
             uplink_mbit=200.0,  # stragglers need finite links to bite
             latency_bound=60.0,
             injections=(
-                Straggler(at=0.5, hosts=4, factor=0.2),
-                CrashWave(at=3.0, count=1, victims="owners"),
+                Straggler(hosts=4, factor=0.2),
+                CrashWave(at=3.0, count=1),
             ),
         ),
         Scenario(
@@ -169,11 +157,10 @@ SCENARIOS: Dict[str, Scenario] = {
             "mid-transfer; every mechanism must retry from an "
             "alternate replica.",
             num_states=1,
-            num_replicas=3,
             uplink_mbit=100.0,  # finite links keep transfers in flight
             injections=(
-                CrashWave(at=3.0, count=1, victims="owners"),
-                MidRecoveryCrash(target="provider", delay=1.5, times=1),
+                CrashWave(at=3.0, count=1),
+                MidRecoveryCrash(target="provider"),
             ),
         ),
         Scenario(
@@ -182,11 +169,10 @@ SCENARIOS: Dict[str, Scenario] = {
             "surface a clean RecoveryError and the campaign engine "
             "restarts onto a fresh replacement.",
             num_states=1,
-            num_replicas=3,
             uplink_mbit=100.0,  # finite links keep transfers in flight
             injections=(
-                CrashWave(at=3.0, count=1, victims="owners"),
-                MidRecoveryCrash(target="replacement", delay=1.5, times=1),
+                CrashWave(at=3.0, count=1),
+                MidRecoveryCrash(target="replacement"),
             ),
         ),
     )

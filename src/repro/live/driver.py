@@ -137,17 +137,13 @@ def build_live_cell(
         zipf_s=zipf_s,
         seed=seed + 1,
     )
-
-    def source_factory() -> Iterator[Tuple[str]]:
-        return ((sentence,) for sentence in generator)
-
     return LiveCell(
         **vars(deployment),
         backend=backend,
         cluster=cluster,
         ingest=ingest,
         source_id="sentences",
-        source_factory=source_factory,
+        source_factory=lambda: zip(generator),  # one-value rows (sentence,)
     )
 
 
@@ -306,7 +302,9 @@ class LoadDriver:
         self.sim.run_until_idle()
         if not self._done:
             raise LiveHarnessError("simulation went idle before the driver finalized")
-        return self._build_report()
+        report = self._build_report()
+        self.cell.close()
+        return report
 
     # ----------------------------------------------------------- tick loop
 

@@ -29,6 +29,7 @@ bench CLI's span flags are on.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -175,6 +176,12 @@ class Tracer:
     def now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
 
+    def close(self) -> None:
+        """Point each span at the time now, not back here (no cycle); start none after."""
+        stopped = SimpleNamespace(now=self.now)
+        for span in self.spans:
+            span._tracer = stopped
+
     # ----------------------------------------------------------------- records
 
     def start(
@@ -289,6 +296,9 @@ class NullTracer:
     spans: List[Span] = []
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
+        pass
+
+    def close(self) -> None:
         pass
 
     @property

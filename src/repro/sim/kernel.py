@@ -84,6 +84,7 @@ class Simulator:
         now = self.now
         for clocked in (self.tracer, self.metrics):
             clocked.bind_clock(lambda: now)
+        self.tracer.close()
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""

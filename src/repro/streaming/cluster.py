@@ -7,9 +7,9 @@ tasks exactly as Storm would. Terminal components' outputs are captured
 for inspection.
 
 Everything the topology fixes is resolved once, at build, into a route
-table: component -> ``(target, grouping, parallelism, tasks, collectors)``
-rows that hold the live task lists, so delivering an emission list is one
-grouping call per row and one loop.
+table: component -> ``(target, grouping, parallelism, tasks, collectors,
+runner)`` rows that hold the live task lists, so delivering an emission
+list is one grouping call and one ``run_route`` call per row.
 
 Failure injection: :meth:`kill_task` discards a task's live instance
 (losing its in-memory state, like a crashed worker). With an
@@ -112,8 +112,8 @@ class LocalCluster:
             self.executed_counts[component_id] = self._injected[component_id] = 0
         for component_id, edges in downstream.items():
             self._routes[component_id] = [
-                (e.target, e.grouping, len(self._tasks[e.target]),
-                 self._tasks[e.target], self._collectors[e.target])
+                (e.target, e.grouping, len(self._tasks[e.target]), self._tasks[e.target],
+                 self._collectors[e.target], type(self._tasks[e.target][0]).run_route)
                 for e in edges
             ]
         groupings = [e.grouping for edges in downstream.values() for e in edges]  # one per edge
@@ -262,25 +262,16 @@ class LocalCluster:
                 sink.extend(kept)
                 if len(kept) < len(tuples):
                     self.dropped_outputs[component_id] += len(tuples) - len(kept)
-            picks = []  # per route: (target, tasks, collectors, (tuple, task index) pairs)
-            for target, grouping, parallelism, tasks, collectors in routes[component_id]:
+            picks = []  # per route: (target, tasks, collectors, runner, (tuple, task index) pairs)
+            for target, grouping, parallelism, tasks, collectors, run in routes[component_id]:
                 executed[target] += len(tuples)
-                picks.append((target, tasks, collectors,
+                picks.append((target, tasks, collectors, run,
                               zip(tuples, grouping.choose(tuples, parallelism))))
             if len(picks) > 1:  # tuple by tuple, each tuple over every route in turn
-                picks = [(target, tasks, collectors, (next(pairs),))
-                         for _ in tuples for target, tasks, collectors, pairs in picks]
-            for target, tasks, collectors, pairs in picks:
-                for tuple_, index in pairs:
-                    bolt = tasks[index]
-                    if bolt is None:
-                        raise StreamRuntimeError(
-                            f"tuple routed to dead task {target}[{index}]; recover it first"
-                        )
-                    collector = collectors[index]
-                    bolt.execute(tuple_, collector)
-                    if collector.pending:
-                        queue.append(collector.drain())
+                picks = [(target, tasks, collectors, run, (next(pairs),))
+                         for _ in tuples for target, tasks, collectors, run, pairs in picks]
+            for target, tasks, collectors, run, pairs in picks:
+                run(target, pairs, tasks, collectors, queue)
 
     # ------------------------------------------------------ failure handling
 

@@ -105,6 +105,20 @@ class Bolt(Component):
     def execute(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
         raise NotImplementedError
 
+    @staticmethod
+    def run_route(target: str, pairs, tasks: List[Any], collectors, queue) -> None:
+        """Execute a route's (tuple, task index) pairs in order; queue each drain."""
+        for tuple_, index in pairs:
+            bolt = tasks[index]
+            if bolt is None:
+                raise StreamRuntimeError(
+                    f"tuple routed to dead task {target}[{index}]; recover it first"
+                )
+            collector = collectors[index]
+            bolt.execute(tuple_, collector)
+            if collector.pending:
+                queue.append(collector.drain())
+
 
 class TaskContext:
     """What a running task knows about itself."""

@@ -10,18 +10,18 @@ per-task stores partition the logical state cleanly.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import StreamRuntimeError
 from repro.state.store import StateStore
-from repro.streaming.component import Bolt, OutputCollector, TaskContext
+from repro.streaming.component import Bolt, DiscardCollector, OutputCollector, TaskContext
 from repro.streaming.tuples import StreamTuple
 
 
 class StatefulBolt(Bolt):
     """A bolt with a keyed state store bound per task.
 
-    Subclasses implement :meth:`process` (instead of ``execute``) and read
+    Subclasses implement ``process`` (or, as :class:`CountingBolt`, a runner) and read
     or update ``self.state``. The engine snapshots and restores the store
     around SR3 save/recovery cycles.
     """
@@ -56,9 +56,6 @@ class StatefulBolt(Bolt):
     def execute(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
         self.process(tuple_, collector)
 
-    def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
-        raise NotImplementedError
-
 
 class CountingBolt(StatefulBolt):
     """Count occurrences of a key field — the canonical stateful operator.
@@ -73,12 +70,33 @@ class CountingBolt(StatefulBolt):
     def declare_output_fields(self):
         return (self.key_field, "count")
 
-    def process(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
-        try:
-            key = tuple_.values[tuple_.fields.index(self.key_field)]
-        except ValueError:
-            key = tuple_[self.key_field]  # raises the KeyError that names the field
-        state = self._state if self._state is not None else self.state  # raises unprepared
-        count = (state.get(key) or 0) + 1
-        state.put(key, count)
-        collector.emit((key, count), tuple_.timestamp)
+    def execute(self, tuple_: StreamTuple, collector: OutputCollector) -> None:
+        queue: List[List[StreamTuple]] = []
+        self.run_route(collector.source, ((tuple_, 0),), (self,), (collector,), queue)
+        collector.pending += [out for emitted in queue for out in emitted]
+
+    @staticmethod
+    def run_route(target, pairs, tasks, collectors, queue) -> None:
+        """:meth:`Bolt.run_route` counting inline: a key enters only ``get`` and
+        ``put``, and a ``DiscardCollector`` gets no tuple (two values, two fields)."""
+        discard = isinstance(collectors[0], DiscardCollector)
+        for tuple_, index in pairs:
+            bolt = tasks[index]
+            if bolt is None:
+                raise StreamRuntimeError(
+                    f"tuple routed to dead task {target}[{index}]; recover it first"
+                )
+            key_field = bolt.key_field
+            try:
+                key = tuple_.values[tuple_.fields.index(key_field)]
+            except ValueError:
+                key = tuple_[key_field]  # raises the KeyError that names the field
+            state = bolt._state if bolt._state is not None else bolt.state  # raises unprepared
+            count = (state.get(key) or 0) + 1
+            state.put(key, count)
+            if not discard:
+                collector = collectors[index]
+                out = StreamTuple.__new__(StreamTuple)
+                out.values, out.fields, out.source, out.timestamp = (
+                    (key, count), collector.fields, collector.source, tuple_.timestamp)
+                queue.append([out])

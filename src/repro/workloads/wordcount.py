@@ -35,6 +35,8 @@ def _vocabulary(size: int) -> List[str]:
 class SentenceGenerator:
     """Yields sentences of Zipf-distributed pseudo-words."""
 
+    _BUCKETS = 4096  # of the draw index over the cumulative weights
+
     def __init__(
         self,
         num_sentences: int,
@@ -59,26 +61,35 @@ class SentenceGenerator:
         # Cumulative Zipf weights for O(log V) sampling.
         weights = [1.0 / (rank ** zipf_s) for rank in range(1, vocabulary_size + 1)]
         total = sum(weights)
-        acc = 0.0
-        self._cumulative = []
-        for w in weights:
-            acc += w / total
-            self._cumulative.append(acc)
+        self._cumulative = list(itertools.accumulate(w / total for w in weights))
+        # int(x * _BUCKETS) is exact (a power of two); bucket b's bounds bracket
+        # bisect_left(cumulative, x), and one holding no weight needs no search.
+        self._bounds = [bisect.bisect_left(self._cumulative, b / self._BUCKETS)
+                        for b in range(self._BUCKETS + 1)]
 
     def sample_word(self, rng: random.Random) -> str:
         index = bisect.bisect_left(self._cumulative, rng.random())
         return self.vocabulary[min(index, len(self.vocabulary) - 1)]
 
     def __iter__(self) -> Iterator[str]:
-        """The same draws as :meth:`sample_word`, with the lookups hoisted."""
+        """:meth:`sample_word`'s draws, each looked up through the bucket index."""
         draw = random.Random(self.seed).random
         bisect_left = bisect.bisect_left
         cumulative = self._cumulative
+        bounds, buckets = self._bounds, self._BUCKETS
         # Rounding can leave the last cumulative weight a hair under 1.0.
         vocabulary = self.vocabulary + self.vocabulary[-1:]
+        direct = [vocabulary[lo] if lo == hi else "" for lo, hi in zip(bounds, bounds[1:])]
         words = range(self.words_per_sentence)
         for _ in range(self.num_sentences):
-            yield " ".join([vocabulary[bisect_left(cumulative, draw())] for _ in words])
+            sentence = []
+            for _ in words:
+                x = draw()
+                b = int(x * buckets)
+                sentence.append(
+                    direct[b] or vocabulary[bisect_left(cumulative, x, bounds[b], bounds[b + 1])]
+                )
+            yield " ".join(sentence)
 
 
 class SentenceSpout(Spout):

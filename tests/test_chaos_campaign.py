@@ -27,10 +27,8 @@ from repro.sim.kernel import Simulator
 
 SMALL_CRASH = Scenario(
     name="small-crash",
-    num_nodes=16,
     num_states=1,
-    state_mb=4.0,
-    injections=(CrashWave(at=3.0, count=1, victims="owners"),),
+    injections=(CrashWave(at=3.0, count=1),),
     mechanisms=("star", "checkpointing"),
 )
 

@@ -21,8 +21,6 @@ class TestScenarioValidation:
 
     def test_needs_nodes_and_states(self):
         with pytest.raises(SimulationError):
-            Scenario(name="t", num_nodes=2)
-        with pytest.raises(SimulationError):
             Scenario(name="t", num_states=0)
 
     def test_rejects_unknown_mechanism(self):
@@ -39,7 +37,7 @@ class TestScenarioValidation:
         assert scenario.state_names() == ["t/state-0", "t/state-1"]
 
     def test_with_seed_returns_new_spec(self):
-        scenario = Scenario(name="t", seed=0)
+        scenario = Scenario(name="t")
         reseeded = scenario.with_seed(7)
         assert reseeded.seed == 7
         assert scenario.seed == 0

@@ -7,8 +7,10 @@ method of their own. A flow drops its callbacks once one has fired, and a
 settled handle drops its own. A chaos cell closes its world
 (``Deployment.close``), which cuts the cycles the world's shape makes: the
 overlay's node graph, the network's cached callbacks, the clocks of the
-tracer and the registry. So reference counting frees a cell's world as
-soon as ``run_scenario`` returns. With the cyclic collector switched off,
+tracer and the registry, and the tracer's spans' links back to it. So
+reference counting frees a cell's world as soon as ``run_scenario``
+returns, and a live cell's as soon as ``LoadDriver.run`` has built its
+report. With the cyclic collector switched off,
 whatever is left in a cycle is still on the heap at the end, and
 ``gc.collect()`` counts it.
 """
@@ -19,6 +21,7 @@ import pytest
 
 from repro.chaos.campaign import run_scenario
 from repro.chaos.scenario import campaign_scenarios
+from repro.live import FlashCrowd, LoadDriver, build_live_cell
 from repro.recovery.deployment import build_deployment, saved_delta, saved_state
 from repro.recovery.line import LineRecovery
 from repro.recovery.model import run_handles
@@ -161,3 +164,25 @@ def test_a_finished_or_aborted_flow_holds_no_callback():
     assert fired == [cut, done] and cut.aborted and done.done
     for flow in (done, cut):
         assert flow.on_complete is None and flow.on_abort is None
+
+
+def test_a_live_cell_frees_its_world_by_reference_counting(collector_off):
+    """A smoke-sized flash crowd with a kill, a recovery and a replay."""
+    cell = build_live_cell(num_nodes=16, seed=0, link_mbit=200.0)
+    report = LoadDriver(
+        cell,
+        FlashCrowd(base=30.0, peak=150.0, at=8.0, ramp=2.0, hold=10.0, decay=5.0),
+        duration=30.0,
+        service_rate=300.0,
+        checkpoint_at=(5.0,),
+        kill_at=10.0,
+        mechanism=StarRecovery(fanout_bits=2),
+        bulk_state_mb=32.0,
+    ).run()
+    assert report.recovered_at is not None and report.replayed > 0
+    # What a report's reader takes from the closed cell stays readable.
+    counts = sum(sum(v for _, v in bolt.state.items())
+                 for bolt in cell.cluster.stateful_tasks().values())
+    assert counts == 8 * report.served and len(cell.sim.tracer.spans) > 0
+    del cell
+    assert gc.collect() == 0

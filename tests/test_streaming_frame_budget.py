@@ -3,15 +3,17 @@
 Nothing on the tuple path is slow; its cost is call overhead, so the number
 of frames entered is the quantity a change to it moves. ``sys.setprofile``
 counts them over 100 injected word-count sentences (8 words each, 4 count
-tasks, seed 1) after 100 warm-up ones: a word tuple enters ``execute``,
-``process``, ``get``, ``put`` and the terminal collector's ``emit``; a
-sentence enters nine frames of its own, among them the split bolt's one
-``emit_all`` and one ``choose`` per emission list (the sentence, then its
-words); and the 22 words first seen in the measured hundred pay for their
-hash and their two size estimates. The count repeats exactly; Python 3.12
-inlines the hash's list comprehension, so it reads 1.76 lower there. Before
-the four fast paths of DESIGN.md's "Streaming tuple path" it read 106.52 and
-122.52, and before emission lists 70.04 and 78.04.
+tasks, seed 1) after 100 warm-up ones: a word tuple enters only the store's
+``get`` and ``put``, counted inline by ``CountingBolt.run_route``; a
+sentence enters eleven frames of its own, among them the split bolt's one
+``execute`` and ``emit_all``, one ``choose`` and one route runner per
+emission list (the sentence, then its words); and the 22 words first seen
+in the measured hundred pay for their hash and their two size estimates.
+The count repeats exactly, and a captured sink costs no frame more; Python
+3.12 inlines the hash's list comprehension, so it reads 1.76 lower there.
+Before the four fast paths of DESIGN.md's "Streaming tuple path" it read
+106.52 and 122.52, before emission lists 70.04 and 78.04, and before the
+counting runner 56.04 and 64.04.
 """
 
 import os
@@ -26,8 +28,8 @@ from repro.workloads.wordcount import SentenceGenerator, build_wordcount_topolog
 
 WARM_UP = MEASURED = 100
 PROGRAM = os.path.dirname(repro.__file__) + os.sep
-#: Frames a sentence; this interpreter reads 56.04 and 64.04 (3.12: 54.28 and 62.28).
-BUDGET = {False: 58.0, True: 66.0}
+#: Frames a sentence; this interpreter reads 34.04 in both (3.12: 32.28).
+BUDGET = {False: 36.0, True: 36.0}
 
 
 def frames_per_sentence(capture_outputs):
@@ -63,9 +65,8 @@ def test_a_sentence_stays_inside_its_frame_budget(capture_outputs):
     assert frames <= BUDGET[capture_outputs], sorted(entered.items(), key=lambda kv: -kv[1])
     assert frames_per_sentence(capture_outputs)[0] == frames  # a count, not a timing
     # The entry points the layer trace wraps on the class are still entered per call:
-    # execute, get and put per word, choose once per emission list, twice a sentence.
+    # get and put once a word, choose twice a sentence, execute once (the split bolt).
     words = 8 * MEASURED
-    for name in ("execute", "get", "put"):
-        assert entered[name] >= words, name
+    assert entered["get"] == entered["put"] == words
     assert entered["choose"] == 2 * MEASURED
-    assert entered["inject"] == MEASURED
+    assert entered["execute"] == entered["inject"] == MEASURED

@@ -4,13 +4,16 @@
 ``reference_put`` are ``OutputCollector.emit``, ``FieldsGrouping.choose``,
 ``CountingBolt.process`` and ``StateStore.put`` of the commit before the
 frames were taken out, verbatim apart from their names. The router asks a
-grouping once per emission list and the split bolt emits a sentence with
-``emit_all``, so two adapters put the per-tuple calls back under those
-names: ``choose`` asks ``reference_choose`` once per tuple and ``emit_all``
-calls ``emit`` once per row. Every shipped application runs once as it is
-and once with the references patched in: what it emitted (in order), what
-it executed and what it stored must be equal, and every error the old path
-raised must be raised with the same text.
+grouping once per emission list, the split bolt emits a sentence with
+``emit_all`` and ``CountingBolt`` counts a route's words in its own runner,
+so adapters put the per-tuple calls back under those names: ``choose`` asks
+``reference_choose`` once per tuple, ``emit_all`` calls ``emit`` once per
+row, and a counting route runs the default per-tuple runner, whose
+``execute`` calls ``reference_process`` once a word. Every shipped
+application runs once as it is and once with the references patched in:
+what it emitted (in order), what it executed and what it stored must be
+equal, and every error the old path raised must be raised with the same
+text.
 """
 
 import sys
@@ -21,9 +24,9 @@ import pytest
 from repro.errors import StreamRuntimeError, TopologyError
 from repro.state.store import StateStore, _estimate, estimate_entry_bytes
 from repro.streaming.cluster import LocalCluster
-from repro.streaming.component import DiscardCollector, OutputCollector, TaskContext
+from repro.streaming.component import Bolt, DiscardCollector, OutputCollector, TaskContext
 from repro.streaming.groupings import _MEMO_LIMIT, _MEMO_TYPES, FieldsGrouping, _hash_prefix
-from repro.streaming.stateful import CountingBolt
+from repro.streaming.stateful import CountingBolt, StatefulBolt
 from repro.streaming.tuples import StreamTuple
 from repro.workloads.clicks import (
     build_fraud_detection_topology,
@@ -110,12 +113,22 @@ REFERENCES = (
 )
 
 
+#: A counting route back on the per-tuple runner and ``execute``, which
+#: forwards to ``process``: the parent's path to ``reference_process``.
+PER_TUPLE_COUNTING = (
+    (CountingBolt, "run_route", Bolt.run_route),
+    (CountingBolt, "execute", StatefulBolt.execute),
+)
+
+
 def install_references(patch, entered=None):
     """Patch the references in; ``entered`` counts the calls each receives."""
+    for cls, name, fn in PER_TUPLE_COUNTING:
+        patch.setattr(cls, name, fn)
     for cls, name, fn in REFERENCES:
         if entered is not None:
             fn = counted(fn, entered)
-        patch.setattr(cls, name, fn)
+        patch.setattr(cls, name, fn, raising=cls is not CountingBolt)  # it has no process
 
 
 def counted(fn, entered):
@@ -284,22 +297,32 @@ ERROR_PATHS = {
         (KeyError, "no field 'j'"),
     ),
     "key_field missing": (
-        lambda: prepared_counter().process(
-            StreamTuple((1,), ("a",), source="up"), OutputCollector("count", ("word", "count"))
+        lambda: CountingBolt.run_route(
+            "count", [(StreamTuple((1,), ("a",), source="up"), 0)], [prepared_counter()],
+            [OutputCollector("count", ("word", "count"))], [],
         ),
         (KeyError, "tuple from 'up' has no field 'word'; has ('a',)"),
     ),
     "key_field missing on an unprepared bolt": (
-        lambda: CountingBolt("word").process(
-            StreamTuple((1,), ("a",)), OutputCollector("count", ("word", "count"))
+        lambda: CountingBolt.run_route(
+            "count", [(StreamTuple((1,), ("a",)), 0)], [CountingBolt("word")],
+            [OutputCollector("count", ("word", "count"))], [],
         ),
         (KeyError, "no field 'word'"),
     ),
     "state before prepare": (
-        lambda: CountingBolt("word").process(
-            StreamTuple(("x",), ("word",)), OutputCollector("count", ("word", "count"))
+        lambda: CountingBolt.run_route(
+            "count", [(StreamTuple(("x",), ("word",)), 0)], [CountingBolt("word")],
+            [OutputCollector("count", ("word", "count"))], [],
         ),
         (StreamRuntimeError, "state accessed before prepare()"),
+    ),
+    "dead task in the middle of a list": (
+        lambda: CountingBolt.run_route(
+            "count", [(StreamTuple((w,), ("word",)), i) for w, i in (("x", 0), ("y", 1), ("z", 0))],
+            [prepared_counter(), None], [DiscardCollector("count", ("word", "count"))] * 2, [],
+        ),
+        (StreamRuntimeError, "tuple routed to dead task count[1]; recover it first"),
     ),
     "emit with too few values": (
         lambda: OutputCollector("c", ("a", "b")).emit((1,)),
@@ -350,10 +373,10 @@ def test_a_hand_built_tuple_with_list_fields_routes_and_counts(path):
     assert FieldsGrouping(["word"]).choose([tuple_], 4) == FieldsGrouping(["word"]).choose(
         [StreamTuple(("x",), ("word",))], 4
     )
-    bolt, collector = prepared_counter(), OutputCollector("count", ("word", "count"))
-    bolt.process(tuple_, collector)
+    bolt, collector, queue = prepared_counter(), OutputCollector("count", ("word", "count")), []
+    CountingBolt.run_route("count", [(tuple_, 0)], [bolt], [collector], queue)
     bolt.execute(tuple_, collector)
-    assert [flat(t) for t in collector.drain()] == [
+    assert len(queue) == 1 and [flat(t) for t in queue[0] + collector.drain()] == [
         (tuple, ("x", 1), ("word", "count"), "count", 1.5),
         (tuple, ("x", 2), ("word", "count"), "count", 1.5),
     ]
